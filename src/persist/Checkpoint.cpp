@@ -195,6 +195,8 @@ uint64_t spe::fingerprintOptions(const HarnessOptions &Opts) {
   F.u64(static_cast<uint64_t>(Opts.Extract.Model));
   F.u64(Opts.VariantThreshold);
   F.u64(Opts.VariantBudget);
+  // The step budget decides which variants are excluded as Timeout.
+  F.u64(Opts.OracleMaxSteps);
   F.u64(Opts.Threads);
   // Deliberately NOT folded: Opts.BatchSize. Batching is result-neutral
   // by the batch contract (every recorded observation has unbatched

@@ -15,11 +15,6 @@ using namespace spe;
 
 namespace {
 
-bool setCloexec(int Fd) {
-  int Flags = fcntl(Fd, F_GETFD);
-  return Flags >= 0 && fcntl(Fd, F_SETFD, Flags | FD_CLOEXEC) == 0;
-}
-
 void closePair(int P[2]) {
   if (P[0] >= 0)
     close(P[0]);
@@ -56,9 +51,13 @@ bool PipedProcess::start(const std::vector<std::string> &Argv,
     return false;
   }
 
+  // Every pipe is CLOEXEC from creation: a child another thread forks at
+  // the same moment must not inherit these ends (it would hold this child's
+  // stdin open and its parent would never see EOF). The child's dup2 onto
+  // fds 0 and 1 clears the flag where the exec'd program needs it.
   int InP[2] = {-1, -1}, OutP[2] = {-1, -1}, ExecP[2] = {-1, -1};
-  if (pipe(InP) != 0 || pipe(OutP) != 0 || pipe(ExecP) != 0 ||
-      !setCloexec(ExecP[0]) || !setCloexec(ExecP[1])) {
+  if (pipe2(InP, O_CLOEXEC) != 0 || pipe2(OutP, O_CLOEXEC) != 0 ||
+      pipe2(ExecP, O_CLOEXEC) != 0) {
     Err = "pipe: " + std::string(std::strerror(errno));
     closePair(InP), closePair(OutP), closePair(ExecP);
     return false;

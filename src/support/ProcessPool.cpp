@@ -206,12 +206,12 @@ ProcessPool::ProcessPool(unsigned Workers, uint64_t SlackMs)
     : SlackMs(SlackMs) {
   {
     std::lock_guard<std::mutex> L(Mu);
+    // Every pool pipe is CLOEXEC, so no exec'd job -- a broker's or one
+    // another thread spawns -- inherits the pool's ends.
     int WP[2];
-    if (pipe(WP) == 0) {
+    if (pipe2(WP, O_CLOEXEC | O_NONBLOCK) == 0) {
       WakeRead = WP[0];
       WakeWrite = WP[1];
-      fcntl(WakeRead, F_SETFL, O_NONBLOCK);
-      fcntl(WakeWrite, F_SETFL, O_NONBLOCK);
     }
     Brokers.resize(Workers == 0 ? 1 : Workers);
     for (Broker &B : Brokers)
@@ -247,9 +247,9 @@ ProcessPool::~ProcessPool() {
 
 bool ProcessPool::spawnBroker(Broker &B) {
   int JP[2], RP[2];
-  if (pipe(JP) != 0)
+  if (pipe2(JP, O_CLOEXEC) != 0)
     return false;
-  if (pipe(RP) != 0) {
+  if (pipe2(RP, O_CLOEXEC) != 0) {
     close(JP[0]), close(JP[1]);
     return false;
   }

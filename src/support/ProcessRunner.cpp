@@ -26,11 +26,6 @@ uint64_t nowMs() {
          static_cast<uint64_t>(Ts.tv_nsec) / 1'000'000;
 }
 
-bool setCloexec(int Fd) {
-  int Flags = fcntl(Fd, F_GETFD);
-  return Flags >= 0 && fcntl(Fd, F_SETFD, Flags | FD_CLOEXEC) == 0;
-}
-
 /// Drains one capture pipe into \p Out up to \p Cap bytes (excess is read
 /// and dropped so the child never blocks on a full pipe). \returns false on
 /// EOF or unrecoverable error, true while the pipe stays open.
@@ -89,20 +84,23 @@ ProcessResult spe::runProcess(const std::vector<std::string> &Argv,
     return R;
   }
 
-  // Three pipes: the two captures plus the exec-errno channel. The errno
-  // pipe is CLOEXEC, so a successful exec closes it silently and the
-  // parent reads EOF; a failed exec writes errno before _exit.
+  // Three pipes: the two captures plus the exec-errno channel. All are
+  // CLOEXEC from creation, so a child another thread forks concurrently
+  // never inherits them; dup2 onto fds 0-2 clears the flag where this
+  // child needs it. A successful exec therefore closes the errno pipe
+  // silently and the parent reads EOF; a failed exec writes errno before
+  // _exit.
   int OutP[2], ErrP[2], ExecP[2];
-  if (pipe(OutP) != 0) {
+  if (pipe2(OutP, O_CLOEXEC) != 0) {
     R.Error = "pipe: " + std::string(std::strerror(errno));
     return R;
   }
-  if (pipe(ErrP) != 0) {
+  if (pipe2(ErrP, O_CLOEXEC) != 0) {
     R.Error = "pipe: " + std::string(std::strerror(errno));
     close(OutP[0]), close(OutP[1]);
     return R;
   }
-  if (pipe(ExecP) != 0 || !setCloexec(ExecP[0]) || !setCloexec(ExecP[1])) {
+  if (pipe2(ExecP, O_CLOEXEC) != 0) {
     R.Error = "pipe: " + std::string(std::strerror(errno));
     close(OutP[0]), close(OutP[1]), close(ErrP[0]), close(ErrP[1]);
     return R;
@@ -110,7 +108,7 @@ ProcessResult spe::runProcess(const std::vector<std::string> &Argv,
   // The stdin feed pipe only exists when there is data to feed; the empty
   // case keeps the /dev/null fast path untouched.
   int InP[2] = {-1, -1};
-  if (!Opts.StdinData.empty() && pipe(InP) != 0) {
+  if (!Opts.StdinData.empty() && pipe2(InP, O_CLOEXEC) != 0) {
     R.Error = "pipe: " + std::string(std::strerror(errno));
     close(OutP[0]), close(OutP[1]), close(ErrP[0]), close(ErrP[1]);
     close(ExecP[0]), close(ExecP[1]);
@@ -145,7 +143,7 @@ ProcessResult spe::runProcess(const std::vector<std::string> &Argv,
     } else {
       // stdin reads EOF so an unexpectedly interactive child terminates
       // instead of hanging.
-      int DevNull = open("/dev/null", O_RDONLY);
+      int DevNull = open("/dev/null", O_RDONLY | O_CLOEXEC);
       if (DevNull >= 0)
         dup2(DevNull, STDIN_FILENO);
     }

@@ -51,21 +51,6 @@ struct StatusCounters {
   uint64_t MatrixCells = 0;
   uint64_t RawFindings = 0;
   uint64_t UniqueBugs = 0;
-
-  StatusCounters operator-(const StatusCounters &O) const {
-    StatusCounters R;
-    R.Enumerated = Enumerated - O.Enumerated;
-    R.Tested = Tested - O.Tested;
-    R.Pruned = Pruned - O.Pruned;
-    R.OracleExcluded = OracleExcluded - O.OracleExcluded;
-    R.OracleExecs = OracleExecs - O.OracleExecs;
-    R.CacheHits = CacheHits - O.CacheHits;
-    R.Timeouts = Timeouts - O.Timeouts;
-    R.MatrixCells = MatrixCells - O.MatrixCells;
-    R.RawFindings = RawFindings - O.RawFindings;
-    R.UniqueBugs = UniqueBugs - O.UniqueBugs;
-    return R;
-  }
 };
 
 /// Live status.json writer. One instance per campaign; share the pointer

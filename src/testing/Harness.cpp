@@ -15,6 +15,7 @@
 #include "triage/Deduper.h"
 #include "triage/MatrixVote.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <mutex>
@@ -114,8 +115,8 @@ bool CampaignResult::operator==(const CampaignResult &Other) const {
 
 namespace {
 
-/// Everything the per-seed enumeration loop needs, shared by the plain and
-/// the checkpointed seed runners so the two cannot drift.
+/// Everything the per-seed enumeration loop needs, shared by the seed
+/// runner, fleet leases, and lease planning so they cannot drift.
 struct SeedPlan {
   std::unique_ptr<ASTContext> Ctx;
   std::vector<SkeletonUnit> Units;
@@ -201,35 +202,14 @@ StatusCounters countersOf(const CampaignResult &R) {
   return C;
 }
 
-/// Precomputed span labels (telemetry on only): one backend label per
-/// roster slot, one config label per Opts.Configs entry -- so the hot loop
-/// never rebuilds identity strings.
-struct TelemetryLabels {
-  std::vector<std::string> Backends;
-  std::vector<std::string> Configs;
-};
-
-TelemetryLabels
-makeTelemetryLabels(const HarnessOptions &Opts,
-                    const std::vector<const CompilerBackend *> &Roster) {
-  TelemetryLabels L;
-  L.Backends.reserve(Roster.size());
-  for (const CompilerBackend *B : Roster)
-    L.Backends.push_back(telemetryBackendLabel(B->identity()));
-  L.Configs.reserve(Opts.Configs.size());
-  for (const CompilerConfig &C : Opts.Configs)
-    L.Configs.push_back(telemetryConfigLabel(C.OptLevel, C.Mode64));
-  return L;
-}
-
-/// This worker's live shard progress for the status feed. saveState() is
-/// not free (BigInt decimal round-trips), but this only runs when a status
-/// write is already due -- wall-clock cadence, not per variant.
+/// This worker's live shard progress for the status feed; \p Out holds
+/// only the shard's current-seed work. saveState() is not free (BigInt
+/// decimal round-trips), but this only runs when a status write is already
+/// due -- wall-clock cadence, not per variant.
 CampaignStatusFeed::ShardStatus shardStatusNow(const CampaignResult &Out,
-                                               const StatusCounters &Base0,
                                                ProgramCursor &Cursor) {
   CampaignStatusFeed::ShardStatus S;
-  S.C = countersOf(Out) - Base0;
+  S.C = countersOf(Out);
   CursorState CS = Cursor.saveState();
   BigInt Pos = BigInt::fromDecimalString(CS.Position);
   BigInt End = BigInt::fromDecimalString(CS.End);
@@ -345,292 +325,21 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
   return O;
 }
 
-/// Classifies one backend observation against \p Verdict and records any
-/// findings into \p Result -- the per-configuration body the unbatched
-/// loop and the batched pipeline share, so what counts as a finding cannot
-/// drift between them.
-void recordObservation(const CompilerConfig &Config,
-                       const BackendObservation &Obs, bool GroundTruth,
-                       const std::string &Source,
-                       const OracleCache::Entry &Verdict,
-                       CampaignResult &Result) {
-  // Records one finding. Ground-truth findings (Id != 0) key UniqueBugs
-  // and RawFindings by id; signature-only findings (Id == 0, backends
-  // without ground truth) key RawFindings by normalized signature and
-  // never touch UniqueBugs -- distinct clusters at one shared id slot
-  // would otherwise collapse arbitrarily.
-  auto Record = [&](BugEffect Effect, int Id, const std::string &Sig) {
-    FoundBug Bug;
-    Bug.BugId = Id;
-    Bug.P = Config.P;
-    Bug.Effect = Effect;
-    Bug.Signature = Sig;
-    Bug.Version = Config.Version;
-    Bug.OptLevel = Config.OptLevel;
-    Bug.Mode64 = Config.Mode64;
-    Bug.WitnessProgram = Source;
-    FindingKey Key;
-    Key.BugId = Id;
-    Key.P = Config.P;
-    Key.Version = Config.Version;
-    Key.OptLevel = Config.OptLevel;
-    Key.Mode64 = Config.Mode64;
-    if (Id == 0)
-      Key.Sig = normalizeSignature(Effect, Sig);
-    Result.RawFindings.emplace(std::move(Key), Bug);
-    if (Id != 0)
-      Result.UniqueBugs.emplace(Id, std::move(Bug));
-  };
-
-  if (Obs.Compile == BackendObservation::CompileStatus::Rejected)
-    return;
-  if (Obs.Compile == BackendObservation::CompileStatus::Crashed) {
-    ++Result.CrashObservations;
-    Record(BugEffect::Crash, Obs.CrashBugId, Obs.CrashSignature);
-    return;
-  }
-  // Performance anomaly: MiniCC's inflated cost model, or an external
-  // compile that blew its wall-clock budget.
-  if (Obs.CompileTimeAnomaly) {
-    ++Result.PerformanceObservations;
-    if (GroundTruth) {
-      for (int Id : Obs.FiredBugs) {
-        const InjectedBug *Truth = findBug(Id);
-        if (!Truth || Truth->Effect != BugEffect::Performance)
-          continue;
-        Record(BugEffect::Performance, Id, "pathological compile time");
-      }
-    } else {
-      Record(BugEffect::Performance, 0, "pathological compile time");
-    }
-  }
-  if (Obs.Compile == BackendObservation::CompileStatus::TimedOut)
-    return; // Nothing runnable was produced.
-
-  // The divergence *kind* is the stable part of a wrong-code signature
-  // (triage/BugSignature.h normalizes away the concrete values).
-  std::string WrongCodeSig =
-      classifyDivergence(Obs, Verdict.ExitCode, Verdict.Output);
-  if (WrongCodeSig.empty())
-    return;
-  if (Obs.Exec == BackendObservation::ExecStatus::Timeout)
-    ++Result.ExecutionTimeouts;
-  ++Result.WrongCodeObservations;
-  if (GroundTruth) {
-    // Attribute the divergence to the fired wrong-code bug (ground
-    // truth); checked lookup, so foreign ids cannot read out of bounds.
-    for (int Id : Obs.FiredBugs) {
-      const InjectedBug *Truth = findBug(Id);
-      if (!Truth || Truth->Effect != BugEffect::WrongCode)
-        continue;
-      Record(BugEffect::WrongCode, Id, WrongCodeSig);
-    }
-  } else {
-    Record(BugEffect::WrongCode, 0, WrongCodeSig);
-  }
-}
-
-//===--- N-way differential matrix recording (DESIGN.md Section 14) ----===//
-
-/// Records one attributed matrix finding. Same key/witness discipline as
-/// recordObservation's Record, extended with the attributed backend's
-/// roster slot and the sweep input the divergence manifested under.
-void recordMatrixFinding(const CompilerConfig &Config, BugEffect Effect,
-                         int Id, const std::string &Sig,
-                         const std::string &BackendId, unsigned BackendIdx,
-                         const std::string &Input, unsigned InputIdx,
-                         const std::string &Source, CampaignResult &Result) {
-  FoundBug Bug;
-  Bug.BugId = Id;
-  Bug.P = Config.P;
-  Bug.Effect = Effect;
-  Bug.Signature = Sig;
-  Bug.Version = Config.Version;
-  Bug.OptLevel = Config.OptLevel;
-  Bug.Mode64 = Config.Mode64;
-  Bug.Backend = BackendId;
-  Bug.Input = Input;
-  Bug.WitnessProgram = Source;
-  FindingKey Key;
-  Key.BugId = Id;
-  Key.P = Config.P;
-  Key.Version = Config.Version;
-  Key.OptLevel = Config.OptLevel;
-  Key.Mode64 = Config.Mode64;
-  Key.BackendIdx = BackendIdx;
-  Key.InputIdx = InputIdx;
-  if (Id == 0)
-    Key.Sig = normalizeSignature(Effect, Sig);
-  Result.RawFindings.emplace(std::move(Key), Bug);
-  if (Id != 0)
-    Result.UniqueBugs.emplace(Id, std::move(Bug));
-}
-
-/// Matrix recording of one tested variant: compile-level findings per
-/// (backend, config) row, then one vote per (config, input) cell across
-/// the roster (triage/MatrixVote.h), with each outlier's finding
-/// attributed to the backend that diverged -- or to "reference-oracle"
-/// when a strict backend majority outvoted it. \p Obs is
-/// [backend][config][input] with the input axis of row (backend, config)
-/// being configInputs(Configs[config]); \p Sweep holds the per-union-input
-/// oracle verdicts (empty when the union is the single primary input).
-/// Deterministic recording order -- configs outer, compile rows then
-/// inputs, backends innermost -- so first-wins witness maps are identical
-/// for every thread count and batch size.
-void recordMatrixVariant(
-    const HarnessOptions &Opts,
-    const std::vector<const CompilerBackend *> &Roster,
-    const std::vector<std::string> &AllInputs,
-    const std::vector<std::vector<std::vector<BackendObservation>>> &Obs,
-    const std::string &Source, const OracleCache::Entry &Verdict,
-    const std::vector<OracleCache::Entry> &Sweep, CampaignResult &Result) {
-  // The backend identity stamped on findings: with a single-backend roster
-  // (sweeps only) it stays empty -- the sole backend is implied, keeping
-  // signatures identical to a classic campaign's.
-  auto BackendName = [&](size_t B) {
-    return Roster.size() >= 2 ? Roster[B]->identity() : std::string();
-  };
-  auto UnionVerdict = [&](size_t U) -> const OracleCache::Entry & {
-    return Sweep.empty() ? Verdict : Sweep[U];
-  };
-
-  for (size_t C = 0; C < Opts.Configs.size(); ++C) {
-    const CompilerConfig &Config = Opts.Configs[C];
-    std::vector<std::string> Ins = configInputs(Config);
-
-    // Compile-level findings: one per (backend, config) row, read off the
-    // row's first cell (all cells share one compile's status fields).
-    for (size_t B = 0; B < Roster.size(); ++B) {
-      if (C >= Obs[B].size() || Obs[B][C].empty())
-        continue;
-      const BackendObservation &Row = Obs[B][C][0];
-      const bool GroundTruth = Roster[B]->hasGroundTruth();
-      if (Row.Compile == BackendObservation::CompileStatus::Crashed) {
-        ++Result.CrashObservations;
-        recordMatrixFinding(Config, BugEffect::Crash, Row.CrashBugId,
-                            Row.CrashSignature, BackendName(B),
-                            static_cast<unsigned>(B), std::string(), 0,
-                            Source, Result);
-      }
-      if (Row.CompileTimeAnomaly) {
-        ++Result.PerformanceObservations;
-        if (GroundTruth) {
-          for (int Id : Row.FiredBugs) {
-            const InjectedBug *Truth = findBug(Id);
-            if (!Truth || Truth->Effect != BugEffect::Performance)
-              continue;
-            recordMatrixFinding(Config, BugEffect::Performance, Id,
-                                "pathological compile time", BackendName(B),
-                                static_cast<unsigned>(B), std::string(), 0,
-                                Source, Result);
-          }
-        } else {
-          recordMatrixFinding(Config, BugEffect::Performance, 0,
-                              "pathological compile time", BackendName(B),
-                              static_cast<unsigned>(B), std::string(), 0,
-                              Source, Result);
-        }
-      }
-    }
-
-    // Behavioral cells: one vote per (config, input) across the roster.
-    for (size_t I = 0; I < Ins.size(); ++I) {
-      // This input's oracle verdict, by its position in the sweep union.
-      size_t U = 0;
-      while (U < AllInputs.size() && AllInputs[U] != Ins[I])
-        ++U;
-      if (U >= AllInputs.size())
-        continue; // Unreachable: configInputs is a subset of the union.
-      const OracleCache::Entry &V = UnionVerdict(U);
-      if (!V.FrontendOk || V.Status != ExecStatus::Ok)
-        continue; // Cell excluded (counted once in oraclePhase).
-
-      std::vector<const BackendObservation *> Cells(Roster.size(), nullptr);
-      for (size_t B = 0; B < Roster.size(); ++B) {
-        if (C >= Obs[B].size() || I >= Obs[B][C].size())
-          continue;
-        const BackendObservation &Cell = Obs[B][C][I];
-        Cells[B] = &Cell;
-        if (Cell.Compile == BackendObservation::CompileStatus::Ok &&
-            Cell.Exec != BackendObservation::ExecStatus::NotRun)
-          ++Result.MatrixCellsCompared;
-      }
-
-      MatrixVote Vote = voteMatrixCell(V.ExitCode, V.Output, Cells);
-      for (size_t B = 0; B < Roster.size(); ++B) {
-        if (Vote.Outliers[B].empty())
-          continue;
-        if (Cells[B]->Exec == BackendObservation::ExecStatus::Timeout)
-          ++Result.ExecutionTimeouts;
-        ++Result.WrongCodeObservations;
-        if (Roster[B]->hasGroundTruth()) {
-          for (int Id : Cells[B]->FiredBugs) {
-            const InjectedBug *Truth = findBug(Id);
-            if (!Truth || Truth->Effect != BugEffect::WrongCode)
-              continue;
-            recordMatrixFinding(Config, BugEffect::WrongCode, Id,
-                                Vote.Outliers[B], BackendName(B),
-                                static_cast<unsigned>(B), Ins[I],
-                                static_cast<unsigned>(I), Source, Result);
-          }
-        } else {
-          recordMatrixFinding(Config, BugEffect::WrongCode, 0,
-                              Vote.Outliers[B], BackendName(B),
-                              static_cast<unsigned>(B), Ins[I],
-                              static_cast<unsigned>(I), Source, Result);
-        }
-      }
-      if (Vote.OracleOutvoted) {
-        // The roster agreed against the reference semantics: either an
-        // interpreter bug or UB the exclusion pass missed. Signature-only
-        // by definition -- no ground-truth id space covers the oracle.
-        ++Result.WrongCodeObservations;
-        recordMatrixFinding(Config, BugEffect::WrongCode, 0,
-                            Vote.OracleSignature, "reference-oracle",
-                            static_cast<unsigned>(Roster.size()), Ins[I],
-                            static_cast<unsigned>(I), Source, Result);
-      }
-    }
-  }
-}
-
-/// The unbatched matrix body: every roster backend compiles the variant
-/// under every config and executes once per sweep input, then the cells
-/// are voted. Shared by the BatchSize <= 1 pipeline path and
-/// testProgramWith so the two cannot drift.
-void runMatrixInline(const HarnessOptions &Opts,
-                     const std::vector<const CompilerBackend *> &Roster,
-                     const std::vector<std::string> &AllInputs,
-                     const std::string &Source, const OracleOutcome &O,
-                     CoverageRegistry *Cov, const TelemetryLabels *TL,
-                     CampaignResult &Result) {
-  TelemetrySink *Sink = Opts.Telemetry;
-  TelemetrySummary *Local = Sink ? &Result.Telemetry : nullptr;
-  std::vector<std::vector<std::vector<BackendObservation>>> Obs(
-      Roster.size());
-  for (size_t B = 0; B < Roster.size(); ++B) {
-    Obs[B].reserve(Opts.Configs.size());
-    for (size_t C = 0; C < Opts.Configs.size(); ++C) {
-      const CompilerConfig &Config = Opts.Configs[C];
-      SpanTimer T(Sink, Local, "backend_run",
-                  TL ? TL->Backends[B] : std::string(),
-                  TL ? TL->Configs[C] : std::string());
-      Obs[B].push_back(
-          Roster[B]->runSweep(Source, Config, configInputs(Config), Cov));
-    }
-  }
-  SpanTimer T(Sink, Local, "vote");
-  recordMatrixVariant(Opts, Roster, AllInputs, Obs, Source, O.Verdict,
-                      O.Sweep, Result);
-}
-
-/// The per-worker render/compile/execute pipeline (DESIGN.md Section 13).
-/// Variants accumulate into a batch of Opts.BatchSize; a full batch is
-/// handed to the backend (beginBatch -- which starts pool compiles and
-/// returns) *before* the previous batch is collected and recorded, so the
-/// compiler works on batch N+1 while this thread records batch N and then
-/// interprets oracles for batch N+2. At BatchSize <= 1 add() degenerates
-/// to the classic inline loop, bit for bit.
+/// The per-worker render/compile/execute pipeline and the one recorder of
+/// findings (DESIGN.md Sections 13-14). Every tested variant runs through
+/// the roster -- the primary backend in slot 0, then Opts.ExtraBackends --
+/// under every config and sweep input, and every config's row is voted
+/// cell by cell. A classic campaign is the 1x1 matrix: a roster of one
+/// over the single empty input, where the vote is classifyDivergence.
+///
+/// At BatchSize <= 1 add() runs the roster inline and records each config's
+/// row as soon as the roster has run it, so a variant never holds more
+/// than one row of observations. Otherwise variants accumulate into a
+/// batch of Opts.BatchSize; a full batch is handed to the backend
+/// (beginBatch -- which starts pool compiles and returns) *before* the
+/// previous batch is collected and recorded, so the compiler works on
+/// batch N+1 while this thread records batch N and then interprets oracles
+/// for batch N+2.
 ///
 /// Determinism: recording happens batch-by-batch in rank order,
 /// variant-major within a batch -- the exact order the unbatched loop
@@ -644,51 +353,52 @@ class VariantPipeline {
 public:
   VariantPipeline(const HarnessOptions &Opts, const CompilerBackend &B,
                   CampaignResult &Result, CoverageRegistry *Cov)
-      : Opts(Opts), GroundTruth(B.hasGroundTruth()), Result(Result),
-        Cov(Cov) {
+      : Opts(Opts), Result(Result), Cov(Cov),
+        AllInputs(sweepUnion(Opts.Configs)) {
     Roster.push_back(&B);
-    for (const CompilerBackend *E : Opts.ExtraBackends)
-      Roster.push_back(E);
-    AllInputs = sweepUnion(Opts.Configs);
-    // Matrix mode is on exactly when there is something the classic path
-    // cannot express: a second backend, or a real sweep. Off, every code
-    // path below is the historical one by code identity, so classic
-    // campaigns stay byte-for-byte (the equivalence battery's anchor).
-    Matrix = Roster.size() > 1 || AllInputs.size() > 1 ||
-             !AllInputs.front().empty();
+    Roster.insert(Roster.end(), Opts.ExtraBackends.begin(),
+                  Opts.ExtraBackends.end());
+    for (const CompilerConfig &C : Opts.Configs)
+      ConfigInputs.push_back(configInputs(C));
+    // The one way a 1x1 campaign differs from a real matrix: it compares
+    // no matrix cells, so MatrixCellsCompared stays 0 there.
+    CountCells = Roster.size() > 1 || AllInputs.size() > 1 ||
+                 !AllInputs.front().empty();
     Sink = Opts.Telemetry;
     Local = Sink ? &Result.Telemetry : nullptr;
-    if (Sink)
-      Labels = makeTelemetryLabels(Opts, Roster);
+    if (Sink) {
+      // Span labels, precomputed so the hot loop never rebuilds identity
+      // strings.
+      for (const CompilerBackend *R : Roster)
+        BackendLabels.push_back(telemetryBackendLabel(R->identity()));
+      for (const CompilerConfig &C : Opts.Configs)
+        ConfigLabels.push_back(telemetryConfigLabel(C.OptLevel, C.Mode64));
+    }
   }
 
   void add(const std::string &Source, StagedVec *Staged) {
     OracleOutcome O = oraclePhase(Opts, Source, AllInputs, Result, Staged);
     if (!O.Test)
       return;
-    if (Opts.BatchSize <= 1) {
-      if (!Matrix) {
-        for (size_t C = 0; C < Opts.Configs.size(); ++C) {
-          const CompilerConfig &Config = Opts.Configs[C];
-          BackendObservation Obs;
-          {
-            SpanTimer T(Sink, Local, "backend_run",
-                        Sink ? Labels.Backends[0] : std::string(),
-                        Sink ? Labels.Configs[C] : std::string());
-            Obs = Roster[0]->run(Source, Config, Cov);
-          }
-          recordObservation(Config, Obs, GroundTruth, Source, O.Verdict,
-                            Result);
-        }
-        return;
-      }
-      runMatrixInline(Opts, Roster, AllInputs, Source, O, Cov,
-                      Sink ? &Labels : nullptr, Result);
+    if (Opts.BatchSize > 1) {
+      Cur.push_back({Source, std::move(O)});
+      if (Cur.size() >= Opts.BatchSize)
+        rotate();
       return;
     }
-    Cur.push_back({Source, std::move(O.Verdict), std::move(O.Sweep)});
-    if (Cur.size() >= Opts.BatchSize)
-      rotate();
+    for (size_t C = 0; C < Opts.Configs.size(); ++C) {
+      // Scoped to one config: the row is freed before the next config
+      // runs, so program output never piles up across configs.
+      Row Obs(Roster.size());
+      for (size_t B = 0; B < Roster.size(); ++B) {
+        SpanTimer T(Sink, Local, "backend_run",
+                    Sink ? BackendLabels[B] : std::string(),
+                    Sink ? ConfigLabels[C] : std::string());
+        Obs[B] =
+            Roster[B]->runSweep(Source, Opts.Configs[C], ConfigInputs[C], Cov);
+      }
+      recordRow(C, Obs, Source, O);
+    }
   }
 
   /// Flushes all pending work into Result. Must run before every
@@ -700,10 +410,13 @@ public:
   }
 
 private:
+  /// One config's observations of one variant: [backend][input], the input
+  /// axis being that config's ConfigInputs entry.
+  using Row = std::vector<std::vector<BackendObservation>>;
+
   struct Item {
     std::string Source;
-    OracleCache::Entry Verdict;
-    std::vector<OracleCache::Entry> Sweep;
+    OracleOutcome O;
   };
 
   void rotate() {
@@ -715,17 +428,17 @@ private:
       Sources.push_back(It.Source);
       BatchExpectation E;
       E.Valid = true;
-      E.ExitCode = It.Verdict.ExitCode;
-      E.Output = It.Verdict.Output;
+      E.ExitCode = It.O.Verdict.ExitCode;
+      E.Output = It.O.Verdict.Output;
       // Non-primary union inputs: expectation cells from the sweep
       // verdicts. An input the oracle excluded (UB / non-termination under
       // that stdin) is an invalid cell the backend never executes.
-      for (size_t U = 1; U < It.Sweep.size(); ++U) {
+      for (size_t U = 1; U < It.O.Sweep.size(); ++U) {
+        const OracleCache::Entry &V = It.O.Sweep[U];
         BatchExpectation::Cell Cell;
-        Cell.Valid = It.Sweep[U].FrontendOk &&
-                     It.Sweep[U].Status == ExecStatus::Ok;
-        Cell.ExitCode = It.Sweep[U].ExitCode;
-        Cell.Output = It.Sweep[U].Output;
+        Cell.Valid = V.FrontendOk && V.Status == ExecStatus::Ok;
+        Cell.ExitCode = V.ExitCode;
+        Cell.Output = V.Output;
         E.Extra.push_back(std::move(Cell));
       }
       Expected.push_back(std::move(E));
@@ -753,63 +466,179 @@ private:
     Obs3.reserve(Tickets.size());
     for (size_t B = 0; B < Tickets.size(); ++B) {
       SpanTimer T(Sink, Local, "batch_wait",
-                  Sink ? Labels.Backends[B] : std::string());
+                  Sink ? BackendLabels[B] : std::string());
       Obs3.push_back(Roster[B]->finishBatch(std::move(Tickets[B])));
     }
     Tickets.clear();
-    for (size_t I = 0; I < InFlight.size(); ++I) {
-      if (!Matrix) {
-        // Classic campaign: slot 0, primary input -- the historical 2-D
-        // recording loop over the 3-D shape's only input cell.
-        for (size_t C = 0; C < Opts.Configs.size(); ++C)
-          if (I < Obs3[0].size() && C < Obs3[0][I].size() &&
-              !Obs3[0][I][C].empty())
-            recordObservation(Opts.Configs[C], Obs3[0][I][C][0], GroundTruth,
-                              InFlight[I].Source, InFlight[I].Verdict,
-                              Result);
-        continue;
+    Row Obs(Roster.size());
+    for (size_t I = 0; I < InFlight.size(); ++I)
+      for (size_t C = 0; C < Opts.Configs.size(); ++C) {
+        for (size_t B = 0; B < Roster.size(); ++B)
+          Obs[B] = I < Obs3[B].size() && C < Obs3[B][I].size()
+                       ? std::move(Obs3[B][I][C])
+                       : std::vector<BackendObservation>();
+        recordRow(C, Obs, InFlight[I].Source, InFlight[I].O);
       }
-      // Slice this variant's cells out of every backend's batch result.
-      std::vector<std::vector<std::vector<BackendObservation>>> VarObs(
-          Roster.size());
-      for (size_t B = 0; B < Roster.size(); ++B)
-        if (I < Obs3[B].size())
-          VarObs[B] = std::move(Obs3[B][I]);
-      SpanTimer T(Sink, Local, "vote");
-      recordMatrixVariant(Opts, Roster, AllInputs, VarObs,
-                          InFlight[I].Source, InFlight[I].Verdict,
-                          InFlight[I].Sweep, Result);
-    }
     InFlight.clear();
   }
 
+  /// Records config \p C's row of one tested variant: compile-level
+  /// findings per backend, read off its first cell (all cells share one
+  /// compile's status fields), then one vote per input cell across the
+  /// roster (triage/MatrixVote.h), each outlier's finding attributed to
+  /// the backend that diverged -- or to "reference-oracle" when a strict
+  /// backend majority outvoted it. Configs outer, compile rows then
+  /// inputs, backends innermost: first-wins witness maps are identical for
+  /// every thread count and batch size.
+  void recordRow(size_t C, const Row &Obs, const std::string &Source,
+                 const OracleOutcome &O) {
+    SpanTimer T(Sink, Local, "vote");
+    for (size_t B = 0; B < Roster.size(); ++B) {
+      if (Obs[B].empty())
+        continue;
+      const BackendObservation &First = Obs[B][0];
+      if (First.Compile == BackendObservation::CompileStatus::Crashed) {
+        ++Result.CrashObservations;
+        record(C, BugEffect::Crash, First.CrashBugId, First.CrashSignature, B,
+               0, Source);
+      }
+      // Performance anomaly: MiniCC's inflated cost model, or an external
+      // compile that blew its wall-clock budget.
+      if (First.CompileTimeAnomaly) {
+        ++Result.PerformanceObservations;
+        recordFired(C, BugEffect::Performance, "pathological compile time", B,
+                    First.FiredBugs, 0, Source);
+      }
+    }
+
+    const std::vector<std::string> &Ins = ConfigInputs[C];
+    for (size_t I = 0; I < Ins.size(); ++I) {
+      // This input's oracle verdict, by its position in the sweep union
+      // (configInputs is a subset of the union by construction).
+      size_t U = std::find(AllInputs.begin(), AllInputs.end(), Ins[I]) -
+                 AllInputs.begin();
+      const OracleCache::Entry &V = O.Sweep.empty() ? O.Verdict : O.Sweep[U];
+      if (!V.FrontendOk || V.Status != ExecStatus::Ok)
+        continue; // Cell excluded (counted once in oraclePhase).
+
+      std::vector<const BackendObservation *> Cells(Roster.size(), nullptr);
+      for (size_t B = 0; B < Roster.size(); ++B) {
+        if (I >= Obs[B].size())
+          continue;
+        Cells[B] = &Obs[B][I];
+        if (CountCells &&
+            Cells[B]->Compile == BackendObservation::CompileStatus::Ok &&
+            Cells[B]->Exec != BackendObservation::ExecStatus::NotRun)
+          ++Result.MatrixCellsCompared;
+      }
+
+      MatrixVote Vote = voteMatrixCell(V.ExitCode, V.Output, Cells);
+      for (size_t B = 0; B < Roster.size(); ++B) {
+        if (Vote.Outliers[B].empty())
+          continue;
+        if (Cells[B]->Exec == BackendObservation::ExecStatus::Timeout)
+          ++Result.ExecutionTimeouts;
+        ++Result.WrongCodeObservations;
+        recordFired(C, BugEffect::WrongCode, Vote.Outliers[B], B,
+                    Cells[B]->FiredBugs, I, Source);
+      }
+      if (Vote.OracleOutvoted) {
+        // The roster agreed against the reference semantics: either an
+        // interpreter bug or UB the exclusion pass missed. Signature-only
+        // by definition -- no ground-truth id space covers the oracle.
+        ++Result.WrongCodeObservations;
+        record(C, BugEffect::WrongCode, 0, Vote.OracleSignature,
+               Roster.size(), I, Source);
+      }
+    }
+  }
+
+  /// Records a finding blamed on roster slot \p B: with ground truth, one
+  /// per fired bug of effect \p Effect (checked lookup, so foreign ids
+  /// cannot read out of bounds); without, one signature-only finding.
+  void recordFired(size_t C, BugEffect Effect, const std::string &Sig,
+                   size_t B, const std::vector<int> &Fired, size_t InputIdx,
+                   const std::string &Source) {
+    if (!Roster[B]->hasGroundTruth()) {
+      record(C, Effect, 0, Sig, B, InputIdx, Source);
+      return;
+    }
+    for (int Id : Fired) {
+      const InjectedBug *Truth = findBug(Id);
+      if (Truth && Truth->Effect == Effect)
+        record(C, Effect, Id, Sig, B, InputIdx, Source);
+    }
+  }
+
+  /// Records one finding under config \p C, attributed to roster slot \p B
+  /// (Roster.size() = the reference oracle). \p InputIdx indexes the
+  /// config's sweep for behavioral findings and is 0 for compile-level
+  /// ones, which carry no input. Ground-truth findings (Id != 0) key
+  /// UniqueBugs and RawFindings by id; signature-only findings (Id == 0)
+  /// key RawFindings by normalized signature and never touch UniqueBugs --
+  /// distinct clusters at one shared id slot would otherwise collapse
+  /// arbitrarily.
+  void record(size_t C, BugEffect Effect, int Id, const std::string &Sig,
+              size_t B, size_t InputIdx, const std::string &Source) {
+    const CompilerConfig &Config = Opts.Configs[C];
+    FoundBug Bug;
+    Bug.BugId = Id;
+    Bug.P = Config.P;
+    Bug.Effect = Effect;
+    Bug.Signature = Sig;
+    Bug.Version = Config.Version;
+    Bug.OptLevel = Config.OptLevel;
+    Bug.Mode64 = Config.Mode64;
+    // A roster of one stamps no backend identity: the sole backend is
+    // implied, so signatures and checkpoint bytes carry no attribution.
+    if (B == Roster.size())
+      Bug.Backend = "reference-oracle";
+    else if (Roster.size() >= 2)
+      Bug.Backend = Roster[B]->identity();
+    // Only wrong-code findings are per input; compile-level ones carry none.
+    if (Effect == BugEffect::WrongCode)
+      Bug.Input = ConfigInputs[C][InputIdx];
+    Bug.WitnessProgram = Source;
+    FindingKey Key;
+    Key.BugId = Id;
+    Key.P = Config.P;
+    Key.Version = Config.Version;
+    Key.OptLevel = Config.OptLevel;
+    Key.Mode64 = Config.Mode64;
+    Key.BackendIdx = static_cast<unsigned>(B);
+    Key.InputIdx = static_cast<unsigned>(InputIdx);
+    if (Id == 0)
+      Key.Sig = normalizeSignature(Effect, Sig);
+    Result.RawFindings.emplace(std::move(Key), Bug);
+    if (Id != 0)
+      Result.UniqueBugs.emplace(Id, std::move(Bug));
+  }
+
   const HarnessOptions &Opts;
+  CampaignResult &Result;
+  CoverageRegistry *Cov;
   /// Slot 0 is the primary backend; 1.. are Opts.ExtraBackends.
   std::vector<const CompilerBackend *> Roster;
   /// sweepUnion(Opts.Configs): the matrix's input axis.
   std::vector<std::string> AllInputs;
-  bool Matrix = false;
-  const bool GroundTruth; ///< Primary backend's (classic path only).
-  CampaignResult &Result;
-  CoverageRegistry *Cov;
+  /// configInputs of each Opts.Configs entry.
+  std::vector<std::vector<std::string>> ConfigInputs;
+  bool CountCells = false;
   /// Telemetry wiring (null/empty when off): spans record into this
   /// worker's partial summary so campaign merge stays deterministic.
   TelemetrySink *Sink = nullptr;
   TelemetrySummary *Local = nullptr;
-  TelemetryLabels Labels;
+  std::vector<std::string> BackendLabels;
+  std::vector<std::string> ConfigLabels;
   std::vector<Item> Cur;
   std::vector<Item> InFlight;
   /// One in-flight ticket per roster slot (all begun before any finishes).
   std::vector<std::unique_ptr<BatchTicket>> Tickets;
 };
 
-} // namespace
-
 //===----------------------------------------------------------------------===//
 // Checkpointed campaigns (persist/Checkpoint.h, DESIGN.md Section 11)
 //===----------------------------------------------------------------------===//
-
-namespace spe {
 
 /// Shared state of one checkpointed campaign run: the live snapshot, the
 /// oracle backing store, and the simulated-crash trigger. The state mutex
@@ -872,17 +701,20 @@ struct CheckpointContext {
   }
 
   /// Counts one produced variant toward the simulated crash. \returns true
-  /// when the "process" just died: the caller abandons its unpublished
-  /// work, which is exactly what SIGKILL would strand.
+  /// when the "process" is dead -- this variant killed it, or another
+  /// worker's already did: the caller abandons its unpublished work, which
+  /// is exactly what SIGKILL would strand.
   bool countVariant() {
     if (CrashAfter == 0)
       return false;
-    if (Variants.fetch_add(1, std::memory_order_relaxed) >= CrashAfter) {
+    if (crashed() ||
+        Variants.fetch_add(1, std::memory_order_relaxed) >= CrashAfter) {
       Crashed.store(true, std::memory_order_relaxed);
       return true;
     }
     return false;
   }
+  bool crashed() const { return Crashed.load(std::memory_order_relaxed); }
 
   /// Verdicts accepted from worker publishes but not yet appended to the
   /// store (guarded by M). Draining -- with its fsync -- happens only when
@@ -899,6 +731,11 @@ struct CheckpointContext {
   /// no pointer is ever read and written concurrently.
   std::atomic<bool> StoreDead{false};
 
+  /// Whether freshly computed verdicts are worth staging for the store.
+  bool staging() const {
+    return Store && !StoreDead.load(std::memory_order_relaxed);
+  }
+
   /// Appends Pending to the backing store and records the new durable
   /// length. Must precede serializing a snapshot that is about to be
   /// written: the recorded StoreBytes must always be covered by bytes
@@ -910,8 +747,7 @@ struct CheckpointContext {
   /// counters off the bit-identical contract. Persistent failure disables
   /// the store loudly rather than leaking memory forever.
   void drainPendingLocked() {
-    if (!Store || Pending.empty() ||
-        StoreDead.load(std::memory_order_relaxed))
+    if (!staging() || Pending.empty())
       return;
     if (Store->append(Pending)) {
       Snap.StoreBytes = Store->bytesOnDisk();
@@ -930,6 +766,41 @@ struct CheckpointContext {
     }
   }
 
+  /// Under M: drains the store and serializes the snapshot for a file
+  /// write, which the caller performs outside M. \returns its generation.
+  uint64_t serializeLocked(std::string &Text) {
+    drainPendingLocked();
+    Text = Snap.serialize();
+    SinceWrite = 0;
+    return ++PublishSeq;
+  }
+
+  /// Rewrites the snapshot file now, whatever the cadence owes, with
+  /// \p Complete marking the campaign finished.
+  void writeNow(bool Complete) {
+    std::string Text;
+    uint64_t Seq;
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      Snap.Complete = Complete;
+      Seq = serializeLocked(Text);
+    }
+    writeSnapshot(Text, Seq);
+  }
+
+  /// Seats a seed's in-flight state before any worker runs, so a crash
+  /// before the first publish resumes from the seed's start. In memory
+  /// only: the file still shows the previous seed commit, from which a
+  /// resume correctly re-runs this seed's prefix.
+  void beginSeed(uint64_t ConstraintsFp, const CampaignResult &Header,
+                 const std::vector<WorkerCheckpoint> &Workers) {
+    std::lock_guard<std::mutex> Lock(M);
+    Snap.InFlight = true;
+    Snap.ConstraintsFingerprint = ConstraintsFp;
+    Snap.SeedHeader = Header;
+    Snap.Workers = Workers;
+  }
+
   /// Publishes worker \p W's progress; \p WriteFile additionally rewrites
   /// the snapshot file. Mid-run publishes write (they are the only
   /// persistence a long gap gets); the final publish of an exhausting
@@ -938,14 +809,12 @@ struct CheckpointContext {
   /// the last mid-run publish.
   void publish(unsigned W, bool Finished, CursorState Cursor,
                const CampaignResult &Partial, CoverageRegistry *Cov,
-               std::vector<std::pair<std::string, OracleCache::Entry>>
-                   &Staged,
-               uint64_t DeltaVariants, bool WriteFile) {
+               StagedVec &Staged, uint64_t DeltaVariants, bool WriteFile) {
     std::string Text;
     uint64_t Seq = 0;
     {
       std::lock_guard<std::mutex> Lock(M);
-      if (Crashed.load(std::memory_order_relaxed))
+      if (crashed())
         return; // The "process" is already dead; nothing more reaches disk.
       if (!StoreDead.load(std::memory_order_relaxed))
         Pending.insert(Pending.end(),
@@ -965,55 +834,130 @@ struct CheckpointContext {
       SinceWrite += DeltaVariants;
       if (!WriteFile)
         return;
-      drainPendingLocked();
-      Text = Snap.serialize();
-      Seq = ++PublishSeq;
-      SinceWrite = 0;
+      Seq = serializeLocked(Text);
     }
     // Disk I/O happens outside the state mutex: other workers may keep
     // enumerating and publishing while this snapshot reaches disk.
     writeSnapshot(Text, Seq);
   }
-};
 
-} // namespace spe
-
-bool DifferentialHarness::runOnSeedCheckpointed(
-    const std::string &Source, CampaignResult &Merged, CheckpointContext &Ck,
-    const std::vector<WorkerCheckpoint> *Resume, uint64_t ResumeCFp,
-    const CampaignResult *ResumeHeader, std::string &Err) const {
-  CampaignResult Header;
-  SeedPlan Plan = buildSeedPlan(Opts, Source, Header);
-
-  // Folds the finished seed into the snapshot: seeds [0, NextSeed) are now
-  // fully accounted for by Merged and the user registry's hit set. The
-  // file write is amortized on the CheckpointEveryN cadence (worker
-  // publishes accumulate their uncovered variants into SinceWrite) so
-  // campaigns over many small seeds do not pay one write per seed;
-  // EveryN == 0 means every seed boundary writes.
-  auto CommitSeed = [&]() {
+  /// Folds a finished seed into the snapshot: seeds [0, NextSeed) are now
+  /// fully accounted for by \p Merged and \p Cov's hit set. The file write
+  /// is amortized on the EveryN cadence (worker publishes accumulate their
+  /// uncovered variants into SinceWrite) so campaigns over many small
+  /// seeds do not pay one write per seed; EveryN == 0 means every seed
+  /// boundary writes.
+  void commitSeed(const CampaignResult &Merged, const CoverageRegistry *Cov) {
     std::string Text;
     uint64_t Seq = 0;
     {
-      std::lock_guard<std::mutex> Lock(Ck.M);
-      Ck.Snap.InFlight = false;
-      Ck.Snap.ConstraintsFingerprint = 0;
-      Ck.Snap.SeedHeader = CampaignResult();
-      Ck.Snap.Workers.clear();
-      ++Ck.Snap.NextSeed;
-      Ck.Snap.Merged = Merged;
-      if (Opts.Cov)
-        Ck.Snap.CovHits = Opts.Cov->hitSet();
-      if (Ck.EveryN != 0 && Ck.SinceWrite < Ck.EveryN)
+      std::lock_guard<std::mutex> Lock(M);
+      Snap.InFlight = false;
+      Snap.ConstraintsFingerprint = 0;
+      Snap.SeedHeader = CampaignResult();
+      Snap.Workers.clear();
+      ++Snap.NextSeed;
+      Snap.Merged = Merged;
+      if (Cov)
+        Snap.CovHits = Cov->hitSet();
+      if (EveryN != 0 && SinceWrite < EveryN)
         return;
-      Ck.drainPendingLocked();
-      Text = Ck.Snap.serialize();
-      Seq = ++Ck.PublishSeq;
-      Ck.SinceWrite = 0;
+      Seq = serializeLocked(Text);
     }
-    Ck.writeSnapshot(Text, Seq);
-  };
+    writeSnapshot(Text, Seq);
+  }
+};
 
+//===----------------------------------------------------------------------===//
+// The campaign loop
+//===----------------------------------------------------------------------===//
+
+/// The one variant loop: runs the cursor range \p From of \p Plan's
+/// budgeted space -- a thread shard, a resumed shard, or a fleet lease --
+/// and accrues into \p Out, which holds only this range's work (a resumed
+/// shard's restored partial included). \p Ck, when set, publishes every
+/// EveryN variants and delivers the simulated crash. \returns false when
+/// the cursor rejects \p From.
+bool runRange(const HarnessOptions &Opts, const CompilerBackend &Backend,
+              const SeedPlan &Plan, const CursorState &From, unsigned Shard,
+              CampaignResult &Out, CoverageRegistry *Cov,
+              CheckpointContext *Ck) {
+  ProgramCursor Cursor(Plan.Units, Opts.Mode);
+  if (!Plan.ValidityPtrs.empty())
+    Cursor.setConstraints(Plan.ValidityPtrs);
+  if (!Cursor.restoreState(From))
+    return false;
+  TelemetrySink *Sink = Opts.Telemetry;
+  TelemetrySummary *Local = Sink ? &Out.Telemetry : nullptr;
+  VariantRenderer Renderer(*Plan.Ctx, Plan.Units);
+  std::string Buffer;
+  StagedVec Staged;
+  VariantPipeline Pipe(Opts, Backend, Out, Cov);
+  uint64_t SincePublish = 0;
+  while (const ProgramAssignment *PA = Cursor.next()) {
+    if (Ck && Ck->countVariant())
+      return true; // Simulated kill: unpublished work dies with the process
+                   // -- including whatever the pipeline holds undrained.
+    ++Out.VariantsEnumerated;
+    {
+      SpanTimer T(Sink, Local, "render");
+      Renderer.renderInto(*PA, Buffer);
+    }
+    Pipe.add(Buffer, Ck && Ck->staging() ? &Staged : nullptr);
+    if (Opts.Status && Opts.Status->noteVariant()) {
+      Opts.Status->updateShard(Shard, shardStatusNow(Out, Cursor));
+      Opts.Status->writeNow();
+    }
+    if (Ck && Ck->EveryN != 0 && ++SincePublish >= Ck->EveryN) {
+      // Drain first: the published cursor position, partial result, and
+      // staged verdicts must describe exactly the same prefix an
+      // unbatched publish would -- that is what keeps checkpoint bytes
+      // identical across batch sizes.
+      Pipe.drain();
+      Ck->publish(Shard, false, Cursor.saveState(), Out, Cov, Staged,
+                  SincePublish, /*WriteFile=*/true);
+      SincePublish = 0;
+    }
+  }
+  Pipe.drain();
+  const BigInt &Pruned = Cursor.pruned();
+  Out.VariantsPruned +=
+      Pruned.fitsInUint64() ? Pruned.toUint64() : ~uint64_t(0);
+  if (Opts.Status) {
+    CampaignStatusFeed::ShardStatus S;
+    S.C = countersOf(Out);
+    S.RanksDone = S.RanksTotal = S.C.Enumerated + S.C.Pruned;
+    S.Finished = true;
+    Opts.Status->updateShard(Shard, S);
+  }
+  // The final publish folds the pruned counter and marks the shard
+  // finished; a resume restores it verbatim instead of re-running it. No
+  // file write: the seed commit right after the join persists it.
+  if (Ck)
+    Ck->publish(Shard, true, Cursor.saveState(), Out, Cov, Staged,
+                SincePublish, /*WriteFile=*/false);
+  return true;
+}
+
+/// Runs one seed: one runRange shard per worker over an even split of the
+/// budgeted prefix -- or, resuming mid-seed, from \p Resume's worker
+/// states -- merged in shard order, which reproduces the single-threaded
+/// result bit for bit. \p Ck is null for a campaign without checkpoints.
+/// \returns false with \p Err set when the resume snapshot disagrees with
+/// the re-analyzed seed.
+bool runSeed(const HarnessOptions &Opts, const CompilerBackend &Backend,
+             const std::string &Source, CampaignResult &Merged,
+             CheckpointContext *Ck, const CampaignCheckpoint *Resume,
+             std::string &Err) {
+  CampaignResult Header;
+  SeedPlan Plan = buildSeedPlan(Opts, Source, Header);
+  auto Commit = [&] {
+    if (Ck)
+      Ck->commitSeed(Merged, Opts.Cov);
+    if (Opts.Status)
+      Opts.Status->commitSeed(countersOf(Merged));
+    return true;
+  };
   if (!Plan.Ready) {
     if (Resume) {
       Err = "snapshot is mid-seed but the seed re-analyzes as rejected or "
@@ -1021,139 +965,65 @@ bool DifferentialHarness::runOnSeedCheckpointed(
       return false;
     }
     Merged.merge(Header);
-    CommitSeed();
-    if (Opts.Status)
-      Opts.Status->commitSeed(countersOf(Merged));
-    return true;
+    return Commit();
   }
 
-  uint64_t CFp = fingerprintConstraints(Plan.Validity);
-  unsigned Threads = Plan.Threads;
+  const unsigned Threads = Plan.Threads;
+  std::vector<WorkerCheckpoint> Init;
   if (Resume) {
-    if (Resume->size() != Threads) {
-      Err = "snapshot has " + std::to_string(Resume->size()) +
-            " workers but the seed resolves to " + std::to_string(Threads) +
-            " (Threads option or hardware changed?)";
-      return false;
-    }
-    if (ResumeCFp != CFp) {
-      Err = "validity-constraints fingerprint mismatch (analysis skew)";
-      return false;
-    }
-    if (ResumeHeader && !(*ResumeHeader == Header)) {
-      Err = "snapshot seed header does not match the re-analyzed seed "
-            "(front-end skew)";
-      return false;
+    Init = Resume->Workers;
+  } else {
+    Init.resize(Threads);
+    for (unsigned W = 0; W < Threads; ++W) {
+      BigInt Begin, End;
+      cursor_detail::shardRange(BigInt(0), Plan.Budget, W, Threads, Begin,
+                                End);
+      Init[W].Cursor = {Begin.toString(), End.toString(), "0"};
+      if (Opts.Cov)
+        Init[W].CovHits = Opts.Cov->hitSet();
     }
   }
-
-  // Seat the in-flight snapshot before any worker runs, so a crash landing
-  // before the first publish resumes from the seed's start.
-  {
-    std::lock_guard<std::mutex> Lock(Ck.M);
-    Ck.Snap.InFlight = true;
-    Ck.Snap.ConstraintsFingerprint = CFp;
-    Ck.Snap.SeedHeader = Header;
-    Ck.Snap.Workers.clear();
+  if (Ck) {
+    uint64_t CFp = fingerprintConstraints(Plan.Validity);
     if (Resume) {
-      Ck.Snap.Workers = *Resume;
-    } else {
-      Ck.Snap.Workers.resize(Threads);
-      for (unsigned W = 0; W < Threads; ++W) {
-        BigInt Begin, End;
-        cursor_detail::shardRange(BigInt(0), Plan.Budget, W, Threads, Begin,
-                                  End);
-        WorkerCheckpoint &Slot = Ck.Snap.Workers[W];
-        Slot.Cursor = {Begin.toString(), End.toString(), "0"};
-        if (Opts.Cov)
-          Slot.CovHits = Opts.Cov->hitSet();
+      if (Init.size() != Threads) {
+        Err = "snapshot has " + std::to_string(Init.size()) +
+              " workers but the seed resolves to " + std::to_string(Threads) +
+              " (Threads option or hardware changed?)";
+        return false;
+      }
+      if (Resume->ConstraintsFingerprint != CFp) {
+        Err = "validity-constraints fingerprint mismatch (analysis skew)";
+        return false;
+      }
+      if (!(Resume->SeedHeader == Header)) {
+        Err = "snapshot seed header does not match the re-analyzed seed "
+              "(front-end skew)";
+        return false;
       }
     }
-    // In-memory only: the on-disk file still shows the previous seed
-    // commit, from which a resume correctly re-runs this seed's prefix.
+    Ck->beginSeed(CFp, Header, Init);
   }
-  // Pre-spawn copy: publishes overwrite Snap.Workers while workers read
-  // their own starting states.
-  std::vector<WorkerCheckpoint> Init = Ck.Snap.Workers;
 
   if (Opts.Status)
     Opts.Status->beginSeed(Threads);
-
+  // Each worker owns its partial result and (when requested) a private
+  // coverage registry copy, merged back in shard order after the join.
   std::vector<CampaignResult> Partials(Threads);
   std::vector<CoverageRegistry> PartialCovs;
   if (Opts.Cov)
     PartialCovs.assign(Threads, *Opts.Cov);
   std::atomic<bool> BadRestore{false};
-
   auto RunWorker = [&](unsigned W) {
-    CampaignResult &Out = Partials[W];
     CoverageRegistry *Cov = Opts.Cov ? &PartialCovs[W] : nullptr;
-    const WorkerCheckpoint &From = Init[W];
-    Out = From.Partial;
-    if (Cov && Resume)
-      Cov->setHits(From.CovHits);
-    if (From.Finished)
-      return; // Shard fully folded pre-crash; restored verbatim.
-    ProgramCursor Cursor(Plan.Units, Opts.Mode);
-    if (!Plan.ValidityPtrs.empty())
-      Cursor.setConstraints(Plan.ValidityPtrs);
-    if (!Cursor.restoreState(From.Cursor)) {
+    Partials[W] = Init[W].Partial;
+    if (Cov)
+      Cov->setHits(Init[W].CovHits);
+    // A shard that finished before the crash is restored verbatim.
+    if (!Init[W].Finished && !runRange(Opts, Backend, Plan, Init[W].Cursor,
+                                       W, Partials[W], Cov, Ck))
       BadRestore.store(true, std::memory_order_relaxed);
-      return;
-    }
-    VariantRenderer Renderer(*Plan.Ctx, Plan.Units);
-    std::string Buffer;
-    StagedVerdicts Staged;
-    VariantPipeline Pipe(Opts, backend(), Out, Cov);
-    TelemetrySink *Sink = Opts.Telemetry;
-    TelemetrySummary *Local = Sink ? &Out.Telemetry : nullptr;
-    // Checkpointed workers start Out at the restored partial, which is all
-    // current-seed work -- the status baseline is therefore zero.
-    const StatusCounters Base0;
-    uint64_t SincePublish = 0;
-    while (!Ck.Crashed.load(std::memory_order_relaxed)) {
-      const ProgramAssignment *PA = Cursor.next();
-      if (!PA)
-        break;
-      if (Ck.countVariant())
-        return; // Simulated kill: unpublished work dies with the process
-                // -- including whatever the pipeline holds undrained.
-      ++Out.VariantsEnumerated;
-      {
-        SpanTimer T(Sink, Local, "render");
-        Renderer.renderInto(*PA, Buffer);
-      }
-      bool Stage = Ck.Store != nullptr &&
-                   !Ck.StoreDead.load(std::memory_order_relaxed);
-      Pipe.add(Buffer, Stage ? &Staged : nullptr);
-      if (Opts.Status && Opts.Status->noteVariant()) {
-        Opts.Status->updateShard(W, shardStatusNow(Out, Base0, Cursor));
-        Opts.Status->writeNow();
-      }
-      if (Ck.EveryN != 0 && ++SincePublish >= Ck.EveryN) {
-        // Drain first: the published cursor position, partial result, and
-        // staged verdicts must describe exactly the same prefix an
-        // unbatched publish would -- that is what keeps checkpoint bytes
-        // identical across batch sizes.
-        Pipe.drain();
-        Ck.publish(W, false, Cursor.saveState(), Out, Cov, Staged,
-                   SincePublish, /*WriteFile=*/true);
-        SincePublish = 0;
-      }
-    }
-    if (Ck.Crashed.load(std::memory_order_relaxed))
-      return;
-    Pipe.drain();
-    const BigInt &Pruned = Cursor.pruned();
-    Out.VariantsPruned +=
-        Pruned.fitsInUint64() ? Pruned.toUint64() : ~uint64_t(0);
-    // The final publish folds the pruned counter and marks the shard
-    // finished; a resume restores it verbatim instead of re-running it.
-    // No file write: the seed commit right after the join persists it.
-    Ck.publish(W, true, Cursor.saveState(), Out, Cov, Staged, SincePublish,
-               /*WriteFile=*/false);
   };
-
   if (Threads <= 1) {
     RunWorker(0);
   } else {
@@ -1169,110 +1039,93 @@ bool DifferentialHarness::runOnSeedCheckpointed(
     Err = "snapshot cursor state does not fit the seed's rank space";
     return false;
   }
-  if (Ck.Crashed.load(std::memory_order_relaxed))
+  if (Ck && Ck->crashed())
     return true; // Campaign aborts; the caller discards the partial result.
-
-  // Merging per-shard results in shard order reproduces the
-  // single-threaded result bit for bit.
   Merged.merge(Header);
-  for (unsigned W = 0; W < Threads; ++W)
-    Merged.merge(Partials[W]);
-  if (Opts.Cov)
-    for (const CoverageRegistry &Cov : PartialCovs)
-      Opts.Cov->merge(Cov);
-  CommitSeed();
-  if (Opts.Status)
-    Opts.Status->commitSeed(countersOf(Merged));
-  return true;
+  for (const CampaignResult &P : Partials)
+    Merged.merge(P);
+  for (const CoverageRegistry &Cov : PartialCovs)
+    Opts.Cov->merge(Cov);
+  return Commit();
 }
 
-bool DifferentialHarness::runCheckpointed(
-    const std::vector<std::string> &Seeds, const CampaignCheckpoint *From,
-    CampaignResult &Result, std::string &Err) const {
-  CheckpointContext Ck;
-  Ck.Path = Opts.CheckpointPath;
-  Ck.EveryN = Opts.CheckpointEveryN;
-  Ck.CrashAfter = Opts.SimulateCrashAfter;
-  Ck.Sink = Opts.Telemetry;
+/// The campaign behind runCampaign and resumeCampaign: seeds from
+/// \p From's NextSeed on (all of them when \p From is null) on top of its
+/// merged state, then the campaign tail -- Complete snapshot, cache
+/// statistics, triage, telemetry fold, status finish. Without
+/// CheckpointPath the checkpoint context is null: nothing is fingerprinted,
+/// serialized, or written, and no crash is simulated.
+bool runSeeds(const HarnessOptions &Opts, const CompilerBackend &Backend,
+              const std::vector<std::string> &Seeds,
+              const CampaignCheckpoint *From, CampaignResult &Result,
+              std::string &Err) {
+  CheckpointContext Ctx;
+  CheckpointContext *Ck = Opts.CheckpointPath.empty() ? nullptr : &Ctx;
   OracleStore Store(Opts.OracleStorePath);
-  if (!Opts.OracleStorePath.empty() && Opts.Cache)
-    Ck.Store = &Store;
-
   size_t StartSeed = 0;
   if (From) {
     Result = From->Merged;
     StartSeed = static_cast<size_t>(From->NextSeed);
     if (Opts.Cov)
       Opts.Cov->setHits(From->CovHits);
-    if (Ck.Store) {
-      // Restore the exact cache state the snapshot describes: drop any
-      // bytes a crash stranded past the recorded valid length, then warm
-      // the in-memory cache from the surviving prefix.
-      Store.truncateTo(From->StoreBytes);
-      Store.loadInto(*Opts.Cache, From->StoreBytes);
-    }
-  } else if (Ck.Store) {
-    // Fresh campaign, possibly warm store from an earlier generation: load
-    // its valid prefix and trim any torn tail so future appends extend a
-    // well-formed log.
-    uint64_t Valid = 0;
-    Store.loadInto(*Opts.Cache, ~uint64_t(0), &Valid);
-    if (Valid > 0)
-      Store.truncateTo(Valid);
   }
-
-  Ck.Snap.OptionsFingerprint = fingerprintOptions(Opts);
-  Ck.Snap.SeedsFingerprint = fingerprintSeeds(Seeds);
-  Ck.Snap.StoreBytes = Ck.Store ? Store.bytesOnDisk() : 0;
-  Ck.Snap.NextSeed = StartSeed;
-  Ck.Snap.Merged = Result;
-  if (Opts.Cov)
-    Ck.Snap.CovHits = Opts.Cov->hitSet();
-  // Fresh campaigns seed the snapshot file immediately (a crash before
-  // the first publish then resumes from scratch). A *resume* must not:
-  // the on-disk file still holds the richer in-flight state we are about
-  // to re-validate, and overwriting it early would destroy exactly the
-  // progress a rejected or re-crashed resume needs to fall back on. The
-  // first publish or commit replaces it once the resume is past
-  // validation.
-  if (!From)
-    Ck.writeSnapshot(Ck.Snap.serialize(), ++Ck.PublishSeq);
+  if (Ck) {
+    Ctx.Path = Opts.CheckpointPath;
+    Ctx.EveryN = Opts.CheckpointEveryN;
+    Ctx.CrashAfter = Opts.SimulateCrashAfter;
+    Ctx.Sink = Opts.Telemetry;
+    if (!Opts.OracleStorePath.empty() && Opts.Cache) {
+      Ctx.Store = &Store;
+      if (From) {
+        // Restore the exact cache state the snapshot describes: drop any
+        // bytes a crash stranded past the recorded valid length, then warm
+        // the in-memory cache from the surviving prefix.
+        Store.truncateTo(From->StoreBytes);
+        Store.loadInto(*Opts.Cache, From->StoreBytes);
+      } else {
+        // Fresh campaign, possibly warm store from an earlier generation:
+        // load its valid prefix and trim any torn tail so future appends
+        // extend a well-formed log.
+        uint64_t Valid = 0;
+        Store.loadInto(*Opts.Cache, ~uint64_t(0), &Valid);
+        if (Valid > 0)
+          Store.truncateTo(Valid);
+      }
+    }
+    Ctx.Snap.OptionsFingerprint = fingerprintOptions(Opts);
+    Ctx.Snap.SeedsFingerprint = fingerprintSeeds(Seeds);
+    Ctx.Snap.StoreBytes = Ctx.Store ? Store.bytesOnDisk() : 0;
+    Ctx.Snap.NextSeed = StartSeed;
+    Ctx.Snap.Merged = Result;
+    if (Opts.Cov)
+      Ctx.Snap.CovHits = Opts.Cov->hitSet();
+    // Fresh campaigns seed the snapshot file immediately (a crash before
+    // the first publish then resumes from scratch). A *resume* must not:
+    // the on-disk file still holds the richer in-flight state we are about
+    // to re-validate, and overwriting it early would destroy exactly the
+    // progress a rejected or re-crashed resume needs to fall back on. The
+    // first publish or commit replaces it once the resume is past
+    // validation.
+    if (!From)
+      Ctx.writeNow(/*Complete=*/false);
+  }
 
   if (Opts.Status)
     Opts.Status->beginCampaign(Seeds.size(), StartSeed, countersOf(Result));
-
   for (size_t S = StartSeed; S < Seeds.size(); ++S) {
-    const std::vector<WorkerCheckpoint> *Resume =
-        (From && From->InFlight && S == StartSeed) ? &From->Workers
-                                                   : nullptr;
-    if (!runOnSeedCheckpointed(Seeds[S], Result, Ck, Resume,
-                               Resume ? From->ConstraintsFingerprint : 0,
-                               Resume ? &From->SeedHeader : nullptr, Err))
+    const CampaignCheckpoint *Resume =
+        From && From->InFlight && S == StartSeed ? From : nullptr;
+    if (!runSeed(Opts, Backend, Seeds[S], Result, Ck, Resume, Err))
       return false;
-    if (Ck.Crashed.load(std::memory_order_relaxed))
+    if (Ck && Ck->crashed())
       return true; // Simulated death: the caller resumes from disk.
   }
-
-  {
-    // The Complete snapshot always writes, whatever the cadence owes, and
-    // drains any verdicts the amortized commits left buffered. Workers
-    // have joined, but keep the protocol uniform: serialize under M,
-    // write outside it.
-    std::string Text;
-    uint64_t Seq;
-    {
-      std::lock_guard<std::mutex> Lock(Ck.M);
-      Ck.drainPendingLocked();
-      Ck.Snap.Complete = true;
-      Text = Ck.Snap.serialize();
-      Seq = ++Ck.PublishSeq;
-    }
-    Ck.writeSnapshot(Text, Seq);
-  }
+  if (Ck)
+    Ck->writeNow(/*Complete=*/true);
 
   if (Opts.Cache)
     Result.OracleCacheEvictions = Opts.Cache->evictions();
-  if (Ck.Store)
+  if (Ctx.Store)
     Result.OracleStoreBytes = Store.bytesOnDisk();
   if (Opts.Triage) {
     // Post-merge and single-threaded, so the triaged report is identical
@@ -1302,6 +1155,19 @@ bool DifferentialHarness::runCheckpointed(
   return true;
 }
 
+} // namespace
+
+CampaignResult
+DifferentialHarness::runCampaign(const std::vector<std::string> &Seeds) const {
+  // A fresh run has no snapshot to mis-validate and snapshot write failures
+  // are non-fatal (best-effort persistence), so the error channel is unused
+  // here; resumeCampaign is where validation can reject.
+  CampaignResult Result;
+  std::string Err;
+  runSeeds(Opts, backend(), Seeds, nullptr, Result, Err);
+  return Result;
+}
+
 bool DifferentialHarness::resumeCampaign(const std::vector<std::string> &Seeds,
                                          CampaignResult &Result,
                                          std::string &Err) const {
@@ -1327,168 +1193,18 @@ bool DifferentialHarness::resumeCampaign(const std::vector<std::string> &Seeds,
     Err = "snapshot indexes past the seed list";
     return false;
   }
-
-  if (CP.Complete) {
-    // Nothing left to enumerate; reconstitute the final state (result,
-    // coverage, cache) and run the deterministic post-campaign passes.
-    Result = CP.Merged;
-    if (Opts.Status)
-      Opts.Status->beginCampaign(Seeds.size(), Seeds.size(),
-                                 countersOf(Result));
-    if (Opts.Cov)
-      Opts.Cov->setHits(CP.CovHits);
-    if (!Opts.OracleStorePath.empty() && Opts.Cache) {
-      OracleStore Store(Opts.OracleStorePath);
-      Store.truncateTo(CP.StoreBytes);
-      Store.loadInto(*Opts.Cache, CP.StoreBytes);
-      Result.OracleStoreBytes = Store.bytesOnDisk();
-    }
-    if (Opts.Cache)
-      Result.OracleCacheEvictions = Opts.Cache->evictions();
-    if (Opts.Triage) {
-      if (Opts.Status)
-        Opts.Status->beginTriage();
-      TriageOptions T;
-      T.Cache = Opts.Cache;
-      T.InjectBugs = Opts.InjectBugs;
-      T.Backend = Opts.Backend;
-      T.ExtraBackends = Opts.ExtraBackends;
-      T.Telemetry = Opts.Telemetry;
-      triageCampaign(Result, T);
-    }
-    if (Opts.Telemetry)
-      Result.Telemetry.merge(Opts.Telemetry->summary());
-    if (Opts.Status) {
-      if (Opts.Triage)
-        Opts.Status->setClusters(Result.Triaged.size());
-      Opts.Status->finishCampaign(countersOf(Result));
-    }
-    return true;
-  }
-
+  // A Complete snapshot has no seeds left: the same runner reconstitutes
+  // the final state (result, coverage, cache) and runs the deterministic
+  // campaign tail.
   Result = CampaignResult();
-  return runCheckpointed(Seeds, &CP, Result, Err);
+  return runSeeds(Opts, backend(), Seeds, &CP, Result, Err);
 }
 
 void DifferentialHarness::testProgram(const std::string &Source,
                                       CampaignResult &Result) const {
-  testProgramWith(Source, Result, Opts.Cov);
-}
-
-void DifferentialHarness::testProgramWith(const std::string &Source,
-                                          CampaignResult &Result,
-                                          CoverageRegistry *Cov,
-                                          StagedVerdicts *Staged) const {
-  std::vector<const CompilerBackend *> Roster{&backend()};
-  for (const CompilerBackend *E : Opts.ExtraBackends)
-    Roster.push_back(E);
-  std::vector<std::string> AllInputs = sweepUnion(Opts.Configs);
-  const bool Matrix = Roster.size() > 1 || AllInputs.size() > 1 ||
-                      !AllInputs.front().empty();
-  OracleOutcome O = oraclePhase(Opts, Source, AllInputs, Result, Staged);
-  if (!O.Test)
-    return;
-  TelemetrySink *Sink = Opts.Telemetry;
-  TelemetrySummary *Local = Sink ? &Result.Telemetry : nullptr;
-  TelemetryLabels Labels;
-  if (Sink)
-    Labels = makeTelemetryLabels(Opts, Roster);
-  if (!Matrix) {
-    const CompilerBackend &B = backend();
-    const bool GroundTruth = B.hasGroundTruth();
-    for (size_t C = 0; C < Opts.Configs.size(); ++C) {
-      const CompilerConfig &Config = Opts.Configs[C];
-      BackendObservation Obs;
-      {
-        SpanTimer T(Sink, Local, "backend_run",
-                    Sink ? Labels.Backends[0] : std::string(),
-                    Sink ? Labels.Configs[C] : std::string());
-        Obs = B.run(Source, Config, Cov);
-      }
-      recordObservation(Config, Obs, GroundTruth, Source, O.Verdict, Result);
-    }
-    return;
-  }
-  runMatrixInline(Opts, Roster, AllInputs, Source, O, Cov,
-                  Sink ? &Labels : nullptr, Result);
-}
-
-void DifferentialHarness::runOnSeed(const std::string &Source,
-                                    CampaignResult &Result) const {
-  SeedPlan Plan = buildSeedPlan(Opts, Source, Result);
-  if (!Plan.Ready)
-    return;
-  unsigned Threads = Plan.Threads;
-  if (Opts.Status)
-    Opts.Status->beginSeed(Threads);
-
-  auto RunShard = [&](unsigned Index, unsigned Count_, CampaignResult &Out,
-                      CoverageRegistry *Cov) {
-    // Single-threaded shards reuse the cumulative campaign result as Out;
-    // the status feed wants this seed's delta, hence the baseline capture.
-    const StatusCounters Base0 = countersOf(Out);
-    TelemetrySink *Sink = Opts.Telemetry;
-    TelemetrySummary *Local = Sink ? &Out.Telemetry : nullptr;
-    ProgramCursor Cursor(Plan.Units, Opts.Mode);
-    if (!Plan.ValidityPtrs.empty())
-      Cursor.setConstraints(Plan.ValidityPtrs);
-    Cursor.setEnd(Plan.Budget);
-    Cursor.shard(Index, Count_);
-    VariantRenderer Renderer(*Plan.Ctx, Plan.Units);
-    std::string Buffer;
-    VariantPipeline Pipe(Opts, backend(), Out, Cov);
-    while (const ProgramAssignment *PA = Cursor.next()) {
-      ++Out.VariantsEnumerated;
-      {
-        SpanTimer T(Sink, Local, "render");
-        Renderer.renderInto(*PA, Buffer);
-      }
-      Pipe.add(Buffer, nullptr);
-      if (Opts.Status && Opts.Status->noteVariant()) {
-        Opts.Status->updateShard(Index, shardStatusNow(Out, Base0, Cursor));
-        Opts.Status->writeNow();
-      }
-    }
-    Pipe.drain();
-    const BigInt &Pruned = Cursor.pruned();
-    Out.VariantsPruned +=
-        Pruned.fitsInUint64() ? Pruned.toUint64() : ~uint64_t(0);
-    if (Opts.Status) {
-      CampaignStatusFeed::ShardStatus S;
-      S.C = countersOf(Out) - Base0;
-      S.RanksDone = S.RanksTotal = S.C.Enumerated + S.C.Pruned;
-      S.Finished = true;
-      Opts.Status->updateShard(Index, S);
-    }
-  };
-
-  if (Threads <= 1) {
-    RunShard(0, 1, Result, Opts.Cov);
-    return;
-  }
-
-  // One shard per worker over [0, Budget); each worker owns its partial
-  // result and (when requested) a private coverage registry copy. Merging
-  // in shard order reproduces the single-threaded result bit for bit.
-  std::vector<CampaignResult> Partials(Threads);
-  std::vector<CoverageRegistry> PartialCovs;
-  if (Opts.Cov)
-    PartialCovs.assign(Threads, *Opts.Cov);
-  std::vector<std::thread> Workers;
-  Workers.reserve(Threads);
-  for (unsigned W = 0; W < Threads; ++W) {
-    Workers.emplace_back([&, W] {
-      RunShard(W, Threads, Partials[W],
-               Opts.Cov ? &PartialCovs[W] : nullptr);
-    });
-  }
-  for (std::thread &T : Workers)
-    T.join();
-  for (unsigned W = 0; W < Threads; ++W)
-    Result.merge(Partials[W]);
-  if (Opts.Cov)
-    for (const CoverageRegistry &Cov : PartialCovs)
-      Opts.Cov->merge(Cov);
+  VariantPipeline Pipe(Opts, backend(), Result, Opts.Cov);
+  Pipe.add(Source, nullptr);
+  Pipe.drain();
 }
 
 DifferentialHarness::SeedLeaseSummary
@@ -1517,95 +1233,12 @@ bool DifferentialHarness::runLease(const std::string &Source,
           Plan.Budget.toString();
     return false;
   }
-
-  // The body below is RunShard (runOnSeed) over an arbitrary contiguous
-  // subrange: the cursor is positioned exactly the way checkpoint resume
-  // positions a restored worker, so a lease sees the same variants, in the
-  // same order, as the thread shard that would have covered these ranks.
-  const StatusCounters Base0 = countersOf(Out);
-  TelemetrySink *Sink = Opts.Telemetry;
-  TelemetrySummary *Local = Sink ? &Out.Telemetry : nullptr;
-  ProgramCursor Cursor(Plan.Units, Opts.Mode);
-  if (!Plan.ValidityPtrs.empty())
-    Cursor.setConstraints(Plan.ValidityPtrs);
-  CursorState CS;
-  CS.Position = Begin.toString();
-  CS.End = End.toString();
-  CS.Pruned = "0";
-  if (!Cursor.restoreState(CS)) {
-    Err = "cursor rejected lease range [" + CS.Position + ", " + CS.End + ")";
-    return false;
-  }
-  VariantRenderer Renderer(*Plan.Ctx, Plan.Units);
-  std::string Buffer;
-  VariantPipeline Pipe(Opts, backend(), Out, nullptr);
-  while (const ProgramAssignment *PA = Cursor.next()) {
-    ++Out.VariantsEnumerated;
-    {
-      SpanTimer T(Sink, Local, "render");
-      Renderer.renderInto(*PA, Buffer);
-    }
-    Pipe.add(Buffer, nullptr);
-    if (Opts.Status && Opts.Status->noteVariant()) {
-      Opts.Status->updateShard(0, shardStatusNow(Out, Base0, Cursor));
-      Opts.Status->writeNow();
-    }
-  }
-  Pipe.drain();
-  const BigInt &Pruned = Cursor.pruned();
-  Out.VariantsPruned +=
-      Pruned.fitsInUint64() ? Pruned.toUint64() : ~uint64_t(0);
-  if (Opts.Status) {
-    CampaignStatusFeed::ShardStatus S;
-    S.C = countersOf(Out) - Base0;
-    S.RanksDone = S.RanksTotal = S.C.Enumerated + S.C.Pruned;
-    S.Finished = true;
-    Opts.Status->updateShard(0, S);
-  }
-  return true;
-}
-
-CampaignResult
-DifferentialHarness::runCampaign(const std::vector<std::string> &Seeds) const {
-  CampaignResult Result;
-  if (!Opts.CheckpointPath.empty()) {
-    // Snapshot write failures are non-fatal (best-effort persistence) and
-    // a fresh run has no snapshot to mis-validate, so the error channel is
-    // unused here; resumeCampaign is where validation can reject.
-    std::string Err;
-    runCheckpointed(Seeds, nullptr, Result, Err);
-    return Result;
-  }
-  if (Opts.Status)
-    Opts.Status->beginCampaign(Seeds.size(), 0, StatusCounters());
-  for (const std::string &Seed : Seeds) {
-    runOnSeed(Seed, Result);
-    if (Opts.Status)
-      Opts.Status->commitSeed(countersOf(Result));
-  }
-  if (Opts.Cache)
-    Result.OracleCacheEvictions = Opts.Cache->evictions();
-  if (Opts.Triage) {
-    // Post-merge and single-threaded, so the triaged report is identical
-    // for every Opts.Threads value.
-    if (Opts.Status)
-      Opts.Status->beginTriage();
-    TriageOptions T;
-    T.Cache = Opts.Cache;
-    T.InjectBugs = Opts.InjectBugs;
-    T.Backend = Opts.Backend;
-    T.ExtraBackends = Opts.ExtraBackends;
-    T.Telemetry = Opts.Telemetry;
-    triageCampaign(Result, T);
-  }
-  // Global-phase telemetry folds into the result exactly once, at
-  // campaign end (the checkpointed runner does the same in its tail).
-  if (Opts.Telemetry)
-    Result.Telemetry.merge(Opts.Telemetry->summary());
-  if (Opts.Status) {
-    if (Opts.Triage)
-      Opts.Status->setClusters(Result.Triaged.size());
-    Opts.Status->finishCampaign(countersOf(Result));
-  }
-  return Result;
+  // The cursor is positioned exactly the way a thread shard's is, so a
+  // lease sees the same variants, in the same order, as the shard that
+  // would have covered these ranks.
+  CursorState CS{Begin.toString(), End.toString(), "0"};
+  if (runRange(Opts, backend(), Plan, CS, 0, Out, nullptr, nullptr))
+    return true;
+  Err = "cursor rejected lease range [" + CS.Position + ", " + CS.End + ")";
+  return false;
 }

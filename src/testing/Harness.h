@@ -40,9 +40,6 @@
 
 namespace spe {
 
-struct CheckpointContext;
-struct WorkerCheckpoint;
-struct CampaignCheckpoint;
 class CampaignStatusFeed;
 
 /// Harness configuration.
@@ -58,16 +55,18 @@ struct HarnessOptions {
   /// Interpreter step budget per oracle execution. Variants that exhaust
   /// it are Timeout and excluded from testing, the paper's treatment of
   /// (potential) non-termination. Loop-corpus campaigns lower this so
-  /// diverging variants are cheap to exclude; a cache (OracleCache or a
-  /// checkpoint) must not be shared between runs with different values,
-  /// since the verdict key does not include the step budget.
+  /// diverging variants are cheap to exclude. It is folded into the
+  /// checkpoint options fingerprint, so a snapshot never resumes under
+  /// another budget; it is not yet part of FleetSpec (fleet workers run
+  /// the default) nor of the OracleCache verdict key, so a cache must not
+  /// be shared between runs with different values.
   uint64_t OracleMaxSteps = 2'000'000;
   /// Worker threads per seed: the budgeted variant range is split into one
   /// cursor shard per worker. 0 = one per hardware thread. Results are
   /// deterministic and identical for any thread count.
   unsigned Threads = 1;
   /// Variants per compile batch handed to CompilerBackend::beginBatch
-  /// (DESIGN.md Section 13); 1 = the classic per-variant loop. Result-
+  /// (DESIGN.md Section 13); 1 = the unbatched per-variant loop. Result-
   /// neutral by the batch contract: findings, counters, triage, and
   /// checkpoint bytes are bit-identical for every value, which is why it
   /// is deliberately excluded from the checkpoint options fingerprint --
@@ -87,15 +86,16 @@ struct HarnessOptions {
   /// compiler or command line.
   const CompilerBackend *Backend = nullptr;
   /// Additional compilers for the N-way differential matrix (DESIGN.md
-  /// Section 14). Empty = the classic campaign: Backend alone against the
-  /// reference oracle, byte-for-byte the pre-matrix behavior. Non-empty:
-  /// every tested variant is compiled by the whole roster (Backend is slot
-  /// 0) under every config, each compiled artifact is executed once per
-  /// sweep input, and the per-cell observations are attributed by
-  /// majority-vs-outlier voting (triage/MatrixVote.h) instead of plain
-  /// backend-vs-oracle comparison. Findings carry the attributed backend's
-  /// identity(); the full roster's identities are folded into the
-  /// checkpoint options fingerprint in slot order.
+  /// Section 14). Every tested variant is compiled by the whole roster
+  /// (Backend is slot 0) under every config, each compiled artifact is
+  /// executed once per sweep input, and the per-cell observations are
+  /// attributed by majority-vs-outlier voting (triage/MatrixVote.h).
+  /// Empty = the classic campaign, the 1x1 matrix: with Backend alone
+  /// against the reference oracle the vote is plain backend-vs-oracle
+  /// comparison, and MatrixCellsCompared stays 0. With two or more
+  /// backends findings carry the attributed backend's identity(); the full
+  /// roster's identities are folded into the checkpoint options
+  /// fingerprint in slot order.
   std::vector<const CompilerBackend *> ExtraBackends;
   /// Optional coverage registry threaded into every compilation. With
   /// Threads > 1 each worker records into a private copy; the copies are
@@ -367,8 +367,8 @@ struct CampaignResult {
   /// Differential matrix cells actually compared: one per (backend,
   /// config, sweep input) observation that reached behavioral comparison
   /// (compile Ok, executed, oracle verdict valid for that input). Zero in
-  /// a classic campaign (no ExtraBackends, no sweeps) -- the counter, like
-  /// the matrix itself, is inert there.
+  /// a classic campaign (no ExtraBackends, no sweeps): the 1x1 matrix
+  /// compares no matrix cells.
   uint64_t MatrixCellsCompared = 0;
   /// Sweep inputs excluded per tested variant because the reference oracle
   /// hit UB / non-termination under that input (the per-cell analogue of
@@ -421,11 +421,9 @@ public:
     return Opts.Backend ? *Opts.Backend : DefaultBackend;
   }
 
-  /// Enumerates one seed and tests every (variant, config) pair.
-  void runOnSeed(const std::string &Source, CampaignResult &Result) const;
-
-  /// Convenience: run a whole corpus. With CheckpointPath set the campaign
-  /// snapshots its progress as it goes (see HarnessOptions above).
+  /// Runs a whole corpus: enumerates each seed and tests every (variant,
+  /// config) pair. With CheckpointPath set the campaign snapshots its
+  /// progress as it goes (see HarnessOptions above).
   CampaignResult runCampaign(const std::vector<std::string> &Seeds) const;
 
   /// Restarts a checkpointed campaign from Opts.CheckpointPath: validates
@@ -457,58 +455,24 @@ public:
   };
 
   /// Front-end + threshold + budgeting for \p Source, enumeration skipped.
-  /// Deterministic: matches the plan runOnSeed computes for the same seed.
+  /// Deterministic: matches the plan runCampaign computes for the same seed.
   SeedLeaseSummary summarizeSeed(const std::string &Source) const;
 
   /// Runs exactly the rank range [\p Begin, \p End) of \p Source's
-  /// budgeted space and accrues into \p Out -- the worker half of a fleet
-  /// lease. Merging all of a seed's lease fragments in ascending Begin
-  /// order on top of the summarizeSeed header reproduces the
-  /// single-process runOnSeed result bit for bit, because a lease runs the
-  /// same loop a thread shard does over an arbitrary contiguous subrange.
-  /// Header counters are NOT accrued here (the coordinator owns them via
-  /// summarizeSeed). \returns false with \p Err set when the seed is not
-  /// enumerable or the range is outside [0, Budget].
+  /// budgeted space into the fresh fragment \p Out -- the worker half of a
+  /// fleet lease. Merging all of a seed's lease fragments in ascending
+  /// Begin order on top of the summarizeSeed header reproduces the
+  /// single-process result for that seed bit for bit, because a lease is
+  /// one call of the variant loop every thread shard runs, over an
+  /// arbitrary contiguous subrange. Header counters are NOT accrued here
+  /// (the coordinator owns them via summarizeSeed). \returns false with
+  /// \p Err set when the seed is not enumerable or the range is outside
+  /// [0, Budget].
   bool runLease(const std::string &Source, const BigInt &Begin,
                 const BigInt &End, CampaignResult &Out,
                 std::string &Err) const;
 
 private:
-  /// One staged oracle verdict: computed this interval, not yet flushed to
-  /// the on-disk store (flushes ride checkpoint publishes).
-  using StagedVerdicts =
-      std::vector<std::pair<std::string, OracleCache::Entry>>;
-
-  /// testProgram against an explicit coverage registry (per-worker copies
-  /// in parallel campaigns). Freshly computed oracle verdicts are appended
-  /// to \p Staged when given, so checkpoint publishes can flush exactly
-  /// the verdicts their cursor positions account for.
-  void testProgramWith(const std::string &Source, CampaignResult &Result,
-                       CoverageRegistry *Cov,
-                       StagedVerdicts *Staged = nullptr) const;
-
-  /// The checkpointed campaign loop behind runCampaign/resumeCampaign;
-  /// \p From is null for a fresh campaign. \returns false with \p Err set
-  /// when a resume snapshot is inconsistent with the recomputed state.
-  bool runCheckpointed(const std::vector<std::string> &Seeds,
-                       const CampaignCheckpoint *From,
-                       CampaignResult &Result, std::string &Err) const;
-
-  /// Enumerates one seed under checkpointing: per-worker partial results
-  /// published into \p Ck every CheckpointEveryN variants. \p Resume, when
-  /// non-null, holds the snapshot worker states (with \p ResumeCFp the
-  /// snapshot's constraints fingerprint) to reconstitute instead of
-  /// sharding afresh.
-  /// \p ResumeHeader, when resuming, is the snapshot's recorded
-  /// pre-enumeration header, cross-checked against the recomputed one as
-  /// an extra skew detector.
-  bool runOnSeedCheckpointed(const std::string &Source,
-                             CampaignResult &Merged, CheckpointContext &Ck,
-                             const std::vector<WorkerCheckpoint> *Resume,
-                             uint64_t ResumeCFp,
-                             const CampaignResult *ResumeHeader,
-                             std::string &Err) const;
-
   HarnessOptions Opts;
   /// Fallback backend when Opts.Backend is null; the historical inline
   /// MiniCC loop, now behind the same interface as everything else.

@@ -398,17 +398,32 @@ struct NamedBackend : CompilerBackend {
   }
 };
 
+/// Result-affecting options that were once missing from the fingerprint,
+/// each as an edit that skews a campaign's options.
+struct OptionSkew {
+  const char *Name;
+  void (*Apply)(HarnessOptions &);
+};
+
+const OptionSkew ResultSkews[] = {
+    {"Triage", [](HarnessOptions &O) { O.Triage = true; }},
+    {"OracleMaxSteps", [](HarnessOptions &O) { O.OracleMaxSteps = 100'000; }},
+};
+
 } // namespace
 
 TEST(OptionsFingerprintTest, TriageFlagChangesTheFingerprint) {
   // Regression: HarnessOptions::Triage was omitted from the fingerprint,
   // so a checkpoint written without triage resumed under a triaging
-  // campaign (and vice versa) without the skew being detected.
+  // campaign (and vice versa) without the skew being detected. The oracle
+  // step budget, which decides the Timeout exclusions, was missing too.
   HarnessOptions A;
   A.Configs = HarnessOptions::crashMatrix(Persona::GccSim, 70);
-  HarnessOptions B = A;
-  B.Triage = true;
-  EXPECT_NE(fingerprintOptions(A), fingerprintOptions(B));
+  for (const OptionSkew &Skew : ResultSkews) {
+    HarnessOptions B = A;
+    Skew.Apply(B);
+    EXPECT_NE(fingerprintOptions(A), fingerprintOptions(B)) << Skew.Name;
+  }
 }
 
 TEST(OptionsFingerprintTest, BackendIdentityChangesTheFingerprint) {
@@ -427,20 +442,24 @@ TEST(OptionsFingerprintTest, BackendIdentityChangesTheFingerprint) {
 
 TEST(OptionsFingerprintTest, TriageMismatchRejectsTheResume) {
   // End to end: a snapshot written by a non-triaging campaign must be
-  // refused by a triaging resume on the fingerprint gate, and accepted
-  // again once the options match.
+  // refused by a triaging resume (or one under another oracle step budget)
+  // on the fingerprint gate, and accepted again once the options match.
   std::vector<std::string> Seeds = {"int main(void) { return 0; }\n"};
   HarnessOptions Plain;
   Plain.Configs = HarnessOptions::crashMatrix(Persona::GccSim, 70);
   Plain.CheckpointPath = tempPath("triage_skew.ck");
   CampaignResult Full = DifferentialHarness(Plain).runCampaign(Seeds);
 
-  HarnessOptions Triaging = Plain;
-  Triaging.Triage = true;
-  CampaignResult R;
-  std::string Err;
-  EXPECT_FALSE(DifferentialHarness(Triaging).resumeCampaign(Seeds, R, Err));
-  EXPECT_NE(Err.find("options fingerprint"), std::string::npos) << Err;
+  for (const OptionSkew &Skew : ResultSkews) {
+    HarnessOptions Skewed = Plain;
+    Skew.Apply(Skewed);
+    CampaignResult R;
+    std::string Err;
+    EXPECT_FALSE(DifferentialHarness(Skewed).resumeCampaign(Seeds, R, Err))
+        << Skew.Name;
+    EXPECT_NE(Err.find("options fingerprint"), std::string::npos)
+        << Skew.Name << ": " << Err;
+  }
 
   CampaignResult Again;
   std::string Err2;

@@ -5,19 +5,25 @@
 // concurrent submits across brokers, job timeouts staying inside the
 // broker (no respawn), broker death respawned with the in-flight job
 // retried exactly once, and a wedged broker group-killed within the job's
-// wall-clock budget plus slack. Pure /bin/sh jobs -- no compiler needed.
+// wall-clock budget plus slack, and fd hygiene: no child, whichever spawn
+// path started it, inherits another pipe's ends. Pure /bin/sh jobs -- no
+// compiler needed.
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/PipedProcess.h"
 #include "support/ProcessPool.h"
 #include "support/ProcessRunner.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/types.h>
 
@@ -219,4 +225,58 @@ TEST(ProcessPoolTest, WedgedBrokerPidIsActuallyDead) {
   // the slot and a fresh broker took over.
   ProcessResult R = Pool.run({"/bin/sh", "-c", "exit 6"});
   EXPECT_TRUE(R.exitedWith(6)) << R.Error;
+}
+
+TEST(ProcessPoolTest, ChildrenInheritOnlyTheStandardFds) {
+  // Regression: pipes were created without CLOEXEC, so a child held the
+  // parent-side ends of every pipe open at its fork -- a live sibling
+  // PipedProcess's stdin and stdout (the fleet's missing-EOF hang) and the
+  // pool's wake and broker pipes. Next to a live PipedProcess and a
+  // 2-broker pool, children spawned from four threads at once must each
+  // hold exactly fds 0, 1 and 2.
+  //
+  // Descriptors the test runner left open (ctest passes one) are not this
+  // code's leak: mark them CLOEXEC so only pipes created below can show.
+  std::vector<int> Open;
+  for (const auto &E : std::filesystem::directory_iterator("/proc/self/fd"))
+    Open.push_back(std::stoi(E.path().filename().string()));
+  for (int Fd : Open)
+    if (Fd > 2)
+      fcntl(Fd, F_SETFD, FD_CLOEXEC);
+
+  PipedProcess Cat;
+  std::string Err;
+  ASSERT_TRUE(Cat.start({"cat"}, Err)) << Err;
+  ProcessPool Pool(2);
+
+  const std::vector<std::string> ListFds = {"/bin/sh", "-c",
+                                            "ls /proc/$$/fd"};
+  constexpr int NumThreads = 4, Rounds = 5;
+  // Per thread: one fd listing per spawn, lines joined by spaces.
+  std::vector<std::vector<std::string>> Listings(NumThreads);
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      for (int I = 0; I < Rounds; ++I) {
+        PipedProcess P;
+        std::string E, Line, Joined;
+        if (P.start(ListFds, E))
+          while (P.readLine(Line))
+            Joined += Line + " ";
+        P.wait();
+        Listings[T].push_back("piped: " + Joined);
+        std::string Direct = runProcess(ListFds).Stdout;
+        std::replace(Direct.begin(), Direct.end(), '\n', ' ');
+        Listings[T].push_back("direct: " + Direct);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  for (const std::vector<std::string> &PerThread : Listings) {
+    ASSERT_EQ(PerThread.size(), 2u * Rounds);
+    for (size_t I = 0; I < PerThread.size(); ++I)
+      EXPECT_EQ(PerThread[I], std::string(I % 2 ? "direct: " : "piped: ") +
+                                  "0 1 2 ");
+  }
 }

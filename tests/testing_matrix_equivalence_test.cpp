@@ -15,12 +15,14 @@
 
 #include "compiler/Passes.h"
 #include "persist/Checkpoint.h"
+#include "persist/LineText.h"
 #include "testing/Corpus.h"
 #include "testing/Harness.h"
 
 #include "gtest/gtest.h"
 
 #include <filesystem>
+#include <sstream>
 
 using namespace spe;
 
@@ -98,12 +100,13 @@ struct RunOutput {
   CoverageRegistry Cov;
 };
 
-RunOutput runWith(const HarnessOptions &Base) {
+RunOutput runWith(const HarnessOptions &Base,
+                  const std::vector<std::string> &Seeds = matrixSeeds()) {
   RunOutput Out;
   registerPassCoverageCatalog(Out.Cov);
   HarnessOptions Opts = Base;
   Opts.Cov = &Out.Cov;
-  Out.Result = DifferentialHarness(Opts).runCampaign(matrixSeeds());
+  Out.Result = DifferentialHarness(Opts).runCampaign(Seeds);
   return Out;
 }
 
@@ -304,4 +307,92 @@ TEST(MatrixEquivalenceTest, RosterAndSweepSkewRejectTheResume) {
     EXPECT_FALSE(
         DifferentialHarness(Skew).resumeCampaign(Seeds, Ignored, Err));
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Result goldens: the 1x1 matrix against the pre-unification harness
+//===----------------------------------------------------------------------===//
+//
+// The batteries above compare the harness with itself, so they cannot see a
+// change that every execution strategy makes alike -- such as stamping the
+// first sweep input on a compile-level finding. These digests were computed
+// by the harness that still recorded classic campaigns on a separate path;
+// the single recorder must reproduce them exactly.
+
+namespace {
+
+/// FNV-1a over everything a campaign reports: the checkpointed result text
+/// (counters, bugs, raw findings) plus the triaged report -- signatures,
+/// reduced witnesses, and the Reduction counters.
+uint64_t resultDigest(const CampaignResult &R) {
+  std::ostringstream Text;
+  linetext::writeResult(Text, R);
+  linetext::Fnv F;
+  F.str(Text.str());
+  for (const TriagedBug &T : R.Triaged) {
+    F.str(T.Sig.str());
+    F.str(T.Representative.WitnessProgram);
+    for (int Id : T.MemberIds)
+      F.u64(static_cast<uint64_t>(Id));
+    F.u64(T.RawCount);
+    F.u64(T.TokensBefore);
+    F.u64(T.TokensAfter);
+  }
+  const ReductionStats &S = R.Reduction;
+  for (uint64_t V : {S.RawBugs, S.Clusters, S.TokensBefore, S.TokensAfter,
+                     S.StatementsDeleted, S.DeclsDropped, S.ExprsSimplified,
+                     S.RankMinimized, S.ReductionProbes, S.OracleRuns,
+                     S.OracleCacheHits})
+    F.u64(V);
+  return F.H;
+}
+
+} // namespace
+
+TEST(MatrixEquivalenceTest, ClassicTriagedRunMatchesGolden) {
+  HarnessOptions Opts = classicOptions(1, 1);
+  Opts.Triage = true;
+  CampaignResult R = runWith(Opts).Result;
+  ASSERT_FALSE(R.Triaged.empty());
+  EXPECT_EQ(resultDigest(R), 17994021794422596766ull);
+}
+
+TEST(MatrixEquivalenceTest, MatrixRunWithCompileCrashesMatchesGolden) {
+  // Embedded seed 6 crashes the GccSim 4.8 compiler, so this 3-backend x
+  // 4-input run records compile-level findings, which carry no sweep input.
+  CloneBackend B("minicc-cloneB", true), C("minicc-cloneC", true);
+  HarnessOptions Opts = matrixOptions(1, 1, B, C);
+  Opts.Triage = true;
+  std::vector<std::string> Seeds = matrixSeeds();
+  Seeds.push_back(embeddedSeeds()[6]);
+  CampaignResult R = runWith(Opts, Seeds).Result;
+  ASSERT_FALSE(R.Triaged.empty());
+  ASSERT_GT(R.CrashObservations, 0u);
+  bool SawCrash = false;
+  for (const auto &KV : R.RawFindings)
+    if (KV.second.Effect == BugEffect::Crash) {
+      SawCrash = true;
+      EXPECT_EQ(KV.first.InputIdx, 0u);
+      EXPECT_EQ(KV.second.Input, "");
+    }
+  EXPECT_TRUE(SawCrash);
+  EXPECT_EQ(resultDigest(R), 8500990216299444023ull);
+}
+
+TEST(MatrixEquivalenceTest, CheckpointedTwoPersonaRunMatchesGolden) {
+  TempDir T("golden_two_persona");
+  OracleCache Cache;
+  HarnessOptions Opts = classicOptions(2, 1);
+  for (const CompilerConfig &Config :
+       HarnessOptions::crashMatrix(Persona::ClangSim, 39))
+    Opts.Configs.push_back(Config);
+  Opts.Triage = true;
+  Opts.CheckpointPath = T.path("campaign.ck");
+  Opts.CheckpointEveryN = 5;
+  Opts.Cache = &Cache;
+  Opts.OracleStorePath = T.path("oracle.log");
+  CampaignResult R = runWith(Opts).Result;
+  ASSERT_FALSE(R.Triaged.empty());
+  ASSERT_GT(R.OracleStoreBytes, 0u);
+  EXPECT_EQ(resultDigest(R), 1531586173821078158ull);
 }

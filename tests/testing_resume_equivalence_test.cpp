@@ -58,6 +58,13 @@ struct RunOutput {
   CoverageRegistry Cov;
 };
 
+std::string fileBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Out;
+  Out << In.rdbuf();
+  return Out.str();
+}
+
 /// The uninterrupted reference: checkpointing on (it must not perturb
 /// anything), no crash.
 RunOutput referenceRun(unsigned Threads, bool UseCache, bool UseTriage,
@@ -296,11 +303,15 @@ TEST(ResumeEquivalenceTest, ResumeOfACompletedCampaignReturnsTheFinalResult) {
   ResumeOpts.CheckpointPath = T.path("campaign.ck");
   CampaignResult Result;
   std::string Err;
+  std::string Before = fileBytes(T.path("campaign.ck"));
   ASSERT_TRUE(
       DifferentialHarness(ResumeOpts).resumeCampaign(Seeds, Result, Err))
       << Err;
   EXPECT_TRUE(Result == Reference);
   EXPECT_EQ(Cov2.hitSet(), Cov1.hitSet());
+  // The resume runs the ordinary campaign tail with no seeds left, which
+  // rewrites the Complete snapshot -- byte for byte unchanged.
+  EXPECT_EQ(fileBytes(T.path("campaign.ck")), Before);
 }
 
 TEST(ResumeEquivalenceTest, ResumeRejectsSkewedInputs) {
@@ -313,12 +324,7 @@ TEST(ResumeEquivalenceTest, ResumeRejectsSkewedInputs) {
 
   CampaignResult Result;
   std::string Err;
-  auto SnapshotBytes = [&] {
-    std::ifstream In(T.path("campaign.ck"), std::ios::binary);
-    std::ostringstream Out;
-    Out << In.rdbuf();
-    return Out.str();
-  };
+  auto SnapshotBytes = [&] { return fileBytes(T.path("campaign.ck")); };
   std::string Before = SnapshotBytes();
 
   // Different budget: options fingerprint mismatch.

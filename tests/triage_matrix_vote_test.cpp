@@ -146,6 +146,55 @@ TEST(MatrixVoteTest, AbstainersAreSkipped) {
   EXPECT_FALSE(V.Outliers[2].empty());
 }
 
+TEST(MatrixVoteTest, OneBackendVoteIsTheClassicComparison) {
+  // A classic campaign records through the matrix recorder with a roster of
+  // one, so a one-backend vote must name exactly the divergence
+  // classifyDivergence reports for every observation shape, and a lone
+  // backend can never outvote the oracle.
+  auto WithExec = [](BackendObservation::ExecStatus E) {
+    BackendObservation O;
+    O.Compile = BackendObservation::CompileStatus::Ok;
+    O.Exec = E;
+    return O;
+  };
+  auto WithCompile = [](BackendObservation::CompileStatus C) {
+    BackendObservation O;
+    O.Compile = C;
+    return O;
+  };
+  struct Case {
+    const char *Name;
+    BackendObservation Obs;
+    int64_t OracleExit;
+    std::string OracleOutput;
+  };
+  const Case Cases[] = {
+      {"agree", okExit(3, false, "x"), 3, "x"},
+      {"full-width exit mismatch", okExit(259), 3, ""},
+      {"low-8 256+k vs k", okExit(259, true), 3, ""},
+      {"low-8 exit mismatch", okExit(4, true), 3, ""},
+      {"low-8 vs full-width oracle", okExit(3, true), 259, ""},
+      {"output mismatch", okExit(0, false, "a"), 0, "b"},
+      {"trap", trapped(), 0, ""},
+      {"hang", WithExec(BackendObservation::ExecStatus::Timeout), 0, ""},
+      {"not run", WithExec(BackendObservation::ExecStatus::NotRun), 0, ""},
+      {"compile rejected",
+       WithCompile(BackendObservation::CompileStatus::Rejected), 0, ""},
+      {"compile crashed",
+       WithCompile(BackendObservation::CompileStatus::Crashed), 0, ""},
+      {"compile timed out",
+       WithCompile(BackendObservation::CompileStatus::TimedOut), 0, ""},
+  };
+  for (const Case &C : Cases) {
+    MatrixVote V = voteMatrixCell(C.OracleExit, C.OracleOutput, {&C.Obs});
+    EXPECT_FALSE(V.OracleOutvoted) << C.Name;
+    ASSERT_EQ(V.Outliers.size(), 1u) << C.Name;
+    EXPECT_EQ(V.Outliers[0],
+              classifyDivergence(C.Obs, C.OracleExit, C.OracleOutput))
+        << C.Name;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // End to end: scripted wrong-code backends in a matrix campaign
 //===----------------------------------------------------------------------===//
