@@ -2,10 +2,13 @@
 
 #include "compiler/VM.h"
 
+#include "support/BrentCycle.h"
 #include "support/StdinScan.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <vector>
@@ -19,18 +22,56 @@ struct VMValue {
   uint64_t Bits = 0;
   uint32_t Block = 0;
   int64_t Offset = 0;
+
+  bool operator==(const VMValue &O) const {
+    return IsPtr == O.IsPtr && Bits == O.Bits && Block == O.Block &&
+           Offset == O.Offset;
+  }
 };
 
 struct VMBlock {
   std::vector<uint8_t> Bytes;
   bool Alive = true;
+  /// VM::Clock at the block's last store, copy, fill, allocation or free.
+  uint64_t Written = 0;
+  /// Whether a pointer, or a non-pointer, was ever stored here; a load of
+  /// the other kind reinterprets bytes and may expose a block id.
+  bool HeldPointer = false;
+  bool HeldInteger = false;
+};
+
+/// The machine state after a retreating branch that a later one in the
+/// same activation must match to prove the run diverges (DESIGN.md Section
+/// 18): the branch target, the activation's registers (a miscompiled
+/// module may read one before the iteration redefines it), every live
+/// block, the stdin position and the id-exposure count.
+struct LoopState {
+  uint64_t Clock = 0;
+  uint64_t LiveBlocks = 0;
+  uint64_t Exposures = 0;
+  size_t StdinPos = 0;
+  unsigned Target = 0;
+  std::vector<VMValue> Regs;
+  /// Every live block (ascending ids) and its bytes at Starts[I].
+  std::vector<uint32_t> Ids;
+  std::vector<size_t> Starts;
+  std::vector<uint8_t> Bytes;
+};
+
+/// One activation's divergence check: Brent's schedule plus the state it
+/// last saved.
+struct LoopDetector {
+  BrentSchedule Schedule;
+  LoopState Saved;
 };
 
 class VM {
 public:
   VM(const IRModule &M, const VMOptions &Opts)
       : M(M), Opts(Opts), Stdin(Opts.Input) {
-    Blocks.push_back(VMBlock{{}, false}); // Null block.
+    VMBlock Null;
+    Null.Alive = false;
+    Blocks.push_back(std::move(Null));
   }
 
   VMResult run();
@@ -56,9 +97,28 @@ private:
   }
 
   uint32_t allocate(uint64_t Size) {
-    Blocks.push_back(VMBlock{std::vector<uint8_t>(Size, 0), true});
-    return static_cast<uint32_t>(Blocks.size() - 1);
+    VMBlock B;
+    B.Bytes.assign(Size, 0);
+    Blocks.push_back(std::move(B));
+    uint32_t Id = static_cast<uint32_t>(Blocks.size() - 1);
+    ++LiveBlocks;
+    touch(Id);
+    return Id;
   }
+  void touch(uint32_t Block) {
+    Blocks[Block].Written = ++Clock;
+    LastWritten = Block;
+  }
+
+  /// Counts a retreating branch to \p Target; on a check, ends the run
+  /// with Timeout when the state repeats one saved earlier.
+  void loopHead(LoopDetector &D, unsigned Target,
+                const std::vector<VMValue> &Regs);
+  void saveState(LoopState &S, unsigned Target,
+                 const std::vector<VMValue> &Regs) const;
+  bool matchesState(const LoopState &S, unsigned Target,
+                    const std::vector<VMValue> &Regs) const;
+  bool blockMatches(const LoopState &S, size_t Index) const;
   bool checkAccess(uint32_t Block, int64_t Offset, uint64_t Size,
                    const char *What) {
     if (Block == 0 || Block >= Blocks.size() || !Blocks[Block].Alive) {
@@ -83,6 +143,8 @@ private:
       R.Offset = static_cast<int64_t>(V.Bits);
       return R;
     }
+    if (V.IsPtr)
+      ++Exposures;
     uint64_t Raw = V.IsPtr ? (static_cast<uint64_t>(V.Block) << 32) |
                                  static_cast<uint32_t>(V.Offset)
                            : V.Bits;
@@ -130,12 +192,90 @@ private:
   std::vector<uint32_t> GlobalBlocks;
   unsigned CallDepth = 0;
   StdinIntScanner Stdin; ///< Sweep-input cursor for IROp::Input.
+
+  // --- divergence check (DESIGN.md Section 18) ---------------------------
+  uint64_t Clock = 0;       ///< Bumped by every memory mutation.
+  uint32_t LastWritten = 0; ///< Block of the latest mutation.
+  uint64_t LiveBlocks = 0;
+  /// Pointer-to-integer conversions plus reinterpreting loads so far: the
+  /// only operations that can observe which id a fresh block received.
+  uint64_t Exposures = 0;
 };
+
+void VM::loopHead(LoopDetector &D, unsigned Target,
+                  const std::vector<VMValue> &Regs) {
+  if (!D.Schedule.due())
+    return;
+  if (D.Schedule.saved() && matchesState(D.Saved, Target, Regs)) {
+    Done = true;
+    Result.Status = VMStatus::Timeout;
+    Result.Message = "state repeats at loop head";
+    return;
+  }
+  if (D.Schedule.advance())
+    saveState(D.Saved, Target, Regs);
+}
+
+void VM::saveState(LoopState &S, unsigned Target,
+                   const std::vector<VMValue> &Regs) const {
+  S.Clock = Clock;
+  S.LiveBlocks = LiveBlocks;
+  S.Exposures = Exposures;
+  S.StdinPos = Stdin.position();
+  S.Target = Target;
+  S.Regs = Regs;
+  S.Ids.clear();
+  S.Starts.clear();
+  S.Bytes.clear();
+  for (uint32_t Id = 1; Id < Blocks.size(); ++Id) {
+    if (!Blocks[Id].Alive)
+      continue;
+    S.Ids.push_back(Id);
+    S.Starts.push_back(S.Bytes.size());
+    S.Bytes.insert(S.Bytes.end(), Blocks[Id].Bytes.begin(),
+                   Blocks[Id].Bytes.end());
+  }
+  S.Starts.push_back(S.Bytes.size());
+}
+
+bool VM::blockMatches(const LoopState &S, size_t Index) const {
+  const VMBlock &B = Blocks[S.Ids[Index]];
+  if (B.Written <= S.Clock)
+    return true; // Untouched since the save.
+  size_t Start = S.Starts[Index];
+  return B.Alive && B.Bytes.size() == S.Starts[Index + 1] - Start &&
+         (B.Bytes.empty() ||
+          !std::memcmp(B.Bytes.data(), S.Bytes.data() + Start,
+                       B.Bytes.size()));
+}
+
+/// Blocks of calling activations cannot be freed while this one runs and a
+/// block allocated since the save can only die, so an equal live count
+/// says every such block is dead again.
+bool VM::matchesState(const LoopState &S, unsigned Target,
+                      const std::vector<VMValue> &Regs) const {
+  if (Target != S.Target || Exposures != S.Exposures ||
+      LiveBlocks != S.LiveBlocks || Stdin.position() != S.StdinPos)
+    return false;
+  // The latest write is the likeliest difference; try it first.
+  auto Last = std::lower_bound(S.Ids.begin(), S.Ids.end(), LastWritten);
+  if (Last != S.Ids.end() && *Last == LastWritten &&
+      !blockMatches(S, Last - S.Ids.begin()))
+    return false;
+  if (Regs != S.Regs)
+    return false;
+  for (size_t I = 0; I < S.Ids.size(); ++I)
+    if (!blockMatches(S, I))
+      return false;
+  return true;
+}
 
 VMValue VM::loadFrom(uint32_t Block, int64_t Offset, const Type *Ty) {
   uint64_t Size = Ty->isPointer() ? 8 : Ty->sizeInBytes();
   if (!checkAccess(Block, Offset, Size, "load"))
     return {};
+  if (Ty->isPointer() ? Blocks[Block].HeldInteger : Blocks[Block].HeldPointer)
+    ++Exposures;
   const std::vector<uint8_t> &Bytes = Blocks[Block].Bytes;
   VMValue V;
   if (Ty->isPointer()) {
@@ -164,8 +304,10 @@ void VM::storeTo(uint32_t Block, int64_t Offset, const Type *Ty,
   bool AsPtr = V.IsPtr;
   if (!checkAccess(Block, Offset, AsPtr ? 8 : Size, "store"))
     return;
+  touch(Block);
   std::vector<uint8_t> &Bytes = Blocks[Block].Bytes;
   if (AsPtr) {
+    Blocks[Block].HeldPointer = true;
     uint32_t Off = static_cast<uint32_t>(static_cast<int32_t>(V.Offset));
     for (int I = 0; I < 4; ++I)
       Bytes[Offset + I] = static_cast<uint8_t>(V.Block >> (8 * I));
@@ -173,6 +315,7 @@ void VM::storeTo(uint32_t Block, int64_t Offset, const Type *Ty,
       Bytes[Offset + 4 + I] = static_cast<uint8_t>(Off >> (8 * I));
     return;
   }
+  Blocks[Block].HeldInteger = true;
   for (uint64_t I = 0; I < Size; ++I)
     Bytes[Offset + I] = static_cast<uint8_t>(V.Bits >> (8 * I));
 }
@@ -388,6 +531,9 @@ VMValue VM::callFunction(unsigned FnIndex,
   unsigned BlockIndex = 0;
   size_t InstrIndex = 0;
   VMValue RetVal;
+  // Every CFG cycle has an edge whose target index is <= its source's, so
+  // checking after those branches sees every loop.
+  LoopDetector Detector;
   while (!Done) {
     if (!step())
       break;
@@ -478,6 +624,9 @@ VMValue VM::callFunction(unsigned FnIndex,
       if (!checkAccess(D.Block, D.Offset, I.Size, "memcpy dst") ||
           !checkAccess(S.Block, S.Offset, I.Size, "memcpy src"))
         break;
+      touch(D.Block);
+      Blocks[D.Block].HeldPointer |= Blocks[S.Block].HeldPointer;
+      Blocks[D.Block].HeldInteger |= Blocks[S.Block].HeldInteger;
       for (uint64_t Byte = 0; Byte < I.Size; ++Byte)
         Blocks[D.Block].Bytes[D.Offset + Byte] =
             Blocks[S.Block].Bytes[S.Offset + Byte];
@@ -487,6 +636,7 @@ VMValue VM::callFunction(unsigned FnIndex,
       VMValue D = evalOperand(I.A, Regs);
       if (!checkAccess(D.Block, D.Offset, I.Size, "memset"))
         break;
+      touch(D.Block);
       for (uint64_t Byte = 0; Byte < I.Size; ++Byte)
         Blocks[D.Block].Bytes[D.Offset + Byte] = 0;
       break;
@@ -517,13 +667,14 @@ VMValue VM::callFunction(unsigned FnIndex,
         RetVal = evalOperand(I.A, Regs);
       goto FunctionExit;
     case IROp::Br:
-      BlockIndex = I.Succ0;
-      InstrIndex = 0;
-      break;
     case IROp::CondBr: {
-      VMValue C = evalOperand(I.A, Regs);
-      BlockIndex = truthy(C) ? I.Succ0 : I.Succ1;
+      unsigned From = BlockIndex;
+      BlockIndex = I.Op == IROp::Br || truthy(evalOperand(I.A, Regs))
+                       ? I.Succ0
+                       : I.Succ1;
       InstrIndex = 0;
+      if (BlockIndex <= From)
+        loopHead(Detector, BlockIndex, Regs);
       break;
     }
     case IROp::Unreachable:
@@ -532,8 +683,11 @@ VMValue VM::callFunction(unsigned FnIndex,
     }
   }
 FunctionExit:
-  for (uint32_t B : SlotBlocks)
+  for (uint32_t B : SlotBlocks) {
     Blocks[B].Alive = false;
+    --LiveBlocks;
+    touch(B);
+  }
   --CallDepth;
   return RetVal;
 }
@@ -542,6 +696,9 @@ VMResult VM::run() {
   for (const IRGlobal &G : M.Globals) {
     uint32_t B = allocate(G.InitBytes.size());
     Blocks[B].Bytes = G.InitBytes;
+    Blocks[B].HeldInteger =
+        std::any_of(G.InitBytes.begin(), G.InitBytes.end(),
+                    [](uint8_t Byte) { return Byte != 0; });
     GlobalBlocks.push_back(B);
   }
   if (M.MainIndex < 0) {
@@ -560,5 +717,10 @@ VMResult VM::run() {
 
 VMResult spe::executeModule(const IRModule &M, VMOptions Opts) {
   VM Machine(M, Opts);
-  return Machine.run();
+  VMResult R = Machine.run();
+  // A Timeout carries no output, so no observation depends on when
+  // non-termination was proven.
+  if (R.Status == VMStatus::Timeout)
+    R.Output.clear();
+  return R;
 }

@@ -42,6 +42,8 @@ enum class VMStatus { Ok, Trap, Timeout };
 struct VMResult {
   VMStatus Status = VMStatus::Trap;
   int64_t ExitCode = 0;
+  /// printf output; always empty on Timeout (budget, call depth, or a
+  /// repeated loop-head state, DESIGN.md Section 18).
   std::string Output;
   std::string Message;
 

@@ -545,6 +545,7 @@ bool CampaignCoordinator::run(const std::vector<std::string> &Seeds,
     if (Spec.Triage) {
       TriageOptions T;
       T.InjectBugs = Spec.InjectBugs;
+      T.OracleMaxSteps = Spec.OracleMaxSteps;
       triageCampaign(Result, T);
     }
   }

@@ -56,7 +56,7 @@ std::string FleetSpec::serialize() const {
       << static_cast<int>(Extract.Model) << ' ' << VariantThreshold << ' '
       << VariantBudget << ' ' << Threads << ' ' << BatchSize << ' '
       << (InjectBugs ? 1 : 0) << ' ' << (PruneInvalid ? 1 : 0) << ' '
-      << (Triage ? 1 : 0) << '\n';
+      << (Triage ? 1 : 0) << ' ' << OracleMaxSteps << '\n';
   Out << "configs " << Configs.size() << '\n';
   for (const CompilerConfig &C : Configs) {
     Out << "config " << static_cast<int>(C.P) << ' ' << C.Version << ' '
@@ -79,7 +79,7 @@ bool FleetSpec::parse(const std::string &Text, FleetSpec &Out,
   }
   R.At = 1;
 
-  const std::vector<std::string> *L = R.line("opts", 11);
+  const std::vector<std::string> *L = R.line("opts", 12);
   uint64_t Mode = 0, Gran = 0, Model = 0, Threads = 0;
   bool Ok = L && R.u64((*L)[1], Mode) && R.u64((*L)[2], Gran) &&
             R.u64((*L)[3], Model) && R.u64((*L)[4], Out.VariantThreshold) &&
@@ -87,7 +87,8 @@ bool FleetSpec::parse(const std::string &Text, FleetSpec &Out,
             R.u64((*L)[7], Out.BatchSize) &&
             R.boolTok((*L)[8], Out.InjectBugs) &&
             R.boolTok((*L)[9], Out.PruneInvalid) &&
-            R.boolTok((*L)[10], Out.Triage);
+            R.boolTok((*L)[10], Out.Triage) &&
+            R.u64((*L)[11], Out.OracleMaxSteps);
   if (Ok && (Mode > 1 || Gran > 1 || Model > 2))
     Ok = R.fail("enum value out of range");
   if (Ok) {
@@ -150,6 +151,7 @@ HarnessOptions FleetSpec::toHarnessOptions() const {
   O.InjectBugs = InjectBugs;
   O.PruneInvalid = PruneInvalid;
   O.Triage = Triage;
+  O.OracleMaxSteps = OracleMaxSteps;
   return O;
 }
 

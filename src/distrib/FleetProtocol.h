@@ -58,6 +58,9 @@ struct FleetSpec {
   bool InjectBugs = true;
   bool PruneInvalid = true;
   bool Triage = false;
+  /// HarnessOptions::OracleMaxSteps: which variants the oracle excludes as
+  /// Timeout, so every worker must run the campaign's own budget.
+  uint64_t OracleMaxSteps = 2'000'000;
 
   /// Line-text document (magic, options line, config/sweep lines).
   std::string serialize() const;

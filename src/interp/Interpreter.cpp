@@ -2,10 +2,13 @@
 
 #include "interp/Interpreter.h"
 
+#include "support/BrentCycle.h"
 #include "support/StdinScan.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <vector>
@@ -48,12 +51,47 @@ struct LValue {
   const Type *Ty = nullptr;
 };
 
-/// One allocation.
+/// One allocation. Name points at the declaration's name, which the AST
+/// owns for longer than the run; it only feeds UB messages.
 struct MemBlock {
-  std::string Name;
+  const char *Name = nullptr;
   std::vector<uint8_t> Bytes;
   std::vector<bool> Init;
+  /// Interp::Clock at the block's last store, copy, zero-fill, allocation
+  /// or free: a block not written since a LoopState was saved still
+  /// matches it.
+  uint64_t Written = 0;
   bool Alive = true;
+  /// Whether a pointer, or a non-pointer scalar, was ever stored here. A
+  /// load of the other kind reinterprets bytes and may expose a block id.
+  bool HeldPointer = false;
+  bool HeldInteger = false;
+};
+
+/// The machine state at one loop-head visit that a later visit of the same
+/// loop activation must match to prove the run diverges (DESIGN.md Section
+/// 18). Block ids are not part of it: only a pointer-to-integer conversion
+/// or a reinterpreting load can tell a fresh block's id apart, and
+/// Exposures counts both.
+struct LoopState {
+  uint64_t Clock = 0;
+  uint64_t LiveBlocks = 0;
+  uint64_t Exposures = 0;
+  size_t StdinPos = 0;
+  std::map<const VarDecl *, uint32_t> Frame;
+  /// Every live block (ascending ids), its bytes at Starts[I], and its
+  /// init bits at the same offsets.
+  std::vector<uint32_t> Ids;
+  std::vector<size_t> Starts;
+  std::vector<uint8_t> Bytes;
+  std::vector<bool> Init;
+};
+
+/// One loop activation's divergence check: Brent's schedule plus the
+/// state it last saved.
+struct LoopDetector {
+  BrentSchedule Schedule;
+  LoopState Saved;
 };
 
 /// Control-flow signal propagated out of statement execution.
@@ -67,7 +105,10 @@ class Interp {
 public:
   Interp(ASTContext &Ctx, const InterpOptions &Opts)
       : Ctx(Ctx), Opts(Opts), Stdin(Opts.Input) {
-    Blocks.push_back(MemBlock{"<null>", {}, {}, false});
+    MemBlock Null;
+    Null.Name = "<null>";
+    Null.Alive = false;
+    Blocks.push_back(std::move(Null));
   }
 
   ExecResult run();
@@ -94,8 +135,19 @@ private:
     return true;
   }
 
+  /// Counts a loop-head visit; on a check, \returns true (after failing
+  /// the run with Timeout) when the state repeats one saved earlier.
+  bool loopHead(LoopDetector &D);
+  void saveState(LoopState &S) const;
+  bool matchesState(const LoopState &S) const;
+  bool blockMatches(const LoopState &S, size_t Index) const;
+
   // --- memory -----------------------------------------------------------
-  uint32_t allocate(const std::string &Name, uint64_t Size, bool ZeroInit);
+  uint32_t allocate(const char *Name, uint64_t Size, bool ZeroInit);
+  void touch(uint32_t Block) {
+    Blocks[Block].Written = ++Clock;
+    LastWritten = Block;
+  }
   void deallocateFrame(const std::map<const VarDecl *, uint32_t> &Frame);
   bool checkAccess(const LValue &LV, uint64_t Size, const char *What);
   Value loadScalar(const LValue &LV);
@@ -144,26 +196,113 @@ private:
   std::map<const VarDecl *, uint32_t> Globals;
   std::vector<std::map<const VarDecl *, uint32_t>> Frames;
   unsigned CallDepth = 0;
+
+  // --- divergence check (DESIGN.md Section 18) ---------------------------
+  uint64_t Clock = 0;       ///< Bumped by every memory mutation.
+  uint32_t LastWritten = 0; ///< Block of the latest mutation.
+  uint64_t LiveBlocks = 0;
+  /// Pointer-to-integer conversions plus reinterpreting loads so far: the
+  /// only operations that can observe which id a fresh block received.
+  uint64_t Exposures = 0;
 };
+
+//===----------------------------------------------------------------------===//
+// Divergence check
+//===----------------------------------------------------------------------===//
+
+bool Interp::loopHead(LoopDetector &D) {
+  if (!D.Schedule.due())
+    return false;
+  if (D.Schedule.saved() && matchesState(D.Saved)) {
+    fail(ExecStatus::Timeout, "state repeats at loop head");
+    return true;
+  }
+  if (D.Schedule.advance())
+    saveState(D.Saved);
+  return false;
+}
+
+void Interp::saveState(LoopState &S) const {
+  S.Clock = Clock;
+  S.LiveBlocks = LiveBlocks;
+  S.Exposures = Exposures;
+  S.StdinPos = Stdin.position();
+  S.Frame = Frames.back();
+  S.Ids.clear();
+  S.Starts.clear();
+  S.Bytes.clear();
+  S.Init.clear();
+  for (uint32_t Id = 1; Id < Blocks.size(); ++Id) {
+    const MemBlock &B = Blocks[Id];
+    if (!B.Alive)
+      continue;
+    S.Ids.push_back(Id);
+    S.Starts.push_back(S.Bytes.size());
+    S.Bytes.insert(S.Bytes.end(), B.Bytes.begin(), B.Bytes.end());
+    S.Init.insert(S.Init.end(), B.Init.begin(), B.Init.end());
+  }
+  S.Starts.push_back(S.Bytes.size());
+}
+
+bool Interp::blockMatches(const LoopState &S, size_t Index) const {
+  const MemBlock &B = Blocks[S.Ids[Index]];
+  if (B.Written <= S.Clock)
+    return true; // Untouched since the save.
+  size_t Start = S.Starts[Index];
+  if (!B.Alive || B.Bytes.size() != S.Starts[Index + 1] - Start ||
+      (!B.Bytes.empty() &&
+       std::memcmp(B.Bytes.data(), S.Bytes.data() + Start, B.Bytes.size())))
+    return false;
+  for (size_t I = 0; I < B.Init.size(); ++I)
+    if (B.Init[I] != S.Init[Start + I])
+      return false;
+  return true;
+}
+
+/// Equal states at two visits of one loop activation mean the run repeats
+/// the stretch between them forever. Blocks of outer frames cannot be
+/// freed while the loop runs and a block allocated since the save can only
+/// die, so an equal live count says every such block is dead again.
+bool Interp::matchesState(const LoopState &S) const {
+  if (Exposures != S.Exposures || LiveBlocks != S.LiveBlocks ||
+      Stdin.position() != S.StdinPos)
+    return false;
+  // The latest write is the likeliest difference; try it first.
+  auto Last = std::lower_bound(S.Ids.begin(), S.Ids.end(), LastWritten);
+  if (Last != S.Ids.end() && *Last == LastWritten &&
+      !blockMatches(S, Last - S.Ids.begin()))
+    return false;
+  if (Frames.back() != S.Frame)
+    return false;
+  for (size_t I = 0; I < S.Ids.size(); ++I)
+    if (!blockMatches(S, I))
+      return false;
+  return true;
+}
 
 //===----------------------------------------------------------------------===//
 // Memory
 //===----------------------------------------------------------------------===//
 
-uint32_t Interp::allocate(const std::string &Name, uint64_t Size,
-                          bool ZeroInit) {
+uint32_t Interp::allocate(const char *Name, uint64_t Size, bool ZeroInit) {
   MemBlock B;
   B.Name = Name;
   B.Bytes.assign(Size, 0);
   B.Init.assign(Size, ZeroInit);
   Blocks.push_back(std::move(B));
-  return static_cast<uint32_t>(Blocks.size() - 1);
+  uint32_t Id = static_cast<uint32_t>(Blocks.size() - 1);
+  ++LiveBlocks;
+  touch(Id);
+  return Id;
 }
 
 void Interp::deallocateFrame(
     const std::map<const VarDecl *, uint32_t> &Frame) {
-  for (const auto &[V, Block] : Frame)
+  for (const auto &[V, Block] : Frame) {
     Blocks[Block].Alive = false;
+    --LiveBlocks;
+    touch(Block);
+  }
 }
 
 bool Interp::checkAccess(const LValue &LV, uint64_t Size, const char *What) {
@@ -192,10 +331,12 @@ Value Interp::loadScalar(const LValue &LV) {
   MemBlock &B = Blocks[LV.Block];
   for (uint64_t I = 0; I < Size; ++I) {
     if (!B.Init[LV.Offset + I]) {
-      ub("read of uninitialized value from '" + B.Name + "'");
+      ub(std::string("read of uninitialized value from '") + B.Name + "'");
       return {};
     }
   }
+  if (LV.Ty->isPointer() ? B.HeldInteger : B.HeldPointer)
+    ++Exposures;
   if (LV.Ty->isPointer()) {
     Value V;
     V.Ty = LV.Ty;
@@ -221,6 +362,7 @@ void Interp::storeScalar(const LValue &LV, const Value &V) {
   if (!checkAccess(LV, Size, "write"))
     return;
   MemBlock &B = Blocks[LV.Block];
+  touch(LV.Block);
   if (V.Uninit) {
     // Storing an indeterminate value leaves the bytes uninitialized.
     for (uint64_t I = 0; I < Size; ++I)
@@ -228,12 +370,14 @@ void Interp::storeScalar(const LValue &LV, const Value &V) {
     return;
   }
   if (LV.Ty->isPointer()) {
+    B.HeldPointer = true;
     uint32_t Off = static_cast<uint32_t>(static_cast<int32_t>(V.Offset));
     for (int I = 0; I < 4; ++I)
       B.Bytes[LV.Offset + I] = static_cast<uint8_t>(V.Block >> (8 * I));
     for (int I = 0; I < 4; ++I)
       B.Bytes[LV.Offset + 4 + I] = static_cast<uint8_t>(Off >> (8 * I));
   } else {
+    B.HeldInteger = true;
     for (uint64_t I = 0; I < Size; ++I)
       B.Bytes[LV.Offset + I] = static_cast<uint8_t>(V.Bits >> (8 * I));
   }
@@ -246,6 +390,9 @@ void Interp::copyObject(const LValue &Dst, const LValue &Src, uint64_t Size) {
     return;
   MemBlock &SB = Blocks[Src.Block];
   MemBlock &DB = Blocks[Dst.Block];
+  touch(Dst.Block);
+  DB.HeldPointer |= SB.HeldPointer;
+  DB.HeldInteger |= SB.HeldInteger;
   for (uint64_t I = 0; I < Size; ++I) {
     DB.Bytes[Dst.Offset + I] = SB.Bytes[Src.Offset + I];
     DB.Init[Dst.Offset + I] = SB.Init[Src.Offset + I];
@@ -287,6 +434,8 @@ Value Interp::convert(const Value &V, const Type *To) {
   C.Ty = To;
   if (To->isInteger()) {
     // ptr -> int uses a deterministic synthetic encoding shared with the VM.
+    if (V.isPointer())
+      ++Exposures;
     uint64_t Raw = V.isPointer()
                        ? (static_cast<uint64_t>(V.Block) << 32) |
                              (static_cast<uint32_t>(V.Offset))
@@ -489,7 +638,7 @@ Value Interp::pointerAdd(const Value &Ptr, int64_t Delta,
   const MemBlock &B = Blocks[Ptr.Block];
   if (R.Offset < 0 ||
       static_cast<uint64_t>(R.Offset) > B.Bytes.size()) {
-    ub("pointer arithmetic escapes object '" + B.Name + "'");
+    ub(std::string("pointer arithmetic escapes object '") + B.Name + "'");
     return {};
   }
   return R;
@@ -1102,7 +1251,8 @@ Value Interp::callFunction(const FunctionDecl *F,
   Frames.emplace_back();
   for (size_t I = 0; I < F->params().size(); ++I) {
     const VarDecl *P = F->params()[I];
-    uint32_t Block = allocate(P->name(), P->type()->sizeInBytes(), false);
+    uint32_t Block =
+        allocate(P->name().c_str(), P->type()->sizeInBytes(), false);
     Frames.back()[P] = Block;
     Value V = Args[I];
     if (!V.Uninit)
@@ -1144,7 +1294,7 @@ void Interp::execVarDecl(const VarDecl *V) {
          "variable of incomplete type '" + V->name() + "'");
     return;
   }
-  uint32_t Block = allocate(V->name(), Size, false);
+  uint32_t Block = allocate(V->name().c_str(), Size, false);
   Frames.back()[V] = Block;
   if (V->init())
     initializeObject(LValue{Block, 0, V->type()}, V->init());
@@ -1157,6 +1307,7 @@ void Interp::initializeObject(const LValue &LV, const Expr *Init) {
     uint64_t Size = LV.Ty->sizeInBytes();
     if (!checkAccess(LV, Size, "write"))
       return;
+    touch(LV.Block);
     for (uint64_t I = 0; I < Size; ++I) {
       B.Bytes[LV.Offset + I] = 0;
       B.Init[LV.Offset + I] = true;
@@ -1239,8 +1390,9 @@ Signal Interp::execStmt(const Stmt *S) {
   }
   case Stmt::Kind::While: {
     const auto *W = cast<WhileStmt>(S);
+    LoopDetector Detector;
     for (;;) {
-      if (!step())
+      if (!step() || loopHead(Detector))
         return None;
       Value Cond = evalExpr(W->cond());
       if (Failed || !truthy(Cond) || Failed)
@@ -1256,8 +1408,9 @@ Signal Interp::execStmt(const Stmt *S) {
   }
   case Stmt::Kind::Do: {
     const auto *D = cast<DoStmt>(S);
+    LoopDetector Detector;
     for (;;) {
-      if (!step())
+      if (!step() || loopHead(Detector))
         return None;
       Signal Sig = execStmt(D->body());
       if (Failed)
@@ -1278,8 +1431,9 @@ Signal Interp::execStmt(const Stmt *S) {
       if (Failed)
         return None;
     }
+    LoopDetector Detector;
     for (;;) {
-      if (!step())
+      if (!step() || loopHead(Detector))
         return None;
       if (F->cond()) {
         Value Cond = evalExpr(F->cond());
@@ -1412,13 +1566,14 @@ Signal Interp::execSeek(const Stmt *S, const std::string &Label,
     if (Sig.K == Signal::Return || Sig.K == Signal::Goto)
       return Sig;
     // Continue the loop from the step expression (no re-init).
+    LoopDetector Detector;
     for (;;) {
       if (F->step()) {
         evalExpr(F->step());
         if (Failed)
           return None;
       }
-      if (!step())
+      if (!step() || loopHead(Detector))
         return None;
       if (F->cond()) {
         Value Cond = evalExpr(F->cond());
@@ -1467,7 +1622,7 @@ ExecResult Interp::run() {
       Result.Message = "global of incomplete type '" + G->name() + "'";
       return Result;
     }
-    Globals[G] = allocate(G->name(), Size, true);
+    Globals[G] = allocate(G->name().c_str(), Size, true);
   }
   Frames.emplace_back(); // Pseudo-frame for initializer evaluation.
   for (VarDecl *G : Ctx.globals()) {
@@ -1492,5 +1647,10 @@ ExecResult Interp::run() {
 
 ExecResult spe::interpret(ASTContext &Ctx, InterpOptions Opts) {
   Interp I(Ctx, Opts);
-  return I.run();
+  ExecResult R = I.run();
+  // A Timeout carries no output, so nothing downstream (cache, store,
+  // observations) depends on when non-termination was proven.
+  if (R.Status == ExecStatus::Timeout)
+    R.Output.clear();
+  return R;
 }

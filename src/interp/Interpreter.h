@@ -43,8 +43,9 @@ enum class ExecStatus {
   Ok,
   /// Undefined behavior detected; Message names it.
   UndefinedBehavior,
-  /// Step budget exhausted (e.g. infinite loop); not UB, but the variant
-  /// is excluded from differential comparison.
+  /// Step budget or call depth exhausted, or a loop-head state repeated
+  /// (a proof the run never ends, DESIGN.md Section 18); not UB, but the
+  /// variant is excluded from differential comparison.
   Timeout,
   /// The program uses a feature outside the executable subset, or has no
   /// main function.
@@ -59,7 +60,7 @@ struct ExecResult {
   ExecStatus Status = ExecStatus::Unsupported;
   /// main's return value (when Status == Ok).
   int64_t ExitCode = 0;
-  /// Accumulated printf output.
+  /// Accumulated printf output; always empty on Timeout.
   std::string Output;
   /// Diagnostic for UB / unsupported features.
   std::string Message;

@@ -36,6 +36,7 @@ bool ReproOracle::evaluate(const std::string &Source) {
     Verdict.FrontendOk = Ctx != nullptr;
     if (Ctx) {
       InterpOptions IO;
+      IO.MaxSteps = Spec.OracleMaxSteps;
       IO.Input = Spec.Input;
       ExecResult Ref = interpret(*Ctx, IO);
       ++Stats.OracleRuns;

@@ -60,6 +60,11 @@ struct ReproSpec {
   std::string Input;
   /// Ground-truth injection switch; mirrors HarnessOptions::InjectBugs.
   bool InjectBugs = true;
+  /// Interpreter step budget of each probe's oracle verdict; mirrors
+  /// HarnessOptions::OracleMaxSteps, so a witness is reduced under the
+  /// campaign's own exclusion rule and the verdicts it writes into a shared
+  /// cache are the ones the campaign would have computed.
+  uint64_t OracleMaxSteps = 2'000'000;
 };
 
 /// Probe counters of one oracle instance.

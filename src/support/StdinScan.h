@@ -63,6 +63,10 @@ public:
     return static_cast<int32_t>(V);
   }
 
+  /// Bytes consumed so far. next() depends on nothing else, so two equal
+  /// positions promise the same future reads (DESIGN.md Section 18).
+  size_t position() const { return Pos; }
+
 private:
   std::string Data;
   size_t Pos = 0;

@@ -1138,6 +1138,7 @@ bool runSeeds(const HarnessOptions &Opts, const CompilerBackend &Backend,
     TriageOptions T;
     T.Cache = Opts.Cache;
     T.InjectBugs = Opts.InjectBugs;
+    T.OracleMaxSteps = Opts.OracleMaxSteps;
     T.Backend = Opts.Backend;
     T.ExtraBackends = Opts.ExtraBackends;
     T.Telemetry = Opts.Telemetry;

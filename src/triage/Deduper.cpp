@@ -112,10 +112,11 @@ void spe::triageCampaign(CampaignResult &Result, const TriageOptions &Opts) {
     VariantMinimizer Minimizer(Opts.Minimize, Opts.Cache, ProbeBackend);
 
     ReproSpec Spec;
-    Spec.Config = {Rep.P, Rep.Version, Rep.OptLevel, Rep.Mode64};
+    Spec.Config = {Rep.P, Rep.Version, Rep.OptLevel, Rep.Mode64, {}};
     Spec.Effect = Rep.Effect;
     Spec.SignatureKey = Cluster.Sig.Key;
     Spec.InjectBugs = Opts.InjectBugs;
+    Spec.OracleMaxSteps = Opts.OracleMaxSteps;
     Spec.Input = Rep.Input;
 
     if (Opts.ReduceWitnesses) {

@@ -56,6 +56,8 @@ struct TriageOptions {
   OracleCache *Cache = nullptr;
   /// Mirrors HarnessOptions::InjectBugs.
   bool InjectBugs = true;
+  /// Mirrors HarnessOptions::OracleMaxSteps (see ReproSpec).
+  uint64_t OracleMaxSteps = 2'000'000;
   /// The compiler backend reduction re-probes compile against; mirrors
   /// HarnessOptions::Backend (null = in-process MiniCC). Signature-only
   /// findings from an external compiler must be re-probed through that

@@ -370,3 +370,161 @@ TEST(InjectedBugTest, Mode32OnlyBugs) {
   EXPECT_TRUE(R32.crashed());
   EXPECT_NE(R32.CrashSignature.find("lra-assigns"), std::string::npos);
 }
+
+//===--------------------------------------------------------------------===//
+// VM divergence check
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+/// Compiles at \p OptLevel with bugs disabled and runs the VM with no step
+/// budget: only the divergence check can end a non-terminating run.
+VMResult compileAndRunUnbounded(const std::string &Source, unsigned OptLevel,
+                                const std::string &Input = "") {
+  auto C = analyze(Source);
+  CompilerConfig Config;
+  Config.OptLevel = OptLevel;
+  CompileResult R = MiniCompiler(Config, nullptr, false).compile(C->Ctx);
+  EXPECT_TRUE(R.ok()) << R.Error << R.CrashSignature;
+  if (!R.ok())
+    return {};
+  VMOptions Opts;
+  Opts.MaxSteps = ~0ull;
+  Opts.Input = Input;
+  return executeModule(R.Module, Opts);
+}
+
+} // namespace
+
+TEST(VMDivergenceTest, InfiniteLoopTimesOutWithoutABudget) {
+  for (unsigned Opt = 0; Opt <= 3; ++Opt) {
+    VMResult R = compileAndRunUnbounded(
+        "int main(void) { while (1) ; return 0; }", Opt);
+    EXPECT_EQ(R.Status, VMStatus::Timeout) << "O" << Opt;
+    EXPECT_EQ(R.Message, "state repeats at loop head") << "O" << Opt;
+
+    R = compileAndRunUnbounded("int main(void) {\n"
+                               "  unsigned char c = 0;\n"
+                               "  do { printf(\"%d\\n\", c); c = c + 1; }"
+                               " while (1);\n"
+                               "  return 0;\n"
+                               "}",
+                               Opt);
+    EXPECT_EQ(R.Status, VMStatus::Timeout) << "O" << Opt;
+    EXPECT_EQ(R.Message, "state repeats at loop head") << "O" << Opt;
+    EXPECT_TRUE(R.Output.empty()) << "O" << Opt;
+  }
+}
+
+TEST(VMDivergenceTest, TerminatingLoopsAreUnchanged) {
+  const char *Source = "int main(void) {\n"
+                       "  int flag = 0;\n"
+                       "  int i = 0;\n"
+                       "  while (i < 100000) { flag = 1 - flag; i = i + 1; }\n"
+                       "  printf(\"%d\\n\", flag);\n"
+                       "  return i % 251;\n"
+                       "}";
+  auto C = analyze(Source);
+  InterpOptions Unbounded;
+  Unbounded.MaxSteps = ~0ull;
+  ExecResult Ref = interpret(C->Ctx, Unbounded);
+  ASSERT_EQ(Ref.Status, ExecStatus::Ok) << Ref.Message;
+  for (unsigned Opt = 0; Opt <= 3; ++Opt) {
+    VMResult R = compileAndRunUnbounded(Source, Opt);
+    ASSERT_EQ(R.Status, VMStatus::Ok) << "O" << Opt << ": " << R.Message;
+    EXPECT_EQ(R.ExitCode, Ref.ExitCode) << "O" << Opt;
+    EXPECT_EQ(R.Output, Ref.Output) << "O" << Opt;
+  }
+}
+
+TEST(VMDivergenceTest, StdinDrivenLoopIsUnchanged) {
+  for (unsigned Opt = 0; Opt <= 3; ++Opt) {
+    VMResult R = compileAndRunUnbounded(
+        "int main(void) { while (spe_input() != 5) ; return 3; }", Opt,
+        "1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 5");
+    ASSERT_EQ(R.Status, VMStatus::Ok) << "O" << Opt << ": " << R.Message;
+    EXPECT_EQ(R.ExitCode, 3) << "O" << Opt;
+  }
+}
+
+TEST(VMDivergenceTest, StructCopyRotationIsUnchanged) {
+  // Between main's loop heads memory changes only through the callees'
+  // struct copies, which must move the write clock like any store.
+  const char *Source = "struct P { int x; };\n"
+                       "struct P r[20];\n"
+                       "struct P t;\n"
+                       "void rotate(void) {\n"
+                       "  int j;\n"
+                       "  t = r[0];\n"
+                       "  for (j = 0; j < 19; j = j + 1) r[j] = r[j + 1];\n"
+                       "  r[19] = t;\n"
+                       "}\n"
+                       "int done(void) { return r[0].x == 19; }\n"
+                       "int main(void) {\n"
+                       "  int j;\n"
+                       "  for (j = 0; j < 20; j = j + 1) r[j].x = j;\n"
+                       "  while (!done()) rotate();\n"
+                       "  return r[0].x;\n"
+                       "}";
+  for (unsigned Opt = 0; Opt <= 3; ++Opt) {
+    VMResult R = compileAndRunUnbounded(Source, Opt);
+    ASSERT_EQ(R.Status, VMStatus::Ok) << "O" << Opt << ": " << R.Message;
+    EXPECT_EQ(R.ExitCode, 19) << "O" << Opt;
+  }
+}
+
+TEST(VMDivergenceTest, FreshSlotIdsSeenAsIntegersEndTheLoop) {
+  // Each call's slot gets the next block id, and main's registers and
+  // memory are the same at every loop head; only the helpers' view of the
+  // id as an integer tells the iterations apart, and it ends the loop.
+  VMResult R = compileAndRunUnbounded(
+      "long addr(void) { int local = 0; return (long)&local; }\n"
+      "int reached(long first) { return addr() == first + (100l << 32); }\n"
+      "int main(void) {\n"
+      "  long first = addr();\n"
+      "  while (!reached(first)) ;\n"
+      "  return 7;\n"
+      "}",
+      0);
+  ASSERT_EQ(R.Status, VMStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 7);
+
+  // The same through a pointer's bytes loaded as an integer.
+  R = compileAndRunUnbounded(
+      "int *dangle(void) { int local = 0; return &local; }\n"
+      "int reached(int **pp, long *q, long first) {\n"
+      "  *pp = dangle();\n"
+      "  int r = *q == first + 100;\n"
+      "  *pp = 0;\n"
+      "  return r;\n"
+      "}\n"
+      "int main(void) {\n"
+      "  int *p = 0;\n"
+      "  long *q = (long *)&p;\n"
+      "  p = dangle();\n"
+      "  long first = *q;\n"
+      "  p = 0;\n"
+      "  while (!reached(&p, q, first)) ;\n"
+      "  return 9;\n"
+      "}",
+      0);
+  ASSERT_EQ(R.Status, VMStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 9);
+
+  // And through integer bytes loaded as a pointer: g is forged to name a
+  // slot a later call will allocate.
+  R = compileAndRunUnbounded(
+      "int *g;\n"
+      "int *dangle(void) { int local = 0; return &local; }\n"
+      "int hit(void) { int local = 0; return &local == g; }\n"
+      "int main(void) {\n"
+      "  g = dangle();\n"
+      "  long *q = (long *)&g;\n"
+      "  *q = *q + 100;\n"
+      "  while (!hit()) ;\n"
+      "  return 11;\n"
+      "}",
+      0);
+  ASSERT_EQ(R.Status, VMStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 11);
+}

@@ -17,6 +17,7 @@
 #include "distrib/Coordinator.h"
 #include "distrib/FleetProtocol.h"
 #include "distrib/Worker.h"
+#include "interp/Interpreter.h"
 #include "persist/Checkpoint.h"
 #include "persist/LineText.h"
 #include "testing/Corpus.h"
@@ -246,6 +247,68 @@ TEST(FleetCoordinatorTest, MatchesSingleProcessAcrossWorkersAndBatch) {
       EXPECT_FALSE(C.stoppedByHook());
     }
   }
+}
+
+TEST(FleetSpecTest, CarriesTheOracleStepBudget) {
+  FleetSpec Spec = baseSpec();
+  Spec.OracleMaxSteps = 100'000;
+  FleetSpec Back;
+  std::string Err;
+  ASSERT_TRUE(FleetSpec::parse(Spec.serialize(), Back, Err)) << Err;
+  EXPECT_EQ(Back.OracleMaxSteps, 100'000u);
+  EXPECT_EQ(Back.toHarnessOptions().OracleMaxSteps, 100'000u);
+  EXPECT_NE(Spec.fingerprint(), baseSpec().fingerprint());
+}
+
+TEST(FleetCoordinatorTest, WorkersRunTheCampaignStepBudget) {
+  // Retargeting the loop bound onto m gives a variant that ends after
+  // about 240K interpreter steps: tested under the default 2M budget,
+  // excluded as Timeout under 100K. Workers that ran the default would
+  // test it and diverge from the single-process run.
+  const std::string Seed = "int main(void) {\n"
+                           "  int n = 3;\n"
+                           "  int m = 20000;\n"
+                           "  int i = 0;\n"
+                           "  while (i < n)\n"
+                           "    i = i + 1;\n"
+                           "  return i;\n"
+                           "}\n";
+  const std::string Slow = "int main(void) {\n"
+                           "  int n = 3;\n"
+                           "  int m = 20000;\n"
+                           "  int i = 0;\n"
+                           "  while (i < m)\n"
+                           "    i = i + 1;\n"
+                           "  return i;\n"
+                           "}\n";
+  std::unique_ptr<ASTContext> SlowCtx = parseAndAnalyze(Slow);
+  ASSERT_TRUE(SlowCtx);
+  InterpOptions IO;
+  EXPECT_EQ(interpret(*SlowCtx, IO).Status, ExecStatus::Ok);
+  IO.MaxSteps = 100'000;
+  EXPECT_EQ(interpret(*SlowCtx, IO).Status, ExecStatus::Timeout);
+
+  FleetSpec Spec = baseSpec();
+  Spec.VariantBudget = 100; // The seed's whole variant space.
+  FleetSpec Generous = Spec;
+  Spec.OracleMaxSteps = 100'000;
+  const CampaignResult Ref =
+      DifferentialHarness(Spec.toHarnessOptions()).runCampaign({Seed});
+  const CampaignResult Wide =
+      DifferentialHarness(Generous.toHarnessOptions()).runCampaign({Seed});
+  ASSERT_GT(Ref.VariantsOracleExcluded, Wide.VariantsOracleExcluded)
+      << "no variant of the seed ends between 100K and 2M steps";
+
+  FleetOptions O = baseFleet();
+  O.Workers = 2;
+  O.LeaseRanks = 7;
+  CampaignCoordinator C(Spec, O);
+  CampaignResult Result;
+  std::string Err;
+  ASSERT_TRUE(C.run({Seed}, Result, Err)) << Err;
+  EXPECT_TRUE(Result == Ref);
+  EXPECT_EQ(Result.VariantsOracleExcluded, Ref.VariantsOracleExcluded);
+  EXPECT_EQ(Result.VariantsTested, Ref.VariantsTested);
 }
 
 TEST(FleetCoordinatorTest, KilledWorkerIsReLeasedInvisibly) {

@@ -365,3 +365,218 @@ TEST(InterpTest, TruncationOnNarrowStoreIsDefined) {
   ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
   EXPECT_EQ(R.ExitCode, 44);
 }
+
+//===--------------------------------------------------------------------===//
+// Divergence check: a repeated loop-head state ends the run early, and
+// nothing else about the result changes
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+const char RepeatMessage[] = "state repeats at loop head";
+
+/// Runs with no step budget at all: only the divergence check can end a
+/// non-terminating run.
+ExecResult runUnbounded(const std::string &Source,
+                        const std::string &Input = "") {
+  InterpOptions Opts;
+  Opts.MaxSteps = ~0ull;
+  Opts.Input = Input;
+  return runProgram(Source, Opts);
+}
+
+void expectRepeatDetected(const ExecResult &R) {
+  EXPECT_EQ(R.Status, ExecStatus::Timeout);
+  EXPECT_EQ(R.Message, RepeatMessage);
+  EXPECT_TRUE(R.Output.empty()) << R.Output;
+}
+
+} // namespace
+
+TEST(InterpDivergenceTest, EmptyInfiniteLoopRepeats) {
+  expectRepeatDetected(
+      runUnbounded("int main(void) { while (1) ; return 0; }"));
+}
+
+TEST(InterpDivergenceTest, WrappingCounterRepeats) {
+  expectRepeatDetected(runUnbounded("int main(void) {\n"
+                                    "  unsigned char c = 0;\n"
+                                    "  for (;;) c = c + 1;\n"
+                                    "  return c;\n"
+                                    "}"));
+}
+
+TEST(InterpDivergenceTest, HelperCallsAndPrintsRepeat) {
+  // Every iteration allocates (and frees) the helper's frame and prints;
+  // fresh block ids and output are not part of the compared state.
+  ExecResult R = runUnbounded("int twice(int x) { int y = x * 2; "
+                              "return y - x; }\n"
+                              "int main(void) {\n"
+                              "  int a = 1;\n"
+                              "  do {\n"
+                              "    a = twice(a);\n"
+                              "    printf(\"%d\\n\", a);\n"
+                              "  } while (a);\n"
+                              "  return 0;\n"
+                              "}");
+  expectRepeatDetected(R);
+  EXPECT_FALSE(R.ExecutedStmts.empty());
+}
+
+TEST(InterpDivergenceTest, ExhaustedStdinRepeats) {
+  expectRepeatDetected(
+      runUnbounded("int main(void) { while (spe_input() != 5) ; return 0; }",
+                   "1 2 3"));
+}
+
+TEST(InterpDivergenceTest, PointerToIntegerConversionBlocksDetection) {
+  InterpOptions Opts;
+  Opts.MaxSteps = 100'000;
+  ExecResult R = runProgram("int main(void) {\n"
+                            "  int x = 0;\n"
+                            "  long v = 0;\n"
+                            "  while (1) v = (long)&x;\n"
+                            "  return 0;\n"
+                            "}",
+                            Opts);
+  EXPECT_EQ(R.Status, ExecStatus::Timeout);
+  EXPECT_EQ(R.Message, "step budget exhausted");
+
+  R = runProgram("long addr(void) { int local = 0; return (long)&local; }\n"
+                 "int main(void) {\n"
+                 "  long first = addr();\n"
+                 "  while (addr() != first) ;\n"
+                 "  return 0;\n"
+                 "}",
+                 Opts);
+  EXPECT_EQ(R.Status, ExecStatus::Timeout);
+  EXPECT_EQ(R.Message, "step budget exhausted");
+}
+
+TEST(InterpDivergenceTest, FreshBlockIdsSeenAsIntegersEndTheLoop) {
+  // Memory looks the same at every loop head, but each call's local gets
+  // the next block id, and converting it to an integer tells them apart:
+  // the loop ends, so a repeat must not be reported.
+  ExecResult R = runUnbounded(
+      "long addr(void) { int local = 0; return (long)&local; }\n"
+      "int main(void) {\n"
+      "  long first = addr();\n"
+      "  while (addr() != first + (100l << 32)) ;\n"
+      "  return 7;\n"
+      "}");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 7);
+
+  // The same through a pointer's bytes read back as an integer.
+  R = runUnbounded("int *dangle(void) { int local = 0; return &local; }\n"
+                   "int main(void) {\n"
+                   "  int *p = 0;\n"
+                   "  long *q = (long *)&p;\n"
+                   "  long first;\n"
+                   "  p = dangle();\n"
+                   "  first = *q;\n"
+                   "  p = 0;\n"
+                   "  while (1) {\n"
+                   "    p = dangle();\n"
+                   "    if (*q == first + 100) break;\n"
+                   "    p = 0;\n"
+                   "  }\n"
+                   "  return 9;\n"
+                   "}");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 9);
+
+  // And through integer bytes read back as a pointer: g is forged to name
+  // a block a later call will allocate.
+  R = runUnbounded("int *g;\n"
+                   "int *dangle(void) { int local = 0; return &local; }\n"
+                   "int hit(void) { int local = 0; return &local == g; }\n"
+                   "int main(void) {\n"
+                   "  g = dangle();\n"
+                   "  long *q = (long *)&g;\n"
+                   "  *q = *q + 100;\n"
+                   "  while (!hit()) ;\n"
+                   "  return 11;\n"
+                   "}");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 11);
+}
+
+TEST(InterpDivergenceTest, PeriodicFlagBesideACounterIsUnchanged) {
+  ExecResult R = runUnbounded("int main(void) {\n"
+                              "  int flag = 0;\n"
+                              "  int i = 0;\n"
+                              "  while (i < 1000) {\n"
+                              "    flag = 1 - flag;\n"
+                              "    i = i + 1;\n"
+                              "  }\n"
+                              "  printf(\"%d\\n\", flag);\n"
+                              "  return i + flag;\n"
+                              "}");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 1000);
+  EXPECT_EQ(R.Output, "0\n");
+}
+
+TEST(InterpDivergenceTest, StdinDrivenLoopIsUnchanged) {
+  // Memory is the same at every loop head; only the input position moves.
+  ExecResult R = runUnbounded(
+      "int main(void) { while (spe_input() != 5) ; return 3; }",
+      "1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 5");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 3);
+}
+
+TEST(InterpDivergenceTest, StructCopyRotationIsUnchanged) {
+  // Between loop heads memory changes only through struct copies, which
+  // must move the write clock like any store.
+  ExecResult R = runUnbounded("struct P { int x; };\n"
+                              "struct P r[20];\n"
+                              "struct P t;\n"
+                              "int main(void) {\n"
+                              "  int j;\n"
+                              "  for (j = 0; j < 20; j = j + 1) r[j].x = j;\n"
+                              "  while (r[0].x != 19) {\n"
+                              "    t = r[0];\n"
+                              "    for (j = 0; j < 19; j = j + 1)\n"
+                              "      r[j] = r[j + 1];\n"
+                              "    r[19] = t;\n"
+                              "  }\n"
+                              "  return r[0].x;\n"
+                              "}");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 19);
+}
+
+TEST(InterpDivergenceTest, LongCountingLoopWithinBudgetIsUnchanged) {
+  InterpOptions Opts;
+  Opts.MaxSteps = 5'000'000;
+  ExecResult R = runProgram("int main(void) {\n"
+                            "  int i = 0;\n"
+                            "  do i = i + 1; while (i < 100000);\n"
+                            "  return i;\n"
+                            "}",
+                            Opts);
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 100000);
+}
+
+TEST(InterpDivergenceTest, TimeoutsCarryNoOutput) {
+  InterpOptions Opts;
+  Opts.MaxSteps = 10'000;
+  ExecResult R = runProgram("int main(void) {\n"
+                            "  int i = 0;\n"
+                            "  while (1) { printf(\"%d\\n\", i); i = i + 1; }\n"
+                            "  return 0;\n"
+                            "}",
+                            Opts);
+  EXPECT_EQ(R.Status, ExecStatus::Timeout);
+  EXPECT_EQ(R.Message, "step budget exhausted");
+  EXPECT_TRUE(R.Output.empty());
+
+  R = runProgram("int f(int n) { printf(\"x\"); return f(n); }\n"
+                 "int main(void) { return f(1); }");
+  EXPECT_EQ(R.Status, ExecStatus::Timeout);
+  EXPECT_EQ(R.Message, "call depth exceeded");
+  EXPECT_TRUE(R.Output.empty());
+}

@@ -197,6 +197,29 @@ TEST(ReproOracleTest, AcceptsOriginalRejectsOthers) {
   EXPECT_EQ(Second.stats().OracleCacheHits, 1u);
 }
 
+TEST(ReproOracleTest, ProbesRunTheCampaignStepBudget) {
+  // About 5,000 interpreter steps: Ok under the default budget, Timeout
+  // (an excluded candidate) under a campaign budget of 1,000.
+  const std::string Source = "int main(void) {\n"
+                             "  int i = 0;\n"
+                             "  while (i < 400)\n"
+                             "    i = i + 1;\n"
+                             "  return 0;\n"
+                             "}\n";
+  ReproSpec Spec;
+  Spec.Effect = BugEffect::WrongCode;
+  Spec.OracleMaxSteps = 1'000;
+  ReproOracle Oracle(Spec);
+  EXPECT_FALSE(Oracle.reproduces(Source));
+  EXPECT_EQ(Oracle.stats().OracleRuns, 1u);
+  EXPECT_EQ(Oracle.stats().TimeoutRuns, 1u);
+
+  ReproOracle Default(ReproSpec{});
+  EXPECT_FALSE(Default.reproduces(Source)); // Runs; shows no signature.
+  EXPECT_EQ(Default.stats().OracleRuns, 1u);
+  EXPECT_EQ(Default.stats().TimeoutRuns, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // SkeletonReducer
 //===----------------------------------------------------------------------===//
