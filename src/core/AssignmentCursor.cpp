@@ -20,6 +20,16 @@ namespace {
 constexpr uint64_t InitialChunk = 1024;
 constexpr uint64_t MaxChunk = 65536;
 
+/// \returns true when \p C forbids \p Hole every variable of \p Vars: a
+/// level digit choosing their scope is invalid whatever its groups do.
+bool allForbidden(const ValidityConstraints &C, unsigned Hole,
+                  const std::vector<VarId> &Vars) {
+  for (VarId V : Vars)
+    if (!C.forbids(Hole, V))
+      return false;
+  return true;
+}
+
 } // namespace
 
 struct AssignmentCursor::Impl {
@@ -41,15 +51,16 @@ struct AssignmentCursor::Impl {
   // --- Exact mode: mixed-radix odometer with DP-backed unranking ---------
 
   struct GroupState {
-    ScopeId Scope;
-    std::vector<unsigned> Holes; ///< Absolute hole indices.
-    std::vector<VarId> Vars;
+    std::vector<unsigned> Holes;     ///< Absolute hole indices.
+    const std::vector<VarId> *Vars; ///< The scope's row of ScopeVars.
     SetPartitionGenerator Gen;
-    GroupState(ScopeId Scope, std::vector<unsigned> Holes,
-               std::vector<VarId> Vars)
-        : Scope(Scope), Holes(std::move(Holes)), Vars(std::move(Vars)),
+    GroupState(std::vector<unsigned> Holes, const std::vector<VarId> &Vars)
+        : Holes(std::move(Holes)), Vars(&Vars),
           Gen(static_cast<unsigned>(this->Holes.size()),
-              static_cast<unsigned>(this->Vars.size())) {}
+              static_cast<unsigned>(Vars.size())) {}
+
+    /// A group is a radix-1 digit when it has one partition.
+    bool hasRadixOne() const { return Holes.size() <= 1 || Vars->size() <= 1; }
   };
   struct TypeState {
     std::vector<unsigned> LevelIdx; ///< Index into Problem.Domains[i].
@@ -57,6 +68,10 @@ struct AssignmentCursor::Impl {
   };
 
   std::vector<ExactTypeProblem> Problems;
+  /// ScopeVars[t][s]: the variables of Problems[t]'s type declared in scope
+  /// s, in declaration order. Built once, so a level carry allocates no
+  /// variable list.
+  std::vector<std::vector<std::vector<VarId>>> ScopeVars;
   std::vector<TypeState> Types;
   std::vector<BigInt> TypeSuffix; ///< TypeSuffix[t] = prod counts of t..T-1.
   Assignment Current;
@@ -72,6 +87,12 @@ struct AssignmentCursor::Impl {
   Impl(const AbstractSkeleton &Sk, SpeMode Mode) : Sk(Sk), Mode(Mode) {
     if (Mode == SpeMode::Exact) {
       Problems = buildExactTypeProblems(Sk);
+      ScopeVars.assign(Problems.size(),
+                       std::vector<std::vector<VarId>>(Sk.numScopes()));
+      for (VarId V = 0; V < Sk.numVars(); ++V)
+        for (size_t T = 0; T < Problems.size(); ++T)
+          if (Problems[T].Type == Sk.var(V).Type)
+            ScopeVars[T][Sk.var(V).Scope].push_back(V);
       Types.resize(Problems.size());
       TypeSuffix.assign(Problems.size() + 1, BigInt(1));
       for (size_t T = Problems.size(); T-- > 0;) {
@@ -91,7 +112,7 @@ struct AssignmentCursor::Impl {
   void writeGroup(const GroupState &G) {
     const RestrictedGrowthString &RGS = G.Gen.current();
     for (size_t I = 0; I < G.Holes.size(); ++I)
-      Current[G.Holes[I]] = G.Vars[RGS[I]];
+      Current[G.Holes[I]] = (*G.Vars)[RGS[I]];
   }
 
   /// Rebuilds the per-scope groups of type \p T from its level choices.
@@ -104,8 +125,7 @@ struct AssignmentCursor::Impl {
       ByScope[P.Domains[I][TS.LevelIdx[I]]].push_back(P.Holes[I]);
     TS.Groups.clear();
     for (auto &[Scope, Holes] : ByScope)
-      TS.Groups.emplace_back(Scope, std::move(Holes),
-                             Sk.varsInScopeOfType(Scope, P.Type));
+      TS.Groups.emplace_back(std::move(Holes), ScopeVars[T][Scope]);
   }
 
   /// Resets type \p T to its first configuration and writes it.
@@ -208,7 +228,7 @@ struct AssignmentCursor::Impl {
       const GroupState &G = TS.Groups[GI];
       GroupSuffix[GI] =
           Table.partitionsUpTo(static_cast<unsigned>(G.Holes.size()),
-                               static_cast<unsigned>(G.Vars.size())) *
+                               static_cast<unsigned>(G.Vars->size())) *
           GroupSuffix[GI + 1];
     }
     for (size_t GI = 0; GI < TS.Groups.size(); ++GI) {
@@ -216,7 +236,7 @@ struct AssignmentCursor::Impl {
       BigInt Q, Rem;
       BigInt::divmod(Rest, GroupSuffix[GI + 1], Q, Rem);
       G.Gen.seekTo(ranker(static_cast<unsigned>(G.Holes.size()),
-                          static_cast<unsigned>(G.Vars.size()))
+                          static_cast<unsigned>(G.Vars->size()))
                        .unrank(Q));
       writeGroup(G);
       Rest = Rem;
@@ -290,14 +310,19 @@ struct AssignmentCursor::Impl {
       return produce();
     for (;;) {
       // Valid assignments stay on the O(1)-amortized odometer hot path: a
-      // produced assignment costs only an O(holes) byte-table scan. The
-      // digit-by-digit rank decode runs solely when a violation is found,
-      // to jump the rest of the invalid subrange in one step.
+      // produced assignment costs only an O(holes) byte-table scan. So
+      // does a violation whose invalid span is its own rank alone; the
+      // digit-by-digit rank decode runs only for the others, to jump the
+      // rest of the invalid subrange in one step.
       const Assignment *A = produce();
       if (!A)
         return nullptr;
       if (!assignmentViolates(*A, *Constraints))
         return A;
+      if (offense(*Constraints) == Offense::OneRank) {
+        Pruned += BigInt(1); // The odometer steps past it on the next pull.
+        continue;
+      }
       BigInt Bad = Pos - BigInt(1); // The rank produce() just consumed.
       BigInt SpanEnd = invalidSpanEnd(Bad, *Constraints);
       if (SpanEnd <= Bad) // Paper mode (no decode) degrades to span 1.
@@ -316,6 +341,37 @@ struct AssignmentCursor::Impl {
     if (It == Rankers.end())
       It = Rankers.try_emplace({N, K}, N, K).first;
     return It->second;
+  }
+
+  /// See AssignmentCursor::offense. Reads the odometer's digits in
+  /// invalidSpanEnd's order; the span of an offending group is one rank
+  /// exactly when every later group of its type and every later type has
+  /// radix 1, since invalidSpanEnd then returns Rank + 1.
+  Offense offense(const ValidityConstraints &C) const {
+    if (Mode != SpeMode::Exact || !OdoValid)
+      return Offense::Span;
+    for (size_t T = 0; T < Types.size(); ++T) {
+      const ExactTypeProblem &P = Problems[T];
+      const TypeState &TS = Types[T];
+      for (size_t HI = 0; HI < P.Holes.size(); ++HI)
+        if (allForbidden(C, P.Holes[HI],
+                         ScopeVars[T][P.Domains[HI][TS.LevelIdx[HI]]]))
+          return Offense::Span;
+      for (size_t GI = 0; GI < TS.Groups.size(); ++GI) {
+        bool Forbids = false;
+        for (unsigned H : TS.Groups[GI].Holes)
+          Forbids = Forbids || C.forbids(H, Current[H]);
+        if (!Forbids)
+          continue;
+        if (!TypeSuffix[T + 1].isOne())
+          return Offense::Span;
+        for (size_t GJ = GI + 1; GJ < TS.Groups.size(); ++GJ)
+          if (!TS.Groups[GJ].hasRadixOne())
+            return Offense::Span;
+        return Offense::OneRank;
+      }
+    }
+    return Offense::None;
   }
 
   /// See AssignmentCursor::invalidSpanEnd. Decodes \p Rank digit by digit,
@@ -349,14 +405,7 @@ struct AssignmentCursor::Impl {
           BigInt W =
               countExactCompletions(Sk, P, HI + 1, PrefixCounts, Table);
           if (R < W) {
-            bool AllForbidden = true;
-            for (VarId V : Sk.varsInScopeOfType(S, P.Type)) {
-              if (!C.forbids(P.Holes[HI], V)) {
-                AllForbidden = false;
-                break;
-              }
-            }
-            if (AllForbidden)
+            if (allForbidden(C, P.Holes[HI], ScopeVars[T][S]))
               return Rank + (W - R) * TypeSuffix[T + 1] - Low;
             ByScope[S].push_back(P.Holes[HI]);
             Found = true;
@@ -373,18 +422,18 @@ struct AssignmentCursor::Impl {
       // group's restricted growth string one digit.
       struct GroupRef {
         const std::vector<unsigned> *Holes;
-        std::vector<VarId> Vars;
+        const std::vector<VarId> *Vars;
       };
       std::vector<GroupRef> Groups;
       Groups.reserve(ByScope.size());
       for (auto &[Scope, Holes] : ByScope)
-        Groups.push_back({&Holes, Sk.varsInScopeOfType(Scope, P.Type)});
+        Groups.push_back({&Holes, &ScopeVars[T][Scope]});
       std::vector<BigInt> GroupSuffix(Groups.size() + 1, BigInt(1));
       for (size_t GI = Groups.size(); GI-- > 0;) {
         GroupSuffix[GI] =
             Table.partitionsUpTo(
                 static_cast<unsigned>(Groups[GI].Holes->size()),
-                static_cast<unsigned>(Groups[GI].Vars.size())) *
+                static_cast<unsigned>(Groups[GI].Vars->size())) *
             GroupSuffix[GI + 1];
       }
       for (size_t GI = 0; GI < Groups.size(); ++GI) {
@@ -393,10 +442,10 @@ struct AssignmentCursor::Impl {
         const GroupRef &G = Groups[GI];
         RestrictedGrowthString RGS =
             ranker(static_cast<unsigned>(G.Holes->size()),
-                   static_cast<unsigned>(G.Vars.size()))
+                   static_cast<unsigned>(G.Vars->size()))
                 .unrank(QG);
         for (size_t I = 0; I < RGS.size(); ++I) {
-          if (C.forbids((*G.Holes)[I], G.Vars[RGS[I]]))
+          if (C.forbids((*G.Holes)[I], (*G.Vars)[RGS[I]]))
             return Rank + (GroupSuffix[GI + 1] - Rem) * TypeSuffix[T + 1] -
                    Low;
         }
@@ -465,6 +514,11 @@ void AssignmentCursor::setConstraints(const ValidityConstraints *C) {
 }
 
 const BigInt &AssignmentCursor::pruned() const { return I->Pruned; }
+
+AssignmentCursor::Offense
+AssignmentCursor::offense(const ValidityConstraints &C) const {
+  return I->offense(C);
+}
 
 CursorState AssignmentCursor::saveState() const {
   return {I->Pos.toString(), I->End.toString(), I->Pruned.toString()};

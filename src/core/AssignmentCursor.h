@@ -123,6 +123,25 @@ public:
   /// range is inconsistent (Position > End or End > size()).
   bool restoreState(const CursorState &State);
 
+  /// Where the most significant digit of the odometer's assignment (the
+  /// one next() produced last, or seek() positioned on) that a constraint
+  /// table forbids sits, as far as pruning needs to know.
+  enum class Offense {
+    None,    ///< The assignment violates nothing.
+    OneRank, ///< A per-scope group, and every less significant digit has
+             ///< radix 1: the invalid span is this one rank.
+    Span,    ///< Anything else: only invalidSpanEnd knows the span.
+  };
+
+  /// Exact mode: walks the odometer's digits in the order invalidSpanEnd
+  /// decodes them -- per type, the level digit of every hole, then the
+  /// per-scope groups -- and classifies the first one \p C forbids. This is
+  /// the one-rank rule: a OneRank violation is stepped over on the odometer
+  /// with no rank decode. Paper-faithful mode has no odometer to read, and
+  /// a cursor positioned on no assignment has none either; both answer
+  /// Span.
+  Offense offense(const ValidityConstraints &C) const;
+
   /// Exact mode: \returns the exclusive end of the maximal invalid-under-\p
   /// C subrange starting at \p Rank, or \p Rank itself when the assignment
   /// with that rank violates nothing. Every rank in [Rank, result) shares

@@ -185,8 +185,9 @@ void AstPrinter::printExpr(const Expr *E, int MinPrec,
     break;
   case Expr::Kind::DeclRef: {
     const auto *Ref = cast<DeclRefExpr>(E);
-    auto It = subst().find(Ref);
-    Out += It != subst().end() ? It->second : Ref->name();
+    if (NameLog)
+      NameLog->push_back({Ref, Out.size()});
+    Out += Ref->name();
     break;
   }
   case Expr::Kind::Unary: {
@@ -203,8 +204,13 @@ void AstPrinter::printExpr(const Expr *E, int MinPrec,
       size_t SubStart = Out.size();
       printExpr(U->sub(), UnaryPrec, Out);
       if ((Spell[0] == '-' || Spell[0] == '+') && Spell[1] == '\0' &&
-          SubStart < Out.size() && Out[SubStart] == Spell[0])
+          SubStart < Out.size() && Out[SubStart] == Spell[0]) {
         Out.insert(SubStart, 1, ' ');
+        // Names logged inside the operand moved one byte right.
+        for (size_t I = NameLog ? NameLog->size() : 0;
+             I-- > 0 && (*NameLog)[I].Offset >= SubStart;)
+          ++(*NameLog)[I].Offset;
+      }
     }
     break;
   }

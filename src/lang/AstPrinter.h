@@ -7,13 +7,9 @@
 ///
 /// \file
 /// Renders an AST back to compilable mini-C source with precedence-aware
-/// parenthesization. The printer accepts a substitution map from DeclRefExpr
-/// use sites to replacement variable names; this is how enumerated skeleton
-/// variants become concrete programs (skeleton/VariantRenderer.h).
-///
-/// Rendering appends into a caller-provided buffer (printTo); the hot
-/// variant-rendering path reuses one buffer and one substitution map across
-/// an entire campaign, so per-variant work is free of map and string churn.
+/// parenthesization. The printer can log where each variable use's name
+/// lands in its output; that is how enumerated skeleton variants become
+/// concrete programs without a re-print (skeleton/VariantRenderer.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,24 +21,27 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 namespace spe {
 
 /// Pretty-prints ASTs as C source.
 class AstPrinter {
 public:
-  /// Optional map from a variable-use site to the name that should be
-  /// printed there instead of the referenced declaration's name.
-  using Substitution = std::map<const DeclRefExpr *, std::string>;
+  /// Where one variable use's name was printed: Ref->name() occupies
+  /// [Offset, Offset + Ref->name().size()) of the output.
+  struct NameSite {
+    const DeclRefExpr *Ref;
+    size_t Offset;
+  };
 
-  AstPrinter() = default;
-  explicit AstPrinter(Substitution Subst) : Owned(std::move(Subst)) {}
-
-  /// Non-owning variant: the caller keeps \p Subst alive across print calls
-  /// and may update its mapped names in place between calls. This is the
-  /// allocation-free path VariantRenderer uses to batch-render variants.
-  explicit AstPrinter(const Substitution *SharedSubst)
-      : Shared(SharedSubst) {}
+  /// When set, every DeclRefExpr name the printer emits is appended to
+  /// \p Log, in output order, with its offset in the output. A name is
+  /// appended verbatim, and the printer's one look back at its output (the
+  /// space that keeps `- -x` apart) cannot tell one identifier from
+  /// another, so splicing another identifier in at these offsets yields
+  /// exactly what printing it there would.
+  void setNameLog(std::vector<NameSite> *Log) { NameLog = Log; }
 
   /// Statements whose Sema id is in this set are printed as the empty
   /// statement `;` instead of their body. This is the mechanism behind the
@@ -86,7 +85,6 @@ public:
   std::string printStmt(const Stmt *S, unsigned Indent = 0) const;
 
 private:
-  const Substitution &subst() const { return Shared ? *Shared : Owned; }
   void printExpr(const Expr *E, int MinPrec, std::string &Out) const;
   void printVarDecl(const VarDecl *V, std::string &Out) const;
   void printStmt(const Stmt *S, unsigned Indent, std::string &Out) const;
@@ -94,8 +92,7 @@ private:
   static void typePrefix(const Type *Ty, std::string &Out);
   static void declaratorSuffix(const Type *Ty, std::string &Out);
 
-  Substitution Owned;
-  const Substitution *Shared = nullptr;
+  std::vector<NameSite> *NameLog = nullptr;
   std::set<int> Deleted;
   bool ElideDeleted = false;
   std::set<const Decl *> DeletedDecls;

@@ -33,17 +33,31 @@ void ProgramCursor::setConstraints(
       HasForbidden = true;
 }
 
-BigInt ProgramCursor::invalidSpanEnd(const BigInt &Rank) const {
+AssignmentCursor::Offense ProgramCursor::offense(
+    const std::vector<const ValidityConstraints *> &PerUnit) const {
+  using Offense = AssignmentCursor::Offense;
+  for (size_t U = 0; U < UnitCursors.size(); ++U) {
+    if (!PerUnit[U] || !assignmentViolates(Current[U], *PerUnit[U]))
+      continue;
+    Offense O = UnitCursors[U].offense(*PerUnit[U]);
+    return O == Offense::OneRank && UnitSuffix[U + 1].isOne() ? O
+                                                              : Offense::Span;
+  }
+  return Offense::None;
+}
+
+BigInt ProgramCursor::invalidSpanEnd(
+    const BigInt &Rank,
+    const std::vector<const ValidityConstraints *> &PerUnit) const {
+  if (Mode != SpeMode::Exact)
+    return Rank;
   BigInt Rest = Rank;
   for (size_t U = 0; U < UnitCursors.size(); ++U) {
-    // Divide into fresh temporaries: BigInt::divmod clears its output
-    // parameters before reading, so aliasing Rest would zero the dividend.
-    BigInt Q, Lower;
-    BigInt::divmod(Rest, UnitSuffix[U + 1], Q, Lower);
-    Rest = Lower;
-    if (!Constraints[U] || Constraints[U]->empty())
+    BigInt Q;
+    BigInt::divmod(Rest, UnitSuffix[U + 1], Q, Rest);
+    if (!PerUnit[U] || PerUnit[U]->empty())
       continue;
-    BigInt SpanEnd = UnitCursors[U].invalidSpanEnd(Q, *Constraints[U]);
+    BigInt SpanEnd = UnitCursors[U].invalidSpanEnd(Q, *PerUnit[U]);
     if (SpanEnd > Q) {
       // Unit U's component is invalid for all of [Q, SpanEnd); every
       // program rank sharing this prefix is invalid too.
@@ -75,21 +89,22 @@ const ProgramAssignment *ProgramCursor::next() {
   if (!HasForbidden)
     return produce();
   for (;;) {
-    // Valid variants stay on the O(1)-amortized odometer hot path; the
-    // mixed-radix rank decode runs only when a produced variant violates,
-    // to jump the rest of the invalid subrange in one step.
+    // Valid variants stay on the O(1)-amortized odometer hot path, and so
+    // does a violation whose invalid span is its own rank alone. Only a
+    // wider span pays the mixed-radix rank decode, to jump the rest of the
+    // invalid subrange in one step.
     const ProgramAssignment *PA = produce();
     if (!PA)
       return nullptr;
-    bool Violates = false;
-    for (size_t U = 0; U < PA->size() && !Violates; ++U)
-      Violates =
-          Constraints[U] && assignmentViolates((*PA)[U], *Constraints[U]);
-    if (!Violates)
+    AssignmentCursor::Offense O = offense(Constraints);
+    if (O == AssignmentCursor::Offense::None)
       return PA;
+    if (O == AssignmentCursor::Offense::OneRank) {
+      Pruned += BigInt(1); // The odometer steps past it on the next pull.
+      continue;
+    }
     BigInt Bad = Pos - BigInt(1); // The rank produce() just consumed.
-    BigInt SpanEnd =
-        Mode == SpeMode::Exact ? invalidSpanEnd(Bad) : Bad + BigInt(1);
+    BigInt SpanEnd = invalidSpanEnd(Bad, Constraints);
     if (SpanEnd <= Bad)
       SpanEnd = Bad + BigInt(1);
     BigInt Clipped = SpanEnd > End ? End : SpanEnd;

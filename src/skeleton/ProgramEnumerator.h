@@ -84,6 +84,22 @@ public:
   /// \returns the total number of ranks next() skipped as invalid.
   const BigInt &pruned() const { return Pruned; }
 
+  /// The one-rank rule over the whole program (AssignmentCursor::offense):
+  /// the first unit whose assignment violates its table in \p PerUnit (one
+  /// entry per unit, nullptr = none) decides, and its OneRank stands only
+  /// when every later unit has exactly one assignment. Reads the variant
+  /// next() produced last, or seek() positioned on.
+  AssignmentCursor::Offense
+  offense(const std::vector<const ValidityConstraints *> &PerUnit) const;
+
+  /// Exact mode: \returns the exclusive end of the maximal subrange starting
+  /// at \p Rank that is invalid under \p PerUnit, or \p Rank itself when
+  /// that variant is valid. Pure rank arithmetic; in paper-faithful mode the
+  /// result is always \p Rank.
+  BigInt invalidSpanEnd(const BigInt &Rank,
+                        const std::vector<const ValidityConstraints *>
+                            &PerUnit) const;
+
   /// Snapshots the cursor's position for persistence (core/AssignmentCursor.h
   /// CursorState). Per-unit cursor states need not be captured: the program
   /// rank alone addresses the whole mixed-radix configuration.
@@ -100,11 +116,6 @@ private:
 
   /// Produces the variant at Pos with no validity filtering.
   const ProgramAssignment *produce();
-
-  /// \returns the exclusive end of the maximal invalid subrange starting at
-  /// \p Rank (== \p Rank when the variant is valid). Exact mode only; in
-  /// paper-faithful mode produced variants are filtered instead.
-  BigInt invalidSpanEnd(const BigInt &Rank) const;
 
   std::vector<AssignmentCursor> UnitCursors;
   std::vector<BigInt> UnitSuffix; ///< UnitSuffix[u] = prod sizes of u..N-1.

@@ -2,38 +2,32 @@
 
 #include "skeleton/VariantRenderer.h"
 
+#include "lang/AstPrinter.h"
+
 #include <cassert>
+#include <unordered_map>
+#include <utility>
 
 using namespace spe;
 
 VariantRenderer::VariantRenderer(const ASTContext &Ctx,
                                  const std::vector<SkeletonUnit> &Units)
-    : Ctx(Ctx), Units(Units), Printer(&Subst) {
-  // Build the substitution skeleton once: one node per hole site, with the
-  // per-variant names filled in by updateSubstitution.
-  SubstSlots.resize(Units.size());
-  for (size_t U = 0; U < Units.size(); ++U) {
-    SubstSlots[U].reserve(Units[U].HoleSites.size());
-    for (const DeclRefExpr *Site : Units[U].HoleSites)
-      SubstSlots[U].push_back(&Subst[Site]);
+    : Units(Units) {
+  std::unordered_map<const DeclRefExpr *, std::pair<unsigned, unsigned>>
+      Slots;
+  for (unsigned U = 0; U < Units.size(); ++U)
+    for (unsigned H = 0; H < Units[U].HoleSites.size(); ++H)
+      Slots[Units[U].HoleSites[H]] = {U, H};
+  std::vector<AstPrinter::NameSite> Names;
+  AstPrinter Printer;
+  Printer.setNameLog(&Names);
+  Printer.printTo(Ctx, Template);
+  for (const AstPrinter::NameSite &N : Names) {
+    auto It = Slots.find(N.Ref);
+    if (It != Slots.end())
+      Splices.push_back({N.Offset, N.Ref->name().size(), It->second.first,
+                         It->second.second});
   }
-}
-
-void VariantRenderer::updateSubstitution(const ProgramAssignment &PA) const {
-  assert(PA.size() == Units.size() && "assignment/unit arity mismatch");
-  for (size_t U = 0; U < Units.size(); ++U) {
-    const SkeletonUnit &Unit = Units[U];
-    const Assignment &A = PA[U];
-    assert(A.size() == Unit.HoleSites.size() && "hole arity mismatch");
-    for (size_t H = 0; H < A.size(); ++H)
-      SubstSlots[U][H]->assign(Unit.Skeleton.var(A[H]).Name);
-  }
-}
-
-AstPrinter::Substitution
-VariantRenderer::makeSubstitution(const ProgramAssignment &PA) const {
-  updateSubstitution(PA);
-  return Subst;
 }
 
 std::string VariantRenderer::render(const ProgramAssignment &PA) const {
@@ -44,13 +38,19 @@ std::string VariantRenderer::render(const ProgramAssignment &PA) const {
 
 void VariantRenderer::renderInto(const ProgramAssignment &PA,
                                  std::string &Out) const {
-  updateSubstitution(PA);
-  Printer.printTo(Ctx, Out);
+  assert(PA.size() == Units.size() && "assignment/unit arity mismatch");
+  Out.clear();
+  size_t From = 0;
+  for (const Splice &S : Splices) {
+    assert(S.Hole < PA[S.Unit].size() && "hole arity mismatch");
+    Out.append(Template, From, S.Offset - From);
+    Out += Units[S.Unit].Skeleton.var(PA[S.Unit][S.Hole]).Name;
+    From = S.Offset + S.Length;
+  }
+  Out.append(Template, From, std::string::npos);
 }
 
-std::string VariantRenderer::renderOriginal() const {
-  return AstPrinter().print(Ctx);
-}
+std::string VariantRenderer::renderOriginal() const { return Template; }
 
 ProgramAssignment VariantRenderer::identityAssignment() const {
   ProgramAssignment PA;

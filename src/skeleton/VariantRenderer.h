@@ -11,17 +11,17 @@
 /// chose for it. The original program is exactly the variant that assigns
 /// every hole its original variable.
 ///
-/// The renderer is built for campaign-scale batches: the use-site
-/// substitution map is constructed once and only its mapped names change
-/// per variant, and renderInto() reuses the caller's output buffer, so the
-/// hot render path performs no per-variant map or buffer allocation.
+/// The renderer is built for campaign-scale batches: it prints the program
+/// once, as a template, and records where each hole site's name sits in it.
+/// A variant is then the template's fixed text with the chosen names
+/// spliced in at those offsets, appended into the caller's reused buffer,
+/// so the hot render path walks no AST and allocates nothing.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPE_SKELETON_VARIANTRENDERER_H
 #define SPE_SKELETON_VARIANTRENDERER_H
 
-#include "lang/AstPrinter.h"
 #include "skeleton/ProgramEnumerator.h"
 
 #include <string>
@@ -31,27 +31,18 @@ namespace spe {
 /// Renders program variants from skeleton assignments.
 class VariantRenderer {
 public:
+  /// Prints \p Ctx once as the template all variants are spliced from.
   VariantRenderer(const ASTContext &Ctx,
                   const std::vector<SkeletonUnit> &Units);
-
-  // Non-copyable: the printer and SubstSlots hold pointers into this
-  // renderer's own substitution map.
-  VariantRenderer(const VariantRenderer &) = delete;
-  VariantRenderer &operator=(const VariantRenderer &) = delete;
-
-  /// Builds the use-site substitution for one program assignment.
-  AstPrinter::Substitution
-  makeSubstitution(const ProgramAssignment &PA) const;
 
   /// Renders the full program variant as C source.
   std::string render(const ProgramAssignment &PA) const;
 
-  /// Renders the variant into \p Out (cleared first, capacity kept). The
-  /// persistent substitution map is updated in place; repeated calls on the
-  /// same renderer allocate nothing once \p Out's capacity settles.
+  /// Renders the variant into \p Out (cleared first, capacity kept);
+  /// repeated calls allocate nothing once \p Out's capacity settles.
   void renderInto(const ProgramAssignment &PA, std::string &Out) const;
 
-  /// Renders the unmodified program (no substitution).
+  /// Renders the unmodified program.
   std::string renderOriginal() const;
 
   /// \returns the identity assignment (every hole keeps its original
@@ -59,16 +50,18 @@ public:
   ProgramAssignment identityAssignment() const;
 
 private:
-  /// Points the persistent substitution's values at \p PA's variable names.
-  void updateSubstitution(const ProgramAssignment &PA) const;
+  /// Unit \p Unit's hole \p Hole: its original name spans [Offset, Offset +
+  /// Length) of Template.
+  struct Splice {
+    size_t Offset;
+    size_t Length;
+    unsigned Unit;
+    unsigned Hole;
+  };
 
-  const ASTContext &Ctx;
   const std::vector<SkeletonUnit> &Units;
-  /// Persistent substitution: keys are all hole sites, values are rewritten
-  /// per variant. Entries[u][h] points at the map node of unit u's hole h.
-  mutable AstPrinter::Substitution Subst;
-  mutable std::vector<std::vector<std::string *>> SubstSlots;
-  AstPrinter Printer;
+  std::string Template;          ///< The program printed with its own names.
+  std::vector<Splice> Splices;   ///< Ascending Offset.
 };
 
 } // namespace spe

@@ -4,6 +4,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 using namespace spe;
 
@@ -186,26 +187,29 @@ void BigInt::divmod(const BigInt &Dividend, const BigInt &Divisor,
     Remainder = BigInt(Rem);
     return;
   }
-  Quotient = BigInt();
-  Remainder = BigInt();
   if (Dividend < Divisor) {
     Remainder = Dividend;
+    Quotient = BigInt();
     return;
   }
-  // Binary long division. Rank decompositions divide numbers of at most a
-  // few thousand bits, where the O(bits * limbs) cost is negligible.
+  // Binary long division into locals, assigned last, so either output may
+  // alias either input. Rank decompositions divide numbers of at most a few
+  // thousand bits, where the O(bits * limbs) cost is negligible.
   unsigned Bits = Dividend.numBits();
-  Quotient.Limbs.assign((Bits + 63) / 64, 0);
+  BigInt Q, R;
+  Q.Limbs.assign((Bits + 63) / 64, 0);
   for (unsigned I = Bits; I-- > 0;) {
-    Remainder *= 2;
+    R *= 2;
     if (Dividend.bit(I))
-      Remainder += BigInt(1);
-    if (Remainder >= Divisor) {
-      Remainder -= Divisor;
-      Quotient.Limbs[I / 64] |= uint64_t(1) << (I % 64);
+      R += BigInt(1);
+    if (R >= Divisor) {
+      R -= Divisor;
+      Q.Limbs[I / 64] |= uint64_t(1) << (I % 64);
     }
   }
-  Quotient.trim();
+  Q.trim();
+  Quotient = std::move(Q);
+  Remainder = std::move(R);
 }
 
 BigInt BigInt::operator/(const BigInt &RHS) const {

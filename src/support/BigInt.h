@@ -43,6 +43,9 @@ public:
   /// \returns true iff the value is zero.
   bool isZero() const { return Limbs.empty(); }
 
+  /// \returns true iff the value is one.
+  bool isOne() const { return Limbs.size() == 1 && Limbs[0] == 1; }
+
   /// \returns true iff the value fits in a uint64_t.
   bool fitsInUint64() const { return Limbs.size() <= 1; }
 
@@ -77,8 +80,9 @@ public:
 
   /// Full division: computes \p Quotient and \p Remainder such that
   /// Dividend == Quotient * Divisor + Remainder with Remainder < Divisor.
-  /// Asserts \p Divisor != 0. Used by the enumeration cursors to decompose
-  /// mixed-radix ranks whose radices are themselves BigInt counts.
+  /// Asserts \p Divisor != 0. Either output may alias either input. Used by
+  /// the enumeration cursors to decompose mixed-radix ranks whose radices
+  /// are themselves BigInt counts.
   static void divmod(const BigInt &Dividend, const BigInt &Divisor,
                      BigInt &Quotient, BigInt &Remainder);
 

@@ -15,6 +15,9 @@
 
 #include "gtest/gtest.h"
 
+#include <numeric>
+#include <random>
+
 using namespace spe;
 
 namespace {
@@ -66,6 +69,48 @@ ValidityConstraints someConstraints(const AbstractSkeleton &Sk) {
   return C;
 }
 
+/// Three units whose rank suffixes are multi-limb: a two-hole head, a
+/// ~10^82 middle unit, and a two-hole tail.
+std::vector<SkeletonUnit> hugeSuffixUnits() {
+  SkeletonUnit Small;
+  Small.Skeleton.addVariable("s0", AbstractSkeleton::rootScope(), 0);
+  Small.Skeleton.addVariable("s1", AbstractSkeleton::rootScope(), 0);
+  Small.Skeleton.addHole(AbstractSkeleton::rootScope(), 0);
+  Small.Skeleton.addHole(AbstractSkeleton::rootScope(), 0);
+
+  SkeletonUnit Huge;
+  {
+    AbstractSkeleton &Sk = Huge.Skeleton;
+    ScopeId Scope = AbstractSkeleton::rootScope();
+    std::vector<ScopeId> Chain{Scope};
+    for (unsigned Depth = 0; Depth < 4; ++Depth) {
+      Scope = Sk.addScope(Scope);
+      Chain.push_back(Scope);
+    }
+    for (TypeKey T = 0; T < 3; ++T) {
+      for (ScopeId S : Chain) {
+        Sk.addVariable("v", S, T);
+        Sk.addVariable("w", S, T);
+      }
+      for (ScopeId S : Chain)
+        for (unsigned H = 0; H < 8; ++H)
+          Sk.addHole(S, T);
+    }
+  }
+
+  SkeletonUnit Tail;
+  Tail.Skeleton.addVariable("t0", AbstractSkeleton::rootScope(), 0);
+  Tail.Skeleton.addVariable("t1", AbstractSkeleton::rootScope(), 0);
+  Tail.Skeleton.addHole(AbstractSkeleton::rootScope(), 0);
+  Tail.Skeleton.addHole(AbstractSkeleton::rootScope(), 0);
+
+  std::vector<SkeletonUnit> Units;
+  Units.push_back(std::move(Small));
+  Units.push_back(std::move(Huge));
+  Units.push_back(std::move(Tail));
+  return Units;
+}
+
 } // namespace
 
 TEST(ValidityPruningTest, PrunedCursorEqualsBruteForceFilter) {
@@ -89,6 +134,24 @@ TEST(ValidityPruningTest, PrunedCursorEqualsBruteForceFilter) {
     ++Valid;
   EXPECT_EQ(Counter.pruned(), BigInt(All.size() - Expected.size()));
   EXPECT_EQ(Valid, Expected.size());
+
+  // One pruned cursor re-seeked at shuffled ranks: pruning must also hold
+  // on an odometer that a seek decoded rather than one next() stepped to.
+  std::vector<uint64_t> Ranks(All.size());
+  std::iota(Ranks.begin(), Ranks.end(), 0);
+  std::shuffle(Ranks.begin(), Ranks.end(), std::mt19937(2017));
+  AssignmentCursor Reseeked(Sk, SpeMode::Exact);
+  Reseeked.setConstraints(&C);
+  for (uint64_t R : Ranks) {
+    Reseeked.seek(BigInt(R));
+    std::vector<Assignment> Suffix, Want;
+    while (const Assignment *A = Reseeked.next())
+      Suffix.push_back(*A);
+    for (uint64_t S = R; S < All.size(); ++S)
+      if (!assignmentViolates(All[S], C))
+        Want.push_back(All[S]);
+    EXPECT_EQ(Suffix, Want) << "seek " << R;
+  }
 }
 
 TEST(ValidityPruningTest, PaperFaithfulModeFiltersIdentically) {
@@ -199,46 +262,11 @@ TEST(ValidityPruningTest, FullyForbiddenHoleEmptiesTheSpace) {
 TEST(ValidityPruningTest, ProgramSpanDecodeSurvivesHugeUnitSuffixes) {
   // Regression: ProgramCursor's rank decode must divide by multi-limb
   // (>= 2^64) unit suffixes correctly -- an earlier draft aliased the
-  // divmod remainder with its dividend, which BigInt zeroes first, so the
+  // divmod remainder with its dividend, which BigInt zeroed first, so the
   // less-significant units all decoded as rank 0 and invalid variants
   // slipped through. Unit 1 is a ~10^82 space, putting every suffix to its
   // left far beyond one limb.
-  SkeletonUnit Small;
-  Small.Skeleton.addVariable("s0", AbstractSkeleton::rootScope(), 0);
-  Small.Skeleton.addVariable("s1", AbstractSkeleton::rootScope(), 0);
-  Small.Skeleton.addHole(AbstractSkeleton::rootScope(), 0);
-  Small.Skeleton.addHole(AbstractSkeleton::rootScope(), 0);
-
-  SkeletonUnit Huge;
-  {
-    AbstractSkeleton &Sk = Huge.Skeleton;
-    ScopeId Scope = AbstractSkeleton::rootScope();
-    std::vector<ScopeId> Chain{Scope};
-    for (unsigned Depth = 0; Depth < 4; ++Depth) {
-      Scope = Sk.addScope(Scope);
-      Chain.push_back(Scope);
-    }
-    for (TypeKey T = 0; T < 3; ++T) {
-      for (ScopeId S : Chain) {
-        Sk.addVariable("v", S, T);
-        Sk.addVariable("w", S, T);
-      }
-      for (ScopeId S : Chain)
-        for (unsigned H = 0; H < 8; ++H)
-          Sk.addHole(S, T);
-    }
-  }
-
-  SkeletonUnit Tail;
-  Tail.Skeleton.addVariable("t0", AbstractSkeleton::rootScope(), 0);
-  Tail.Skeleton.addVariable("t1", AbstractSkeleton::rootScope(), 0);
-  Tail.Skeleton.addHole(AbstractSkeleton::rootScope(), 0);
-  Tail.Skeleton.addHole(AbstractSkeleton::rootScope(), 0);
-
-  std::vector<SkeletonUnit> Units;
-  Units.push_back(std::move(Small));
-  Units.push_back(std::move(Huge));
-  Units.push_back(std::move(Tail));
+  std::vector<SkeletonUnit> Units = hugeSuffixUnits();
 
   // Forbid the tail unit's second assignment (hole 1 -> var 1), leaving
   // one valid tail rank out of two: the pruned stream over the first few
@@ -321,4 +349,70 @@ TEST(ValidityPruningTest, SeekLandsOnUnprunedRanks) {
       EXPECT_EQ(*A, *Want) << "seek " << R;
     }
   }
+}
+
+TEST(ValidityPruningTest, OneRankStepAgreesWithTheDecoder) {
+  // Wherever the one-rank rule lets a pruned cursor step over a violation
+  // on its odometer, the general decoder must report a span of exactly
+  // that rank. Every rank of the single-skeleton fixtures is walked
+  // unpruned; the multi-unit fixtures are walked over the ranges the huge
+  // suffix test covers.
+  using Offense = AssignmentCursor::Offense;
+  unsigned Held = 0, Failed = 0;
+
+  AbstractSkeleton Sk = testSkeleton();
+  ValidityConstraints Some = someConstraints(Sk);
+  ValidityConstraints NoHole4;
+  NoHole4.reset(Sk);
+  NoHole4.forbid(4, 3);
+  NoHole4.forbid(4, 4);
+  for (const ValidityConstraints *C : {&Some, &NoHole4}) {
+    AssignmentCursor Cursor(Sk, SpeMode::Exact);
+    while (const Assignment *A = Cursor.next()) {
+      BigInt R = Cursor.position() - BigInt(1);
+      Offense O = Cursor.offense(*C);
+      ASSERT_EQ(O == Offense::None, !assignmentViolates(*A, *C))
+          << "rank " << R.toString();
+      if (O == Offense::OneRank) {
+        ++Held;
+        EXPECT_EQ(Cursor.invalidSpanEnd(R, *C), R + BigInt(1))
+            << "rank " << R.toString();
+      }
+      Failed += O == Offense::Span;
+    }
+  }
+
+  std::vector<SkeletonUnit> Units = hugeSuffixUnits();
+  ValidityConstraints HeadC, TailC;
+  HeadC.reset(Units[0].Skeleton);
+  HeadC.forbid(1, 0);
+  TailC.reset(Units[2].Skeleton);
+  TailC.forbid(1, 1);
+  BigInt BlockStart =
+      AssignmentCursor(Units[1].Skeleton, SpeMode::Exact).size() * 2;
+  std::vector<std::vector<const ValidityConstraints *>> Tables = {
+      {nullptr, nullptr, &TailC}, {&HeadC, nullptr, &TailC}};
+  for (const auto &PerUnit : Tables) {
+    for (const BigInt &Start : {BigInt(0), BlockStart}) {
+      ProgramCursor All(Units, SpeMode::Exact);
+      All.seek(Start);
+      All.setEnd(Start + BigInt(16));
+      while (const ProgramAssignment *PA = All.next()) {
+        BigInt R = All.position() - BigInt(1);
+        bool Violates = assignmentViolates((*PA)[2], TailC) ||
+                        (PerUnit[0] && assignmentViolates((*PA)[0], HeadC));
+        Offense O = All.offense(PerUnit);
+        ASSERT_EQ(O == Offense::None, !Violates) << "rank " << R.toString();
+        if (O == Offense::OneRank) {
+          ++Held;
+          EXPECT_EQ(All.invalidSpanEnd(R, PerUnit), R + BigInt(1))
+              << "rank " << R.toString();
+        }
+        Failed += O == Offense::Span;
+      }
+    }
+  }
+
+  EXPECT_GT(Held, 0u) << "the one-rank rule never held";
+  EXPECT_GT(Failed, 0u) << "the one-rank rule never fell back to the decoder";
 }

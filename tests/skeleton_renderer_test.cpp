@@ -173,3 +173,24 @@ TEST(VariantRendererTest, RenderIntoReusesBuffersAcrossVariants) {
   Batch.renderInto(Identity, Buffer);
   EXPECT_EQ(Buffer, Once);
 }
+
+TEST(VariantRendererTest, SplicesNamesInsideSeparatedSigns) {
+  // The printer separates `- -x` by inserting a space after the operand is
+  // printed; the splice offsets of names inside the operand must move with
+  // it. Names of different lengths catch an offset or a length that is off.
+  auto P = extract("int x, yy;\nint f(void) { return - -x + - -yy; }\n");
+  const SkeletonUnit &U = P->Units[0];
+  ASSERT_EQ(U.Skeleton.numHoles(), 2u);
+  VarId X = 0, YY = 1;
+  ASSERT_EQ(U.Skeleton.var(X).Name, "x");
+  ASSERT_EQ(U.Skeleton.var(YY).Name, "yy");
+  VariantRenderer Renderer(P->Ctx, P->Units);
+  std::string Original = Renderer.renderOriginal();
+  ASSERT_NE(Original.find("return - -x + - -yy;"), std::string::npos)
+      << Original;
+  std::string Swapped = Renderer.render({Assignment{YY, X}});
+  EXPECT_NE(Swapped.find("return - -yy + - -x;"), std::string::npos)
+      << Swapped;
+  EXPECT_EQ(Swapped.size(), Original.size());
+  EXPECT_EQ(Renderer.render(Renderer.identityAssignment()), Original);
+}

@@ -179,3 +179,43 @@ TEST(BigIntTest, DivisionOperators) {
   EXPECT_EQ(A / A, BigInt(1));
   EXPECT_EQ(A / (A + BigInt(1)), BigInt(0));
 }
+
+TEST(BigIntTest, DivmodOutputsMayAliasInputs) {
+  // X = 10^40 + 7 over a one-limb and a multi-limb divisor; every output
+  // may be the same object as either input.
+  const BigInt X = BigInt::pow(10, 40) + BigInt(7);
+  struct Case {
+    BigInt D, Q, R;
+  };
+  const Case Cases[] = {
+      {BigInt::pow(10, 9), BigInt::pow(10, 31), BigInt(7)},
+      {BigInt::pow(10, 25), BigInt::pow(10, 15), BigInt(7)},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE("divisor " + C.D.toString());
+    {
+      BigInt N = X, R;
+      BigInt::divmod(N, C.D, N, R); // Quotient aliases the dividend.
+      EXPECT_EQ(N, C.Q);
+      EXPECT_EQ(R, C.R);
+    }
+    {
+      BigInt N = X, Q;
+      BigInt::divmod(N, C.D, Q, N); // Remainder aliases the dividend.
+      EXPECT_EQ(Q, C.Q);
+      EXPECT_EQ(N, C.R);
+    }
+    {
+      BigInt D = C.D, R;
+      BigInt::divmod(X, D, D, R); // Quotient aliases the divisor.
+      EXPECT_EQ(D, C.Q);
+      EXPECT_EQ(R, C.R);
+    }
+    {
+      BigInt D = C.D, Q;
+      BigInt::divmod(X, D, Q, D); // Remainder aliases the divisor.
+      EXPECT_EQ(Q, C.Q);
+      EXPECT_EQ(D, C.R);
+    }
+  }
+}
