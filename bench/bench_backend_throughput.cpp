@@ -3,9 +3,9 @@
 // What does trading the in-process MiniCC personas for a real subprocess
 // compiler cost, and how much of it does batching buy back? Runs the same
 // budgeted embedded-seed campaign through the in-process backend, then
-// through the external backend at BatchSize K = 1, 8, 64, 256 (warm broker
+// through the external backend at BatchSize K = 1, 8, 64, 256 (process
 // pool enabled), and reports variants/sec side by side plus the raw
-// process-spawn overhead (fork/exec/wait of /bin/true) that bounds any
+// process-spawn overhead (spawn/wait of /bin/true) that bounds any
 // subprocess backend from below. Every campaign's CampaignResult is
 // checked identical to the unbatched reference -- a sweep that changed
 // findings would be measuring a bug. Emits BENCH_backend_throughput.json
@@ -60,7 +60,7 @@ int main() {
     for (int I = 0; I < N; ++I)
       (void)runProcess({"/bin/true"});
     double PerSpawnMs = secondsSince(T0) * 1000.0 / N;
-    std::printf("fork+exec+wait(/bin/true): %.2f ms/process\n", PerSpawnMs);
+    std::printf("spawn+wait(/bin/true): %.2f ms/process\n", PerSpawnMs);
     Json.put("process_spawn_ms", PerSpawnMs);
   }
 
@@ -95,7 +95,7 @@ int main() {
       Json.write();
       return 0;
     }
-    std::printf("compiler: %s  (broker pool: %u workers)\n",
+    std::printf("compiler: %s  (process pool: %u workers)\n",
                 Backend.versionLine().c_str(), BO.PoolWorkers);
     Json.put("external_version", Backend.versionLine());
     Json.put("pool_workers", static_cast<uint64_t>(BO.PoolWorkers));
@@ -158,7 +158,7 @@ int main() {
     }
 
     // Phase breakdown of a batched external campaign: how the wall time
-    // splits across oracle work, batch packing, broker compiles, binary
+    // splits across oracle work, batch packing, pooled compiles, binary
     // executions, and voting. A separate instrumented run (fresh sink and
     // backend) so the sweep's timed numbers stay uninstrumented and the
     // sink aggregates exactly one campaign.

@@ -32,9 +32,9 @@ int main() {
   //    {"clang", "-w"} (or a cross toolchain) to hunt somewhere specific;
   //    the identity -- command line plus `--version` banner -- is folded
   //    into checkpoint fingerprints, so long campaigns can never resume
-  //    against the wrong compiler. PoolWorkers keeps two warm broker
-  //    processes running the compiler/binary subprocesses so batch
-  //    compiles overlap the harness's oracle work.
+  //    against the wrong compiler. PoolWorkers keeps two pool threads
+  //    running the compiler/binary subprocesses so batch compiles overlap
+  //    the harness's oracle work.
   ExternalBackendOptions EB;
   EB.PoolWorkers = 2;
   ExternalBackend Backend(EB);

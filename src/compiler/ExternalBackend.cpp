@@ -123,8 +123,9 @@ namespace spe {
 /// In-flight state of one batched compile: the packed TU on disk plus one
 /// (possibly pool-submitted) compile per configuration. Destruction claims
 /// any job finishBatch never collected -- an abandoned ticket (simulated
-/// crash mid-batch) must not leave its broker permanently busy -- and
-/// removes the scratch files.
+/// crash mid-batch) must neither strand its result in the pool nor let its
+/// compile write a binary after the cleanup -- and removes the scratch
+/// files.
 struct ExternalBatchTicket final : BatchTicket {
   const ExternalBackend *B = nullptr;
   std::vector<std::string> Sources;
@@ -245,8 +246,8 @@ ExternalBackend::ExternalBackend(ExternalBackendOptions O)
 }
 
 ExternalBackend::~ExternalBackend() {
-  // Brokers first: they must not outlive the scratch directory their jobs
-  // write into.
+  // The pool first: its workers must not outlive the scratch directory
+  // their jobs write into.
   Pool.reset();
   if (!OwnScratchDir || Opts.KeepArtifacts)
     return;
@@ -569,7 +570,7 @@ ExternalBackend::finishBatch(std::unique_ptr<BatchTicket> Ticket) const {
       {
         // The blocking wait traces as its own phase; the honest compile
         // latency (submit -> collect, crossing threads) folds
-        // aggregate-only under "compile" so broker-overlapped compiles
+        // aggregate-only under "compile" so pool-overlapped compiles
         // report real durations, not just the tail this thread blocked on.
         SpanTimer Span(Sink, nullptr, "compile_wait", TelLabel, Cfg);
         CR = Pool->wait(CC.Job);

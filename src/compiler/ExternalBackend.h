@@ -28,7 +28,7 @@
 ///
 /// Batched path (DESIGN.md Section 13): beginBatch packs K variants into
 /// one translation unit (compiler/BatchRenderer.h) and compiles it once
-/// per configuration -- asynchronously on the broker pool when
+/// per configuration -- asynchronously on the process pool when
 /// Opts.PoolWorkers > 0 -- then finishBatch executes each member as its
 /// own process, once per sweep input (the input delivered over stdin; the
 /// argv slot stays the dispatch index). The batch is an amortization,
@@ -93,12 +93,12 @@ struct ExternalBackendOptions {
   /// Keep scratch files (and the scratch directory) instead of removing
   /// them on destruction (debugging).
   bool KeepArtifacts = false;
-  /// Pre-forked broker processes running compiler/binary subprocesses on
-  /// this backend's behalf (support/ProcessPool.h). 0 = no pool, every
-  /// subprocess forked directly. The pool overlaps batch compiles with the
-  /// harness's oracle work and runs one batch's per-config compiles
-  /// concurrently; it never changes any observation, so it is (like
-  /// BatchSize) excluded from identity() and the resume fingerprint.
+  /// Worker threads running compiler/binary subprocesses on this
+  /// backend's behalf (support/ProcessPool.h). 0 = no pool, every
+  /// subprocess run on the calling thread. The pool overlaps batch compiles
+  /// with the harness's oracle work and runs one batch's per-config
+  /// compiles concurrently; it never changes any observation, so it is
+  /// (like BatchSize) excluded from identity() and the resume fingerprint.
   unsigned PoolWorkers = 0;
   /// Campaign telemetry sink (support/Telemetry.h); null = off. Global
   /// spans: "compile" per compiler invocation (for pooled batch compiles,
@@ -153,8 +153,8 @@ public:
   finishBatch(std::unique_ptr<BatchTicket> Ticket) const override;
 
   const ExternalBackendOptions &options() const { return Opts; }
-  /// The broker pool (null when Opts.PoolWorkers == 0). Exposed so tests
-  /// can kill brokers and count respawns.
+  /// The process pool (null when Opts.PoolWorkers == 0). Exposed for its
+  /// stats() (status feeds, benches).
   ProcessPool *pool() const { return Pool.get(); }
   /// The per-instance scratch directory (removed on destruction unless
   /// KeepArtifacts).
@@ -180,7 +180,7 @@ private:
   friend struct ExternalBatchTicket;
 
   std::string scratchBase() const;
-  /// Runs one subprocess, through the broker pool when one exists --
+  /// Runs one subprocess, through the process pool when one exists --
   /// identical results either way (the pool's contract).
   ProcessResult runTool(const std::vector<std::string> &Argv,
                         const ProcessOptions &PO) const;
@@ -202,7 +202,7 @@ private:
       const std::string &KnownBin,
       std::vector<std::vector<std::vector<BackendObservation>>> &Out) const;
   /// One loud line on the first infrastructure failure (scratch write,
-  /// fork/exec of compiler or binary); such variants are skipped, never
+  /// a compiler or binary that did not start); such variants are skipped, never
   /// classified, so they cannot fabricate findings.
   void warnInfra(const std::string &What) const;
 

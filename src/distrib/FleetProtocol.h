@@ -73,16 +73,6 @@ struct FleetSpec {
   HarnessOptions toHarnessOptions() const;
 };
 
-/// Appends the FNV-1a "checksum <u64>" trailer line over \p Body -- the
-/// same trailer the checkpoint format ends with. Shared by fragments and
-/// the coordinator's lease journal.
-std::string withChecksumTrailer(std::string Body);
-
-/// Verifies and strips the trailer; \returns false with \p Err set on a
-/// missing, malformed, or mismatching checksum.
-bool stripChecksumTrailer(const std::string &Text, std::string &Body,
-                          std::string &Err);
-
 /// Serializes the checkpointed portion of \p R (counters + finding maps,
 /// persist/LineText layout) with a checksum trailer.
 std::string serializeFragment(const CampaignResult &R);

@@ -49,10 +49,7 @@ std::string CampaignCheckpoint::serialize() const {
       writeCov(Out, W.CovHits);
     }
   }
-  std::string Body = Out.str();
-  Fnv Sum;
-  Sum.bytes(Body.data(), Body.size());
-  return Body + "checksum " + std::to_string(Sum.H) + "\n";
+  return withChecksumTrailer(Out.str());
 }
 
 bool CampaignCheckpoint::deserialize(const std::string &Text,
@@ -63,28 +60,10 @@ bool CampaignCheckpoint::deserialize(const std::string &Text,
   // The checksum guards the exact byte body, so verify it before any
   // structural parsing: truncation and single-byte corruption both die
   // here with a precise message.
-  size_t Tail = Text.rfind("checksum ");
-  if (Tail == std::string::npos || (Tail != 0 && Text[Tail - 1] != '\n')) {
-    Err = "missing checksum trailer (truncated file?)";
+  std::string Body;
+  if (!stripChecksumTrailer(Text, Body, Err))
     return false;
-  }
-  std::string SumText = Text.substr(Tail + 9);
-  while (!SumText.empty() &&
-         (SumText.back() == '\n' || SumText.back() == '\r'))
-    SumText.pop_back();
-  uint64_t Expected;
-  if (!parseU64(SumText, Expected)) {
-    Err = "malformed checksum trailer";
-    return false;
-  }
-  Fnv Sum;
-  Sum.bytes(Text.data(), Tail);
-  if (Sum.H != Expected) {
-    Err = "checksum mismatch (corrupt or truncated file)";
-    return false;
-  }
-
-  Reader R(Text.substr(0, Tail));
+  Reader R(Body);
   if (R.Lines.empty() || R.Lines[0].size() != 2 ||
       R.Lines[0][0] + " " + R.Lines[0][1] != Magic) {
     Err = "bad magic or unsupported format version";

@@ -8,6 +8,38 @@
 namespace spe {
 namespace linetext {
 
+std::string withChecksumTrailer(std::string Body) {
+  Fnv Sum;
+  Sum.bytes(Body.data(), Body.size());
+  return Body + "checksum " + std::to_string(Sum.H) + "\n";
+}
+
+bool stripChecksumTrailer(const std::string &Text, std::string &Body,
+                          std::string &Err) {
+  size_t Tail = Text.rfind("checksum ");
+  if (Tail == std::string::npos || (Tail != 0 && Text[Tail - 1] != '\n')) {
+    Err = "missing checksum trailer (truncated?)";
+    return false;
+  }
+  std::string SumText = Text.substr(Tail + 9);
+  while (!SumText.empty() &&
+         (SumText.back() == '\n' || SumText.back() == '\r'))
+    SumText.pop_back();
+  uint64_t Expected;
+  if (!parseU64(SumText, Expected)) {
+    Err = "malformed checksum trailer";
+    return false;
+  }
+  Fnv Sum;
+  Sum.bytes(Text.data(), Tail);
+  if (Sum.H != Expected) {
+    Err = "checksum mismatch (corrupt or truncated)";
+    return false;
+  }
+  Body = Text.substr(0, Tail);
+  return true;
+}
+
 std::string escapeToken(const std::string &S) {
   if (S.empty())
     return "\\e";

@@ -43,6 +43,15 @@ struct Fnv {
   }
 };
 
+/// Appends the FNV-1a "checksum <u64>" trailer line over \p Body: the last
+/// line of checkpoints, fleet fragments and the fleet lease journal.
+std::string withChecksumTrailer(std::string Body);
+
+/// Verifies and strips the trailer; \returns false with \p Err set on a
+/// missing, malformed, or mismatching checksum.
+bool stripChecksumTrailer(const std::string &Text, std::string &Body,
+                          std::string &Err);
+
 /// Escapes \p S into a whitespace-free token ("\e" for the empty string).
 std::string escapeToken(const std::string &S);
 

@@ -8,11 +8,11 @@
 /// \file
 /// A long-lived child process with line-framed stdin/stdout pipes -- the
 /// transport under the fleet coordinator/worker protocol (DESIGN.md
-/// Section 16). Reuses the ProcessRunner fork-exec idioms: a CLOEXEC
-/// errno pipe distinguishes "exec failed" from "child started", the child
-/// takes its own process group so a kill reaps any subtree, and stdin
-/// writes run with SIGPIPE blocked so a dead child surfaces as a failed
-/// write instead of killing the parent.
+/// Section 16). Like runProcess's children, the child starts through
+/// spawnProcess (support/Spawn.h): a failed exec fails start() instead of
+/// looking like an instant exit, the child leads its own process group so
+/// a kill reaps any subtree, and stdin writes run with SIGPIPE blocked so
+/// a dead child surfaces as a failed write instead of killing the parent.
 ///
 /// Unlike runProcess (one-shot, capture-everything, timeout-killed), a
 /// PipedProcess stays interactive: the caller alternates writeLine /
@@ -42,10 +42,9 @@ public:
   PipedProcess(const PipedProcess &) = delete;
   PipedProcess &operator=(const PipedProcess &) = delete;
 
-  /// Fork-execs \p Argv with fresh stdin/stdout pipes. \returns false with
-  /// \p Err set when the fork, pipe setup, or exec itself fails (exec
-  /// failure is detected via the CLOEXEC errno pipe, so a bad binary path
-  /// reports here instead of as a mysterious instant exit).
+  /// Spawns \p Argv with fresh stdin/stdout pipes. \returns false with
+  /// \p Err set when the pipe setup or the spawn fails (a bad binary path
+  /// included).
   bool start(const std::vector<std::string> &Argv, std::string &Err);
 
   /// Writes \p Line plus a terminating newline to the child's stdin,

@@ -1,4 +1,4 @@
-//===- support/ProcessPool.h - pre-forked subprocess broker pool ---------===//
+//===- support/ProcessPool.h - worker threads running subprocess jobs ----===//
 //
 // Part of the SPE reproduction of "Skeletal Program Enumeration for Rigorous
 // Compiler Testing" (PLDI 2017).
@@ -6,44 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A pool of pre-forked broker children that run subprocess jobs on behalf
-/// of the harness. Each broker sits in a loop reading length-framed jobs
-/// (an argv plus ProcessOptions) from a pipe, runs the job through the
-/// ordinary runProcess() machinery -- inheriting its process-group timeout
-/// kill, output caps and exec-errno discipline byte-for-byte -- and writes
-/// the framed ProcessResult back. The point is overlap, not semantics:
-/// submit() never blocks, so a harness worker can hand the compiler a
-/// batch and interpret the next batch's oracle on the VM while the
-/// broker's cc grinds; wait() later collects the identical result a direct
-/// runProcess() call would have produced.
+/// A fixed set of worker threads that run subprocess jobs on behalf of the
+/// harness, each job as one runProcess() call. The point is overlap, not
+/// semantics: submit() never blocks, so a harness worker can hand the
+/// compiler a batch and interpret the next batch's oracle on the VM while a
+/// pool thread waits on cc; wait() later collects the result. Because a job
+/// *is* a runProcess() call -- same spawn primitive, process-group timeout
+/// kill and output caps -- wait() returns what a direct call would have,
+/// by construction.
 ///
-/// A single parent-side reaper thread owns all broker I/O: it drains
-/// result frames as soon as they complete, parks them for wait(), and
-/// immediately re-feeds the freed broker from the FIFO queue of submitted
-/// jobs. Draining eagerly (rather than in wait()) matters: pipelined
-/// callers routinely hold finished-but-unclaimed jobs while blocking on
-/// later ones, and a pool that only freed brokers inside wait() would
-/// deadlock on exactly that pattern.
-///
-/// Fault containment: a broker that dies mid-job (OOM kill, stray signal)
-/// is respawned and the job retried once before the failure is surfaced as
-/// StartFailed. A broker that *wedges* -- accepts a job and never answers
-/// -- is process-group-killed once the job's own wall-clock budget plus a
-/// slack allowance expires, then respawned. Killing the broker's group
-/// cannot reach the job's process tree (runProcess gives each job a private
-/// group precisely so its timeout kill is reliable), so in that pathological
-/// case the job tree is left to its own in-broker timeout; the broker
-/// accounting stays correct either way.
-///
-/// Brokers never exec: they are forked C++ children of a (possibly
-/// multithreaded) parent that keep calling into runProcess and the
-/// allocator. POSIX leaves that undefined after a multithreaded fork; glibc
-/// makes it safe via its malloc atfork handlers, and this pool is
-/// Linux/glibc-only by the same token as the rest of support/.
+/// Jobs start in FIFO order as workers free up, and a worker parks each
+/// result until its wait(). Callers may therefore hold finished but
+/// unclaimed jobs while blocking on later ones -- the pipelined harness
+/// does exactly that -- without stalling the pool.
 ///
 /// Thread safety: submit() and wait() may be called from concurrent shard
-/// workers. Each job is bound to one broker and only the reaper reads
-/// result pipes, so result reads never interleave.
+/// workers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,138 +35,100 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 namespace spe {
 
-/// A fixed-size pool of warm broker processes running jobs concurrently.
+/// A fixed-size pool of threads running subprocess jobs concurrently.
 class ProcessPool {
 public:
   using JobId = uint64_t;
 
-  /// Magic argv[0] recognized by brokers: accept the job, then hang without
-  /// ever answering. Exists purely so tests can exercise the wedged-broker
-  /// kill path; no real compiler command line can collide with it.
-  static constexpr const char *WedgeArgv0 = "__spe_pool_wedge__";
-
-  /// Forks \p Workers brokers (at least 1). \p SlackMs is the extra
-  /// allowance past a job's own TimeoutMs before the reaper declares the
-  /// broker wedged and group-kills it; jobs with TimeoutMs 0 carry no
-  /// parent-side deadline at all.
-  explicit ProcessPool(unsigned Workers, uint64_t SlackMs = 10000);
+  /// Starts \p Workers worker threads (at least 1).
+  explicit ProcessPool(unsigned Workers);
+  /// Jobs still queued fail as StartFailed; running jobs finish under their
+  /// own TimeoutMs.
   ~ProcessPool();
 
   ProcessPool(const ProcessPool &) = delete;
   ProcessPool &operator=(const ProcessPool &) = delete;
 
   /// Registers \p Argv and returns a ticket for wait(). Never blocks: the
-  /// job starts immediately when a broker is free, otherwise it queues
-  /// FIFO and starts as brokers drain. (A blocking submit would deadlock
-  /// the harness's pipelined callers, which submit the next batch's jobs
-  /// before collecting the previous batch's results.)
+  /// job starts as soon as a worker is free, in FIFO order. (A blocking
+  /// submit would deadlock the harness's pipelined callers, which submit
+  /// the next batch's jobs before collecting the previous batch's results.)
   JobId submit(const std::vector<std::string> &Argv,
                const ProcessOptions &Opts = {});
 
-  /// Blocks until job \p Id finishes and returns its result. Broker death
-  /// respawns the broker and retries the job once; a wedged broker is
-  /// group-killed after TimeoutMs + SlackMs and the job retried likewise.
+  /// Blocks until job \p Id finishes and returns its runProcess() result.
   /// Each ticket is claimable exactly once.
   ProcessResult wait(JobId Id);
 
-  /// Convenience: submit + wait, a drop-in for runProcess() routed through
-  /// a warm broker.
+  /// Convenience: submit + wait, a drop-in for runProcess().
   ProcessResult run(const std::vector<std::string> &Argv,
                     const ProcessOptions &Opts = {}) {
     return wait(submit(Argv, Opts));
   }
 
-  unsigned workers() const { return static_cast<unsigned>(Brokers.size()); }
-
-  /// Number of brokers forked beyond the initial set -- i.e. how many
-  /// deaths/wedges the pool has absorbed. Test observability.
-  unsigned respawns() const;
+  unsigned workers() const { return NumWorkers; }
 
   /// Lifetime pool statistics, snapshotted consistently under the pool
   /// mutex. Observability only (status feeds, benches): nothing here
   /// influences scheduling or results.
   struct Stats {
     uint64_t JobsSubmitted = 0;
-    uint64_t JobsCompleted = 0; ///< Includes jobs failed by broker loss.
+    uint64_t JobsCompleted = 0;
+    /// Always 0: nothing in the pool dies and restarts. Kept because
+    /// status.json reports it (pools[].respawns).
     unsigned Respawns = 0;
-    uint64_t QueueDepth = 0;     ///< Jobs waiting for a broker right now.
-    uint64_t QueueHighWater = 0; ///< Deepest the wait queue has ever been.
-    unsigned BusyBrokers = 0;
-    /// Total submit->dispatch wait across completed dispatches, vs total
-    /// dispatch->completion run time: together they say whether the pool
-    /// is starved (wait >> run) or oversized (run >> wait, queue empty).
+    uint64_t QueueDepth = 0;     ///< Jobs waiting for a worker right now.
+    uint64_t QueueHighWater = 0; ///< Most jobs ever waiting for a worker.
+    unsigned BusyWorkers = 0;
+    /// Total submit->start wait across started jobs, vs total
+    /// start->completion run time: together they say whether the pool is
+    /// starved (wait >> run) or oversized (run >> wait, queue empty).
     uint64_t CumQueueWaitMs = 0;
     uint64_t CumRunMs = 0;
   };
   Stats stats() const;
 
-  /// SIGKILLs one live broker (preferring a busy one) so tests can exercise
-  /// the death-respawn-retry path without faking a compiler. \returns the
-  /// pid killed, or -1 when no broker was alive.
-  int killBrokerForTest();
-
 private:
-  struct Broker {
-    int Pid = -1;
-    int JobFd = -1; ///< Parent writes framed jobs here.
-    int ResFd = -1; ///< The reaper reads framed results here.
-    bool Busy = false;
-    JobId Current = 0;      ///< Valid while Busy.
-    uint64_t DeadlineMs = 0; ///< Absolute wedge deadline; 0 = none.
-    int Attempt = 0;        ///< Retries consumed by the current job.
-  };
-  struct PendingJob {
-    std::vector<std::string> Argv; ///< Kept for queueing and the one retry.
+  struct QueuedJob {
+    JobId Id = 0;
+    std::vector<std::string> Argv;
     ProcessOptions Opts;
-    bool Done = false; ///< Result is final; wait() may claim it.
-    ProcessResult Result;
     uint64_t EnqueueMs = 0; ///< submit() timestamp (stats only).
-    uint64_t StartMs = 0;   ///< First successful dispatch (stats only).
   };
 
-  bool spawnBroker(Broker &B);                   ///< Callers hold Mu.
-  void destroyBroker(Broker &B, bool KillGroup); ///< Callers hold Mu.
-  bool sendJob(Broker &B, const PendingJob &J);  ///< Callers hold Mu.
-  /// Binds job \p Id to \p B and sends it (one respawn + resend attempt on
-  /// a dead broker); marks the job failed when no broker can be brought
-  /// up. Callers hold Mu.
-  void dispatchTo(Broker &B, JobId Id);
-  /// Parks the finished \p Result of \p B's current job and re-feeds the
-  /// broker from the queue. Callers hold Mu.
-  void completeJob(Broker &B, ProcessResult Result);
-  /// The current job's broker died (\p Wedged false) or wedged (\p Wedged
-  /// true): group-kill/respawn it and retry the job once, or surface the
-  /// failure. Callers hold Mu.
-  void failBroker(Broker &B, bool Wedged);
-  void wakeReaper();
-  void reaperMain();
+  void workerMain();
+  /// Stops and joins the workers; queued jobs stay queued.
+  void stop();
+  /// Queued jobs beyond what the idle workers are about to take. Callers
+  /// hold Mu.
+  uint64_t waitingLocked() const;
 
+  const unsigned NumWorkers;
   mutable std::mutex Mu;
-  /// Signals PendingJob completion to wait()ers.
+  /// Signals a queued job (or shutdown) to the workers.
+  std::condition_variable JobReady;
+  /// Signals a parked result to wait()ers.
   std::condition_variable JobDone;
-  std::vector<Broker> Brokers;
-  std::map<JobId, PendingJob> Pending;
-  /// Jobs waiting for a broker, FIFO.
-  std::deque<JobId> Queue;
+  std::deque<QueuedJob> Queue;
+  /// One entry per unclaimed ticket, empty until the job finishes.
+  std::map<JobId, std::optional<ProcessResult>> Results;
   JobId NextId = 1;
-  unsigned Respawns = 0;
+  unsigned Busy = 0;
   /// Lifetime stats counters (guarded by Mu; see stats()).
   uint64_t JobsSubmitted = 0;
   uint64_t JobsCompleted = 0;
   uint64_t QueueHighWater = 0;
   uint64_t CumQueueWaitMs = 0;
   uint64_t CumRunMs = 0;
-  uint64_t SlackMs;
   bool ShuttingDown = false;
-  int WakeRead = -1; ///< Reaper wake-up pipe (submit/shutdown -> reaper).
-  int WakeWrite = -1;
-  std::thread Reaper;
+  std::vector<std::thread> Threads;
 };
 
 } // namespace spe

@@ -2,6 +2,8 @@
 
 #include "support/ProcessRunner.h"
 
+#include "support/Spawn.h"
+
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
@@ -10,7 +12,6 @@
 
 #include <fcntl.h>
 #include <poll.h>
-#include <pthread.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -47,124 +48,31 @@ bool drainPipe(int Fd, std::string &Out, size_t Cap) {
   }
 }
 
-/// Writes one chunk of stdin data with SIGPIPE blocked (a child that exits
-/// without reading its stdin must surface as EPIPE here, not kill the
-/// harness). \returns bytes written, 0 when the pipe is momentarily full,
-/// or -1 when the pipe is dead and the caller should stop feeding it.
-ssize_t writeStdinChunk(int Fd, const char *Data, size_t N) {
-  sigset_t PipeSet, Old;
-  sigemptyset(&PipeSet);
-  sigaddset(&PipeSet, SIGPIPE);
-  pthread_sigmask(SIG_BLOCK, &PipeSet, &Old);
-  ssize_t W;
-  do
-    W = write(Fd, Data, N);
-  while (W < 0 && errno == EINTR);
-  if (W < 0 && errno == EPIPE) {
-    // Consume the SIGPIPE the failed write queued; restoring the old mask
-    // with it still pending would deliver the default fatal action to
-    // threads that had it unblocked.
-    timespec Zero = {0, 0};
-    sigtimedwait(&PipeSet, nullptr, &Zero);
-  }
-  int E = errno;
-  pthread_sigmask(SIG_SETMASK, &Old, nullptr);
-  if (W >= 0)
-    return W;
-  return E == EAGAIN ? 0 : -1;
-}
-
 } // namespace
 
 ProcessResult spe::runProcess(const std::vector<std::string> &Argv,
                               const ProcessOptions &Opts) {
   ProcessResult R;
-  if (Argv.empty()) {
-    R.Error = "empty argv";
-    return R;
-  }
-
-  // Three pipes: the two captures plus the exec-errno channel. All are
-  // CLOEXEC from creation, so a child another thread forks concurrently
-  // never inherits them; dup2 onto fds 0-2 clears the flag where this
-  // child needs it. A successful exec therefore closes the errno pipe
-  // silently and the parent reads EOF; a failed exec writes errno before
-  // _exit.
-  int OutP[2], ErrP[2], ExecP[2];
-  if (pipe2(OutP, O_CLOEXEC) != 0) {
+  // The two captures, plus a stdin feed pipe only when there is data to
+  // feed (empty data keeps stdin on /dev/null). All are CLOEXEC from
+  // creation; see support/Spawn.h.
+  int OutP[2] = {-1, -1}, ErrP[2] = {-1, -1}, InP[2] = {-1, -1};
+  if (pipe2(OutP, O_CLOEXEC) != 0 || pipe2(ErrP, O_CLOEXEC) != 0 ||
+      (!Opts.StdinData.empty() && pipe2(InP, O_CLOEXEC) != 0)) {
     R.Error = "pipe: " + std::string(std::strerror(errno));
+    closePipe(OutP), closePipe(ErrP), closePipe(InP);
     return R;
   }
-  if (pipe2(ErrP, O_CLOEXEC) != 0) {
-    R.Error = "pipe: " + std::string(std::strerror(errno));
-    close(OutP[0]), close(OutP[1]);
-    return R;
-  }
-  if (pipe2(ExecP, O_CLOEXEC) != 0) {
-    R.Error = "pipe: " + std::string(std::strerror(errno));
-    close(OutP[0]), close(OutP[1]), close(ErrP[0]), close(ErrP[1]);
-    return R;
-  }
-  // The stdin feed pipe only exists when there is data to feed; the empty
-  // case keeps the /dev/null fast path untouched.
-  int InP[2] = {-1, -1};
-  if (!Opts.StdinData.empty() && pipe2(InP, O_CLOEXEC) != 0) {
-    R.Error = "pipe: " + std::string(std::strerror(errno));
-    close(OutP[0]), close(OutP[1]), close(ErrP[0]), close(ErrP[1]);
-    close(ExecP[0]), close(ExecP[1]);
-    return R;
-  }
-
-  std::vector<char *> Args;
-  Args.reserve(Argv.size() + 1);
-  for (const std::string &A : Argv)
-    Args.push_back(const_cast<char *>(A.c_str()));
-  Args.push_back(nullptr);
-
-  pid_t Pid = fork();
-  if (Pid < 0) {
-    R.Error = "fork: " + std::string(std::strerror(errno));
-    close(OutP[0]), close(OutP[1]), close(ErrP[0]), close(ErrP[1]);
-    close(ExecP[0]), close(ExecP[1]);
-    if (InP[0] >= 0)
-      close(InP[0]), close(InP[1]);
-    return R;
-  }
-
-  if (Pid == 0) {
-    // Child: async-signal-safe territory only. A private process group, so
-    // the timeout kill reaps the whole tree (cc drivers spawn cc1/as; sh
-    // spawns the hung loop) -- otherwise a grandchild would keep the
-    // capture pipes open long after the direct child died.
-    setpgid(0, 0);
-    if (InP[0] >= 0) {
-      dup2(InP[0], STDIN_FILENO);
-      close(InP[0]), close(InP[1]);
-    } else {
-      // stdin reads EOF so an unexpectedly interactive child terminates
-      // instead of hanging.
-      int DevNull = open("/dev/null", O_RDONLY | O_CLOEXEC);
-      if (DevNull >= 0)
-        dup2(DevNull, STDIN_FILENO);
-    }
-    dup2(OutP[1], STDOUT_FILENO);
-    dup2(ErrP[1], STDERR_FILENO);
-    close(OutP[0]), close(OutP[1]), close(ErrP[0]), close(ErrP[1]);
-    close(ExecP[0]);
-    execvp(Args[0], Args.data());
-    int E = errno;
-    ssize_t Ignored = write(ExecP[1], &E, sizeof(E));
-    (void)Ignored;
-    _exit(127);
-  }
-
-  // Parent. Mirror the child's setpgid so the group exists from both
-  // sides' perspective before any kill can race it (EACCES/ESRCH after
-  // the exec are benign).
-  setpgid(Pid, Pid);
-  close(OutP[1]), close(ErrP[1]), close(ExecP[1]);
+  pid_t Pid = spawnProcess(Argv, {InP[0], OutP[1], ErrP[1]}, R.Error);
+  close(OutP[1]), close(ErrP[1]);
   if (InP[0] >= 0)
     close(InP[0]);
+  if (Pid < 0) {
+    close(OutP[0]), close(ErrP[0]);
+    if (InP[1] >= 0)
+      close(InP[1]);
+    return R;
+  }
   fcntl(OutP[0], F_SETFL, O_NONBLOCK);
   fcntl(ErrP[0], F_SETFL, O_NONBLOCK);
   if (InP[1] >= 0)
@@ -217,13 +125,14 @@ ProcessResult spe::runProcess(const std::vector<std::string> &Argv,
       if (InOpen && Fds[I].fd == InP[1]) {
         if (!(Fds[I].revents & (POLLOUT | POLLHUP | POLLERR)))
           continue;
-        ssize_t W = writeStdinChunk(InP[1], Opts.StdinData.data() + InPos,
-                                    Opts.StdinData.size() - InPos);
+        // The pipe is non-blocking: EAGAIN means momentarily full.
+        ssize_t W = writeNoSigpipe(InP[1], Opts.StdinData.data() + InPos,
+                                   Opts.StdinData.size() - InPos);
         if (W > 0)
           InPos += static_cast<size_t>(W);
         // Done, or the child closed its end without reading: either way
         // close so the child sees EOF instead of a forever-open stdin.
-        if (W < 0 || InPos >= Opts.StdinData.size()) {
+        if ((W < 0 && errno != EAGAIN) || InPos >= Opts.StdinData.size()) {
           close(InP[1]);
           InOpen = false;
         }
@@ -241,32 +150,16 @@ ProcessResult spe::runProcess(const std::vector<std::string> &Argv,
   if (InOpen)
     close(InP[1]);
 
-  int ExecErrno = 0;
-  ssize_t Got;
-  do
-    Got = read(ExecP[0], &ExecErrno, sizeof(ExecErrno));
-  while (Got < 0 && errno == EINTR);
-  close(ExecP[0]);
-
   int WStatus = 0;
-  pid_t Reaped;
-  do
-    Reaped = waitpid(Pid, &WStatus, 0);
-  while (Reaped < 0 && errno == EINTR);
-
-  if (Got == static_cast<ssize_t>(sizeof(ExecErrno))) {
-    R.St = ProcessResult::Status::StartFailed;
-    R.Error = "exec '" + Argv[0] + "': " + std::strerror(ExecErrno);
-    return R;
-  }
+  bool Reaped = reapProcess(Pid, WStatus);
   if (Killed) {
     R.St = ProcessResult::Status::TimedOut;
     return R;
   }
-  if (Reaped == Pid && WIFEXITED(WStatus)) {
+  if (Reaped && WIFEXITED(WStatus)) {
     R.St = ProcessResult::Status::Exited;
     R.ExitCode = WEXITSTATUS(WStatus);
-  } else if (Reaped == Pid && WIFSIGNALED(WStatus)) {
+  } else if (Reaped && WIFSIGNALED(WStatus)) {
     R.St = ProcessResult::Status::Signaled;
     R.Signal = WTERMSIG(WStatus);
   } else {

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Fork/exec subprocess runner for driving real host compilers and the
-/// binaries they produce (compiler/ExternalBackend.h). One call runs one
+/// Subprocess runner for driving real host compilers and the binaries
+/// they produce (compiler/ExternalBackend.h). One call runs one
 /// argv to completion: both output streams are captured through pipes, a
 /// wall-clock timeout hard-kills runaway children (the paper's campaigns
 /// routinely produce variants that loop forever once miscompiled), and the
@@ -15,11 +15,10 @@
 /// compiler crash (SIGSEGV in cc1) from a mere rejection (exit 1 with
 /// diagnostics).
 ///
-/// Thread safety: safe to call concurrently from shard workers. The window
-/// between fork and exec touches only async-signal-safe calls, and exec
-/// failures are reported through a CLOEXEC errno pipe instead of a fake
-/// exit code, so "compiler binary missing" can never masquerade as a
-/// compile rejection.
+/// Thread safety: safe to call concurrently from shard workers. The child
+/// starts through spawnProcess (support/Spawn.h), which reports a failed
+/// exec as a failed start instead of a fake exit code, so "compiler binary
+/// missing" can never masquerade as a compile rejection.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +56,7 @@ struct ProcessResult {
     Exited,      ///< Normal termination; ExitCode is WEXITSTATUS.
     Signaled,    ///< Killed by a signal; Signal names it.
     TimedOut,    ///< Wall-clock budget expired; the child was SIGKILLed.
-    StartFailed, ///< fork/exec never succeeded; Error has the diagnostic.
+    StartFailed, ///< The child never started; Error has the diagnostic.
   };
   Status St = Status::StartFailed;
   int ExitCode = 0; ///< Valid when St == Exited (low 8 bits by POSIX).

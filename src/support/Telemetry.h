@@ -20,7 +20,7 @@
 ///    still flow to the shared sink, but the sink does NOT fold them into
 ///    its own aggregate.
 ///
-///  - *Global* spans (broker compile, batch pack, binary exec, checkpoint
+///  - *Global* spans (pooled compile, batch pack, binary exec, checkpoint
 ///    write, triage stages) happen outside any shard worker's partial
 ///    result; they aggregate inside the sink and are folded into
 ///    CampaignResult::Telemetry once, at campaign end.

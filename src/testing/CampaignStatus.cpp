@@ -283,7 +283,7 @@ std::string CampaignStatusFeed::serializeLocked(uint64_t Now) {
     J += jsonEscape(Pools[P].Name);
     J += "\",";
     putKV(J, "workers", static_cast<uint64_t>(Pools[P].Pool->workers()));
-    putKV(J, "busy", static_cast<uint64_t>(St.BusyBrokers));
+    putKV(J, "busy", static_cast<uint64_t>(St.BusyWorkers));
     putKV(J, "queue_depth", St.QueueDepth);
     putKV(J, "queue_high_water", St.QueueHighWater);
     putKV(J, "jobs_submitted", St.JobsSubmitted);

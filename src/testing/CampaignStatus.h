@@ -11,7 +11,7 @@
 /// wall-clock cadence while the campaign runs. It carries ranks done/total
 /// per shard, a windowed variants/sec rate, the campaign counters, running
 /// unique-bug/cluster counts, per-backend compile latency quantiles (from
-/// an attached TelemetrySink), and broker-pool health (from attached
+/// an attached TelemetrySink), and process-pool health (from attached
 /// ProcessPools) -- the exact feed a fleet coordinator or a terminal
 /// watcher tails.
 ///
@@ -80,7 +80,7 @@ public:
   CampaignStatusFeed(const CampaignStatusFeed &) = delete;
   CampaignStatusFeed &operator=(const CampaignStatusFeed &) = delete;
 
-  /// Wires a broker pool's health into every subsequent write. The pool
+  /// Wires a process pool's health into every subsequent write. The pool
   /// must outlive the feed's last write.
   void attachPool(const std::string &Name, const ProcessPool *Pool);
   /// Wires per-backend compile latency quantiles (telemetry "compile"

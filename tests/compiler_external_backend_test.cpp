@@ -1,7 +1,7 @@
 //===- tests/compiler_external_backend_test.cpp - subprocess backends ----===//
 //
 // The real-compiler driving stack, bottom up: support/ProcessRunner
-// (fork/exec, capture, timeout-kill, exit/signal decoding), the
+// (spawn, capture, timeout-kill, exit/signal decoding), the
 // ExternalBackend classification of compile outcomes, signature-only
 // finding semantics for backends without ground truth (including the
 // out-of-bounds regression for foreign FiredBugs ids), and an end-to-end
@@ -24,7 +24,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <thread>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -760,34 +759,6 @@ TEST(BatchedExternalCampaignTest, HostCampaignIsBatchInvariantWithWarmPool) {
           << " threads diverged from the direct unbatched campaign";
     }
   }
-}
-
-TEST(BatchedExternalCampaignTest, BrokerDeathMidCampaignDoesNotChangeResults) {
-  SKIP_WITHOUT_HOST_CC();
-  std::vector<std::string> Seeds = externalCampaignSeeds();
-  HarnessOptions Opts = externalCampaignOptions();
-  Opts.BatchSize = 1;
-  Opts.Threads = 1;
-  CampaignResult Ref = DifferentialHarness(Opts).runCampaign(Seeds);
-
-  ExternalBackendOptions PO = hostBackend().options();
-  PO.PoolWorkers = 2;
-  ExternalBackend Pooled(PO);
-  ASSERT_TRUE(Pooled.available()) << Pooled.unavailableReason();
-
-  // Kill one broker shortly after the campaign starts: the in-flight job
-  // is retried on a respawned broker and nothing is lost or duplicated.
-  Opts.Backend = &Pooled;
-  Opts.BatchSize = 8;
-  Opts.Threads = 2;
-  std::thread Killer([&Pooled] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    Pooled.pool()->killBrokerForTest();
-  });
-  CampaignResult R = DifferentialHarness(Opts).runCampaign(Seeds);
-  Killer.join();
-  EXPECT_TRUE(R == Ref)
-      << "broker death mid-campaign changed the campaign result";
 }
 
 TEST(BatchedExternalCampaignTest, CheckpointedResumeAcrossBatchSizes) {
