@@ -2,7 +2,7 @@
 
 #include "compiler/VM.h"
 
-#include "support/BrentCycle.h"
+#include "support/Divergence.h"
 #include "support/StdinScan.h"
 
 #include <algorithm>
@@ -29,50 +29,33 @@ struct VMValue {
   }
 };
 
-struct VMBlock {
-  std::vector<uint8_t> Bytes;
-  bool Alive = true;
-  /// VM::Clock at the block's last store, copy, fill, allocation or free.
-  uint64_t Written = 0;
-  /// Whether a pointer, or a non-pointer, was ever stored here; a load of
-  /// the other kind reinterprets bytes and may expose a block id.
-  bool HeldPointer = false;
-  bool HeldInteger = false;
+/// The VM's view of an activation at a retreating branch (DESIGN.md
+/// Section 18): the branch target and the activation's registers (a
+/// miscompiled module may read one before the iteration redefines it).
+struct ActivationView {
+  unsigned Target;
+  const std::vector<VMValue> &Regs;
 };
 
-/// The machine state after a retreating branch that a later one in the
-/// same activation must match to prove the run diverges (DESIGN.md Section
-/// 18): the branch target, the activation's registers (a miscompiled
-/// module may read one before the iteration redefines it), every live
-/// block, the stdin position and the id-exposure count.
-struct LoopState {
-  uint64_t Clock = 0;
-  uint64_t LiveBlocks = 0;
-  uint64_t Exposures = 0;
-  size_t StdinPos = 0;
+/// The same, saved.
+struct SavedActivation {
   unsigned Target = 0;
   std::vector<VMValue> Regs;
-  /// Every live block (ascending ids) and its bytes at Starts[I].
-  std::vector<uint32_t> Ids;
-  std::vector<size_t> Starts;
-  std::vector<uint8_t> Bytes;
-};
 
-/// One activation's divergence check: Brent's schedule plus the state it
-/// last saved.
-struct LoopDetector {
-  BrentSchedule Schedule;
-  LoopState Saved;
+  bool operator==(const ActivationView &V) const {
+    return Target == V.Target && Regs == V.Regs;
+  }
+  SavedActivation &operator=(const ActivationView &V) {
+    Target = V.Target;
+    Regs = V.Regs;
+    return *this;
+  }
 };
 
 class VM {
 public:
   VM(const IRModule &M, const VMOptions &Opts)
-      : M(M), Opts(Opts), Stdin(Opts.Input) {
-    VMBlock Null;
-    Null.Alive = false;
-    Blocks.push_back(std::move(Null));
-  }
+      : M(M), Opts(Opts), Stdin(Opts.Input) {}
 
   VMResult run();
 
@@ -96,37 +79,18 @@ private:
     return true;
   }
 
-  uint32_t allocate(uint64_t Size) {
-    VMBlock B;
-    B.Bytes.assign(Size, 0);
-    Blocks.push_back(std::move(B));
-    uint32_t Id = static_cast<uint32_t>(Blocks.size() - 1);
-    ++LiveBlocks;
-    touch(Id);
-    return Id;
-  }
-  void touch(uint32_t Block) {
-    Blocks[Block].Written = ++Clock;
-    LastWritten = Block;
-  }
-
   /// Counts a retreating branch to \p Target; on a check, ends the run
   /// with Timeout when the state repeats one saved earlier.
-  void loopHead(LoopDetector &D, unsigned Target,
+  void loopHead(LoopDetector<SavedActivation> &D, unsigned Target,
                 const std::vector<VMValue> &Regs);
-  void saveState(LoopState &S, unsigned Target,
-                 const std::vector<VMValue> &Regs) const;
-  bool matchesState(const LoopState &S, unsigned Target,
-                    const std::vector<VMValue> &Regs) const;
-  bool blockMatches(const LoopState &S, size_t Index) const;
   bool checkAccess(uint32_t Block, int64_t Offset, uint64_t Size,
                    const char *What) {
-    if (Block == 0 || Block >= Blocks.size() || !Blocks[Block].Alive) {
+    if (Block == 0 || Block >= Mem.Blocks.size() || !Mem.Blocks[Block].Alive) {
       trap(std::string("bad pointer ") + What);
       return false;
     }
     if (Offset < 0 ||
-        static_cast<uint64_t>(Offset) + Size > Blocks[Block].Bytes.size()) {
+        static_cast<uint64_t>(Offset) + Size > Mem.Blocks[Block].Bytes.size()) {
       trap(std::string("out-of-bounds ") + What);
       return false;
     }
@@ -144,7 +108,7 @@ private:
       return R;
     }
     if (V.IsPtr)
-      ++Exposures;
+      ++Mem.Exposures;
     uint64_t Raw = V.IsPtr ? (static_cast<uint64_t>(V.Block) << 32) |
                                  static_cast<uint32_t>(V.Offset)
                            : V.Bits;
@@ -188,95 +152,28 @@ private:
   VMResult Result;
   bool Done = false;
   uint64_t Steps = 0;
-  std::vector<VMBlock> Blocks;
+  MachineMemory Mem;
   std::vector<uint32_t> GlobalBlocks;
   unsigned CallDepth = 0;
   StdinIntScanner Stdin; ///< Sweep-input cursor for IROp::Input.
-
-  // --- divergence check (DESIGN.md Section 18) ---------------------------
-  uint64_t Clock = 0;       ///< Bumped by every memory mutation.
-  uint32_t LastWritten = 0; ///< Block of the latest mutation.
-  uint64_t LiveBlocks = 0;
-  /// Pointer-to-integer conversions plus reinterpreting loads so far: the
-  /// only operations that can observe which id a fresh block received.
-  uint64_t Exposures = 0;
 };
 
-void VM::loopHead(LoopDetector &D, unsigned Target,
+void VM::loopHead(LoopDetector<SavedActivation> &D, unsigned Target,
                   const std::vector<VMValue> &Regs) {
-  if (!D.Schedule.due())
+  if (!D.repeats(Mem, Stdin.position(), ActivationView{Target, Regs}))
     return;
-  if (D.Schedule.saved() && matchesState(D.Saved, Target, Regs)) {
-    Done = true;
-    Result.Status = VMStatus::Timeout;
-    Result.Message = "state repeats at loop head";
-    return;
-  }
-  if (D.Schedule.advance())
-    saveState(D.Saved, Target, Regs);
-}
-
-void VM::saveState(LoopState &S, unsigned Target,
-                   const std::vector<VMValue> &Regs) const {
-  S.Clock = Clock;
-  S.LiveBlocks = LiveBlocks;
-  S.Exposures = Exposures;
-  S.StdinPos = Stdin.position();
-  S.Target = Target;
-  S.Regs = Regs;
-  S.Ids.clear();
-  S.Starts.clear();
-  S.Bytes.clear();
-  for (uint32_t Id = 1; Id < Blocks.size(); ++Id) {
-    if (!Blocks[Id].Alive)
-      continue;
-    S.Ids.push_back(Id);
-    S.Starts.push_back(S.Bytes.size());
-    S.Bytes.insert(S.Bytes.end(), Blocks[Id].Bytes.begin(),
-                   Blocks[Id].Bytes.end());
-  }
-  S.Starts.push_back(S.Bytes.size());
-}
-
-bool VM::blockMatches(const LoopState &S, size_t Index) const {
-  const VMBlock &B = Blocks[S.Ids[Index]];
-  if (B.Written <= S.Clock)
-    return true; // Untouched since the save.
-  size_t Start = S.Starts[Index];
-  return B.Alive && B.Bytes.size() == S.Starts[Index + 1] - Start &&
-         (B.Bytes.empty() ||
-          !std::memcmp(B.Bytes.data(), S.Bytes.data() + Start,
-                       B.Bytes.size()));
-}
-
-/// Blocks of calling activations cannot be freed while this one runs and a
-/// block allocated since the save can only die, so an equal live count
-/// says every such block is dead again.
-bool VM::matchesState(const LoopState &S, unsigned Target,
-                      const std::vector<VMValue> &Regs) const {
-  if (Target != S.Target || Exposures != S.Exposures ||
-      LiveBlocks != S.LiveBlocks || Stdin.position() != S.StdinPos)
-    return false;
-  // The latest write is the likeliest difference; try it first.
-  auto Last = std::lower_bound(S.Ids.begin(), S.Ids.end(), LastWritten);
-  if (Last != S.Ids.end() && *Last == LastWritten &&
-      !blockMatches(S, Last - S.Ids.begin()))
-    return false;
-  if (Regs != S.Regs)
-    return false;
-  for (size_t I = 0; I < S.Ids.size(); ++I)
-    if (!blockMatches(S, I))
-      return false;
-  return true;
+  Done = true;
+  Result.Status = VMStatus::Timeout;
+  Result.Message = "state repeats at loop head";
 }
 
 VMValue VM::loadFrom(uint32_t Block, int64_t Offset, const Type *Ty) {
   uint64_t Size = Ty->isPointer() ? 8 : Ty->sizeInBytes();
   if (!checkAccess(Block, Offset, Size, "load"))
     return {};
-  if (Ty->isPointer() ? Blocks[Block].HeldInteger : Blocks[Block].HeldPointer)
-    ++Exposures;
-  const std::vector<uint8_t> &Bytes = Blocks[Block].Bytes;
+  if (Ty->isPointer() ? Mem.Blocks[Block].HeldInteger : Mem.Blocks[Block].HeldPointer)
+    ++Mem.Exposures;
+  const std::vector<uint8_t> &Bytes = Mem.Blocks[Block].Bytes;
   VMValue V;
   if (Ty->isPointer()) {
     V.IsPtr = true;
@@ -304,10 +201,10 @@ void VM::storeTo(uint32_t Block, int64_t Offset, const Type *Ty,
   bool AsPtr = V.IsPtr;
   if (!checkAccess(Block, Offset, AsPtr ? 8 : Size, "store"))
     return;
-  touch(Block);
-  std::vector<uint8_t> &Bytes = Blocks[Block].Bytes;
+  Mem.touch(Block);
+  std::vector<uint8_t> &Bytes = Mem.Blocks[Block].Bytes;
   if (AsPtr) {
-    Blocks[Block].HeldPointer = true;
+    Mem.Blocks[Block].HeldPointer = true;
     uint32_t Off = static_cast<uint32_t>(static_cast<int32_t>(V.Offset));
     for (int I = 0; I < 4; ++I)
       Bytes[Offset + I] = static_cast<uint8_t>(V.Block >> (8 * I));
@@ -315,7 +212,7 @@ void VM::storeTo(uint32_t Block, int64_t Offset, const Type *Ty,
       Bytes[Offset + 4 + I] = static_cast<uint8_t>(Off >> (8 * I));
     return;
   }
-  Blocks[Block].HeldInteger = true;
+  Mem.Blocks[Block].HeldInteger = true;
   for (uint64_t I = 0; I < Size; ++I)
     Bytes[Offset + I] = static_cast<uint8_t>(V.Bits >> (8 * I));
 }
@@ -523,8 +420,8 @@ VMValue VM::callFunction(unsigned FnIndex,
   std::vector<VMValue> Regs(F.NumRegs);
   std::vector<uint32_t> SlotBlocks(F.Slots.size());
   for (size_t S = 0; S < F.Slots.size(); ++S)
-    SlotBlocks[S] = allocate(F.Slots[S].Ty->isPointer() ? 8
-                                                        : F.Slots[S].Size);
+    SlotBlocks[S] = Mem.allocate(
+        F.Slots[S].Ty->isPointer() ? 8 : F.Slots[S].Size, false, false);
   for (size_t A = 0; A < Args.size() && A < F.NumParams; ++A)
     storeTo(SlotBlocks[A], 0, F.Slots[A].Ty, Args[A]);
 
@@ -533,7 +430,7 @@ VMValue VM::callFunction(unsigned FnIndex,
   VMValue RetVal;
   // Every CFG cycle has an edge whose target index is <= its source's, so
   // checking after those branches sees every loop.
-  LoopDetector Detector;
+  LoopDetector<SavedActivation> Detector;
   while (!Done) {
     if (!step())
       break;
@@ -624,21 +521,21 @@ VMValue VM::callFunction(unsigned FnIndex,
       if (!checkAccess(D.Block, D.Offset, I.Size, "memcpy dst") ||
           !checkAccess(S.Block, S.Offset, I.Size, "memcpy src"))
         break;
-      touch(D.Block);
-      Blocks[D.Block].HeldPointer |= Blocks[S.Block].HeldPointer;
-      Blocks[D.Block].HeldInteger |= Blocks[S.Block].HeldInteger;
+      Mem.touch(D.Block);
+      Mem.Blocks[D.Block].HeldPointer |= Mem.Blocks[S.Block].HeldPointer;
+      Mem.Blocks[D.Block].HeldInteger |= Mem.Blocks[S.Block].HeldInteger;
       for (uint64_t Byte = 0; Byte < I.Size; ++Byte)
-        Blocks[D.Block].Bytes[D.Offset + Byte] =
-            Blocks[S.Block].Bytes[S.Offset + Byte];
+        Mem.Blocks[D.Block].Bytes[D.Offset + Byte] =
+            Mem.Blocks[S.Block].Bytes[S.Offset + Byte];
       break;
     }
     case IROp::Memset: {
       VMValue D = evalOperand(I.A, Regs);
       if (!checkAccess(D.Block, D.Offset, I.Size, "memset"))
         break;
-      touch(D.Block);
+      Mem.touch(D.Block);
       for (uint64_t Byte = 0; Byte < I.Size; ++Byte)
-        Blocks[D.Block].Bytes[D.Offset + Byte] = 0;
+        Mem.Blocks[D.Block].Bytes[D.Offset + Byte] = 0;
       break;
     }
     case IROp::Call: {
@@ -683,20 +580,17 @@ VMValue VM::callFunction(unsigned FnIndex,
     }
   }
 FunctionExit:
-  for (uint32_t B : SlotBlocks) {
-    Blocks[B].Alive = false;
-    --LiveBlocks;
-    touch(B);
-  }
+  for (uint32_t B : SlotBlocks)
+    Mem.release(B);
   --CallDepth;
   return RetVal;
 }
 
 VMResult VM::run() {
   for (const IRGlobal &G : M.Globals) {
-    uint32_t B = allocate(G.InitBytes.size());
-    Blocks[B].Bytes = G.InitBytes;
-    Blocks[B].HeldInteger =
+    uint32_t B = Mem.allocate(G.InitBytes.size(), false, false);
+    Mem.Blocks[B].Bytes = G.InitBytes;
+    Mem.Blocks[B].HeldInteger =
         std::any_of(G.InitBytes.begin(), G.InitBytes.end(),
                     [](uint8_t Byte) { return Byte != 0; });
     GlobalBlocks.push_back(B);

@@ -2,7 +2,7 @@
 
 #include "interp/Interpreter.h"
 
-#include "support/BrentCycle.h"
+#include "support/Divergence.h"
 #include "support/StdinScan.h"
 
 #include <algorithm>
@@ -51,48 +51,7 @@ struct LValue {
   const Type *Ty = nullptr;
 };
 
-/// One allocation. Name points at the declaration's name, which the AST
-/// owns for longer than the run; it only feeds UB messages.
-struct MemBlock {
-  const char *Name = nullptr;
-  std::vector<uint8_t> Bytes;
-  std::vector<bool> Init;
-  /// Interp::Clock at the block's last store, copy, zero-fill, allocation
-  /// or free: a block not written since a LoopState was saved still
-  /// matches it.
-  uint64_t Written = 0;
-  bool Alive = true;
-  /// Whether a pointer, or a non-pointer scalar, was ever stored here. A
-  /// load of the other kind reinterprets bytes and may expose a block id.
-  bool HeldPointer = false;
-  bool HeldInteger = false;
-};
-
-/// The machine state at one loop-head visit that a later visit of the same
-/// loop activation must match to prove the run diverges (DESIGN.md Section
-/// 18). Block ids are not part of it: only a pointer-to-integer conversion
-/// or a reinterpreting load can tell a fresh block's id apart, and
-/// Exposures counts both.
-struct LoopState {
-  uint64_t Clock = 0;
-  uint64_t LiveBlocks = 0;
-  uint64_t Exposures = 0;
-  size_t StdinPos = 0;
-  std::map<const VarDecl *, uint32_t> Frame;
-  /// Every live block (ascending ids), its bytes at Starts[I], and its
-  /// init bits at the same offsets.
-  std::vector<uint32_t> Ids;
-  std::vector<size_t> Starts;
-  std::vector<uint8_t> Bytes;
-  std::vector<bool> Init;
-};
-
-/// One loop activation's divergence check: Brent's schedule plus the
-/// state it last saved.
-struct LoopDetector {
-  BrentSchedule Schedule;
-  LoopState Saved;
-};
+using FrameMap = std::map<const VarDecl *, uint32_t>;
 
 /// Control-flow signal propagated out of statement execution.
 struct Signal {
@@ -104,12 +63,7 @@ struct Signal {
 class Interp {
 public:
   Interp(ASTContext &Ctx, const InterpOptions &Opts)
-      : Ctx(Ctx), Opts(Opts), Stdin(Opts.Input) {
-    MemBlock Null;
-    Null.Name = "<null>";
-    Null.Alive = false;
-    Blocks.push_back(std::move(Null));
-  }
+      : Ctx(Ctx), Opts(Opts), Stdin(Opts.Input), Mem("<null>") {}
 
   ExecResult run();
 
@@ -137,18 +91,11 @@ private:
 
   /// Counts a loop-head visit; on a check, \returns true (after failing
   /// the run with Timeout) when the state repeats one saved earlier.
-  bool loopHead(LoopDetector &D);
-  void saveState(LoopState &S) const;
-  bool matchesState(const LoopState &S) const;
-  bool blockMatches(const LoopState &S, size_t Index) const;
+  bool loopHead(LoopDetector<FrameMap> &D);
 
   // --- memory -----------------------------------------------------------
   uint32_t allocate(const char *Name, uint64_t Size, bool ZeroInit);
-  void touch(uint32_t Block) {
-    Blocks[Block].Written = ++Clock;
-    LastWritten = Block;
-  }
-  void deallocateFrame(const std::map<const VarDecl *, uint32_t> &Frame);
+  void deallocateFrame(const FrameMap &Frame);
   bool checkAccess(const LValue &LV, uint64_t Size, const char *What);
   Value loadScalar(const LValue &LV);
   void storeScalar(const LValue &LV, const Value &V);
@@ -192,91 +139,20 @@ private:
   uint64_t Steps = 0;
   StdinIntScanner Stdin; ///< Sweep-input cursor for spe_input().
 
-  std::vector<MemBlock> Blocks;
-  std::map<const VarDecl *, uint32_t> Globals;
-  std::vector<std::map<const VarDecl *, uint32_t>> Frames;
+  MachineMemory Mem;
+  FrameMap Globals;
+  std::vector<FrameMap> Frames;
   unsigned CallDepth = 0;
-
-  // --- divergence check (DESIGN.md Section 18) ---------------------------
-  uint64_t Clock = 0;       ///< Bumped by every memory mutation.
-  uint32_t LastWritten = 0; ///< Block of the latest mutation.
-  uint64_t LiveBlocks = 0;
-  /// Pointer-to-integer conversions plus reinterpreting loads so far: the
-  /// only operations that can observe which id a fresh block received.
-  uint64_t Exposures = 0;
 };
 
 //===----------------------------------------------------------------------===//
 // Divergence check
 //===----------------------------------------------------------------------===//
 
-bool Interp::loopHead(LoopDetector &D) {
-  if (!D.Schedule.due())
+bool Interp::loopHead(LoopDetector<FrameMap> &D) {
+  if (!D.repeats(Mem, Stdin.position(), Frames.back()))
     return false;
-  if (D.Schedule.saved() && matchesState(D.Saved)) {
-    fail(ExecStatus::Timeout, "state repeats at loop head");
-    return true;
-  }
-  if (D.Schedule.advance())
-    saveState(D.Saved);
-  return false;
-}
-
-void Interp::saveState(LoopState &S) const {
-  S.Clock = Clock;
-  S.LiveBlocks = LiveBlocks;
-  S.Exposures = Exposures;
-  S.StdinPos = Stdin.position();
-  S.Frame = Frames.back();
-  S.Ids.clear();
-  S.Starts.clear();
-  S.Bytes.clear();
-  S.Init.clear();
-  for (uint32_t Id = 1; Id < Blocks.size(); ++Id) {
-    const MemBlock &B = Blocks[Id];
-    if (!B.Alive)
-      continue;
-    S.Ids.push_back(Id);
-    S.Starts.push_back(S.Bytes.size());
-    S.Bytes.insert(S.Bytes.end(), B.Bytes.begin(), B.Bytes.end());
-    S.Init.insert(S.Init.end(), B.Init.begin(), B.Init.end());
-  }
-  S.Starts.push_back(S.Bytes.size());
-}
-
-bool Interp::blockMatches(const LoopState &S, size_t Index) const {
-  const MemBlock &B = Blocks[S.Ids[Index]];
-  if (B.Written <= S.Clock)
-    return true; // Untouched since the save.
-  size_t Start = S.Starts[Index];
-  if (!B.Alive || B.Bytes.size() != S.Starts[Index + 1] - Start ||
-      (!B.Bytes.empty() &&
-       std::memcmp(B.Bytes.data(), S.Bytes.data() + Start, B.Bytes.size())))
-    return false;
-  for (size_t I = 0; I < B.Init.size(); ++I)
-    if (B.Init[I] != S.Init[Start + I])
-      return false;
-  return true;
-}
-
-/// Equal states at two visits of one loop activation mean the run repeats
-/// the stretch between them forever. Blocks of outer frames cannot be
-/// freed while the loop runs and a block allocated since the save can only
-/// die, so an equal live count says every such block is dead again.
-bool Interp::matchesState(const LoopState &S) const {
-  if (Exposures != S.Exposures || LiveBlocks != S.LiveBlocks ||
-      Stdin.position() != S.StdinPos)
-    return false;
-  // The latest write is the likeliest difference; try it first.
-  auto Last = std::lower_bound(S.Ids.begin(), S.Ids.end(), LastWritten);
-  if (Last != S.Ids.end() && *Last == LastWritten &&
-      !blockMatches(S, Last - S.Ids.begin()))
-    return false;
-  if (Frames.back() != S.Frame)
-    return false;
-  for (size_t I = 0; I < S.Ids.size(); ++I)
-    if (!blockMatches(S, I))
-      return false;
+  fail(ExecStatus::Timeout, "state repeats at loop head");
   return true;
 }
 
@@ -285,32 +161,22 @@ bool Interp::matchesState(const LoopState &S) const {
 //===----------------------------------------------------------------------===//
 
 uint32_t Interp::allocate(const char *Name, uint64_t Size, bool ZeroInit) {
-  MemBlock B;
-  B.Name = Name;
-  B.Bytes.assign(Size, 0);
-  B.Init.assign(Size, ZeroInit);
-  Blocks.push_back(std::move(B));
-  uint32_t Id = static_cast<uint32_t>(Blocks.size() - 1);
-  ++LiveBlocks;
-  touch(Id);
+  uint32_t Id = Mem.allocate(Size, true, ZeroInit);
+  Mem.Blocks[Id].Name = Name;
   return Id;
 }
 
-void Interp::deallocateFrame(
-    const std::map<const VarDecl *, uint32_t> &Frame) {
-  for (const auto &[V, Block] : Frame) {
-    Blocks[Block].Alive = false;
-    --LiveBlocks;
-    touch(Block);
-  }
+void Interp::deallocateFrame(const FrameMap &Frame) {
+  for (const auto &[V, Block] : Frame)
+    Mem.release(Block);
 }
 
 bool Interp::checkAccess(const LValue &LV, uint64_t Size, const char *What) {
-  if (LV.Block == 0 || LV.Block >= Blocks.size()) {
+  if (LV.Block == 0 || LV.Block >= Mem.Blocks.size()) {
     ub(std::string("null pointer ") + What);
     return false;
   }
-  MemBlock &B = Blocks[LV.Block];
+  MachineBlock &B = Mem.Blocks[LV.Block];
   if (!B.Alive) {
     ub(std::string("dangling pointer ") + What + " of '" + B.Name + "'");
     return false;
@@ -328,7 +194,7 @@ Value Interp::loadScalar(const LValue &LV) {
   uint64_t Size = LV.Ty->sizeInBytes();
   if (!checkAccess(LV, Size, "read"))
     return {};
-  MemBlock &B = Blocks[LV.Block];
+  MachineBlock &B = Mem.Blocks[LV.Block];
   for (uint64_t I = 0; I < Size; ++I) {
     if (!B.Init[LV.Offset + I]) {
       ub(std::string("read of uninitialized value from '") + B.Name + "'");
@@ -336,7 +202,7 @@ Value Interp::loadScalar(const LValue &LV) {
     }
   }
   if (LV.Ty->isPointer() ? B.HeldInteger : B.HeldPointer)
-    ++Exposures;
+    ++Mem.Exposures;
   if (LV.Ty->isPointer()) {
     Value V;
     V.Ty = LV.Ty;
@@ -361,8 +227,8 @@ void Interp::storeScalar(const LValue &LV, const Value &V) {
   uint64_t Size = LV.Ty->sizeInBytes();
   if (!checkAccess(LV, Size, "write"))
     return;
-  MemBlock &B = Blocks[LV.Block];
-  touch(LV.Block);
+  MachineBlock &B = Mem.Blocks[LV.Block];
+  Mem.touch(LV.Block);
   if (V.Uninit) {
     // Storing an indeterminate value leaves the bytes uninitialized.
     for (uint64_t I = 0; I < Size; ++I)
@@ -388,9 +254,9 @@ void Interp::storeScalar(const LValue &LV, const Value &V) {
 void Interp::copyObject(const LValue &Dst, const LValue &Src, uint64_t Size) {
   if (!checkAccess(Src, Size, "read") || !checkAccess(Dst, Size, "write"))
     return;
-  MemBlock &SB = Blocks[Src.Block];
-  MemBlock &DB = Blocks[Dst.Block];
-  touch(Dst.Block);
+  MachineBlock &SB = Mem.Blocks[Src.Block];
+  MachineBlock &DB = Mem.Blocks[Dst.Block];
+  Mem.touch(Dst.Block);
   DB.HeldPointer |= SB.HeldPointer;
   DB.HeldInteger |= SB.HeldInteger;
   for (uint64_t I = 0; I < Size; ++I) {
@@ -435,7 +301,7 @@ Value Interp::convert(const Value &V, const Type *To) {
   if (To->isInteger()) {
     // ptr -> int uses a deterministic synthetic encoding shared with the VM.
     if (V.isPointer())
-      ++Exposures;
+      ++Mem.Exposures;
     uint64_t Raw = V.isPointer()
                        ? (static_cast<uint64_t>(V.Block) << 32) |
                              (static_cast<uint32_t>(V.Offset))
@@ -635,7 +501,7 @@ Value Interp::pointerAdd(const Value &Ptr, int64_t Delta,
   uint64_t ElemSize = Ptr.Ty->elementType()->sizeInBytes();
   Value R = Ptr;
   R.Offset = Ptr.Offset + Delta * static_cast<int64_t>(ElemSize);
-  const MemBlock &B = Blocks[Ptr.Block];
+  const MachineBlock &B = Mem.Blocks[Ptr.Block];
   if (R.Offset < 0 ||
       static_cast<uint64_t>(R.Offset) > B.Bytes.size()) {
     ub(std::string("pointer arithmetic escapes object '") + B.Name + "'");
@@ -1303,11 +1169,11 @@ void Interp::execVarDecl(const VarDecl *V) {
 void Interp::initializeObject(const LValue &LV, const Expr *Init) {
   if (const auto *List = dyn_cast<InitListExpr>(Init)) {
     // Zero-fill first: C zero-initializes the remainder of a braced object.
-    MemBlock &B = Blocks[LV.Block];
+    MachineBlock &B = Mem.Blocks[LV.Block];
     uint64_t Size = LV.Ty->sizeInBytes();
     if (!checkAccess(LV, Size, "write"))
       return;
-    touch(LV.Block);
+    Mem.touch(LV.Block);
     for (uint64_t I = 0; I < Size; ++I) {
       B.Bytes[LV.Offset + I] = 0;
       B.Init[LV.Offset + I] = true;
@@ -1390,7 +1256,7 @@ Signal Interp::execStmt(const Stmt *S) {
   }
   case Stmt::Kind::While: {
     const auto *W = cast<WhileStmt>(S);
-    LoopDetector Detector;
+    LoopDetector<FrameMap> Detector;
     for (;;) {
       if (!step() || loopHead(Detector))
         return None;
@@ -1408,7 +1274,7 @@ Signal Interp::execStmt(const Stmt *S) {
   }
   case Stmt::Kind::Do: {
     const auto *D = cast<DoStmt>(S);
-    LoopDetector Detector;
+    LoopDetector<FrameMap> Detector;
     for (;;) {
       if (!step() || loopHead(Detector))
         return None;
@@ -1431,7 +1297,7 @@ Signal Interp::execStmt(const Stmt *S) {
       if (Failed)
         return None;
     }
-    LoopDetector Detector;
+    LoopDetector<FrameMap> Detector;
     for (;;) {
       if (!step() || loopHead(Detector))
         return None;
@@ -1566,7 +1432,7 @@ Signal Interp::execSeek(const Stmt *S, const std::string &Label,
     if (Sig.K == Signal::Return || Sig.K == Signal::Goto)
       return Sig;
     // Continue the loop from the step expression (no re-init).
-    LoopDetector Detector;
+    LoopDetector<FrameMap> Detector;
     for (;;) {
       if (F->step()) {
         evalExpr(F->step());
