@@ -9,6 +9,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
 #include <vector>
@@ -30,20 +31,43 @@ struct VMValue {
 };
 
 /// The VM's view of an activation at a retreating branch (DESIGN.md
-/// Section 18): the branch target and the activation's registers (a
-/// miscompiled module may read one before the iteration redefines it).
+/// Section 18): the branch target and the activation's registers.
 struct ActivationView {
   unsigned Target;
   const std::vector<VMValue> &Regs;
 };
 
-/// The same, saved.
+/// A loop's drift plan (DESIGN.md Section 18.5) plus what the VM needs to
+/// use it: the loop's head, the registers live there, and the slot
+/// (Global false) or global behind each cell.
+struct VMLoopPlan : DriftPlan {
+  unsigned Target = 0;
+  std::vector<unsigned> Live;
+  struct CellRef {
+    bool Global;
+    int Index;
+  };
+  std::vector<CellRef> Refs;
+};
+
+/// The saved activation. Before its loop is classified every register is
+/// compared (a miscompiled module may read one before the iteration
+/// redefines it); after, only the registers live at the loop head.
 struct SavedActivation {
   unsigned Target = 0;
   std::vector<VMValue> Regs;
 
-  bool operator==(const ActivationView &V) const {
-    return Target == V.Target && Regs == V.Regs;
+  bool sameLoop(const ActivationView &V) const { return Target == V.Target; }
+  static bool covers(const DriftPlan &P, const ActivationView &V) {
+    return static_cast<const VMLoopPlan &>(P).Target == V.Target;
+  }
+  bool matches(const ActivationView &V, const DriftPlan *P) const {
+    if (!P)
+      return Regs == V.Regs;
+    for (unsigned R : static_cast<const VMLoopPlan *>(P)->Live)
+      if (!(Regs[R] == V.Regs[R]))
+        return false;
+    return true;
   }
   SavedActivation &operator=(const ActivationView &V) {
     Target = V.Target;
@@ -67,22 +91,38 @@ private:
     Result.Status = VMStatus::Trap;
     Result.Message = Message;
   }
+  void timeout(TimeoutReason Reason, const char *Message) {
+    Done = true;
+    Result.Status = VMStatus::Timeout;
+    Result.Reason = Reason;
+    Result.Message = Message;
+  }
   bool step() {
     if (Done)
       return false;
     if (++Steps > Opts.MaxSteps) {
-      Done = true;
-      Result.Status = VMStatus::Timeout;
-      Result.Message = "step budget exhausted";
+      timeout(TimeoutReason::Budget, "step budget exhausted");
       return false;
     }
     return true;
   }
 
   /// Counts a retreating branch to \p Target; on a check, ends the run
-  /// with Timeout when the state repeats one saved earlier.
-  void loopHead(LoopDetector<SavedActivation> &D, unsigned Target,
-                const std::vector<VMValue> &Regs);
+  /// with Timeout when the state repeats one saved earlier, or repeats up
+  /// to drift cells the budget ends before.
+  void loopHead(LoopDetector<SavedActivation> &D, unsigned FnIndex,
+                unsigned Target, const std::vector<VMValue> &Regs,
+                const std::vector<uint32_t> &SlotBlocks);
+  /// \returns the plan of the loop headed by \p Target, classifying it on
+  /// first use, and arms \p W when it has drift cells.
+  const DriftPlan *armDrift(DriftWatch &W, unsigned FnIndex, unsigned Target,
+                            const std::vector<uint32_t> &SlotBlocks);
+  VMLoopPlan classifyLoop(unsigned FnIndex, unsigned Target);
+  void noteStore(uint32_t Block) {
+    for (DriftWatch *W : Watches)
+      if (W->recording())
+        W->stored(Mem, Block);
+  }
   bool checkAccess(uint32_t Block, int64_t Offset, uint64_t Size,
                    const char *What) {
     if (Block == 0 || Block >= Mem.Blocks.size() || !Mem.Blocks[Block].Alive) {
@@ -156,15 +196,350 @@ private:
   std::vector<uint32_t> GlobalBlocks;
   unsigned CallDepth = 0;
   StdinIntScanner Stdin; ///< Sweep-input cursor for IROp::Input.
+
+  // --- drift proofs (DESIGN.md Section 18.5) -------------------------------
+  /// Classified loops of this run, by function and head block.
+  std::map<std::pair<unsigned, unsigned>, VMLoopPlan> Plans;
+  std::vector<DriftWatch *> Watches; ///< Armed watches.
+  /// Globals whose address is used other than to load or store them.
+  std::vector<bool> EscapedGlobals;
 };
 
-void VM::loopHead(LoopDetector<SavedActivation> &D, unsigned Target,
-                  const std::vector<VMValue> &Regs) {
-  if (!D.repeats(Mem, Stdin.position(), ActivationView{Target, Regs}))
-    return;
-  Done = true;
-  Result.Status = VMStatus::Timeout;
-  Result.Message = "state repeats at loop head";
+void VM::loopHead(LoopDetector<SavedActivation> &D, unsigned FnIndex,
+                  unsigned Target, const std::vector<VMValue> &Regs,
+                  const std::vector<uint32_t> &SlotBlocks) {
+  TimeoutReason Reason = D.visit(
+      Mem, Stdin.position(), ActivationView{Target, Regs}, Steps,
+      Opts.MaxSteps, [&](DriftWatch &W) {
+        return armDrift(W, FnIndex, Target, SlotBlocks);
+      });
+  if (Reason != TimeoutReason::None)
+    timeout(Reason, Reason == TimeoutReason::Repeat
+                        ? "state repeats at loop head"
+                        : "state drifts at loop head");
+}
+
+const DriftPlan *VM::armDrift(DriftWatch &W, unsigned FnIndex,
+                              unsigned Target,
+                              const std::vector<uint32_t> &SlotBlocks) {
+  auto Key = std::make_pair(FnIndex, Target);
+  auto It = Plans.find(Key);
+  if (It == Plans.end())
+    It = Plans.emplace(Key, classifyLoop(FnIndex, Target)).first;
+  const VMLoopPlan &P = It->second;
+  if (!P.empty()) {
+    std::vector<uint32_t> Cells;
+    for (const VMLoopPlan::CellRef &R : P.Refs)
+      Cells.push_back(R.Global ? GlobalBlocks[R.Index] : SlotBlocks[R.Index]);
+    W.arm(P, std::move(Cells), Watches);
+  }
+  return &P;
+}
+
+namespace {
+
+std::vector<unsigned> successors(const IRBlock &B) {
+  const IRInstr &T = B.Instrs.back();
+  if (T.Op == IROp::Br)
+    return {T.Succ0};
+  if (T.Op == IROp::CondBr)
+    return {T.Succ0, T.Succ1};
+  return {};
+}
+
+/// Calls \p Fn(Operand, Role) on each register operand of \p I; Role is 0
+/// for A, 1 for B, 2 for a call or printf argument.
+template <class FnT> void forEachRegUse(const IRInstr &I, FnT &&Fn) {
+  if (I.A.isReg())
+    Fn(I.A.Reg, 0);
+  if (I.B.isReg())
+    Fn(I.B.Reg, 1);
+  for (const IROperand &O : I.Args)
+    if (O.isReg())
+      Fn(O.Reg, 2);
+}
+
+/// Whether operand \p Role of \p I is the address of a load or store.
+bool addressUse(const IRInstr &I, int Role) {
+  return Role == 0 && (I.Op == IROp::Load || I.Op == IROp::Store);
+}
+
+/// Each register's definition in \p F; null when it has several.
+std::vector<const IRInstr *> definitions(const IRFunction &F) {
+  std::vector<const IRInstr *> Def(F.NumRegs, nullptr);
+  std::vector<bool> Seen(F.NumRegs, false);
+  for (const IRBlock &B : F.Blocks)
+    for (const IRInstr &I : B.Instrs)
+      if (I.HasDst) {
+        Def[I.Dst] = Seen[I.Dst] ? nullptr : &I;
+        Seen[I.Dst] = true;
+      }
+  return Def;
+}
+
+/// Marks in \p Out each slot or global (\p AddrOp) whose address \p F
+/// uses other than to load or store it: a pointer anything may follow.
+void markEscapes(const IRFunction &F, const std::vector<const IRInstr *> &Def,
+                 IROp AddrOp, std::vector<bool> &Out) {
+  for (const IRBlock &B : F.Blocks)
+    for (const IRInstr &I : B.Instrs)
+      forEachRegUse(I, [&](unsigned R, int Role) {
+        const IRInstr *D = Def[R];
+        if (D && D->Op == AddrOp && !addressUse(I, Role))
+          Out[AddrOp == IROp::AddrSlot ? D->SlotIndex : D->GlobalIndex] =
+              true;
+      });
+}
+
+bool relational(BinaryOp Op) {
+  return Op == BinaryOp::LT || Op == BinaryOp::GT || Op == BinaryOp::LE ||
+         Op == BinaryOp::GE;
+}
+
+} // namespace
+
+/// The drift classification of DESIGN.md Section 18.5 over IR def-use,
+/// for the loop of \p Target: the blocks on some cycle through it.
+VMLoopPlan VM::classifyLoop(unsigned FnIndex, unsigned Target) {
+  const IRFunction &F = M.Functions[FnIndex];
+  size_t NB = F.Blocks.size();
+  std::vector<std::vector<unsigned>> Succs(NB), Preds(NB);
+  for (unsigned B = 0; B < NB; ++B)
+    for (unsigned S : successors(F.Blocks[B])) {
+      Succs[B].push_back(S);
+      Preds[S].push_back(B);
+    }
+  auto Reach = [&](const std::vector<std::vector<unsigned>> &Edges) {
+    std::vector<bool> Seen(NB, false);
+    std::vector<unsigned> Work{Target};
+    Seen[Target] = true;
+    while (!Work.empty()) {
+      unsigned B = Work.back();
+      Work.pop_back();
+      for (unsigned N : Edges[B])
+        if (!Seen[N]) {
+          Seen[N] = true;
+          Work.push_back(N);
+        }
+    }
+    return Seen;
+  };
+  std::vector<bool> Forward = Reach(Succs), Backward = Reach(Preds);
+  std::vector<bool> InLoop(NB);
+  for (size_t B = 0; B < NB; ++B)
+    InLoop[B] = Forward[B] && Backward[B];
+
+  VMLoopPlan P;
+  P.Target = Target;
+
+  // Registers live at the head: backward dataflow to a fixpoint.
+  std::vector<std::vector<bool>> LiveIn(NB, std::vector<bool>(F.NumRegs));
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (size_t B = NB; B-- > 0;) {
+      std::vector<bool> Live(F.NumRegs, false);
+      for (unsigned S : Succs[B])
+        for (unsigned R = 0; R < F.NumRegs; ++R)
+          Live[R] = Live[R] || LiveIn[S][R];
+      const std::vector<IRInstr> &Is = F.Blocks[B].Instrs;
+      for (size_t K = Is.size(); K-- > 0;) {
+        if (Is[K].HasDst)
+          Live[Is[K].Dst] = false;
+        forEachRegUse(Is[K], [&](unsigned R, int) { Live[R] = true; });
+      }
+      if (Live != LiveIn[B]) {
+        LiveIn[B] = std::move(Live);
+        Changed = true;
+      }
+    }
+  }
+  for (unsigned R = 0; R < F.NumRegs; ++R)
+    if (LiveIn[Target][R])
+      P.Live.push_back(R);
+
+  // Each register's unique definition (null when it has several).
+  std::vector<const IRInstr *> Def = definitions(F);
+  std::vector<bool> DefInLoop(F.NumRegs, false);
+  for (size_t B = 0; B < NB; ++B)
+    for (const IRInstr &I : F.Blocks[B].Instrs)
+      if (I.HasDst && InLoop[B])
+        DefInLoop[I.Dst] = true;
+  // A cell is a slot index, or a global index offset by the slot count.
+  int NumSlots = static_cast<int>(F.Slots.size());
+  auto CellOf = [&](const IROperand &O) -> int {
+    const IRInstr *D = O.isReg() ? Def[O.Reg] : nullptr;
+    if (D && D->Op == IROp::AddrSlot)
+      return D->SlotIndex;
+    if (D && D->Op == IROp::AddrGlobal)
+      return NumSlots + D->GlobalIndex;
+    return -1;
+  };
+  auto CellType = [&](int C) {
+    return C < NumSlots ? F.Slots[C].Ty : M.Globals[C - NumSlots].Ty;
+  };
+  if (EscapedGlobals.empty()) {
+    EscapedGlobals.assign(M.Globals.size(), false);
+    for (const IRFunction &G : M.Functions)
+      markEscapes(G, definitions(G), IROp::AddrGlobal, EscapedGlobals);
+  }
+  std::vector<bool> EscapedSlots(F.Slots.size(), false);
+  markEscapes(F, Def, IROp::AddrSlot, EscapedSlots);
+
+  // A value register of a cell holds the cell's value as the loop loaded
+  // it, plus Offset: a chain of small constants (self-update sums).
+  std::vector<int> ValueCell(F.NumRegs, -2); // -2: not yet resolved.
+  std::vector<int64_t> Offset(F.NumRegs, 0);
+  std::function<int(unsigned)> ValueOf = [&](unsigned R) {
+    if (ValueCell[R] != -2)
+      return ValueCell[R];
+    ValueCell[R] = -1; // Also ends a cycle.
+    const IRInstr *D = Def[R];
+    if (!D || !DefInLoop[R])
+      return -1;
+    if (D->Op == IROp::Load)
+      return ValueCell[R] = CellOf(D->A);
+    if (D->Op != IROp::Bin ||
+        (D->Bin != BinaryOp::Add && D->Bin != BinaryOp::Sub))
+      return -1;
+    bool ConstFirst = D->Bin == BinaryOp::Add && D->A.isConst();
+    const IROperand &V = ConstFirst ? D->B : D->A;
+    const IROperand &K = ConstFirst ? D->A : D->B;
+    if (!V.isReg() || !K.isConst() || K.Imm > 0x7fff)
+      return -1;
+    int C = ValueOf(V.Reg);
+    int64_t Step = static_cast<int64_t>(K.Imm);
+    Offset[R] = Offset[V.Reg] + (D->Bin == BinaryOp::Add ? Step : -Step);
+    return ValueCell[R] = C;
+  };
+  auto DirectLoad = [&](unsigned R) {
+    return Def[R] && Def[R]->Op == IROp::Load ? ValueOf(R) : -1;
+  };
+
+  // Inside the loop, a cell's address may only be loaded from and stored
+  // to; a store to it must put back a sum of its own value; and its values
+  // may only feed those sums, printf, or one side of a relational
+  // comparison (directly as loaded) whose other side no candidate feeds.
+  int NumCells = NumSlots + static_cast<int>(M.Globals.size());
+  std::vector<bool> Bad(NumCells, false);
+  std::vector<std::vector<int64_t>> Deltas(NumCells);
+  struct Compare {
+    const IRInstr *Site;
+    int Cell;
+    bool CellOnLeft;
+  };
+  std::vector<Compare> Compares;
+  bool Calls = false, Derefs = false;
+  for (size_t B = 0; B < NB; ++B) {
+    if (!InLoop[B])
+      continue;
+    for (const IRInstr &I : F.Blocks[B].Instrs) {
+      Calls = Calls || I.Op == IROp::Call;
+      bool Access = I.Op == IROp::Load || I.Op == IROp::Store ||
+                    I.Op == IROp::Memcpy || I.Op == IROp::Memset;
+      Derefs = Derefs || (Access && CellOf(I.A) < 0) ||
+               (I.Op == IROp::Memcpy && CellOf(I.B) < 0);
+      int Target = I.Op == IROp::Load || I.Op == IROp::Store ? CellOf(I.A)
+                                                              : -1;
+      if (Target >= 0 && I.Ty != CellType(Target))
+        Bad[Target] = true;
+      bool IsSum = I.HasDst && I.Op == IROp::Bin && ValueOf(I.Dst) >= 0;
+      bool IsCompare = I.Op == IROp::Bin && relational(I.Bin);
+      if (I.Op == IROp::Store && Target >= 0) {
+        const IRInstr *Sum = I.B.isReg() ? Def[I.B.Reg] : nullptr;
+        if (!Sum || Sum->Op != IROp::Bin || ValueOf(I.B.Reg) != Target) {
+          Bad[Target] = true;
+        } else {
+          // The store moves the cell by the whole chain when nothing was
+          // stored since its load, else by the last link (the earlier
+          // links were stored already).
+          bool ConstFirst = Sum->Bin == BinaryOp::Add && Sum->A.isConst();
+          int64_t K = static_cast<int64_t>(ConstFirst ? Sum->A.Imm
+                                                      : Sum->B.Imm);
+          Deltas[Target].push_back(Sum->Bin == BinaryOp::Add ? K : -K);
+          Deltas[Target].push_back(Offset[I.B.Reg]);
+        }
+      }
+      forEachRegUse(I, [&](unsigned R, int Role) {
+        int C = CellOf(IROperand::reg(R, nullptr));
+        if (C >= 0 && !addressUse(I, Role))
+          Bad[C] = true; // The address is used as a value.
+        C = ValueOf(R);
+        if (C < 0 || IsSum || (I.Op == IROp::Printf && Role == 2) ||
+            (I.Op == IROp::Store && Role == 1 && CellOf(I.A) == C))
+          return;
+        if (IsCompare && DirectLoad(R) >= 0)
+          Compares.push_back({&I, C, Role == 0});
+        else
+          Bad[C] = true;
+      });
+    }
+  }
+
+  std::vector<bool> Candidate(NumCells, false);
+  for (int C = 0; C < NumCells; ++C) {
+    const Type *Ty = CellType(C);
+    bool Global = C >= NumSlots;
+    bool Escaped = Global ? EscapedGlobals[C - NumSlots] : EscapedSlots[C];
+    Candidate[C] = !Bad[C] && !Deltas[C].empty() && Ty && Ty->isInteger() &&
+                   !(Global && Calls) && !(Escaped && (Calls || Derefs));
+  }
+  // Whether a register the loop defines may carry a candidate's value.
+  std::vector<int> Fed(F.NumRegs, -1); // -1: not yet resolved.
+  std::function<bool(unsigned)> Feeds = [&](unsigned R) {
+    if (Fed[R] >= 0)
+      return Fed[R] == 1;
+    Fed[R] = 0; // Also ends a cycle.
+    if (!Def[R] || !DefInLoop[R])
+      return false;
+    int C = ValueOf(R);
+    bool Result = C >= 0 && Candidate[C];
+    forEachRegUse(*Def[R], [&](unsigned Op, int) {
+      Result = Result || Feeds(Op);
+    });
+    Fed[R] = Result;
+    return Result;
+  };
+  std::vector<bool> Drifting = Candidate;
+  for (const Compare &Cmp : Compares) {
+    const IROperand &Other = Cmp.CellOnLeft ? Cmp.Site->B : Cmp.Site->A;
+    const Type *Ty = Cmp.Site->A.Ty ? Cmp.Site->A.Ty : Cmp.Site->Ty;
+    const Type *Cell = CellType(Cmp.Cell);
+    bool Fits = Ty && Ty->isInteger() && Cell->isInteger() &&
+                Ty->intWidth() >= Cell->intWidth() &&
+                !(Cell->isSigned() && !Ty->isSigned());
+    if (!Fits || (Other.isReg() && Feeds(Other.Reg)))
+      Drifting[Cmp.Cell] = false;
+  }
+
+  std::vector<unsigned> CellIndex(NumCells, 0);
+  for (int C = 0; C < NumCells; ++C) {
+    if (!Drifting[C])
+      continue;
+    DriftPlan::Cell Cell;
+    Cell.Width = CellType(C)->intWidth();
+    Cell.Signed = CellType(C)->isSigned();
+    Cell.Deltas = Deltas[C];
+    CellIndex[C] = static_cast<unsigned>(P.Cells.size());
+    P.Refs.push_back({C >= NumSlots, C >= NumSlots ? C - NumSlots : C});
+    P.Cells.push_back(std::move(Cell));
+  }
+  for (const Compare &Cmp : Compares) {
+    if (!Drifting[Cmp.Cell])
+      continue;
+    DriftPlan::Guard G;
+    G.Site = Cmp.Site;
+    G.Cell = CellIndex[Cmp.Cell];
+    G.CellOnLeft = Cmp.CellOnLeft;
+    bool Less = Cmp.Site->Bin == BinaryOp::LT || Cmp.Site->Bin == BinaryOp::LE;
+    bool Strict =
+        Cmp.Site->Bin == BinaryOp::LT || Cmp.Site->Bin == BinaryOp::GT;
+    if (!Cmp.CellOnLeft)
+      Less = !Less;
+    G.Op = Less ? (Strict ? GuardOp::Less : GuardOp::LessEq)
+                : (Strict ? GuardOp::Greater : GuardOp::GreaterEq);
+    P.Guards.push_back(G);
+  }
+  return P;
 }
 
 VMValue VM::loadFrom(uint32_t Block, int64_t Offset, const Type *Ty) {
@@ -215,6 +590,8 @@ void VM::storeTo(uint32_t Block, int64_t Offset, const Type *Ty,
   Mem.Blocks[Block].HeldInteger = true;
   for (uint64_t I = 0; I < Size; ++I)
     Bytes[Offset + I] = static_cast<uint8_t>(V.Bits >> (8 * I));
+  if (!Watches.empty())
+    noteStore(Block);
 }
 
 VMValue VM::applyBin(const IRInstr &I, const VMValue &L, const VMValue &R) {
@@ -331,6 +708,10 @@ VMValue VM::applyBin(const IRInstr &I, const VMValue &L, const VMValue &R) {
       Res = NL != NR;
       break;
     }
+    for (DriftWatch *W : Watches)
+      if (W->recording())
+        W->guarded(&I, Signed ? DriftWatch::Wide(TSL) : DriftWatch::Wide(NL),
+                   Signed ? DriftWatch::Wide(TSR) : DriftWatch::Wide(NR), Res);
     V.Bits = Res ? 1 : 0;
     return V;
   }
@@ -410,9 +791,7 @@ void VM::doPrintf(const IRInstr &I, const std::vector<VMValue> &Regs) {
 VMValue VM::callFunction(unsigned FnIndex,
                          const std::vector<VMValue> &Args) {
   if (++CallDepth > Opts.MaxCallDepth) {
-    Done = true;
-    Result.Status = VMStatus::Timeout;
-    Result.Message = "call depth exceeded";
+    timeout(TimeoutReason::CallDepth, "call depth exceeded");
     --CallDepth;
     return {};
   }
@@ -571,7 +950,7 @@ VMValue VM::callFunction(unsigned FnIndex,
                        : I.Succ1;
       InstrIndex = 0;
       if (BlockIndex <= From)
-        loopHead(Detector, BlockIndex, Regs);
+        loopHead(Detector, FnIndex, BlockIndex, Regs, SlotBlocks);
       break;
     }
     case IROp::Unreachable:

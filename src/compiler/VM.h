@@ -20,6 +20,7 @@
 #define SPE_COMPILER_VM_H
 
 #include "compiler/IR.h"
+#include "support/Divergence.h"
 
 #include <string>
 
@@ -46,6 +47,8 @@ struct VMResult {
   /// repeated loop-head state, DESIGN.md Section 18).
   std::string Output;
   std::string Message;
+  /// Why the run timed out; None unless Status is Timeout.
+  TimeoutReason Reason = TimeoutReason::None;
 
   bool ok() const { return Status == VMStatus::Ok; }
 };

@@ -2,6 +2,7 @@
 
 #include "interp/Interpreter.h"
 
+#include "analysis/ExprEvents.h"
 #include "support/Divergence.h"
 #include "support/StdinScan.h"
 
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <set>
 #include <vector>
 
 using namespace spe;
@@ -53,6 +55,27 @@ struct LValue {
 
 using FrameMap = std::map<const VarDecl *, uint32_t>;
 
+/// The interpreter's saved image of a loop activation: its frame map.
+struct SavedFrame {
+  FrameMap Frame;
+
+  bool sameLoop(const FrameMap &) const { return true; }
+  static bool covers(const DriftPlan &, const FrameMap &) { return true; }
+  bool matches(const FrameMap &Current, const DriftPlan *) const {
+    return Frame == Current;
+  }
+  SavedFrame &operator=(const FrameMap &Current) {
+    Frame = Current;
+    return *this;
+  }
+};
+
+/// A loop's drift plan and the variable behind each of its cells.
+struct LoopPlan {
+  DriftPlan Plan;
+  std::vector<const VarDecl *> Vars;
+};
+
 /// Control-flow signal propagated out of statement execution.
 struct Signal {
   enum Kind { None, Break, Continue, Return, Goto } K = None;
@@ -79,19 +102,34 @@ private:
   void ub(const std::string &Message) {
     fail(ExecStatus::UndefinedBehavior, Message);
   }
+  void timeout(TimeoutReason Reason, const char *Message) {
+    if (!Failed)
+      Result.Reason = Reason;
+    fail(ExecStatus::Timeout, Message);
+  }
   bool step() {
     if (Failed)
       return false;
     if (++Steps > Opts.MaxSteps) {
-      fail(ExecStatus::Timeout, "step budget exhausted");
+      timeout(TimeoutReason::Budget, "step budget exhausted");
       return false;
     }
     return true;
   }
 
-  /// Counts a loop-head visit; on a check, \returns true (after failing
-  /// the run with Timeout) when the state repeats one saved earlier.
-  bool loopHead(LoopDetector<FrameMap> &D);
+  /// Counts a visit to \p Loop's head; on a check, \returns true (after
+  /// failing the run with Timeout) when the state repeats one saved
+  /// earlier, or repeats up to drift cells the budget ends before.
+  bool loopHead(LoopDetector<SavedFrame> &D, const Stmt *Loop);
+  /// \returns \p Loop's drift plan, classifying it on first use, and arms
+  /// \p W with it.
+  const DriftPlan *armDrift(DriftWatch &W, const Stmt *Loop);
+  LoopPlan classifyLoop(const Stmt *Loop);
+  void noteStore(uint32_t Block) {
+    for (DriftWatch *W : Watches)
+      if (W->recording())
+        W->stored(Mem, Block);
+  }
 
   // --- memory -----------------------------------------------------------
   uint32_t allocate(const char *Name, uint64_t Size, bool ZeroInit);
@@ -143,17 +181,374 @@ private:
   FrameMap Globals;
   std::vector<FrameMap> Frames;
   unsigned CallDepth = 0;
+
+  // --- drift proofs (DESIGN.md Section 18.5) -------------------------------
+  std::map<const Stmt *, LoopPlan> Plans; ///< Classified loops of this run.
+  std::vector<DriftWatch *> Watches;      ///< Armed watches, innermost last.
+  /// Variables whose address is taken anywhere; filled on first use.
+  std::set<const VarDecl *> AddressTaken;
+  bool AddressTakenKnown = false;
 };
 
 //===----------------------------------------------------------------------===//
 // Divergence check
 //===----------------------------------------------------------------------===//
 
-bool Interp::loopHead(LoopDetector<FrameMap> &D) {
-  if (!D.repeats(Mem, Stdin.position(), Frames.back()))
+bool Interp::loopHead(LoopDetector<SavedFrame> &D, const Stmt *Loop) {
+  TimeoutReason Reason =
+      D.visit(Mem, Stdin.position(), Frames.back(), Steps, Opts.MaxSteps,
+              [&](DriftWatch &W) { return armDrift(W, Loop); });
+  if (Reason == TimeoutReason::None)
     return false;
-  fail(ExecStatus::Timeout, "state repeats at loop head");
+  timeout(Reason, Reason == TimeoutReason::Repeat
+                      ? "state repeats at loop head"
+                      : "state drifts at loop head");
   return true;
+}
+
+const DriftPlan *Interp::armDrift(DriftWatch &W, const Stmt *Loop) {
+  auto It = Plans.find(Loop);
+  if (It == Plans.end())
+    It = Plans.emplace(Loop, classifyLoop(Loop)).first;
+  const LoopPlan &P = It->second;
+  std::vector<uint32_t> Cells;
+  for (const VarDecl *V : P.Vars)
+    if (uint32_t Block = blockOf(V))
+      Cells.push_back(Block);
+  if (P.Plan.empty() || Cells.size() != P.Vars.size())
+    return nullptr;
+  W.arm(P.Plan, std::move(Cells), Watches);
+  return &P.Plan;
+}
+
+namespace {
+
+/// Calls \p Fn(E, ValueUsed) on every full expression under \p S that runs
+/// inside the statement (a nested for's init included).
+template <class FnT> void forEachFullExpr(const Stmt *S, FnT &&Fn) {
+  if (!S)
+    return;
+  switch (S->kind()) {
+  case Stmt::Kind::Compound:
+    for (const Stmt *Child : cast<CompoundStmt>(S)->body())
+      forEachFullExpr(Child, Fn);
+    return;
+  case Stmt::Kind::Decl:
+    for (const VarDecl *V : cast<DeclStmt>(S)->decls())
+      if (V->init())
+        Fn(V->init(), true);
+    return;
+  case Stmt::Kind::Expr:
+    if (const Expr *E = cast<ExprStmt>(S)->expr())
+      Fn(E, false);
+    return;
+  case Stmt::Kind::If: {
+    const auto *I = cast<IfStmt>(S);
+    Fn(I->cond(), true);
+    forEachFullExpr(I->thenStmt(), Fn);
+    forEachFullExpr(I->elseStmt(), Fn);
+    return;
+  }
+  case Stmt::Kind::While:
+    Fn(cast<WhileStmt>(S)->cond(), true);
+    forEachFullExpr(cast<WhileStmt>(S)->body(), Fn);
+    return;
+  case Stmt::Kind::Do:
+    forEachFullExpr(cast<DoStmt>(S)->body(), Fn);
+    Fn(cast<DoStmt>(S)->cond(), true);
+    return;
+  case Stmt::Kind::For: {
+    const auto *F = cast<ForStmt>(S);
+    forEachFullExpr(F->init(), Fn);
+    if (F->cond())
+      Fn(F->cond(), true);
+    forEachFullExpr(F->body(), Fn);
+    if (F->step())
+      Fn(F->step(), false);
+    return;
+  }
+  case Stmt::Kind::Return:
+    if (const Expr *V = cast<ReturnStmt>(S)->value())
+      Fn(V, true);
+    return;
+  case Stmt::Kind::Label:
+    forEachFullExpr(cast<LabelStmt>(S)->sub(), Fn);
+    return;
+  default:
+    return;
+  }
+}
+
+/// Calls \p Fn on \p E and every subexpression.
+template <class FnT> void forEachSubExpr(const Expr *E, FnT &&Fn) {
+  if (!E)
+    return;
+  Fn(E);
+  switch (E->kind()) {
+  case Expr::Kind::Unary:
+    forEachSubExpr(cast<UnaryExpr>(E)->sub(), Fn);
+    return;
+  case Expr::Kind::Binary:
+    forEachSubExpr(cast<BinaryExpr>(E)->lhs(), Fn);
+    forEachSubExpr(cast<BinaryExpr>(E)->rhs(), Fn);
+    return;
+  case Expr::Kind::Conditional: {
+    const auto *C = cast<ConditionalExpr>(E);
+    forEachSubExpr(C->cond(), Fn);
+    forEachSubExpr(C->trueExpr(), Fn);
+    forEachSubExpr(C->falseExpr(), Fn);
+    return;
+  }
+  case Expr::Kind::Call:
+    for (const Expr *A : cast<CallExpr>(E)->args())
+      forEachSubExpr(A, Fn);
+    return;
+  case Expr::Kind::Index:
+    forEachSubExpr(cast<IndexExpr>(E)->base(), Fn);
+    forEachSubExpr(cast<IndexExpr>(E)->index(), Fn);
+    return;
+  case Expr::Kind::Member:
+    forEachSubExpr(cast<MemberExpr>(E)->base(), Fn);
+    return;
+  case Expr::Kind::Cast:
+    forEachSubExpr(cast<CastExpr>(E)->sub(), Fn);
+    return;
+  case Expr::Kind::InitList:
+    for (const Expr *El : cast<InitListExpr>(E)->elements())
+      forEachSubExpr(El, Fn);
+    return;
+  default:
+    return;
+  }
+}
+
+const DeclRefExpr *varRef(const Expr *E) {
+  const auto *DR = dyn_cast<DeclRefExpr>(E);
+  return DR && DR->decl() ? DR : nullptr;
+}
+
+/// A small positive literal: a self-update by it cannot overflow the
+/// promoted type of a narrow cell.
+bool smallLiteral(const Expr *E, int64_t &Value) {
+  const auto *L = dyn_cast<IntegerLiteral>(E);
+  if (!L || L->value() > 0x7fff)
+    return false;
+  Value = static_cast<int64_t>(L->value());
+  return true;
+}
+
+/// Every variable access of a loop, from ExprEvents, and the accesses that
+/// fit a drift rule.
+struct LoopUses : ExprEventHandler {
+  std::map<const VarDecl *, std::vector<const DeclRefExpr *>> Sites;
+  std::set<const DeclRefExpr *> Allowed;
+  bool Calls = false, Derefs = false;
+
+  void onRead(const DeclRefExpr *Site, bool) override {
+    Sites[Site->decl()].push_back(Site);
+  }
+  void onWrite(const DeclRefExpr *Site) override {
+    Sites[Site->decl()].push_back(Site);
+  }
+  void onCall(const FunctionDecl *, bool) override { Calls = true; }
+};
+
+} // namespace
+
+/// The drift classification of DESIGN.md Section 18.5: a cell drifts when
+/// every access to it inside the loop is a constant self-update whose value
+/// is discarded, a bare printf argument, or one side of a relational
+/// comparison whose other side reads no drift cell.
+LoopPlan Interp::classifyLoop(const Stmt *Loop) {
+  if (!AddressTakenKnown) {
+    AddressTakenKnown = true;
+    auto Scan = [&](const Expr *E, bool) {
+      forEachSubExpr(E, [&](const Expr *Sub) {
+        const auto *U = dyn_cast<UnaryExpr>(Sub);
+        if (U && U->op() == UnaryOp::AddrOf)
+          if (const DeclRefExpr *DR = varRef(U->sub()))
+            AddressTaken.insert(DR->decl());
+      });
+    };
+    for (const FunctionDecl *F : Ctx.functions())
+      forEachFullExpr(F->body(), Scan);
+    for (const VarDecl *G : Ctx.globals())
+      if (G->init())
+        Scan(G->init(), true);
+  }
+
+  struct Update {
+    const VarDecl *Var;
+    int64_t Delta;
+    const Type *LiteralTy;
+  };
+  struct Compare {
+    const BinaryExpr *Site;
+    const VarDecl *Var;
+    bool CellOnLeft;
+    const Expr *Other;
+  };
+  LoopUses Uses;
+  std::vector<Update> Updates;
+  std::vector<Compare> Compares;
+  auto Visit = [&](const Expr *Full, bool ValueUsed) {
+    walkExprEvents(Full, true, Uses);
+    // The full expression (or a comma's left operand) is the only place a
+    // self-update's value is discarded.
+    std::vector<const Expr *> Discarded;
+    if (!ValueUsed)
+      Discarded.push_back(Full);
+    forEachSubExpr(Full, [&](const Expr *E) {
+      bool Unused =
+          std::find(Discarded.begin(), Discarded.end(), E) != Discarded.end();
+      if (const auto *U = dyn_cast<UnaryExpr>(E)) {
+        if (U->op() == UnaryOp::Deref)
+          Uses.Derefs = true;
+        bool Inc = U->op() == UnaryOp::PreInc || U->op() == UnaryOp::PostInc;
+        bool Dec = U->op() == UnaryOp::PreDec || U->op() == UnaryOp::PostDec;
+        if (const DeclRefExpr *X = varRef(U->sub()); X && Unused && (Inc || Dec)) {
+          Uses.Allowed.insert(X);
+          Updates.push_back({X->decl(), Inc ? 1 : -1, nullptr});
+        }
+      } else if (isa<IndexExpr>(E) ||
+                 (isa<MemberExpr>(E) && cast<MemberExpr>(E)->isArrow())) {
+        Uses.Derefs = true;
+      } else if (const auto *C = dyn_cast<CallExpr>(E)) {
+        if (C->callee()->name() == "printf")
+          for (size_t I = 1; I < C->args().size(); ++I)
+            if (const DeclRefExpr *X = varRef(C->args()[I]))
+              Uses.Allowed.insert(X);
+      } else if (const auto *B = dyn_cast<BinaryExpr>(E)) {
+        BinaryOp Op = B->op();
+        const DeclRefExpr *X = varRef(B->lhs());
+        int64_t C = 0;
+        if (Op == BinaryOp::Comma) {
+          Discarded.push_back(B->lhs());
+          if (Unused)
+            Discarded.push_back(B->rhs());
+        } else if ((Op == BinaryOp::AddAssign || Op == BinaryOp::SubAssign) &&
+                   X && Unused && smallLiteral(B->rhs(), C)) {
+          Uses.Allowed.insert(X);
+          Updates.push_back({X->decl(), Op == BinaryOp::AddAssign ? C : -C,
+                             B->rhs()->type()});
+        } else if (Op == BinaryOp::Assign && X && Unused) {
+          // x = x + c, x = c + x, x = x - c.
+          const auto *R = dyn_cast<BinaryExpr>(B->rhs());
+          if (R && (R->op() == BinaryOp::Add || R->op() == BinaryOp::Sub)) {
+            const DeclRefExpr *Y = varRef(R->lhs());
+            const Expr *Lit = R->rhs();
+            if (!(Y && Y->decl() == X->decl()) && R->op() == BinaryOp::Add) {
+              Y = varRef(R->rhs());
+              Lit = R->lhs();
+            }
+            if (Y && Y->decl() == X->decl() && smallLiteral(Lit, C)) {
+              Uses.Allowed.insert(X);
+              Uses.Allowed.insert(Y);
+              Updates.push_back({X->decl(), R->op() == BinaryOp::Add ? C : -C,
+                                 Lit->type()});
+            }
+          }
+        } else if (Op == BinaryOp::LT || Op == BinaryOp::GT ||
+                   Op == BinaryOp::LE || Op == BinaryOp::GE) {
+          if (X) {
+            Uses.Allowed.insert(X);
+            Compares.push_back({B, X->decl(), true, B->rhs()});
+          }
+          if (const DeclRefExpr *Y = varRef(B->rhs())) {
+            Uses.Allowed.insert(Y);
+            Compares.push_back({B, Y->decl(), false, B->lhs()});
+          }
+        }
+      }
+    });
+  };
+  if (const auto *W = dyn_cast<WhileStmt>(Loop)) {
+    Visit(W->cond(), true);
+    forEachFullExpr(W->body(), Visit);
+  } else if (const auto *D = dyn_cast<DoStmt>(Loop)) {
+    forEachFullExpr(D->body(), Visit);
+    Visit(D->cond(), true);
+  } else if (const auto *F = dyn_cast<ForStmt>(Loop)) {
+    if (F->cond())
+      Visit(F->cond(), true);
+    forEachFullExpr(F->body(), Visit);
+    if (F->step())
+      Visit(F->step(), false);
+  }
+
+  // Candidates: integer scalars every access of which fits a rule, that
+  // some self-update moves, and that no pointer or callee can reach.
+  std::set<const VarDecl *> Drifting;
+  for (const Update &U : Updates) {
+    const VarDecl *V = U.Var;
+    const std::vector<const DeclRefExpr *> &Sites = Uses.Sites[V];
+    bool Ok = V->type()->isInteger() && !(V->isGlobal() && Uses.Calls) &&
+              !(AddressTaken.count(V) && (Uses.Calls || Uses.Derefs)) &&
+              std::all_of(Sites.begin(), Sites.end(),
+                          [&](const DeclRefExpr *S) {
+                            return Uses.Allowed.count(S) != 0;
+                          });
+    if (Ok)
+      Drifting.insert(V);
+  }
+  // A comparison qualifies when its other side reads no candidate and the
+  // comparison type holds every value of the cell.
+  const std::set<const VarDecl *> Candidates = Drifting;
+  for (const Compare &C : Compares) {
+    bool ReadsCell = false;
+    forEachSubExpr(C.Other, [&](const Expr *E) {
+      if (const DeclRefExpr *X = varRef(E))
+        ReadsCell = ReadsCell || Candidates.count(X->decl());
+    });
+    const Type *Cell = C.Var->type();
+    const Type *Other = C.Other->type();
+    const Type *Cmp = Cell->isInteger() && Other && Other->isInteger()
+                          ? arithResultType(BinaryOp::Add, Cell, Other)
+                          : nullptr;
+    if (ReadsCell || !Cmp || (Cell->isSigned() && !Cmp->isSigned()))
+      Drifting.erase(C.Var);
+  }
+
+  LoopPlan P;
+  for (const VarDecl *V : Drifting) {
+    DriftPlan::Cell Cell;
+    Cell.Width = V->type()->intWidth();
+    Cell.Signed = V->type()->isSigned();
+    for (const Update &U : Updates) {
+      if (U.Var != V)
+        continue;
+      Cell.Deltas.push_back(U.Delta);
+      // A same-width signed computation overflows exactly when the cell
+      // leaves its range; a narrow cell's promoted sum never overflows.
+      const Type *Promoted = promoted(V->type());
+      const Type *Ty = U.LiteralTy && U.LiteralTy->isInteger()
+                           ? arithResultType(BinaryOp::Add, Promoted,
+                                             U.LiteralTy)
+                           : Promoted;
+      Cell.UbOnWrap = Cell.UbOnWrap ||
+                      (Ty->isSigned() && Ty->intWidth() == Cell.Width);
+    }
+    P.Vars.push_back(V);
+    P.Plan.Cells.push_back(std::move(Cell));
+  }
+  for (const Compare &C : Compares) {
+    auto It = std::find(P.Vars.begin(), P.Vars.end(), C.Var);
+    if (It == P.Vars.end())
+      continue;
+    DriftPlan::Guard G;
+    G.Site = C.Site;
+    G.Cell = static_cast<unsigned>(It - P.Vars.begin());
+    G.CellOnLeft = C.CellOnLeft;
+    bool Less = C.Site->op() == BinaryOp::LT || C.Site->op() == BinaryOp::LE;
+    bool Strict = C.Site->op() == BinaryOp::LT || C.Site->op() == BinaryOp::GT;
+    // With the cell on the right, x > w reads w < x.
+    if (!C.CellOnLeft)
+      Less = !Less;
+    G.Op = Less ? (Strict ? GuardOp::Less : GuardOp::LessEq)
+                : (Strict ? GuardOp::Greater : GuardOp::GreaterEq);
+    P.Plan.Guards.push_back(G);
+  }
+  return P;
 }
 
 //===----------------------------------------------------------------------===//
@@ -249,6 +644,8 @@ void Interp::storeScalar(const LValue &LV, const Value &V) {
   }
   for (uint64_t I = 0; I < Size; ++I)
     B.Init[LV.Offset + I] = true;
+  if (!Watches.empty())
+    noteStore(LV.Block);
 }
 
 void Interp::copyObject(const LValue &Dst, const LValue &Src, uint64_t Size) {
@@ -985,6 +1382,12 @@ Value Interp::evalBinary(const BinaryExpr *B) {
       Res = UL != UR;
       break;
     }
+    if (!Watches.empty())
+      for (DriftWatch *W : Watches)
+        if (W->recording())
+          W->guarded(B, Signed ? DriftWatch::Wide(SL) : DriftWatch::Wide(UL),
+                     Signed ? DriftWatch::Wide(SR) : DriftWatch::Wide(UR),
+                     Res);
     return makeInt(B->type(), Res ? 1 : 0);
   }
 
@@ -1110,7 +1513,7 @@ Value Interp::evalCall(const CallExpr *C) {
 Value Interp::callFunction(const FunctionDecl *F,
                            const std::vector<Value> &Args) {
   if (++CallDepth > Opts.MaxCallDepth) {
-    fail(ExecStatus::Timeout, "call depth exceeded");
+    timeout(TimeoutReason::CallDepth, "call depth exceeded");
     --CallDepth;
     return {};
   }
@@ -1256,9 +1659,9 @@ Signal Interp::execStmt(const Stmt *S) {
   }
   case Stmt::Kind::While: {
     const auto *W = cast<WhileStmt>(S);
-    LoopDetector<FrameMap> Detector;
+    LoopDetector<SavedFrame> Detector;
     for (;;) {
-      if (!step() || loopHead(Detector))
+      if (!step() || loopHead(Detector, S))
         return None;
       Value Cond = evalExpr(W->cond());
       if (Failed || !truthy(Cond) || Failed)
@@ -1274,9 +1677,9 @@ Signal Interp::execStmt(const Stmt *S) {
   }
   case Stmt::Kind::Do: {
     const auto *D = cast<DoStmt>(S);
-    LoopDetector<FrameMap> Detector;
+    LoopDetector<SavedFrame> Detector;
     for (;;) {
-      if (!step() || loopHead(Detector))
+      if (!step() || loopHead(Detector, S))
         return None;
       Signal Sig = execStmt(D->body());
       if (Failed)
@@ -1297,9 +1700,9 @@ Signal Interp::execStmt(const Stmt *S) {
       if (Failed)
         return None;
     }
-    LoopDetector<FrameMap> Detector;
+    LoopDetector<SavedFrame> Detector;
     for (;;) {
-      if (!step() || loopHead(Detector))
+      if (!step() || loopHead(Detector, S))
         return None;
       if (F->cond()) {
         Value Cond = evalExpr(F->cond());
@@ -1432,14 +1835,14 @@ Signal Interp::execSeek(const Stmt *S, const std::string &Label,
     if (Sig.K == Signal::Return || Sig.K == Signal::Goto)
       return Sig;
     // Continue the loop from the step expression (no re-init).
-    LoopDetector<FrameMap> Detector;
+    LoopDetector<SavedFrame> Detector;
     for (;;) {
       if (F->step()) {
         evalExpr(F->step());
         if (Failed)
           return None;
       }
-      if (!step() || loopHead(Detector))
+      if (!step() || loopHead(Detector, S))
         return None;
       if (F->cond()) {
         Value Cond = evalExpr(F->cond());

@@ -30,6 +30,7 @@
 #define SPE_INTERP_INTERPRETER_H
 
 #include "lang/AST.h"
+#include "support/Divergence.h"
 
 #include <cstdint>
 #include <set>
@@ -43,9 +44,9 @@ enum class ExecStatus {
   Ok,
   /// Undefined behavior detected; Message names it.
   UndefinedBehavior,
-  /// Step budget or call depth exhausted, or a loop-head state repeated
-  /// (a proof the run never ends, DESIGN.md Section 18); not UB, but the
-  /// variant is excluded from differential comparison.
+  /// Step budget or call depth exhausted, or a proof at a loop head that
+  /// the budget would run out (DESIGN.md Section 18); not UB, but the
+  /// variant is excluded from differential comparison. Reason says which.
   Timeout,
   /// The program uses a feature outside the executable subset, or has no
   /// main function.
@@ -62,8 +63,10 @@ struct ExecResult {
   int64_t ExitCode = 0;
   /// Accumulated printf output; always empty on Timeout.
   std::string Output;
-  /// Diagnostic for UB / unsupported features.
+  /// Diagnostic for UB / unsupported features / timeouts.
   std::string Message;
+  /// Why the run timed out; None unless Status is Timeout.
+  TimeoutReason Reason = TimeoutReason::None;
   /// Sema statement ids that executed at least once.
   std::set<int> ExecutedStmts;
 

@@ -15,9 +15,10 @@ using namespace spe;
 
 namespace {
 
-/// File magic; bump the version on any record-layout change so older logs
-/// are rejected instead of misparsed.
-const char Magic[] = "SPE-ORACLE-LOG v1\n";
+/// File magic; bump the version on any record-layout or key change so
+/// older logs load cold instead of being misparsed or replayed. v2 keys
+/// carry the step budget (oracleCacheKey).
+const char Magic[] = "SPE-ORACLE-LOG v2\n";
 constexpr size_t MagicLen = sizeof(Magic) - 1;
 
 /// Reads up to \p MaxBytes of \p Path into \p Out. \returns false when the

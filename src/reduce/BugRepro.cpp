@@ -28,7 +28,7 @@ bool ReproOracle::evaluate(const std::string &Source) {
   // campaign already interpreted is never re-run here).
   OracleCache::Entry Verdict;
   std::unique_ptr<ASTContext> Ctx;
-  std::string Key = oracleCacheKey(Source, Spec.Input);
+  std::string Key = oracleCacheKey(Source, Spec.Input, Spec.OracleMaxSteps);
   if (Cache && Cache->lookup(Key, Verdict)) {
     ++Stats.OracleCacheHits;
   } else {

@@ -7,6 +7,22 @@
 
 using namespace spe;
 
+const char *spe::timeoutReasonName(TimeoutReason Reason) {
+  switch (Reason) {
+  case TimeoutReason::None:
+    return "none";
+  case TimeoutReason::Budget:
+    return "budget";
+  case TimeoutReason::Repeat:
+    return "repeat";
+  case TimeoutReason::Drift:
+    return "drift";
+  case TimeoutReason::CallDepth:
+    return "call_depth";
+  }
+  return "?";
+}
+
 MachineMemory::MachineMemory(const char *NullName) {
   MachineBlock Null;
   Null.Name = NullName;
@@ -54,14 +70,14 @@ void MemorySnapshot::save(const MachineMemory &M, size_t Pos) {
   Starts.push_back(Bytes.size());
 }
 
-bool MemorySnapshot::blockMatches(const MachineMemory &M,
-                                  size_t Index) const {
+bool MemorySnapshot::blockMatches(const MachineMemory &M, size_t Index,
+                                  bool CompareBytes) const {
   const MachineBlock &B = M.Blocks[Ids[Index]];
   if (B.Written <= Clock)
     return true; // Untouched since the save.
   size_t Start = Starts[Index];
   if (!B.Alive || B.Bytes.size() != Starts[Index + 1] - Start ||
-      (!B.Bytes.empty() &&
+      (CompareBytes && !B.Bytes.empty() &&
        std::memcmp(B.Bytes.data(), Bytes.data() + Start, B.Bytes.size())))
     return false;
   // The VM keeps no init bits; the interpreter keeps one per byte.
@@ -71,17 +87,216 @@ bool MemorySnapshot::blockMatches(const MachineMemory &M,
   return true;
 }
 
-bool MemorySnapshot::matches(const MachineMemory &M, size_t Pos) const {
+StateMatch MemorySnapshot::compare(const MachineMemory &M, size_t Pos,
+                                   const std::vector<uint32_t> &Masked) const {
   if (M.Exposures != Exposures || M.LiveBlocks != LiveBlocks ||
       Pos != StdinPos)
-    return false;
+    return StateMatch::Differs;
+  auto IsMasked = [&](uint32_t Id) {
+    return std::binary_search(Masked.begin(), Masked.end(), Id);
+  };
   // The latest write is the likeliest difference; try it first.
   auto Last = std::lower_bound(Ids.begin(), Ids.end(), M.LastWritten);
   if (Last != Ids.end() && *Last == M.LastWritten &&
-      !blockMatches(M, Last - Ids.begin()))
+      !blockMatches(M, Last - Ids.begin(), !IsMasked(M.LastWritten)))
+    return StateMatch::Differs;
+  bool Drifted = false;
+  for (size_t I = 0; I < Ids.size(); ++I) {
+    bool Mask = !Masked.empty() && IsMasked(Ids[I]);
+    if (!blockMatches(M, I, !Mask))
+      return StateMatch::Differs;
+    Drifted = Drifted || (Mask && !blockMatches(M, I, true));
+  }
+  return Drifted ? StateMatch::MaskedEqual : StateMatch::Equal;
+}
+
+//===----------------------------------------------------------------------===//
+// Drift proofs (DESIGN.md Section 18.5)
+//===----------------------------------------------------------------------===//
+
+int DriftPlan::guardAt(const void *Site) const {
+  for (size_t I = 0; I < Guards.size(); ++I)
+    if (Guards[I].Site == Site)
+      return static_cast<int>(I);
+  return -1;
+}
+
+namespace {
+
+using Wide = DriftWatch::Wide;
+
+/// Larger than any period count a 64-bit step budget can reach.
+const Wide Never = Wide(1) << 100;
+
+Wide minOf(const DriftPlan::Cell &C) {
+  return C.Signed ? -(Wide(1) << (C.Width - 1)) : Wide(0);
+}
+Wide maxOf(const DriftPlan::Cell &C) {
+  return C.Signed ? (Wide(1) << (C.Width - 1)) - 1
+                  : (Wide(1) << C.Width) - 1;
+}
+
+/// The first period n >= 1 in which a value that was at most \p Max in the
+/// window, moving by \p D > 0 per period, may exceed \p Upper.
+Wide firstPeriodAbove(Wide Max, Wide D, Wide Upper) {
+  return Upper < Max ? 0 : (Upper - Max) / D + 1;
+}
+
+/// The first period n >= 1 in which a value that was at least \p Min in
+/// the window, moving by \p D < 0 per period, may fall below \p Lower.
+Wide firstPeriodBelow(Wide Min, Wide D, Wide Lower) {
+  return Min < Lower ? 0 : (Min - Lower) / -D + 1;
+}
+
+} // namespace
+
+DriftWatch::~DriftWatch() {
+  if (!Registry)
+    return;
+  auto It = std::find(Registry->begin(), Registry->end(), this);
+  if (It != Registry->end())
+    Registry->erase(It);
+}
+
+void DriftWatch::arm(const DriftPlan &P, std::vector<uint32_t> CellBlocks,
+                     std::vector<DriftWatch *> &Reg) {
+  // A store that wraps moves its cell by a delta plus or minus 2^Width;
+  // deltas under half of that can never be mistaken for one another.
+  for (const DriftPlan::Cell &C : P.Cells)
+    for (int64_t D : C.Deltas)
+      if (Wide(D) >= (Wide(1) << (C.Width - 1)) ||
+          -Wide(D) >= (Wide(1) << (C.Width - 1)))
+        return;
+  Plan = &P;
+  Blocks = std::move(CellBlocks);
+  Sorted = Blocks;
+  std::sort(Sorted.begin(), Sorted.end());
+  Cells.assign(Blocks.size(), CellWindow());
+  Guards.assign(P.Guards.size(), GuardWindow());
+  Registry = &Reg;
+  Reg.push_back(this);
+}
+
+Wide DriftWatch::valueOf(const MachineMemory &M, size_t Cell) const {
+  const DriftPlan::Cell &C = Plan->Cells[Cell];
+  const std::vector<uint8_t> &Bytes = M.Blocks[Blocks[Cell]].Bytes;
+  uint64_t Raw = 0;
+  for (unsigned I = C.Width / 8; I-- > 0;)
+    Raw = (Raw << 8) | Bytes[I];
+  if (!C.Signed)
+    return Wide(Raw);
+  unsigned Shift = 64 - C.Width;
+  return Wide(static_cast<int64_t>(Raw << Shift) >> Shift);
+}
+
+void DriftWatch::openWindow(const MachineMemory &M, uint64_t Steps) {
+  Recording = Steps >= SleepUntil;
+  if (!Recording)
+    return;
+  WindowSteps = Steps;
+  for (size_t I = 0; I < Cells.size(); ++I) {
+    const MachineBlock &B = M.Blocks[Blocks[I]];
+    CellWindow &W = Cells[I];
+    W = CellWindow();
+    // A dead or uninitialized cell has no value to drift from.
+    W.Linear = B.Alive && B.Bytes.size() * 8 >= Plan->Cells[I].Width &&
+               std::find(B.Init.begin(), B.Init.end(), false) == B.Init.end();
+    if (W.Linear)
+      W.Start = W.Last = W.Min = W.Max = valueOf(M, I);
+  }
+  Guards.assign(Guards.size(), GuardWindow());
+}
+
+void DriftWatch::stored(const MachineMemory &M, uint32_t Block) {
+  for (size_t I = 0; I < Blocks.size(); ++I) {
+    if (Blocks[I] != Block || !Cells[I].Linear)
+      continue;
+    CellWindow &W = Cells[I];
+    Wide V = valueOf(M, I);
+    const std::vector<int64_t> &Deltas = Plan->Cells[I].Deltas;
+    W.Linear = std::find(Deltas.begin(), Deltas.end(), V - W.Last) !=
+               Deltas.end();
+    W.Last = V;
+    W.Min = std::min(W.Min, V);
+    W.Max = std::max(W.Max, V);
+  }
+}
+
+void DriftWatch::guarded(const void *Site, Wide L, Wide R, bool Outcome) {
+  int Index = Plan->guardAt(Site);
+  if (Index < 0)
+    return;
+  bool OnLeft = Plan->Guards[Index].CellOnLeft;
+  Wide X = OnLeft ? L : R, Other = OnLeft ? R : L;
+  GuardWindow &G = Guards[Index];
+  if (!G.Seen) {
+    G.Seen = true;
+    G.Outcome = Outcome;
+    G.CellMin = G.CellMax = X;
+    G.OtherMin = G.OtherMax = Other;
+    return;
+  }
+  G.Flipped = G.Flipped || Outcome != G.Outcome;
+  G.CellMin = std::min(G.CellMin, X);
+  G.CellMax = std::max(G.CellMax, X);
+  G.OtherMin = std::min(G.OtherMin, Other);
+  G.OtherMax = std::max(G.OtherMax, Other);
+}
+
+bool DriftWatch::proves(const MachineMemory &M, uint64_t Steps,
+                        uint64_t MaxSteps) {
+  uint64_t Period = Steps - WindowSteps;
+  if (Period == 0 || MaxSteps < WindowSteps)
     return false;
-  for (size_t I = 0; I < Ids.size(); ++I)
-    if (!blockMatches(M, I))
+  // Each period from the save repeats the window's path and moves every
+  // cell by its delta until the first period with an event (Horizon). The
+  // step past the budget falls in period Budget.
+  Wide Budget = Wide(MaxSteps - WindowSteps) / Period;
+  Wide Horizon = Never;
+  std::vector<Wide> Delta(Cells.size());
+  std::vector<bool> Guarded(Cells.size(), false);
+  for (const DriftPlan::Guard &G : Plan->Guards)
+    Guarded[G.Cell] = true;
+  for (size_t I = 0; I < Cells.size(); ++I) {
+    const CellWindow &W = Cells[I];
+    if (!W.Linear || valueOf(M, I) != W.Last)
       return false;
-  return true;
+    Delta[I] = W.Last - W.Start;
+    const DriftPlan::Cell &C = Plan->Cells[I];
+    if (!C.UbOnWrap && !Guarded[I])
+      continue; // Its wrap changes nothing the run can observe.
+    if (Delta[I] > 0)
+      Horizon = std::min(Horizon, firstPeriodAbove(W.Max, Delta[I], maxOf(C)));
+    if (Delta[I] < 0)
+      Horizon = std::min(Horizon, firstPeriodBelow(W.Min, Delta[I], minOf(C)));
+  }
+  for (size_t I = 0; I < Guards.size(); ++I) {
+    const GuardWindow &G = Guards[I];
+    if (!G.Seen)
+      continue; // Not on the window's path, so on no later period's.
+    if (G.Flipped)
+      return false;
+    // Every evaluation so far kept the cell at most (or at least) a bound
+    // the other side sets; the guard can flip only once it crosses it.
+    GuardOp Op = Plan->Guards[I].Op;
+    bool Below = (Op == GuardOp::Less || Op == GuardOp::LessEq) == G.Outcome;
+    bool Strict = Op == GuardOp::Less || Op == GuardOp::GreaterEq;
+    Wide D = Delta[Plan->Guards[I].Cell];
+    if (Below && D > 0)
+      Horizon = std::min(Horizon,
+                         firstPeriodAbove(G.CellMax, D,
+                                          Strict ? G.OtherMin - 1 : G.OtherMin));
+    if (!Below && D < 0)
+      Horizon = std::min(Horizon,
+                         firstPeriodBelow(G.CellMin, D,
+                                          Strict ? G.OtherMax : G.OtherMax + 1));
+  }
+  if (Budget < Horizon)
+    return true;
+  // Something can change in period Horizon: stop recording until then.
+  Wide Wake = Wide(WindowSteps) + Horizon * Period;
+  SleepUntil = Wake > Wide(~uint64_t(0)) ? ~uint64_t(0)
+                                         : static_cast<uint64_t>(Wake);
+  Recording = false;
+  return false;
 }

@@ -29,6 +29,19 @@
 
 namespace spe {
 
+/// Why an executor ended a run with Timeout.
+enum class TimeoutReason {
+  None,      ///< The run did not time out.
+  Budget,    ///< The step budget ran out.
+  Repeat,    ///< The loop-head state repeated a saved one.
+  Drift,     ///< The state repeats up to drifting counters, and the budget
+             ///< ends before anything they steer can change.
+  CallDepth, ///< The call-depth limit was exceeded.
+};
+
+/// \returns "none", "budget", "repeat", "drift" or "call_depth".
+const char *timeoutReasonName(TimeoutReason Reason);
+
 /// One allocation of either executor.
 struct MachineBlock {
   std::vector<uint8_t> Bytes;
@@ -72,6 +85,13 @@ struct MachineMemory {
   }
 };
 
+/// How a loop-head state compares with a saved one.
+enum class StateMatch {
+  Differs,     ///< Some unmasked byte, counter or register differs.
+  Equal,       ///< Everything is equal: the run repeats forever.
+  MaskedEqual, ///< Equal except the bytes of masked (drift) blocks.
+};
+
 /// Memory and counters at one loop-head visit (DESIGN.md Section 18.1).
 /// Block ids are not part of it: only a pointer-to-integer conversion or a
 /// reinterpreting load can tell a fresh block's id apart, and Exposures
@@ -84,11 +104,15 @@ public:
   /// repeats the stretch between them forever. Blocks of outer frames
   /// cannot be freed while the loop runs and a block allocated since the
   /// save can only die, so an equal live count says every such block is
-  /// dead again.
-  bool matches(const MachineMemory &M, size_t StdinPos) const;
+  /// dead again. The bytes of the blocks in \p Masked (ascending) are
+  /// compared only to tell Equal from MaskedEqual; their liveness, size
+  /// and init bits must match like any block's.
+  StateMatch compare(const MachineMemory &M, size_t StdinPos,
+                     const std::vector<uint32_t> &Masked = {}) const;
 
 private:
-  bool blockMatches(const MachineMemory &M, size_t Index) const;
+  bool blockMatches(const MachineMemory &M, size_t Index,
+                    bool CompareBytes) const;
 
   uint64_t Clock = 0;
   uint64_t LiveBlocks = 0;
@@ -100,6 +124,101 @@ private:
   std::vector<size_t> Starts;
   std::vector<uint8_t> Bytes;
   std::vector<bool> Init;
+};
+
+/// A relational comparison, with the drift cell on the left.
+enum class GuardOp { Less, LessEq, Greater, GreaterEq };
+
+/// What a loop's classification found (DESIGN.md Section 18.5): the
+/// integer scalar cells that only drift, and the guards that read them.
+/// An executor computes it once per loop per run, at the loop's first
+/// failed full match; an empty plan means no cell qualified.
+struct DriftPlan {
+  struct Cell {
+    unsigned Width = 32;
+    bool Signed = true;
+    /// The constants of the cell's self-updates, as signed deltas.
+    std::vector<int64_t> Deltas;
+    /// Leaving the type's range is UB (a signed overflow in the oracle),
+    /// so the first period that would do it ends the proof's horizon.
+    bool UbOnWrap = false;
+  };
+  struct Guard {
+    const void *Site = nullptr; ///< The comparison node or instruction.
+    unsigned Cell = 0;
+    /// The comparison's operator with the cell on the left.
+    GuardOp Op = GuardOp::Less;
+    bool CellOnLeft = true;
+  };
+  std::vector<Cell> Cells;
+  std::vector<Guard> Guards;
+
+  bool empty() const { return Cells.empty(); }
+  /// \returns the Guards index of \p Site, or -1.
+  int guardAt(const void *Site) const;
+};
+
+/// Records, over one Brent window (save to check), what the proof needs to
+/// know about a loop's drift cells: whether every store moved a cell by
+/// one of its constants, each cell's range of values, and each guard's
+/// outcomes and operand ranges. The executor calls stored() after each
+/// store and guarded() after each comparison while recording() holds.
+class DriftWatch {
+public:
+  using Wide = __int128;
+
+  DriftWatch() = default;
+  DriftWatch(const DriftWatch &) = delete;
+  DriftWatch &operator=(const DriftWatch &) = delete;
+  ~DriftWatch();
+
+  /// Starts watching \p Plan's cells, which live in \p Blocks (parallel to
+  /// Plan.Cells). The watch registers itself in \p Registry, the
+  /// executor's list of watches its hooks report to, until destroyed.
+  void arm(const DriftPlan &Plan, std::vector<uint32_t> Blocks,
+           std::vector<DriftWatch *> &Registry);
+  bool armed() const { return Plan != nullptr; }
+  /// The watched blocks, ascending: the snapshot's compare mask.
+  const std::vector<uint32_t> &masked() const { return Sorted; }
+
+  /// Opens a window at a save, at step \p Steps.
+  void openWindow(const MachineMemory &M, uint64_t Steps);
+  bool recording() const { return Recording; }
+
+  /// Hooks. \p Block was just stored to; the comparison at \p Site gave
+  /// \p Outcome on \p L and \p R (exact values in its comparison type).
+  void stored(const MachineMemory &M, uint32_t Block);
+  void guarded(const void *Site, Wide L, Wide R, bool Outcome);
+
+  /// On a MaskedEqual check at step \p Steps, \returns true when the run
+  /// from the save provably spends \p MaxSteps before any event its drift
+  /// can cause: a signed overflow, a guard flip, or a wrap a guard sees.
+  /// Otherwise the watch sleeps until the earliest such event.
+  bool proves(const MachineMemory &M, uint64_t Steps, uint64_t MaxSteps);
+
+private:
+  Wide valueOf(const MachineMemory &M, size_t Cell) const;
+
+  struct CellWindow {
+    Wide Start = 0, Last = 0, Min = 0, Max = 0;
+    bool Linear = true;
+  };
+  struct GuardWindow {
+    bool Seen = false, Outcome = false, Flipped = false;
+    Wide CellMin = 0, CellMax = 0, OtherMin = 0, OtherMax = 0;
+  };
+
+  const DriftPlan *Plan = nullptr;
+  std::vector<DriftWatch *> *Registry = nullptr;
+  std::vector<uint32_t> Blocks;
+  std::vector<uint32_t> Sorted;
+  std::vector<CellWindow> Cells;
+  std::vector<GuardWindow> Guards;
+  uint64_t WindowSteps = 0;
+  /// No window opens before this step (an event the last proof attempt
+  /// found lies ahead).
+  uint64_t SleepUntil = 0;
+  bool Recording = false;
 };
 
 /// When to save and when to compare: Brent's algorithm on every 8th visit.
@@ -130,30 +249,58 @@ private:
 };
 
 /// One loop activation's check: the schedule, the memory it last saved,
-/// and the executor's own image of the activation (the interpreter's frame
-/// map, the VM's branch target and registers).
+/// the executor's own image of the activation, and the drift watch.
+///
+/// ActivationT is what the executor saves of its activation (the
+/// interpreter's frame map, the VM's branch target and registers). It
+/// provides sameLoop(View); covers(Plan, View), whether the plan is the
+/// one of the loop the view is at; matches(View, Plan), a full comparison
+/// under a null plan and otherwise one that may skip what the plan proves
+/// dead; and assignment from the View.
 template <class ActivationT> struct LoopDetector {
   BrentSchedule Schedule;
   MemorySnapshot Memory;
   ActivationT Activation;
+  DriftWatch Watch;
+  const DriftPlan *Plan = nullptr;
+  bool Classified = false;
 
-  /// Counts a visit. \returns true when it is a check whose state repeats
-  /// the saved one; otherwise saves when the schedule says so. \p Current
-  /// is the executor's view of its activation, which ActivationT compares
-  /// with and copies from.
-  template <class ViewT>
-  bool repeats(const MachineMemory &M, size_t StdinPos,
-               const ViewT &Current) {
+  /// Counts a visit at step \p Steps. At a check, \returns Repeat when the
+  /// state repeats the saved one, and Drift when it repeats up to drift
+  /// cells whose horizon lies past \p MaxSteps; saves when the schedule
+  /// says so. \p Classify(Watch) runs at the loop's first failed full
+  /// match: it returns the loop's plan and arms the watch when the plan is
+  /// not empty.
+  template <class ViewT, class ClassifyT>
+  TimeoutReason visit(const MachineMemory &M, size_t StdinPos,
+                      const ViewT &Current, uint64_t Steps,
+                      uint64_t MaxSteps, ClassifyT &&Classify) {
     if (!Schedule.due())
-      return false;
-    if (Schedule.saved() && Memory.matches(M, StdinPos) &&
-        Activation == Current)
-      return true;
+      return TimeoutReason::None;
+    if (Schedule.saved() && Activation.sameLoop(Current)) {
+      const DriftPlan *P =
+          Plan && ActivationT::covers(*Plan, Current) ? Plan : nullptr;
+      StateMatch Match = StateMatch::Differs;
+      if (Activation.matches(Current, P))
+        Match = Memory.compare(M, StdinPos,
+                               P ? Watch.masked() : std::vector<uint32_t>());
+      if (Match == StateMatch::Equal)
+        return TimeoutReason::Repeat;
+      if (Match == StateMatch::MaskedEqual && Watch.recording() &&
+          Watch.proves(M, Steps, MaxSteps))
+        return TimeoutReason::Drift;
+      if (!Classified) {
+        Classified = true;
+        Plan = Classify(Watch);
+      }
+    }
     if (Schedule.advance()) {
       Memory.save(M, StdinPos);
       Activation = Current;
+      if (Watch.armed())
+        Watch.openWindow(M, Steps);
     }
-    return false;
+    return TimeoutReason::None;
   }
 };
 

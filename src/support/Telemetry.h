@@ -304,6 +304,10 @@ public:
   SpanTimer(const SpanTimer &) = delete;
   SpanTimer &operator=(const SpanTimer &) = delete;
 
+  /// Replaces the config label before the span records, for a phase that
+  /// learns its label while it runs (the oracle's verdict).
+  void setConfigLabel(std::string Label) { Config = std::move(Label); }
+
 private:
   static uint64_t steadyUs() {
     return static_cast<uint64_t>(

@@ -236,6 +236,24 @@ struct OracleOutcome {
   std::vector<OracleCache::Entry> Sweep;
 };
 
+/// The config label of an oracle_exec / sweep_exec span: the verdict (ok,
+/// ub, unsupported, or timeout.<reason>; "reject" when the frontend
+/// refused the variant), so a campaign's own event log says why each
+/// variant was excluded.
+std::string verdictLabel(const ExecResult &Ref) {
+  switch (Ref.Status) {
+  case ExecStatus::Ok:
+    return "ok";
+  case ExecStatus::UndefinedBehavior:
+    return "ub";
+  case ExecStatus::Unsupported:
+    return "unsupported";
+  case ExecStatus::Timeout:
+    return std::string("timeout.") + timeoutReasonName(Ref.Reason);
+  }
+  return "?";
+}
+
 /// The oracle phase of one variant: replay each input's verdict from the
 /// shared cache when available, compute (and memoize) it otherwise;
 /// classify the variant as excluded or testable by the *primary* input's
@@ -243,6 +261,7 @@ struct OracleOutcome {
 /// miss. \p AllInputs is sweepUnion(Opts.Configs): {""} for an unswept
 /// campaign, where this degenerates to the historical single lookup on the
 /// raw source key, byte for byte.
+
 OracleOutcome oraclePhase(const HarnessOptions &Opts,
                           const std::string &Source,
                           const std::vector<std::string> &AllInputs,
@@ -259,7 +278,7 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
   bool Parsed = false;
   auto VerdictFor = [&](const std::string &Input, const char *Phase) {
     OracleCache::Entry V;
-    std::string Key = oracleCacheKey(Source, Input);
+    std::string Key = oracleCacheKey(Source, Input, Opts.OracleMaxSteps);
     if (Opts.Cache) {
       bool Hit;
       {
@@ -284,9 +303,13 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
         IO.Input = Input;
         ExecResult Ref = interpret(*RefCtx, IO);
         ++Result.OracleExecutions;
+        if (Sink || Local)
+          T.setConfigLabel(verdictLabel(Ref));
         V.Status = Ref.Status;
         V.ExitCode = Ref.ExitCode;
         V.Output = std::move(Ref.Output);
+      } else if (Sink || Local) {
+        T.setConfigLabel("reject");
       }
     }
     if (Opts.Cache) {

@@ -57,9 +57,8 @@ struct HarnessOptions {
   /// (potential) non-termination. Loop-corpus campaigns lower this so
   /// diverging variants are cheap to exclude. It is folded into the
   /// checkpoint options fingerprint, so a snapshot never resumes under
-  /// another budget, and fleet workers and triage probes run it too. It is
-  /// not part of the OracleCache verdict key, so a cache must not be
-  /// shared between runs with different values.
+  /// another budget, fleet workers and triage probes run it too, and it
+  /// salts the OracleCache verdict key.
   uint64_t OracleMaxSteps = 2'000'000;
   /// Worker threads per seed: the budgeted variant range is split into one
   /// cursor shard per worker. 0 = one per hardware thread. Results are

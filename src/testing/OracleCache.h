@@ -36,22 +36,19 @@
 
 namespace spe {
 
-/// Cache/store key of one (variant, stdin input) oracle verdict. The empty
-/// input -- the classic single execution -- keys by the raw source text,
-/// byte-identical to the pre-sweep cache, so swept and unswept campaigns
-/// share those verdicts and old oracle stores stay warm. Non-empty inputs
-/// are namespaced by a \x1f prefix, a byte rendered variants cannot start
-/// with (and, as sweep inputs are whitespace-separated decimal integers,
-/// cannot contain), so the two key spaces never collide. Shared by the
-/// harness's oracle phase and the reduction pipeline's repro oracle so a
-/// swept finding's re-probes replay the campaign's own verdicts.
+/// Cache/store key of one oracle verdict: "\x1e" budget "\x1f" input
+/// "\x1f" source. The step budget is part of it because a Timeout only says
+/// the budget ran out, or provably would (DESIGN.md Section 18.5), and a
+/// larger budget can turn it into UB or Ok; campaigns with different
+/// budgets may therefore share one cache or store. Sweep inputs are
+/// whitespace-separated decimal integers and cannot contain \x1f. Shared
+/// by the harness's oracle phase and the reduction pipeline's repro oracle
+/// so a finding's re-probes replay the campaign's own verdicts.
 inline std::string oracleCacheKey(const std::string &Source,
-                                  const std::string &Input) {
-  if (Input.empty())
-    return Source;
-  std::string Key;
-  Key.reserve(Input.size() + Source.size() + 2);
-  Key.push_back('\x1f');
+                                  const std::string &Input,
+                                  uint64_t MaxSteps) {
+  std::string Key = "\x1e" + std::to_string(MaxSteps) + "\x1f";
+  Key.reserve(Key.size() + Input.size() + Source.size() + 1);
   Key += Input;
   Key.push_back('\x1f');
   Key += Source;

@@ -401,7 +401,7 @@ TEST(VMDivergenceTest, InfiniteLoopTimesOutWithoutABudget) {
     VMResult R = compileAndRunUnbounded(
         "int main(void) { while (1) ; return 0; }", Opt);
     EXPECT_EQ(R.Status, VMStatus::Timeout) << "O" << Opt;
-    EXPECT_EQ(R.Message, "state repeats at loop head") << "O" << Opt;
+    EXPECT_EQ(R.Reason, TimeoutReason::Repeat) << "O" << Opt;
 
     R = compileAndRunUnbounded("int main(void) {\n"
                                "  unsigned char c = 0;\n"
@@ -411,7 +411,7 @@ TEST(VMDivergenceTest, InfiniteLoopTimesOutWithoutABudget) {
                                "}",
                                Opt);
     EXPECT_EQ(R.Status, VMStatus::Timeout) << "O" << Opt;
-    EXPECT_EQ(R.Message, "state repeats at loop head") << "O" << Opt;
+    EXPECT_EQ(R.Reason, TimeoutReason::Repeat) << "O" << Opt;
     EXPECT_TRUE(R.Output.empty()) << "O" << Opt;
   }
 }
@@ -527,4 +527,164 @@ TEST(VMDivergenceTest, FreshSlotIdsSeenAsIntegersEndTheLoop) {
       0);
   ASSERT_EQ(R.Status, VMStatus::Ok) << R.Message;
   EXPECT_EQ(R.ExitCode, 11);
+}
+
+//===--------------------------------------------------------------------===//
+// VM drift proofs
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+/// Compiles at \p OptLevel with bugs disabled and runs the VM at its
+/// default 5M-step budget.
+VMResult compileAndRunAtBudget(const std::string &Source, unsigned OptLevel) {
+  auto C = analyze(Source);
+  CompilerConfig Config;
+  Config.OptLevel = OptLevel;
+  CompileResult R = MiniCompiler(Config, nullptr, false).compile(C->Ctx);
+  EXPECT_TRUE(R.ok()) << R.Error << R.CrashSignature;
+  if (!R.ok())
+    return {};
+  return executeModule(R.Module);
+}
+
+void expectVMDrift(const std::string &Source) {
+  for (unsigned Opt = 0; Opt <= 3; ++Opt) {
+    VMResult R = compileAndRunAtBudget(Source, Opt);
+    EXPECT_EQ(R.Status, VMStatus::Timeout) << "O" << Opt;
+    EXPECT_EQ(R.Reason, TimeoutReason::Drift) << "O" << Opt << ": "
+                                              << R.Message;
+    EXPECT_TRUE(R.Output.empty()) << "O" << Opt;
+  }
+}
+
+} // namespace
+
+TEST(VMDivergenceTest, DriftingGlobalIsProven) {
+  expectVMDrift("int g0;\n"
+                "int main(void) {\n"
+                "  for (int i5 = 0; i5 < 4; ++g0) {}\n"
+                "  return 0;\n"
+                "}");
+}
+
+TEST(VMDivergenceTest, DriftingLocalIsProven) {
+  expectVMDrift("int main(void) {\n"
+                "  int n = 0;\n"
+                "  int i = 0;\n"
+                "  while (i < 10) { n += 3; n = n - 1; }\n"
+                "  return n;\n"
+                "}");
+}
+
+TEST(VMDivergenceTest, PrintfSinkIsProven) {
+  expectVMDrift("int main(void) {\n"
+                "  unsigned int c = 7;\n"
+                "  do { printf(\"%u\\n\", c); c--; } while (1);\n"
+                "  return 0;\n"
+                "}");
+}
+
+TEST(VMDivergenceTest, MonotoneGuardIsProven) {
+  // Seed 6's shape with its guard already false: a0 counts down, and only
+  // the wrap about 2^31 turns away flips the guard.
+  expectVMDrift("int main(void) {\n"
+                "  int a0 = 1;\n"
+                "  do { printf(\"%d\\n\", a0); a0 = a0 - 1; }"
+                " while (a0 < 5);\n"
+                "  return a0;\n"
+                "}");
+}
+
+TEST(VMDivergenceTest, RegisterHeldTemporaryIsProven) {
+  // Every turn loads the counter into a fresh temporary; the temporaries
+  // differ between turns but are dead at the loop head.
+  expectVMDrift("int g;\n"
+                "int main(void) {\n"
+                "  int k = 3;\n"
+                "  while (k > 0) { printf(\"%d\\n\", g); g = g + 2; }\n"
+                "  return 0;\n"
+                "}");
+}
+
+TEST(VMDivergenceTest, GuardFlipInsideTheBudgetExits) {
+  const char *Source = "int main(void) {\n"
+                       "  int i = 0;\n"
+                       "  int n = 0;\n"
+                       "  while (i < 20000) { ++n; i += 1; }\n"
+                       "  printf(\"%d\\n\", n);\n"
+                       "  return i % 256;\n"
+                       "}";
+  for (unsigned Opt = 0; Opt <= 3; ++Opt) {
+    VMResult R = compileAndRunAtBudget(Source, Opt);
+    ASSERT_EQ(R.Status, VMStatus::Ok) << "O" << Opt << ": " << R.Message;
+    EXPECT_EQ(R.ExitCode, 20000 % 256) << "O" << Opt;
+    EXPECT_EQ(R.Output, "20000\n") << "O" << Opt;
+  }
+  // The VM wraps: a signed counter climbing past INT_MAX flips the guard.
+  VMResult R = compileAndRunAtBudget("int main(void) {\n"
+                                     "  int x = 2147480000;\n"
+                                     "  while (x > 0) x = x + 1;\n"
+                                     "  return 6;\n"
+                                     "}",
+                                     0);
+  ASSERT_EQ(R.Status, VMStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 6);
+}
+
+TEST(VMDivergenceTest, CellsOthersCanReadGiveNoProof) {
+  const char *Through = "int main(void) {\n"
+                        "  int g = 0;\n"
+                        "  int *p = &g;\n"
+                        "  while (*p < 20000) g = g + 1;\n"
+                        "  return 3;\n"
+                        "}";
+  const char *Callee = "int g;\n"
+                       "int get(void) { return g; }\n"
+                       "int main(void) {\n"
+                       "  while (get() < 20000) g = g + 1;\n"
+                       "  return 4;\n"
+                       "}";
+  for (unsigned Opt = 0; Opt <= 3; ++Opt) {
+    VMResult R = compileAndRunAtBudget(Through, Opt);
+    ASSERT_EQ(R.Status, VMStatus::Ok) << "O" << Opt << ": " << R.Message;
+    EXPECT_EQ(R.ExitCode, 3) << "O" << Opt;
+    R = compileAndRunAtBudget(Callee, Opt);
+    ASSERT_EQ(R.Status, VMStatus::Ok) << "O" << Opt << ": " << R.Message;
+    EXPECT_EQ(R.ExitCode, 4) << "O" << Opt;
+  }
+  // As an index and as a divisor, at O0 where nothing is folded away.
+  VMResult R = compileAndRunAtBudget("int t[1000];\n"
+                                     "int main(void) {\n"
+                                     "  int i = 0;\n"
+                                     "  while (1) { t[i] = 0; i = i + 1; }\n"
+                                     "  return 0;\n"
+                                     "}",
+                                     0);
+  EXPECT_EQ(R.Status, VMStatus::Trap) << R.Message;
+  R = compileAndRunAtBudget("int main(void) {\n"
+                            "  int d = -1000;\n"
+                            "  int s = 0;\n"
+                            "  while (1) { s = 100 / d; s = 0; d = d + 1; }\n"
+                            "  return 0;\n"
+                            "}",
+                            0);
+  EXPECT_EQ(R.Status, VMStatus::Trap) << R.Message;
+}
+
+TEST(VMDivergenceTest, GuardThatFlippedInTheWindowGivesNoProof) {
+  VMResult R = compileAndRunAtBudget(
+      "int main(void) {\n"
+      "  int x = 1000;\n"
+      "  int t = 1;\n"
+      "  while (1) {\n"
+      "    t = 1 - t;\n"
+      "    if (x < 500 + t * 1000) { if (t == 0) break; }\n"
+      "    x = x - 1;\n"
+      "  }\n"
+      "  return x;\n"
+      "}",
+      0);
+  ASSERT_EQ(R.Status, VMStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 498);
 }

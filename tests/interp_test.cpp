@@ -373,8 +373,6 @@ TEST(InterpTest, TruncationOnNarrowStoreIsDefined) {
 
 namespace {
 
-const char RepeatMessage[] = "state repeats at loop head";
-
 /// Runs with no step budget at all: only the divergence check can end a
 /// non-terminating run.
 ExecResult runUnbounded(const std::string &Source,
@@ -387,7 +385,7 @@ ExecResult runUnbounded(const std::string &Source,
 
 void expectRepeatDetected(const ExecResult &R) {
   EXPECT_EQ(R.Status, ExecStatus::Timeout);
-  EXPECT_EQ(R.Message, RepeatMessage);
+  EXPECT_EQ(R.Reason, TimeoutReason::Repeat);
   EXPECT_TRUE(R.Output.empty()) << R.Output;
 }
 
@@ -399,9 +397,11 @@ TEST(InterpDivergenceTest, EmptyInfiniteLoopRepeats) {
 }
 
 TEST(InterpDivergenceTest, WrappingCounterRepeats) {
+  // d copies c, so c is no drift cell; the state repeats after 256 turns.
   expectRepeatDetected(runUnbounded("int main(void) {\n"
                                     "  unsigned char c = 0;\n"
-                                    "  for (;;) c = c + 1;\n"
+                                    "  unsigned char d = 0;\n"
+                                    "  for (;;) { c = c + 1; d = c; }\n"
                                     "  return c;\n"
                                     "}"));
 }
@@ -440,7 +440,7 @@ TEST(InterpDivergenceTest, PointerToIntegerConversionBlocksDetection) {
                             "}",
                             Opts);
   EXPECT_EQ(R.Status, ExecStatus::Timeout);
-  EXPECT_EQ(R.Message, "step budget exhausted");
+  EXPECT_EQ(R.Reason, TimeoutReason::Budget);
 
   R = runProgram("long addr(void) { int local = 0; return (long)&local; }\n"
                  "int main(void) {\n"
@@ -450,7 +450,7 @@ TEST(InterpDivergenceTest, PointerToIntegerConversionBlocksDetection) {
                  "}",
                  Opts);
   EXPECT_EQ(R.Status, ExecStatus::Timeout);
-  EXPECT_EQ(R.Message, "step budget exhausted");
+  EXPECT_EQ(R.Reason, TimeoutReason::Budget);
 }
 
 TEST(InterpDivergenceTest, FreshBlockIdsSeenAsIntegersEndTheLoop) {
@@ -571,12 +571,180 @@ TEST(InterpDivergenceTest, TimeoutsCarryNoOutput) {
                             "}",
                             Opts);
   EXPECT_EQ(R.Status, ExecStatus::Timeout);
-  EXPECT_EQ(R.Message, "step budget exhausted");
+  EXPECT_EQ(R.Reason, TimeoutReason::Drift);
+  EXPECT_TRUE(R.Output.empty());
+
+  // No proof sees through a pointer-to-integer conversion: the budget.
+  R = runProgram("int main(void) {\n"
+                 "  int x = 0;\n"
+                 "  long v = 0;\n"
+                 "  while (1) { printf(\"%d\\n\", x); v = (long)&x; }\n"
+                 "  return 0;\n"
+                 "}",
+                 Opts);
+  EXPECT_EQ(R.Status, ExecStatus::Timeout);
+  EXPECT_EQ(R.Reason, TimeoutReason::Budget);
   EXPECT_TRUE(R.Output.empty());
 
   R = runProgram("int f(int n) { printf(\"x\"); return f(n); }\n"
                  "int main(void) { return f(1); }");
   EXPECT_EQ(R.Status, ExecStatus::Timeout);
-  EXPECT_EQ(R.Message, "call depth exceeded");
+  EXPECT_EQ(R.Reason, TimeoutReason::CallDepth);
   EXPECT_TRUE(R.Output.empty());
+}
+
+//===--------------------------------------------------------------------===//
+// Drift proofs: the state repeats up to counters that only march, and the
+// budget ends before anything they steer can change
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs at the harness's 2M-step budget.
+ExecResult runAtBudget(const std::string &Source) {
+  InterpOptions Opts;
+  Opts.MaxSteps = 2'000'000;
+  return runProgram(Source, Opts);
+}
+
+void expectDrift(const ExecResult &R) {
+  EXPECT_EQ(R.Status, ExecStatus::Timeout) << R.Message;
+  EXPECT_EQ(R.Reason, TimeoutReason::Drift) << R.Message;
+  EXPECT_TRUE(R.Output.empty()) << R.Output;
+}
+
+} // namespace
+
+TEST(InterpDivergenceTest, DriftingGlobalIsProven) {
+  // corpus2p's family: the guard reads i5, and g0 climbs.
+  expectDrift(runAtBudget("int g0;\n"
+                          "int main(void) {\n"
+                          "  for (int i5 = 0; i5 < 4; ++g0) {}\n"
+                          "  return 0;\n"
+                          "}"));
+}
+
+TEST(InterpDivergenceTest, DriftingLocalIsProven) {
+  expectDrift(runAtBudget("int main(void) {\n"
+                          "  int n = 0;\n"
+                          "  int i = 0;\n"
+                          "  while (i < 10) { n += 3; n = n - 1; }\n"
+                          "  return n;\n"
+                          "}"));
+}
+
+TEST(InterpDivergenceTest, PrintfSinkIsProven) {
+  expectDrift(runAtBudget("int main(void) {\n"
+                          "  unsigned int c = 7;\n"
+                          "  do { printf(\"%u\\n\", c); c--; } while (1);\n"
+                          "  return 0;\n"
+                          "}"));
+}
+
+TEST(InterpDivergenceTest, MonotoneGuardIsProven) {
+  // a falls away from the guard's bound; only its overflow, 2^31 turns
+  // away, could end the loop.
+  expectDrift(runAtBudget("int main(void) {\n"
+                          "  int a = 1;\n"
+                          "  int lim = 5;\n"
+                          "  do { printf(\"%d\\n\", a); a = a - 1; }"
+                          " while (a < lim);\n"
+                          "  return 0;\n"
+                          "}"));
+  // The same with the cell on the right of the comparison, unsigned.
+  expectDrift(runAtBudget("int main(void) {\n"
+                          "  unsigned int u = 10;\n"
+                          "  while (5 < u) u = u + 1;\n"
+                          "  return 0;\n"
+                          "}"));
+}
+
+TEST(InterpDivergenceTest, OverflowInsideTheBudgetStaysUB) {
+  ExecResult R = runAtBudget("int main(void) {\n"
+                             "  int x = 2147480000;\n"
+                             "  while (1) { printf(\"%d\\n\", x); x = x + 1; }\n"
+                             "  return 0;\n"
+                             "}");
+  EXPECT_EQ(R.Status, ExecStatus::UndefinedBehavior);
+  EXPECT_NE(R.Message.find("signed integer overflow"), std::string::npos)
+      << R.Message;
+}
+
+TEST(InterpDivergenceTest, GuardFlipInsideTheBudgetExits) {
+  ExecResult R = runAtBudget("int main(void) {\n"
+                             "  int i = 0;\n"
+                             "  int n = 0;\n"
+                             "  while (i < 20000) { ++n; i += 1; }\n"
+                             "  printf(\"%d\\n\", n);\n"
+                             "  return i % 256;\n"
+                             "}");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 20000 % 256);
+  EXPECT_EQ(R.Output, "20000\n");
+
+  // A wrap is a flip too: c passes 255 and the loop ends.
+  R = runAtBudget("int main(void) {\n"
+                  "  unsigned char c = 1;\n"
+                  "  while (c > 0) c = c + 1;\n"
+                  "  return 9;\n"
+                  "}");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 9);
+}
+
+TEST(InterpDivergenceTest, CellsOthersCanReadGiveNoProof) {
+  // Through a pointer the loop dereferences.
+  ExecResult R = runAtBudget("int main(void) {\n"
+                             "  int g = 0;\n"
+                             "  int *p = &g;\n"
+                             "  while (*p < 20000) g = g + 1;\n"
+                             "  return 3;\n"
+                             "}");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 3);
+
+  // By a callee.
+  R = runAtBudget("int g;\n"
+                  "int get(void) { return g; }\n"
+                  "int main(void) {\n"
+                  "  while (get() < 20000) g = g + 1;\n"
+                  "  return 4;\n"
+                  "}");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 4);
+
+  // As an index: the store leaves the array at i == 1000.
+  R = runAtBudget("int t[1000];\n"
+                  "int main(void) {\n"
+                  "  int i = 0;\n"
+                  "  while (1) { t[i] = 0; i = i + 1; }\n"
+                  "  return 0;\n"
+                  "}");
+  EXPECT_EQ(R.Status, ExecStatus::UndefinedBehavior) << R.Message;
+
+  // As a divisor: d reaches 0.
+  R = runAtBudget("int main(void) {\n"
+                  "  int d = -1000;\n"
+                  "  while (1) { if (100 / d) ; d = d + 1; }\n"
+                  "  return 0;\n"
+                  "}");
+  EXPECT_EQ(R.Status, ExecStatus::UndefinedBehavior) << R.Message;
+}
+
+TEST(InterpDivergenceTest, GuardThatFlippedInTheWindowGivesNoProof) {
+  // The guard's bound alternates with t, so its outcome flips inside every
+  // window (whose first turn sees the high bound); x falls until a t == 0
+  // turn sees x < 500.
+  ExecResult R = runAtBudget("int main(void) {\n"
+                             "  int x = 1000;\n"
+                             "  int t = 1;\n"
+                             "  while (1) {\n"
+                             "    t = 1 - t;\n"
+                             "    if (x < 500 + t * 1000) { if (t == 0) break; }\n"
+                             "    x = x - 1;\n"
+                             "  }\n"
+                             "  return x;\n"
+                             "}");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 498);
 }

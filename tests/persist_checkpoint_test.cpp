@@ -24,6 +24,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 using namespace spe;
 
@@ -511,6 +513,29 @@ TEST(OracleStoreTest, AppendThenLoadReplaysEveryRecord) {
   ASSERT_TRUE(Cache.lookup(Batch[2].first, E));
   EXPECT_EQ(E.Status, ExecStatus::UndefinedBehavior);
   EXPECT_EQ(E.ExitCode, -3);
+}
+
+TEST(OracleStoreTest, VersionOneLogLoadsCold) {
+  // v1 keys carried no step budget, so their verdicts came from a budget
+  // nobody recorded: such a log must not replay.
+  std::string Path = tempPath("store_v1.log");
+  std::remove(Path.c_str());
+  OracleStore Store(Path);
+  ASSERT_TRUE(Store.append({{"prog", entry(true, ExecStatus::Timeout, 0, "")}}));
+  std::string Bytes;
+  {
+    std::ifstream In(Path, std::ios::binary);
+    Bytes.assign(std::istreambuf_iterator<char>(In), {});
+  }
+  ASSERT_EQ(Bytes.compare(0, 18, "SPE-ORACLE-LOG v2\n"), 0);
+  Bytes.replace(0, 18, "SPE-ORACLE-LOG v1\n");
+  {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out << Bytes;
+  }
+  OracleCache Cache;
+  EXPECT_EQ(Store.loadInto(Cache), 0u);
+  EXPECT_EQ(Cache.size(), 0u);
 }
 
 TEST(OracleStoreTest, PrefixLoadStopsAtTheRecordedLength) {

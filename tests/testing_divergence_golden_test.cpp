@@ -1,22 +1,27 @@
 //===- tests/testing_divergence_golden_test.cpp - divergence exactness ---===//
 //
-// The loop-head divergence check of the reference interpreter and the
+// The loop-head divergence checks of the reference interpreter and the
 // MiniCC VM (DESIGN.md Section 18) must change nothing but time: every
 // verdict, exit code and output is the one the full step budget produces.
-// This battery pins that against digests computed before the check
-// existed, over the variant stream of the loop/call corpus (the first 600
-// ranks of each of the ten seeds the validity property test sweeps):
+// This battery pins that against digests computed before the checks
+// existed, over two variant streams:
 //
-//   * oracle digest: FNV-1a over each variant's interpreter verdict at a
-//     100K-step budget -- status, plus exit code and output when the
-//     status is not Timeout;
-//   * VM digest: FNV-1a over the MiniCC observations of the oracle-Ok
-//     variants under gcc-sim 4.8 -O3 and clang-sim 3.6 -O3 (bugs on) --
-//     compile status, exec status, plus exit code and output when the
-//     exec status is not Timeout.
+//   * the loop/call corpus (the first 600 ranks of each of the ten seeds
+//     the validity property test sweeps). Oracle digest: FNV-1a over each
+//     variant's interpreter verdict at a 100K-step budget -- status, plus
+//     exit code and output when the status is not Timeout. VM digest:
+//     FNV-1a over the MiniCC observations of the oracle-Ok variants under
+//     gcc-sim 4.8 -O3 and clang-sim 3.6 -O3 (bugs on) -- compile status,
+//     exec status, plus exit code and output when the exec status is not
+//     Timeout. Seeds 6 and 7 hold the miscompiled counting loops only a
+//     drift proof ends early in the VM.
+//   * corpus2p's oracle stream (its generator at base 2000 through the
+//     harness's pruned cursor, first 400 ranks, 2M steps), digested the
+//     same way, computed before drift proofs existed.
 //
-// Both executors must also have proven at least one repeat, so the pin
-// cannot pass because the check never fired.
+// Each executor must also have proven at least one repeat and one drift,
+// so no pin can pass because a proof never fired; each stream prints its
+// Timeout census by reason.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,26 +30,35 @@
 #include "interp/Interpreter.h"
 #include "lang/Parser.h"
 #include "persist/LineText.h"
+#include "core/ValidityPruning.h"
 #include "sema/Sema.h"
 #include "skeleton/ProgramEnumerator.h"
 #include "skeleton/SkeletonExtractor.h"
+#include "skeleton/ValidityAnalysis.h"
 #include "skeleton/VariantRenderer.h"
 #include "testing/Corpus.h"
 
 #include "gtest/gtest.h"
 
+#include <cstdio>
+#include <map>
+
 using namespace spe;
 
 namespace {
 
-const char RepeatMessage[] = "state repeats at loop head";
-
 struct StreamDigest {
   uint64_t Variants = 0, OracleOk = 0, OracleTimeouts = 0, VmRuns = 0,
            VmTimeouts = 0;
-  uint64_t OracleRepeats = 0, VmRepeats = 0;
+  std::map<std::string, uint64_t> OracleCensus, VmCensus;
   linetext::Fnv Oracle, Vm;
 };
+
+void printCensus(const char *What, const std::map<std::string, uint64_t> &C) {
+  for (const auto &[Reason, N] : C)
+    std::printf("%s timeouts: %s=%llu\n", What, Reason.c_str(),
+                static_cast<unsigned long long>(N));
+}
 
 /// The loop/call corpus of testing_validity_property_test's loopSeeds().
 std::vector<std::string> loopSeeds(unsigned CorpusCount) {
@@ -91,7 +105,7 @@ StreamDigest digestLoopCorpus() {
       D.Oracle.u64(static_cast<uint64_t>(Ref.Status));
       if (Ref.Status == ExecStatus::Timeout) {
         ++D.OracleTimeouts;
-        D.OracleRepeats += Ref.Message == RepeatMessage;
+        ++D.OracleCensus[timeoutReasonName(Ref.Reason)];
         EXPECT_TRUE(Ref.Output.empty());
         continue;
       }
@@ -110,7 +124,7 @@ StreamDigest digestLoopCorpus() {
         D.Vm.u64(static_cast<uint64_t>(V.Status));
         if (V.Status == VMStatus::Timeout) {
           ++D.VmTimeouts;
-          D.VmRepeats += V.Message == RepeatMessage;
+          ++D.VmCensus[timeoutReasonName(V.Reason)];
           EXPECT_TRUE(V.Output.empty());
           continue;
         }
@@ -122,7 +136,78 @@ StreamDigest digestLoopCorpus() {
   return D;
 }
 
+struct OracleDigest {
+  uint64_t Variants = 0, Timeouts = 0;
+  std::map<std::string, uint64_t> Census;
+  linetext::Fnv H;
+};
+
+/// corpus2p's oracle stream: every seed of its generator at base 2000,
+/// through the harness's pruned cursor (threshold 10K, first 400 ranks),
+/// judged at the harness's 2M-step budget.
+OracleDigest digestCorpus2p() {
+  CorpusOptions Opts;
+  Opts.UninitLocalProb = 0.6;
+  std::vector<std::string> Seeds = embeddedSeeds();
+  for (std::string &S : generateCorpus(2000, 40, Opts))
+    Seeds.push_back(std::move(S));
+  OracleDigest D;
+  for (const std::string &Seed : Seeds) {
+    ASTContext Ctx;
+    DiagnosticEngine Diags;
+    if (!Parser::parse(Seed, Ctx, Diags))
+      continue;
+    Sema Analysis(Ctx, Diags);
+    if (!Analysis.run())
+      continue;
+    std::vector<SkeletonUnit> Units =
+        SkeletonExtractor(Ctx, Analysis, {}).extract();
+    BigInt Count = ProgramEnumerator(Units, SpeMode::Exact).countSpe();
+    if (Count > BigInt(10'000))
+      continue;
+    std::vector<ValidityConstraints> Validity =
+        analyzeValidity(Ctx, Analysis, Units);
+    ProgramCursor Cursor(Units, SpeMode::Exact);
+    Cursor.setConstraints(constraintPtrs(Validity));
+    Cursor.setEnd(BigInt(400) < Count ? BigInt(400) : Count);
+    VariantRenderer Renderer(Ctx, Units);
+    std::string Source;
+    while (const ProgramAssignment *PA = Cursor.next()) {
+      Renderer.renderInto(*PA, Source);
+      ++D.Variants;
+      std::unique_ptr<ASTContext> VCtx = parseAndAnalyze(Source);
+      if (!VCtx) {
+        D.H.u64(0xff);
+        continue;
+      }
+      ExecResult Ref = interpret(*VCtx);
+      D.H.u64(static_cast<uint64_t>(Ref.Status));
+      if (Ref.Status == ExecStatus::Timeout) {
+        ++D.Timeouts;
+        ++D.Census[timeoutReasonName(Ref.Reason)];
+        EXPECT_TRUE(Ref.Output.empty());
+        continue;
+      }
+      D.H.u64(static_cast<uint64_t>(Ref.ExitCode));
+      D.H.str(Ref.Output);
+    }
+  }
+  return D;
+}
+
 } // namespace
+
+TEST(DivergenceGoldenTest, Corpus2pOracleVerdictsMatchTheFullBudgetRun) {
+  OracleDigest D = digestCorpus2p();
+  printCensus("corpus2p oracle", D.Census);
+
+  // Computed with the executors before drift proofs existed.
+  EXPECT_EQ(D.Variants, 3077u);
+  EXPECT_EQ(D.Timeouts, 54u);
+  EXPECT_EQ(D.H.H, 0x1167d8dc53851232ull);
+
+  EXPECT_GT(D.Census["drift"], 0u) << "the interpreter never proved a drift";
+}
 
 TEST(DivergenceGoldenTest, VerdictStreamsMatchTheFullBudgetRun) {
   StreamDigest D = digestLoopCorpus();
@@ -136,6 +221,12 @@ TEST(DivergenceGoldenTest, VerdictStreamsMatchTheFullBudgetRun) {
   EXPECT_EQ(D.Oracle.H, 0xe3fe16aa7dcb4edeull);
   EXPECT_EQ(D.Vm.H, 0x91bf84aa9632f583ull);
 
-  EXPECT_GT(D.OracleRepeats, 0u) << "the interpreter never proved a repeat";
-  EXPECT_GT(D.VmRepeats, 0u) << "the VM never proved a repeat";
+  printCensus("loop-corpus oracle", D.OracleCensus);
+  printCensus("loop-corpus VM", D.VmCensus);
+  EXPECT_GT(D.OracleCensus["repeat"], 0u)
+      << "the interpreter never proved a repeat";
+  EXPECT_GT(D.VmCensus["repeat"], 0u) << "the VM never proved a repeat";
+  EXPECT_GT(D.OracleCensus["drift"], 0u)
+      << "the interpreter never proved a drift";
+  EXPECT_GT(D.VmCensus["drift"], 0u) << "the VM never proved a drift";
 }

@@ -129,3 +129,42 @@ TEST(OracleCacheCapTest, CampaignSurfacesEvictionAndStoreStats) {
   EXPECT_EQ(Result.OracleStoreBytes,
             std::filesystem::file_size(Opts.OracleStorePath));
 }
+
+TEST(OracleCacheKeyTest, CampaignsWithDifferentBudgetsShareOneCache) {
+  // The fleet test's seed: retargeting the loop bound onto m gives a
+  // variant that ends after about 240K interpreter steps, so its verdict
+  // is Timeout at 100K steps and Ok at 2M.
+  const std::string Seed = "int main(void) {\n"
+                           "  int n = 3;\n"
+                           "  int m = 20000;\n"
+                           "  int i = 0;\n"
+                           "  while (i < n)\n"
+                           "    i = i + 1;\n"
+                           "  return i;\n"
+                           "}\n";
+  HarnessOptions Wide;
+  Wide.Configs = HarnessOptions::crashMatrix(Persona::GccSim, 48);
+  Wide.VariantBudget = 100;
+  HarnessOptions Tight = Wide;
+  Tight.OracleMaxSteps = 100'000;
+  const CampaignResult TightRef = DifferentialHarness(Tight).runCampaign({Seed});
+  const CampaignResult WideRef = DifferentialHarness(Wide).runCampaign({Seed});
+  ASSERT_GT(TightRef.VariantsOracleExcluded, WideRef.VariantsOracleExcluded);
+
+  // Whichever campaign fills the cache first, each gets its own verdicts.
+  for (bool TightFirst : {true, false}) {
+    OracleCache Shared;
+    Tight.Cache = &Shared;
+    Wide.Cache = &Shared;
+    CampaignResult First = DifferentialHarness(TightFirst ? Tight : Wide)
+                               .runCampaign({Seed});
+    CampaignResult Second = DifferentialHarness(TightFirst ? Wide : Tight)
+                                .runCampaign({Seed});
+    const CampaignResult &T = TightFirst ? First : Second;
+    const CampaignResult &W = TightFirst ? Second : First;
+    EXPECT_EQ(T.VariantsOracleExcluded, TightRef.VariantsOracleExcluded);
+    EXPECT_EQ(T.VariantsTested, TightRef.VariantsTested);
+    EXPECT_EQ(W.VariantsOracleExcluded, WideRef.VariantsOracleExcluded);
+    EXPECT_EQ(W.VariantsTested, WideRef.VariantsTested);
+  }
+}
