@@ -201,8 +201,10 @@ private:
   /// Classified loops of this run, by function and head block.
   std::map<std::pair<unsigned, unsigned>, VMLoopPlan> Plans;
   std::vector<DriftWatch *> Watches; ///< Armed watches.
-  /// Globals whose address is used other than to load or store them.
+  /// Globals whose address is used other than to load or store them;
+  /// filled on first use.
   std::vector<bool> EscapedGlobals;
+  bool EscapedKnown = false;
 };
 
 void VM::loopHead(LoopDetector<SavedActivation> &D, unsigned FnIndex,
@@ -377,14 +379,6 @@ VMLoopPlan VM::classifyLoop(unsigned FnIndex, unsigned Target) {
   auto CellType = [&](int C) {
     return C < NumSlots ? F.Slots[C].Ty : M.Globals[C - NumSlots].Ty;
   };
-  if (EscapedGlobals.empty()) {
-    EscapedGlobals.assign(M.Globals.size(), false);
-    for (const IRFunction &G : M.Functions)
-      markEscapes(G, definitions(G), IROp::AddrGlobal, EscapedGlobals);
-  }
-  std::vector<bool> EscapedSlots(F.Slots.size(), false);
-  markEscapes(F, Def, IROp::AddrSlot, EscapedSlots);
-
   // A value register of a cell holds the cell's value as the loop loaded
   // it, plus Offset: a chain of small constants (self-update sums).
   std::vector<int> ValueCell(F.NumRegs, -2); // -2: not yet resolved.
@@ -475,13 +469,26 @@ VMLoopPlan VM::classifyLoop(unsigned FnIndex, unsigned Target) {
     }
   }
 
+  // Only a loop that dereferences or calls can reach a cell through a
+  // pointer, and only a cell whose address escapes somewhere.
+  std::vector<bool> EscapedSlots(F.Slots.size(), false);
+  if (Calls || Derefs) {
+    if (!EscapedKnown) {
+      EscapedKnown = true;
+      EscapedGlobals.assign(M.Globals.size(), false);
+      for (const IRFunction &G : M.Functions)
+        markEscapes(G, definitions(G), IROp::AddrGlobal, EscapedGlobals);
+    }
+    markEscapes(F, Def, IROp::AddrSlot, EscapedSlots);
+  }
   std::vector<bool> Candidate(NumCells, false);
   for (int C = 0; C < NumCells; ++C) {
     const Type *Ty = CellType(C);
     bool Global = C >= NumSlots;
-    bool Escaped = Global ? EscapedGlobals[C - NumSlots] : EscapedSlots[C];
+    bool Escaped = (Calls || Derefs) &&
+                   (Global ? EscapedGlobals[C - NumSlots] : EscapedSlots[C]);
     Candidate[C] = !Bad[C] && !Deltas[C].empty() && Ty && Ty->isInteger() &&
-                   !(Global && Calls) && !(Escaped && (Calls || Derefs));
+                   !(Global && Calls) && !Escaped;
   }
   // Whether a register the loop defines may carry a candidate's value.
   std::vector<int> Fed(F.NumRegs, -1); // -1: not yet resolved.

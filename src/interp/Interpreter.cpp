@@ -360,23 +360,6 @@ struct LoopUses : ExprEventHandler {
 /// is discarded, a bare printf argument, or one side of a relational
 /// comparison whose other side reads no drift cell.
 LoopPlan Interp::classifyLoop(const Stmt *Loop) {
-  if (!AddressTakenKnown) {
-    AddressTakenKnown = true;
-    auto Scan = [&](const Expr *E, bool) {
-      forEachSubExpr(E, [&](const Expr *Sub) {
-        const auto *U = dyn_cast<UnaryExpr>(Sub);
-        if (U && U->op() == UnaryOp::AddrOf)
-          if (const DeclRefExpr *DR = varRef(U->sub()))
-            AddressTaken.insert(DR->decl());
-      });
-    };
-    for (const FunctionDecl *F : Ctx.functions())
-      forEachFullExpr(F->body(), Scan);
-    for (const VarDecl *G : Ctx.globals())
-      if (G->init())
-        Scan(G->init(), true);
-  }
-
   struct Update {
     const VarDecl *Var;
     int64_t Delta;
@@ -474,6 +457,25 @@ LoopPlan Interp::classifyLoop(const Stmt *Loop) {
     forEachFullExpr(F->body(), Visit);
     if (F->step())
       Visit(F->step(), false);
+  }
+
+  // Only a loop that dereferences or calls can reach a cell through a
+  // pointer, and only a cell whose address is taken somewhere.
+  if ((Uses.Calls || Uses.Derefs) && !AddressTakenKnown) {
+    AddressTakenKnown = true;
+    auto Scan = [&](const Expr *E, bool) {
+      forEachSubExpr(E, [&](const Expr *Sub) {
+        const auto *U = dyn_cast<UnaryExpr>(Sub);
+        if (U && U->op() == UnaryOp::AddrOf)
+          if (const DeclRefExpr *DR = varRef(U->sub()))
+            AddressTaken.insert(DR->decl());
+      });
+    };
+    for (const FunctionDecl *F : Ctx.functions())
+      forEachFullExpr(F->body(), Scan);
+    for (const VarDecl *G : Ctx.globals())
+      if (G->init())
+        Scan(G->init(), true);
   }
 
   // Candidates: integer scalars every access of which fits a rule, that
