@@ -67,7 +67,7 @@ int main() {
               Campaign.UniqueBugs.size(), CampaignSec);
 
   uint64_t CacheHitsBefore = Cache.hits();
-  TriageOptions Opts;
+  HarnessOptions Opts;
   Opts.Cache = &Cache;
   auto T1 = std::chrono::steady_clock::now();
   triageCampaign(Campaign, Opts);

@@ -42,14 +42,14 @@ int main() {
   const std::vector<std::string> &Embedded = embeddedSeeds();
   std::vector<std::string> Seeds = {Embedded[0], Embedded[2], Embedded[0]};
 
-  FleetSpec Spec;
+  CampaignSpec Spec;
   Spec.Configs = HarnessOptions::crashMatrix(Persona::GccSim, 48);
   Spec.VariantBudget = 30;
   Spec.Threads = 2;
   Spec.Triage = true;
 
   // The single-process reference, checkpointing on.
-  HarnessOptions HO = Spec.toHarnessOptions();
+  HarnessOptions HO(Spec);
   HO.CheckpointPath = Dir + "/reference.ck";
   CampaignResult Reference = DifferentialHarness(HO).runCampaign(Seeds);
   std::printf("single-process reference: %llu variants tested, "

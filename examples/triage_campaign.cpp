@@ -42,7 +42,7 @@ int main() {
               Seeds.size(),
               static_cast<unsigned long long>(Campaign.RawFindings.size()));
 
-  TriageOptions Opts;
+  HarnessOptions Opts;
   Opts.Cache = &Cache;
   triageCampaign(Campaign, Opts);
   const ReductionStats &R = Campaign.Reduction;

@@ -80,7 +80,7 @@ struct WorkerSlot {
 /// All state the dispatch threads, the status writer, and the journal share
 /// for one run() invocation. Everything below Mu is guarded by it.
 struct CampaignCoordinator::Impl {
-  const FleetSpec &Spec;
+  const CampaignSpec &Spec;
   const FleetOptions &O;
   const std::vector<std::string> &Seeds;
 
@@ -109,7 +109,7 @@ struct CampaignCoordinator::Impl {
   bool StatusWarned = false;
   bool StatusDone = false;
 
-  Impl(const FleetSpec &Spec, const FleetOptions &O,
+  Impl(const CampaignSpec &Spec, const FleetOptions &O,
        const std::vector<std::string> &Seeds)
       : Spec(Spec), O(O), Seeds(Seeds) {}
 
@@ -279,7 +279,7 @@ struct CampaignCoordinator::Impl {
   }
 };
 
-CampaignCoordinator::CampaignCoordinator(FleetSpec Spec, FleetOptions Opts)
+CampaignCoordinator::CampaignCoordinator(CampaignSpec Spec, FleetOptions Opts)
     : Spec(std::move(Spec)), Opts(std::move(Opts)) {}
 
 bool CampaignCoordinator::run(const std::vector<std::string> &Seeds,
@@ -294,15 +294,15 @@ bool CampaignCoordinator::run(const std::vector<std::string> &Seeds,
   const unsigned Workers = Opts.Workers == 0 ? 1 : Opts.Workers;
 
   Impl I(Spec, Opts, Seeds);
-  I.SpecDoc = Spec.serialize();
-  I.SpecFp = Spec.fingerprint();
+  I.SpecDoc = serializeSpec(Spec);
+  I.SpecFp = fingerprintSpec(Spec);
   I.SeedsFp = fingerprintSeeds(Seeds);
   I.StartMs = steadyMs();
   I.Slots.resize(Workers);
 
   //===--- Plan: headers + lease partition, no enumeration ---------------===//
 
-  const HarnessOptions HO = Spec.toHarnessOptions();
+  const HarnessOptions HO(Spec);
   DifferentialHarness Planner(HO);
   I.Headers.resize(Seeds.size());
   std::vector<size_t> FirstLease(Seeds.size() + 1, 0);
@@ -542,12 +542,8 @@ bool CampaignCoordinator::run(const std::vector<std::string> &Seeds,
         std::fprintf(stderr, "spe: fleet checkpoint write failed: %s\n",
                      CErr.c_str());
     }
-    if (Spec.Triage) {
-      TriageOptions T;
-      T.InjectBugs = Spec.InjectBugs;
-      T.OracleMaxSteps = Spec.OracleMaxSteps;
-      triageCampaign(Result, T);
-    }
+    if (Spec.Triage)
+      triageCampaign(Result, HO);
   }
 
   {

@@ -96,7 +96,7 @@ struct FleetStats {
 
 class CampaignCoordinator {
 public:
-  CampaignCoordinator(FleetSpec Spec, FleetOptions Opts);
+  CampaignCoordinator(CampaignSpec Spec, FleetOptions Opts);
 
   /// Runs the fleet campaign over \p Seeds into \p Result. \returns false
   /// with \p Err set on unrecoverable failures (worker binary unstartable,
@@ -112,7 +112,7 @@ public:
 private:
   struct Impl;
 
-  FleetSpec Spec;
+  CampaignSpec Spec;
   FleetOptions Opts;
   FleetStats Stats;
   bool StoppedByHook = false;

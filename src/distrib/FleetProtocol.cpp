@@ -4,6 +4,7 @@
 
 #include "persist/LineText.h"
 
+#include <limits>
 #include <sstream>
 
 using namespace spe;
@@ -14,31 +15,118 @@ namespace {
 const char SpecMagic[] = "SPE-FLEET-SPEC v1";
 const char FragmentMagic[] = "SPE-FLEET-FRAGMENT v1";
 
+/// The largest wire value of a scalar option: the last enumerator of an
+/// enum, else the type's own maximum (1 for a bool).
+template <class T> constexpr uint64_t optionMax() {
+  if constexpr (std::is_same_v<T, SpeMode>)
+    return static_cast<uint64_t>(SpeMode::PaperFaithful);
+  else if constexpr (std::is_same_v<T, Granularity>)
+    return static_cast<uint64_t>(Granularity::InterProcedural);
+  else if constexpr (std::is_same_v<T, ScopeModel>)
+    return static_cast<uint64_t>(ScopeModel::DeclRegion);
+  else if constexpr (std::is_same_v<T, Persona>)
+    return static_cast<uint64_t>(Persona::ClangSim);
+  else {
+    static_assert(std::is_integral_v<T>, "name the enum's last enumerator");
+    return std::numeric_limits<T>::max();
+  }
+}
+
+template <class T>
+constexpr bool IsConfigs = std::is_same_v<T, std::vector<CompilerConfig>>;
+template <class T>
+constexpr bool IsSweep = std::is_same_v<T, std::vector<std::string>>;
+
+/// Writes each option as one token: scalars as numbers (enums by
+/// enumerator, bools 0/1). Configs ends the `opts` line and writes a
+/// `configs` count line, then one `config` line per entry; its ExecSweep
+/// count ends that line, and a `sweep` line follows per input.
+struct WriteOption {
+  std::ostringstream &Out;
+
+  template <class T>
+  void operator()(const char *, OptionKind, const T &Field) {
+    if constexpr (IsConfigs<T>) {
+      Out << "\nconfigs " << Field.size() << '\n';
+      for (const CompilerConfig &C : Field) {
+        Out << "config";
+        walkCompilerConfig(C, *this);
+      }
+    } else if constexpr (IsSweep<T>) {
+      Out << ' ' << Field.size() << '\n';
+      for (const std::string &In : Field)
+        Out << "sweep " << escapeToken(In) << '\n';
+    } else {
+      Out << ' ' << static_cast<uint64_t>(Field);
+    }
+  }
+};
+
+/// Counts the tokens WriteOption puts on one line, keyword included.
+struct CountTokens {
+  size_t N = 1;
+
+  template <class T> void operator()(const char *, OptionKind, const T &) {
+    N += IsConfigs<T> ? 0 : 1;
+  }
+};
+
+/// Reads WriteOption's document back, checking each scalar against its
+/// type's range.
+struct ReadOption {
+  Reader &R;
+  /// The `opts` or `config` line being read, and its next token.
+  const std::vector<std::string> *Line = nullptr;
+  size_t Next = 1;
+  bool Ok = true;
+
+  bool open(const char *Kw, size_t NTokens) {
+    Line = R.line(Kw, NTokens);
+    Next = 1;
+    return Ok = Line != nullptr;
+  }
+
+  template <class T> void operator()(const char *Name, OptionKind, T &Field) {
+    if (!Ok)
+      return;
+    uint64_t N = 0;
+    if constexpr (IsConfigs<T>) {
+      CompilerConfig Blank;
+      CountTokens PerConfig;
+      walkCompilerConfig(Blank, PerConfig);
+      const std::vector<std::string> *L = R.line("configs", 2);
+      Ok = L && R.u64((*L)[1], N);
+      for (uint64_t I = 0; Ok && I < N && open("config", PerConfig.N); ++I)
+        walkCompilerConfig(Field.emplace_back(), *this);
+    } else if constexpr (IsSweep<T>) {
+      Ok = R.u64((*Line)[Next++], N);
+      for (uint64_t I = 0; Ok && I < N; ++I) {
+        const std::vector<std::string> *L = R.line("sweep", 2);
+        Ok = L && R.strTok((*L)[1], Field.emplace_back());
+      }
+    } else {
+      Ok = R.u64((*Line)[Next++], N) &&
+           (N <= optionMax<T>() ||
+            R.fail(std::string(Name) + " " + std::to_string(N) +
+                   " out of range"));
+      if (Ok)
+        Field = static_cast<T>(N);
+    }
+  }
+};
+
 } // namespace
 
-std::string FleetSpec::serialize() const {
+std::string spe::serializeSpec(const CampaignSpec &Spec) {
   std::ostringstream Out;
-  Out << SpecMagic << '\n';
-  Out << "opts " << static_cast<int>(Mode) << ' '
-      << static_cast<int>(Extract.Gran) << ' '
-      << static_cast<int>(Extract.Model) << ' ' << VariantThreshold << ' '
-      << VariantBudget << ' ' << Threads << ' ' << BatchSize << ' '
-      << (InjectBugs ? 1 : 0) << ' ' << (PruneInvalid ? 1 : 0) << ' '
-      << (Triage ? 1 : 0) << ' ' << OracleMaxSteps << '\n';
-  Out << "configs " << Configs.size() << '\n';
-  for (const CompilerConfig &C : Configs) {
-    Out << "config " << static_cast<int>(C.P) << ' ' << C.Version << ' '
-        << C.OptLevel << ' ' << (C.Mode64 ? 1 : 0) << ' '
-        << C.ExecSweep.size() << '\n';
-    for (const std::string &In : C.ExecSweep)
-      Out << "sweep " << escapeToken(In) << '\n';
-  }
+  Out << SpecMagic << "\nopts";
+  walkCampaignSpec(Spec, WriteOption{Out});
   return Out.str();
 }
 
-bool FleetSpec::parse(const std::string &Text, FleetSpec &Out,
-                      std::string &Err) {
-  Out = FleetSpec();
+bool spe::parseSpec(const std::string &Text, CampaignSpec &Out,
+                    std::string &Err) {
+  Out = CampaignSpec();
   Reader R(Text);
   if (R.Lines.empty() || R.Lines[0].size() != 2 ||
       R.Lines[0][0] + " " + R.Lines[0][1] != SpecMagic) {
@@ -46,81 +134,25 @@ bool FleetSpec::parse(const std::string &Text, FleetSpec &Out,
     return false;
   }
   R.At = 1;
-
-  const std::vector<std::string> *L = R.line("opts", 12);
-  uint64_t Mode = 0, Gran = 0, Model = 0, Threads = 0;
-  bool Ok = L && R.u64((*L)[1], Mode) && R.u64((*L)[2], Gran) &&
-            R.u64((*L)[3], Model) && R.u64((*L)[4], Out.VariantThreshold) &&
-            R.u64((*L)[5], Out.VariantBudget) && R.u64((*L)[6], Threads) &&
-            R.u64((*L)[7], Out.BatchSize) &&
-            R.boolTok((*L)[8], Out.InjectBugs) &&
-            R.boolTok((*L)[9], Out.PruneInvalid) &&
-            R.boolTok((*L)[10], Out.Triage) &&
-            R.u64((*L)[11], Out.OracleMaxSteps);
-  if (Ok && (Mode > 1 || Gran > 1 || Model > 2))
-    Ok = R.fail("enum value out of range");
-  if (Ok) {
-    Out.Mode = static_cast<SpeMode>(Mode);
-    Out.Extract.Gran = static_cast<Granularity>(Gran);
-    Out.Extract.Model = static_cast<ScopeModel>(Model);
-    Out.Threads = static_cast<unsigned>(Threads);
-  }
-
-  uint64_t NConfigs = 0;
-  Ok = Ok && (L = R.line("configs", 2)) && R.u64((*L)[1], NConfigs);
-  for (uint64_t I = 0; Ok && I < NConfigs; ++I) {
-    const auto *CL = R.line("config", 6);
-    uint64_t P = 0, Ver = 0, Opt = 0, NSweep = 0;
-    CompilerConfig C;
-    Ok = CL && R.u64((*CL)[1], P) && R.u64((*CL)[2], Ver) &&
-         R.u64((*CL)[3], Opt) && R.boolTok((*CL)[4], C.Mode64) &&
-         R.u64((*CL)[5], NSweep);
-    if (Ok && P > 1)
-      Ok = R.fail("persona out of range");
-    for (uint64_t S = 0; Ok && S < NSweep; ++S) {
-      const auto *SL = R.line("sweep", 2);
-      std::string In;
-      Ok = SL && R.strTok((*SL)[1], In);
-      if (Ok)
-        C.ExecSweep.push_back(std::move(In));
-    }
-    if (Ok) {
-      C.P = static_cast<Persona>(P);
-      C.Version = static_cast<unsigned>(Ver);
-      C.OptLevel = static_cast<unsigned>(Opt);
-      Out.Configs.push_back(std::move(C));
-    }
-  }
-  if (Ok && R.At != R.Lines.size())
-    Ok = R.fail("trailing data after fleet spec");
-  if (!Ok) {
+  CountTokens PerOpts;
+  walkCampaignSpec(Out, PerOpts);
+  ReadOption Read{R};
+  if (Read.open("opts", PerOpts.N))
+    walkCampaignSpec(Out, Read);
+  if (Read.Ok && R.At != R.Lines.size())
+    Read.Ok = R.fail("trailing data after fleet spec");
+  if (!Read.Ok) {
     Err = R.Err.empty() ? "malformed fleet spec" : R.Err;
     return false;
   }
   return true;
 }
 
-uint64_t FleetSpec::fingerprint() const {
-  std::string Doc = serialize();
+uint64_t spe::fingerprintSpec(const CampaignSpec &Spec) {
+  std::string Doc = serializeSpec(Spec);
   Fnv Sum;
   Sum.bytes(Doc.data(), Doc.size());
   return Sum.H;
-}
-
-HarnessOptions FleetSpec::toHarnessOptions() const {
-  HarnessOptions O;
-  O.Mode = Mode;
-  O.Extract = Extract;
-  O.VariantThreshold = VariantThreshold;
-  O.VariantBudget = VariantBudget;
-  O.Threads = Threads;
-  O.BatchSize = BatchSize;
-  O.Configs = Configs;
-  O.InjectBugs = InjectBugs;
-  O.PruneInvalid = PruneInvalid;
-  O.Triage = Triage;
-  O.OracleMaxSteps = OracleMaxSteps;
-  return O;
 }
 
 std::string spe::serializeFragment(const CampaignResult &R) {

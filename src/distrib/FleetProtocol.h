@@ -20,9 +20,9 @@
 ///   lease <id> <seed> <b> <e>    done <id> <escaped-fragment>
 ///   exit                         error <escaped-message>   (fatal)
 ///
-/// FleetSpec is the serializable subset of HarnessOptions a worker needs to
-/// reproduce the coordinator's enumeration exactly: pointer-valued options
-/// (Backend, Cache, Cov, Telemetry) deliberately have no wire form -- fleet
+/// The spec a fleet shares is a CampaignSpec (testing/Harness.h): the
+/// plain-value subset of HarnessOptions, enforced by its type. Pointer
+/// options (Backend, Cache, Cov, Telemetry) cannot reach the wire -- fleet
 /// campaigns run the in-process backend with no shared cache, which is what
 /// keeps per-lease oracle counters independent of how leases land on
 /// workers. The spec fingerprint (FNV-1a over the serialized form) is
@@ -38,40 +38,19 @@
 #include "testing/Harness.h"
 
 #include <string>
-#include <vector>
 
 namespace spe {
 
-/// The wire-serializable campaign configuration a fleet shares.
-struct FleetSpec {
-  SpeMode Mode = SpeMode::Exact;
-  ExtractorOptions Extract;
-  uint64_t VariantThreshold = 10'000;
-  uint64_t VariantBudget = 400;
-  /// Folded into the checkpoint options fingerprint only (leases always
-  /// run single-cursor): set this to the thread count of the equivalent
-  /// single-process campaign so the coordinator's final checkpoint is
-  /// byte-identical to that run's.
-  unsigned Threads = 1;
-  uint64_t BatchSize = 1;
-  std::vector<CompilerConfig> Configs;
-  bool InjectBugs = true;
-  bool PruneInvalid = true;
-  bool Triage = false;
-  /// HarnessOptions::OracleMaxSteps: which variants the oracle excludes as
-  /// Timeout, so every worker must run the campaign's own budget.
-  uint64_t OracleMaxSteps = 2'000'000;
+/// Line-text document of \p Spec (magic, options line, config/sweep lines),
+/// written field by field in walkCampaignSpec order.
+std::string serializeSpec(const CampaignSpec &Spec);
 
-  /// Line-text document (magic, options line, config/sweep lines).
-  std::string serialize() const;
-  static bool parse(const std::string &Text, FleetSpec &Out,
-                    std::string &Err);
-  /// FNV-1a over serialize(): one number both sides agree on.
-  uint64_t fingerprint() const;
-  /// The harness options a worker (or the coordinator's own planner) runs
-  /// under. Pointer-valued options are left at their defaults.
-  HarnessOptions toHarnessOptions() const;
-};
+/// Inverse of serializeSpec; rejects a damaged document, including any
+/// enum or flag token out of its type's range.
+bool parseSpec(const std::string &Text, CampaignSpec &Out, std::string &Err);
+
+/// FNV-1a over serializeSpec(): one number both sides agree on.
+uint64_t fingerprintSpec(const CampaignSpec &Spec);
 
 /// Serializes the checkpointed portion of \p R (counters + finding maps,
 /// persist/LineText layout) with a checksum trailer.

@@ -64,7 +64,7 @@ int spe::runFleetWorker(std::istream &In, std::ostream &Out,
                         const FleetWorkerOptions &WO) {
   std::unique_ptr<CampaignStatusFeed> Feed;
   std::unique_ptr<DifferentialHarness> Harness;
-  FleetSpec Spec;
+  CampaignSpec Spec;
   std::map<uint64_t, std::string> Seeds;
   /// Everything this worker ran, for heartbeat counters only -- fragments
   /// go back to the coordinator per lease.
@@ -86,9 +86,9 @@ int spe::runFleetWorker(std::istream &In, std::ostream &Out,
       std::string Doc, Err;
       if (!unescapeToken(T[1], Doc))
         return fatal("bad spec escaping");
-      if (!FleetSpec::parse(Doc, Spec, Err))
+      if (!parseSpec(Doc, Spec, Err))
         return fatal("bad spec: " + Err);
-      HarnessOptions HO = Spec.toHarnessOptions();
+      HarnessOptions HO(Spec);
       if (!WO.StatusPath.empty()) {
         CampaignStatusFeed::Options SO;
         SO.Path = WO.StatusPath;
@@ -100,7 +100,7 @@ int spe::runFleetWorker(std::istream &In, std::ostream &Out,
         HO.Status = Feed.get();
       }
       Harness = std::make_unique<DifferentialHarness>(std::move(HO));
-      Out << "ready " << Spec.fingerprint() << '\n' << std::flush;
+      Out << "ready " << fingerprintSpec(Spec) << '\n' << std::flush;
       continue;
     }
 

@@ -167,35 +167,35 @@ bool CampaignCheckpoint::loadFrom(const std::string &Path,
 // Fingerprints
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Folds each result-affecting option of the walk into the fingerprint.
+struct FoldOption {
+  Fnv &F;
+
+  template <class T>
+  void operator()(const char *, OptionKind Kind, const T &Field) {
+    if (Kind == OptionKind::ResultNeutral)
+      return;
+    if constexpr (std::is_same_v<T, std::vector<CompilerConfig>>) {
+      F.u64(Field.size());
+      for (const CompilerConfig &C : Field)
+        walkCompilerConfig(C, *this);
+    } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+      F.u64(Field.size());
+      for (const std::string &S : Field)
+        F.str(S);
+    } else {
+      F.u64(static_cast<uint64_t>(Field));
+    }
+  }
+};
+
+} // namespace
+
 uint64_t spe::fingerprintOptions(const HarnessOptions &Opts) {
   Fnv F;
-  F.u64(static_cast<uint64_t>(Opts.Mode));
-  F.u64(static_cast<uint64_t>(Opts.Extract.Gran));
-  F.u64(static_cast<uint64_t>(Opts.Extract.Model));
-  F.u64(Opts.VariantThreshold);
-  F.u64(Opts.VariantBudget);
-  // The step budget decides which variants are excluded as Timeout.
-  F.u64(Opts.OracleMaxSteps);
-  F.u64(Opts.Threads);
-  // Deliberately NOT folded: Opts.BatchSize. Batching is result-neutral
-  // by the batch contract (every recorded observation has unbatched
-  // provenance), so a campaign checkpointed at one batch size must stay
-  // resumable at any other -- the one options knob that may legitimately
-  // change mid-campaign, e.g. to re-tune throughput on a different host.
-  F.u64(Opts.Configs.size());
-  for (const CompilerConfig &C : Opts.Configs) {
-    F.u64(static_cast<uint64_t>(C.P));
-    F.u64(C.Version);
-    F.u64(C.OptLevel);
-    F.u64(C.Mode64 ? 1 : 0);
-    // The sweep set shapes which matrix cells exist, so a snapshot written
-    // under one sweep can never resume under another.
-    F.u64(C.ExecSweep.size());
-    for (const std::string &In : C.ExecSweep)
-      F.str(In);
-  }
-  F.u64(Opts.InjectBugs ? 1 : 0);
-  F.u64(Opts.PruneInvalid ? 1 : 0);
+  walkCampaignSpec(Opts, FoldOption{F});
   // Presence bits only: cache contents live in the oracle store, and the
   // counters a resume reproduces depend on whether memoization ran at all;
   // likewise coverage is only recorded into snapshots when a registry is
@@ -204,10 +204,6 @@ uint64_t spe::fingerprintOptions(const HarnessOptions &Opts) {
   F.u64(Opts.Cache != nullptr ? 1 : 0);
   F.u64(Opts.OracleStorePath.empty() ? 0 : 1);
   F.u64(Opts.Cov != nullptr ? 1 : 0);
-  // Triage shapes the final result (Triaged/Reduction are recomputed on
-  // resume), so a snapshot written without it must not resume under a
-  // triaging campaign or vice versa.
-  F.u64(Opts.Triage ? 1 : 0);
   // Backend identity: command line + --version banner for external
   // compilers, "minicc" for the in-process driver. A checkpoint can never
   // be resumed against a different compiler.

@@ -147,11 +147,12 @@ struct CampaignCheckpoint {
 bool atomicWriteFile(const std::string &Path, const std::string &Text,
                      std::string *Err = nullptr);
 
-/// Fingerprints the campaign-shaping fields of \p Opts (FNV-1a), including
-/// the Triage flag and the compiler backend's identity() (command line +
-/// --version output for external backends). Cache/store/coverage pointers
-/// contribute presence bits only; checkpoint cadence and paths are
-/// excluded -- resuming with a different CheckpointEveryN is sound.
+/// Fingerprints the campaign-shaping fields of \p Opts (FNV-1a): every
+/// result-affecting CampaignSpec field in walkCampaignSpec order, then the
+/// cache/store/coverage presence bits and the backend roster's identity()
+/// strings (command line + --version output for external backends).
+/// Checkpoint cadence, paths and observation hooks are excluded --
+/// resuming with a different CheckpointEveryN is sound.
 uint64_t fingerprintOptions(const HarnessOptions &Opts);
 
 /// Fingerprints the seed list: count plus every program text.

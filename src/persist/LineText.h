@@ -65,8 +65,8 @@ bool parseI64(const std::string &T, int64_t &Out);
 /// counters plus both finding maps. Triaged/Reduction are deliberately not
 /// part of the format -- triage runs post-campaign from the final snapshot
 /// and is deterministic, so persisting its output would only duplicate
-/// state (DESIGN.md Section 11). The cache-lifetime snapshot fields
-/// (OracleCacheEvictions, OracleStoreBytes) are re-derived at campaign end.
+/// state (DESIGN.md Section 11). OracleStoreBytes is re-derived at
+/// campaign end.
 void writeResult(std::ostringstream &Out, const CampaignResult &R);
 
 void writeCov(std::ostringstream &Out, const std::set<std::string> &Hits);

@@ -1146,8 +1146,6 @@ bool runSeeds(const HarnessOptions &Opts, const CompilerBackend &Backend,
   if (Ck)
     Ck->writeNow(/*Complete=*/true);
 
-  if (Opts.Cache)
-    Result.OracleCacheEvictions = Opts.Cache->evictions();
   if (Ctx.Store)
     Result.OracleStoreBytes = Store.bytesOnDisk();
   if (Opts.Triage) {
@@ -1158,14 +1156,7 @@ bool runSeeds(const HarnessOptions &Opts, const CompilerBackend &Backend,
     // Complete snapshot and simply re-runs it.
     if (Opts.Status)
       Opts.Status->beginTriage();
-    TriageOptions T;
-    T.Cache = Opts.Cache;
-    T.InjectBugs = Opts.InjectBugs;
-    T.OracleMaxSteps = Opts.OracleMaxSteps;
-    T.Backend = Opts.Backend;
-    T.ExtraBackends = Opts.ExtraBackends;
-    T.Telemetry = Opts.Telemetry;
-    triageCampaign(Result, T);
+    triageCampaign(Result, Opts);
   }
   // Global-phase telemetry (compile, batch pack, checkpoint writes,
   // triage stages) folds into the result exactly once, at campaign end.

@@ -35,6 +35,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -42,8 +43,10 @@ namespace spe {
 
 class CampaignStatusFeed;
 
-/// Harness configuration.
-struct HarnessOptions {
+/// The campaign-shaping options: plain values only, so a fleet ships them
+/// to its workers as they are (distrib/FleetProtocol.h). walkCampaignSpec
+/// below is where each field's kind and the reason for it are written.
+struct CampaignSpec {
   /// Enumeration mode; Exact is the default everywhere, PaperFaithful is
   /// opt-in for the paper-reproduction benches.
   SpeMode Mode = SpeMode::Exact;
@@ -52,30 +55,112 @@ struct HarnessOptions {
   uint64_t VariantThreshold = 10'000;
   /// Cap on variants actually executed per seed (testing budget).
   uint64_t VariantBudget = 400;
-  /// Interpreter step budget per oracle execution. Variants that exhaust
-  /// it are Timeout and excluded from testing, the paper's treatment of
-  /// (potential) non-termination. Loop-corpus campaigns lower this so
-  /// diverging variants are cheap to exclude. It is folded into the
-  /// checkpoint options fingerprint, so a snapshot never resumes under
-  /// another budget, fleet workers and triage probes run it too, and it
-  /// salts the OracleCache verdict key.
-  uint64_t OracleMaxSteps = 2'000'000;
   /// Worker threads per seed: the budgeted variant range is split into one
   /// cursor shard per worker. 0 = one per hardware thread. Results are
-  /// deterministic and identical for any thread count.
+  /// deterministic and identical for any thread count; fleet leases always
+  /// run single-cursor, so there it only shapes the options fingerprint.
   unsigned Threads = 1;
   /// Variants per compile batch handed to CompilerBackend::beginBatch
-  /// (DESIGN.md Section 13); 1 = the unbatched per-variant loop. Result-
-  /// neutral by the batch contract: findings, counters, triage, and
-  /// checkpoint bytes are bit-identical for every value, which is why it
-  /// is deliberately excluded from the checkpoint options fingerprint --
-  /// a campaign checkpointed at one batch size may resume at another.
-  /// Only backends with real per-compile subprocess cost profit
+  /// (DESIGN.md Section 13); 1 = the unbatched per-variant loop. Only
+  /// backends with real per-compile subprocess cost profit
   /// (ExternalBackend); the in-process backend runs batches as its
   /// ordinary loop.
   uint64_t BatchSize = 1;
+  /// Ground-truth bug injection on/off.
+  bool InjectBugs = true;
+  /// Validity pruning (skeleton/ValidityAnalysis.h): skip variants that are
+  /// provably frontend- or oracle-rejected without rendering or
+  /// interpreting them. Sound by construction -- bugs, coverage and
+  /// VariantsTested are bit-identical with pruning off; only
+  /// VariantsEnumerated / VariantsPruned / oracle-cost counters change.
+  bool PruneInvalid = true;
+  /// Opt-in post-campaign triage (triage/Deduper.h): cluster the raw
+  /// findings by behavioral signature, reduce each cluster's representative
+  /// witness (statement ddmin + decl dropping + expression simplification,
+  /// reduce/SkeletonReducer.h), and canonicalize it to the minimal-rank
+  /// triggering variant of its own skeleton (reduce/VariantMinimizer.h).
+  /// Runs single-threaded on the merged result, so the triaged output is
+  /// deterministic and identical for any Threads value; reduction re-probes
+  /// share the campaign's Cache when set.
+  bool Triage = false;
+  /// Interpreter step budget per oracle execution. Variants that exhaust
+  /// it are Timeout and excluded from testing, the paper's treatment of
+  /// (potential) non-termination. Loop-corpus campaigns lower this so
+  /// diverging variants are cheap to exclude. It also salts the
+  /// OracleCache verdict key.
+  uint64_t OracleMaxSteps = 2'000'000;
   /// Compiler configurations to test.
   std::vector<CompilerConfig> Configs;
+};
+
+/// Whether a campaign option can change what the campaign produces.
+enum class OptionKind {
+  /// Folded into the checkpoint options fingerprint, so a snapshot never
+  /// resumes under another value.
+  ResultAffecting,
+  /// Left out of it: a snapshot may resume under any value.
+  ResultNeutral,
+};
+
+/// Visits every CampaignSpec field as V(Name, Kind, Field), in the order
+/// the fleet spec document writes them. This walk alone decides which
+/// fields the checkpoint options fingerprint folds, and it writes and
+/// parses the fleet spec document. Configs is visited whole; visitors step
+/// into each entry with walkCompilerConfig. The structured bindings must
+/// name every member, so a field added to CampaignSpec, ExtractorOptions
+/// or CompilerConfig without an entry here does not compile.
+template <class Spec, class Visitor>
+void walkCampaignSpec(Spec &S, Visitor &&V) {
+  using Base = std::conditional_t<std::is_const_v<Spec>, const CampaignSpec,
+                                  CampaignSpec>;
+  constexpr OptionKind Affecting = OptionKind::ResultAffecting;
+  auto &[Mode, Extract, VariantThreshold, VariantBudget, Threads, BatchSize,
+         InjectBugs, PruneInvalid, Triage, OracleMaxSteps, Configs] =
+      static_cast<Base &>(S);
+  auto &[Gran, Model] = Extract;
+  V("Mode", Affecting, Mode);
+  V("Extract.Gran", Affecting, Gran);
+  V("Extract.Model", Affecting, Model);
+  V("VariantThreshold", Affecting, VariantThreshold);
+  V("VariantBudget", Affecting, VariantBudget);
+  // Results are identical for any thread count, but a snapshot's in-flight
+  // shard cursors are laid out per thread.
+  V("Threads", Affecting, Threads);
+  // The one result-neutral option. By the batch contract every recorded
+  // observation has unbatched provenance, so findings, counters, triage
+  // and checkpoint bytes are bit-identical for every batch size, and a
+  // campaign may resume at another one (e.g. re-tuned for a new host).
+  V("BatchSize", OptionKind::ResultNeutral, BatchSize);
+  V("InjectBugs", Affecting, InjectBugs);
+  V("PruneInvalid", Affecting, PruneInvalid);
+  // Triaged/Reduction are recomputed on resume, so a snapshot written
+  // without triage must not resume under a triaging campaign.
+  V("Triage", Affecting, Triage);
+  // The step budget decides which variants are excluded as Timeout.
+  V("OracleMaxSteps", Affecting, OracleMaxSteps);
+  V("Configs", Affecting, Configs);
+}
+
+/// walkCampaignSpec's step into one Configs entry.
+template <class Config, class Visitor>
+void walkCompilerConfig(Config &C, Visitor &&V) {
+  constexpr OptionKind Affecting = OptionKind::ResultAffecting;
+  auto &[P, Version, OptLevel, Mode64, ExecSweep] = C;
+  V("P", Affecting, P);
+  V("Version", Affecting, Version);
+  V("OptLevel", Affecting, OptLevel);
+  V("Mode64", Affecting, Mode64);
+  // The sweep set shapes which matrix cells exist.
+  V("ExecSweep", Affecting, ExecSweep);
+}
+
+/// Harness configuration: the campaign's spec plus the objects, paths and
+/// hooks one process attaches to it.
+struct HarnessOptions : CampaignSpec {
+  HarnessOptions() = default;
+  /// \p Spec with no backend, cache, coverage, paths or hooks attached.
+  explicit HarnessOptions(CampaignSpec Spec) : CampaignSpec(std::move(Spec)) {}
+
   /// The compiler under test (compiler/Backend.h). Null = the in-process
   /// MiniCC driver honoring InjectBugs. Backends without ground truth
   /// (ExternalBackend) produce signature-only findings: FoundBug::BugId 0,
@@ -100,14 +185,6 @@ struct HarnessOptions {
   /// Threads > 1 each worker records into a private copy; the copies are
   /// merged back after the join.
   CoverageRegistry *Cov = nullptr;
-  /// Ground-truth bug injection on/off.
-  bool InjectBugs = true;
-  /// Validity pruning (skeleton/ValidityAnalysis.h): skip variants that are
-  /// provably frontend- or oracle-rejected without rendering or
-  /// interpreting them. Sound by construction -- bugs, coverage and
-  /// VariantsTested are bit-identical with pruning off; only
-  /// VariantsEnumerated / VariantsPruned / oracle-cost counters change.
-  bool PruneInvalid = true;
   /// Optional shared oracle memoization (testing/OracleCache.h). Repeat
   /// variants -- across configs, shards, seeds, and whole campaigns --
   /// replay the memoized verdict instead of re-running parse + Sema +
@@ -115,15 +192,6 @@ struct HarnessOptions {
   /// bit-identical with and without it; only OracleExecutions and
   /// OracleCacheHits move.
   OracleCache *Cache = nullptr;
-  /// Opt-in post-campaign triage (triage/Deduper.h): cluster the raw
-  /// findings by behavioral signature, reduce each cluster's representative
-  /// witness (statement ddmin + decl dropping + expression simplification,
-  /// reduce/SkeletonReducer.h), and canonicalize it to the minimal-rank
-  /// triggering variant of its own skeleton (reduce/VariantMinimizer.h).
-  /// Runs single-threaded on the merged result, so the triaged output is
-  /// deterministic and identical for any Threads value; reduction re-probes
-  /// share this options struct's Cache when set.
-  bool Triage = false;
 
   //===--- Long-haul persistence (src/persist/, DESIGN.md Section 11) ---===//
 
@@ -373,13 +441,10 @@ struct CampaignResult {
   /// hit UB / non-termination under that input (the per-cell analogue of
   /// VariantsOracleExcluded, which tracks the primary input only).
   uint64_t SweepCellsExcluded = 0;
-  /// Cache-lifetime snapshots, filled at campaign end from the shared
-  /// OracleCache / OracleStore when present: entries the size cap evicted,
-  /// and the backing log's on-disk size. Excluded from merge() and
-  /// operator== -- they describe the cache/store *object's* lifetime
-  /// (which may span campaign generations and depends on wall-clock
-  /// interleaving under a cap), not this campaign's deterministic work.
-  uint64_t OracleCacheEvictions = 0;
+  /// The backing OracleStore log's on-disk size, filled at campaign end
+  /// when one is attached. Excluded from merge() and operator== -- it
+  /// describes the store's lifetime (which may span campaign generations),
+  /// not this campaign's deterministic work.
   uint64_t OracleStoreBytes = 0;
   /// The triaged report (empty unless a triage pass ran): signature
   /// clusters sorted by signature, each holding a reduced, rank-minimized

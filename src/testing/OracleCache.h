@@ -27,9 +27,7 @@
 
 #include "interp/Interpreter.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -84,55 +82,10 @@ public:
   }
 
   /// Memoizes \p E for \p Source (first writer wins; the oracle is
-  /// deterministic, so racing writers agree). When a capacity is set and
-  /// the insert makes the cache too large, the oldest entry by insertion
-  /// order is evicted (FIFO -- deterministic for a fixed insertion order).
+  /// deterministic, so racing writers agree).
   void insert(const std::string &Source, Entry E) {
     std::lock_guard<std::mutex> Lock(M);
-    if (!Map.emplace(Source, std::move(E)).second)
-      return;
-    if (MaxEntries == 0)
-      return;
-    Order.push_back(Source);
-    while (Map.size() > MaxEntries) {
-      Map.erase(Order.front());
-      Order.pop_front();
-      ++Evictions;
-    }
-  }
-
-  /// Caps the cache at \p Max entries (0 = unbounded, the default); excess
-  /// entries are evicted oldest-first on insert. A cap bounds long-haul
-  /// campaign memory, but trades away the bit-identical counter guarantee
-  /// of checkpoint/resume: eviction order is not part of the snapshot, so
-  /// only run capped caches where approximate hit counters are acceptable.
-  /// Shrinking the cap below the current size evicts immediately.
-  void setCapacity(uint64_t Max) {
-    std::lock_guard<std::mutex> Lock(M);
-    if (Max == 0) {
-      // Lifting the cap: the recorded order is dead weight (inserts stop
-      // maintaining it), so release the duplicated key storage.
-      MaxEntries = 0;
-      Order.clear();
-      return;
-    }
-    if (MaxEntries == 0 && Max != 0) {
-      // The pre-cap population has no recorded order; rebuild one in
-      // sorted key order so eviction stays deterministic (hash-table
-      // iteration order is not).
-      Order.clear();
-      for (const auto &[Key, Value] : Map) {
-        (void)Value;
-        Order.push_back(Key);
-      }
-      std::sort(Order.begin(), Order.end());
-    }
-    MaxEntries = Max;
-    while (Max != 0 && Map.size() > Max && !Order.empty()) {
-      Map.erase(Order.front());
-      Order.pop_front();
-      ++Evictions;
-    }
+    Map.emplace(Source, std::move(E));
   }
 
   uint64_t hits() const {
@@ -147,28 +100,18 @@ public:
     std::lock_guard<std::mutex> Lock(M);
     return Map.size();
   }
-  /// Entries discarded by the size cap since construction/clear().
-  uint64_t evictions() const {
-    std::lock_guard<std::mutex> Lock(M);
-    return Evictions;
-  }
 
   void clear() {
     std::lock_guard<std::mutex> Lock(M);
     Map.clear();
-    Order.clear();
-    Hits = Misses = Evictions = 0;
+    Hits = Misses = 0;
   }
 
 private:
   mutable std::mutex M;
   std::unordered_map<std::string, Entry> Map;
-  /// Insertion order, maintained only while a capacity is set.
-  std::deque<std::string> Order;
-  uint64_t MaxEntries = 0; ///< 0 = unbounded.
   uint64_t Hits = 0;
   uint64_t Misses = 0;
-  uint64_t Evictions = 0;
 };
 
 } // namespace spe

@@ -70,7 +70,8 @@ spe::clusterBySignature(const std::map<int, FoundBug> &Bugs) {
   return clusterBySignature(Ptrs);
 }
 
-void spe::triageCampaign(CampaignResult &Result, const TriageOptions &Opts) {
+void spe::triageCampaign(CampaignResult &Result,
+                         const HarnessOptions &Opts) {
   bool UseRaw = !Result.RawFindings.empty();
   std::vector<TriagedBug> Clusters;
   {
@@ -108,8 +109,8 @@ void spe::triageCampaign(CampaignResult &Result, const TriageOptions &Opts) {
             break;
           }
     }
-    SkeletonReducer Reducer(Opts.Reduce, Opts.Cache, ProbeBackend);
-    VariantMinimizer Minimizer(Opts.Minimize, Opts.Cache, ProbeBackend);
+    SkeletonReducer Reducer({}, Opts.Cache, ProbeBackend);
+    VariantMinimizer Minimizer({}, Opts.Cache, ProbeBackend);
 
     ReproSpec Spec;
     Spec.Config = {Rep.P, Rep.Version, Rep.OptLevel, Rep.Mode64, {}};
@@ -119,7 +120,7 @@ void spe::triageCampaign(CampaignResult &Result, const TriageOptions &Opts) {
     Spec.OracleMaxSteps = Opts.OracleMaxSteps;
     Spec.Input = Rep.Input;
 
-    if (Opts.ReduceWitnesses) {
+    {
       SpanTimer T(Opts.Telemetry, nullptr, "triage_ddmin");
       ReductionOutcome R = Reducer.reduce(Rep.WitnessProgram, Spec);
       Rep.WitnessProgram = std::move(R.Reduced);
@@ -130,7 +131,7 @@ void spe::triageCampaign(CampaignResult &Result, const TriageOptions &Opts) {
       Stats.OracleRuns += R.Oracle.OracleRuns;
       Stats.OracleCacheHits += R.Oracle.OracleCacheHits;
     }
-    if (Opts.MinimizeRank) {
+    {
       SpanTimer T(Opts.Telemetry, nullptr, "triage_minimize");
       MinimizeOutcome M = Minimizer.minimize(Rep.WitnessProgram, Spec);
       Rep.WitnessProgram = std::move(M.Minimized);

@@ -27,8 +27,8 @@
 /// RawFindings map (falling back to UniqueBugs for results that carry no
 /// raw stream); both maps are thread-count invariant by construction, which
 /// is what makes the triaged report bit-identical across harness thread
-/// counts. Oracle re-probes flow through the campaign-shared
-/// testing/OracleCache when one is supplied.
+/// counts. Oracle re-probes flow through the campaign's shared
+/// testing/OracleCache when it has one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,38 +43,6 @@
 #include <vector>
 
 namespace spe {
-
-/// Stage toggles and shared state for one triage pass.
-struct TriageOptions {
-  /// Structural reduction of each cluster representative.
-  bool ReduceWitnesses = true;
-  ReducerOptions Reduce;
-  /// Minimal-rank canonicalization of each (reduced) representative.
-  bool MinimizeRank = true;
-  MinimizerOptions Minimize;
-  /// Campaign-shared oracle memoization for all reduction re-probes.
-  OracleCache *Cache = nullptr;
-  /// Mirrors HarnessOptions::InjectBugs.
-  bool InjectBugs = true;
-  /// Mirrors HarnessOptions::OracleMaxSteps (see ReproSpec).
-  uint64_t OracleMaxSteps = 2'000'000;
-  /// The compiler backend reduction re-probes compile against; mirrors
-  /// HarnessOptions::Backend (null = in-process MiniCC). Signature-only
-  /// findings from an external compiler must be re-probed through that
-  /// same compiler or every reduction step would spuriously fail.
-  const CompilerBackend *Backend = nullptr;
-  /// The rest of the matrix roster; mirrors HarnessOptions::ExtraBackends.
-  /// A finding attributed to one of these (FoundBug::Backend matching its
-  /// identity()) is re-probed through that backend rather than Backend;
-  /// findings attributed to "reference-oracle" skip reduction entirely --
-  /// no single compiler reproduces an oracle-outvoted divergence, so its
-  /// witness is reported as found.
-  std::vector<const CompilerBackend *> ExtraBackends;
-  /// Campaign telemetry sink (support/Telemetry.h); null = off. Triage
-  /// stages record global-phase spans (triage_dedup / triage_ddmin /
-  /// triage_minimize) -- observation only, never verdicts.
-  TelemetrySink *Telemetry = nullptr;
-};
 
 /// \returns the normalized signature of one finding.
 BugSignature signatureOf(const FoundBug &Bug);
@@ -93,10 +61,19 @@ clusterBySignature(const std::map<int, FoundBug> &Bugs);
 
 /// Runs the full pipeline over \p Result's raw finding stream (falling
 /// back to UniqueBugs for results that carry none) and fills
-/// \p Result.Triaged / \p Result.Reduction. Deterministic: depends only on
-/// those maps and \p Opts (a shared cache changes cost counters it reports
-/// elsewhere, never verdicts).
-void triageCampaign(CampaignResult &Result, const TriageOptions &Opts = {});
+/// \p Result.Triaged / \p Result.Reduction, with default reducer and
+/// minimizer options. \p Opts is the campaign's own: its Cache memoizes
+/// every re-probe, and its InjectBugs and OracleMaxSteps shape each probe
+/// (ReproSpec). A finding re-probes through the roster backend it was
+/// attributed to (FoundBug::Backend matching an identity()), else through
+/// Backend (null = in-process MiniCC): an external compiler's
+/// signature-only finding would never reproduce under another compiler.
+/// Findings attributed to "reference-oracle" skip reduction entirely -- no
+/// single compiler reproduces an oracle-outvoted divergence. Stages record
+/// global-phase spans (triage_dedup / triage_ddmin / triage_minimize) into
+/// Telemetry when set. Deterministic: depends only on those maps and
+/// \p Opts (a shared cache changes cost counters, never verdicts).
+void triageCampaign(CampaignResult &Result, const HarnessOptions &Opts = {});
 
 } // namespace spe
 

@@ -27,6 +27,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 using namespace spe;
@@ -44,8 +45,8 @@ std::vector<std::string> testSeeds() {
   return {Embedded[0], Embedded[2], Embedded[0]};
 }
 
-FleetSpec baseSpec() {
-  FleetSpec Spec;
+CampaignSpec baseSpec() {
+  CampaignSpec Spec;
   Spec.Configs = HarnessOptions::crashMatrix(Persona::GccSim, 48);
   Spec.VariantBudget = 30;
   Spec.Threads = 2; // Folded into the checkpoint fingerprint only.
@@ -76,8 +77,9 @@ std::string readFile(const std::string &Path) {
 
 /// The single-process reference this whole battery compares against:
 /// the same spec run through the ordinary harness, checkpointing on.
-CampaignResult referenceRun(const FleetSpec &Spec, const std::string &CkPath) {
-  HarnessOptions HO = Spec.toHarnessOptions();
+CampaignResult referenceRun(const CampaignSpec &Spec,
+                            const std::string &CkPath) {
+  HarnessOptions HO(Spec);
   HO.CheckpointPath = CkPath;
   return DifferentialHarness(HO).runCampaign(testSeeds());
 }
@@ -86,35 +88,135 @@ CampaignResult referenceRun(const FleetSpec &Spec, const std::string &CkPath) {
 // Wire format units
 //===--------------------------------------------------------------------===//
 
-TEST(FleetSpecTest, SerializeParseRoundTrip) {
-  FleetSpec Spec = baseSpec();
+/// baseSpec() with batching, triage, a lowered step budget and a two-input
+/// sweep, and its document. The lease journal embeds the document's
+/// fingerprint, so these bytes are SPE-FLEET-SPEC v1 itself: a change
+/// orphans every journal written before it.
+CampaignSpec goldenSpec() {
+  CampaignSpec Spec = baseSpec();
   Spec.BatchSize = 8;
   Spec.Triage = true;
+  Spec.OracleMaxSteps = 100'000;
   Spec.Configs[0].ExecSweep = {"", "7 11"};
-
-  FleetSpec Back;
-  std::string Err;
-  ASSERT_TRUE(FleetSpec::parse(Spec.serialize(), Back, Err)) << Err;
-  EXPECT_EQ(Spec.serialize(), Back.serialize());
-  EXPECT_EQ(Spec.fingerprint(), Back.fingerprint());
+  return Spec;
 }
 
-TEST(FleetSpecTest, ParseRejectsDamage) {
-  FleetSpec Spec = baseSpec();
-  std::string Doc = Spec.serialize();
-  FleetSpec Back;
-  std::string Err;
+const char GoldenSpecDoc[] = "SPE-FLEET-SPEC v1\n"
+                             "opts 0 0 0 10000 30 2 8 1 1 1 100000\n"
+                             "configs 4\n"
+                             "config 0 48 0 1 2\n"
+                             "sweep \\e\n"
+                             "sweep 7\\s11\n"
+                             "config 0 48 0 0 0\n"
+                             "config 0 48 3 1 0\n"
+                             "config 0 48 3 0 0\n";
 
-  EXPECT_FALSE(FleetSpec::parse("SPE-JUNK v9\n", Back, Err));
-  EXPECT_FALSE(FleetSpec::parse(Doc.substr(0, Doc.size() / 2), Back, Err));
-  EXPECT_FALSE(FleetSpec::parse(Doc + "extra line\n", Back, Err));
+TEST(SpecDocumentTest, SerializeParseRoundTripsTheGoldenBytes) {
+  EXPECT_EQ(serializeSpec(goldenSpec()), GoldenSpecDoc);
+  EXPECT_EQ(fingerprintSpec(goldenSpec()), 12730857840330681585ull);
+  CampaignSpec Back;
+  std::string Err;
+  ASSERT_TRUE(parseSpec(GoldenSpecDoc, Back, Err)) << Err;
+  EXPECT_EQ(serializeSpec(Back), GoldenSpecDoc);
+}
+
+using DocLines = std::vector<std::vector<std::string>>;
+
+DocLines splitDoc(const std::string &Doc) {
+  DocLines Lines;
+  std::istringstream In(Doc);
+  for (std::string Line; std::getline(In, Line);) {
+    std::istringstream Tokens(Line);
+    Lines.emplace_back(std::istream_iterator<std::string>(Tokens),
+                       std::istream_iterator<std::string>());
+  }
+  return Lines;
+}
+
+/// The first \p N lines of \p Lines as a document.
+std::string joinDoc(const DocLines &Lines, size_t N) {
+  std::string Doc;
+  for (size_t L = 0; L < N; ++L) {
+    for (size_t T = 0; T < Lines[L].size(); ++T)
+      Doc += (T ? " " : "") + Lines[L][T];
+    Doc += '\n';
+  }
+  return Doc;
+}
+
+TEST(SpecDocumentTest, ParseRejectsDamage) {
+  const std::string Doc = serializeSpec(goldenSpec());
+  const DocLines Lines = splitDoc(Doc);
+  ASSERT_EQ(joinDoc(Lines, Lines.size()), Doc);
+  CampaignSpec Back;
+  std::string Err;
+  auto Parses = [&](const std::string &Text) {
+    return parseSpec(Text, Back, Err);
+  };
+  ASSERT_TRUE(Parses(Doc)) << Err;
+
+  EXPECT_FALSE(Parses("SPE-JUNK v9\n"));
+  EXPECT_FALSE(Parses(Doc + "extra line\n"));
+
+  // Every line-prefix truncation.
+  for (size_t N = 0; N < Lines.size(); ++N)
+    EXPECT_FALSE(Parses(joinDoc(Lines, N))) << N << " lines";
+
+  // Every opts and config token replaced by a non-number.
+  for (size_t L = 0; L < Lines.size(); ++L) {
+    if (Lines[L][0] != "opts" && Lines[L][0] != "config")
+      continue;
+    for (size_t T = 1; T < Lines[L].size(); ++T) {
+      DocLines Bad = Lines;
+      Bad[L][T] = "x";
+      EXPECT_FALSE(Parses(joinDoc(Bad, Bad.size())))
+          << "line " << L << " token " << T;
+    }
+  }
+
+  // Each enum, bool and unsigned token one past its range, and at its
+  // largest valid value (so the range, not the syntax, is what refuses).
+  struct RangeEdit {
+    size_t Line, Token;
+    const char *Bad, *Good;
+  };
+  const RangeEdit Edits[] = {
+      {1, 1, "2", "1"},                    // Mode
+      {1, 2, "2", "1"},                    // Extract.Gran
+      {1, 3, "3", "2"},                    // Extract.Model
+      {1, 6, "4294967296", "4294967295"},  // Threads
+      {1, 8, "2", "0"},                    // InjectBugs
+      {1, 9, "2", "0"},                    // PruneInvalid
+      {1, 10, "2", "0"},                   // Triage
+      {3, 1, "2", "1"},                    // Configs.P
+      {3, 2, "4294967296", "4294967295"},  // Configs.Version
+      {3, 4, "2", "0"},                    // Configs.Mode64
+  };
+  for (const RangeEdit &E : Edits) {
+    DocLines Edited = Lines;
+    Edited[E.Line][E.Token] = E.Bad;
+    EXPECT_FALSE(Parses(joinDoc(Edited, Edited.size())))
+        << "line " << E.Line << " token " << E.Token << " = " << E.Bad;
+    Edited[E.Line][E.Token] = E.Good;
+    EXPECT_TRUE(Parses(joinDoc(Edited, Edited.size())))
+        << "line " << E.Line << " token " << E.Token << " = " << E.Good
+        << ": " << Err;
+  }
+
+  // An opts line one token short, and one token long.
+  DocLines Short = Lines;
+  Short[1].pop_back();
+  EXPECT_FALSE(Parses(joinDoc(Short, Short.size())));
+  DocLines Long = Lines;
+  Long[1].push_back("0");
+  EXPECT_FALSE(Parses(joinDoc(Long, Long.size())));
 }
 
 TEST(FleetFragmentTest, RoundTripAndChecksumRejection) {
   // A real result with findings, so both maps round-trip.
-  FleetSpec Spec = baseSpec();
+  CampaignSpec Spec = baseSpec();
   CampaignResult R =
-      DifferentialHarness(Spec.toHarnessOptions()).runCampaign(testSeeds());
+      DifferentialHarness(HarnessOptions(Spec)).runCampaign(testSeeds());
   ASSERT_GT(R.UniqueBugs.size(), 0u);
 
   std::string Wire = serializeFragment(R);
@@ -134,8 +236,8 @@ TEST(FleetFragmentTest, RoundTripAndChecksumRejection) {
 //===--------------------------------------------------------------------===//
 
 TEST(FleetLeaseTest, LeaseFoldReproducesSeedRun) {
-  FleetSpec Spec = baseSpec();
-  DifferentialHarness H(Spec.toHarnessOptions());
+  CampaignSpec Spec = baseSpec();
+  DifferentialHarness H{HarnessOptions(Spec)};
   const std::string Seed = testSeeds()[0];
 
   DifferentialHarness::SeedLeaseSummary Sum = H.summarizeSeed(Seed);
@@ -161,8 +263,8 @@ TEST(FleetLeaseTest, LeaseFoldReproducesSeedRun) {
 }
 
 TEST(FleetLeaseTest, RunLeaseRejectsBadRanges) {
-  FleetSpec Spec = baseSpec();
-  DifferentialHarness H(Spec.toHarnessOptions());
+  CampaignSpec Spec = baseSpec();
+  DifferentialHarness H{HarnessOptions(Spec)};
   const std::string Seed = testSeeds()[0];
   const uint64_t Budget = H.summarizeSeed(Seed).Budget.toUint64();
 
@@ -175,11 +277,11 @@ TEST(FleetLeaseTest, RunLeaseRejectsBadRanges) {
 }
 
 TEST(FleetWorkerTest, InProcessProtocolLoop) {
-  FleetSpec Spec = baseSpec();
+  CampaignSpec Spec = baseSpec();
   const std::string Seed = testSeeds()[0];
 
   std::ostringstream Script;
-  Script << "spec " << linetext::escapeToken(Spec.serialize()) << '\n';
+  Script << "spec " << linetext::escapeToken(serializeSpec(Spec)) << '\n';
   Script << "seed 0 " << linetext::escapeToken(Seed) << '\n';
   Script << "lease 7 0 0 5\n";
   Script << "exit\n";
@@ -191,7 +293,7 @@ TEST(FleetWorkerTest, InProcessProtocolLoop) {
   std::istringstream Replies(Out.str());
   std::string Line;
   ASSERT_TRUE(std::getline(Replies, Line));
-  EXPECT_EQ(Line, "ready " + std::to_string(Spec.fingerprint()));
+  EXPECT_EQ(Line, "ready " + std::to_string(fingerprintSpec(Spec)));
   ASSERT_TRUE(std::getline(Replies, Line));
   ASSERT_EQ(Line.rfind("done 7 ", 0), 0u);
 
@@ -215,7 +317,7 @@ TEST(FleetWorkerTest, UnknownCommandIsFatal) {
 
 TEST(FleetCoordinatorTest, MatchesSingleProcessAcrossWorkersAndBatch) {
   TempDir T("identity");
-  FleetSpec Spec = baseSpec();
+  CampaignSpec Spec = baseSpec();
   Spec.Triage = true;
 
   const std::string RefCk = T.path("ref.ck");
@@ -226,7 +328,7 @@ TEST(FleetCoordinatorTest, MatchesSingleProcessAcrossWorkersAndBatch) {
 
   for (unsigned Workers : {1u, 2u, 4u}) {
     for (uint64_t Batch : {uint64_t(1), uint64_t(8)}) {
-      FleetSpec S = Spec;
+      CampaignSpec S = Spec;
       S.BatchSize = Batch;
       FleetOptions O = baseFleet();
       O.Workers = Workers;
@@ -249,15 +351,15 @@ TEST(FleetCoordinatorTest, MatchesSingleProcessAcrossWorkersAndBatch) {
   }
 }
 
-TEST(FleetSpecTest, CarriesTheOracleStepBudget) {
-  FleetSpec Spec = baseSpec();
+TEST(SpecDocumentTest, CarriesTheOracleStepBudget) {
+  CampaignSpec Spec = baseSpec();
   Spec.OracleMaxSteps = 100'000;
-  FleetSpec Back;
+  CampaignSpec Back;
   std::string Err;
-  ASSERT_TRUE(FleetSpec::parse(Spec.serialize(), Back, Err)) << Err;
+  ASSERT_TRUE(parseSpec(serializeSpec(Spec), Back, Err)) << Err;
   EXPECT_EQ(Back.OracleMaxSteps, 100'000u);
-  EXPECT_EQ(Back.toHarnessOptions().OracleMaxSteps, 100'000u);
-  EXPECT_NE(Spec.fingerprint(), baseSpec().fingerprint());
+  EXPECT_EQ(HarnessOptions(Back).OracleMaxSteps, 100'000u);
+  EXPECT_NE(fingerprintSpec(Spec), fingerprintSpec(baseSpec()));
 }
 
 TEST(FleetCoordinatorTest, WorkersRunTheCampaignStepBudget) {
@@ -288,14 +390,14 @@ TEST(FleetCoordinatorTest, WorkersRunTheCampaignStepBudget) {
   IO.MaxSteps = 100'000;
   EXPECT_EQ(interpret(*SlowCtx, IO).Status, ExecStatus::Timeout);
 
-  FleetSpec Spec = baseSpec();
+  CampaignSpec Spec = baseSpec();
   Spec.VariantBudget = 100; // The seed's whole variant space.
-  FleetSpec Generous = Spec;
+  CampaignSpec Generous = Spec;
   Spec.OracleMaxSteps = 100'000;
   const CampaignResult Ref =
-      DifferentialHarness(Spec.toHarnessOptions()).runCampaign({Seed});
+      DifferentialHarness(HarnessOptions(Spec)).runCampaign({Seed});
   const CampaignResult Wide =
-      DifferentialHarness(Generous.toHarnessOptions()).runCampaign({Seed});
+      DifferentialHarness(HarnessOptions(Generous)).runCampaign({Seed});
   ASSERT_GT(Ref.VariantsOracleExcluded, Wide.VariantsOracleExcluded)
       << "no variant of the seed ends between 100K and 2M steps";
 
@@ -313,7 +415,7 @@ TEST(FleetCoordinatorTest, WorkersRunTheCampaignStepBudget) {
 
 TEST(FleetCoordinatorTest, KilledWorkerIsReLeasedInvisibly) {
   TempDir T("kill");
-  FleetSpec Spec = baseSpec();
+  CampaignSpec Spec = baseSpec();
   const CampaignResult Ref = referenceRun(Spec, T.path("ref.ck"));
 
   FleetOptions O = baseFleet();
@@ -334,7 +436,7 @@ TEST(FleetCoordinatorTest, KilledWorkerIsReLeasedInvisibly) {
 
 TEST(FleetCoordinatorTest, PoisonLeaseExhaustsRespawnBudget) {
   TempDir T("poison");
-  FleetSpec Spec = baseSpec();
+  CampaignSpec Spec = baseSpec();
   FleetOptions O = baseFleet();
   // A worker that dies instantly on every lease: the lease is poison, and
   // the coordinator must give up instead of respawning forever.
@@ -350,7 +452,7 @@ TEST(FleetCoordinatorTest, PoisonLeaseExhaustsRespawnBudget) {
 }
 
 TEST(FleetCoordinatorTest, UnstartableWorkerFailsLoudly) {
-  FleetSpec Spec = baseSpec();
+  CampaignSpec Spec = baseSpec();
   FleetOptions O = baseFleet();
   O.WorkerCommand = {"/nonexistent/spe-no-such-worker"};
 
@@ -367,7 +469,7 @@ TEST(FleetCoordinatorTest, UnstartableWorkerFailsLoudly) {
 
 TEST(FleetJournalTest, StopAndResumeMatchesUninterruptedRun) {
   TempDir T("resume");
-  FleetSpec Spec = baseSpec();
+  CampaignSpec Spec = baseSpec();
   Spec.Triage = true;
   const std::string RefCk = T.path("ref.ck");
   const CampaignResult Ref = referenceRun(Spec, RefCk);
@@ -410,7 +512,7 @@ TEST(FleetJournalTest, StopAndResumeMatchesUninterruptedRun) {
 
 TEST(FleetJournalTest, SkewedSpecOrSeedsIsRejected) {
   TempDir T("skew");
-  FleetSpec Spec = baseSpec();
+  CampaignSpec Spec = baseSpec();
   FleetOptions O = baseFleet();
   O.JournalPath = T.path("leases.journal");
   O.StopAfterFragments = 1;
@@ -426,7 +528,7 @@ TEST(FleetJournalTest, SkewedSpecOrSeedsIsRejected) {
 
   // Different spec, same journal.
   {
-    FleetSpec Skewed = Spec;
+    CampaignSpec Skewed = Spec;
     Skewed.VariantBudget = 20;
     CampaignCoordinator C(Skewed, O);
     CampaignResult R;
@@ -465,7 +567,7 @@ TEST(FleetJournalTest, SkewedSpecOrSeedsIsRejected) {
 
 TEST(FleetStatusTest, AggregatedDocumentCoversWorkersAndCounters) {
   TempDir T("status");
-  FleetSpec Spec = baseSpec();
+  CampaignSpec Spec = baseSpec();
   FleetOptions O = baseFleet();
   O.Workers = 2;
   O.FleetStatusPath = T.path("fleet.status.json");

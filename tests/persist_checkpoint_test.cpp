@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "distrib/FleetProtocol.h"
 #include "lang/Parser.h"
 #include "persist/Checkpoint.h"
 #include "persist/OracleStore.h"
@@ -18,6 +19,8 @@
 #include "skeleton/ProgramEnumerator.h"
 #include "skeleton/SkeletonExtractor.h"
 #include "skeleton/ValidityAnalysis.h"
+#include "support/Telemetry.h"
+#include "testing/CampaignStatus.h"
 #include "testing/Corpus.h"
 
 #include "gtest/gtest.h"
@@ -400,31 +403,150 @@ struct NamedBackend : CompilerBackend {
   }
 };
 
-/// Result-affecting options that were once missing from the fingerprint,
-/// each as an edit that skews a campaign's options.
+/// One option a campaign can be skewed by, and whether the checkpoint
+/// fingerprint must notice. Rows for CampaignSpec fields carry
+/// walkCampaignSpec's names (a Configs entry's field as "Configs.<name>");
+/// the rest are the objects, paths and hooks HarnessOptions attaches.
 struct OptionSkew {
   const char *Name;
+  bool ResultAffecting;
   void (*Apply)(HarnessOptions &);
 };
 
-const OptionSkew ResultSkews[] = {
-    {"Triage", [](HarnessOptions &O) { O.Triage = true; }},
-    {"OracleMaxSteps", [](HarnessOptions &O) { O.OracleMaxSteps = 100'000; }},
+const OptionSkew Skews[] = {
+    {"Mode", true, [](HarnessOptions &O) { O.Mode = SpeMode::PaperFaithful; }},
+    {"Extract.Gran", true,
+     [](HarnessOptions &O) { O.Extract.Gran = Granularity::InterProcedural; }},
+    {"Extract.Model", true,
+     [](HarnessOptions &O) { O.Extract.Model = ScopeModel::Lexical; }},
+    {"VariantThreshold", true,
+     [](HarnessOptions &O) { O.VariantThreshold = 500; }},
+    {"VariantBudget", true, [](HarnessOptions &O) { O.VariantBudget = 20; }},
+    {"Threads", true, [](HarnessOptions &O) { O.Threads = 2; }},
+    {"BatchSize", false, [](HarnessOptions &O) { O.BatchSize = 8; }},
+    {"InjectBugs", true, [](HarnessOptions &O) { O.InjectBugs = false; }},
+    {"PruneInvalid", true, [](HarnessOptions &O) { O.PruneInvalid = false; }},
+    {"Triage", true, [](HarnessOptions &O) { O.Triage = true; }},
+    {"OracleMaxSteps", true,
+     [](HarnessOptions &O) { O.OracleMaxSteps = 100'000; }},
+    {"Configs", true, [](HarnessOptions &O) { O.Configs.pop_back(); }},
+    {"Configs.P", true,
+     [](HarnessOptions &O) { O.Configs[0].P = Persona::ClangSim; }},
+    {"Configs.Version", true,
+     [](HarnessOptions &O) { O.Configs[0].Version = 44; }},
+    {"Configs.OptLevel", true,
+     [](HarnessOptions &O) { O.Configs[0].OptLevel = 2; }},
+    {"Configs.Mode64", true,
+     [](HarnessOptions &O) { O.Configs[0].Mode64 = !O.Configs[0].Mode64; }},
+    {"Configs.ExecSweep", true,
+     [](HarnessOptions &O) { O.Configs[0].ExecSweep = {"", "7 11"}; }},
+    {"Cache", true,
+     [](HarnessOptions &O) {
+       static OracleCache Cache;
+       O.Cache = &Cache;
+     }},
+    {"OracleStorePath", true,
+     [](HarnessOptions &O) { O.OracleStorePath = tempPath("skew.store"); }},
+    {"Cov", true,
+     [](HarnessOptions &O) {
+       static CoverageRegistry Cov;
+       O.Cov = &Cov;
+     }},
+    {"Backend", true,
+     [](HarnessOptions &O) {
+       static NamedBackend Gcc("external: gcc -w [-O] | gcc (Distro) 14.2.0");
+       O.Backend = &Gcc;
+     }},
+    {"ExtraBackends", true,
+     [](HarnessOptions &O) {
+       static NamedBackend Clang("external: clang -w [-O] | clang 19.1.0");
+       O.ExtraBackends = {&Clang};
+     }},
+    {"CheckpointEveryN", false,
+     [](HarnessOptions &O) { O.CheckpointEveryN = 7; }},
+    {"Telemetry", false,
+     [](HarnessOptions &O) {
+       static TelemetrySink Sink;
+       O.Telemetry = &Sink;
+     }},
+    {"Status", false,
+     [](HarnessOptions &O) {
+       static CampaignStatusFeed Feed({tempPath("skew.status.json"), 500});
+       O.Status = &Feed;
+     }},
 };
+
+/// The campaign every row skews.
+HarnessOptions skewBase() {
+  HarnessOptions O;
+  O.Configs = HarnessOptions::crashMatrix(Persona::GccSim, 70);
+  return O;
+}
+
+/// Collects walkCampaignSpec's field names, a Configs entry's as
+/// "Configs.<name>".
+struct CollectNames {
+  std::set<std::string> &Names;
+  std::string Prefix;
+
+  template <class T>
+  void operator()(const char *Name, OptionKind, const T &) {
+    Names.insert(Prefix + Name);
+    if constexpr (std::is_same_v<T, std::vector<CompilerConfig>>) {
+      const CompilerConfig Entry;
+      walkCompilerConfig(Entry, CollectNames{Names, Prefix + Name + "."});
+    }
+  }
+};
+
+std::set<std::string> walkNames() {
+  std::set<std::string> Names;
+  const HarnessOptions Base = skewBase();
+  walkCampaignSpec(Base, CollectNames{Names, ""});
+  return Names;
+}
 
 } // namespace
 
-TEST(OptionsFingerprintTest, TriageFlagChangesTheFingerprint) {
-  // Regression: HarnessOptions::Triage was omitted from the fingerprint,
-  // so a checkpoint written without triage resumed under a triaging
-  // campaign (and vice versa) without the skew being detected. The oracle
-  // step budget, which decides the Timeout exclusions, was missing too.
-  HarnessOptions A;
-  A.Configs = HarnessOptions::crashMatrix(Persona::GccSim, 70);
-  for (const OptionSkew &Skew : ResultSkews) {
+TEST(OptionsFingerprintTest, EveryWalkFieldHasARow) {
+  std::set<std::string> Rows;
+  for (const OptionSkew &Skew : Skews)
+    EXPECT_TRUE(Rows.insert(Skew.Name).second) << "duplicate " << Skew.Name;
+  for (const std::string &Name : walkNames())
+    EXPECT_EQ(Rows.count(Name), 1u) << Name << " has no row";
+}
+
+TEST(OptionsFingerprintTest, ChangesIffTheOptionIsResultAffecting) {
+  // Regression rows: Triage and the oracle step budget were once missing
+  // from the fingerprint, and ExecSweep was folded in by hand.
+  const HarnessOptions A = skewBase();
+  for (const OptionSkew &Skew : Skews) {
     HarnessOptions B = A;
     Skew.Apply(B);
-    EXPECT_NE(fingerprintOptions(A), fingerprintOptions(B)) << Skew.Name;
+    EXPECT_EQ(fingerprintOptions(A) != fingerprintOptions(B),
+              Skew.ResultAffecting)
+        << Skew.Name;
+  }
+}
+
+TEST(OptionsFingerprintTest, FleetDocumentRoundTripsEveryWalkField) {
+  // Walk fields reach the wire and come back; the attached objects, paths
+  // and hooks never reach it.
+  const std::set<std::string> OnWire = walkNames();
+  const HarnessOptions A = skewBase();
+  for (const OptionSkew &Skew : Skews) {
+    HarnessOptions B = A;
+    Skew.Apply(B);
+    const std::string Doc = serializeSpec(B);
+    EXPECT_EQ(Doc != serializeSpec(A), OnWire.count(Skew.Name) == 1)
+        << Skew.Name;
+    CampaignSpec Back;
+    std::string Err;
+    ASSERT_TRUE(parseSpec(Doc, Back, Err)) << Skew.Name << ": " << Err;
+    EXPECT_EQ(serializeSpec(Back), Doc) << Skew.Name;
+    EXPECT_EQ(fingerprintOptions(HarnessOptions(Back)),
+              fingerprintOptions(HarnessOptions(CampaignSpec(B))))
+        << Skew.Name;
   }
 }
 
@@ -444,19 +566,25 @@ TEST(OptionsFingerprintTest, BackendIdentityChangesTheFingerprint) {
 
 TEST(OptionsFingerprintTest, TriageMismatchRejectsTheResume) {
   // End to end: a snapshot written by a non-triaging campaign must be
-  // refused by a triaging resume (or one under another oracle step budget)
-  // on the fingerprint gate, and accepted again once the options match.
+  // refused by a triaging resume (or one under another oracle step budget,
+  // or any other result-affecting skew) on the fingerprint gate, and
+  // accepted under a result-neutral skew or once the options match.
   std::vector<std::string> Seeds = {"int main(void) { return 0; }\n"};
-  HarnessOptions Plain;
-  Plain.Configs = HarnessOptions::crashMatrix(Persona::GccSim, 70);
+  HarnessOptions Plain = skewBase();
   Plain.CheckpointPath = tempPath("triage_skew.ck");
   CampaignResult Full = DifferentialHarness(Plain).runCampaign(Seeds);
 
-  for (const OptionSkew &Skew : ResultSkews) {
+  for (const OptionSkew &Skew : Skews) {
     HarnessOptions Skewed = Plain;
     Skew.Apply(Skewed);
     CampaignResult R;
     std::string Err;
+    if (!Skew.ResultAffecting) {
+      EXPECT_TRUE(DifferentialHarness(Skewed).resumeCampaign(Seeds, R, Err))
+          << Skew.Name << ": " << Err;
+      EXPECT_TRUE(R == Full) << Skew.Name;
+      continue;
+    }
     EXPECT_FALSE(DifferentialHarness(Skewed).resumeCampaign(Seeds, R, Err))
         << Skew.Name;
     EXPECT_NE(Err.find("options fingerprint"), std::string::npos)

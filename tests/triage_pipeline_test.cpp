@@ -85,7 +85,7 @@ TEST(TriagePipelineTest, SignatureClusteringCollapsesConfigDuplicates) {
   ASSERT_GT(Campaign.RawFindings.size(), Campaign.UniqueBugs.size())
       << "the raw stream must carry per-config duplicates";
 
-  TriageOptions Opts;
+  HarnessOptions Opts;
   Opts.Cache = &Cache;
   triageCampaign(Campaign, Opts);
 
@@ -118,7 +118,7 @@ TEST(TriagePipelineTest, TriagedReportIsThreadCountInvariant) {
   // and its triage pass), so even the oracle-cost counters must coincide.
   OracleCache CacheOne;
   CampaignResult AtOne = twoPersonaCampaign(Seeds, &CacheOne, 1);
-  TriageOptions OptsOne;
+  HarnessOptions OptsOne;
   OptsOne.Cache = &CacheOne;
   triageCampaign(AtOne, OptsOne);
   ASSERT_FALSE(AtOne.Triaged.empty());
@@ -126,7 +126,7 @@ TEST(TriagePipelineTest, TriagedReportIsThreadCountInvariant) {
   for (unsigned Threads : {2u, 4u}) {
     OracleCache Cache;
     CampaignResult At = twoPersonaCampaign(Seeds, &Cache, Threads);
-    TriageOptions Opts;
+    HarnessOptions Opts;
     Opts.Cache = &Cache;
     triageCampaign(At, Opts);
     EXPECT_TRUE(At.Triaged == AtOne.Triaged) << "threads=" << Threads;
@@ -150,7 +150,7 @@ TEST(TriagePipelineTest, ReducedReproducersStayFaithfulAndShrink40Percent) {
   OracleCache Cache;
   CampaignResult Campaign = twoPersonaCampaign(corpusSeeds(), &Cache, 1);
 
-  TriageOptions Opts;
+  HarnessOptions Opts;
   Opts.Cache = &Cache;
   triageCampaign(Campaign, Opts);
   ASSERT_FALSE(Campaign.Triaged.empty());
@@ -206,7 +206,7 @@ TEST(TriagePipelineTest, EmbeddedSeedCampaignTriagesEverySignature) {
   }
   ASSERT_GE(Total.UniqueBugs.size(), 4u);
 
-  TriageOptions Opts;
+  HarnessOptions Opts;
   Opts.Cache = &Cache;
   triageCampaign(Total, Opts);
   EXPECT_GT(Total.Reduction.dedupRatio(), 1.0);
