@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 using namespace spe;
 
@@ -105,10 +106,7 @@ std::unique_ptr<ASTContext> spe::parseAndAnalyze(const std::string &Source) {
 BackendObservation InProcessBackend::run(const std::string &Source,
                                          const CompilerConfig &Config,
                                          CoverageRegistry *Cov) const {
-  std::unique_ptr<ASTContext> Ctx = parseAndAnalyze(Source);
-  if (!Ctx)
-    return {}; // Rejected.
-  return runOn(*Ctx, Config, Cov);
+  return runWithInput(Source, Config, std::string(), Cov);
 }
 
 BackendObservation
@@ -116,10 +114,7 @@ InProcessBackend::runWithInput(const std::string &Source,
                                const CompilerConfig &Config,
                                const std::string &Input,
                                CoverageRegistry *Cov) const {
-  std::unique_ptr<ASTContext> Ctx = parseAndAnalyze(Source);
-  if (!Ctx)
-    return {}; // Rejected.
-  return runOn(*Ctx, Config, Cov, Input);
+  return runSweep(Source, Config, {Input}, Cov).front();
 }
 
 std::vector<BackendObservation>
@@ -127,26 +122,57 @@ InProcessBackend::runSweep(const std::string &Source,
                            const CompilerConfig &Config,
                            const std::vector<std::string> &Inputs,
                            CoverageRegistry *Cov) const {
-  std::unique_ptr<ASTContext> Ctx = parseAndAnalyze(Source);
-  if (!Ctx)
-    return std::vector<BackendObservation>(Inputs.size()); // All rejected.
-  return runOnSweep(*Ctx, Config, Cov, Inputs);
+  return runConfigs(Source, {Config}, {Inputs}, Cov).front();
+}
+
+std::vector<std::vector<std::vector<BackendObservation>>>
+InProcessBackend::finishBatch(std::unique_ptr<BatchTicket> Ticket) const {
+  auto *T = dynamic_cast<GenericBatchTicket *>(Ticket.get());
+  if (!T)
+    return {}; // Ticket from a different backend's beginBatch: caller bug.
+  std::vector<std::vector<std::string>> Inputs;
+  for (const CompilerConfig &Config : T->Configs)
+    Inputs.push_back(configInputs(Config));
+  std::vector<std::vector<std::vector<BackendObservation>>> Out;
+  Out.reserve(T->Sources.size());
+  for (const std::string &Source : T->Sources)
+    Out.push_back(runConfigs(Source, T->Configs, Inputs, T->Cov));
+  return Out;
 }
 
 BackendObservation InProcessBackend::runOn(ASTContext &Ctx,
                                            const CompilerConfig &Config,
                                            CoverageRegistry *Cov,
                                            const std::string &Input) const {
-  return runOnSweep(Ctx, Config, Cov, {Input}).front();
+  LoweredUnit Unit(Ctx, Cov);
+  return observe(Unit, Config, {Input}).front();
+}
+
+std::vector<std::vector<BackendObservation>>
+InProcessBackend::runConfigs(const std::string &Source,
+                             const std::vector<CompilerConfig> &Configs,
+                             const std::vector<std::vector<std::string>> &Inputs,
+                             CoverageRegistry *Cov) const {
+  // One parse and one lowering; each config runs only its own half of the
+  // compile and its executions.
+  std::unique_ptr<ASTContext> Ctx = parseAndAnalyze(Source);
+  std::optional<LoweredUnit> Unit;
+  if (Ctx)
+    Unit.emplace(*Ctx, Cov);
+  std::vector<std::vector<BackendObservation>> Rows;
+  Rows.reserve(Configs.size());
+  for (size_t C = 0; C < Configs.size(); ++C)
+    Rows.push_back(Unit ? observe(*Unit, Configs[C], Inputs[C])
+                        : std::vector<BackendObservation>(
+                              Inputs[C].size())); // All rejected.
+  return Rows;
 }
 
 std::vector<BackendObservation>
-InProcessBackend::runOnSweep(ASTContext &Ctx, const CompilerConfig &Config,
-                             CoverageRegistry *Cov,
-                             const std::vector<std::string> &Inputs) const {
+InProcessBackend::observe(LoweredUnit &Unit, const CompilerConfig &Config,
+                          const std::vector<std::string> &Inputs) const {
   BackendObservation Obs;
-  MiniCompiler CC(Config, Cov, InjectBugs);
-  CompileResult R = CC.compile(Ctx);
+  CompileResult R = MiniCompiler(Config, nullptr, InjectBugs).compile(Unit);
   if (R.St == CompileResult::Status::Rejected)
     return std::vector<BackendObservation>(Inputs.size(), Obs);
   Obs.FiredBugs = std::move(R.FiredBugs);

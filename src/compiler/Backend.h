@@ -38,6 +38,7 @@ namespace spe {
 
 class ASTContext;
 class CoverageRegistry;
+class LoweredUnit;
 
 /// The shared front-end gate: parse + Sema, null on any failure. One
 /// definition serves the harness, the repro oracle, and the in-process
@@ -205,15 +206,17 @@ public:
   /// BatchExpectation cell (crash, reject, anomaly, divergence, exec
   /// failure) is equal to what runSweep() would have produced for that
   /// (variant, config) row -- the base implementation guarantees it by
-  /// *being* a runSweep() loop, ExternalBackend by bisection plus
-  /// unbatched re-verification of the whole row.
+  /// *being* a runSweep() loop, InProcessBackend by sharing only the
+  /// config-independent half of the compile, ExternalBackend by bisection
+  /// plus unbatched re-verification of the whole row.
   virtual std::vector<std::vector<std::vector<BackendObservation>>>
   finishBatch(std::unique_ptr<BatchTicket> Ticket) const;
 };
 
-/// The historical in-process driver: parse + Sema + MiniCompiler + VM.
-/// Behavior-preserving refactor of the loop body the harness ran inline
-/// before backends existed.
+/// The in-process driver: parse + Sema + MiniCompiler + VM. A batch parses
+/// and lowers each variant once (compiler/Compiler.h, LoweredUnit) and
+/// runs only the per-config half of the compile under each config; the
+/// observations equal a runSweep() loop's, field for field.
 class InProcessBackend final : public CompilerBackend {
 public:
   explicit InProcessBackend(bool InjectBugs = true)
@@ -233,6 +236,10 @@ public:
   runSweep(const std::string &Source, const CompilerConfig &Config,
            const std::vector<std::string> &Inputs,
            CoverageRegistry *Cov) const override;
+  /// The base beginBatch's parked inputs, one parse and one lowering per
+  /// variant for the whole config list.
+  std::vector<std::vector<std::vector<BackendObservation>>>
+  finishBatch(std::unique_ptr<BatchTicket> Ticket) const override;
 
   /// In-process fast path: compile + execute an already-analyzed unit,
   /// skipping the re-parse run() would perform. Used where the caller
@@ -242,13 +249,20 @@ public:
                            CoverageRegistry *Cov,
                            const std::string &Input = {}) const;
 
-  /// runOn for a whole sweep: compile once, execute the VM per input.
-  std::vector<BackendObservation>
-  runOnSweep(ASTContext &Ctx, const CompilerConfig &Config,
-             CoverageRegistry *Cov,
-             const std::vector<std::string> &Inputs) const;
-
 private:
+  /// \p Source's rows under every config of \p Configs, config C over
+  /// the stdins \p Inputs[C]: one parse and one lowering for them all.
+  std::vector<std::vector<BackendObservation>>
+  runConfigs(const std::string &Source,
+             const std::vector<CompilerConfig> &Configs,
+             const std::vector<std::vector<std::string>> &Inputs,
+             CoverageRegistry *Cov) const;
+  /// The per-config half of one row: compile \p Unit under \p Config,
+  /// then one VM execution per input.
+  std::vector<BackendObservation>
+  observe(LoweredUnit &Unit, const CompilerConfig &Config,
+          const std::vector<std::string> &Inputs) const;
+
   bool InjectBugs;
 };
 

@@ -84,20 +84,13 @@ void spe::applyMutilation(IRModule &M, Mutilation Mut) {
   }
 }
 
-CompileResult MiniCompiler::compile(ASTContext &Ctx) const {
-  CompileResult Result;
-  ProgramFeatures Features = extractFeatures(Ctx);
-
-  IRGenResult Gen = generateIR(Ctx);
-  if (!Gen.Ok) {
-    Result.St = CompileResult::Status::Rejected;
-    Result.Error = Gen.Error;
-    return Result;
-  }
-  Result.Module = std::move(Gen.Module);
-  Result.CompileCost = 1;
-  for (const IRFunction &F : Result.Module.Functions)
-    Result.CompileCost += F.Blocks.size();
+LoweredUnit::LoweredUnit(ASTContext &Ctx, CoverageRegistry *Cov)
+    : Features(extractFeatures(Ctx)), Gen(generateIR(Ctx)), Cov(Cov) {
+  if (!Gen.Ok)
+    return;
+  BaseCost = 1;
+  for (const IRFunction &F : Gen.Module.Functions)
+    BaseCost += F.Blocks.size();
 
   // Frontend coverage points keyed on syntactic features and on the
   // operators the lowering actually emitted.
@@ -114,19 +107,45 @@ CompileResult MiniCompiler::compile(ASTContext &Ctx) const {
     if (Features.NumStructAccesses > 0)
       Cov->hit("irgen.struct");
     Cov->hit("irgen.branch");
-    for (const IRFunction &F : Result.Module.Functions)
+    for (const IRFunction &F : Gen.Module.Functions)
       for (const IRBlock &B : F.Blocks)
         for (const IRInstr &I : B.Instrs)
           if (I.Op == IROp::Bin)
             Cov->hit(std::string("irgen.bin.") + binaryOpSpelling(I.Bin));
   }
+}
+
+const IRModule &LoweredUnit::optimized(unsigned OptLevel) {
+  auto [It, Fresh] = Optimized.try_emplace(OptLevel);
+  if (Fresh) {
+    // The pipeline reads only the module and the level, and the registry
+    // is a hit set, so one run per level equals one run per config.
+    It->second = Gen.Module;
+    runPipeline(It->second, OptLevel, Cov);
+  }
+  return It->second;
+}
+
+CompileResult MiniCompiler::compile(ASTContext &Ctx) const {
+  LoweredUnit Unit(Ctx, Cov);
+  return compile(Unit);
+}
+
+CompileResult MiniCompiler::compile(LoweredUnit &Unit) const {
+  CompileResult Result;
+  if (!Unit.ok()) {
+    Result.St = CompileResult::Status::Rejected;
+    Result.Error = Unit.error();
+    return Result;
+  }
+  Result.CompileCost = Unit.baseCost();
 
   // Injected bug hooks: crashes preempt everything; wrong-code mutilates
   // the module after optimization; performance inflates the cost.
   Mutilation PendingMut = Mutilation::None;
   if (InjectBugs) {
     for (const InjectedBug &B : bugDatabase()) {
-      if (!B.firesOn(Config, Features))
+      if (!B.firesOn(Config, Unit.features()))
         continue;
       Result.FiredBugs.push_back(B.Id);
       if (B.Effect == BugEffect::Crash && Result.CrashBugId == 0) {
@@ -142,9 +161,9 @@ CompileResult MiniCompiler::compile(ASTContext &Ctx) const {
     }
   }
   if (Result.CrashBugId != 0)
-    return Result;
+    return Result; // A crashed compile runs no pipeline.
 
-  runPipeline(Result.Module, Config.OptLevel, Cov);
+  Result.Module = Unit.optimized(Config.OptLevel);
   applyMutilation(Result.Module, PendingMut);
 
   std::string VerifyError = verifyModule(Result.Module);

@@ -9,7 +9,9 @@
 /// The MiniCC driver: feature extraction, IR generation, the optimization
 /// pipeline with coverage instrumentation, and the injected-bug hooks. This
 /// is the "compiler under test" of the differential harness; the paper's
-/// GCC/Clang stand-ins are CompilerConfig personas over this driver.
+/// GCC/Clang stand-ins are CompilerConfig personas over this driver. A
+/// compile is a configuration-independent LoweredUnit plus a per-config
+/// half, so one lowering serves a variant's whole config matrix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,8 @@
 #include "compiler/IRGen.h"
 #include "compiler/VM.h"
 
+#include <map>
+
 namespace spe {
 
 /// Outcome of one compilation.
@@ -31,6 +35,8 @@ struct CompileResult {
     Rejected, ///< Outside the compilable subset.
   };
   Status St = Status::Rejected;
+  /// The optimized (and possibly mutilated) module; empty when IRGen
+  /// rejected the unit or an injected crash preempted the pipeline.
   IRModule Module;
   std::string CrashSignature;
   /// The injected bug behind a crash, or 0.
@@ -45,6 +51,36 @@ struct CompileResult {
   bool crashed() const { return St == Status::Crashed; }
 };
 
+/// The configuration-independent half of a compile: one translation unit's
+/// features, its IRGen module and the optimization pipeline's output per
+/// opt level. A compile under a config changes only the bug hooks, the
+/// mutilation and which opt level's output it copies, so one lowering
+/// serves every config of a variant. The unit reads types owned by the
+/// ASTContext it was lowered from, which must outlive it.
+class LoweredUnit {
+public:
+  /// Extracts features and runs IRGen; hits the irgen.* coverage points
+  /// in \p Cov (may be null), which also receives every pipeline's hits.
+  LoweredUnit(ASTContext &Ctx, CoverageRegistry *Cov);
+
+  /// False when IRGen refused the unit: every config rejects it.
+  bool ok() const { return Gen.Ok; }
+  const std::string &error() const { return Gen.Error; }
+  const ProgramFeatures &features() const { return Features; }
+  /// 1 + the module's block count, before any bug inflates it.
+  uint64_t baseCost() const { return BaseCost; }
+  /// The pipeline's output at \p OptLevel, run on the first request.
+  const IRModule &optimized(unsigned OptLevel);
+
+private:
+  ProgramFeatures Features;
+  IRGenResult Gen;
+  uint64_t BaseCost = 0;
+  CoverageRegistry *Cov;
+  /// Pipeline outputs by opt level, each filled on its first request.
+  std::map<unsigned, IRModule> Optimized;
+};
+
 /// Compiles one analyzed translation unit under a configuration.
 class MiniCompiler {
 public:
@@ -56,7 +92,13 @@ public:
                bool InjectBugs = true)
       : Config(Config), Cov(Cov), InjectBugs(InjectBugs) {}
 
+  /// Lowers \p Ctx, then compiles the unit.
   CompileResult compile(ASTContext &Ctx) const;
+  /// The per-config half over an already lowered unit: the bug hooks, a
+  /// copy of the pipeline's output at this opt level, the wrong-code
+  /// mutilation on that copy, and the verifier. Coverage goes to the
+  /// registry \p Unit was lowered with.
+  CompileResult compile(LoweredUnit &Unit) const;
 
   const CompilerConfig &config() const { return Config; }
 

@@ -306,21 +306,31 @@ std::string CampaignStatusFeed::serializeLocked(uint64_t Now) {
 }
 
 void CampaignStatusFeed::writeNow() {
-  uint64_t Now = nowMs();
   std::string Text;
+  uint64_t Gen;
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    Text = serializeLocked(Now);
+    // The clock is read under Mu too, so a document's timestamp never
+    // precedes the rate window the previous document closed.
+    Text = serializeLocked(nowMs());
+    Gen = ++SerializedGen;
   }
   // Atomic write-then-rename: a reader (or a SIGKILL) at any instant sees
   // either the previous complete document or this one, never a torn file.
+  // Every writer shares one temp file, so WriteMu orders the writes; a
+  // document older than the one on disk is dropped, not written over it.
+  std::lock_guard<std::mutex> Lock(WriteMu);
+  if (Gen <= WrittenGen)
+    return;
   std::string Err;
   if (atomicWriteFile(Opts.Path, Text, &Err)) {
+    WrittenGen = Gen;
     Writes.fetch_add(1, std::memory_order_relaxed);
-    WriteWarned.store(false, std::memory_order_relaxed);
+    WriteWarned = false;
     return;
   }
   WriteFailures.fetch_add(1, std::memory_order_relaxed);
-  if (!WriteWarned.exchange(true, std::memory_order_relaxed))
+  if (!WriteWarned)
     std::fprintf(stderr, "spe: status feed write failed: %s\n", Err.c_str());
+  WriteWarned = true;
 }

@@ -111,7 +111,10 @@ public:
   /// know the variant rate legitimately dropped to zero.
   void beginTriage();
 
-  /// Serializes and atomically writes status.json now.
+  /// Serializes and atomically writes status.json now. Safe to call from
+  /// concurrent shard workers: the file only ever moves to a newer
+  /// document, and a call whose document is already outdated writes
+  /// nothing.
   void writeNow();
 
   const std::string &path() const { return Opts.Path; }
@@ -146,11 +149,19 @@ private:
   std::atomic<uint64_t> LastWriteMs{0};
   std::atomic<uint64_t> Writes{0};
   std::atomic<uint64_t> WriteFailures{0};
+
+  /// Orders the file writes of concurrent writeNow() calls.
+  std::mutex WriteMu;
+  /// Generation of the document on disk (guarded by WriteMu).
+  uint64_t WrittenGen = 0;
   /// Warn on stderr once per failure streak, not once per failed cadence
-  /// tick -- a persistently unwritable path would otherwise spam.
-  std::atomic<bool> WriteWarned{false};
+  /// tick -- a persistently unwritable path would otherwise spam (guarded
+  /// by WriteMu).
+  bool WriteWarned = false;
 
   mutable std::mutex Mu;
+  /// Generation of the latest serialized document (guarded by Mu).
+  uint64_t SerializedGen = 0;
   std::string State = "starting"; ///< starting|running|triage|complete.
   uint64_t TotalSeeds = 0;
   uint64_t DoneSeeds = 0;

@@ -355,14 +355,15 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
 /// cell by cell. A classic campaign is the 1x1 matrix: a roster of one
 /// over the single empty input, where the vote is classifyDivergence.
 ///
-/// At BatchSize <= 1 add() runs the roster inline and records each config's
-/// row as soon as the roster has run it, so a variant never holds more
-/// than one row of observations. Otherwise variants accumulate into a
-/// batch of Opts.BatchSize; a full batch is handed to the backend
-/// (beginBatch -- which starts pool compiles and returns) *before* the
-/// previous batch is collected and recorded, so the compiler works on
-/// batch N+1 while this thread records batch N and then interprets oracles
-/// for batch N+2.
+/// Every tested variant reaches the backends through beginBatch and
+/// finishBatch, so a backend sees a variant's whole config list at once
+/// (the in-process backend lowers it once for all of them). At BatchSize
+/// <= 1 each variant is a batch of one, begun and finished in add().
+/// Otherwise variants accumulate into a batch of Opts.BatchSize; a full
+/// batch is handed to the backend (beginBatch -- which starts pool
+/// compiles and returns) *before* the previous batch is collected and
+/// recorded, so the compiler works on batch N+1 while this thread records
+/// batch N and then interprets oracles for batch N+2.
 ///
 /// Determinism: recording happens batch-by-batch in rank order,
 /// variant-major within a batch -- the exact order the unbatched loop
@@ -394,8 +395,6 @@ public:
       // strings.
       for (const CompilerBackend *R : Roster)
         BackendLabels.push_back(telemetryBackendLabel(R->identity()));
-      for (const CompilerConfig &C : Opts.Configs)
-        ConfigLabels.push_back(telemetryConfigLabel(C.OptLevel, C.Mode64));
     }
   }
 
@@ -403,25 +402,12 @@ public:
     OracleOutcome O = oraclePhase(Opts, Source, AllInputs, Result, Staged);
     if (!O.Test)
       return;
-    if (Opts.BatchSize > 1) {
-      Cur.push_back({Source, std::move(O)});
-      if (Cur.size() >= Opts.BatchSize)
-        rotate();
+    Cur.push_back({Source, std::move(O)});
+    if (Cur.size() < Opts.BatchSize)
       return;
-    }
-    for (size_t C = 0; C < Opts.Configs.size(); ++C) {
-      // Scoped to one config: the row is freed before the next config
-      // runs, so program output never piles up across configs.
-      Row Obs(Roster.size());
-      for (size_t B = 0; B < Roster.size(); ++B) {
-        SpanTimer T(Sink, Local, "backend_run",
-                    Sink ? BackendLabels[B] : std::string(),
-                    Sink ? ConfigLabels[C] : std::string());
-        Obs[B] =
-            Roster[B]->runSweep(Source, Opts.Configs[C], ConfigInputs[C], Cov);
-      }
-      recordRow(C, Obs, Source, O);
-    }
+    rotate();
+    if (!overlapped())
+      finishInFlight(); // Unbatched: a batch of one, begun and finished.
   }
 
   /// Flushes all pending work into Result. Must run before every
@@ -442,6 +428,29 @@ private:
     OracleOutcome O;
   };
 
+  /// True when a begun batch stays in flight while the next one fills.
+  bool overlapped() const { return Opts.BatchSize > 1; }
+
+  /// What a clean execution of a tested variant must reproduce: the
+  /// primary verdict, plus one cell per non-primary union input. An input
+  /// the oracle excluded (UB / non-termination under that stdin) is an
+  /// invalid cell the backend never executes.
+  static BatchExpectation expectationOf(const OracleOutcome &O) {
+    BatchExpectation E;
+    E.Valid = true;
+    E.ExitCode = O.Verdict.ExitCode;
+    E.Output = O.Verdict.Output;
+    for (size_t U = 1; U < O.Sweep.size(); ++U) {
+      const OracleCache::Entry &V = O.Sweep[U];
+      BatchExpectation::Cell Cell;
+      Cell.Valid = V.FrontendOk && V.Status == ExecStatus::Ok;
+      Cell.ExitCode = V.ExitCode;
+      Cell.Output = V.Output;
+      E.Extra.push_back(std::move(Cell));
+    }
+    return E;
+  }
+
   void rotate() {
     std::vector<std::string> Sources;
     std::vector<BatchExpectation> Expected;
@@ -449,22 +458,7 @@ private:
     Expected.reserve(Cur.size());
     for (const Item &It : Cur) {
       Sources.push_back(It.Source);
-      BatchExpectation E;
-      E.Valid = true;
-      E.ExitCode = It.O.Verdict.ExitCode;
-      E.Output = It.O.Verdict.Output;
-      // Non-primary union inputs: expectation cells from the sweep
-      // verdicts. An input the oracle excluded (UB / non-termination under
-      // that stdin) is an invalid cell the backend never executes.
-      for (size_t U = 1; U < It.O.Sweep.size(); ++U) {
-        const OracleCache::Entry &V = It.O.Sweep[U];
-        BatchExpectation::Cell Cell;
-        Cell.Valid = V.FrontendOk && V.Status == ExecStatus::Ok;
-        Cell.ExitCode = V.ExitCode;
-        Cell.Output = V.Output;
-        E.Extra.push_back(std::move(Cell));
-      }
-      Expected.push_back(std::move(E));
+      Expected.push_back(expectationOf(It.O));
     }
     // Start every roster member's new batch before collecting the old
     // ones: all N compiles of batch N+1 run concurrently on the shared
@@ -483,12 +477,15 @@ private:
   void finishInFlight() {
     if (Tickets.empty())
       return;
-    // Obs3[backend][variant][config][input].
+    // Obs3[backend][variant][config][input]. Unbatched, the one span per
+    // backend is that backend's whole run of the variant; overlapped, it
+    // is the wait for a batch begun one rotation earlier.
+    const char *Phase = overlapped() ? "batch_wait" : "backend_run";
     std::vector<std::vector<std::vector<std::vector<BackendObservation>>>>
         Obs3;
     Obs3.reserve(Tickets.size());
     for (size_t B = 0; B < Tickets.size(); ++B) {
-      SpanTimer T(Sink, Local, "batch_wait",
+      SpanTimer T(Sink, Local, Phase,
                   Sink ? BackendLabels[B] : std::string());
       Obs3.push_back(Roster[B]->finishBatch(std::move(Tickets[B])));
     }
@@ -652,7 +649,6 @@ private:
   TelemetrySink *Sink = nullptr;
   TelemetrySummary *Local = nullptr;
   std::vector<std::string> BackendLabels;
-  std::vector<std::string> ConfigLabels;
   std::vector<Item> Cur;
   std::vector<Item> InFlight;
   /// One in-flight ticket per roster slot (all begun before any finishes).

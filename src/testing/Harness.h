@@ -61,10 +61,11 @@ struct CampaignSpec {
   /// run single-cursor, so there it only shapes the options fingerprint.
   unsigned Threads = 1;
   /// Variants per compile batch handed to CompilerBackend::beginBatch
-  /// (DESIGN.md Section 13); 1 = the unbatched per-variant loop. Only
-  /// backends with real per-compile subprocess cost profit
-  /// (ExternalBackend); the in-process backend runs batches as its
-  /// ordinary loop.
+  /// (DESIGN.md Section 13); 1 = unbatched: each tested variant is a
+  /// batch of one, finished before the next variant's oracle runs. Larger
+  /// batches profit only backends with real per-compile subprocess cost
+  /// (ExternalBackend); the in-process backend lowers each variant once
+  /// for all configs at any batch size.
   uint64_t BatchSize = 1;
   /// Ground-truth bug injection on/off.
   bool InjectBugs = true;

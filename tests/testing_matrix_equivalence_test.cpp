@@ -14,8 +14,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "compiler/Passes.h"
+#include "interp/Interpreter.h"
+#include "lang/Parser.h"
 #include "persist/Checkpoint.h"
 #include "persist/LineText.h"
+#include "sema/Sema.h"
+#include "skeleton/ProgramEnumerator.h"
+#include "skeleton/SkeletonExtractor.h"
+#include "skeleton/VariantRenderer.h"
 #include "testing/Corpus.h"
 #include "testing/Harness.h"
 
@@ -122,6 +128,188 @@ void expectIdentical(const RunOutput &A, const RunOutput &B,
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// The in-process batch: one lowering per variant equals one compile per config
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The variants among the first \p Ranks ranks of \p Seed's SPE space
+/// that the reference oracle reads Ok at \p MaxSteps: what a campaign
+/// with that budget hands to its backends.
+std::vector<std::string> testedVariants(const std::string &Seed,
+                                        uint64_t Ranks, uint64_t MaxSteps) {
+  std::vector<std::string> Tested;
+  ASTContext Ctx;
+  DiagnosticEngine Diags;
+  if (!Parser::parse(Seed, Ctx, Diags))
+    return Tested;
+  Sema Analysis(Ctx, Diags);
+  if (!Analysis.run())
+    return Tested;
+  SkeletonExtractor Extractor(Ctx, Analysis, {});
+  std::vector<SkeletonUnit> Units = Extractor.extract();
+  ProgramCursor Cursor(Units, SpeMode::Exact);
+  Cursor.setEnd(BigInt(Ranks));
+  VariantRenderer Renderer(Ctx, Units);
+  std::string Source;
+  while (const ProgramAssignment *PA = Cursor.next()) {
+    Renderer.renderInto(*PA, Source);
+    std::unique_ptr<ASTContext> VCtx = parseAndAnalyze(Source);
+    if (!VCtx)
+      continue;
+    InterpOptions IO;
+    IO.MaxSteps = MaxSteps;
+    if (interpret(*VCtx, IO).ok())
+      Tested.push_back(Source);
+  }
+  return Tested;
+}
+
+/// "" when \p A and \p B agree in every field, else the first that does
+/// not.
+std::string firstFieldDiff(const BackendObservation &A,
+                           const BackendObservation &B) {
+  if (A.Compile != B.Compile)
+    return "Compile";
+  if (A.CrashSignature != B.CrashSignature)
+    return "CrashSignature";
+  if (A.CrashBugId != B.CrashBugId)
+    return "CrashBugId";
+  if (A.FiredBugs != B.FiredBugs)
+    return "FiredBugs";
+  if (A.CompileTimeAnomaly != B.CompileTimeAnomaly)
+    return "CompileTimeAnomaly";
+  if (A.Exec != B.Exec)
+    return "Exec";
+  if (A.ExitCode != B.ExitCode)
+    return "ExitCode";
+  if (A.ExitCodeLow8 != B.ExitCodeLow8)
+    return "ExitCodeLow8";
+  if (A.Output != B.Output)
+    return "Output";
+  return "";
+}
+
+/// What the compared cells held, so a pass cannot come from cells that
+/// never crashed, fired a bug or ran.
+struct CellCensus {
+  uint64_t Cells = 0, Crashed = 0, Fired = 0, Ran = 0, Timeouts = 0;
+};
+
+/// Runs \p Variants under \p Configs twice, each run into a fresh
+/// registry: once through InProcessBackend's batch (one parse and one
+/// lowering per variant) and once as a runSweep() loop per config (a
+/// parse and a whole compile per cell). Every observation field and the
+/// coverage hit sets must agree.
+void expectBatchEqualsSweeps(const InProcessBackend &Backend,
+                             const std::vector<std::string> &Variants,
+                             const std::vector<CompilerConfig> &Configs,
+                             const std::string &Tag, CellCensus &Census) {
+  CoverageRegistry BatchCov, SweepCov;
+  registerPassCoverageCatalog(BatchCov);
+  registerPassCoverageCatalog(SweepCov);
+  auto Batch = Backend.finishBatch(Backend.beginBatch(
+      Variants, std::vector<BatchExpectation>(Variants.size()), Configs,
+      &BatchCov));
+  unsigned Reported = 0;
+  EXPECT_EQ(Batch.size(), Variants.size()) << Tag;
+  for (size_t V = 0; V < Variants.size() && V < Batch.size(); ++V) {
+    EXPECT_EQ(Batch[V].size(), Configs.size()) << Tag;
+    for (size_t C = 0; C < Configs.size() && C < Batch[V].size(); ++C) {
+      std::vector<BackendObservation> Row = Backend.runSweep(
+          Variants[V], Configs[C], configInputs(Configs[C]), &SweepCov);
+      EXPECT_EQ(Batch[V][C].size(), Row.size()) << Tag;
+      for (size_t I = 0; I < Row.size() && I < Batch[V][C].size(); ++I) {
+        const BackendObservation &O = Row[I];
+        ++Census.Cells;
+        Census.Crashed +=
+            O.Compile == BackendObservation::CompileStatus::Crashed;
+        Census.Fired += !O.FiredBugs.empty();
+        Census.Ran += O.Exec != BackendObservation::ExecStatus::NotRun;
+        Census.Timeouts += O.Exec == BackendObservation::ExecStatus::Timeout;
+        std::string Diff = firstFieldDiff(Batch[V][C][I], O);
+        if (!Diff.empty() && Reported++ < 5)
+          ADD_FAILURE() << Tag << ": " << Diff << " differs for config "
+                        << C << ", input " << I << " of\n"
+                        << Variants[V];
+      }
+    }
+  }
+  EXPECT_EQ(Reported, 0u) << Tag << ": differing cells";
+  EXPECT_EQ(BatchCov.hitSet(), SweepCov.hitSet()) << Tag;
+  // Neither half may go unrecorded on both paths alike: the batch hits
+  // the lowering's irgen.* points and the pipelines' pass points.
+  size_t IRGenHits = 0, PassHits = 0;
+  for (const std::string &Point : BatchCov.hitSet())
+    (Point.rfind("irgen.", 0) == 0 ? IRGenHits : PassHits) += 1;
+  if (!Variants.empty()) {
+    EXPECT_GT(IRGenHits, 0u) << Tag;
+    EXPECT_GT(PassHits, 0u) << Tag;
+  }
+}
+
+} // namespace
+
+TEST(MatrixEquivalenceTest, LoweredBatchEqualsPerConfigSweeps) {
+  // InProcessBackend's batch shares a variant's parse, features, IRGen
+  // and one pipeline run per opt level across every config; only the bug
+  // hooks, the mutilation (on a copy), the verifier and the VM runs are
+  // per config. That must be unobservable: both personas' crash matrices,
+  // an opt-level sweep and a swept config, bugs on and off.
+  // The opt-level sweep is clang-sim's: at gcc-sim 4.8 -O1, bug 7
+  // miscompiles every variant of embedded seed 4 into a loop only the
+  // VM's 5M-step budget ends, about 25 s of VM time per pass.
+  std::vector<CompilerConfig> Configs =
+      HarnessOptions::crashMatrix(Persona::GccSim, 48);
+  for (const std::vector<CompilerConfig> &More :
+       {HarnessOptions::crashMatrix(Persona::ClangSim, 39),
+        HarnessOptions::optLevelSweep(Persona::ClangSim, 39)})
+    Configs.insert(Configs.end(), More.begin(), More.end());
+  CompilerConfig Swept{Persona::ClangSim, 36, 2, false, {"1\n", "7\n", "-3\n"}};
+  Configs.push_back(Swept);
+
+  // Every tested variant of the embedded seeds at corpus2p's budget, and
+  // a slice of the loop corpus at loops_ckpt's step budget.
+  std::vector<std::vector<std::string>> Batches;
+  for (const std::string &Seed : embeddedSeeds())
+    Batches.push_back(testedVariants(Seed, 400, 2'000'000));
+  CorpusOptions LoopOpts;
+  LoopOpts.UninitLocalProb = 0.6;
+  LoopOpts.BoundedLoopProb = 0.6;
+  LoopOpts.RichHelperProb = 0.6;
+  for (const std::string &Seed : generateCorpus(8000, 4, LoopOpts))
+    Batches.push_back(testedVariants(Seed, 150, 100'000));
+
+  for (bool InjectBugs : {true, false}) {
+    InProcessBackend Backend(InjectBugs);
+    uint64_t Variants = 0;
+    CellCensus Census;
+    for (size_t B = 0; B < Batches.size(); ++B) {
+      Variants += Batches[B].size();
+      expectBatchEqualsSweeps(Backend, Batches[B], Configs,
+                              std::string(InjectBugs ? "bugs" : "fixed") +
+                                  " batch " + std::to_string(B),
+                              Census);
+    }
+    std::printf("bugs %s: %llu variants, %llu cells: %llu crashed, %llu "
+                "fired a bug, %llu ran, %llu timed out\n",
+                InjectBugs ? "on" : "off",
+                static_cast<unsigned long long>(Variants),
+                static_cast<unsigned long long>(Census.Cells),
+                static_cast<unsigned long long>(Census.Crashed),
+                static_cast<unsigned long long>(Census.Fired),
+                static_cast<unsigned long long>(Census.Ran),
+                static_cast<unsigned long long>(Census.Timeouts));
+    EXPECT_GT(Variants, 1000u);
+    EXPECT_GT(Census.Ran, 0u);
+    if (InjectBugs) {
+      EXPECT_GT(Census.Crashed, 0u);
+      EXPECT_GT(Census.Fired, Census.Crashed);
+    }
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Degeneration: N=2 / M=1 is the classic campaign

@@ -1,6 +1,6 @@
 //===- tests/testing_status_feed_test.cpp - status feed hardening ---------===//
 //
-// Regression tests for two CampaignStatusFeed bugs the fleet layer leans on:
+// Regression tests for three CampaignStatusFeed bugs the fleet layer leans on:
 //
 //  1. writeNow() used to discard atomicWriteFile failures (the Err string
 //     was dead) while serializeLocked pre-counted the in-flight write as
@@ -12,15 +12,24 @@
 //     this constantly); the `if (WinMs > 0)` guard silently reported 0.0
 //     for a window that actually enumerated variants.
 //
+//  3. Concurrent writeNow() calls from shard workers serialized under the
+//     state mutex but wrote outside it through one shared temp file, so
+//     one writer's rename failed under another's and nothing kept an
+//     older document from replacing a newer one.
+//
 //===----------------------------------------------------------------------===//
 
 #include "testing/CampaignStatus.h"
+
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -178,6 +187,48 @@ TEST(StatusFeedWindowMath, AdvancingClockStillComputesRealRates) {
   std::string Doc = readFile(O.Path);
   EXPECT_EQ(jsonValue(Doc, "variants_per_sec"), "400.000");
   EXPECT_EQ(jsonValue(Doc, "uptime_ms"), "500");
+}
+
+//===----------------------------------------------------------------------===//
+// Bug 3: concurrent writers must not race on the shared temp file
+//===----------------------------------------------------------------------===//
+
+std::atomic<uint64_t> TickingNow{0};
+uint64_t tickingClock() { return TickingNow.fetch_add(1) + 1; }
+
+constexpr unsigned WriterThreads = 4;
+constexpr unsigned WritesPerThread = 200;
+
+TEST(StatusFeedConcurrentWrites, WritersNeverCollideAndTheNewestDocWins) {
+  TempDir Tmp;
+  CampaignStatusFeed::Options O;
+  O.Path = Tmp.Path + "/status.json";
+  O.EveryMs = 0;
+  CampaignStatusFeed Feed(O);
+  // The clock ticks once per read, and each writeNow() reads it once, so
+  // the document of the last generation reports the largest uptime_ms:
+  // one tick per write after the clock's installation.
+  TickingNow = 0;
+  Feed.setClockForTest(&tickingClock);
+
+  // Shard workers all write at EveryMs = 0. Unordered, two writers
+  // truncate and rename the one status.json.tmp under each other (a
+  // failed rename) and an older document can land last.
+  std::vector<std::thread> Writers;
+  for (unsigned T = 0; T < WriterThreads; ++T)
+    Writers.emplace_back([&Feed] {
+      for (unsigned I = 0; I < WritesPerThread; ++I)
+        Feed.writeNow();
+    });
+  for (std::thread &W : Writers)
+    W.join();
+
+  EXPECT_EQ(Feed.writeFailures(), 0u);
+  EXPECT_GT(Feed.writes(), 0u);
+  std::string Doc = readFile(O.Path);
+  EXPECT_TRUE(isValidJsonText(Doc)) << Doc;
+  EXPECT_EQ(jsonValue(Doc, "uptime_ms"),
+            std::to_string(WriterThreads * WritesPerThread));
 }
 
 } // namespace

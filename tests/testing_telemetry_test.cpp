@@ -230,10 +230,12 @@ TEST(TelemetryTest, WorkerLocalPhaseCountsMatchCampaignCounters) {
   // span (the span covers the interpretation attempt, hit or not).
   EXPECT_EQ(R.Telemetry.countFor("oracle_exec"), R.VariantsEnumerated);
   EXPECT_GE(R.Telemetry.countFor("oracle_exec"), R.OracleExecutions);
-  // One backend_run span per (tested variant, config) on the classic
-  // unbatched path.
+  // One backend_run span per (tested variant, roster backend) on the
+  // classic unbatched path: the span covers that backend's run of the
+  // variant under every config. The classic roster is the one backend.
+  const uint64_t RosterSize = 1 + Opts.ExtraBackends.size();
   EXPECT_EQ(R.Telemetry.countFor("backend_run"),
-            R.VariantsTested * Opts.Configs.size());
+            R.VariantsTested * RosterSize);
 }
 
 //===----------------------------------------------------------------------===//
