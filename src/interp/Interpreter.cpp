@@ -76,11 +76,31 @@ struct LoopPlan {
   std::vector<const VarDecl *> Vars;
 };
 
+/// The walk of one function body that fills the statement index.
+struct ScopeWalk {
+  const CompoundStmt *Body = nullptr;
+  std::vector<const Stmt *> Path; ///< The statements enclosing the visit.
+  std::map<std::string, const LabelStmt *> Labels;
+  std::vector<const GotoStmt *> Gotos;
+};
+
 /// Control-flow signal propagated out of statement execution.
 struct Signal {
   enum Kind { None, Break, Continue, Return, Goto } K = None;
   Value Ret;
-  std::string Label;
+  const LabelStmt *Target = nullptr; ///< A goto's label.
+};
+
+/// What block lifetimes need of one statement, computed once per run.
+struct StmtScope {
+  /// A nested compound's, or a for statement's, own locals: those it
+  /// declares outside any nested compound or for. A function body's own
+  /// locals end with its frame instead.
+  std::vector<const VarDecl *> Owned;
+  /// A goto's label.
+  const LabelStmt *Target = nullptr;
+  /// A label's enclosing statements, its function's body first.
+  std::vector<const Stmt *> Enclosing;
 };
 
 class Interp {
@@ -117,9 +137,10 @@ private:
     return true;
   }
 
-  /// Counts a visit to \p Loop's head; on a check, \returns true (after
-  /// failing the run with Timeout) when the state repeats one saved
-  /// earlier, or repeats up to drift cells the budget ends before.
+  /// Counts a visit to \p Loop's head, or with a null \p Loop a taken
+  /// goto; on a check, \returns true (after failing the run with Timeout)
+  /// when the state repeats one saved earlier, or, at a loop head, repeats
+  /// up to drift cells the budget ends before.
   bool loopHead(LoopDetector<SavedFrame> &D, const Stmt *Loop);
   /// \returns \p Loop's drift plan, classifying it on first use, and arms
   /// \p W with it.
@@ -162,10 +183,28 @@ private:
 
   // --- statements -------------------------------------------------------
   Signal execStmt(const Stmt *S);
-  Signal execSeek(const Stmt *S, const std::string &Label, bool &Found);
+  /// Runs \p F from its condition, or from its step when \p FromStep.
+  Signal iterateFor(const ForStmt *F, bool FromStep);
+  /// Enters \p S, which is or encloses \p Target, jumping to the label.
+  Signal execSeek(const Stmt *S, const LabelStmt *Target);
   Signal runBody(const CompoundStmt *Body);
   void execVarDecl(const VarDecl *V);
   void initializeObject(const LValue &LV, const Expr *Init);
+
+  // --- block lifetimes ----------------------------------------------------
+  /// Indexes \p S, whose declarations belong to \p Owner.
+  void indexScopes(const Stmt *S, const Stmt *Owner, ScopeWalk &W);
+  StmtScope &scopeOf(const Stmt *S) { return Scopes[S->stmtId()]; }
+  /// \returns whether \p S is \p Target or encloses it.
+  bool onPath(const Stmt *S, const LabelStmt *Target) {
+    const std::vector<const Stmt *> &E = scopeOf(Target).Enclosing;
+    return S == Target || std::find(E.begin(), E.end(), S) != E.end();
+  }
+  /// Ends the lifetimes of \p Block's own locals as \p Sig leaves it; a
+  /// goto to a label inside it does not leave it.
+  void leaveBlock(const Stmt *Block, const Signal &Sig);
+  /// Creates the objects a jump over \p S skips, indeterminate.
+  void declareSkipped(const Stmt *S);
 
   VarDecl *findVar(const DeclRefExpr *Ref) const { return Ref->decl(); }
   uint32_t blockOf(const VarDecl *V);
@@ -181,6 +220,7 @@ private:
   FrameMap Globals;
   std::vector<FrameMap> Frames;
   unsigned CallDepth = 0;
+  std::vector<StmtScope> Scopes; ///< Indexed by Sema statement id.
 
   // --- drift proofs (DESIGN.md Section 18.5) -------------------------------
   std::map<const Stmt *, LoopPlan> Plans; ///< Classified loops of this run.
@@ -197,10 +237,11 @@ private:
 bool Interp::loopHead(LoopDetector<SavedFrame> &D, const Stmt *Loop) {
   TimeoutReason Reason =
       D.visit(Mem, Stdin.position(), Frames.back(), Steps, Opts.MaxSteps,
-              [&](DriftWatch &W) { return armDrift(W, Loop); });
+              [&](DriftWatch &W) { return Loop ? armDrift(W, Loop) : nullptr; });
   if (Reason == TimeoutReason::None)
     return false;
-  timeout(Reason, Reason == TimeoutReason::Repeat
+  timeout(Reason, !Loop ? "state repeats at goto"
+                  : Reason == TimeoutReason::Repeat
                       ? "state repeats at loop head"
                       : "state drifts at loop head");
   return true;
@@ -1565,10 +1606,117 @@ void Interp::execVarDecl(const VarDecl *V) {
          "variable of incomplete type '" + V->name() + "'");
     return;
   }
-  uint32_t Block = allocate(V->name().c_str(), Size, false);
-  Frames.back()[V] = Block;
-  if (V->init())
+  // Reaching a declaration again in the same activation of its block
+  // reuses its object (C11 6.2.4p6): the initializer runs again, or the
+  // value becomes indeterminate.
+  auto [It, Fresh] = Frames.back().try_emplace(V, 0);
+  if (Fresh)
+    It->second = allocate(V->name().c_str(), Size, false);
+  uint32_t Block = It->second;
+  if (V->init()) {
     initializeObject(LValue{Block, 0, V->type()}, V->init());
+  } else if (!Fresh) {
+    MachineBlock &B = Mem.Blocks[Block];
+    B.Init.assign(B.Init.size(), false);
+    Mem.touch(Block);
+    if (!Watches.empty())
+      noteStore(Block);
+  }
+}
+
+void Interp::declareSkipped(const Stmt *S) {
+  if (!S)
+    return;
+  switch (S->kind()) {
+  case Stmt::Kind::Decl:
+    for (const VarDecl *V : cast<DeclStmt>(S)->decls()) {
+      uint64_t Size = V->type()->sizeInBytes();
+      if (Size && !Frames.back().count(V))
+        Frames.back()[V] = allocate(V->name().c_str(), Size, false);
+    }
+    return;
+  case Stmt::Kind::If:
+    declareSkipped(cast<IfStmt>(S)->thenStmt());
+    declareSkipped(cast<IfStmt>(S)->elseStmt());
+    return;
+  case Stmt::Kind::While:
+    declareSkipped(cast<WhileStmt>(S)->body());
+    return;
+  case Stmt::Kind::Do:
+    declareSkipped(cast<DoStmt>(S)->body());
+    return;
+  case Stmt::Kind::Label:
+    declareSkipped(cast<LabelStmt>(S)->sub());
+    return;
+  default:
+    // A compound or a for is a block of its own, which the jump does not
+    // enter.
+    return;
+  }
+}
+
+void Interp::leaveBlock(const Stmt *Block, const Signal &Sig) {
+  const std::vector<const VarDecl *> &Owned = scopeOf(Block).Owned;
+  if (Owned.empty() || (Sig.K == Signal::Goto && Sig.Target &&
+                        onPath(Block, Sig.Target)))
+    return;
+  FrameMap &Frame = Frames.back();
+  for (const VarDecl *V : Owned) {
+    auto It = Frame.find(V);
+    if (It == Frame.end())
+      continue; // Never reached in this activation.
+    Mem.release(It->second);
+    Frame.erase(It);
+  }
+}
+
+void Interp::indexScopes(const Stmt *S, const Stmt *Owner, ScopeWalk &W) {
+  if (!S)
+    return;
+  assert(S->stmtId() >= 0 && "statement not analyzed by Sema");
+  if (static_cast<size_t>(S->stmtId()) >= Scopes.size())
+    Scopes.resize(S->stmtId() + 1);
+  W.Path.push_back(S);
+  switch (S->kind()) {
+  case Stmt::Kind::Compound:
+    for (const Stmt *Child : cast<CompoundStmt>(S)->body())
+      indexScopes(Child, S, W);
+    break;
+  case Stmt::Kind::Decl:
+    // A function body's locals end with its frame (callFunction).
+    if (Owner != W.Body)
+      for (const VarDecl *V : cast<DeclStmt>(S)->decls())
+        scopeOf(Owner).Owned.push_back(V);
+    break;
+  case Stmt::Kind::If:
+    indexScopes(cast<IfStmt>(S)->thenStmt(), Owner, W);
+    indexScopes(cast<IfStmt>(S)->elseStmt(), Owner, W);
+    break;
+  case Stmt::Kind::While:
+    indexScopes(cast<WhileStmt>(S)->body(), Owner, W);
+    break;
+  case Stmt::Kind::Do:
+    indexScopes(cast<DoStmt>(S)->body(), Owner, W);
+    break;
+  case Stmt::Kind::For:
+    // Sema scopes the init, and a body that is no compound, to the for.
+    indexScopes(cast<ForStmt>(S)->init(), S, W);
+    indexScopes(cast<ForStmt>(S)->body(), S, W);
+    break;
+  case Stmt::Kind::Label: {
+    const auto *L = cast<LabelStmt>(S);
+    W.Labels[L->name()] = L;
+    scopeOf(L).Enclosing.assign(W.Path.begin(), W.Path.end() - 1);
+    indexScopes(L->sub(), Owner, W);
+    break;
+  }
+  case Stmt::Kind::Goto:
+    W.Gotos.push_back(cast<GotoStmt>(S));
+    break;
+  default:
+    break;
+  }
+  W.Path.pop_back();
 }
 
 void Interp::initializeObject(const LValue &LV, const Expr *Init) {
@@ -1627,13 +1775,16 @@ Signal Interp::execStmt(const Stmt *S) {
     return None;
   Result.ExecutedStmts.insert(S->stmtId());
   switch (S->kind()) {
-  case Stmt::Kind::Compound:
+  case Stmt::Kind::Compound: {
+    Signal Sig;
     for (const Stmt *Child : cast<CompoundStmt>(S)->body()) {
-      Signal Sig = execStmt(Child);
+      Sig = execStmt(Child);
       if (Failed || Sig.K != Signal::None)
-        return Sig;
+        break;
     }
-    return None;
+    leaveBlock(S, Sig);
+    return Sig;
+  }
   case Stmt::Kind::Decl:
     for (const VarDecl *V : cast<DeclStmt>(S)->decls()) {
       execVarDecl(V);
@@ -1697,33 +1848,11 @@ Signal Interp::execStmt(const Stmt *S) {
   }
   case Stmt::Kind::For: {
     const auto *F = cast<ForStmt>(S);
-    if (F->init()) {
+    if (F->init())
       execStmt(F->init());
-      if (Failed)
-        return None;
-    }
-    LoopDetector<SavedFrame> Detector;
-    for (;;) {
-      if (!step() || loopHead(Detector, S))
-        return None;
-      if (F->cond()) {
-        Value Cond = evalExpr(F->cond());
-        if (Failed || !truthy(Cond) || Failed)
-          return None;
-      }
-      Signal Sig = execStmt(F->body());
-      if (Failed)
-        return None;
-      if (Sig.K == Signal::Break)
-        return None;
-      if (Sig.K == Signal::Return || Sig.K == Signal::Goto)
-        return Sig;
-      if (F->step()) {
-        evalExpr(F->step());
-        if (Failed)
-          return None;
-      }
-    }
+    Signal Sig = Failed ? None : iterateFor(F, false);
+    leaveBlock(S, Sig);
+    return Sig;
   }
   case Stmt::Kind::Return: {
     const auto *R = cast<ReturnStmt>(S);
@@ -1752,7 +1881,7 @@ Signal Interp::execStmt(const Stmt *S) {
   case Stmt::Kind::Goto: {
     Signal Sig;
     Sig.K = Signal::Goto;
-    Sig.Label = cast<GotoStmt>(S)->label();
+    Sig.Target = scopeOf(S).Target;
     return Sig;
   }
   case Stmt::Kind::Label:
@@ -1761,52 +1890,66 @@ Signal Interp::execStmt(const Stmt *S) {
   return None;
 }
 
-/// Seeks \p Label inside \p S without executing anything; once found,
-/// execution resumes normally from the label onward.
-Signal Interp::execSeek(const Stmt *S, const std::string &Label,
-                        bool &Found) {
+Signal Interp::iterateFor(const ForStmt *F, bool FromStep) {
   Signal None;
-  if (Failed || !S)
+  LoopDetector<SavedFrame> Detector;
+  for (;; FromStep = true) {
+    if (FromStep && F->step()) {
+      evalExpr(F->step());
+      if (Failed)
+        return None;
+    }
+    if (!step() || loopHead(Detector, F))
+      return None;
+    if (F->cond()) {
+      Value Cond = evalExpr(F->cond());
+      if (Failed || !truthy(Cond) || Failed)
+        return None;
+    }
+    Signal Sig = execStmt(F->body());
+    if (Failed)
+      return None;
+    if (Sig.K == Signal::Break)
+      return None;
+    if (Sig.K == Signal::Return || Sig.K == Signal::Goto)
+      return Sig;
+  }
+}
+
+/// Walks the statements enclosing \p Target down to it without executing
+/// anything, creating the objects the jump skips in each block it enters;
+/// execution resumes normally from the label onward.
+Signal Interp::execSeek(const Stmt *S, const LabelStmt *Target) {
+  Signal None;
+  if (Failed)
     return None;
   switch (S->kind()) {
   case Stmt::Kind::Compound: {
-    const auto *C = cast<CompoundStmt>(S);
-    for (size_t I = 0; I < C->body().size(); ++I) {
-      if (!Found) {
-        Signal Sig = execSeek(C->body()[I], Label, Found);
-        if (Failed || (Found && Sig.K != Signal::None))
-          return Sig;
-        continue;
-      }
-      Signal Sig = execStmt(C->body()[I]);
-      if (Failed || Sig.K != Signal::None)
-        return Sig;
+    const std::vector<Stmt *> &Body = cast<CompoundStmt>(S)->body();
+    size_t I = 0;
+    for (; !onPath(Body[I], Target); ++I) {
+      assert(I + 1 < Body.size() && "the label is not in this block");
+      declareSkipped(Body[I]);
     }
-    return None;
+    Signal Sig = execSeek(Body[I], Target);
+    for (++I; I < Body.size() && !Failed && Sig.K == Signal::None; ++I)
+      Sig = execStmt(Body[I]);
+    leaveBlock(S, Sig);
+    return Sig;
   }
   case Stmt::Kind::Label: {
     const auto *L = cast<LabelStmt>(S);
-    if (L->name() == Label) {
-      Found = true;
-      return execStmt(L->sub());
-    }
-    return execSeek(L->sub(), Label, Found);
+    return L == Target ? execStmt(L->sub()) : execSeek(L->sub(), Target);
   }
   case Stmt::Kind::If: {
     const auto *I = cast<IfStmt>(S);
-    Signal Sig = execSeek(I->thenStmt(), Label, Found);
-    if (Found || Failed)
-      return Sig;
-    if (I->elseStmt())
-      return execSeek(I->elseStmt(), Label, Found);
-    return None;
+    return execSeek(onPath(I->thenStmt(), Target) ? I->thenStmt()
+                                                  : I->elseStmt(),
+                    Target);
   }
   case Stmt::Kind::While: {
-    const auto *W = cast<WhileStmt>(S);
-    Signal Sig = execSeek(W->body(), Label, Found);
-    if (!Found || Failed)
-      return None;
-    if (Sig.K == Signal::Break)
+    Signal Sig = execSeek(cast<WhileStmt>(S)->body(), Target);
+    if (Failed || Sig.K == Signal::Break)
       return None;
     if (Sig.K == Signal::Return || Sig.K == Signal::Goto)
       return Sig;
@@ -1815,10 +1958,8 @@ Signal Interp::execSeek(const Stmt *S, const std::string &Label,
   }
   case Stmt::Kind::Do: {
     const auto *D = cast<DoStmt>(S);
-    Signal Sig = execSeek(D->body(), Label, Found);
-    if (!Found || Failed)
-      return None;
-    if (Sig.K == Signal::Break)
+    Signal Sig = execSeek(D->body(), Target);
+    if (Failed || Sig.K == Signal::Break)
       return None;
     if (Sig.K == Signal::Return || Sig.K == Signal::Goto)
       return Sig;
@@ -1829,36 +1970,15 @@ Signal Interp::execSeek(const Stmt *S, const std::string &Label,
   }
   case Stmt::Kind::For: {
     const auto *F = cast<ForStmt>(S);
-    Signal Sig = execSeek(F->body(), Label, Found);
-    if (!Found || Failed)
-      return None;
+    // The jump skips the init: its objects exist, indeterminate.
+    declareSkipped(F->init());
+    Signal Sig = execSeek(F->body(), Target);
     if (Sig.K == Signal::Break)
-      return None;
-    if (Sig.K == Signal::Return || Sig.K == Signal::Goto)
-      return Sig;
-    // Continue the loop from the step expression (no re-init).
-    LoopDetector<SavedFrame> Detector;
-    for (;;) {
-      if (F->step()) {
-        evalExpr(F->step());
-        if (Failed)
-          return None;
-      }
-      if (!step() || loopHead(Detector, S))
-        return None;
-      if (F->cond()) {
-        Value Cond = evalExpr(F->cond());
-        if (Failed || !truthy(Cond) || Failed)
-          return None;
-      }
-      Signal Inner = execStmt(F->body());
-      if (Failed)
-        return None;
-      if (Inner.K == Signal::Break)
-        return None;
-      if (Inner.K == Signal::Return || Inner.K == Signal::Goto)
-        return Inner;
-    }
+      Sig = None;
+    else if (!Failed && Sig.K != Signal::Return && Sig.K != Signal::Goto)
+      Sig = iterateFor(F, true); // No re-init.
+    leaveBlock(S, Sig);
+    return Sig;
   }
   default:
     return None;
@@ -1867,13 +1987,16 @@ Signal Interp::execSeek(const Stmt *S, const std::string &Label,
 
 Signal Interp::runBody(const CompoundStmt *Body) {
   Signal Sig = execStmt(Body);
+  // A taken goto is a loop head of its label (DESIGN.md Section 18.1).
+  std::map<const LabelStmt *, LoopDetector<SavedFrame>> Gotos;
   while (!Failed && Sig.K == Signal::Goto) {
-    bool Found = false;
-    Sig = execSeek(Body, Sig.Label, Found);
-    if (!Found && !Failed) {
+    if (!Sig.Target) {
       fail(ExecStatus::Unsupported, "goto to unknown label");
       break;
     }
+    if (loopHead(Gotos[Sig.Target], nullptr))
+      break;
+    Sig = execSeek(Body, Sig.Target);
   }
   return Sig;
 }
@@ -1901,6 +2024,17 @@ ExecResult Interp::run() {
       initializeObject(LValue{Globals[G], 0, G->type()}, G->init());
   }
   Frames.pop_back();
+  for (const FunctionDecl *F : Ctx.functions()) {
+    if (!F->isDefinition())
+      continue;
+    ScopeWalk W;
+    W.Body = F->body();
+    indexScopes(W.Body, W.Body, W);
+    for (const GotoStmt *G : W.Gotos) {
+      auto It = W.Labels.find(G->label());
+      scopeOf(G).Target = It == W.Labels.end() ? nullptr : It->second;
+    }
+  }
   if (!Failed) {
     Value Exit = callFunction(Main, {});
     if (!Failed) {

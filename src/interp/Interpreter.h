@@ -19,6 +19,9 @@
 /// dangling / out-of-bounds dereferences, pointer arithmetic escaping its
 /// object (one-past-the-end allowed, dereferencing it is not), and
 /// relational comparison or subtraction of pointers into different objects.
+/// A pointer dangles once its object's lifetime ends: a callee's local
+/// when the callee returns, a block-scope local when control leaves its
+/// block (DESIGN.md Section 18.6).
 ///
 /// The interpreter also records which statements executed (by Sema-assigned
 /// stmt id); the Orion-style mutation baseline deletes statements in the
@@ -44,9 +47,10 @@ enum class ExecStatus {
   Ok,
   /// Undefined behavior detected; Message names it.
   UndefinedBehavior,
-  /// Step budget or call depth exhausted, or a proof at a loop head that
-  /// the budget would run out (DESIGN.md Section 18); not UB, but the
-  /// variant is excluded from differential comparison. Reason says which.
+  /// Step budget or call depth exhausted, or a proof at a loop head or a
+  /// taken goto that the budget would run out (DESIGN.md Section 18); not
+  /// UB, but the variant is excluded from differential comparison. Reason
+  /// says which.
   Timeout,
   /// The program uses a feature outside the executable subset, or has no
   /// main function.

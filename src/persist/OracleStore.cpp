@@ -15,10 +15,11 @@ using namespace spe;
 
 namespace {
 
-/// File magic; bump the version on any record-layout or key change so
-/// older logs load cold instead of being misparsed or replayed. v2 keys
-/// carry the step budget (oracleCacheKey).
-const char Magic[] = "SPE-ORACLE-LOG v2\n";
+/// File magic; bump the version on any record-layout, key or oracle
+/// semantics change so older logs load cold instead of being misparsed or
+/// replayed. v2 keys carry the step budget (oracleCacheKey); v3 verdicts
+/// end block-scope lifetimes, so a v2 Ok may read a dead block.
+const char Magic[] = "SPE-ORACLE-LOG v3\n";
 constexpr size_t MagicLen = sizeof(Magic) - 1;
 
 /// Reads up to \p MaxBytes of \p Path into \p Out. \returns false when the

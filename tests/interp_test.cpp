@@ -151,6 +151,87 @@ TEST(InterpTest, GotoIntoLoopBody) {
   EXPECT_EQ(R.ExitCode, 103);
 }
 
+TEST(InterpTest, GotoIntoABlockCreatesItsSkippedObjects) {
+  // The jump skips x's declaration, but x exists from the block's entry.
+  ExecResult R = runProgram("int main(void) {\n"
+                            "  goto in;\n"
+                            "  { int x; in: x = 4; return x; }\n"
+                            "}");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 4);
+
+  // Its initializer does not run, so x is indeterminate at the label.
+  R = runProgram("int main(void) {\n"
+                 "  goto in;\n"
+                 "  { int x = 7; in: return x; }\n"
+                 "}");
+  EXPECT_EQ(R.Status, ExecStatus::UndefinedBehavior);
+  EXPECT_NE(R.Message.find("uninitialized"), std::string::npos) << R.Message;
+
+  // A for's init is skipped the same way: i exists, indeterminate.
+  R = runProgram("int main(void) {\n"
+                 "  int s = 0;\n"
+                 "  goto in;\n"
+                 "  for (int i = 0; i < 3; ++i) { in: if (!s) i = 1; s += i; }\n"
+                 "  return s;\n"
+                 "}");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 3);
+  R = runProgram("int main(void) {\n"
+                 "  int s = 0;\n"
+                 "  goto in;\n"
+                 "  for (int i = 0; i < 3; ++i) { in: s += 1; }\n"
+                 "  return s;\n"
+                 "}");
+  EXPECT_EQ(R.Status, ExecStatus::UndefinedBehavior);
+  EXPECT_NE(R.Message.find("uninitialized"), std::string::npos) << R.Message;
+}
+
+TEST(InterpTest, GotoInsideABlockKeepsItsObjects) {
+  // The label is inside the block the goto leaves from, so the block is
+  // never left and x keeps its value.
+  ExecResult R = runProgram("int main(void) {\n"
+                            "  {\n"
+                            "    int x = 5;\n"
+                            "  again:\n"
+                            "    x = x + 1;\n"
+                            "    if (x < 8) goto again;\n"
+                            "    return x;\n"
+                            "  }\n"
+                            "}");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 8);
+}
+
+TEST(InterpTest, RedeclarationInTheSameBlockReusesTheObject) {
+  // The second pass re-runs x's initializer on the object p points to.
+  ExecResult R = runProgram("int main(void) {\n"
+                            "  int *p = 0;\n"
+                            "  int n = 0;\n"
+                            "again:\n"
+                            "  int x = n;\n"
+                            "  if (n) return *p + x;\n"
+                            "  p = &x;\n"
+                            "  n = 5;\n"
+                            "  goto again;\n"
+                            "}");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 10);
+
+  // Without an initializer the object becomes indeterminate.
+  R = runProgram("int main(void) {\n"
+                 "  int n = 0;\n"
+                 "again:\n"
+                 "  int x;\n"
+                 "  if (n) return x;\n"
+                 "  x = 3;\n"
+                 "  n = 1;\n"
+                 "  goto again;\n"
+                 "}");
+  EXPECT_EQ(R.Status, ExecStatus::UndefinedBehavior);
+  EXPECT_NE(R.Message.find("uninitialized"), std::string::npos) << R.Message;
+}
+
 TEST(InterpTest, ShortCircuitEvaluation) {
   ExecResult R = runProgram("int g = 0;\n"
                             "int bump(void) { g = g + 1; return 1; }\n"
@@ -265,6 +346,37 @@ TEST(InterpUBTest, DanglingPointerUseIsUB) {
                             "int main(void) { int *p = leak(); return *p; }");
   EXPECT_EQ(R.Status, ExecStatus::UndefinedBehavior);
   EXPECT_NE(R.Message.find("dangling"), std::string::npos);
+}
+
+TEST(InterpUBTest, BlockLocalDanglesAfterItsBlock) {
+  ExecResult R = runProgram("int main(void) {\n"
+                            "  int *p = 0;\n"
+                            "  { int x = 5; p = &x; }\n"
+                            "  return *p;\n"
+                            "}");
+  EXPECT_EQ(R.Status, ExecStatus::UndefinedBehavior);
+  EXPECT_NE(R.Message.find("dangling"), std::string::npos) << R.Message;
+}
+
+TEST(InterpUBTest, GotoOutOfABlockEndsItsLocals) {
+  ExecResult R = runProgram("int main(void) {\n"
+                            "  int *p = 0;\n"
+                            "  { int x = 5; p = &x; goto out; }\n"
+                            "out:\n"
+                            "  return *p;\n"
+                            "}");
+  EXPECT_EQ(R.Status, ExecStatus::UndefinedBehavior);
+  EXPECT_NE(R.Message.find("dangling"), std::string::npos) << R.Message;
+}
+
+TEST(InterpUBTest, ForInitLocalEndsWithTheLoop) {
+  ExecResult R = runProgram("int main(void) {\n"
+                            "  int *p = 0;\n"
+                            "  for (int i = 0; i < 1; ++i) p = &i;\n"
+                            "  return *p;\n"
+                            "}");
+  EXPECT_EQ(R.Status, ExecStatus::UndefinedBehavior);
+  EXPECT_NE(R.Message.find("dangling"), std::string::npos) << R.Message;
 }
 
 TEST(InterpUBTest, CrossObjectRelationIsUB) {
@@ -747,4 +859,69 @@ TEST(InterpDivergenceTest, GuardThatFlippedInTheWindowGivesNoProof) {
                              "}");
   ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
   EXPECT_EQ(R.ExitCode, 498);
+}
+
+//===--------------------------------------------------------------------===//
+// Block lifetimes and taken gotos: a local ends with its block, and a
+// taken goto is a detection point of its label, for exact repeats only
+//===--------------------------------------------------------------------===//
+
+TEST(InterpDivergenceTest, NestedLoopWithAForInitLocalRepeats) {
+  // The inner i ends with its loop, so the outer head's state repeats.
+  ExecResult R = runAtBudget("int main(void) {\n"
+                             "  while (1) { for (int i = 0; i < 3; ++i) {} }\n"
+                             "  return 0;\n"
+                             "}");
+  expectRepeatDetected(R);
+}
+
+TEST(InterpDivergenceTest, TrickVariantsRepeatAtTheirGoto) {
+  // The two variants of the embedded Figure 11(d) seed that write x where
+  // the seed writes done: done stays 0, and each pass re-reaches x's
+  // declaration in the same block activation.
+  for (const char *Target : {"x", "done"}) {
+    ExecResult R = runAtBudget(std::string("int main(void) {\n"
+                                           "  int *p = 0;\n"
+                                           "  int done = 0;\n"
+                                           "trick:\n"
+                                           "  if (done) return *p;\n"
+                                           "  int x = 0;\n"
+                                           "  p = &") +
+                               Target +
+                               ";\n"
+                               "  x = 1;\n"
+                               "  goto trick;\n"
+                               "}");
+    expectRepeatDetected(R);
+  }
+}
+
+TEST(InterpDivergenceTest, GotoLoopCountingToThreeExits) {
+  ExecResult R = runAtBudget("int main(void) {\n"
+                             "  int i = 0;\n"
+                             "again:\n"
+                             "  i = i + 1;\n"
+                             "  printf(\"%d\\n\", i);\n"
+                             "  if (i < 3) goto again;\n"
+                             "  return i;\n"
+                             "}");
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
+  EXPECT_EQ(R.ExitCode, 3);
+  EXPECT_EQ(R.Output, "1\n2\n3\n");
+}
+
+TEST(InterpDivergenceTest, DriftingGotoCycleSpendsTheBudget) {
+  // The loop form is a drift proof; a goto cycle gets exact repeats only.
+  InterpOptions Opts;
+  Opts.MaxSteps = 100'000;
+  ExecResult R = runProgram("int g;\n"
+                            "int main(void) {\n"
+                            "top:\n"
+                            "  g = g + 1;\n"
+                            "  goto top;\n"
+                            "}",
+                            Opts);
+  EXPECT_EQ(R.Status, ExecStatus::Timeout);
+  EXPECT_EQ(R.Reason, TimeoutReason::Budget);
+  EXPECT_TRUE(R.Output.empty());
 }

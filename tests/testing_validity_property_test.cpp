@@ -19,7 +19,8 @@
 //     CFG dataflow layer rather than a straight-line prefix walk, and some
 //     enumerated variants diverge and are excluded by the oracle's step
 //     budget. The battery asserts the corpus does not silently degenerate
-//     to loop-free programs.
+//     to loop-free programs, nor the validity bench's loop campaign to one
+//     that prunes nothing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -318,6 +319,22 @@ TEST(ValidityPropertyTest, LoopCorpusPrunedCampaignMatchesUnprunedAtAllThreads) 
     else
       EXPECT_TRUE(Pruned == PrunedAtOne) << "threads=" << Threads;
   }
+}
+
+TEST(ValidityPropertyTest, LoopCorpusCampaignKeepsItsLoopsAndPrunes) {
+  // bench_validity_pruning's loop/call campaign means something only while
+  // its 12 seeds keep their loops (at least 4, Seeds.size() / 3) and its
+  // pruned, memoized two-persona run at budget 200 and 100K steps prunes.
+  std::vector<std::string> Seeds = loopSeeds(12);
+  assertLoopCorpusShape(Seeds);
+
+  OracleCache Cache;
+  CampaignResult R =
+      twoPersonaCampaign(Seeds, /*Prune=*/true, &Cache, nullptr, 1,
+                         /*VariantBudget=*/200,
+                         /*VariantThreshold=*/1'000'000'000'000'000ull,
+                         /*OracleMaxSteps=*/100'000);
+  EXPECT_GT(R.VariantsPruned, 0u) << "the loop corpus campaign pruned nothing";
 }
 
 TEST(ValidityPropertyTest, PruningPlusMemoizationCutsOracleExecutions) {
