@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared plumbing for the table/figure regeneration binaries: parsing a
-/// corpus file through the pipeline and computing its enumeration counts.
+/// Shared plumbing for the bench binaries: parsing a corpus file through
+/// the pipeline and computing its enumeration counts, section headers, and
+/// the JSON and phase-breakdown output of bench_telemetry_overhead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,9 +75,7 @@ inline void header(const char *Title) {
 }
 
 /// Accumulates flat key/value metrics and writes them as
-/// BENCH_<name>.json in the working directory, so the perf trajectory
-/// (variants/sec, oracle executions, prune/cache hit rates, ...) is
-/// machine-readable across PRs instead of living only in stdout logs.
+/// BENCH_<name>.json in the working directory.
 class BenchJson {
 public:
   explicit BenchJson(std::string Name) : Name(std::move(Name)) {}
@@ -131,9 +130,7 @@ private:
 
 /// Folds a campaign's telemetry summary into \p J as a per-phase
 /// breakdown: phase_<name>_{count,total_us,p50_us,max_us}, with the
-/// backend/config axes collapsed. Shared by the throughput benches so
-/// every BENCH JSON splits its wall time the same way; a phase that never
-/// ran emits nothing.
+/// backend/config axes collapsed; a phase that never ran emits nothing.
 inline void emitPhaseBreakdown(BenchJson &J, const TelemetrySummary &S) {
   // Collapse (phase, backend, config) keys down to the phase axis.
   std::map<std::string, PhaseAggregate> ByPhase;

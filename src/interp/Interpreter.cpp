@@ -942,6 +942,12 @@ Value Interp::pointerAdd(const Value &Ptr, int64_t Delta,
   Value R = Ptr;
   R.Offset = Ptr.Offset + Delta * static_cast<int64_t>(ElemSize);
   const MachineBlock &B = Mem.Blocks[Ptr.Block];
+  if (!B.Alive) {
+    // The pointer's value became indeterminate with its object (C11
+    // 6.2.4p2).
+    ub(std::string("dangling pointer arithmetic on '") + B.Name + "'");
+    return {};
+  }
   if (R.Offset < 0 ||
       static_cast<uint64_t>(R.Offset) > B.Bytes.size()) {
     ub(std::string("pointer arithmetic escapes object '") + B.Name + "'");

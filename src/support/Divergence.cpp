@@ -44,7 +44,13 @@ uint32_t MachineMemory::allocate(uint64_t Size, bool TrackInit,
 }
 
 void MachineMemory::release(uint32_t Id) {
-  Blocks[Id].Alive = false;
+  // Nothing reads a dead block's bytes, so free them: a loop that declares
+  // an array would otherwise keep every iteration's storage until the run
+  // ends.
+  MachineBlock &B = Blocks[Id];
+  B.Alive = false;
+  std::vector<uint8_t>().swap(B.Bytes);
+  std::vector<bool>().swap(B.Init);
   --LiveBlocks;
   touch(Id);
 }

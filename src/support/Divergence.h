@@ -78,6 +78,7 @@ struct MachineMemory {
   /// Allocates \p Size zero bytes; with \p TrackInit, init bits set to
   /// \p ZeroInit.
   uint32_t allocate(uint64_t Size, bool TrackInit, bool ZeroInit);
+  /// Ends \p Id's lifetime and frees its bytes and init bits.
   void release(uint32_t Id);
   void touch(uint32_t Id) {
     Blocks[Id].Written = ++Clock;

@@ -789,8 +789,9 @@ TEST(ValidityDataflowTest, ReadBeyondIfJoinIsPruned) {
 }
 
 //===----------------------------------------------------------------------===//
-// Loop-corpus generation sanity (the must-not-degenerate property CI pins
-// via the bench JSON; this is the unit-level counterpart)
+// Loop-corpus generation sanity (the unit-level counterpart of the
+// must-not-degenerate property ValidityPropertyTest pins on the campaign's
+// loop corpus)
 //===----------------------------------------------------------------------===//
 
 TEST(LoopCorpusTest, KnobsProduceLoopsAndParseCleanly) {

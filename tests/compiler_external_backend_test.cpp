@@ -759,6 +759,21 @@ TEST(BatchedExternalCampaignTest, HostCampaignIsBatchInvariantWithWarmPool) {
           << " threads diverged from the direct unbatched campaign";
     }
   }
+
+  // Observation stays inert on the pooled batched path: spans from both
+  // the backend and the harness leave the result untouched.
+  TelemetrySink Sink;
+  ExternalBackendOptions TO = PO;
+  TO.Telemetry = &Sink;
+  ExternalBackend Traced(TO);
+  ASSERT_TRUE(Traced.available()) << Traced.unavailableReason();
+  Opts.Backend = &Traced;
+  Opts.BatchSize = 64;
+  Opts.Threads = 1;
+  Opts.Telemetry = &Sink;
+  CampaignResult R = DifferentialHarness(Opts).runCampaign(Seeds);
+  EXPECT_TRUE(R == Ref) << "telemetry changed the pooled batched campaign";
+  EXPECT_GT(R.Telemetry.countFor("batch_pack"), 0u);
 }
 
 TEST(BatchedExternalCampaignTest, CheckpointedResumeAcrossBatchSizes) {

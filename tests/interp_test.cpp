@@ -3,6 +3,7 @@
 #include "interp/Interpreter.h"
 #include "lang/Parser.h"
 #include "sema/Sema.h"
+#include "support/Divergence.h"
 
 #include "gtest/gtest.h"
 
@@ -356,6 +357,31 @@ TEST(InterpUBTest, BlockLocalDanglesAfterItsBlock) {
                             "}");
   EXPECT_EQ(R.Status, ExecStatus::UndefinedBehavior);
   EXPECT_NE(R.Message.find("dangling"), std::string::npos) << R.Message;
+}
+
+TEST(InterpUBTest, ArithmeticOnADanglingPointerIsUB) {
+  ExecResult R = runProgram("int main(void) {\n"
+                            "  int *p = 0;\n"
+                            "  { int y[4]; p = y; }\n"
+                            "  p = p + 1;\n"
+                            "  return 0;\n"
+                            "}");
+  EXPECT_EQ(R.Status, ExecStatus::UndefinedBehavior);
+  EXPECT_NE(R.Message.find("dangling"), std::string::npos) << R.Message;
+}
+
+TEST(InterpMemoryTest, ReleasedBlockHoldsNoStorage) {
+  // A loop that declares an array releases a block every iteration; a
+  // dead block that kept its bytes would grow memory with the step count.
+  MachineMemory Mem;
+  uint32_t Id = Mem.allocate(256, /*TrackInit=*/true, /*ZeroInit=*/false);
+  ASSERT_EQ(Mem.Blocks[Id].Bytes.size(), 256u);
+  ASSERT_EQ(Mem.Blocks[Id].Init.size(), 256u);
+  Mem.release(Id);
+  EXPECT_FALSE(Mem.Blocks[Id].Alive);
+  EXPECT_EQ(Mem.Blocks[Id].Bytes.capacity(), 0u);
+  EXPECT_EQ(Mem.Blocks[Id].Init.capacity(), 0u);
+  EXPECT_EQ(Mem.LiveBlocks, 0u);
 }
 
 TEST(InterpUBTest, GotoOutOfABlockEndsItsLocals) {

@@ -7,9 +7,10 @@
 // reference oracle plus one backend) and M=1 (the single empty-stdin
 // execution) the generalized loop must be bit-identical to the classic
 // campaign, and a genuine matrix campaign must be bit-identical across
-// thread counts, batch sizes, and kill/resume points, because the batched
-// pipeline, the unbatched inline loop, and the resumed continuation are
-// three different code paths over the same deterministic rank stream.
+// thread counts, batch sizes, kill/resume points, and attached telemetry
+// and status feeds, because the batched pipeline, the unbatched inline
+// loop, and the resumed continuation are three different code paths over
+// the same deterministic rank stream.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 #include "skeleton/ProgramEnumerator.h"
 #include "skeleton/SkeletonExtractor.h"
 #include "skeleton/VariantRenderer.h"
+#include "testing/CampaignStatus.h"
 #include "testing/Corpus.h"
 #include "testing/Harness.h"
 
@@ -100,6 +102,16 @@ HarnessOptions matrixOptions(unsigned Threads, uint64_t BatchSize,
   Opts.ExtraBackends = {&B, &C};
   return Opts;
 }
+
+struct TempDir {
+  std::string Dir;
+  explicit TempDir(const std::string &Name)
+      : Dir("matrix_test_tmp/" + Name) {
+    std::filesystem::remove_all(Dir);
+    std::filesystem::create_directories(Dir);
+  }
+  std::string path(const char *File) const { return Dir + "/" + File; }
+};
 
 struct RunOutput {
   CampaignResult Result;
@@ -380,6 +392,20 @@ TEST(MatrixEquivalenceTest, MatrixCampaignIsDeterministic) {
                       "matrix t" + std::to_string(Threads) + " b" +
                           std::to_string(Batch));
     }
+
+  // Observation stays inert on the matrix path: a traced run with a live
+  // status feed equals the untraced reference.
+  TempDir T("traced");
+  TelemetrySink Sink;
+  CampaignStatusFeed Status({T.path("status.json"), 0});
+  Status.attachSink(&Sink);
+  HarnessOptions Traced = matrixOptions(2, 8, B, C);
+  Traced.Telemetry = &Sink;
+  Traced.Status = &Status;
+  RunOutput R = runWith(Traced);
+  expectIdentical(R, Ref, "matrix traced");
+  EXPECT_GT(R.Result.Telemetry.countFor("render"), 0u);
+  EXPECT_GT(Status.writes(), 0u);
 }
 
 TEST(MatrixEquivalenceTest, SweepInputsReachProgramBehavior) {
@@ -401,20 +427,6 @@ TEST(MatrixEquivalenceTest, SweepInputsReachProgramBehavior) {
 //===----------------------------------------------------------------------===//
 // Resume-mid-matrix: the kill-point battery
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-struct TempDir {
-  std::string Dir;
-  explicit TempDir(const std::string &Name)
-      : Dir("matrix_test_tmp/" + Name) {
-    std::filesystem::remove_all(Dir);
-    std::filesystem::create_directories(Dir);
-  }
-  std::string path(const char *File) const { return Dir + "/" + File; }
-};
-
-} // namespace
 
 TEST(MatrixEquivalenceTest, ResumeMidMatrixIsExact) {
   CloneBackend B("minicc-cloneB", true), C("minicc-cloneC", true);

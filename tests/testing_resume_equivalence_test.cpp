@@ -6,9 +6,10 @@
 // and every deterministic counter -- bit-identical to the uninterrupted
 // run, at 1, 2, and 4 worker threads. The battery interrupts a campaign at
 // every checkpoint boundary and at randomized fuzz points, with and
-// without the oracle cache + on-disk store; it also pins the rejection
-// paths (option/seed-list skew, missing snapshots) and that checkpointing
-// itself does not perturb results.
+// without the oracle cache + on-disk store, and kills the second of two
+// persona campaigns that share one cache and one store; it also pins the
+// rejection paths (option/seed-list skew, missing snapshots) and that
+// checkpointing itself does not perturb results.
 //
 //===----------------------------------------------------------------------===//
 
@@ -220,6 +221,90 @@ TEST(ResumeEquivalenceTest, KillPointsWithOracleCacheAndStore) {
       expectIdentical(Resumed, Reference, Point);
     }
   }
+}
+
+namespace {
+
+/// The version-sweep corpus: the embedded seeds plus 40 generated programs
+/// with uninitialized locals.
+std::vector<std::string> sweepSeeds() {
+  CorpusOptions Opts;
+  Opts.UninitLocalProb = 0.6;
+  std::vector<std::string> Seeds = embeddedSeeds();
+  std::vector<std::string> Gen = generateCorpus(2000, 40, Opts);
+  Seeds.insert(Seeds.end(), Gen.begin(), Gen.end());
+  return Seeds;
+}
+
+/// The gcc-sim 4.8 and clang-sim 3.6 campaigns over \p Seeds through one
+/// shared cache, so the second replays the first one's verdicts. A
+/// non-empty \p Dir gives each persona a checkpoint and both one oracle
+/// store; a nonzero \p KillAfter kills the second persona after that many
+/// variants and resumes it with a fresh cache, warm only from the store.
+CampaignResult twoPersonaSweep(const std::vector<std::string> &Seeds,
+                               const std::string &Dir, uint64_t KillAfter) {
+  OracleCache Cache;
+  CampaignResult Total;
+  for (Persona P : {Persona::GccSim, Persona::ClangSim}) {
+    HarnessOptions Opts;
+    Opts.Configs =
+        HarnessOptions::crashMatrix(P, P == Persona::GccSim ? 48 : 36);
+    Opts.VariantBudget = 400;
+    Opts.Cache = &Cache;
+    if (!Dir.empty()) {
+      Opts.CheckpointPath =
+          Dir + (P == Persona::GccSim ? "/gcc.ck" : "/clang.ck");
+      Opts.OracleStorePath = Dir + "/oracle.log";
+      Opts.CheckpointEveryN = 1000;
+    }
+    if (KillAfter == 0 || P == Persona::GccSim) {
+      Total.merge(DifferentialHarness(Opts).runCampaign(Seeds));
+      continue;
+    }
+    HarnessOptions Doomed = Opts;
+    Doomed.SimulateCrashAfter = KillAfter;
+    DifferentialHarness(Doomed).runCampaign(Seeds);
+    OracleCache FreshCache;
+    Opts.Cache = &FreshCache;
+    CampaignResult Resumed;
+    std::string Err;
+    EXPECT_TRUE(DifferentialHarness(Opts).resumeCampaign(Seeds, Resumed, Err))
+        << Err;
+    Total.merge(Resumed);
+  }
+  return Total;
+}
+
+} // namespace
+
+TEST(ResumeEquivalenceTest, PersonaSweepSharingOneCacheAndStoreResumesExactly) {
+  // Two persona campaigns share one cache and one store. Checkpointing
+  // them, or killing the second at a quarter of all variants and resuming
+  // it in a fresh process, must leave the result bit-identical to the
+  // plain run, oracle-cost counters included. A second generation over
+  // the complete store starts warm, so only its findings must match.
+  std::vector<std::string> Seeds = sweepSeeds();
+  CampaignResult Plain = twoPersonaSweep(Seeds, "", 0);
+  ASSERT_GT(Plain.OracleCacheHits, 0u);
+
+  TempDir Checkpointed("sweep_checkpointed");
+  EXPECT_TRUE(twoPersonaSweep(Seeds, Checkpointed.Dir, 0) == Plain)
+      << "checkpointing perturbed the sweep";
+
+  TempDir Killed("sweep_killed");
+  CampaignResult Resumed =
+      twoPersonaSweep(Seeds, Killed.Dir, Plain.VariantsEnumerated / 4);
+  EXPECT_TRUE(Resumed == Plain)
+      << Resumed.OracleExecutions << "/" << Plain.OracleExecutions
+      << " oracle execs, " << Resumed.OracleCacheHits << "/"
+      << Plain.OracleCacheHits << " cache hits";
+
+  std::filesystem::remove(Killed.path("gcc.ck"));
+  std::filesystem::remove(Killed.path("clang.ck"));
+  CampaignResult Gen2 = twoPersonaSweep(Seeds, Killed.Dir, 0);
+  EXPECT_TRUE(Gen2.UniqueBugs == Plain.UniqueBugs);
+  EXPECT_TRUE(Gen2.RawFindings == Plain.RawFindings);
+  EXPECT_EQ(Gen2.VariantsTested, Plain.VariantsTested);
 }
 
 TEST(ResumeEquivalenceTest, SparseCheckpointCadencesStillResumeExactly) {
