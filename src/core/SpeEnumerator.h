@@ -30,9 +30,10 @@
 ///
 /// SpeMode::Exact is the default throughout the codebase; PaperFaithful is
 /// opt-in for the paper-reproduction benches. Enumeration is pull-based:
-/// enumerate() is a thin wrapper over core/AssignmentCursor.h, which also
-/// exposes seek(rank) and shard(i, n) for direct addressing and parallel
-/// splitting of the variant space.
+/// enumerate() is a thin wrapper over core/AssignmentCursor.h, the
+/// per-skeleton odometer that also seeks by rank. Campaigns drive
+/// skeleton/ProgramEnumerator.h's ProgramCursor, which composes one such
+/// odometer per skeleton unit and owns ranges, pruning and saved state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,8 +58,6 @@ enum class SpeMode {
 /// \returns a human-readable name for \p Mode.
 const char *speModeName(SpeMode Mode);
 
-class AssignmentCursor;
-
 /// Enumerates and counts non-alpha-equivalent realizations of a skeleton.
 class SpeEnumerator {
 public:
@@ -67,10 +66,6 @@ public:
   /// \returns the number of non-alpha-equivalent programs, computed without
   /// enumeration.
   BigInt count() const;
-
-  /// \returns a pull-based cursor over the canonical representatives, in the
-  /// same order enumerate() produces them (see core/AssignmentCursor.h).
-  AssignmentCursor cursor() const;
 
   /// Invokes \p Callback on canonical representatives until it returns
   /// false or \p Limit assignments were produced (0 = unlimited).

@@ -1,10 +1,6 @@
-//===- core/ValidityPruning.cpp - Per-hole forbidden sets + pruned DP ----===//
+//===- core/ValidityPruning.cpp - Per-hole forbidden variable sets --------===//
 
 #include "core/ValidityPruning.h"
-
-#include "core/ScopePartitionDP.h"
-
-#include <map>
 
 using namespace spe;
 
@@ -14,103 +10,4 @@ bool spe::assignmentViolates(const Assignment &A,
     if (C.forbids(static_cast<unsigned>(H), A[H]))
       return true;
   return false;
-}
-
-BigInt spe::countValidPartitions(const std::vector<unsigned> &Holes,
-                                 const std::vector<VarId> &Vars,
-                                 const ValidityConstraints &C) {
-  // DP over restricted growth strings in block-count space. Because block i
-  // of a canonical partition is always bound to Vars[i], "hole H joins block
-  // j" is allowed exactly when C permits (H, Vars[j]); the count of allowed
-  // existing blocks therefore depends only on (H, m), not on which holes sit
-  // in them.
-  size_t N = Holes.size();
-  size_t K = Vars.size();
-  if (N == 0)
-    return BigInt(1);
-  if (K == 0)
-    return BigInt(0);
-  std::vector<BigInt> ByBlocks(K + 1, BigInt(0)); // ByBlocks[m] after i holes.
-  ByBlocks[0] = BigInt(1);
-  for (size_t I = 0; I < N; ++I) {
-    std::vector<BigInt> Next(K + 1, BigInt(0));
-    for (size_t M = 0; M <= std::min(I, K); ++M) {
-      if (ByBlocks[M].isZero())
-        continue;
-      uint64_t AllowedExisting = 0;
-      for (size_t J = 0; J < M; ++J)
-        if (!C.forbids(Holes[I], Vars[J]))
-          ++AllowedExisting;
-      if (AllowedExisting)
-        Next[M] += ByBlocks[M] * AllowedExisting;
-      if (M < K && !C.forbids(Holes[I], Vars[M]))
-        Next[M + 1] += ByBlocks[M];
-    }
-    ByBlocks = std::move(Next);
-  }
-  BigInt Total(0);
-  for (const BigInt &B : ByBlocks)
-    Total += B;
-  return Total;
-}
-
-namespace {
-
-/// Recursively assigns a declaration scope to every hole of one type
-/// problem; at each leaf (complete level map) the count is the product of
-/// constrained partition counts per scope. This walks every level map -- the
-/// same factorization materializeType uses -- so cost is
-/// O(#level maps * group DP), fine for threshold-bounded spaces.
-class LevelMapCounter {
-public:
-  LevelMapCounter(const AbstractSkeleton &Sk, const ExactTypeProblem &P,
-                  const ValidityConstraints &C)
-      : Sk(Sk), P(P), C(C) {}
-
-  BigInt count() {
-    ByScope.clear();
-    BigInt Total(0);
-    recurse(0, Total);
-    return Total;
-  }
-
-private:
-  void recurse(size_t HI, BigInt &Total) {
-    if (HI == P.Holes.size()) {
-      BigInt Product(1);
-      for (const auto &[Scope, Holes] : ByScope) {
-        Product *= countValidPartitions(
-            Holes, Sk.varsInScopeOfType(Scope, P.Type), C);
-        if (Product.isZero())
-          return;
-      }
-      Total += Product;
-      return;
-    }
-    for (ScopeId S : P.Domains[HI]) {
-      ByScope[S].push_back(P.Holes[HI]);
-      recurse(HI + 1, Total);
-      ByScope[S].pop_back();
-      if (ByScope[S].empty())
-        ByScope.erase(S);
-    }
-  }
-
-  const AbstractSkeleton &Sk;
-  const ExactTypeProblem &P;
-  const ValidityConstraints &C;
-  std::map<ScopeId, std::vector<unsigned>> ByScope;
-};
-
-} // namespace
-
-BigInt spe::countValidClasses(const AbstractSkeleton &Sk,
-                              const ValidityConstraints &C) {
-  BigInt Total(1);
-  for (const ExactTypeProblem &P : buildExactTypeProblems(Sk)) {
-    Total *= LevelMapCounter(Sk, P, C).count();
-    if (Total.isZero())
-      return Total;
-  }
-  return Total;
 }

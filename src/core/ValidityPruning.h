@@ -1,4 +1,4 @@
-//===- core/ValidityPruning.h - Per-hole forbidden sets + pruned DP ------===//
+//===- core/ValidityPruning.h - Per-hole forbidden variable sets ----------===//
 //
 // Part of the SPE reproduction of "Skeletal Program Enumeration for Rigorous
 // Compiler Testing" (PLDI 2017).
@@ -9,19 +9,19 @@
 /// Skeleton-level validity constraints: per-hole sets of *forbidden*
 /// variables, i.e. single hole choices that make the variant invalid no
 /// matter what the other holes do. The facts are produced by the frontend
-/// def-before-use analysis (skeleton/ValidityAnalysis.h) and consumed by the
-/// enumeration cursors, which skip whole mixed-radix subranges whose most
-/// significant offending digit is forbidden -- most invalid variants are
-/// never materialized, rendered, or interpreted (compare the by-construction
-/// rejection argument of Stepanov et al., "Type-Centric Kotlin Compiler
-/// Fuzzing", 2020).
+/// def-before-use analysis (skeleton/ValidityAnalysis.h) and consumed by
+/// ProgramCursor (skeleton/ProgramEnumerator.h), whose one pruning loop
+/// skips whole mixed-radix subranges whose most significant offending digit
+/// is forbidden -- most invalid variants are never materialized, rendered,
+/// or interpreted (compare the by-construction rejection argument of
+/// Stepanov et al., "Type-Centric Kotlin Compiler Fuzzing", 2020). The
+/// per-skeleton cursors only locate those subranges
+/// (AssignmentCursor::offense and invalidSpanEnd).
 ///
 /// Ranks are *not* renumbered: a pruned cursor walks the same canonical rank
 /// space as an unpruned one and merely skips invalid ranks, so seek(rank),
-/// shard(i, n), budget prefixes, and deterministic shard merges keep their
-/// exact semantics. Alongside the skipping there is a pruned-count DP
-/// (countValidClasses) -- the constrained analogue of ScopePartitionDP --
-/// that reports the surviving-space cardinality without enumeration.
+/// shard ranges, budget prefixes, and deterministic shard merges keep their
+/// exact semantics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +29,6 @@
 #define SPE_CORE_VALIDITYPRUNING_H
 
 #include "core/AbstractSkeleton.h"
-#include "support/BigInt.h"
 
 #include <vector>
 
@@ -92,22 +91,6 @@ constraintPtrs(const std::vector<ValidityConstraints> &Tables) {
     Ptrs.push_back(&C);
   return Ptrs;
 }
-
-/// Counts the restricted growth strings over \p Holes (filled from \p Vars,
-/// block i bound to Vars[i]) in which no hole receives a variable its
-/// forbidden set excludes. With an empty constraint set this equals
-/// StirlingTable::partitionsUpTo(|Holes|, |Vars|).
-BigInt countValidPartitions(const std::vector<unsigned> &Holes,
-                            const std::vector<VarId> &Vars,
-                            const ValidityConstraints &C);
-
-/// The pruned-space cardinality: the number of exact-mode canonical
-/// assignments of \p Sk that violate no constraint of \p C. Sums, per type
-/// class, the constrained partition products over every level map; intended
-/// for the threshold-bounded spaces the harness actually enumerates (cost is
-/// linear in the number of level maps, not in the class count).
-BigInt countValidClasses(const AbstractSkeleton &Sk,
-                         const ValidityConstraints &C);
 
 } // namespace spe
 

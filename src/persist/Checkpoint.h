@@ -31,8 +31,8 @@
 #ifndef SPE_PERSIST_CHECKPOINT_H
 #define SPE_PERSIST_CHECKPOINT_H
 
-#include "core/AssignmentCursor.h"
 #include "core/ValidityPruning.h"
+#include "skeleton/ProgramEnumerator.h"
 #include "testing/Harness.h"
 
 #include <cstdint>

@@ -22,6 +22,10 @@ uint64_t spe::tokenCount(const std::string &Source) {
 
 namespace {
 
+/// Fixpoint bound on rounds of the three passes (each round only repeats
+/// while the previous one shrank something, so this rarely binds).
+constexpr unsigned MaxPasses = 4;
+
 /// One parsed + analyzed program held across a reduction pass.
 struct Analyzed {
   std::unique_ptr<ASTContext> Ctx;
@@ -415,8 +419,6 @@ struct ExprCandidate {
 /// Collects simplification candidates in deterministic pre-order.
 class CandidateCollector {
 public:
-  explicit CandidateCollector(bool ShrinkLoops) : ShrinkLoops(ShrinkLoops) {}
-
   std::vector<ExprCandidate> run(const ASTContext &Ctx) {
     for (const Decl *D : Ctx.TopLevel) {
       if (const auto *V = dyn_cast<VarDecl>(D))
@@ -438,12 +440,10 @@ private:
   void cond(const Expr *E, bool IsLoop) {
     if (!E)
       return;
-    if (IsLoop) {
-      if (ShrinkLoops)
-        propose(E, {"0"});
-    } else {
+    if (IsLoop)
+      propose(E, {"0"});
+    else
       propose(E, {"0", "1"});
-    }
     expr(E);
   }
 
@@ -570,7 +570,6 @@ private:
     }
   }
 
-  bool ShrinkLoops;
   AstPrinter Plain;
   std::vector<ExprCandidate> Out;
 };
@@ -639,13 +638,11 @@ bool dropDecls(std::string &Best, Prober &Probe,
 /// replacements must strictly shrink the token count, which both guarantees
 /// termination and filters no-op probes (e.g. proposals under an already
 /// replaced ancestor render identically).
-bool simplifyExprs(std::string &Best, const ReducerOptions &Opts,
-                   Prober &Probe, ReductionOutcome &Out) {
+bool simplifyExprs(std::string &Best, Prober &Probe, ReductionOutcome &Out) {
   Analyzed A;
   if (!analyze(Best, A))
     return false;
-  std::vector<ExprCandidate> Cands =
-      CandidateCollector(Opts.ShrinkLoops).run(*A.Ctx);
+  std::vector<ExprCandidate> Cands = CandidateCollector().run(*A.Ctx);
   if (Cands.empty())
     return false;
 
@@ -691,14 +688,10 @@ ReductionOutcome SkeletonReducer::reduce(const std::string &Witness,
 
   Prober Probe{Oracle, Opts.BoundedLoopGuard};
   std::string Best = Witness;
-  for (unsigned Pass = 0; Pass < Opts.MaxPasses; ++Pass) {
-    bool Changed = false;
-    if (Opts.DeleteStatements)
-      Changed |= deleteStatements(Best, Probe, Out);
-    if (Opts.DropDecls)
-      Changed |= dropDecls(Best, Probe, Out);
-    if (Opts.SimplifyExpressions)
-      Changed |= simplifyExprs(Best, Opts, Probe, Out);
+  for (unsigned Pass = 0; Pass < MaxPasses; ++Pass) {
+    bool Changed = deleteStatements(Best, Probe, Out);
+    Changed |= dropDecls(Best, Probe, Out);
+    Changed |= simplifyExprs(Best, Probe, Out);
     if (!Changed)
       break;
   }

@@ -10,7 +10,7 @@
 /// analogue of C-Reduce in the paper's reporting workflow: parse the
 /// witness, then shrink it while the signature-preservation oracle
 /// (reduce/BugRepro.h) confirms the finding still reproduces. Three passes
-/// iterate to a fixpoint:
+/// iterate to a fixpoint (at most four rounds):
 ///
 ///   1. Statement deletion -- ddmin (reduce/DeltaDebug.h) over the Sema
 ///      statement ids of every function body; deleted statements print as
@@ -47,14 +47,8 @@
 
 namespace spe {
 
-/// Pass toggles and bounds for one reducer instance.
+/// The one reducer setting: whether the static loop guard runs.
 struct ReducerOptions {
-  bool DeleteStatements = true;
-  bool DropDecls = true;
-  bool SimplifyExpressions = true;
-  /// Propose replacing loop conditions with 0 (minimum trip count). Only
-  /// meaningful when SimplifyExpressions is on.
-  bool ShrinkLoops = true;
   /// Statically reject probe candidates containing a provably unbounded
   /// loop before they reach the oracle. ddmin loves deleting a bounded
   /// loop's counter update while keeping its body, and every such probe
@@ -67,9 +61,6 @@ struct ReducerOptions {
   /// (recorded in ReductionOutcome::UnboundedLoopProbesRejected), so a
   /// false positive costs a missed shrink, never an unsound reduction.
   bool BoundedLoopGuard = true;
-  /// Fixpoint bound on pass iterations (each pass only re-runs while the
-  /// previous round shrank something, so this rarely binds).
-  unsigned MaxPasses = 4;
 };
 
 /// Outcome of reducing one witness.

@@ -12,6 +12,16 @@
 
 using namespace spe;
 
+namespace {
+
+/// Maximum rendered-and-probed candidates per witness.
+constexpr uint64_t ProbeBudget = 192;
+/// Maximum rank (exclusive) the scan may reach; pruned skips do not spend
+/// probes but still advance the rank, so this bounds pathological spaces.
+constexpr uint64_t RankBudget = 1 << 16;
+
+} // namespace
+
 MinimizeOutcome VariantMinimizer::minimize(const std::string &Witness,
                                            const ReproSpec &Spec) const {
   MinimizeOutcome Out;
@@ -25,22 +35,19 @@ MinimizeOutcome VariantMinimizer::minimize(const std::string &Witness,
   if (!Analysis.run())
     return Out;
 
-  SkeletonExtractor Extractor(*Ctx, Analysis, Opts.Extract);
-  std::vector<SkeletonUnit> Units = Extractor.extract();
+  std::vector<SkeletonUnit> Units = SkeletonExtractor(*Ctx, Analysis).extract();
 
-  ProgramCursor Cursor(Units, Opts.Mode);
-  if (Cursor.size() > BigInt(Opts.RankBudget))
-    Cursor.setEnd(BigInt(Opts.RankBudget));
-  std::vector<ValidityConstraints> Validity;
-  if (Opts.PruneInvalid) {
-    Validity = analyzeValidity(*Ctx, Analysis, Units);
-    Cursor.setConstraints(constraintPtrs(Validity));
-  }
+  ProgramCursor Cursor(Units, SpeMode::Exact);
+  if (Cursor.size() > BigInt(RankBudget))
+    Cursor.setEnd(BigInt(RankBudget));
+  std::vector<ValidityConstraints> Validity =
+      analyzeValidity(*Ctx, Analysis, Units);
+  Cursor.setConstraints(constraintPtrs(Validity));
 
   VariantRenderer Renderer(*Ctx, Units);
   ReproOracle Oracle(Spec, Cache, Backend);
   std::string Buffer;
-  while (Out.Probes < Opts.ProbeBudget) {
+  while (Out.Probes < ProbeBudget) {
     // position() is the rank of the variant next() is about to produce; read
     // it before the call advances the cursor.
     const BigInt &Pos = Cursor.position();

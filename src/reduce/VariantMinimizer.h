@@ -15,41 +15,26 @@
 /// one per (skeleton, signature) -- which is what makes reduced bug reports
 /// comparable across seeds, shards, and campaigns.
 ///
-/// The search walks a ProgramCursor over the witness's extracted skeleton
-/// from rank 0 upward under the seed's ValidityConstraints -- the cursor's
-/// pruning jumps whole invalid subranges via AssignmentCursor::seek, so
-/// provably frontend- or oracle-rejected assignments cost no render and no
-/// probe -- and stops at the first rank whose rendered variant reproduces
-/// the spec (reduce/BugRepro.h). Encountering the witness's own text ends
-/// the scan: no strictly smaller rank triggers, and the witness is already
-/// canonical. Probe and rank budgets bound the worst case; on budget
-/// exhaustion the witness is returned unchanged.
+/// The search walks an exact-mode ProgramCursor over the witness's
+/// extracted skeleton (default extraction) from rank 0 upward under the
+/// witness's ValidityConstraints -- the cursor's pruning jumps whole
+/// invalid subranges, so provably frontend- or oracle-rejected assignments
+/// cost no render and no probe -- and stops at the first rank whose
+/// rendered variant reproduces the spec (reduce/BugRepro.h). Encountering
+/// the witness's own text ends the scan: no strictly smaller rank triggers,
+/// and the witness is already canonical. Fixed probe and rank budgets bound
+/// the worst case; on budget exhaustion the witness is returned unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPE_REDUCE_VARIANTMINIMIZER_H
 #define SPE_REDUCE_VARIANTMINIMIZER_H
 
-#include "core/SpeEnumerator.h"
 #include "reduce/BugRepro.h"
-#include "skeleton/SkeletonExtractor.h"
 
 #include <string>
 
 namespace spe {
-
-/// Search bounds and enumeration parameters for one minimizer instance.
-struct MinimizerOptions {
-  SpeMode Mode = SpeMode::Exact;
-  ExtractorOptions Extract;
-  /// Skip provably invalid assignments without rendering them.
-  bool PruneInvalid = true;
-  /// Maximum rendered-and-probed candidates per witness.
-  uint64_t ProbeBudget = 192;
-  /// Maximum rank (exclusive) the scan may reach; pruned skips do not spend
-  /// probes but still advance the rank, so this bounds pathological spaces.
-  uint64_t RankBudget = 1 << 16;
-};
 
 /// Outcome of minimizing one witness.
 struct MinimizeOutcome {
@@ -74,16 +59,14 @@ class VariantMinimizer {
 public:
   /// \p Backend: compiler the signature-preservation probes run against
   /// (reduce/BugRepro.h); null = in-process MiniCC.
-  explicit VariantMinimizer(MinimizerOptions Opts = {},
-                            OracleCache *Cache = nullptr,
+  explicit VariantMinimizer(OracleCache *Cache = nullptr,
                             const CompilerBackend *Backend = nullptr)
-      : Opts(Opts), Cache(Cache), Backend(Backend) {}
+      : Cache(Cache), Backend(Backend) {}
 
   MinimizeOutcome minimize(const std::string &Witness,
                            const ReproSpec &Spec) const;
 
 private:
-  MinimizerOptions Opts;
   OracleCache *Cache;
   const CompilerBackend *Backend;
 };

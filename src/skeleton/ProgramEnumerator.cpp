@@ -8,6 +8,23 @@
 
 using namespace spe;
 
+namespace {
+
+/// Strict decimal parse for restoreState: \returns false unless \p Text is
+/// a non-empty all-digit string (BigInt::fromDecimalString asserts on
+/// malformed input, which is wrong for data read from disk).
+bool parseDecimal(const std::string &Text, BigInt &Out) {
+  if (Text.empty())
+    return false;
+  for (char C : Text)
+    if (C < '0' || C > '9')
+      return false;
+  Out = BigInt::fromDecimalString(Text);
+  return true;
+}
+
+} // namespace
+
 ProgramCursor::ProgramCursor(const std::vector<SkeletonUnit> &Units,
                              SpeMode Mode)
     : Mode(Mode) {
@@ -162,9 +179,9 @@ CursorState ProgramCursor::saveState() const {
 
 bool ProgramCursor::restoreState(const CursorState &State) {
   BigInt NewPos, NewEnd, NewPruned;
-  if (!cursor_detail::parseDecimal(State.Position, NewPos) ||
-      !cursor_detail::parseDecimal(State.End, NewEnd) ||
-      !cursor_detail::parseDecimal(State.Pruned, NewPruned))
+  if (!parseDecimal(State.Position, NewPos) ||
+      !parseDecimal(State.End, NewEnd) ||
+      !parseDecimal(State.Pruned, NewPruned))
     return false;
   if (NewPos > NewEnd || NewEnd > Size)
     return false;
@@ -172,14 +189,6 @@ bool ProgramCursor::restoreState(const CursorState &State) {
   seek(NewPos);
   Pruned = NewPruned;
   return true;
-}
-
-void ProgramCursor::shard(uint64_t Index, uint64_t Count) {
-  assert(Count > 0 && Index < Count && "invalid shard request");
-  BigInt Begin, NewEnd;
-  cursor_detail::shardRange(Pos, End, Index, Count, Begin, NewEnd);
-  End = NewEnd;
-  seek(Begin);
 }
 
 ProgramEnumerator::ProgramEnumerator(const std::vector<SkeletonUnit> &Units,
@@ -204,10 +213,6 @@ BigInt ProgramEnumerator::countNaive() const {
       return Total;
   }
   return Total;
-}
-
-ProgramCursor ProgramEnumerator::cursor() const {
-  return ProgramCursor(Units, Mode);
 }
 
 uint64_t ProgramEnumerator::enumerate(

@@ -16,9 +16,12 @@
 /// ProgramCursor makes the product pull-based and rankable: per-unit
 /// AssignmentCursors compose into a mixed-radix cursor whose radices are the
 /// per-unit BigInt counts, so whole-program variant #k is addressable
-/// directly via seek(k) and the program space splits exactly across workers
-/// via shard(i, n) -- the primitive behind the parallel differential
-/// campaigns in testing/Harness.h.
+/// directly via seek(k). It is the one cursor every consumer drives, and
+/// the only owner of an active range, of validity pruning and of the saved
+/// CursorState: a thread shard or fleet lease is a CursorState over a
+/// contiguous rank range (cursor_detail::shardRange), restored into a
+/// fresh cursor -- the primitive behind the parallel differential campaigns
+/// in testing/Harness.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,11 +34,45 @@
 #include "support/BigInt.h"
 
 #include <functional>
+#include <string>
 
 namespace spe {
 
 /// One variant of the whole program: one assignment per skeleton unit.
 using ProgramAssignment = std::vector<Assignment>;
+
+/// Serializable cursor position, the unit of state the persistence layer
+/// (src/persist/) snapshots per worker. All three fields are decimal BigInt
+/// strings, so the format is stable across word sizes and the rank space
+/// may exceed 2^64. Restoring is pure rank arithmetic: because cursors make
+/// every variant addressable by rank, a restored cursor re-derives its
+/// odometer by unranking -- positions are never renumbered, in exact or
+/// paper-faithful mode.
+struct CursorState {
+  std::string Position; ///< Rank the next next() will produce.
+  std::string End;      ///< Exclusive upper bound of the active range.
+  std::string Pruned;   ///< Ranks skipped as invalid so far.
+
+  bool operator==(const CursorState &Other) const {
+    return Position == Other.Position && End == Other.End &&
+           Pruned == Other.Pruned;
+  }
+};
+
+namespace cursor_detail {
+
+/// Splits [Pos, End) into \p Count contiguous near-equal rank ranges and
+/// stores the \p Index-th as [Begin, NewEnd); the union of the \p Count
+/// ranges is exactly [Pos, End). The harness splits a seed's budget across
+/// thread shards with it, each shard restoring its range into a cursor.
+inline void shardRange(const BigInt &Pos, const BigInt &End, uint64_t Index,
+                       uint64_t Count, BigInt &Begin, BigInt &NewEnd) {
+  BigInt Len = End < Pos ? BigInt(0) : End - Pos;
+  Begin = Pos + (Len * Index).divideBySmall(Count);
+  NewEnd = Pos + (Len * (Index + 1)).divideBySmall(Count);
+}
+
+} // namespace cursor_detail
 
 /// Pull-based, rankable cursor over whole-program variants: the mixed-radix
 /// Cartesian product of per-unit cursors, unit 0 most significant. Rank
@@ -56,7 +93,7 @@ public:
 
   /// Produces the next program variant, or nullptr when the active range is
   /// exhausted. The pointee is owned by the cursor and valid until the next
-  /// call to next(), seek() or shard().
+  /// call to next(), seek() or restoreState().
   const ProgramAssignment *next();
 
   /// Repositions the cursor so the next call to next() produces the variant
@@ -66,19 +103,14 @@ public:
   /// Shrinks the active range's exclusive upper bound (clamped to size()).
   void setEnd(const BigInt &Rank);
 
-  /// Restricts the cursor to shard \p Index of \p Count over the active
-  /// range [position(), end()): contiguous rank sub-ranges of near-equal
-  /// length whose union is exactly the original range.
-  void shard(uint64_t Index, uint64_t Count);
-
   /// Enables validity pruning: next() skips program variants in which some
   /// unit's assignment violates that unit's constraints, in exact mode by
   /// jumping whole mixed-radix subranges (all combinations of the
   /// less-significant units below an offending digit are skipped at once).
   /// \p PerUnit must have one entry per unit (nullptr entries disable
   /// pruning for that unit) and outlive the cursor. Ranks are not
-  /// renumbered, so seek/shard/budget semantics and shard-merge determinism
-  /// are unchanged.
+  /// renumbered, so seek, shard-range and budget semantics and shard-merge
+  /// determinism are unchanged.
   void setConstraints(std::vector<const ValidityConstraints *> PerUnit);
 
   /// \returns the total number of ranks next() skipped as invalid.
@@ -100,9 +132,11 @@ public:
                         const std::vector<const ValidityConstraints *>
                             &PerUnit) const;
 
-  /// Snapshots the cursor's position for persistence (core/AssignmentCursor.h
-  /// CursorState). Per-unit cursor states need not be captured: the program
-  /// rank alone addresses the whole mixed-radix configuration.
+  /// Snapshots the cursor's position for persistence. Per-unit cursor
+  /// states need not be captured: the program rank alone addresses the
+  /// whole mixed-radix configuration. Constraints are not part of the
+  /// state -- the caller re-derives and re-attaches them on restore
+  /// (validated by fingerprint in src/persist/Checkpoint.h).
   CursorState saveState() const;
 
   /// Repositions the cursor from a saved state: setEnd(End) + seek(Position)
@@ -142,10 +176,6 @@ public:
 
   /// \returns the product of the per-unit naive counts (prod |v_i|).
   BigInt countNaive() const;
-
-  /// \returns a pull-based cursor over the program variants, in the same
-  /// order enumerate() produces them.
-  ProgramCursor cursor() const;
 
   /// Streams program variants until the callback declines or \p Limit is
   /// reached (0 = unlimited). \returns the number of variants produced.

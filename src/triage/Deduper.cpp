@@ -110,7 +110,7 @@ void spe::triageCampaign(CampaignResult &Result,
           }
     }
     SkeletonReducer Reducer({}, Opts.Cache, ProbeBackend);
-    VariantMinimizer Minimizer({}, Opts.Cache, ProbeBackend);
+    VariantMinimizer Minimizer(Opts.Cache, ProbeBackend);
 
     ReproSpec Spec;
     Spec.Config = {Rep.P, Rep.Version, Rep.OptLevel, Rep.Mode64, {}};

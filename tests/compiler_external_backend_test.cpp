@@ -523,40 +523,43 @@ TEST(ExternalBackendTest, ScratchDirectoryIsRemovedOnDestruction) {
 TEST(ExternalBackendTest, StaleScratchIsSweptLiveScratchSurvives) {
   std::string Base = tempPath("sweep-base");
   std::filesystem::create_directories(Base);
+  std::string Self = std::to_string(static_cast<long long>(::getpid()));
 
-  // Stale: marker names a pid beyond any real pid space (pid_max defaults
+  // Stale: the name's pid is beyond any real pid space (pid_max defaults
   // to 4194304), so kill(pid, 0) reliably reports ESRCH.
-  std::string Stale = Base + "/spe-ext-stale1";
+  std::string Stale = Base + "/spe-ext-2000000000-stale1";
   std::filesystem::create_directories(Stale);
-  { std::ofstream(Stale + "/spe-owner.pid") << 2000000000 << "\n"; }
   { std::ofstream(Stale + "/leftover.o") << "junk"; }
-  // Stale: no marker at all -- the owner died between mkdtemp and the
-  // marker write.
-  std::string NoMarker = Base + "/spe-ext-nomark";
-  std::filesystem::create_directories(NoMarker);
-  // Live: marker names this very process.
-  std::string Live = Base + "/spe-ext-live01";
+  // Live: named for this very process and still empty -- exactly what
+  // mkdtemp leaves before its owner has written anything, the state a
+  // concurrent sweep used to mistake for a crash.
+  std::string Live = Base + "/spe-ext-" + Self + "-live01";
   std::filesystem::create_directories(Live);
-  { std::ofstream(Live + "/spe-owner.pid") << ::getpid() << "\n"; }
+  // No pid field: not a scratch directory of this layout.
+  std::string NoPid = Base + "/spe-ext-nopid1";
+  std::filesystem::create_directories(NoPid);
+  // A flat-layout scratch file, not a directory.
+  std::string Flat = Base + "/spe-ext-2000000000-3.c";
+  { std::ofstream(Flat) << "int main(void) { return 0; }\n"; }
   // Unrelated directory: name does not match the scratch prefix.
   std::string Other = Base + "/other-dir";
   std::filesystem::create_directories(Other);
 
-  EXPECT_EQ(ExternalBackend::sweepStaleScratch(Base), 2u);
+  EXPECT_EQ(ExternalBackend::sweepStaleScratch(Base), 1u);
   EXPECT_FALSE(std::filesystem::exists(Stale));
-  EXPECT_FALSE(std::filesystem::exists(NoMarker));
   EXPECT_TRUE(std::filesystem::exists(Live));
+  EXPECT_TRUE(std::filesystem::exists(NoPid));
+  EXPECT_TRUE(std::filesystem::exists(Flat));
   EXPECT_TRUE(std::filesystem::exists(Other));
   std::filesystem::remove_all(Base);
 }
 
-TEST(ExternalBackendTest, ConstructionReapsStaleScratchAndMarksItsOwn) {
+TEST(ExternalBackendTest, ConstructionReapsStaleScratchAndKeepsItsOwn) {
   SKIP_WITHOUT_HOST_CC();
   std::string Base = tempPath("sweep-ctor-base");
   std::filesystem::create_directories(Base);
-  std::string Stale = Base + "/spe-ext-ghost1";
+  std::string Stale = Base + "/spe-ext-2000000000-ghost1";
   std::filesystem::create_directories(Stale);
-  { std::ofstream(Stale + "/spe-owner.pid") << 2000000000 << "\n"; }
 
   ExternalBackendOptions O;
   O.TempDir = Base;
@@ -564,11 +567,13 @@ TEST(ExternalBackendTest, ConstructionReapsStaleScratchAndMarksItsOwn) {
   ASSERT_TRUE(B.available()) << B.unavailableReason();
   EXPECT_FALSE(std::filesystem::exists(Stale))
       << "stale scratch survived backend construction";
-  // Our own scratch carries a marker naming this process, so a sweep from
-  // any other (or this) process leaves it alone.
-  long long Pid = 0;
-  std::ifstream(B.scratchDir() + "/spe-owner.pid") >> Pid;
-  EXPECT_EQ(Pid, static_cast<long long>(::getpid()));
+  // Our own scratch names this process from birth and holds nothing yet,
+  // so a sweep from any other (or this) process leaves it alone.
+  std::string Name = std::filesystem::path(B.scratchDir()).filename();
+  std::string Prefix =
+      "spe-ext-" + std::to_string(static_cast<long long>(::getpid())) + "-";
+  EXPECT_EQ(Name.compare(0, Prefix.size(), Prefix), 0) << Name;
+  EXPECT_TRUE(std::filesystem::is_empty(B.scratchDir()));
   EXPECT_EQ(ExternalBackend::sweepStaleScratch(Base), 0u);
   EXPECT_TRUE(std::filesystem::exists(B.scratchDir()));
 }

@@ -1,8 +1,9 @@
 //===- tests/core_assignment_cursor_test.cpp - cursor unit tests ---------===//
 //
 // Correctness of the pull-based rankable cursor: the stream must equal the
-// classic enumeration, seek(k) must agree with skipping k items, and
-// shard(i, n) must partition the space exactly -- in both modes, across
+// classic enumeration, seek(k) must agree with skipping k items, and shard
+// ranges of a one-unit ProgramCursor (which owns ranges for every
+// consumer) must partition the space exactly -- in both modes, across
 // skeleton shapes (flat, nested, multi-type, sibling scopes, empty).
 //
 //===----------------------------------------------------------------------===//
@@ -11,6 +12,7 @@
 #include "core/AssignmentCursor.h"
 #include "core/NaiveEnumerator.h"
 #include "core/SpeEnumerator.h"
+#include "skeleton/ProgramEnumerator.h"
 
 #include "gtest/gtest.h"
 
@@ -80,6 +82,28 @@ std::vector<Assignment> drain(AssignmentCursor &Cursor) {
   std::vector<Assignment> Out;
   while (const Assignment *A = Cursor.next())
     Out.push_back(*A);
+  return Out;
+}
+
+/// \p Sk as a one-unit program.
+std::vector<SkeletonUnit> oneUnit(const AbstractSkeleton &Sk) {
+  std::vector<SkeletonUnit> Units(1);
+  Units[0].Skeleton = Sk;
+  return Units;
+}
+
+/// Restores shard \p Index of \p Count over [0, \p End) into \p Cursor, the
+/// way the harness splits a seed's budget across its threads, and drains
+/// the shard's only unit.
+std::vector<Assignment> drainShard(ProgramCursor &Cursor, const BigInt &End,
+                                   uint64_t Index, uint64_t Count) {
+  BigInt Begin, ShardEnd;
+  cursor_detail::shardRange(BigInt(0), End, Index, Count, Begin, ShardEnd);
+  std::vector<Assignment> Out;
+  EXPECT_TRUE(
+      Cursor.restoreState({Begin.toString(), ShardEnd.toString(), "0"}));
+  while (const ProgramAssignment *PA = Cursor.next())
+    Out.push_back((*PA)[0]);
   return Out;
 }
 
@@ -167,15 +191,16 @@ TEST(AssignmentCursorTest, SeekIsRepositionableBothDirections) {
 
 TEST(AssignmentCursorTest, ShardPartitionsTheSpaceExactly) {
   for (const AbstractSkeleton &Sk : testSkeletons()) {
+    std::vector<SkeletonUnit> Units = oneUnit(Sk);
     for (SpeMode Mode : {SpeMode::Exact, SpeMode::PaperFaithful}) {
       SCOPED_TRACE(speModeName(Mode));
       std::vector<Assignment> Full = legacyStream(Sk, Mode);
       for (uint64_t N : {1u, 2u, 3u, 4u, 7u, 32u}) {
         std::vector<Assignment> Concat;
         for (uint64_t I = 0; I < N; ++I) {
-          AssignmentCursor Shard(Sk, Mode);
-          Shard.shard(I, N);
-          std::vector<Assignment> Part = drain(Shard);
+          ProgramCursor Shard(Units, Mode);
+          std::vector<Assignment> Part =
+              drainShard(Shard, Shard.size(), I, N);
           Concat.insert(Concat.end(), Part.begin(), Part.end());
         }
         // Shards are contiguous rank ranges, so the concatenation in shard
@@ -189,12 +214,15 @@ TEST(AssignmentCursorTest, ShardPartitionsTheSpaceExactly) {
 
 TEST(AssignmentCursorTest, ShardsAreBalanced) {
   AbstractSkeleton Sk = makeFlatSkeleton(4, 7); // 715 classes.
+  std::vector<SkeletonUnit> Units = oneUnit(Sk);
   const uint64_t N = 8;
   BigInt Size = SpeEnumerator(Sk, SpeMode::Exact).count();
   BigInt Total(0);
   for (uint64_t I = 0; I < N; ++I) {
-    AssignmentCursor Shard(Sk, SpeMode::Exact);
-    Shard.shard(I, N);
+    BigInt Begin, End;
+    cursor_detail::shardRange(BigInt(0), Size, I, N, Begin, End);
+    ProgramCursor Shard(Units, SpeMode::Exact);
+    ASSERT_TRUE(Shard.restoreState({Begin.toString(), End.toString(), "0"}));
     BigInt Len = Shard.end() - Shard.position();
     Total += Len;
     // Near-equal split: every shard within one of size/N.
@@ -208,10 +236,13 @@ TEST(AssignmentCursorTest, ShardsAreBalanced) {
 
 TEST(AssignmentCursorTest, SetEndTruncatesAndShardComposes) {
   AbstractSkeleton Sk = makeFlatSkeleton(3, 6); // 122 classes.
+  std::vector<SkeletonUnit> Units = oneUnit(Sk);
   std::vector<Assignment> Full = legacyStream(Sk, SpeMode::Exact);
-  AssignmentCursor Cursor(Sk, SpeMode::Exact);
+  ProgramCursor Cursor(Units, SpeMode::Exact);
   Cursor.setEnd(BigInt(10));
-  std::vector<Assignment> First10 = drain(Cursor);
+  std::vector<Assignment> First10;
+  while (const ProgramAssignment *PA = Cursor.next())
+    First10.push_back((*PA)[0]);
   ASSERT_EQ(First10.size(), 10u);
   for (size_t I = 0; I < 10; ++I)
     EXPECT_EQ(First10[I], Full[I]);
@@ -219,10 +250,9 @@ TEST(AssignmentCursorTest, SetEndTruncatesAndShardComposes) {
   // Sharding a truncated range partitions [0, 10), not the whole space.
   std::vector<Assignment> Concat;
   for (uint64_t I = 0; I < 3; ++I) {
-    AssignmentCursor Shard(Sk, SpeMode::Exact);
+    ProgramCursor Shard(Units, SpeMode::Exact);
     Shard.setEnd(BigInt(10));
-    Shard.shard(I, 3);
-    std::vector<Assignment> Part = drain(Shard);
+    std::vector<Assignment> Part = drainShard(Shard, Shard.end(), I, 3);
     Concat.insert(Concat.end(), Part.begin(), Part.end());
   }
   EXPECT_EQ(Concat, First10);

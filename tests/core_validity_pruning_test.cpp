@@ -4,13 +4,13 @@
 // pruned cursor visits exactly the unpruned sequence minus the assignments
 // that violate the constraints, in the same order and at the same ranks;
 // the skipped count is exact; sharding still partitions the space; and the
-// pruned-count DP (countValidClasses) agrees with brute-force filtering.
+// one-rank rule and the span decoder agree at every rank. ProgramCursor
+// owns pruning, so single-skeleton cases run on a one-unit program.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/AssignmentCursor.h"
 #include "core/ValidityPruning.h"
-#include "combinatorics/Stirling.h"
 #include "skeleton/ProgramEnumerator.h"
 
 #include "gtest/gtest.h"
@@ -45,15 +45,27 @@ AbstractSkeleton testSkeleton() {
   return Sk;
 }
 
-std::vector<Assignment> collect(const AbstractSkeleton &Sk, SpeMode Mode,
-                                const ValidityConstraints *C) {
-  AssignmentCursor Cursor(Sk, Mode);
-  if (C)
-    Cursor.setConstraints(C);
+/// testSkeleton() as a one-unit program.
+std::vector<SkeletonUnit> testUnits() {
+  std::vector<SkeletonUnit> Units(1);
+  Units[0].Skeleton = testSkeleton();
+  return Units;
+}
+
+/// Drains \p Cursor's only unit.
+std::vector<Assignment> drain(ProgramCursor &Cursor) {
   std::vector<Assignment> Out;
-  while (const Assignment *A = Cursor.next())
-    Out.push_back(*A);
+  while (const ProgramAssignment *PA = Cursor.next())
+    Out.push_back((*PA)[0]);
   return Out;
+}
+
+std::vector<Assignment> collect(const std::vector<SkeletonUnit> &Units,
+                                SpeMode Mode, const ValidityConstraints *C) {
+  ProgramCursor Cursor(Units, Mode);
+  if (C)
+    Cursor.setConstraints({C});
+  return drain(Cursor);
 }
 
 /// A constraint set exercising every stratum: a level digit (hole 2 may not
@@ -114,21 +126,21 @@ std::vector<SkeletonUnit> hugeSuffixUnits() {
 } // namespace
 
 TEST(ValidityPruningTest, PrunedCursorEqualsBruteForceFilter) {
-  AbstractSkeleton Sk = testSkeleton();
-  ValidityConstraints C = someConstraints(Sk);
+  std::vector<SkeletonUnit> Units = testUnits();
+  ValidityConstraints C = someConstraints(Units[0].Skeleton);
 
-  std::vector<Assignment> All = collect(Sk, SpeMode::Exact, nullptr);
+  std::vector<Assignment> All = collect(Units, SpeMode::Exact, nullptr);
   std::vector<Assignment> Expected;
   for (const Assignment &A : All)
     if (!assignmentViolates(A, C))
       Expected.push_back(A);
 
-  std::vector<Assignment> Pruned = collect(Sk, SpeMode::Exact, &C);
+  std::vector<Assignment> Pruned = collect(Units, SpeMode::Exact, &C);
   EXPECT_EQ(Pruned, Expected);
   EXPECT_LT(Pruned.size(), All.size()) << "constraints should bite";
 
-  AssignmentCursor Counter(Sk, SpeMode::Exact);
-  Counter.setConstraints(&C);
+  ProgramCursor Counter(Units, SpeMode::Exact);
+  Counter.setConstraints({&C});
   uint64_t Valid = 0;
   while (Counter.next())
     ++Valid;
@@ -140,13 +152,11 @@ TEST(ValidityPruningTest, PrunedCursorEqualsBruteForceFilter) {
   std::vector<uint64_t> Ranks(All.size());
   std::iota(Ranks.begin(), Ranks.end(), 0);
   std::shuffle(Ranks.begin(), Ranks.end(), std::mt19937(2017));
-  AssignmentCursor Reseeked(Sk, SpeMode::Exact);
-  Reseeked.setConstraints(&C);
+  ProgramCursor Reseeked(Units, SpeMode::Exact);
+  Reseeked.setConstraints({&C});
   for (uint64_t R : Ranks) {
     Reseeked.seek(BigInt(R));
-    std::vector<Assignment> Suffix, Want;
-    while (const Assignment *A = Reseeked.next())
-      Suffix.push_back(*A);
+    std::vector<Assignment> Suffix = drain(Reseeked), Want;
     for (uint64_t S = R; S < All.size(); ++S)
       if (!assignmentViolates(All[S], C))
         Want.push_back(All[S]);
@@ -155,28 +165,28 @@ TEST(ValidityPruningTest, PrunedCursorEqualsBruteForceFilter) {
 }
 
 TEST(ValidityPruningTest, PaperFaithfulModeFiltersIdentically) {
-  AbstractSkeleton Sk = testSkeleton();
-  ValidityConstraints C = someConstraints(Sk);
+  std::vector<SkeletonUnit> Units = testUnits();
+  ValidityConstraints C = someConstraints(Units[0].Skeleton);
 
-  std::vector<Assignment> All = collect(Sk, SpeMode::PaperFaithful, nullptr);
+  std::vector<Assignment> All = collect(Units, SpeMode::PaperFaithful, nullptr);
   std::vector<Assignment> Expected;
   for (const Assignment &A : All)
     if (!assignmentViolates(A, C))
       Expected.push_back(A);
-  EXPECT_EQ(collect(Sk, SpeMode::PaperFaithful, &C), Expected);
+  EXPECT_EQ(collect(Units, SpeMode::PaperFaithful, &C), Expected);
 }
 
 TEST(ValidityPruningTest, InvalidSpanEndIsExact) {
-  AbstractSkeleton Sk = testSkeleton();
-  ValidityConstraints C = someConstraints(Sk);
-  std::vector<Assignment> All = collect(Sk, SpeMode::Exact, nullptr);
+  std::vector<SkeletonUnit> Units = testUnits();
+  ValidityConstraints C = someConstraints(Units[0].Skeleton);
+  std::vector<Assignment> All = collect(Units, SpeMode::Exact, nullptr);
 
-  AssignmentCursor Cursor(Sk, SpeMode::Exact);
+  ProgramCursor Cursor(Units, SpeMode::Exact);
   ASSERT_TRUE(Cursor.size().fitsInUint64());
   uint64_t N = Cursor.size().toUint64();
   ASSERT_EQ(N, All.size());
   for (uint64_t R = 0; R < N; ++R) {
-    BigInt SpanEnd = Cursor.invalidSpanEnd(BigInt(R), C);
+    BigInt SpanEnd = Cursor.invalidSpanEnd(BigInt(R), {&C});
     if (assignmentViolates(All[R], C)) {
       // The whole reported span must be invalid, and it must not be empty.
       ASSERT_GT(SpanEnd, BigInt(R)) << "rank " << R;
@@ -190,71 +200,41 @@ TEST(ValidityPruningTest, InvalidSpanEndIsExact) {
 }
 
 TEST(ValidityPruningTest, ShardsPartitionThePrunedSequence) {
-  AbstractSkeleton Sk = testSkeleton();
-  ValidityConstraints C = someConstraints(Sk);
-  std::vector<Assignment> Expected = collect(Sk, SpeMode::Exact, &C);
+  std::vector<SkeletonUnit> Units = testUnits();
+  ValidityConstraints C = someConstraints(Units[0].Skeleton);
+  std::vector<Assignment> Expected = collect(Units, SpeMode::Exact, &C);
+  BigInt Size = ProgramCursor(Units, SpeMode::Exact).size();
 
   for (uint64_t Shards : {2u, 3u, 4u, 7u}) {
     std::vector<Assignment> Union;
     BigInt TotalPruned(0);
     for (uint64_t S = 0; S < Shards; ++S) {
-      AssignmentCursor Cursor(Sk, SpeMode::Exact);
-      Cursor.setConstraints(&C);
-      Cursor.shard(S, Shards);
-      while (const Assignment *A = Cursor.next())
-        Union.push_back(*A);
+      // The harness's route: a shard is a restored rank range.
+      BigInt Begin, End;
+      cursor_detail::shardRange(BigInt(0), Size, S, Shards, Begin, End);
+      ProgramCursor Cursor(Units, SpeMode::Exact);
+      Cursor.setConstraints({&C});
+      ASSERT_TRUE(
+          Cursor.restoreState({Begin.toString(), End.toString(), "0"}));
+      std::vector<Assignment> Part = drain(Cursor);
+      Union.insert(Union.end(), Part.begin(), Part.end());
       TotalPruned += Cursor.pruned();
     }
     EXPECT_EQ(Union, Expected) << Shards << " shards";
-    AssignmentCursor Full(Sk, SpeMode::Exact);
-    EXPECT_EQ(TotalPruned + BigInt(Expected.size()), Full.size());
+    EXPECT_EQ(TotalPruned + BigInt(Expected.size()), Size);
   }
-}
-
-TEST(ValidityPruningTest, CountValidPartitionsMatchesUnconstrained) {
-  // With nothing forbidden the DP must reproduce partitionsUpTo(N, K).
-  StirlingTable Table;
-  AbstractSkeleton Sk = testSkeleton();
-  ValidityConstraints None;
-  None.reset(Sk);
-  for (unsigned N = 0; N <= 5; ++N) {
-    std::vector<unsigned> Holes(N);
-    for (unsigned I = 0; I < N; ++I)
-      Holes[I] = I;
-    for (unsigned K = 1; K <= 4; ++K) {
-      std::vector<VarId> Vars(K);
-      for (unsigned I = 0; I < K; ++I)
-        Vars[I] = I;
-      EXPECT_EQ(countValidPartitions(Holes, Vars, None),
-                Table.partitionsUpTo(N, K))
-          << "N=" << N << " K=" << K;
-    }
-  }
-}
-
-TEST(ValidityPruningTest, CountValidClassesMatchesEnumeration) {
-  AbstractSkeleton Sk = testSkeleton();
-  ValidityConstraints C = someConstraints(Sk);
-  EXPECT_EQ(countValidClasses(Sk, C),
-            BigInt(collect(Sk, SpeMode::Exact, &C).size()));
-
-  ValidityConstraints None;
-  None.reset(Sk);
-  AssignmentCursor Cursor(Sk, SpeMode::Exact);
-  EXPECT_EQ(countValidClasses(Sk, None), Cursor.size());
 }
 
 TEST(ValidityPruningTest, FullyForbiddenHoleEmptiesTheSpace) {
-  AbstractSkeleton Sk = testSkeleton();
+  std::vector<SkeletonUnit> Units = testUnits();
   ValidityConstraints C;
-  C.reset(Sk);
+  C.reset(Units[0].Skeleton);
   // Hole 4 (type1, root) loses both p0 and p1: nothing survives.
   C.forbid(4, 3);
   C.forbid(4, 4);
-  EXPECT_TRUE(collect(Sk, SpeMode::Exact, &C).empty());
-  EXPECT_EQ(countValidClasses(Sk, C), BigInt(0));
-  AssignmentCursor Cursor(Sk, SpeMode::Exact);
-  Cursor.setConstraints(&C);
+  EXPECT_TRUE(collect(Units, SpeMode::Exact, &C).empty());
+  ProgramCursor Cursor(Units, SpeMode::Exact);
+  Cursor.setConstraints({&C});
   EXPECT_EQ(Cursor.next(), nullptr);
   EXPECT_EQ(Cursor.pruned(), Cursor.size());
 }
@@ -326,15 +306,16 @@ TEST(ValidityPruningTest, SeekLandsOnUnprunedRanks) {
   // Ranks are not renumbered: seeking to rank R then pulling must yield the
   // first *valid* assignment at rank >= R, exactly like filtering the
   // unpruned stream from R.
-  AbstractSkeleton Sk = testSkeleton();
-  ValidityConstraints C = someConstraints(Sk);
-  std::vector<Assignment> All = collect(Sk, SpeMode::Exact, nullptr);
+  std::vector<SkeletonUnit> Units = testUnits();
+  ValidityConstraints C = someConstraints(Units[0].Skeleton);
+  std::vector<Assignment> All = collect(Units, SpeMode::Exact, nullptr);
 
   for (uint64_t R = 0; R < All.size(); R += 7) {
-    AssignmentCursor Cursor(Sk, SpeMode::Exact);
-    Cursor.setConstraints(&C);
+    ProgramCursor Cursor(Units, SpeMode::Exact);
+    Cursor.setConstraints({&C});
     Cursor.seek(BigInt(R));
-    const Assignment *A = Cursor.next();
+    const ProgramAssignment *PA = Cursor.next();
+    const Assignment *A = PA ? &(*PA)[0] : nullptr;
     const Assignment *Want = nullptr;
     for (uint64_t S = R; S < All.size(); ++S) {
       if (!assignmentViolates(All[S], C)) {
@@ -354,31 +335,38 @@ TEST(ValidityPruningTest, SeekLandsOnUnprunedRanks) {
 TEST(ValidityPruningTest, OneRankStepAgreesWithTheDecoder) {
   // Wherever the one-rank rule lets a pruned cursor step over a violation
   // on its odometer, the general decoder must report a span of exactly
-  // that rank. Every rank of the single-skeleton fixtures is walked
-  // unpruned; the multi-unit fixtures are walked over the ranges the huge
-  // suffix test covers.
+  // that rank; wherever it finds no violation the span is empty, and
+  // wherever it defers to the decoder the span is not. Every rank of the
+  // single-skeleton fixtures is walked unpruned on a one-unit program; the
+  // multi-unit fixtures are walked over the ranges the huge suffix test
+  // covers.
   using Offense = AssignmentCursor::Offense;
   unsigned Held = 0, Failed = 0;
 
-  AbstractSkeleton Sk = testSkeleton();
-  ValidityConstraints Some = someConstraints(Sk);
+  std::vector<SkeletonUnit> Single = testUnits();
+  ValidityConstraints Some = someConstraints(Single[0].Skeleton);
   ValidityConstraints NoHole4;
-  NoHole4.reset(Sk);
+  NoHole4.reset(Single[0].Skeleton);
   NoHole4.forbid(4, 3);
   NoHole4.forbid(4, 4);
   for (const ValidityConstraints *C : {&Some, &NoHole4}) {
-    AssignmentCursor Cursor(Sk, SpeMode::Exact);
-    while (const Assignment *A = Cursor.next()) {
+    ProgramCursor Cursor(Single, SpeMode::Exact);
+    while (const ProgramAssignment *PA = Cursor.next()) {
       BigInt R = Cursor.position() - BigInt(1);
-      Offense O = Cursor.offense(*C);
-      ASSERT_EQ(O == Offense::None, !assignmentViolates(*A, *C))
+      Offense O = Cursor.offense({C});
+      BigInt SpanEnd = Cursor.invalidSpanEnd(R, {C});
+      ASSERT_EQ(O == Offense::None, !assignmentViolates((*PA)[0], *C))
           << "rank " << R.toString();
+      if (O == Offense::None)
+        EXPECT_EQ(SpanEnd, R) << "rank " << R.toString();
       if (O == Offense::OneRank) {
         ++Held;
-        EXPECT_EQ(Cursor.invalidSpanEnd(R, *C), R + BigInt(1))
-            << "rank " << R.toString();
+        EXPECT_EQ(SpanEnd, R + BigInt(1)) << "rank " << R.toString();
       }
-      Failed += O == Offense::Span;
+      if (O == Offense::Span) {
+        ++Failed;
+        EXPECT_GT(SpanEnd, R) << "rank " << R.toString();
+      }
     }
   }
 

@@ -259,30 +259,6 @@ TEST(CursorStateTest, PrunedCounterSurvivesTheRoundTrip) {
   GTEST_SKIP() << "no embedded seed produced validity facts";
 }
 
-TEST(CursorStateTest, AssignmentCursorRoundTripsToo) {
-  Pipeline P = analyze(embeddedSeeds()[2]);
-  ASSERT_FALSE(P.Units.empty());
-  const AbstractSkeleton &Sk = P.Units[0].Skeleton;
-  AssignmentCursor Original(Sk, SpeMode::Exact);
-  uint64_t Limit = 12;
-  if (Original.size() < BigInt(Limit))
-    Limit = Original.size().toUint64();
-  Original.setEnd(BigInt(Limit));
-  for (int I = 0; I < 5 && Original.next(); ++I)
-    ;
-  CursorState S = Original.saveState();
-  AssignmentCursor Restored(Sk, SpeMode::Exact);
-  ASSERT_TRUE(Restored.restoreState(S));
-  for (;;) {
-    const Assignment *A = Original.next();
-    const Assignment *B = Restored.next();
-    ASSERT_EQ(A == nullptr, B == nullptr);
-    if (!A)
-      break;
-    EXPECT_EQ(*A, *B);
-  }
-}
-
 TEST(CursorStateTest, RestoreRejectsMalformedAndOutOfRangeStates) {
   Pipeline P = analyze(embeddedSeeds()[0]);
   ProgramCursor Cursor(P.Units, SpeMode::Exact);

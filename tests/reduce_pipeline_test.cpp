@@ -323,7 +323,7 @@ TEST(VariantMinimizerTest, FindsLowestTriggeringRank) {
   ASSERT_FALSE(Campaign.UniqueBugs.empty());
 
   OracleCache Cache;
-  VariantMinimizer Minimizer({}, &Cache);
+  VariantMinimizer Minimizer(&Cache);
   unsigned Checked = 0;
   for (const auto &[Id, Bug] : Campaign.UniqueBugs) {
     ReproSpec Spec = specOf(Bug);

@@ -2,8 +2,9 @@
 //
 // The mixed-radix Cartesian-product cursor over skeleton units: its stream
 // must equal the independently computed product of per-unit streams, whole-
-// program variant #k must be addressable via seek(k), and shard(i, n) must
-// partition the program space exactly.
+// program variant #k must be addressable via seek(k), and shard ranges
+// restored into fresh cursors (the harness's route) must partition the
+// program space exactly.
 //
 //===----------------------------------------------------------------------===//
 
@@ -78,6 +79,16 @@ std::vector<ProgramAssignment> drain(ProgramCursor &Cursor) {
   return Out;
 }
 
+/// Restores shard \p Index of \p Count over [0, \p End) into \p Cursor, the
+/// way the harness splits a seed's budget across its threads.
+void restoreShard(ProgramCursor &Cursor, const BigInt &End, uint64_t Index,
+                  uint64_t Count) {
+  BigInt Begin, ShardEnd;
+  cursor_detail::shardRange(BigInt(0), End, Index, Count, Begin, ShardEnd);
+  ASSERT_TRUE(
+      Cursor.restoreState({Begin.toString(), ShardEnd.toString(), "0"}));
+}
+
 } // namespace
 
 TEST(ProgramCursorTest, StreamMatchesReferenceProduct) {
@@ -133,7 +144,7 @@ TEST(ProgramCursorTest, ShardPartitionsTheProgramSpaceExactly) {
       std::vector<ProgramAssignment> Concat;
       for (uint64_t I = 0; I < N; ++I) {
         ProgramCursor Shard(P->Units, Mode);
-        Shard.shard(I, N);
+        restoreShard(Shard, Shard.size(), I, N);
         std::vector<ProgramAssignment> Part = drain(Shard);
         Concat.insert(Concat.end(), Part.begin(), Part.end());
       }
@@ -152,8 +163,7 @@ TEST(ProgramCursorTest, TruncatedShardsPartitionTheBudgetPrefix) {
   std::vector<ProgramAssignment> Concat;
   for (uint64_t I = 0; I < 3; ++I) {
     ProgramCursor Shard(P->Units, SpeMode::Exact);
-    Shard.setEnd(BigInt(Budget));
-    Shard.shard(I, 3);
+    restoreShard(Shard, BigInt(Budget), I, 3);
     std::vector<ProgramAssignment> Part = drain(Shard);
     Concat.insert(Concat.end(), Part.begin(), Part.end());
   }

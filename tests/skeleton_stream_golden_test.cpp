@@ -96,8 +96,14 @@ void streamSharded(const SeedPlan &P, uint64_t Cap, StreamDigest &D) {
   std::vector<std::thread> Workers;
   for (unsigned S = 0; S < Shards; ++S) {
     Workers.emplace_back([&, S] {
+      // The harness's route: a shard is a rank range restored into a
+      // fresh cursor.
       ProgramCursor Cursor = cursorFor(P, Cap);
-      Cursor.shard(S, Shards);
+      BigInt Begin, End;
+      cursor_detail::shardRange(BigInt(0), Cursor.end(), S, Shards, Begin,
+                                End);
+      ASSERT_TRUE(
+          Cursor.restoreState({Begin.toString(), End.toString(), "0"}));
       VariantRenderer Renderer(P.Ctx, P.Units);
       std::string Source;
       while (const ProgramAssignment *PA = Cursor.next()) {
