@@ -64,7 +64,7 @@ int main() {
     Bump(ByPriority[B.Priority]);
     Bump(ByComponent[B.Component]);
     for (unsigned L = 0; L <= 3; ++L) {
-      CompilerConfig C{B.P, 70, L, !B.Mode32Only};
+      CompilerConfig C{B.P, 70, L, !B.Mode32Only, {}};
       if (B.activeIn(C)) {
         ++ByLevel[L][0];
         if (Fixed)
@@ -73,11 +73,11 @@ int main() {
     }
     if (B.IntroducedIn < 50)
       Bump(ByVersion["earlier"]);
-    if (B.activeIn({B.P, 50, 3, !B.Mode32Only}) ||
-        B.activeIn({B.P, 59, 3, !B.Mode32Only}))
+    if (B.activeIn({B.P, 50, 3, !B.Mode32Only, {}}) ||
+        B.activeIn({B.P, 59, 3, !B.Mode32Only, {}}))
       Bump(ByVersion["5.x"]);
-    if (B.activeIn({B.P, 60, 3, !B.Mode32Only}) ||
-        B.activeIn({B.P, 69, 3, !B.Mode32Only}))
+    if (B.activeIn({B.P, 60, 3, !B.Mode32Only, {}}) ||
+        B.activeIn({B.P, 69, 3, !B.Mode32Only, {}}))
       Bump(ByVersion["6.x"]);
     Bump(ByVersion["trunk"]);
   }

@@ -55,8 +55,8 @@ int main() {
   }
   unsigned GroundTruthOpen = 0;
   for (const InjectedBug &B : bugDatabase())
-    if (B.activeIn({B.P, B.P == Persona::GccSim ? 70u : 40u, 3, true}) ||
-        B.activeIn({B.P, B.P == Persona::GccSim ? 70u : 40u, 3, false}))
+    if (B.activeIn({B.P, B.P == Persona::GccSim ? 70u : 40u, 3, true, {}}) ||
+        B.activeIn({B.P, B.P == Persona::GccSim ? 70u : 40u, 3, false, {}}))
       ++GroundTruthOpen;
   std::printf("\nGround truth: %zu injected bugs total, %u live at trunk; "
               "found %zu\n",

@@ -50,8 +50,8 @@ int main() {
   //    findings; the command line is what actually varies.
   HarnessOptions Opts;
   Opts.Backend = &Backend;
-  Opts.Configs = {{Persona::GccSim, 140, 0, true},
-                  {Persona::GccSim, 140, 2, true}};
+  Opts.Configs = {{Persona::GccSim, 140, 0, true, {}},
+                  {Persona::GccSim, 140, 2, true, {}}};
   Opts.VariantBudget = 6; // Keep the smoke run to a few dozen compiles.
   // Batch variants into shared translation units (one compile per batch
   // per config, DESIGN.md Section 13). Result-neutral: any batch-level

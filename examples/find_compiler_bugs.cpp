@@ -54,7 +54,7 @@ int main() {
     unsigned Trunk = B.P == Persona::GccSim ? 70 : 40;
     bool Live = false;
     for (unsigned Opt = 0; Opt <= 3 && !Live; ++Opt)
-      Live = B.activeIn({B.P, Trunk, Opt, !B.Mode32Only});
+      Live = B.activeIn({B.P, Trunk, Opt, !B.Mode32Only, {}});
     if (Live && !Result.UniqueBugs.count(B.Id))
       ++Missed;
   }

@@ -95,8 +95,8 @@ int main() {
   //    once per input, and spe_input() (a scanf("%d") intrinsic every
   //    executor implements identically) feeds the value into the program,
   //    so one compile yields four differential points instead of one.
-  Opts.Configs = {{Persona::GccSim, 140, 0, true},
-                  {Persona::GccSim, 140, 2, true}};
+  Opts.Configs = {{Persona::GccSim, 140, 0, true, {}},
+                  {Persona::GccSim, 140, 2, true, {}}};
   for (CompilerConfig &Config : Opts.Configs)
     Config.ExecSweep = {"1\n", "7\n", "-3\n", "100\n"};
   Opts.VariantBudget = 6; // Keep the smoke run to a few dozen compiles.

@@ -587,6 +587,9 @@ void ExternalBackend::resolveSubset(
     std::vector<std::vector<std::vector<BackendObservation>>> &Out) const {
   const CompilerConfig &Config = T.Configs[ConfigIdx];
   const std::vector<std::string> Ins = configInputs(Config);
+  const std::string Cfg =
+      Opts.Telemetry ? telemetryConfigLabel(Config.OptLevel, Config.Mode64)
+                     : std::string();
   // Each local sweep input's index in the batch's sweep union -- the index
   // space BatchExpectation::cell() speaks.
   std::vector<size_t> UnionIdx(Ins.size(), 0);
@@ -643,10 +646,7 @@ void ExternalBackend::resolveSubset(
     }
     ProcessOptions PO;
     PO.TimeoutMs = Opts.CompileTimeoutMs;
-    SpanTimer Span(Opts.Telemetry, nullptr, "compile", TelLabel,
-                   Opts.Telemetry ? telemetryConfigLabel(Config.OptLevel,
-                                                         Config.Mode64)
-                                  : std::string());
+    SpanTimer Span(Opts.Telemetry, nullptr, "compile", TelLabel, Cfg);
     CR = runTool(compileArgv(Scope.Src, Bin, Config), PO);
   }
 
@@ -698,7 +698,7 @@ void ExternalBackend::resolveSubset(
       RO.StdinData = Ins[I];
       ProcessResult R;
       {
-        SpanTimer Span(Opts.Telemetry, nullptr, "exec", TelLabel);
+        SpanTimer Span(Opts.Telemetry, nullptr, "exec", TelLabel, Cfg);
         R = runTool({Bin, std::to_string(Local)}, RO);
       }
       if (R.St == ProcessResult::Status::StartFailed) {

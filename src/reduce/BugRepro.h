@@ -73,20 +73,11 @@ struct ReproStats {
   uint64_t MemoHits = 0;        ///< Answered from the per-instance memo.
   uint64_t OracleRuns = 0;      ///< Reference interpretations performed.
   uint64_t OracleCacheHits = 0; ///< Verdicts replayed from the shared cache.
-  /// Probes whose candidate parsed cleanly but exhausted the interpreter
-  /// step budget (diverging candidates; cache-replayed Timeout verdicts
-  /// count too). Each fresh one costs a full worst-case interpretation, so
-  /// this is the bill the reducer's static bounded-loop guard
-  /// (ReducerOptions::BoundedLoopGuard) exists to avoid.
+  /// Probes whose candidate parsed cleanly but did not terminate: the
+  /// oracle's Timeout verdict, whether a loop-head proof or the step budget
+  /// ended the run (cache-replayed Timeout verdicts count too). A
+  /// reduction meets these when ddmin deletes a loop's counter update.
   uint64_t TimeoutRuns = 0;
-
-  void merge(const ReproStats &Other) {
-    Probes += Other.Probes;
-    MemoHits += Other.MemoHits;
-    OracleRuns += Other.OracleRuns;
-    OracleCacheHits += Other.OracleCacheHits;
-    TimeoutRuns += Other.TimeoutRuns;
-  }
 };
 
 /// Memoizing "does this candidate still show the bug" predicate.

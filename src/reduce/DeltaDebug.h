@@ -9,9 +9,8 @@
 /// Zeller & Hildebrandt's ddmin ("Simplifying and Isolating Failure-Inducing
 /// Input", TSE 2002), the workhorse behind the bug-triage pipeline's
 /// structural reduction. The algorithm is generic: it minimizes an *index
-/// set* [0, N) against a caller-supplied interestingness predicate, so the
-/// same driver serves statement deletion, declaration dropping, and any
-/// future chunk domain (the reducer maps indices onto AST entities).
+/// set* [0, N) against a caller-supplied interestingness predicate; the
+/// reducer's statement-deletion pass maps the indices onto statements.
 ///
 /// Contract: the predicate must hold on the full index set; the result is a
 /// 1-minimal subset on which it still holds (removing any single element

@@ -92,323 +92,6 @@ void collectStmtIds(const Stmt *S, std::vector<int> &Out) {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Static bounded-loop guard (ReducerOptions::BoundedLoopGuard)
-//===----------------------------------------------------------------------===//
-
-/// Root variable name of a store target: peels array subscripts and dot
-/// member accesses (a store to `a[i].f` touches only object `a`). Null for
-/// dereferences and arrow accesses, whose target object is unknown.
-const std::string *storeRootName(const Expr *E) {
-  while (E) {
-    switch (E->kind()) {
-    case Expr::Kind::DeclRef:
-      return &cast<DeclRefExpr>(E)->name();
-    case Expr::Kind::Index:
-      E = cast<IndexExpr>(E)->base();
-      continue;
-    case Expr::Kind::Member: {
-      const auto *M = cast<MemberExpr>(E);
-      if (M->isArrow())
-        return nullptr;
-      E = M->base();
-      continue;
-    }
-    default:
-      return nullptr;
-    }
-  }
-  return nullptr;
-}
-
-/// Collects every variable name a loop condition reads. \returns false when
-/// the condition is unanalyzable (a dereference, arrow access, or call --
-/// its value can then change without any direct store), which disables the
-/// guard for that loop.
-bool collectCondVars(const Expr *E, std::set<std::string> &Names) {
-  if (!E)
-    return true;
-  switch (E->kind()) {
-  case Expr::Kind::IntegerLiteral:
-  case Expr::Kind::StringLiteral:
-  case Expr::Kind::SizeOf:
-    return true;
-  case Expr::Kind::DeclRef:
-    Names.insert(cast<DeclRefExpr>(E)->name());
-    return true;
-  case Expr::Kind::Unary: {
-    const auto *U = cast<UnaryExpr>(E);
-    if (U->op() == UnaryOp::Deref || U->op() == UnaryOp::AddrOf)
-      return false;
-    // Inc/dec conditions store too; simpler to call the loop unanalyzable
-    // than to model a condition with side effects.
-    if (U->op() != UnaryOp::Plus && U->op() != UnaryOp::Neg &&
-        U->op() != UnaryOp::LogicalNot && U->op() != UnaryOp::BitNot)
-      return false;
-    return collectCondVars(U->sub(), Names);
-  }
-  case Expr::Kind::Binary: {
-    const auto *B = cast<BinaryExpr>(E);
-    if (isAssignmentOp(B->op()))
-      return false; // Side-effecting condition: unanalyzable.
-    return collectCondVars(B->lhs(), Names) &&
-           collectCondVars(B->rhs(), Names);
-  }
-  case Expr::Kind::Conditional: {
-    const auto *C = cast<ConditionalExpr>(E);
-    return collectCondVars(C->cond(), Names) &&
-           collectCondVars(C->trueExpr(), Names) &&
-           collectCondVars(C->falseExpr(), Names);
-  }
-  case Expr::Kind::Index: {
-    const auto *Ix = cast<IndexExpr>(E);
-    return collectCondVars(Ix->base(), Names) &&
-           collectCondVars(Ix->index(), Names);
-  }
-  case Expr::Kind::Member: {
-    const auto *M = cast<MemberExpr>(E);
-    return !M->isArrow() && collectCondVars(M->base(), Names);
-  }
-  case Expr::Kind::Cast:
-    return collectCondVars(cast<CastExpr>(E)->sub(), Names);
-  default:
-    return false; // Calls and anything else: unanalyzable.
-  }
-}
-
-/// What one loop body (or for-step) can do that might end the loop.
-struct BodyEffects {
-  bool Escapes = false;      ///< break / return / goto inside the body.
-  bool Unanalyzable = false; ///< Call, pointer store, unknown-target store.
-  std::set<std::string> StoredNames;
-};
-
-void scanExprEffects(const Expr *E, BodyEffects &B) {
-  if (!E || B.Unanalyzable)
-    return;
-  switch (E->kind()) {
-  case Expr::Kind::Call:
-    // A call can store to globals or through escaped pointers.
-    B.Unanalyzable = true;
-    return;
-  case Expr::Kind::Unary: {
-    const auto *U = cast<UnaryExpr>(E);
-    switch (U->op()) {
-    case UnaryOp::PreInc:
-    case UnaryOp::PreDec:
-    case UnaryOp::PostInc:
-    case UnaryOp::PostDec: {
-      const std::string *Root = storeRootName(U->sub());
-      if (!Root)
-        B.Unanalyzable = true;
-      else
-        B.StoredNames.insert(*Root);
-      break;
-    }
-    default:
-      break;
-    }
-    scanExprEffects(U->sub(), B);
-    return;
-  }
-  case Expr::Kind::Binary: {
-    const auto *Bin = cast<BinaryExpr>(E);
-    if (isAssignmentOp(Bin->op())) {
-      const std::string *Root = storeRootName(Bin->lhs());
-      if (!Root) {
-        B.Unanalyzable = true; // `*p = ...` or another opaque target.
-        return;
-      }
-      B.StoredNames.insert(*Root);
-    }
-    scanExprEffects(Bin->lhs(), B);
-    scanExprEffects(Bin->rhs(), B);
-    return;
-  }
-  case Expr::Kind::Conditional: {
-    const auto *C = cast<ConditionalExpr>(E);
-    scanExprEffects(C->cond(), B);
-    scanExprEffects(C->trueExpr(), B);
-    scanExprEffects(C->falseExpr(), B);
-    return;
-  }
-  case Expr::Kind::Index: {
-    const auto *Ix = cast<IndexExpr>(E);
-    scanExprEffects(Ix->base(), B);
-    scanExprEffects(Ix->index(), B);
-    return;
-  }
-  case Expr::Kind::Member:
-    scanExprEffects(cast<MemberExpr>(E)->base(), B);
-    return;
-  case Expr::Kind::Cast:
-    scanExprEffects(cast<CastExpr>(E)->sub(), B);
-    return;
-  case Expr::Kind::InitList:
-    for (const Expr *Elem : cast<InitListExpr>(E)->elements())
-      scanExprEffects(Elem, B);
-    return;
-  default:
-    return; // Literals, refs, sizeof: no effects.
-  }
-}
-
-void scanStmtEffects(const Stmt *S, BodyEffects &B) {
-  if (!S || B.Unanalyzable)
-    return;
-  switch (S->kind()) {
-  case Stmt::Kind::Break:
-  case Stmt::Kind::Return:
-  case Stmt::Kind::Goto:
-    B.Escapes = true;
-    return;
-  case Stmt::Kind::Compound:
-    for (const Stmt *Child : cast<CompoundStmt>(S)->body())
-      scanStmtEffects(Child, B);
-    return;
-  case Stmt::Kind::Decl:
-    // A redeclaration shadows a condition variable; counting the name as
-    // stored is conservative in the guard's safe direction (keeps the
-    // probe alive for the oracle).
-    for (const VarDecl *V : cast<DeclStmt>(S)->decls()) {
-      B.StoredNames.insert(V->name());
-      scanExprEffects(V->init(), B);
-    }
-    return;
-  case Stmt::Kind::Expr:
-    scanExprEffects(cast<ExprStmt>(S)->expr(), B);
-    return;
-  case Stmt::Kind::If: {
-    const auto *I = cast<IfStmt>(S);
-    scanExprEffects(I->cond(), B);
-    scanStmtEffects(I->thenStmt(), B);
-    scanStmtEffects(I->elseStmt(), B);
-    return;
-  }
-  case Stmt::Kind::While: {
-    const auto *W = cast<WhileStmt>(S);
-    scanExprEffects(W->cond(), B);
-    scanStmtEffects(W->body(), B);
-    return;
-  }
-  case Stmt::Kind::Do: {
-    const auto *D = cast<DoStmt>(S);
-    scanStmtEffects(D->body(), B);
-    scanExprEffects(D->cond(), B);
-    return;
-  }
-  case Stmt::Kind::For: {
-    const auto *F = cast<ForStmt>(S);
-    scanStmtEffects(F->init(), B);
-    scanExprEffects(F->cond(), B);
-    scanExprEffects(F->step(), B);
-    scanStmtEffects(F->body(), B);
-    return;
-  }
-  case Stmt::Kind::Label:
-    scanStmtEffects(cast<LabelStmt>(S)->sub(), B);
-    return;
-  default:
-    return; // Continue / null statements: no escape, no store.
-  }
-}
-
-/// \returns true when this loop, once entered, provably never exits: its
-/// body (plus for-step) has no escape statement, no call, no opaque store,
-/// and no store to any variable the condition reads. A literal-zero
-/// condition is always bounded (never entered, or one do-while trip); a
-/// condition the scan cannot analyze disables the guard for this loop.
-bool loopIsUnbounded(const Expr *Cond, const Stmt *Body, const Expr *Step) {
-  std::set<std::string> CondVars;
-  if (Cond) {
-    if (const auto *Lit = dyn_cast<IntegerLiteral>(Cond)) {
-      if (Lit->value() == 0)
-        return false;
-      // Nonzero literal: no store can falsify it; CondVars stays empty.
-    } else if (!collectCondVars(Cond, CondVars)) {
-      return false;
-    }
-  }
-  // No condition (`for (;;)`) falls through with an empty CondVars set.
-  BodyEffects B;
-  scanStmtEffects(Body, B);
-  scanExprEffects(Step, B);
-  if (B.Escapes || B.Unanalyzable)
-    return false;
-  for (const std::string &Name : B.StoredNames)
-    if (CondVars.count(Name))
-      return false;
-  return true;
-}
-
-/// Recursively checks every loop under \p S.
-bool stmtHasUnboundedLoop(const Stmt *S) {
-  if (!S)
-    return false;
-  switch (S->kind()) {
-  case Stmt::Kind::Compound:
-    for (const Stmt *Child : cast<CompoundStmt>(S)->body())
-      if (stmtHasUnboundedLoop(Child))
-        return true;
-    return false;
-  case Stmt::Kind::If: {
-    const auto *I = cast<IfStmt>(S);
-    return stmtHasUnboundedLoop(I->thenStmt()) ||
-           stmtHasUnboundedLoop(I->elseStmt());
-  }
-  case Stmt::Kind::While: {
-    const auto *W = cast<WhileStmt>(S);
-    return loopIsUnbounded(W->cond(), W->body(), nullptr) ||
-           stmtHasUnboundedLoop(W->body());
-  }
-  case Stmt::Kind::Do: {
-    const auto *D = cast<DoStmt>(S);
-    return loopIsUnbounded(D->cond(), D->body(), nullptr) ||
-           stmtHasUnboundedLoop(D->body());
-  }
-  case Stmt::Kind::For: {
-    const auto *F = cast<ForStmt>(S);
-    return loopIsUnbounded(F->cond(), F->body(), F->step()) ||
-           stmtHasUnboundedLoop(F->body());
-  }
-  case Stmt::Kind::Label:
-    return stmtHasUnboundedLoop(cast<LabelStmt>(S)->sub());
-  default:
-    return false;
-  }
-}
-
-/// Parses \p Source and reports whether any function contains a statically
-/// unbounded loop. Unparseable candidates report false -- the oracle's own
-/// frontend check rejects them for the price of a parse anyway.
-bool hasStaticallyUnboundedLoop(const std::string &Source) {
-  ASTContext Ctx;
-  DiagnosticEngine Diags;
-  if (!Parser::parse(Source, Ctx, Diags))
-    return false;
-  for (const Decl *D : Ctx.TopLevel)
-    if (const auto *F = dyn_cast<FunctionDecl>(D))
-      if (F->isDefinition() && stmtHasUnboundedLoop(F->body()))
-        return true;
-  return false;
-}
-
-/// The probe predicate every pass runs candidates through: the static
-/// bounded-loop guard first (when enabled), then the signature oracle.
-struct Prober {
-  ReproOracle &Oracle;
-  bool Guard;
-  uint64_t Rejected = 0;
-
-  bool operator()(const std::string &Text) {
-    if (Guard && hasStaticallyUnboundedLoop(Text)) {
-      ++Rejected;
-      return false;
-    }
-    return Oracle.reproduces(Text);
-  }
-};
-
 /// One expression-simplification proposal: print \p E as one of Repls
 /// instead of its subtree.
 struct ExprCandidate {
@@ -575,7 +258,7 @@ private:
 };
 
 /// Pass 1: ddmin over statement ids.
-bool deleteStatements(std::string &Best, Prober &Probe,
+bool deleteStatements(std::string &Best, ReproOracle &Oracle,
                       ReductionOutcome &Out) {
   Analyzed A;
   if (!analyze(Best, A))
@@ -596,9 +279,10 @@ bool deleteStatements(std::string &Best, Prober &Probe,
     return P.print(*A.Ctx);
   };
 
-  std::vector<size_t> Keep = ddmin(
-      Cands.size(),
-      [&](const std::vector<size_t> &K) { return Probe(Render(K)); });
+  std::vector<size_t> Keep =
+      ddmin(Cands.size(), [&](const std::vector<size_t> &K) {
+        return Oracle.reproduces(Render(K));
+      });
   if (Keep.size() == Cands.size())
     return false;
   Best = Render(Keep);
@@ -607,7 +291,7 @@ bool deleteStatements(std::string &Best, Prober &Probe,
 }
 
 /// Pass 2: greedy top-level declaration dropping.
-bool dropDecls(std::string &Best, Prober &Probe,
+bool dropDecls(std::string &Best, ReproOracle &Oracle,
                ReductionOutcome &Out) {
   Analyzed A;
   if (!analyze(Best, A))
@@ -624,7 +308,7 @@ bool dropDecls(std::string &Best, Prober &Probe,
       if (F->name() == "main")
         continue;
     Dropped.insert(D);
-    if (!Probe(Render()))
+    if (!Oracle.reproduces(Render()))
       Dropped.erase(D);
   }
   if (Dropped.empty())
@@ -638,7 +322,8 @@ bool dropDecls(std::string &Best, Prober &Probe,
 /// replacements must strictly shrink the token count, which both guarantees
 /// termination and filters no-op probes (e.g. proposals under an already
 /// replaced ancestor render identically).
-bool simplifyExprs(std::string &Best, Prober &Probe, ReductionOutcome &Out) {
+bool simplifyExprs(std::string &Best, ReproOracle &Oracle,
+                   ReductionOutcome &Out) {
   Analyzed A;
   if (!analyze(Best, A))
     return false;
@@ -657,7 +342,7 @@ bool simplifyExprs(std::string &Best, Prober &Probe, ReductionOutcome &Out) {
       P.setReplacedExprs(std::move(Trial));
       std::string Text = P.print(*A.Ctx);
       uint64_t Tokens = tokenCount(Text);
-      if (Tokens >= BestTokens || !Probe(Text))
+      if (Tokens >= BestTokens || !Oracle.reproduces(Text))
         continue;
       Accepted[C.E] = Repl;
       BestTokens = Tokens;
@@ -678,27 +363,23 @@ ReductionOutcome SkeletonReducer::reduce(const std::string &Witness,
   Out.Reduced = Witness;
   Out.TokensBefore = Out.TokensAfter = tokenCount(Witness);
 
-  // The witness itself bypasses the static guard: it already reproduced in
-  // the campaign, so it terminates no matter what the guard would guess.
   ReproOracle Oracle(Spec, Cache, Backend);
   if (!Oracle.reproduces(Witness)) {
     Out.Oracle = Oracle.stats();
     return Out;
   }
 
-  Prober Probe{Oracle, Opts.BoundedLoopGuard};
   std::string Best = Witness;
   for (unsigned Pass = 0; Pass < MaxPasses; ++Pass) {
-    bool Changed = deleteStatements(Best, Probe, Out);
-    Changed |= dropDecls(Best, Probe, Out);
-    Changed |= simplifyExprs(Best, Probe, Out);
+    bool Changed = deleteStatements(Best, Oracle, Out);
+    Changed |= dropDecls(Best, Oracle, Out);
+    Changed |= simplifyExprs(Best, Oracle, Out);
     if (!Changed)
       break;
   }
 
   Out.Reduced = std::move(Best);
   Out.TokensAfter = tokenCount(Out.Reduced);
-  Out.UnboundedLoopProbesRejected = Probe.Rejected;
   Out.Oracle = Oracle.stats();
   return Out;
 }

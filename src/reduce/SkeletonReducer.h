@@ -29,12 +29,12 @@
 ///
 /// Every accepted step re-parses printed source, so the pipeline exercises
 /// the renderer/parser round-trip on each shrink; a candidate that fails its
-/// own frontend is simply rejected by the oracle. Candidates containing a
-/// statically unbounded loop (a frequent ddmin byproduct: the counter
-/// update deleted, the loop kept) are rejected before the oracle by a
-/// syntactic guard (ReducerOptions::BoundedLoopGuard) instead of by a full
-/// interpreter-step-budget timeout. All probe order is fixed, so reduction
-/// is deterministic for a deterministic oracle.
+/// own frontend is simply rejected by the oracle. So is a candidate that
+/// diverges (a frequent ddmin byproduct: the counter update deleted, the
+/// loop kept): the reference interpreter proves it non-terminating at the
+/// loop head once the loop-head state repeats or only drifts (DESIGN.md
+/// Section 18), long before the step budget runs out. All probe order is
+/// fixed, so reduction is deterministic for a deterministic oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,22 +47,6 @@
 
 namespace spe {
 
-/// The one reducer setting: whether the static loop guard runs.
-struct ReducerOptions {
-  /// Statically reject probe candidates containing a provably unbounded
-  /// loop before they reach the oracle. ddmin loves deleting a bounded
-  /// loop's counter update while keeping its body, and every such probe
-  /// costs a full interpreter step-budget exhaustion (Timeout) to reject
-  /// dynamically; a syntactic check -- a loop whose body has no escape
-  /// (break/return/goto), no call, no store through a pointer, and no
-  /// store to any variable its condition reads cannot terminate once
-  /// entered -- rejects them for the price of a parse. The check is
-  /// conservative in the safe direction: it only ever rejects candidates
-  /// (recorded in ReductionOutcome::UnboundedLoopProbesRejected), so a
-  /// false positive costs a missed shrink, never an unsound reduction.
-  bool BoundedLoopGuard = true;
-};
-
 /// Outcome of reducing one witness.
 struct ReductionOutcome {
   /// The reduced witness; equals the input when nothing could be removed
@@ -73,9 +57,6 @@ struct ReductionOutcome {
   uint64_t StatementsDeleted = 0;
   uint64_t DeclsDropped = 0;
   uint64_t ExprsSimplified = 0;
-  /// Probe candidates the static bounded-loop guard rejected without
-  /// consulting the oracle (ReducerOptions::BoundedLoopGuard).
-  uint64_t UnboundedLoopProbesRejected = 0;
   /// Oracle-side probe counters (reduce/BugRepro.h).
   ReproStats Oracle;
 };
@@ -85,17 +66,15 @@ class SkeletonReducer {
 public:
   /// \p Backend: compiler the signature-preservation probes run against
   /// (reduce/BugRepro.h); null = in-process MiniCC.
-  explicit SkeletonReducer(ReducerOptions Opts = {},
-                           OracleCache *Cache = nullptr,
+  explicit SkeletonReducer(OracleCache *Cache = nullptr,
                            const CompilerBackend *Backend = nullptr)
-      : Opts(Opts), Cache(Cache), Backend(Backend) {}
+      : Cache(Cache), Backend(Backend) {}
 
   /// Shrinks \p Witness while \p Spec keeps reproducing.
   ReductionOutcome reduce(const std::string &Witness,
                           const ReproSpec &Spec) const;
 
 private:
-  ReducerOptions Opts;
   OracleCache *Cache;
   const CompilerBackend *Backend;
 };

@@ -109,7 +109,7 @@ void spe::triageCampaign(CampaignResult &Result,
             break;
           }
     }
-    SkeletonReducer Reducer({}, Opts.Cache, ProbeBackend);
+    SkeletonReducer Reducer(Opts.Cache, ProbeBackend);
     VariantMinimizer Minimizer(Opts.Cache, ProbeBackend);
 
     ReproSpec Spec;

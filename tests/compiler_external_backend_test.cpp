@@ -779,6 +779,13 @@ TEST(BatchedExternalCampaignTest, HostCampaignIsBatchInvariantWithWarmPool) {
   CampaignResult R = DifferentialHarness(Opts).runCampaign(Seeds);
   EXPECT_TRUE(R == Ref) << "telemetry changed the pooled batched campaign";
   EXPECT_GT(R.Telemetry.countFor("batch_pack"), 0u);
+  // Exec time splits by config on the batched path too.
+  EXPECT_GT(R.Telemetry.countFor("exec"), 0u);
+  for (const auto &[Key, Agg] : R.Telemetry.Phases) {
+    if (Key.Phase == "exec") {
+      EXPECT_FALSE(Key.Config.empty()) << "exec span without a config label";
+    }
+  }
 }
 
 TEST(BatchedExternalCampaignTest, CheckpointedResumeAcrossBatchSizes) {

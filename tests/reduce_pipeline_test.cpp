@@ -11,12 +11,15 @@
 //   * SkeletonReducer shrinks real campaign witnesses while -- the core
 //     soundness property -- the reduced witness still triggers the original
 //     ground-truth bug under its original configuration;
+//   * the diverging probes a reduction meets (a loop's counter update
+//     deleted) are proven non-terminating at the loop head and rejected;
 //   * VariantMinimizer returns a reproducer at the lowest triggering rank
 //     of the witness's own skeleton, deterministically.
 //
 //===----------------------------------------------------------------------===//
 
 #include "compiler/Compiler.h"
+#include "interp/Interpreter.h"
 #include "lang/AstPrinter.h"
 #include "lang/Parser.h"
 #include "reduce/BugRepro.h"
@@ -229,7 +232,7 @@ TEST(SkeletonReducerTest, ShrinksCampaignWitnessesAndPreservesGroundTruth) {
   ASSERT_FALSE(Campaign.UniqueBugs.empty());
 
   OracleCache Cache;
-  SkeletonReducer Reducer({}, &Cache);
+  SkeletonReducer Reducer(&Cache);
   uint64_t TotalBefore = 0, TotalAfter = 0;
   for (const auto &[Id, Bug] : Campaign.UniqueBugs) {
     ReproSpec Spec = specOf(Bug);
@@ -251,13 +254,13 @@ TEST(SkeletonReducerTest, ShrinksCampaignWitnessesAndPreservesGroundTruth) {
   EXPECT_LT(TotalAfter, TotalBefore);
 }
 
-TEST(SkeletonReducerTest, BoundedLoopGuardRejectsUnboundedProbesStatically) {
+TEST(SkeletonReducerTest, DivergingProbesAreProvenAtTheLoopHead) {
   // A witness whose crash feature (identical conditional arms, the
   // operand_equal_p ICE) sits inside a bounded counter loop. ddmin's
   // natural first move -- delete the counter update, keep the loop --
-  // produces probes that diverge; without the guard each one burns a full
-  // interpreter step budget before the oracle can reject it (visible as
-  // ReproStats::TimeoutRuns), with the guard they are rejected by a parse.
+  // produces probes that diverge. The oracle rejects them like any other
+  // non-terminating variant, and proves them divergent as soon as the
+  // loop-head state repeats instead of spending the step budget.
   const std::string Witness = "int main(void)\n{\n"
                               "  int x = 1;\n"
                               "  int y = 2;\n"
@@ -281,24 +284,31 @@ TEST(SkeletonReducerTest, BoundedLoopGuardRejectsUnboundedProbesStatically) {
     ASSERT_TRUE(Check.reproduces(Witness));
   }
 
-  ReducerOptions GuardOff;
-  GuardOff.BoundedLoopGuard = false;
-  ReductionOutcome Unguarded = SkeletonReducer(GuardOff).reduce(Witness, Spec);
-  EXPECT_GT(Unguarded.Oracle.TimeoutRuns, 0u)
+  // The probe ddmin meets: the counter update deleted, under the default
+  // step budget.
+  std::string Diverging = Witness;
+  const std::string Update = "    n = n - 1;\n";
+  size_t At = Diverging.find(Update);
+  ASSERT_NE(At, std::string::npos);
+  Diverging.erase(At, Update.size());
+  std::unique_ptr<Sema> Analysis;
+  std::unique_ptr<ASTContext> Ctx = parseAndAnalyze(Diverging, Analysis);
+  ASSERT_TRUE(Ctx);
+  ExecResult Run = interpret(*Ctx);
+  EXPECT_EQ(Run.Status, ExecStatus::Timeout);
+  EXPECT_EQ(Run.Reason, TimeoutReason::Repeat)
+      << "the counter-free loop was not proven divergent at its head";
+
+  ReductionOutcome Out = SkeletonReducer().reduce(Witness, Spec);
+  EXPECT_GT(Out.Oracle.TimeoutRuns, 0u)
       << "deleting the counter update never produced a diverging probe -- "
-         "the regression scenario is not being exercised";
-  EXPECT_EQ(Unguarded.UnboundedLoopProbesRejected, 0u);
+         "the scenario is not being exercised";
 
-  ReductionOutcome Guarded = SkeletonReducer().reduce(Witness, Spec);
-  EXPECT_EQ(Guarded.Oracle.TimeoutRuns, 0u)
-      << "a statically unbounded probe still reached the oracle";
-  EXPECT_GT(Guarded.UnboundedLoopProbesRejected, 0u);
-
-  // The guard is an optimization, not a semantics change: the reduced
-  // witness still reproduces, and the conditional-arms feature survived.
+  // Rejecting diverging probes costs shrinks, never soundness: the reduced
+  // witness still reproduces, and it shrank.
   ReproOracle Check(Spec);
-  EXPECT_TRUE(Check.reproduces(Guarded.Reduced));
-  EXPECT_LT(Guarded.TokensAfter, Guarded.TokensBefore);
+  EXPECT_TRUE(Check.reproduces(Out.Reduced));
+  EXPECT_LT(Out.TokensAfter, Out.TokensBefore);
 }
 
 TEST(SkeletonReducerTest, NonReproducingWitnessIsReturnedUnchanged) {

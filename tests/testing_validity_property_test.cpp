@@ -7,7 +7,9 @@
 //     pruning drops must be rejected by the variant frontend or by the
 //     reference oracle. Checked for all embedded handwritten seeds plus 50
 //     generated corpus programs (with the uninitialized-local knob on, so
-//     the def-before-use layer actually fires).
+//     the def-before-use layer actually fires), and for one seed whose
+//     invalid spans are wider than one rank, so the span decoder's widths
+//     decide what is skipped.
 //
 //   * A pruned, a memoized, and a pruned + memoized campaign must each
 //     produce the bit-identical deduped FoundBug set, identical coverage,
@@ -39,6 +41,8 @@
 #include "testing/OracleCache.h"
 
 #include "gtest/gtest.h"
+
+#include <algorithm>
 
 using namespace spe;
 
@@ -128,6 +132,9 @@ struct PruneSweepStats {
   uint64_t Variants = 0;
   uint64_t Dropped = 0;
   unsigned SeedsWithFacts = 0;
+  /// The widest invalid span (invalidSpanEnd minus the rank) that starts at
+  /// a dropped rank.
+  uint64_t WidestSpan = 0;
 };
 
 /// The soundness core, applied to each seed of \p Seeds: the pruned cursor
@@ -193,12 +200,17 @@ PruneSweepStats checkExactOracleValidSet(const std::vector<std::string> &Seeds,
               AllTexts.size())
         << Seed;
     size_t PI = 0;
-    for (const std::string &Text : AllTexts) {
+    for (size_t Rank = 0; Rank < AllTexts.size(); ++Rank) {
+      const std::string &Text = AllTexts[Rank];
       if (PI < PrunedTexts.size() && PrunedTexts[PI] == Text) {
         ++PI;
         continue;
       }
       ++Stats.Dropped;
+      BigInt Span =
+          Pruned.invalidSpanEnd(BigInt(Rank), Ptrs) - BigInt(Rank);
+      if (Span.fitsInUint64())
+        Stats.WidestSpan = std::max(Stats.WidestSpan, Span.toUint64());
       EXPECT_FALSE(oracleAccepts(Text))
           << "pruning dropped an oracle-valid variant of seed:\n"
           << Seed << "\nvariant:\n"
@@ -221,6 +233,21 @@ TEST(ValidityPropertyTest, PrunedEnumerationKeepsExactlyTheOracleValidSet) {
   EXPECT_GE(Stats.SeedsWithFacts, 20u);
   EXPECT_GT(Stats.Dropped, 0u);
   EXPECT_GT(Stats.Variants, 1000u);
+
+  // Every invalid span of this corpus and of the loop corpus is one rank
+  // wide, so the one-rank rule settles them and the span decoder never
+  // decides what is skipped. Here a read of the uninitialized `u` makes every completion
+  // of that choice invalid: of 14 ranks, 0-9 drop in spans of 5, 3 and 2,
+  // and 10-13 are valid, so a decoder that reports a span one rank too
+  // long skips rank 10.
+  PruneSweepStats Wide = checkExactOracleValidSet(
+      {"int main(void) { int u; { int a = 1; int b = 2; "
+       "return a + b + a; } }"},
+      1200);
+  EXPECT_EQ(Wide.Variants, 14u);
+  EXPECT_EQ(Wide.Dropped, 10u);
+  EXPECT_GT(Wide.WidestSpan, 1u)
+      << "the seed's invalid spans degraded to one rank";
 }
 
 TEST(ValidityPropertyTest, LoopCorpusPrunedEnumerationKeepsOracleValidSet) {

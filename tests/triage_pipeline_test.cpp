@@ -12,12 +12,16 @@
 //   * every reduced reproducer still triggers its original signature AND
 //     its original injected ground-truth bug;
 //   * the mean reproducer token count shrinks by >= 40% versus the raw
-//     representative witness.
+//     representative witness;
+//   * the whole triaged report of two campaigns matches pinned FNV-1a
+//     digests: example_triage_campaign's, and the loop corpus, whose
+//     reduction meets diverging probes.
 //
 //===----------------------------------------------------------------------===//
 
 #include "compiler/Compiler.h"
 #include "lang/Parser.h"
+#include "persist/LineText.h"
 #include "reduce/BugRepro.h"
 #include "reduce/SkeletonReducer.h"
 #include "sema/Sema.h"
@@ -44,13 +48,16 @@ std::vector<std::string> corpusSeeds() {
 /// The two-persona trunk campaign over the paper's crash matrix; triage is
 /// run explicitly on the merged result so both personas share one report.
 CampaignResult twoPersonaCampaign(const std::vector<std::string> &Seeds,
-                                  OracleCache *Cache, unsigned Threads) {
+                                  OracleCache *Cache, unsigned Threads,
+                                  uint64_t VariantBudget = 150,
+                                  uint64_t VariantThreshold = 10'000) {
   CampaignResult Total;
   for (Persona P : {Persona::GccSim, Persona::ClangSim}) {
     HarnessOptions Opts;
     Opts.Configs =
         HarnessOptions::crashMatrix(P, P == Persona::GccSim ? 70 : 40);
-    Opts.VariantBudget = 150;
+    Opts.VariantBudget = VariantBudget;
+    Opts.VariantThreshold = VariantThreshold;
     Opts.Cache = Cache;
     Opts.Threads = Threads;
     Total.merge(DifferentialHarness(Opts).runCampaign(Seeds));
@@ -76,7 +83,88 @@ bool triggersGroundTruth(const std::string &Source, const FoundBug &Bug) {
   return false;
 }
 
+/// FNV-1a over what a triaged report says about each cluster: its
+/// signature, final reproducer, member ids, raw count and token counts.
+uint64_t reportDigest(const CampaignResult &R) {
+  linetext::Fnv H;
+  H.u64(R.Triaged.size());
+  for (const TriagedBug &Cluster : R.Triaged) {
+    H.str(Cluster.Sig.str());
+    H.str(Cluster.Representative.WitnessProgram);
+    H.u64(Cluster.MemberIds.size());
+    for (int Id : Cluster.MemberIds)
+      H.u64(static_cast<uint64_t>(Id));
+    H.u64(Cluster.RawCount);
+    H.u64(Cluster.TokensBefore);
+    H.u64(Cluster.TokensAfter);
+  }
+  return H.H;
+}
+
+/// The shrink counters of ReductionStats. Its probe, oracle-run and
+/// cache-hit counters are left out: they measure what reduction cost, not
+/// what it reported.
+void expectShrinks(const ReductionStats &S, uint64_t StatementsDeleted,
+                   uint64_t DeclsDropped, uint64_t ExprsSimplified,
+                   uint64_t RankMinimized) {
+  EXPECT_EQ(S.StatementsDeleted, StatementsDeleted);
+  EXPECT_EQ(S.DeclsDropped, DeclsDropped);
+  EXPECT_EQ(S.ExprsSimplified, ExprsSimplified);
+  EXPECT_EQ(S.RankMinimized, RankMinimized);
+}
+
+/// Runs \p Seeds through twoPersonaCampaign and triages the result through
+/// the campaign's own cache.
+CampaignResult triagedCampaign(const std::vector<std::string> &Seeds,
+                               uint64_t VariantBudget,
+                               uint64_t VariantThreshold) {
+  OracleCache Cache;
+  CampaignResult Campaign =
+      twoPersonaCampaign(Seeds, &Cache, 1, VariantBudget, VariantThreshold);
+  HarnessOptions Opts;
+  Opts.Cache = &Cache;
+  triageCampaign(Campaign, Opts);
+  return Campaign;
+}
+
 } // namespace
+
+TEST(TriagePipelineTest, TriagedReportsMatchPinnedDigests) {
+  // The report must not move by a byte when reduction gets cheaper. The
+  // digests were computed while the reducer still rejected every probe
+  // with a syntactically unbounded loop before it reached the oracle; the
+  // oracle's loop-head proofs now reject the diverging ones, and the same
+  // reproducers come out.
+  //
+  // example_triage_campaign's campaign: embedded seeds plus
+  // generateCorpus(3000, 24) at UninitLocalProb 0.6, budget 150.
+  CorpusOptions Base;
+  Base.UninitLocalProb = 0.6;
+  std::vector<std::string> Seeds = embeddedSeeds();
+  std::vector<std::string> Gen = generateCorpus(3000, 24, Base);
+  Seeds.insert(Seeds.end(), Gen.begin(), Gen.end());
+  CampaignResult Example = triagedCampaign(Seeds, 150, 10'000);
+  EXPECT_EQ(Example.Triaged.size(), 8u);
+  EXPECT_EQ(reportDigest(Example), 2065307440051538979ull);
+  expectShrinks(Example.Reduction, 9, 7, 7, 0);
+
+  // The loop corpus, whose ddmin probes delete counter updates and so
+  // diverge: generateCorpus(8000, 12) with loop, rich-helper and uninit
+  // probabilities 0.6, budget 200, and a threshold that admits every seed.
+  CorpusOptions Loops;
+  Loops.UninitLocalProb = 0.6;
+  Loops.BoundedLoopProb = 0.6;
+  Loops.RichHelperProb = 0.6;
+  CampaignResult LoopRun = triagedCampaign(generateCorpus(8000, 12, Loops),
+                                           200, 1'000'000'000'000'000'000ull);
+  EXPECT_EQ(LoopRun.Triaged.size(), 3u);
+  EXPECT_EQ(reportDigest(LoopRun), 5285270623232226880ull);
+  // Rejecting probes syntactically made this 8: it also rejected a
+  // reproducing probe that emptied a never-called helper's loop, so ddmin
+  // kept a statement that took one more simplification to shrink. The
+  // reproducers are the same either way.
+  expectShrinks(LoopRun.Reduction, 72, 3, 7, 0);
+}
 
 TEST(TriagePipelineTest, SignatureClusteringCollapsesConfigDuplicates) {
   OracleCache Cache;
