@@ -250,7 +250,12 @@ ExternalBackend::~ExternalBackend() {
   // The pool first: its workers must not outlive the scratch directory
   // their jobs write into.
   Pool.reset();
-  if (!OwnScratchDir || Opts.KeepArtifacts)
+  if (Opts.KeepArtifacts)
+    return;
+  for (const std::string &Obj : DispatcherObj)
+    if (!Obj.empty())
+      std::remove(Obj.c_str());
+  if (!OwnScratchDir)
     return;
   if (DIR *D = opendir(ScratchDir.c_str())) {
     while (dirent *E = readdir(D)) {
@@ -340,14 +345,16 @@ std::string ExternalBackend::scratchBase() const {
          std::to_string(N);
 }
 
-ProcessResult ExternalBackend::runTool(const std::vector<std::string> &Argv,
-                                       const ProcessOptions &PO) const {
+ProcessResult
+ExternalBackend::runCompiler(const std::vector<std::string> &Argv,
+                             const ProcessOptions &PO) const {
   return Pool ? Pool->run(Argv, PO) : runProcess(Argv, PO);
 }
 
 std::vector<std::string>
 ExternalBackend::compileArgv(const std::string &Src, const std::string &Bin,
-                             const CompilerConfig &Config) const {
+                             const CompilerConfig &Config,
+                             const std::string &Link) const {
   std::vector<std::string> Argv = Opts.Command;
   Argv.insert(Argv.end(), Opts.ExtraArgs.begin(), Opts.ExtraArgs.end());
   if (Opts.MapOptLevel)
@@ -355,9 +362,36 @@ ExternalBackend::compileArgv(const std::string &Src, const std::string &Bin,
   if (Opts.MapMachineMode)
     Argv.push_back(Config.Mode64 ? "-m64" : "-m32");
   Argv.push_back(Src);
+  if (!Link.empty())
+    Argv.push_back(Link);
   Argv.push_back("-o");
   Argv.push_back(Bin);
   return Argv;
+}
+
+std::string ExternalBackend::dispatcherFor(const CompilerConfig &Config) const {
+  size_t Mode = Opts.MapMachineMode && !Config.Mode64 ? 1 : 0;
+  std::lock_guard<std::mutex> Lock(DispatcherMu);
+  if (DispatcherTried[Mode])
+    return DispatcherObj[Mode];
+  DispatcherTried[Mode] = true;
+  std::string Base = scratchBase();
+  std::string Src = Base + "-dispatch.c";
+  std::string Obj = Base + "-dispatch.o";
+  if (!writeFile(Src, BatchRenderer::dispatcherSource()))
+    return {};
+  std::vector<std::string> Argv = Opts.Command;
+  Argv.insert(Argv.end(), Opts.ExtraArgs.begin(), Opts.ExtraArgs.end());
+  if (Opts.MapMachineMode)
+    Argv.push_back(Config.Mode64 ? "-m64" : "-m32");
+  Argv.insert(Argv.end(), {"-c", Src, "-o", Obj});
+  ProcessOptions PO;
+  PO.TimeoutMs = Opts.CompileTimeoutMs;
+  if (runCompiler(Argv, PO).exitedWith(0))
+    DispatcherObj[Mode] = Obj;
+  if (!Opts.KeepArtifacts)
+    std::remove(Src.c_str());
+  return DispatcherObj[Mode];
 }
 
 BackendObservation ExternalBackend::run(const std::string &Source,
@@ -416,7 +450,7 @@ ExternalBackend::runSweep(const std::string &Source,
   ProcessResult C;
   {
     SpanTimer Span(Sink, nullptr, "compile", TelLabel, Cfg);
-    C = runTool(compileArgv(Src, Bin, Config), PO);
+    C = runCompiler(compileArgv(Src, Bin, Config), PO);
   }
   switch (C.St) {
   case ProcessResult::Status::StartFailed:
@@ -462,7 +496,7 @@ ExternalBackend::runSweep(const std::string &Source,
     ProcessResult R;
     {
       SpanTimer Span(Sink, nullptr, "exec", TelLabel, Cfg);
-      R = runTool({Bin}, RO);
+      R = runProcess({Bin}, RO);
     }
     if (R.St == ProcessResult::Status::StartFailed) {
       // We never ran the binary -- transient fork pressure, or an artifact
@@ -494,12 +528,19 @@ ExternalBackend::beginBatch(std::vector<std::string> Sources,
 
   TelemetrySink *Sink = Opts.Telemetry;
   BatchRenderer::Result P;
+  std::vector<std::string> Links(T->Configs.size());
   {
     SpanTimer Span(Sink, nullptr, "batch_pack", TelLabel);
     P = BatchRenderer::pack(T->Sources, Opts.Prelude);
+    for (size_t C = 0; P.Ok && C < T->Configs.size(); ++C) {
+      Links[C] = dispatcherFor(T->Configs[C]);
+      P.Ok = !Links[C].empty();
+    }
   }
+  // A variant that does not re-lex, or a compiler that cannot build the
+  // dispatcher: the solo path is always right.
   if (!P.Ok)
-    return T; // A variant that does not re-lex: the solo path is always right.
+    return T;
 
   std::string Base = scratchBase();
   T->Src = Base + ".c";
@@ -519,7 +560,8 @@ ExternalBackend::beginBatch(std::vector<std::string> Sources,
       // The overlap the pool exists for: compiles start now, while the
       // harness worker goes back to rendering and interpreting. Without a
       // pool the compile happens synchronously in finishBatch.
-      CC.Job = Pool->submit(compileArgv(T->Src, CC.Bin, T->Configs[C]), PO);
+      CC.Job = Pool->submit(
+          compileArgv(T->Src, CC.Bin, T->Configs[C], Links[C]), PO);
       CC.Submitted = true;
       if (Sink)
         CC.SubmitUs = Sink->nowUs();
@@ -540,8 +582,7 @@ ExternalBackend::finishBatch(std::unique_ptr<BatchTicket> Ticket) const {
   if (!T->Packed) {
     for (size_t I = 0; I < T->Sources.size(); ++I)
       for (size_t C = 0; C < T->Configs.size(); ++C)
-        Out[I][C] = runSweep(T->Sources[I], T->Configs[C],
-                             configInputs(T->Configs[C]), nullptr);
+        Out[I][C] = runSolo(T->Sources[I], T->Configs[C]);
     return Out;
   }
 
@@ -573,11 +614,23 @@ ExternalBackend::finishBatch(std::unique_ptr<BatchTicket> Ticket) const {
                               Sink->nowUs() - CC.SubmitUs);
     } else {
       SpanTimer Span(Sink, nullptr, "compile", TelLabel, Cfg);
-      CR = runTool(compileArgv(T->Src, CC.Bin, T->Configs[C]), PO);
+      CR = runCompiler(compileArgv(T->Src, CC.Bin, T->Configs[C],
+                                   dispatcherFor(T->Configs[C])),
+                       PO);
     }
     resolveSubset(*T, C, All, &CR, CC.Bin, Out);
   }
   return Out; // ~ExternalBatchTicket removes the scratch files.
+}
+
+std::vector<BackendObservation>
+ExternalBackend::runSolo(const std::string &Source,
+                         const CompilerConfig &Config) const {
+  SpanTimer Span(Opts.Telemetry, nullptr, "solo", TelLabel,
+                 Opts.Telemetry
+                     ? telemetryConfigLabel(Config.OptLevel, Config.Mode64)
+                     : std::string());
+  return runSweep(Source, Config, configInputs(Config), nullptr);
 }
 
 void ExternalBackend::resolveSubset(
@@ -590,14 +643,8 @@ void ExternalBackend::resolveSubset(
   const std::string Cfg =
       Opts.Telemetry ? telemetryConfigLabel(Config.OptLevel, Config.Mode64)
                      : std::string();
-  // Each local sweep input's index in the batch's sweep union -- the index
-  // space BatchExpectation::cell() speaks.
-  std::vector<size_t> UnionIdx(Ins.size(), 0);
-  for (size_t I = 0; I < Ins.size(); ++I)
-    UnionIdx[I] = static_cast<size_t>(
-        std::find(T.Union.begin(), T.Union.end(), Ins[I]) - T.Union.begin());
   auto Solo = [&](size_t V) {
-    Out[V][ConfigIdx] = runSweep(T.Sources[V], Config, Ins, nullptr);
+    Out[V][ConfigIdx] = runSolo(T.Sources[V], Config);
   };
 
   ProcessResult CR;
@@ -647,7 +694,8 @@ void ExternalBackend::resolveSubset(
     ProcessOptions PO;
     PO.TimeoutMs = Opts.CompileTimeoutMs;
     SpanTimer Span(Opts.Telemetry, nullptr, "compile", TelLabel, Cfg);
-    CR = runTool(compileArgv(Scope.Src, Bin, Config), PO);
+    CR = runCompiler(compileArgv(Scope.Src, Bin, Config, dispatcherFor(Config)),
+                     PO);
   }
 
   if (!CR.exitedWith(0)) {
@@ -668,51 +716,73 @@ void ExternalBackend::resolveSubset(
     return;
   }
 
-  ProcessOptions RO;
-  RO.TimeoutMs = Opts.ExecTimeoutMs;
+  // Solo-verification invariant, row edition: only a row whose every
+  // executed cell exactly reproduces its oracle expectation is kept -- and
+  // such a row records nothing downstream. Any deviating cell (trap, hang,
+  // divergent exit or output, no well-formed frame, missing expectation)
+  // sends the whole (variant, config) row back through unbatched
+  // runSweep() so the recorded row shares one single-compile provenance.
+  // Cells whose input the oracle excluded (Cell.Valid false under a valid
+  // expectation) are never executed here and stay Exec = NotRun; the
+  // harness skips them by oracle verdict, never by looking at the
+  // observation, so the shape difference against a runSweep() row is
+  // unobservable. The one thing none of this can catch is a batch compile
+  // *masking* a divergence its solo compile would show while still
+  // matching the oracle -- see DESIGN.md Section 13 for why that is
+  // accepted.
+  std::vector<const BatchExpectation *> Expect(Subset.size(), nullptr);
+  std::vector<bool> Clean(Subset.size(), false);
+  std::vector<std::vector<BackendObservation>> Rows(
+      Subset.size(), std::vector<BackendObservation>(Ins.size()));
   for (size_t Local = 0; Local < Subset.size(); ++Local) {
     size_t V = Subset[Local];
-    // Solo-verification invariant, row edition: only a row whose every
-    // executed cell exactly reproduces its oracle expectation is kept --
-    // and such a row records nothing downstream. Any deviating cell
-    // (trap, hang, divergent exit or output, missing expectation) sends
-    // the whole (variant, config) row back through unbatched runSweep()
-    // so the recorded row shares one single-compile provenance. Cells
-    // whose input the oracle excluded (Cell.Valid false under a valid
-    // expectation) are never executed here and stay Exec = NotRun; the
-    // harness skips them by oracle verdict, never by looking at the
-    // observation, so the shape difference against a runSweep() row is
-    // unobservable. The one thing none of this can catch is a batch
-    // compile *masking* a divergence its solo compile would show while
-    // still matching the oracle -- see DESIGN.md Section 13 for why that
-    // is accepted.
-    const BatchExpectation *E =
-        V < T.Expected.size() ? &T.Expected[V] : nullptr;
-    std::vector<BackendObservation> RowObs(Ins.size());
-    bool RowClean = E && E->Valid;
-    for (size_t I = 0; RowClean && I < Ins.size(); ++I) {
-      BatchExpectation::Cell Cell = E->cell(UnionIdx[I]);
-      RowObs[I].Compile = BackendObservation::CompileStatus::Ok;
-      if (!Cell.Valid)
-        continue; // Excluded input: not executed, not compared.
-      RO.StdinData = Ins[I];
-      ProcessResult R;
-      {
-        SpanTimer Span(Opts.Telemetry, nullptr, "exec", TelLabel, Cfg);
-        R = runTool({Bin, std::to_string(Local)}, RO);
-      }
-      if (R.St == ProcessResult::Status::StartFailed) {
-        RowClean = false;
-        break;
-      }
-      classifyExecInto(R, RowObs[I]);
-      RowClean = RowObs[I].Exec == BackendObservation::ExecStatus::Ok &&
-                 classifyDivergence(RowObs[I], Cell.ExitCode, Cell.Output)
-                     .empty();
+    Expect[Local] = V < T.Expected.size() ? &T.Expected[V] : nullptr;
+    Clean[Local] = Expect[Local] && Expect[Local]->Valid;
+    for (BackendObservation &Obs : Rows[Local])
+      Obs.Compile = BackendObservation::CompileStatus::Ok;
+  }
+  // One run of the packed binary per sweep input executes every member
+  // whose row is still clean and whose cell the oracle kept, each in its
+  // own forked child under its own ExecTimeoutMs (compiler/BatchRenderer.h).
+  for (size_t I = 0; I < Ins.size(); ++I) {
+    // This input's index in the batch's sweep union -- the index space
+    // BatchExpectation::cell() speaks.
+    size_t U = static_cast<size_t>(
+        std::find(T.Union.begin(), T.Union.end(), Ins[I]) - T.Union.begin());
+    std::vector<size_t> Members;
+    for (size_t Local = 0; Local < Subset.size(); ++Local)
+      if (Clean[Local] && Expect[Local]->cell(U).Valid)
+        Members.push_back(Local);
+    if (Members.empty())
+      continue;
+    ProcessOptions RO;
+    RO.TimeoutMs = Opts.ExecTimeoutMs;
+    RO.StdinData = Ins[I];
+    BatchRenderer::Dispatch D = BatchRenderer::dispatch(Bin, Members, RO);
+    ProcessResult R;
+    {
+      SpanTimer Span(Opts.Telemetry, nullptr, "exec", TelLabel, Cfg);
+      R = runProcess(D.Argv, D.Opts);
     }
-    if (RowClean)
-      Out[V][ConfigIdx] = std::move(RowObs);
+    std::vector<ProcessResult> Frames = BatchRenderer::frames(D, R);
+    for (size_t M = 0; M < Members.size(); ++M) {
+      size_t Local = Members[M];
+      if (Frames[M].St == ProcessResult::Status::StartFailed) {
+        Clean[Local] = false;
+        continue;
+      }
+      BackendObservation &Obs = Rows[Local][I];
+      classifyExecInto(Frames[M], Obs);
+      BatchExpectation::Cell Cell = Expect[Local]->cell(U);
+      Clean[Local] = Obs.Exec == BackendObservation::ExecStatus::Ok &&
+                     classifyDivergence(Obs, Cell.ExitCode, Cell.Output)
+                         .empty();
+    }
+  }
+  for (size_t Local = 0; Local < Subset.size(); ++Local) {
+    if (Clean[Local])
+      Out[Subset[Local]][ConfigIdx] = std::move(Rows[Local]);
     else
-      Solo(V);
+      Solo(Subset[Local]);
   }
 }

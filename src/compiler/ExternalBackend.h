@@ -29,15 +29,19 @@
 /// Batched path (DESIGN.md Section 13): beginBatch packs K variants into
 /// one translation unit (compiler/BatchRenderer.h) and compiles it once
 /// per configuration -- asynchronously on the process pool when
-/// Opts.PoolWorkers > 0 -- then finishBatch executes each member as its
-/// own process, once per sweep input (the input delivered over stdin; the
-/// argv slot stays the dispatch index). The batch is an amortization,
-/// never an oracle: a batch compile failure is bisected by recursive
-/// split down to single variants, and a batched execution cell that
-/// deviates from the harness's expectation in any way sends its whole
-/// (variant, config) row back through unbatched runSweep(), so every
-/// observation that can become a finding carries ordinary single-variant
-/// provenance and campaign results are bit-identical to BatchSize = 1.
+/// Opts.PoolWorkers > 0 -- then finishBatch runs the packed binary once
+/// per configuration and sweep input: its dispatcher main (an object
+/// compiled once per machine mode and linked into every packed binary)
+/// forks one child per member, each under its own ExecTimeoutMs, and
+/// frames every member's exit status and stdout. The batch is an
+/// amortization, never an oracle: a batch compile failure is bisected by
+/// recursive split down to single variants, and a batched execution cell
+/// that deviates from the harness's expectation in any way -- including a
+/// missing or malformed frame and a dispatcher that fails -- sends its
+/// whole (variant, config) row back through unbatched runSweep(), so
+/// every observation that can become a finding carries ordinary
+/// single-variant provenance and campaign results are bit-identical to
+/// BatchSize = 1.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,6 +54,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -93,18 +98,23 @@ struct ExternalBackendOptions {
   /// Keep scratch files (and the scratch directory) instead of removing
   /// them on destruction (debugging).
   bool KeepArtifacts = false;
-  /// Worker threads running compiler/binary subprocesses on this
-  /// backend's behalf (support/ProcessPool.h). 0 = no pool, every
-  /// subprocess run on the calling thread. The pool overlaps batch compiles
-  /// with the harness's oracle work and runs one batch's per-config
-  /// compiles concurrently; it never changes any observation, so it is
-  /// (like BatchSize) excluded from identity() and the resume fingerprint.
+  /// Worker threads running compiler subprocesses on this backend's
+  /// behalf (support/ProcessPool.h). 0 = no pool, every compile run on the
+  /// calling thread. The pool overlaps batch compiles with the harness's
+  /// oracle work and runs one batch's per-config compiles concurrently.
+  /// Compiled binaries always run on the calling thread, so a batch's
+  /// execution never queues behind the next batch's compiles. The pool
+  /// never changes any observation, so it is (like BatchSize) excluded
+  /// from identity() and the resume fingerprint.
   unsigned PoolWorkers = 0;
   /// Campaign telemetry sink (support/Telemetry.h); null = off. Global
   /// spans: "compile" per compiler invocation (for pooled batch compiles,
   /// the honest submit-to-collect latency folds aggregate-only under the
   /// same key while "compile_wait" traces the blocking wait), "batch_pack"
-  /// around TU packing, "exec" around compiled-binary executions.
+  /// around TU packing (and the once-per-machine-mode dispatcher compile),
+  /// "exec" around compiled-binary executions (one per packed binary run
+  /// on the batched path), and "solo" around every (variant, config) row a
+  /// batch resolves through unbatched runSweep().
   /// Observation only -- excluded from identity() and every resume
   /// fingerprint, exactly like PoolWorkers.
   TelemetrySink *Telemetry = nullptr;
@@ -180,27 +190,37 @@ private:
   friend struct ExternalBatchTicket;
 
   std::string scratchBase() const;
-  /// Runs one subprocess, through the process pool when one exists --
-  /// identical results either way (the pool's contract).
-  ProcessResult runTool(const std::vector<std::string> &Argv,
-                        const ProcessOptions &PO) const;
-  /// The compile command line for one (source file, output, config).
+  /// Runs one compiler subprocess, through the process pool when one
+  /// exists -- identical results either way (the pool's contract).
+  ProcessResult runCompiler(const std::vector<std::string> &Argv,
+                            const ProcessOptions &PO) const;
+  /// The compile command line for one (source file, output, config);
+  /// \p Link, when set, is an object linked in after the source.
   std::vector<std::string> compileArgv(const std::string &Src,
                                        const std::string &Bin,
-                                       const CompilerConfig &Config) const;
+                                       const CompilerConfig &Config,
+                                       const std::string &Link = {}) const;
+  /// The dispatcher object (BatchRenderer::dispatcherSource()) that packed
+  /// binaries under \p Config link, compiled on first use once per
+  /// machine mode by this compiler at its default optimization level.
+  /// Empty when it does not compile: such batches resolve solo.
+  std::string dispatcherFor(const CompilerConfig &Config) const;
   /// Resolves the members of \p Subset for configuration \p ConfigIdx into
   /// \p Out: compiles the packed subset (or accepts \p Known, the already
-  /// finished compile of exactly this subset), executes members of a
-  /// successful compile once per sweep input, and recursively splits a
-  /// failed compile down to single variants, which are resolved by plain
-  /// runSweep(). Any executed cell that deviates from its expectation
-  /// sends the whole (variant, config) row back through runSweep() so
-  /// every recorded row shares one unbatched compile.
+  /// finished compile of exactly this subset), runs a successful compile
+  /// once per sweep input, and recursively splits a failed compile down to
+  /// single variants, which are resolved by plain runSweep(). Any executed
+  /// cell that deviates from its expectation sends the whole (variant,
+  /// config) row back through runSweep() so every recorded row shares one
+  /// unbatched compile.
   void resolveSubset(
       const ExternalBatchTicket &T, size_t ConfigIdx,
       const std::vector<size_t> &Subset, const ProcessResult *Known,
       const std::string &KnownBin,
       std::vector<std::vector<std::vector<BackendObservation>>> &Out) const;
+  /// runSweep() of one row a batch could not keep, inside a "solo" span.
+  std::vector<BackendObservation> runSolo(const std::string &Source,
+                                          const CompilerConfig &Config) const;
   /// One loud line on the first infrastructure failure (scratch write,
   /// a compiler or binary that did not start); such variants are skipped, never
   /// classified, so they cannot fabricate findings.
@@ -219,6 +239,12 @@ private:
   /// directory could not be created.
   bool OwnScratchDir = false;
   std::unique_ptr<ProcessPool> Pool;
+  /// dispatcherFor()'s objects, by machine mode (index 1 = -m32 when
+  /// MapMachineMode is on), and whether each compile has run; guarded by
+  /// DispatcherMu.
+  mutable std::mutex DispatcherMu;
+  mutable std::string DispatcherObj[2];
+  mutable bool DispatcherTried[2] = {false, false};
   mutable std::atomic<uint64_t> Seq{0};
   mutable std::atomic<bool> InfraWarned{false};
 };

@@ -18,6 +18,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <deque>
+#include <functional>
 #include <mutex>
 #include <thread>
 
@@ -348,9 +350,9 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
   return O;
 }
 
-/// The per-worker render/compile/execute pipeline and the one recorder of
-/// findings (DESIGN.md Sections 13-14). Every tested variant runs through
-/// the roster -- the primary backend in slot 0, then Opts.ExtraBackends --
+/// The render/compile/execute pipeline and the one recorder of findings
+/// (DESIGN.md Sections 13-14). Every tested variant runs through the
+/// roster -- the primary backend in slot 0, then Opts.ExtraBackends --
 /// under every config and sweep input, and every config's row is voted
 /// cell by cell. A classic campaign is the 1x1 matrix: a roster of one
 /// over the single empty input, where the vote is classifyDivergence.
@@ -365,7 +367,14 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
 /// recorded, so the compiler works on batch N+1 while this thread records
 /// batch N and then interprets oracles for batch N+2.
 ///
-/// Determinism: recording happens batch-by-batch in rank order,
+/// A pipeline may outlive the cursor range that feeds it: each variant
+/// records into the partial result it was added with, so one batch can
+/// span the end of one seed and the start of the next. The batch's
+/// coverage goes to its last variant's registry, which belongs to the
+/// latest seed in it; registries merge by union, and that seed merges no
+/// earlier than the others.
+///
+/// Determinism: recording happens batch-by-batch in add() order,
 /// variant-major within a batch -- the exact order the unbatched loop
 /// records in -- and drain() is called before every checkpoint publish,
 /// so published cursor state, partial results, and staged verdicts always
@@ -375,10 +384,8 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
 /// work a real SIGKILL would strand.
 class VariantPipeline {
 public:
-  VariantPipeline(const HarnessOptions &Opts, const CompilerBackend &B,
-                  CampaignResult &Result, CoverageRegistry *Cov)
-      : Opts(Opts), Result(Result), Cov(Cov),
-        AllInputs(sweepUnion(Opts.Configs)) {
+  VariantPipeline(const HarnessOptions &Opts, const CompilerBackend &B)
+      : Opts(Opts), AllInputs(sweepUnion(Opts.Configs)) {
     Roster.push_back(&B);
     Roster.insert(Roster.end(), Opts.ExtraBackends.begin(),
                   Opts.ExtraBackends.end());
@@ -389,7 +396,6 @@ public:
     CountCells = Roster.size() > 1 || AllInputs.size() > 1 ||
                  !AllInputs.front().empty();
     Sink = Opts.Telemetry;
-    Local = Sink ? &Result.Telemetry : nullptr;
     if (Sink) {
       // Span labels, precomputed so the hot loop never rebuilds identity
       // strings.
@@ -398,11 +404,16 @@ public:
     }
   }
 
-  void add(const std::string &Source, StagedVec *Staged) {
-    OracleOutcome O = oraclePhase(Opts, Source, AllInputs, Result, Staged);
+  /// Runs \p Source's oracle phase into \p Out and, when the variant is
+  /// tested, queues it; its rows record into \p Out and its coverage into
+  /// \p Cov (or a later variant's registry, see above).
+  void add(const std::string &Source, CampaignResult &Out,
+           CoverageRegistry *Cov, StagedVec *Staged) {
+    OracleOutcome O = oraclePhase(Opts, Source, AllInputs, Out, Staged);
     if (!O.Test)
       return;
-    Cur.push_back({Source, std::move(O)});
+    Cur.push_back({Source, std::move(O), &Out, Cov});
+    ++Queued;
     if (Cur.size() < Opts.BatchSize)
       return;
     rotate();
@@ -410,13 +421,21 @@ public:
       finishInFlight(); // Unbatched: a batch of one, begun and finished.
   }
 
-  /// Flushes all pending work into Result. Must run before every
-  /// checkpoint publish and at shard end.
+  /// Flushes all pending work into the partial results. Must run before
+  /// every checkpoint publish and before the pipeline's last use.
   void drain() {
     if (!Cur.empty())
       rotate();
     finishInFlight();
   }
+
+  /// Tested variants queued so far, and how many of them are recorded.
+  /// Recording is first in, first out, so every variant queued before
+  /// queued() read N is recorded once recorded() reaches N.
+  uint64_t queued() const { return Queued; }
+  uint64_t recorded() const { return Recorded; }
+  /// Runs after each recorded batch (unset = nothing).
+  std::function<void()> OnRecorded;
 
 private:
   /// One config's observations of one variant: [backend][input], the input
@@ -426,6 +445,8 @@ private:
   struct Item {
     std::string Source;
     OracleOutcome O;
+    CampaignResult *Out;
+    CoverageRegistry *Cov;
   };
 
   /// True when a begun batch stays in flight while the next one fills.
@@ -467,7 +488,8 @@ private:
     std::vector<std::unique_ptr<BatchTicket>> Next;
     Next.reserve(Roster.size());
     for (const CompilerBackend *B : Roster)
-      Next.push_back(B->beginBatch(Sources, Expected, Opts.Configs, Cov));
+      Next.push_back(
+          B->beginBatch(Sources, Expected, Opts.Configs, Cur.back().Cov));
     finishInFlight();
     Tickets = std::move(Next);
     InFlight = std::move(Cur);
@@ -481,6 +503,7 @@ private:
     // backend is that backend's whole run of the variant; overlapped, it
     // is the wait for a batch begun one rotation earlier.
     const char *Phase = overlapped() ? "batch_wait" : "backend_run";
+    TelemetrySummary *Local = localOf(InFlight.front());
     std::vector<std::vector<std::vector<std::vector<BackendObservation>>>>
         Obs3;
     Obs3.reserve(Tickets.size());
@@ -497,9 +520,18 @@ private:
           Obs[B] = I < Obs3[B].size() && C < Obs3[B][I].size()
                        ? std::move(Obs3[B][I][C])
                        : std::vector<BackendObservation>();
-        recordRow(C, Obs, InFlight[I].Source, InFlight[I].O);
+        recordRow(C, Obs, InFlight[I]);
       }
+    Recorded += InFlight.size();
     InFlight.clear();
+    if (OnRecorded)
+      OnRecorded();
+  }
+
+  /// The summary worker-local spans about \p It record into (null when
+  /// telemetry is off).
+  TelemetrySummary *localOf(const Item &It) const {
+    return Sink ? &It.Out->Telemetry : nullptr;
   }
 
   /// Records config \p C's row of one tested variant: compile-level
@@ -510,9 +542,11 @@ private:
   /// backend majority outvoted it. Configs outer, compile rows then
   /// inputs, backends innermost: first-wins witness maps are identical for
   /// every thread count and batch size.
-  void recordRow(size_t C, const Row &Obs, const std::string &Source,
-                 const OracleOutcome &O) {
-    SpanTimer T(Sink, Local, "vote");
+  void recordRow(size_t C, const Row &Obs, const Item &It) {
+    SpanTimer T(Sink, localOf(It), "vote");
+    CampaignResult &Result = *It.Out;
+    const std::string &Source = It.Source;
+    const OracleOutcome &O = It.O;
     for (size_t B = 0; B < Roster.size(); ++B) {
       if (Obs[B].empty())
         continue;
@@ -520,14 +554,14 @@ private:
       if (First.Compile == BackendObservation::CompileStatus::Crashed) {
         ++Result.CrashObservations;
         record(C, BugEffect::Crash, First.CrashBugId, First.CrashSignature, B,
-               0, Source);
+               0, Source, Result);
       }
       // Performance anomaly: MiniCC's inflated cost model, or an external
       // compile that blew its wall-clock budget.
       if (First.CompileTimeAnomaly) {
         ++Result.PerformanceObservations;
         recordFired(C, BugEffect::Performance, "pathological compile time", B,
-                    First.FiredBugs, 0, Source);
+                    First.FiredBugs, 0, Source, Result);
       }
     }
 
@@ -560,7 +594,7 @@ private:
           ++Result.ExecutionTimeouts;
         ++Result.WrongCodeObservations;
         recordFired(C, BugEffect::WrongCode, Vote.Outliers[B], B,
-                    Cells[B]->FiredBugs, I, Source);
+                    Cells[B]->FiredBugs, I, Source, Result);
       }
       if (Vote.OracleOutvoted) {
         // The roster agreed against the reference semantics: either an
@@ -568,7 +602,7 @@ private:
         // by definition -- no ground-truth id space covers the oracle.
         ++Result.WrongCodeObservations;
         record(C, BugEffect::WrongCode, 0, Vote.OracleSignature,
-               Roster.size(), I, Source);
+               Roster.size(), I, Source, Result);
       }
     }
   }
@@ -578,28 +612,29 @@ private:
   /// cannot read out of bounds); without, one signature-only finding.
   void recordFired(size_t C, BugEffect Effect, const std::string &Sig,
                    size_t B, const std::vector<int> &Fired, size_t InputIdx,
-                   const std::string &Source) {
+                   const std::string &Source, CampaignResult &Result) {
     if (!Roster[B]->hasGroundTruth()) {
-      record(C, Effect, 0, Sig, B, InputIdx, Source);
+      record(C, Effect, 0, Sig, B, InputIdx, Source, Result);
       return;
     }
     for (int Id : Fired) {
       const InjectedBug *Truth = findBug(Id);
       if (Truth && Truth->Effect == Effect)
-        record(C, Effect, Id, Sig, B, InputIdx, Source);
+        record(C, Effect, Id, Sig, B, InputIdx, Source, Result);
     }
   }
 
-  /// Records one finding under config \p C, attributed to roster slot \p B
-  /// (Roster.size() = the reference oracle). \p InputIdx indexes the
-  /// config's sweep for behavioral findings and is 0 for compile-level
-  /// ones, which carry no input. Ground-truth findings (Id != 0) key
-  /// UniqueBugs and RawFindings by id; signature-only findings (Id == 0)
-  /// key RawFindings by normalized signature and never touch UniqueBugs --
-  /// distinct clusters at one shared id slot would otherwise collapse
-  /// arbitrarily.
+  /// Records one finding into \p Result under config \p C, attributed to
+  /// roster slot \p B (Roster.size() = the reference oracle). \p InputIdx
+  /// indexes the config's sweep for behavioral findings and is 0 for
+  /// compile-level ones, which carry no input. Ground-truth findings
+  /// (Id != 0) key UniqueBugs and RawFindings by id; signature-only
+  /// findings (Id == 0) key RawFindings by normalized signature and never
+  /// touch UniqueBugs -- distinct clusters at one shared id slot would
+  /// otherwise collapse arbitrarily.
   void record(size_t C, BugEffect Effect, int Id, const std::string &Sig,
-              size_t B, size_t InputIdx, const std::string &Source) {
+              size_t B, size_t InputIdx, const std::string &Source,
+              CampaignResult &Result) {
     const CompilerConfig &Config = Opts.Configs[C];
     FoundBug Bug;
     Bug.BugId = Id;
@@ -635,8 +670,6 @@ private:
   }
 
   const HarnessOptions &Opts;
-  CampaignResult &Result;
-  CoverageRegistry *Cov;
   /// Slot 0 is the primary backend; 1.. are Opts.ExtraBackends.
   std::vector<const CompilerBackend *> Roster;
   /// sweepUnion(Opts.Configs): the matrix's input axis.
@@ -644,15 +677,17 @@ private:
   /// configInputs of each Opts.Configs entry.
   std::vector<std::vector<std::string>> ConfigInputs;
   bool CountCells = false;
-  /// Telemetry wiring (null/empty when off): spans record into this
-  /// worker's partial summary so campaign merge stays deterministic.
+  /// Telemetry wiring (null/empty when off): spans about a variant record
+  /// into its partial result's summary so campaign merge stays
+  /// deterministic.
   TelemetrySink *Sink = nullptr;
-  TelemetrySummary *Local = nullptr;
   std::vector<std::string> BackendLabels;
   std::vector<Item> Cur;
   std::vector<Item> InFlight;
   /// One in-flight ticket per roster slot (all begun before any finishes).
   std::vector<std::unique_ptr<BatchTicket>> Tickets;
+  uint64_t Queued = 0;
+  uint64_t Recorded = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -893,11 +928,13 @@ struct CheckpointContext {
 
 /// The one variant loop: runs the cursor range \p From of \p Plan's
 /// budgeted space -- a thread shard, a resumed shard, or a fleet lease --
-/// and accrues into \p Out, which holds only this range's work (a resumed
-/// shard's restored partial included). \p Ck, when set, publishes every
-/// EveryN variants and delivers the simulated crash. \returns false when
-/// the cursor rejects \p From.
-bool runRange(const HarnessOptions &Opts, const CompilerBackend &Backend,
+/// through \p Pipe and accrues into \p Out, which holds only this range's
+/// work (a resumed shard's restored partial included). Without \p Ck the
+/// range's last batch may still be in flight on return; the caller drains
+/// \p Pipe when it needs those rows. \p Ck, when set, publishes every
+/// EveryN variants, drains at the end for the final publish, and delivers
+/// the simulated crash. \returns false when the cursor rejects \p From.
+bool runRange(const HarnessOptions &Opts, VariantPipeline &Pipe,
               const SeedPlan &Plan, const CursorState &From, unsigned Shard,
               CampaignResult &Out, CoverageRegistry *Cov,
               CheckpointContext *Ck) {
@@ -911,7 +948,6 @@ bool runRange(const HarnessOptions &Opts, const CompilerBackend &Backend,
   VariantRenderer Renderer(*Plan.Ctx, Plan.Units);
   std::string Buffer;
   StagedVec Staged;
-  VariantPipeline Pipe(Opts, Backend, Out, Cov);
   uint64_t SincePublish = 0;
   while (const ProgramAssignment *PA = Cursor.next()) {
     if (Ck && Ck->countVariant())
@@ -922,7 +958,7 @@ bool runRange(const HarnessOptions &Opts, const CompilerBackend &Backend,
       SpanTimer T(Sink, Local, "render");
       Renderer.renderInto(*PA, Buffer);
     }
-    Pipe.add(Buffer, Ck && Ck->staging() ? &Staged : nullptr);
+    Pipe.add(Buffer, Out, Cov, Ck && Ck->staging() ? &Staged : nullptr);
     if (Opts.Status && Opts.Status->noteVariant()) {
       Opts.Status->updateShard(Shard, shardStatusNow(Out, Cursor));
       Opts.Status->writeNow();
@@ -938,7 +974,8 @@ bool runRange(const HarnessOptions &Opts, const CompilerBackend &Backend,
       SincePublish = 0;
     }
   }
-  Pipe.drain();
+  if (Ck)
+    Pipe.drain();
   const BigInt &Pruned = Cursor.pruned();
   Out.VariantsPruned +=
       Pruned.fitsInUint64() ? Pruned.toUint64() : ~uint64_t(0);
@@ -958,33 +995,99 @@ bool runRange(const HarnessOptions &Opts, const CompilerBackend &Backend,
   return true;
 }
 
-/// Runs one seed: one runRange shard per worker over an even split of the
-/// budgeted prefix -- or, resuming mid-seed, from \p Resume's worker
-/// states -- merged in shard order, which reproduces the single-threaded
-/// result bit for bit. \p Ck is null for a campaign without checkpoints.
-/// \returns false with \p Err set when the resume snapshot disagrees with
-/// the re-analyzed seed.
-bool runSeed(const HarnessOptions &Opts, const CompilerBackend &Backend,
-             const std::string &Source, CampaignResult &Merged,
-             CheckpointContext *Ck, const CampaignCheckpoint *Resume,
-             std::string &Err) {
-  CampaignResult Header;
-  SeedPlan Plan = buildSeedPlan(Opts, Source, Header);
-  auto Commit = [&] {
-    if (Ck)
-      Ck->commitSeed(Merged, Opts.Cov);
-    if (Opts.Status)
-      Opts.Status->commitSeed(countersOf(Merged));
-    return true;
+/// The seed loop of one campaign. Single-shard seeds feed one campaign
+/// pipeline that outlives each seed, so a batch fills across seed
+/// boundaries; a seed whose enumeration has ended waits in Pending until
+/// its last queued row is recorded, then merges -- in seed order -- and
+/// commits. The campaign pipeline drains only before a checkpoint publish
+/// or seed commit (with checkpoints every seed drains at its end, so
+/// checkpoint bytes stay identical across batch sizes), at the join of a
+/// seed that ran more than one shard (whose workers each drain their own
+/// pipeline at the end of their shard), and at campaign end.
+class SeedRunner {
+public:
+  /// Seeds merge into \p Merged; \p Ck is null for a campaign without
+  /// checkpoints.
+  SeedRunner(const HarnessOptions &Opts, const CompilerBackend &Backend,
+             CampaignResult &Merged, CheckpointContext *Ck)
+      : Opts(Opts), Backend(Backend), Merged(Merged), Ck(Ck),
+        Pipe(Opts, Backend) {
+    Pipe.OnRecorded = [this] { settle(); };
+  }
+
+  /// Runs one seed: one runRange shard per worker over an even split of
+  /// the budgeted prefix -- or, resuming mid-seed, from \p Resume's worker
+  /// states -- merged in shard order, which reproduces the single-threaded
+  /// result bit for bit. \returns false with \p Err set when the resume
+  /// snapshot disagrees with the re-analyzed seed.
+  bool run(const std::string &Source, const CampaignCheckpoint *Resume,
+           std::string &Err);
+
+  /// Campaign end: records every queued row and merges every seed.
+  void finish() {
+    Pipe.drain();
+    settle();
+  }
+
+private:
+  /// A seed between the end of its enumeration and its merge.
+  struct PendingSeed {
+    CampaignResult Header;
+    /// One partial result and (when coverage is on) one registry per shard.
+    std::vector<CampaignResult> Partials;
+    std::vector<CoverageRegistry> Covs;
+    /// Pipe.queued() when its enumeration ended: the seed merges once
+    /// Pipe.recorded() reaches it. Never reached while it enumerates.
+    uint64_t Rows = ~uint64_t(0);
   };
+
+  /// Ends the current seed's enumeration and merges what is complete.
+  bool endSeed() {
+    Pending.back().Rows = Pipe.queued();
+    settle();
+    return true;
+  }
+
+  /// Merges, in seed order, every pending seed whose rows are all
+  /// recorded, and commits each to the checkpoint and the status feed.
+  void settle() {
+    while (!Pending.empty() && Pipe.recorded() >= Pending.front().Rows) {
+      const PendingSeed &Seed = Pending.front();
+      Merged.merge(Seed.Header);
+      for (const CampaignResult &P : Seed.Partials)
+        Merged.merge(P);
+      for (const CoverageRegistry &Cov : Seed.Covs)
+        Opts.Cov->merge(Cov);
+      if (Ck)
+        Ck->commitSeed(Merged, Opts.Cov);
+      if (Opts.Status)
+        Opts.Status->commitSeed(countersOf(Merged));
+      Pending.pop_front();
+    }
+  }
+
+  const HarnessOptions &Opts;
+  const CompilerBackend &Backend;
+  CampaignResult &Merged;
+  CheckpointContext *Ck;
+  /// Seeds not yet merged, oldest first. A deque: pipeline items point
+  /// into the partials of every seed it holds, which pops at the front and
+  /// pushes at the back must not move.
+  std::deque<PendingSeed> Pending;
+  VariantPipeline Pipe;
+};
+
+bool SeedRunner::run(const std::string &Source,
+                     const CampaignCheckpoint *Resume, std::string &Err) {
+  PendingSeed &Seed = Pending.emplace_back();
+  SeedPlan Plan = buildSeedPlan(Opts, Source, Seed.Header);
   if (!Plan.Ready) {
     if (Resume) {
       Err = "snapshot is mid-seed but the seed re-analyzes as rejected or "
             "threshold-skipped (corpus or analysis skew)";
       return false;
     }
-    Merged.merge(Header);
-    return Commit();
+    return endSeed();
   }
 
   const unsigned Threads = Plan.Threads;
@@ -1015,43 +1118,48 @@ bool runSeed(const HarnessOptions &Opts, const CompilerBackend &Backend,
         Err = "validity-constraints fingerprint mismatch (analysis skew)";
         return false;
       }
-      if (!(Resume->SeedHeader == Header)) {
+      if (!(Resume->SeedHeader == Seed.Header)) {
         Err = "snapshot seed header does not match the re-analyzed seed "
               "(front-end skew)";
         return false;
       }
     }
-    Ck->beginSeed(CFp, Header, Init);
+    Ck->beginSeed(CFp, Seed.Header, Init);
   }
 
   if (Opts.Status)
     Opts.Status->beginSeed(Threads);
   // Each worker owns its partial result and (when requested) a private
-  // coverage registry copy, merged back in shard order after the join.
-  std::vector<CampaignResult> Partials(Threads);
-  std::vector<CoverageRegistry> PartialCovs;
+  // coverage registry copy, merged back in shard order once the seed's
+  // rows are all recorded.
+  Seed.Partials.resize(Threads);
   if (Opts.Cov)
-    PartialCovs.assign(Threads, *Opts.Cov);
+    Seed.Covs.assign(Threads, *Opts.Cov);
   std::atomic<bool> BadRestore{false};
-  auto RunWorker = [&](unsigned W) {
-    CoverageRegistry *Cov = Opts.Cov ? &PartialCovs[W] : nullptr;
-    Partials[W] = Init[W].Partial;
+  auto RunWorker = [&](unsigned W, VariantPipeline &P) {
+    CoverageRegistry *Cov = Opts.Cov ? &Seed.Covs[W] : nullptr;
+    Seed.Partials[W] = Init[W].Partial;
     if (Cov)
       Cov->setHits(Init[W].CovHits);
     // A shard that finished before the crash is restored verbatim.
-    if (!Init[W].Finished && !runRange(Opts, Backend, Plan, Init[W].Cursor,
-                                       W, Partials[W], Cov, Ck))
+    if (!Init[W].Finished &&
+        !runRange(Opts, P, Plan, Init[W].Cursor, W, Seed.Partials[W], Cov, Ck))
       BadRestore.store(true, std::memory_order_relaxed);
   };
   if (Threads <= 1) {
-    RunWorker(0);
+    RunWorker(0, Pipe);
   } else {
     std::vector<std::thread> Workers;
     Workers.reserve(Threads);
     for (unsigned W = 0; W < Threads; ++W)
-      Workers.emplace_back([&RunWorker, W] { RunWorker(W); });
+      Workers.emplace_back([this, &RunWorker, W] {
+        VariantPipeline Shard(Opts, Backend);
+        RunWorker(W, Shard);
+        Shard.drain();
+      });
     for (std::thread &T : Workers)
       T.join();
+    Pipe.drain();
   }
 
   if (BadRestore.load(std::memory_order_relaxed)) {
@@ -1060,12 +1168,7 @@ bool runSeed(const HarnessOptions &Opts, const CompilerBackend &Backend,
   }
   if (Ck && Ck->crashed())
     return true; // Campaign aborts; the caller discards the partial result.
-  Merged.merge(Header);
-  for (const CampaignResult &P : Partials)
-    Merged.merge(P);
-  for (const CoverageRegistry &Cov : PartialCovs)
-    Opts.Cov->merge(Cov);
-  return Commit();
+  return endSeed();
 }
 
 /// The campaign behind runCampaign and resumeCampaign: seeds from
@@ -1131,14 +1234,16 @@ bool runSeeds(const HarnessOptions &Opts, const CompilerBackend &Backend,
 
   if (Opts.Status)
     Opts.Status->beginCampaign(Seeds.size(), StartSeed, countersOf(Result));
+  SeedRunner Runner(Opts, Backend, Result, Ck);
   for (size_t S = StartSeed; S < Seeds.size(); ++S) {
     const CampaignCheckpoint *Resume =
         From && From->InFlight && S == StartSeed ? From : nullptr;
-    if (!runSeed(Opts, Backend, Seeds[S], Result, Ck, Resume, Err))
+    if (!Runner.run(Seeds[S], Resume, Err))
       return false;
     if (Ck && Ck->crashed())
       return true; // Simulated death: the caller resumes from disk.
   }
+  Runner.finish();
   if (Ck)
     Ck->writeNow(/*Complete=*/true);
 
@@ -1213,8 +1318,8 @@ bool DifferentialHarness::resumeCampaign(const std::vector<std::string> &Seeds,
 
 void DifferentialHarness::testProgram(const std::string &Source,
                                       CampaignResult &Result) const {
-  VariantPipeline Pipe(Opts, backend(), Result, Opts.Cov);
-  Pipe.add(Source, nullptr);
+  VariantPipeline Pipe(Opts, backend());
+  Pipe.add(Source, Result, Opts.Cov, nullptr);
   Pipe.drain();
 }
 
@@ -1248,7 +1353,10 @@ bool DifferentialHarness::runLease(const std::string &Source,
   // lease sees the same variants, in the same order, as the shard that
   // would have covered these ranks.
   CursorState CS{Begin.toString(), End.toString(), "0"};
-  if (runRange(Opts, backend(), Plan, CS, 0, Out, nullptr, nullptr))
+  VariantPipeline Pipe(Opts, backend());
+  bool Ok = runRange(Opts, Pipe, Plan, CS, 0, Out, nullptr, nullptr);
+  Pipe.drain();
+  if (Ok)
     return true;
   Err = "cursor rejected lease range [" + CS.Position + ", " + CS.End + ")";
   return false;

@@ -75,8 +75,9 @@ TEST(SetPartitionGeneratorTest, LexicographicOrder) {
   RestrictedGrowthString Prev;
   bool First = true;
   while (Gen.next()) {
-    if (!First)
+    if (!First) {
       EXPECT_LT(Prev, Gen.current());
+    }
     Prev = Gen.current();
     First = false;
   }

@@ -126,8 +126,9 @@ TEST(RankFuzzTest, SeekToSplicesIntoTheGeneratorStreamAnywhere) {
             << Rank.toString() << " step " << Step;
         Next += BigInt(1);
       }
-      if (Next == Ranker.count())
+      if (Next == Ranker.count()) {
         EXPECT_FALSE(Gen.next());
+      }
     }
   }
 }

@@ -24,6 +24,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -205,7 +206,7 @@ TEST(SignatureOnlyTest, ForeignFiredBugsIdsCannotReadOutOfBounds) {
   B.Obs.ExitCode = 1; // Diverges from the oracle's 5.
 
   HarnessOptions Opts;
-  Opts.Configs = {{Persona::GccSim, 70, 2, true}};
+  Opts.Configs = {{Persona::GccSim, 70, 2, true, {}}};
   Opts.Backend = &B;
   DifferentialHarness Harness(Opts);
   CampaignResult R;
@@ -223,8 +224,8 @@ TEST(SignatureOnlyTest, FindingsKeyByNormalizedSignatureAtIdZero) {
   B.Obs.CrashSignature = "internal compiler error: in reload, at reload.c:1";
 
   HarnessOptions Opts;
-  Opts.Configs = {{Persona::GccSim, 140, 0, true},
-                  {Persona::GccSim, 140, 2, true}};
+  Opts.Configs = {{Persona::GccSim, 140, 0, true, {}},
+                  {Persona::GccSim, 140, 2, true, {}}};
   Opts.Backend = &B;
   DifferentialHarness Harness(Opts);
   CampaignResult R;
@@ -256,7 +257,7 @@ TEST(SignatureOnlyTest, DistinctSignaturesStayDistinctRawFindings) {
   B.Obs.CrashSignature = "internal compiler error: in pass_b";
 
   HarnessOptions Opts;
-  Opts.Configs = {{Persona::GccSim, 140, 1, true}};
+  Opts.Configs = {{Persona::GccSim, 140, 1, true, {}}};
   CampaignResult R;
   Opts.Backend = &A;
   DifferentialHarness(Opts).testProgram(TrivialSeed, R);
@@ -290,7 +291,7 @@ TEST(ExternalBackendTest, UnavailableCompilerIsReportedNotFatal) {
   // identity() still pins the (unusable) configuration for fingerprints.
   EXPECT_NE(B.identity().find("unavailable"), std::string::npos);
   BackendObservation Obs = B.run("int main(void) { return 0; }\n",
-                                 {Persona::GccSim, 140, 0, true}, nullptr);
+                                 {Persona::GccSim, 140, 0, true, {}}, nullptr);
   EXPECT_EQ(Obs.Compile, BackendObservation::CompileStatus::Rejected);
 }
 
@@ -298,7 +299,7 @@ TEST(ExternalBackendTest, CompilesRunsAndObservesARealBinary) {
   SKIP_WITHOUT_HOST_CC();
   BackendObservation Obs = hostBackend().run(
       "int main(void) {\n  printf(\"hi %d\\n\", 2);\n  return 41;\n}\n",
-      {Persona::GccSim, 140, 2, true}, nullptr);
+      {Persona::GccSim, 140, 2, true, {}}, nullptr);
   ASSERT_EQ(Obs.Compile, BackendObservation::CompileStatus::Ok);
   ASSERT_EQ(Obs.Exec, BackendObservation::ExecStatus::Ok);
   EXPECT_EQ(Obs.ExitCode, 41);
@@ -310,15 +311,15 @@ TEST(ExternalBackendTest, RejectsWhatTheHostFrontendRejects) {
   SKIP_WITHOUT_HOST_CC();
   BackendObservation Obs =
       hostBackend().run("int main(void) { return frob; }\n",
-                        {Persona::GccSim, 140, 0, true}, nullptr);
+                        {Persona::GccSim, 140, 0, true, {}}, nullptr);
   EXPECT_EQ(Obs.Compile, BackendObservation::CompileStatus::Rejected);
 }
 
 TEST(ExternalBackendTest, AgreementWithTheOracleProducesNoFindings) {
   SKIP_WITHOUT_HOST_CC();
   HarnessOptions Opts;
-  Opts.Configs = {{Persona::GccSim, 140, 0, true},
-                  {Persona::GccSim, 140, 2, true}};
+  Opts.Configs = {{Persona::GccSim, 140, 0, true, {}},
+                  {Persona::GccSim, 140, 2, true, {}}};
   Opts.Backend = &hostBackend();
   DifferentialHarness Harness(Opts);
   CampaignResult R;
@@ -372,7 +373,7 @@ TEST(ExternalBackendTest, CompilerCrashBecomesASignatureOnlyFinding) {
   ASSERT_TRUE(Fake.available()) << Fake.unavailableReason();
 
   HarnessOptions Opts;
-  Opts.Configs = {{Persona::GccSim, 140, 1, true}};
+  Opts.Configs = {{Persona::GccSim, 140, 1, true, {}}};
   Opts.Backend = &Fake;
   DifferentialHarness Harness(Opts);
   CampaignResult R;
@@ -399,8 +400,8 @@ namespace {
 
 HarnessOptions externalCampaignOptions() {
   HarnessOptions Opts;
-  Opts.Configs = {{Persona::GccSim, 140, 0, true},
-                  {Persona::GccSim, 140, 2, true}};
+  Opts.Configs = {{Persona::GccSim, 140, 0, true, {}},
+                  {Persona::GccSim, 140, 2, true, {}}};
   Opts.Backend = &hostBackend();
   Opts.VariantBudget = 6;
   return Opts;
@@ -509,8 +510,9 @@ TEST(ExternalBackendTest, ScratchDirectoryIsRemovedOnDestruction) {
     Dir = B.scratchDir();
     EXPECT_TRUE(std::filesystem::is_directory(Dir));
     // Leave real scratch traffic behind so removal has work to do.
-    BackendObservation Obs = B.run("int main(void) { return 4; }\n",
-                                   {Persona::GccSim, 140, 1, true}, nullptr);
+    BackendObservation Obs =
+        B.run("int main(void) { return 4; }\n",
+              {Persona::GccSim, 140, 1, true, {}}, nullptr);
     EXPECT_EQ(Obs.Compile, BackendObservation::CompileStatus::Ok);
   }
   EXPECT_FALSE(std::filesystem::exists(Dir))
@@ -641,6 +643,40 @@ std::string writeFakeWrongCodeCompiler() {
   return Path;
 }
 
+/// Hang fake: compiles normally, except that the statement-final use
+/// "MAGIC_HANG;" is followed by a loop around pause(), so the members
+/// that reach it never finish -- in a packed TU and in a solo compile
+/// alike -- while the oracle, which never sees the edit, says they
+/// terminate. pause() blocks instead of spinning, so a hang costs its
+/// deadline but no CPU.
+std::string writeFakeHangCompiler() {
+  std::string Path = tempPath("fake-hang-cc.sh");
+  {
+    std::ofstream Out(Path);
+    Out << "#!/bin/sh\n"
+           "dir=$(mktemp -d) || exit 1\n"
+           "n=0\n"
+           "for a in \"$@\"; do\n"
+           "  case \"$a\" in\n"
+           "    *.c) n=$((n + 1))\n"
+           "         { echo '#include <unistd.h>'\n"
+           "           sed 's/MAGIC_HANG;/MAGIC_HANG; for (;;) pause();/g' "
+           "\"$a\"\n"
+           "         } > \"$dir/$n.c\" || exit 1\n"
+           "         set -- \"$@\" \"$dir/$n.c\";;\n"
+           "    *) set -- \"$@\" \"$a\";;\n"
+           "  esac\n"
+           "  shift\n"
+           "done\n"
+           "cc \"$@\"\n"
+           "status=$?\n"
+           "rm -rf \"$dir\"\n"
+           "exit $status\n";
+  }
+  ::chmod(Path.c_str(), 0755);
+  return Path;
+}
+
 /// One-seed campaign whose variant set mixes triggering and clean members:
 /// use-holes over {a, MAGIC_<X>} put the magic name into left-of-+ position
 /// in some variants only.
@@ -651,8 +687,8 @@ std::vector<std::string> mixedTriggerSeeds(const std::string &Magic) {
 
 HarnessOptions fakeCompilerCampaignOptions(const CompilerBackend &B) {
   HarnessOptions Opts;
-  Opts.Configs = {{Persona::GccSim, 140, 0, true},
-                  {Persona::GccSim, 140, 2, true}};
+  Opts.Configs = {{Persona::GccSim, 140, 0, true, {}},
+                  {Persona::GccSim, 140, 2, true, {}}};
   Opts.Backend = &B;
   Opts.VariantBudget = 12;
   return Opts;
@@ -723,15 +759,90 @@ TEST(BatchedExternalCampaignTest, BatchPollutionIsClearedBySoloReVerification) {
 
   // In a batch the poisoned binary makes *every* member diverge; only the
   // triggering members may survive solo re-verification into findings.
+  // The last campaign is traced: the rows that left their batches are
+  // visible in its own telemetry as solo spans.
+  TelemetrySink Sink;
+  ExternalBackendOptions TO = O;
+  TO.Telemetry = &Sink;
+  ExternalBackend Traced(TO);
+  ASSERT_TRUE(Traced.available()) << Traced.unavailableReason();
   for (uint64_t Batch : {4u, 8u}) {
     for (unsigned Threads : {1u, 2u}) {
+      bool Trace = Batch == 8 && Threads == 2;
+      Opts.Backend = Trace ? &Traced : &Fake;
+      Opts.Telemetry = Trace ? &Sink : nullptr;
       Opts.BatchSize = Batch;
       Opts.Threads = Threads;
       CampaignResult R = DifferentialHarness(Opts).runCampaign(Seeds);
       EXPECT_TRUE(R == Ref)
           << "BatchSize " << Batch << " x " << Threads
           << ": batch-level pollution leaked into the findings";
+      if (Trace) {
+        EXPECT_GT(R.Telemetry.countFor("solo"), 0u);
+      }
     }
+  }
+}
+
+TEST(BatchedExternalCampaignTest, HangingMembersAreKilledAtTheirOwnDeadline) {
+  SKIP_WITHOUT_HOST_CC();
+  ExternalBackendOptions O;
+  O.Command = {"./" + writeFakeHangCompiler()};
+  O.TempDir = "external_test_tmp";
+  O.ExecTimeoutMs = 300;
+  ExternalBackend Fake(O);
+  ASSERT_TRUE(Fake.available()) << Fake.unavailableReason();
+
+  std::vector<std::string> Seeds = mixedTriggerSeeds("MAGIC_HANG");
+  HarnessOptions Opts = fakeCompilerCampaignOptions(Fake);
+  // One config and four variants, two of them hanging: every hanging row
+  // costs a deadline in its batch and another in its solo run.
+  Opts.Configs.resize(1);
+  Opts.VariantBudget = 4;
+  Opts.BatchSize = 1;
+  Opts.Threads = 1;
+  CampaignResult Ref = DifferentialHarness(Opts).runCampaign(Seeds);
+
+  // Mixed: some variants hang (a timeout against a terminating oracle),
+  // the rest run clean.
+  EXPECT_GT(Ref.ExecutionTimeouts, 0u);
+  EXPECT_LT(Ref.ExecutionTimeouts, Ref.VariantsTested * Opts.Configs.size());
+  bool HangFinding = false;
+  for (const auto &[Key, Bug] : Ref.RawFindings)
+    HangFinding |= Key.Sig.find("hang") != std::string::npos;
+  EXPECT_TRUE(HangFinding);
+
+  // In a batch each hanging member dies at its own deadline; its
+  // batch-mates are recorded from their frames, and only the hanging rows
+  // go solo. The four campaigns mostly wait on deadlines, so they run at
+  // once, each with its own backend and sink.
+  struct Run {
+    uint64_t Batch;
+    unsigned Threads;
+    CampaignResult R;
+  };
+  std::vector<Run> Runs = {{4, 1, {}}, {4, 2, {}}, {8, 1, {}}, {8, 2, {}}};
+  std::vector<std::thread> Campaigns;
+  for (Run &Cell : Runs)
+    Campaigns.emplace_back([&Cell, &O, &Opts, &Seeds] {
+      TelemetrySink Sink;
+      ExternalBackendOptions TO = O;
+      TO.Telemetry = &Sink;
+      ExternalBackend Traced(TO);
+      HarnessOptions RunOpts = Opts;
+      RunOpts.Backend = &Traced;
+      RunOpts.Telemetry = &Sink;
+      RunOpts.BatchSize = Cell.Batch;
+      RunOpts.Threads = Cell.Threads;
+      Cell.R = DifferentialHarness(RunOpts).runCampaign(Seeds);
+    });
+  for (std::thread &T : Campaigns)
+    T.join();
+  for (const Run &Cell : Runs) {
+    EXPECT_TRUE(Cell.R == Ref) << "BatchSize " << Cell.Batch << " x "
+                               << Cell.Threads << " changed the hang campaign";
+    EXPECT_EQ(Cell.R.Telemetry.countFor("solo"), Ref.ExecutionTimeouts)
+        << "BatchSize " << Cell.Batch << " x " << Cell.Threads;
   }
 }
 
@@ -779,8 +890,12 @@ TEST(BatchedExternalCampaignTest, HostCampaignIsBatchInvariantWithWarmPool) {
   CampaignResult R = DifferentialHarness(Opts).runCampaign(Seeds);
   EXPECT_TRUE(R == Ref) << "telemetry changed the pooled batched campaign";
   EXPECT_GT(R.Telemetry.countFor("batch_pack"), 0u);
+  // One batch spans both seeds, and its packed binary runs once per config:
+  // one compile and one execution per config, and no row leaves the batch.
+  EXPECT_EQ(R.Telemetry.countFor("compile"), Opts.Configs.size());
+  EXPECT_EQ(R.Telemetry.countFor("exec"), Opts.Configs.size());
+  EXPECT_EQ(R.Telemetry.countFor("solo"), 0u);
   // Exec time splits by config on the batched path too.
-  EXPECT_GT(R.Telemetry.countFor("exec"), 0u);
   for (const auto &[Key, Agg] : R.Telemetry.Phases) {
     if (Key.Phase == "exec") {
       EXPECT_FALSE(Key.Config.empty()) << "exec span without a config label";

@@ -357,8 +357,9 @@ TEST(ValidityPruningTest, OneRankStepAgreesWithTheDecoder) {
       BigInt SpanEnd = Cursor.invalidSpanEnd(R, {C});
       ASSERT_EQ(O == Offense::None, !assignmentViolates((*PA)[0], *C))
           << "rank " << R.toString();
-      if (O == Offense::None)
+      if (O == Offense::None) {
         EXPECT_EQ(SpanEnd, R) << "rank " << R.toString();
+      }
       if (O == Offense::OneRank) {
         ++Held;
         EXPECT_EQ(SpanEnd, R + BigInt(1)) << "rank " << R.toString();

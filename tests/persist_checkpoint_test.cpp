@@ -84,7 +84,7 @@ CampaignCheckpoint sampleCheckpoint() {
   CP.Merged.UniqueBugs.emplace(Wrong.BugId, Wrong);
   CP.Merged.RawFindings.emplace(
       FindingKey{Crash.BugId, Crash.P, Crash.Version, Crash.OptLevel,
-                 Crash.Mode64},
+                 Crash.Mode64, 0, 0, {}},
       Crash);
   // A signature-only finding (BugId 0, external backend): its key carries
   // the normalized signature, including characters the token escaper must

@@ -68,7 +68,7 @@ CampaignResult embeddedCampaign() {
 
 ReproSpec specOf(const FoundBug &Bug) {
   ReproSpec Spec;
-  Spec.Config = {Bug.P, Bug.Version, Bug.OptLevel, Bug.Mode64};
+  Spec.Config = {Bug.P, Bug.Version, Bug.OptLevel, Bug.Mode64, {}};
   Spec.Effect = Bug.Effect;
   Spec.SignatureKey = normalizeSignature(Bug.Effect, Bug.Signature);
   return Spec;
@@ -81,7 +81,7 @@ bool triggersGroundTruth(const std::string &Source, const FoundBug &Bug) {
   auto Ctx = parseAndAnalyze(Source, Analysis);
   if (!Ctx)
     return false;
-  MiniCompiler CC({Bug.P, Bug.Version, Bug.OptLevel, Bug.Mode64});
+  MiniCompiler CC({Bug.P, Bug.Version, Bug.OptLevel, Bug.Mode64, {}});
   CompileResult R = CC.compile(*Ctx);
   if (Bug.Effect == BugEffect::Crash)
     return R.crashed() && R.CrashBugId == Bug.BugId;
@@ -272,7 +272,7 @@ TEST(SkeletonReducerTest, DivergingProbesAreProvenAtTheLoopHead) {
                               "  }\n"
                               "  return x;\n}\n";
   ReproSpec Spec;
-  Spec.Config = {Persona::GccSim, 70, 0, true};
+  Spec.Config = {Persona::GccSim, 70, 0, true, {}};
   Spec.Effect = BugEffect::Crash;
   Spec.SignatureKey = normalizeSignature(
       BugEffect::Crash,
@@ -313,7 +313,7 @@ TEST(SkeletonReducerTest, DivergingProbesAreProvenAtTheLoopHead) {
 
 TEST(SkeletonReducerTest, NonReproducingWitnessIsReturnedUnchanged) {
   ReproSpec Spec;
-  Spec.Config = {Persona::GccSim, 70, 3, true};
+  Spec.Config = {Persona::GccSim, 70, 3, true, {}};
   Spec.Effect = BugEffect::Crash;
   Spec.SignatureKey = "no such signature";
   SkeletonReducer Reducer;

@@ -175,7 +175,7 @@ CampaignCheckpoint goldenCheckpoint() {
   CP.Merged.UniqueBugs.emplace(Crash.BugId, Crash);
   CP.Merged.RawFindings.emplace(
       FindingKey{Crash.BugId, Crash.P, Crash.Version, Crash.OptLevel,
-                 Crash.Mode64},
+                 Crash.Mode64, 0, 0, {}},
       Crash);
   // A signature-only finding (no ground truth: external backend) from a
   // differential matrix cell -- pins the v3 Sig/Backend/Input bug tokens

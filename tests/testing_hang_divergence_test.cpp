@@ -38,10 +38,10 @@ const char *HangSeed = "int main(void) {\n"
                        "}\n";
 
 /// A configuration where the NegateFirstCondBr bug is live...
-CompilerConfig buggyConfig() { return {Persona::GccSim, 60, 2, true}; }
+CompilerConfig buggyConfig() { return {Persona::GccSim, 60, 2, true, {}}; }
 /// ...and one where no injected bug fires on this program at all, so the
 /// hang manifests under exactly one persona.
-CompilerConfig cleanConfig() { return {Persona::ClangSim, 40, 2, true}; }
+CompilerConfig cleanConfig() { return {Persona::ClangSim, 40, 2, true, {}}; }
 
 } // namespace
 
@@ -128,7 +128,7 @@ TEST(HangDivergenceTest, TriageClustersTheHangFinding) {
   ReproSpec Spec;
   Spec.Config = {Cluster.Representative.P, Cluster.Representative.Version,
                  Cluster.Representative.OptLevel,
-                 Cluster.Representative.Mode64};
+                 Cluster.Representative.Mode64, {}};
   Spec.Effect = BugEffect::WrongCode;
   Spec.SignatureKey = Cluster.Sig.Key;
   ReproOracle Oracle(Spec);

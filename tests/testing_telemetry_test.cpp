@@ -328,10 +328,11 @@ TEST(TelemetryTest, EventLogParsesAndSpansNestPerThread) {
       // Scope exits on one thread are totally ordered.
       EXPECT_LE(PrevEnd, CurEnd) << "tid " << Tid << " event " << I;
       // Overlap means the earlier-ending span was nested inside this one.
-      if (Cur.StartUs < PrevEnd)
+      if (Cur.StartUs < PrevEnd) {
         EXPECT_LE(Cur.StartUs, Prev.StartUs)
             << "tid " << Tid << " event " << I << " (" << Cur.Phase
             << ") partially overlaps " << Prev.Phase;
+      }
     }
   }
 

@@ -73,7 +73,7 @@ bool triggersGroundTruth(const std::string &Source, const FoundBug &Bug) {
   Sema Analysis(*Ctx, Diags);
   if (!Analysis.run())
     return false;
-  MiniCompiler CC({Bug.P, Bug.Version, Bug.OptLevel, Bug.Mode64});
+  MiniCompiler CC({Bug.P, Bug.Version, Bug.OptLevel, Bug.Mode64, {}});
   CompileResult R = CC.compile(*Ctx);
   if (Bug.Effect == BugEffect::Crash)
     return R.crashed() && R.CrashBugId == Bug.BugId;
@@ -190,8 +190,9 @@ TEST(TriagePipelineTest, SignatureClusteringCollapsesConfigDuplicates) {
     const TriagedBug &Cluster = Campaign.Triaged[I];
     EXPECT_GE(Cluster.RawCount, Cluster.MemberIds.size());
     Covered.insert(Cluster.MemberIds.begin(), Cluster.MemberIds.end());
-    if (I > 0)
+    if (I > 0) {
       EXPECT_TRUE(Campaign.Triaged[I - 1].Sig < Cluster.Sig);
+    }
   }
   std::set<int> Expected;
   for (const auto &[Id, Bug] : Campaign.UniqueBugs)
@@ -250,7 +251,7 @@ TEST(TriagePipelineTest, ReducedReproducersStayFaithfulAndShrink40Percent) {
     // Faithfulness: the reduced reproducer still shows the cluster's
     // normalized signature and still fires the original injected bug.
     ReproSpec Spec;
-    Spec.Config = {Rep.P, Rep.Version, Rep.OptLevel, Rep.Mode64};
+    Spec.Config = {Rep.P, Rep.Version, Rep.OptLevel, Rep.Mode64, {}};
     Spec.Effect = Rep.Effect;
     Spec.SignatureKey = Cluster.Sig.Key;
     ReproOracle Check(Spec, &Cache);
@@ -302,7 +303,7 @@ TEST(TriagePipelineTest, EmbeddedSeedCampaignTriagesEverySignature) {
   for (const TriagedBug &Cluster : Total.Triaged) {
     const FoundBug &Rep = Cluster.Representative;
     ReproSpec Spec;
-    Spec.Config = {Rep.P, Rep.Version, Rep.OptLevel, Rep.Mode64};
+    Spec.Config = {Rep.P, Rep.Version, Rep.OptLevel, Rep.Mode64, {}};
     Spec.Effect = Rep.Effect;
     Spec.SignatureKey = Cluster.Sig.Key;
     ReproOracle Check(Spec, &Cache);
