@@ -7,8 +7,8 @@
 #include "sema/Sema.h"
 
 #include <algorithm>
+#include <map>
 #include <memory>
-#include <optional>
 
 using namespace spe;
 
@@ -18,6 +18,9 @@ namespace {
 /// parked until finishBatch runs the ordinary per-variant loop.
 struct GenericBatchTicket final : BatchTicket {
   std::vector<std::string> Sources;
+  /// Each variant's BatchExpectation::Parsed (may be null), alive until
+  /// finishBatch returns.
+  std::vector<std::shared_ptr<ASTContext>> Parsed;
   std::vector<CompilerConfig> Configs;
   CoverageRegistry *Cov = nullptr;
 };
@@ -68,9 +71,12 @@ CompilerBackend::beginBatch(std::vector<std::string> Sources,
                             std::vector<BatchExpectation> Expected,
                             std::vector<CompilerConfig> Configs,
                             CoverageRegistry *Cov) const {
-  (void)Expected; // The loop below *is* the unbatched path; nothing to verify.
+  // finishBatch's loop *is* the unbatched path; nothing to verify, so only
+  // the ASTs are kept.
   auto T = std::make_unique<GenericBatchTicket>();
   T->Sources = std::move(Sources);
+  for (BatchExpectation &E : Expected)
+    T->Parsed.push_back(std::move(E.Parsed));
   T->Configs = std::move(Configs);
   T->Cov = Cov;
   return T;
@@ -122,7 +128,7 @@ InProcessBackend::runSweep(const std::string &Source,
                            const CompilerConfig &Config,
                            const std::vector<std::string> &Inputs,
                            CoverageRegistry *Cov) const {
-  return runConfigs(Source, {Config}, {Inputs}, Cov).front();
+  return runConfigs(Source, nullptr, {Config}, {Inputs}, Cov).front();
 }
 
 std::vector<std::vector<std::vector<BackendObservation>>>
@@ -135,8 +141,9 @@ InProcessBackend::finishBatch(std::unique_ptr<BatchTicket> Ticket) const {
     Inputs.push_back(configInputs(Config));
   std::vector<std::vector<std::vector<BackendObservation>>> Out;
   Out.reserve(T->Sources.size());
-  for (const std::string &Source : T->Sources)
-    Out.push_back(runConfigs(Source, T->Configs, Inputs, T->Cov));
+  for (size_t I = 0; I < T->Sources.size(); ++I)
+    Out.push_back(runConfigs(T->Sources[I], T->Parsed[I].get(), T->Configs,
+                             Inputs, T->Cov));
   return Out;
 }
 
@@ -144,71 +151,82 @@ BackendObservation InProcessBackend::runOn(ASTContext &Ctx,
                                            const CompilerConfig &Config,
                                            CoverageRegistry *Cov,
                                            const std::string &Input) const {
-  LoweredUnit Unit(Ctx, Cov);
-  return observe(Unit, Config, {Input}).front();
+  return runConfigs(std::string(), &Ctx, {Config}, {{Input}}, Cov)
+      .front()
+      .front();
 }
 
 std::vector<std::vector<BackendObservation>>
-InProcessBackend::runConfigs(const std::string &Source,
+InProcessBackend::runConfigs(const std::string &Source, ASTContext *Parsed,
                              const std::vector<CompilerConfig> &Configs,
                              const std::vector<std::vector<std::string>> &Inputs,
                              CoverageRegistry *Cov) const {
-  // One parse and one lowering; each config runs only its own half of the
-  // compile and its executions.
-  std::unique_ptr<ASTContext> Ctx = parseAndAnalyze(Source);
-  std::optional<LoweredUnit> Unit;
-  if (Ctx)
-    Unit.emplace(*Ctx, Cov);
+  std::unique_ptr<ASTContext> Fresh;
+  if (!Parsed) {
+    Fresh = parseAndAnalyze(Source);
+    Parsed = Fresh.get();
+  }
   std::vector<std::vector<BackendObservation>> Rows;
   Rows.reserve(Configs.size());
-  for (size_t C = 0; C < Configs.size(); ++C)
-    Rows.push_back(Unit ? observe(*Unit, Configs[C], Inputs[C])
-                        : std::vector<BackendObservation>(
-                              Inputs[C].size())); // All rejected.
-  return Rows;
-}
-
-std::vector<BackendObservation>
-InProcessBackend::observe(LoweredUnit &Unit, const CompilerConfig &Config,
-                          const std::vector<std::string> &Inputs) const {
-  BackendObservation Obs;
-  CompileResult R = MiniCompiler(Config, nullptr, InjectBugs).compile(Unit);
-  if (R.St == CompileResult::Status::Rejected)
-    return std::vector<BackendObservation>(Inputs.size(), Obs);
-  Obs.FiredBugs = std::move(R.FiredBugs);
-  if (R.crashed()) {
-    Obs.Compile = BackendObservation::CompileStatus::Crashed;
-    Obs.CrashSignature = std::move(R.CrashSignature);
-    Obs.CrashBugId = R.CrashBugId;
-    return std::vector<BackendObservation>(Inputs.size(), Obs);
+  if (!Parsed) {
+    for (const std::vector<std::string> &Ins : Inputs)
+      Rows.emplace_back(Ins.size()); // Frontend refusal: all rejected.
+    return Rows;
   }
-  Obs.Compile = BackendObservation::CompileStatus::Ok;
-  // The MiniCC cost model: a fired Performance bug inflates compile cost
-  // past the paper's pathological threshold.
-  Obs.CompileTimeAnomaly = R.CompileCost > 1'000'000;
-
-  // One compile, one VM execution per sweep input: the compile-level
-  // fields are shared across the row, the exec fields are per input.
-  std::vector<BackendObservation> Row(Inputs.size(), Obs);
-  for (size_t I = 0; I < Inputs.size(); ++I) {
-    VMOptions VO;
-    VO.Input = Inputs[I];
-    VMResult V = executeModule(R.Module, VO);
-    switch (V.Status) {
-    case VMStatus::Ok:
-      Row[I].Exec = BackendObservation::ExecStatus::Ok;
-      break;
-    case VMStatus::Trap:
-      Row[I].Exec = BackendObservation::ExecStatus::Trap;
-      break;
-    case VMStatus::Timeout:
-      Row[I].Exec = BackendObservation::ExecStatus::Timeout;
-      break;
+  LoweredUnit Unit(*Parsed, Cov);
+  // The VM reads only the module, the step budget and the stdin, so each
+  // (module, stdin) runs once however many configs end with that module.
+  std::map<std::pair<const IRModule *, std::string>, VMResult> Runs;
+  for (size_t C = 0; C < Configs.size(); ++C) {
+    const std::vector<std::string> &Ins = Inputs[C];
+    BackendObservation Obs;
+    CompileResult R;
+    const IRModule *M =
+        MiniCompiler(Configs[C], nullptr, InjectBugs).compileInPlace(Unit, R);
+    if (R.St == CompileResult::Status::Rejected) {
+      Rows.emplace_back(Ins.size(), Obs);
+      continue;
     }
-    Row[I].ExitCode = V.ExitCode;
-    Row[I].Output = std::move(V.Output);
+    Obs.FiredBugs = std::move(R.FiredBugs);
+    if (R.crashed()) {
+      Obs.Compile = BackendObservation::CompileStatus::Crashed;
+      Obs.CrashSignature = std::move(R.CrashSignature);
+      Obs.CrashBugId = R.CrashBugId;
+      Rows.emplace_back(Ins.size(), Obs);
+      continue;
+    }
+    Obs.Compile = BackendObservation::CompileStatus::Ok;
+    // The MiniCC cost model: a fired Performance bug inflates compile cost
+    // past the paper's pathological threshold.
+    Obs.CompileTimeAnomaly = R.CompileCost > 1'000'000;
+
+    // One compile, one VM execution per sweep input: the compile-level
+    // fields are shared across the row, the exec fields are per input.
+    std::vector<BackendObservation> &Row = Rows.emplace_back(Ins.size(), Obs);
+    for (size_t I = 0; I < Ins.size(); ++I) {
+      auto [It, New] = Runs.try_emplace({M, Ins[I]});
+      if (New) {
+        VMOptions VO;
+        VO.Input = Ins[I];
+        It->second = executeModule(*M, VO);
+      }
+      const VMResult &V = It->second;
+      switch (V.Status) {
+      case VMStatus::Ok:
+        Row[I].Exec = BackendObservation::ExecStatus::Ok;
+        break;
+      case VMStatus::Trap:
+        Row[I].Exec = BackendObservation::ExecStatus::Trap;
+        break;
+      case VMStatus::Timeout:
+        Row[I].Exec = BackendObservation::ExecStatus::Timeout;
+        break;
+      }
+      Row[I].ExitCode = V.ExitCode;
+      Row[I].Output = V.Output;
+    }
   }
-  return Row;
+  return Rows;
 }
 
 std::string spe::classifyDivergence(const BackendObservation &Obs,

@@ -22,6 +22,13 @@
 /// shared classifyDivergence), so the two can never drift on what counts
 /// as a divergence.
 ///
+/// The in-process backend does each piece of a variant's work once. It
+/// lowers the AST the oracle already analysed when the harness hands one
+/// over (BatchExpectation::Parsed) and parses the text otherwise; it
+/// builds and verifies one module per (opt level, mutilation) for all
+/// configs, reads each in place, and runs the VM once per distinct
+/// (module, stdin).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPE_COMPILER_BACKEND_H
@@ -121,6 +128,13 @@ struct BatchExpectation {
   /// input I+1). Empty when the campaign has no sweep -- the layout the
   /// pre-matrix harness produced, byte for byte.
   std::vector<Cell> Extra;
+  /// The AST the oracle parsed, analysed and interpreted for this variant,
+  /// or null. An in-process backend lowers it instead of parsing the text
+  /// again; interpretation, like IRGen, writes only the type table's
+  /// interned pointer types, so it lowers exactly as a fresh parse does.
+  /// Whoever holds it keeps it alive until finishBatch returns, since the
+  /// lowered IR reads types the AST owns; other backends ignore it.
+  std::shared_ptr<ASTContext> Parsed;
 
   /// The expectation cell for sweep-union index \p UnionIdx (index 0
   /// aliases the legacy top-level fields). Cell.Valid is false when the
@@ -192,8 +206,9 @@ public:
   /// Starts testing a batch of variants against every configuration and
   /// returns immediately; backends that can overlap work (ExternalBackend's
   /// pool compiles) start it here. The base implementation just parks the
-  /// inputs in the ticket. Ownership of \p Sources transfers to the ticket
-  /// so nothing dangles while the caller enumerates ahead.
+  /// inputs, and each expectation's Parsed AST, in the ticket. Ownership of
+  /// \p Sources transfers to the ticket so nothing dangles while the caller
+  /// enumerates ahead.
   virtual std::unique_ptr<BatchTicket>
   beginBatch(std::vector<std::string> Sources,
              std::vector<BatchExpectation> Expected,
@@ -213,10 +228,12 @@ public:
   finishBatch(std::unique_ptr<BatchTicket> Ticket) const;
 };
 
-/// The in-process driver: parse + Sema + MiniCompiler + VM. A batch parses
-/// and lowers each variant once (compiler/Compiler.h, LoweredUnit) and
-/// runs only the per-config half of the compile under each config; the
-/// observations equal a runSweep() loop's, field for field.
+/// The in-process driver: parse + Sema + MiniCompiler + VM. Every entry
+/// runs one loop, runConfigs: per variant one parse (none when the batch
+/// carries the oracle's AST) and one lowering; per config the bug hooks,
+/// which pick one of the unit's verified modules; per distinct (module,
+/// stdin) one VM run. The observations equal a fresh-parse runSweep()
+/// loop's, field for field.
 class InProcessBackend final : public CompilerBackend {
 public:
   explicit InProcessBackend(bool InjectBugs = true)
@@ -231,13 +248,14 @@ public:
                                   const CompilerConfig &Config,
                                   const std::string &Input,
                                   CoverageRegistry *Cov) const override;
-  /// One MiniCompiler invocation, one VM execution per input.
+  /// One MiniCompiler invocation, one VM execution per distinct input.
   std::vector<BackendObservation>
   runSweep(const std::string &Source, const CompilerConfig &Config,
            const std::vector<std::string> &Inputs,
            CoverageRegistry *Cov) const override;
-  /// The base beginBatch's parked inputs, one parse and one lowering per
-  /// variant for the whole config list.
+  /// The base beginBatch's parked inputs, one lowering per variant for the
+  /// whole config list: of the expectation's Parsed AST when it has one,
+  /// of a fresh parse otherwise.
   std::vector<std::vector<std::vector<BackendObservation>>>
   finishBatch(std::unique_ptr<BatchTicket> Ticket) const override;
 
@@ -250,18 +268,15 @@ public:
                            const std::string &Input = {}) const;
 
 private:
-  /// \p Source's rows under every config of \p Configs, config C over
-  /// the stdins \p Inputs[C]: one parse and one lowering for them all.
+  /// One variant's rows under every config of \p Configs, config C over
+  /// the stdins \p Inputs[C]: \p Parsed lowered once (\p Source parsed
+  /// first when it is null), then per config the bug hooks and one VM run
+  /// per (module, stdin) not run yet.
   std::vector<std::vector<BackendObservation>>
-  runConfigs(const std::string &Source,
+  runConfigs(const std::string &Source, ASTContext *Parsed,
              const std::vector<CompilerConfig> &Configs,
              const std::vector<std::vector<std::string>> &Inputs,
              CoverageRegistry *Cov) const;
-  /// The per-config half of one row: compile \p Unit under \p Config,
-  /// then one VM execution per input.
-  std::vector<BackendObservation>
-  observe(LoweredUnit &Unit, const CompilerConfig &Config,
-          const std::vector<std::string> &Inputs) const;
 
   bool InjectBugs;
 };

@@ -115,15 +115,24 @@ LoweredUnit::LoweredUnit(ASTContext &Ctx, CoverageRegistry *Cov)
   }
 }
 
-const IRModule &LoweredUnit::optimized(unsigned OptLevel) {
-  auto [It, Fresh] = Optimized.try_emplace(OptLevel);
-  if (Fresh) {
+const LoweredUnit::Module &LoweredUnit::module(unsigned OptLevel,
+                                               Mutilation Mut) {
+  auto It = Modules.find({OptLevel, Mut});
+  if (It != Modules.end())
+    return It->second;
+  Module M;
+  if (Mut == Mutilation::None) {
     // The pipeline reads only the module and the level, and the registry
     // is a hit set, so one run per level equals one run per config.
-    It->second = Gen.Module;
-    runPipeline(It->second, OptLevel, Cov);
+    M.IR = Gen.Module;
+    runPipeline(M.IR, OptLevel, Cov);
+  } else {
+    M.IR = module(OptLevel, Mutilation::None).IR;
+    applyMutilation(M.IR, Mut);
   }
-  return It->second;
+  M.VerifyError = verifyModule(M.IR);
+  return Modules.emplace(std::make_pair(OptLevel, Mut), std::move(M))
+      .first->second;
 }
 
 CompileResult MiniCompiler::compile(ASTContext &Ctx) const {
@@ -133,10 +142,17 @@ CompileResult MiniCompiler::compile(ASTContext &Ctx) const {
 
 CompileResult MiniCompiler::compile(LoweredUnit &Unit) const {
   CompileResult Result;
+  if (const IRModule *M = compileInPlace(Unit, Result))
+    Result.Module = *M;
+  return Result;
+}
+
+const IRModule *MiniCompiler::compileInPlace(LoweredUnit &Unit,
+                                             CompileResult &Result) const {
   if (!Unit.ok()) {
     Result.St = CompileResult::Status::Rejected;
     Result.Error = Unit.error();
-    return Result;
+    return nullptr;
   }
   Result.CompileCost = Unit.baseCost();
 
@@ -161,19 +177,16 @@ CompileResult MiniCompiler::compile(LoweredUnit &Unit) const {
     }
   }
   if (Result.CrashBugId != 0)
-    return Result; // A crashed compile runs no pipeline.
+    return nullptr; // A crashed compile runs no pipeline.
 
-  Result.Module = Unit.optimized(Config.OptLevel);
-  applyMutilation(Result.Module, PendingMut);
-
-  std::string VerifyError = verifyModule(Result.Module);
-  if (!VerifyError.empty()) {
+  const LoweredUnit::Module &M = Unit.module(Config.OptLevel, PendingMut);
+  if (!M.VerifyError.empty()) {
     // A pipeline bug in MiniCC itself; surface it as a crash so the harness
     // notices instead of executing bogus IR.
     Result.St = CompileResult::Status::Crashed;
-    Result.CrashSignature = "internal compiler error: " + VerifyError;
-    return Result;
+    Result.CrashSignature = "internal compiler error: " + M.VerifyError;
+    return &M.IR;
   }
   Result.St = CompileResult::Status::Ok;
-  return Result;
+  return &M.IR;
 }

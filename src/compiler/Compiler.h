@@ -11,7 +11,10 @@
 /// is the "compiler under test" of the differential harness; the paper's
 /// GCC/Clang stand-ins are CompilerConfig personas over this driver. A
 /// compile is a configuration-independent LoweredUnit plus a per-config
-/// half, so one lowering serves a variant's whole config matrix.
+/// half, so one lowering serves a variant's whole config matrix. The unit
+/// builds and verifies each (opt level, mutilation) module once; the
+/// per-config half is the bug hooks, which pick one of those modules, and
+/// compileInPlace() reads it where it lies.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,13 +55,20 @@ struct CompileResult {
 };
 
 /// The configuration-independent half of a compile: one translation unit's
-/// features, its IRGen module and the optimization pipeline's output per
-/// opt level. A compile under a config changes only the bug hooks, the
-/// mutilation and which opt level's output it copies, so one lowering
-/// serves every config of a variant. The unit reads types owned by the
-/// ASTContext it was lowered from, which must outlive it.
+/// features, its IRGen module, and the modules a config can end with. A
+/// compile under a config changes only the bug hooks, and they pick only
+/// the opt level and the mutilation, so one lowering serves every config
+/// of a variant. The unit reads types owned by the ASTContext it was
+/// lowered from, which must outlive it.
 class LoweredUnit {
 public:
+  /// A module a compile can end with, and the verifier's verdict on it.
+  struct Module {
+    IRModule IR;
+    /// verifyModule's error; empty when the module is well formed.
+    std::string VerifyError;
+  };
+
   /// Extracts features and runs IRGen; hits the irgen.* coverage points
   /// in \p Cov (may be null), which also receives every pipeline's hits.
   LoweredUnit(ASTContext &Ctx, CoverageRegistry *Cov);
@@ -69,16 +79,20 @@ public:
   const ProgramFeatures &features() const { return Features; }
   /// 1 + the module's block count, before any bug inflates it.
   uint64_t baseCost() const { return BaseCost; }
-  /// The pipeline's output at \p OptLevel, run on the first request.
-  const IRModule &optimized(unsigned OptLevel);
+  /// The pipeline's output at \p OptLevel with \p Mut applied, built and
+  /// verified on the first request: for Mutilation::None the level's
+  /// pipeline output itself, otherwise a mutilated copy of it. The
+  /// reference stays valid for the unit's lifetime.
+  const Module &module(unsigned OptLevel, Mutilation Mut);
 
 private:
   ProgramFeatures Features;
   IRGenResult Gen;
   uint64_t BaseCost = 0;
   CoverageRegistry *Cov;
-  /// Pipeline outputs by opt level, each filled on its first request.
-  std::map<unsigned, IRModule> Optimized;
+  /// Built modules by (opt level, mutilation); a map, so references to
+  /// its values survive later insertions.
+  std::map<std::pair<unsigned, Mutilation>, Module> Modules;
 };
 
 /// Compiles one analyzed translation unit under a configuration.
@@ -94,11 +108,18 @@ public:
 
   /// Lowers \p Ctx, then compiles the unit.
   CompileResult compile(ASTContext &Ctx) const;
-  /// The per-config half over an already lowered unit: the bug hooks, a
-  /// copy of the pipeline's output at this opt level, the wrong-code
-  /// mutilation on that copy, and the verifier. Coverage goes to the
-  /// registry \p Unit was lowered with.
+  /// The per-config half over an already lowered unit: compileInPlace()
+  /// plus a copy of the module it picks.
   CompileResult compile(LoweredUnit &Unit) const;
+  /// The per-config half without the copy: runs the bug hooks, fills every
+  /// field of \p Result but Module, and \returns the unit's module that
+  /// compile() would copy into it -- the one for this opt level and the
+  /// fired wrong-code mutilation, also when the verifier refused it -- or
+  /// null when Module stays empty (IRGen refused the unit, or an injected
+  /// crash preempted the pipeline). Coverage goes to the registry \p Unit
+  /// was lowered with.
+  const IRModule *compileInPlace(LoweredUnit &Unit,
+                                 CompileResult &Result) const;
 
   const CompilerConfig &config() const { return Config; }
 

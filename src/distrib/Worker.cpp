@@ -126,7 +126,7 @@ int spe::runFleetWorker(std::istream &In, std::ostream &Out,
       BigInt Begin = BigInt::fromDecimalString(T[3]);
       BigInt End = BigInt::fromDecimalString(T[4]);
       if (Feed)
-        Feed->beginSeed(1);
+        Feed->beginSeed(Id, 1);
       CampaignResult Fragment;
       std::string Err;
       if (!Harness->runLease(It->second, Begin, End, Fragment, Err))
@@ -134,7 +134,7 @@ int spe::runFleetWorker(std::istream &In, std::ostream &Out,
       ++LeasesDone;
       Cumulative.merge(Fragment);
       if (Feed)
-        Feed->commitSeed(countersOf(Cumulative));
+        Feed->commitSeed(Id, countersOf(Cumulative));
       Out << "done " << Id << ' ' << escapeToken(serializeFragment(Fragment))
           << '\n'
           << std::flush;

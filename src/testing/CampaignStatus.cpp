@@ -55,14 +55,15 @@ void CampaignStatusFeed::beginCampaign(uint64_t Total, uint64_t Done,
     TotalSeeds = Total;
     DoneSeeds = Done;
     Base = B;
-    Shards.clear();
+    Open.clear();
   }
   writeNow();
 }
 
-void CampaignStatusFeed::beginSeed(unsigned Workers) {
+void CampaignStatusFeed::beginSeed(uint64_t Seed, unsigned Workers) {
   std::lock_guard<std::mutex> Lock(Mu);
-  Shards.assign(Workers, ShardStatus());
+  Open[Seed].assign(Workers, ShardStatus());
+  Running = Seed;
 }
 
 bool CampaignStatusFeed::noteVariant() {
@@ -78,17 +79,22 @@ bool CampaignStatusFeed::noteVariant() {
 
 void CampaignStatusFeed::updateShard(unsigned W, const ShardStatus &S) {
   std::lock_guard<std::mutex> Lock(Mu);
-  if (W >= Shards.size())
-    Shards.resize(W + 1);
-  Shards[W] = S;
+  auto It = Open.find(Running);
+  if (It == Open.end())
+    return;
+  std::vector<ShardStatus> &Slots = It->second;
+  if (W >= Slots.size())
+    Slots.resize(W + 1);
+  Slots[W] = S;
 }
 
-void CampaignStatusFeed::commitSeed(const StatusCounters &MergedBase) {
+void CampaignStatusFeed::commitSeed(uint64_t Seed,
+                                    const StatusCounters &MergedBase) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
     ++DoneSeeds;
     Base = MergedBase;
-    Shards.clear();
+    Open.erase(Seed);
   }
   // Seed boundaries honor the cadence like variants do: a corpus of many
   // tiny seeds must not pay one file write per seed.
@@ -121,7 +127,7 @@ void CampaignStatusFeed::finishCampaign(const StatusCounters &Final) {
     std::lock_guard<std::mutex> Lock(Mu);
     State = "complete";
     Base = Final;
-    Shards.clear();
+    Open.clear();
   }
   LastWriteMs.store(nowMs(), std::memory_order_relaxed);
   writeNow();
@@ -171,20 +177,28 @@ void putCounters(std::string &J, const StatusCounters &C) {
 std::string CampaignStatusFeed::serializeLocked(uint64_t Now) {
   uint64_t Vars = TotalVariants.load(std::memory_order_relaxed);
 
-  // Campaign-wide counters: committed base plus the live shard slots.
+  // Campaign-wide counters: committed base plus every open seed's shard
+  // slots. Ranks and the shard list describe the running seed.
   StatusCounters Live = Base;
+  for (const auto &[Seed, Slots] : Open)
+    for (const ShardStatus &S : Slots) {
+      Live.Enumerated += S.C.Enumerated;
+      Live.Tested += S.C.Tested;
+      Live.Pruned += S.C.Pruned;
+      Live.OracleExcluded += S.C.OracleExcluded;
+      Live.OracleExecs += S.C.OracleExecs;
+      Live.CacheHits += S.C.CacheHits;
+      Live.Timeouts += S.C.Timeouts;
+      Live.MatrixCells += S.C.MatrixCells;
+      Live.RawFindings += S.C.RawFindings;
+      Live.UniqueBugs += S.C.UniqueBugs;
+    }
+  auto RunningIt = Open.find(Running);
+  const std::vector<ShardStatus> NoShards;
+  const std::vector<ShardStatus> &Shards =
+      RunningIt == Open.end() ? NoShards : RunningIt->second;
   uint64_t RanksDone = 0, RanksTotal = 0;
   for (const ShardStatus &S : Shards) {
-    Live.Enumerated += S.C.Enumerated;
-    Live.Tested += S.C.Tested;
-    Live.Pruned += S.C.Pruned;
-    Live.OracleExcluded += S.C.OracleExcluded;
-    Live.OracleExecs += S.C.OracleExecs;
-    Live.CacheHits += S.C.CacheHits;
-    Live.Timeouts += S.C.Timeouts;
-    Live.MatrixCells += S.C.MatrixCells;
-    Live.RawFindings += S.C.RawFindings;
-    Live.UniqueBugs += S.C.UniqueBugs;
     RanksDone += S.RanksDone;
     RanksTotal += S.RanksTotal;
   }

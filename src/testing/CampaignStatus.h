@@ -29,6 +29,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -66,12 +67,12 @@ public:
     uint64_t EveryMs = 500;
   };
 
-  /// One shard worker's progress within the current seed.
+  /// One shard worker's progress within its seed.
   struct ShardStatus {
     uint64_t RanksDone = 0;
     uint64_t RanksTotal = 0;
     bool Finished = false;
-    /// Campaign counters accumulated by this worker in the current seed.
+    /// Campaign counters accumulated by this worker in its seed.
     StatusCounters C;
   };
 
@@ -91,18 +92,25 @@ public:
   /// already committed, \p Base the counters those committed seeds merged.
   void beginCampaign(uint64_t TotalSeeds, uint64_t DoneSeeds,
                      const StatusCounters &Base);
-  /// A new seed starts enumerating with \p Workers shard workers.
-  void beginSeed(unsigned Workers);
+  /// Seed \p Seed starts enumerating with \p Workers shard workers. It is
+  /// the running seed, the one updateShard() publishes into and the shard
+  /// list shows, until the next beginSeed(); its slots count in the live
+  /// counters until commitSeed(\p Seed). A campaign pipeline can commit a
+  /// seed after the next one began, so several seeds can be open at once.
+  void beginSeed(uint64_t Seed, unsigned Workers);
   /// One variant enumerated anywhere. \returns true when a status write is
   /// due -- the caller then updateShard()s its fresh numbers and
   /// writeNow()s. At most one caller wins per cadence interval.
   bool noteVariant();
-  /// Publishes shard \p W's current progress (any time, typically right
-  /// before a write this worker triggered).
+  /// Publishes shard \p W's current progress in the running seed (any
+  /// time, typically right before a write this worker triggered; ignored
+  /// once that seed committed).
   void updateShard(unsigned W, const ShardStatus &S);
-  /// The current seed merged into the campaign result: its counters move
-  /// from the shard slots into the committed base.
-  void commitSeed(const StatusCounters &MergedBase);
+  /// Seed \p Seed merged into the campaign result, whose counters are now
+  /// \p MergedBase: the base takes them over, and the seed's shard slots
+  /// leave the live sum. A rejected or threshold-skipped seed commits
+  /// without having begun, and has no slots.
+  void commitSeed(uint64_t Seed, const StatusCounters &MergedBase);
   /// Triage finished with this many signature clusters.
   void setClusters(uint64_t N);
   /// Campaign over: final counters, state "complete", forced write.
@@ -166,7 +174,10 @@ private:
   uint64_t TotalSeeds = 0;
   uint64_t DoneSeeds = 0;
   StatusCounters Base; ///< Committed seeds (and resume prefix).
-  std::vector<ShardStatus> Shards;
+  /// Shard slots of every begun, uncommitted seed, by seed.
+  std::map<uint64_t, std::vector<ShardStatus>> Open;
+  /// The latest beginSeed()'s seed.
+  uint64_t Running = 0;
   uint64_t Clusters = 0;
   bool HaveClusters = false;
   std::vector<PoolRef> Pools;

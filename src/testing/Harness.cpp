@@ -236,6 +236,9 @@ struct OracleOutcome {
   /// Per-union-input verdicts (Sweep[0] == Verdict), computed only for
   /// testable variants of a swept campaign; empty otherwise.
   std::vector<OracleCache::Entry> Sweep;
+  /// The AST the oracle analysed, when any input missed the cache (null
+  /// when every verdict was replayed or the frontend refused the variant).
+  std::shared_ptr<ASTContext> Parsed;
 };
 
 /// The config label of an oracle_exec / sweep_exec span: the verdict (ok,
@@ -275,9 +278,8 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
   TelemetrySink *Sink = Opts.Telemetry;
   TelemetrySummary *Local = Sink ? &Result.Telemetry : nullptr;
   // One parse serves every input's interpretation; lazily done on the
-  // first cache miss.
-  std::unique_ptr<ASTContext> RefCtx;
-  bool Parsed = false;
+  // first cache miss, and kept in O.Parsed for the backends.
+  bool ParseTried = false;
   auto VerdictFor = [&](const std::string &Input, const char *Phase) {
     OracleCache::Entry V;
     std::string Key = oracleCacheKey(Source, Input, Opts.OracleMaxSteps);
@@ -294,16 +296,16 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
     }
     {
       SpanTimer T(Sink, Local, Phase);
-      if (!Parsed) {
-        RefCtx = parseAndAnalyze(Source);
-        Parsed = true;
+      if (!ParseTried) {
+        O.Parsed = parseAndAnalyze(Source);
+        ParseTried = true;
       }
-      V.FrontendOk = RefCtx != nullptr;
-      if (RefCtx) {
+      V.FrontendOk = O.Parsed != nullptr;
+      if (O.Parsed) {
         InterpOptions IO;
         IO.MaxSteps = Opts.OracleMaxSteps;
         IO.Input = Input;
-        ExecResult Ref = interpret(*RefCtx, IO);
+        ExecResult Ref = interpret(*O.Parsed, IO);
         ++Result.OracleExecutions;
         if (Sink || Local)
           T.setConfigLabel(verdictLabel(Ref));
@@ -365,7 +367,11 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
 /// batch is handed to the backend (beginBatch -- which starts pool
 /// compiles and returns) *before* the previous batch is collected and
 /// recorded, so the compiler works on batch N+1 while this thread records
-/// batch N and then interprets oracles for batch N+2.
+/// batch N and then interprets oracles for batch N+2. Unbatched, each
+/// variant's expectation carries the AST its oracle phase parsed (when it
+/// parsed one), so an in-process backend lowers it instead of parsing the
+/// text again; batched, the AST is dropped in add(), and no AST outlives
+/// the add() that parsed it.
 ///
 /// A pipeline may outlive the cursor range that feeds it: each variant
 /// records into the partial result it was added with, so one batch can
@@ -412,6 +418,9 @@ public:
     OracleOutcome O = oraclePhase(Opts, Source, AllInputs, Out, Staged);
     if (!O.Test)
       return;
+    // A batch kept in flight would hold its members' ASTs past this add().
+    if (overlapped())
+      O.Parsed.reset();
     Cur.push_back({Source, std::move(O), &Out, Cov});
     ++Queued;
     if (Cur.size() < Opts.BatchSize)
@@ -455,12 +464,14 @@ private:
   /// What a clean execution of a tested variant must reproduce: the
   /// primary verdict, plus one cell per non-primary union input. An input
   /// the oracle excluded (UB / non-termination under that stdin) is an
-  /// invalid cell the backend never executes.
+  /// invalid cell the backend never executes. It carries the oracle's AST
+  /// when add() kept it.
   static BatchExpectation expectationOf(const OracleOutcome &O) {
     BatchExpectation E;
     E.Valid = true;
     E.ExitCode = O.Verdict.ExitCode;
     E.Output = O.Verdict.Output;
+    E.Parsed = O.Parsed;
     for (size_t U = 1; U < O.Sweep.size(); ++U) {
       const OracleCache::Entry &V = O.Sweep[U];
       BatchExpectation::Cell Cell;
@@ -1015,13 +1026,13 @@ public:
     Pipe.OnRecorded = [this] { settle(); };
   }
 
-  /// Runs one seed: one runRange shard per worker over an even split of
-  /// the budgeted prefix -- or, resuming mid-seed, from \p Resume's worker
-  /// states -- merged in shard order, which reproduces the single-threaded
-  /// result bit for bit. \returns false with \p Err set when the resume
-  /// snapshot disagrees with the re-analyzed seed.
-  bool run(const std::string &Source, const CampaignCheckpoint *Resume,
-           std::string &Err);
+  /// Runs seed \p Index: one runRange shard per worker over an even split
+  /// of the budgeted prefix -- or, resuming mid-seed, from \p Resume's
+  /// worker states -- merged in shard order, which reproduces the
+  /// single-threaded result bit for bit. \returns false with \p Err set
+  /// when the resume snapshot disagrees with the re-analyzed seed.
+  bool run(uint64_t Index, const std::string &Source,
+           const CampaignCheckpoint *Resume, std::string &Err);
 
   /// Campaign end: records every queued row and merges every seed.
   void finish() {
@@ -1032,6 +1043,8 @@ public:
 private:
   /// A seed between the end of its enumeration and its merge.
   struct PendingSeed {
+    /// The seed's index in the corpus, which names it to the status feed.
+    uint64_t Index = 0;
     CampaignResult Header;
     /// One partial result and (when coverage is on) one registry per shard.
     std::vector<CampaignResult> Partials;
@@ -1061,7 +1074,7 @@ private:
       if (Ck)
         Ck->commitSeed(Merged, Opts.Cov);
       if (Opts.Status)
-        Opts.Status->commitSeed(countersOf(Merged));
+        Opts.Status->commitSeed(Seed.Index, countersOf(Merged));
       Pending.pop_front();
     }
   }
@@ -1077,9 +1090,10 @@ private:
   VariantPipeline Pipe;
 };
 
-bool SeedRunner::run(const std::string &Source,
+bool SeedRunner::run(uint64_t Index, const std::string &Source,
                      const CampaignCheckpoint *Resume, std::string &Err) {
   PendingSeed &Seed = Pending.emplace_back();
+  Seed.Index = Index;
   SeedPlan Plan = buildSeedPlan(Opts, Source, Seed.Header);
   if (!Plan.Ready) {
     if (Resume) {
@@ -1128,7 +1142,7 @@ bool SeedRunner::run(const std::string &Source,
   }
 
   if (Opts.Status)
-    Opts.Status->beginSeed(Threads);
+    Opts.Status->beginSeed(Index, Threads);
   // Each worker owns its partial result and (when requested) a private
   // coverage registry copy, merged back in shard order once the seed's
   // rows are all recorded.
@@ -1238,7 +1252,7 @@ bool runSeeds(const HarnessOptions &Opts, const CompilerBackend &Backend,
   for (size_t S = StartSeed; S < Seeds.size(); ++S) {
     const CampaignCheckpoint *Resume =
         From && From->InFlight && S == StartSeed ? From : nullptr;
-    if (!Runner.run(Seeds[S], Resume, Err))
+    if (!Runner.run(S, Seeds[S], Resume, Err))
       return false;
     if (Ck && Ck->crashed())
       return true; // Simulated death: the caller resumes from disk.

@@ -371,6 +371,66 @@ TEST(InjectedBugTest, Mode32OnlyBugs) {
   EXPECT_NE(R32.CrashSignature.find("lra-assigns"), std::string::npos);
 }
 
+TEST(LoweredUnitTest, InPlaceModulesEqualCopiesAndMutilateOnlyTheirOwn) {
+  // Aliased stores: DropLastStore fires from -O2 in gcc-sim 4.8 and
+  // clang-sim 3.6, so their crash matrices mutilate at -O3 and not at
+  // -O0.
+  const char *Source = "int a = 0;\n"
+                       "int main(void) {\n"
+                       "  int *p = &a, *q = &a;\n"
+                       "  *p = 1;\n"
+                       "  *q = 2;\n"
+                       "  return a;\n"
+                       "}";
+  unsigned Mutilated = 0;
+  for (auto [P, Version] : {std::pair{Persona::GccSim, 48u},
+                            std::pair{Persona::ClangSim, 36u}}) {
+    auto C = analyze(Source);
+    LoweredUnit Unit(C->Ctx, nullptr);
+    // The crash matrix: -O0 and -O3, each at -m64 and -m32.
+    for (unsigned Opt : {0u, 3u})
+      for (bool Mode64 : {true, false}) {
+        CompilerConfig Config{P, Version, Opt, Mode64, {}};
+        std::string Tag = std::string(personaName(P)) + " O" +
+                          std::to_string(Opt) + (Mode64 ? " m64" : " m32");
+        MiniCompiler CC(Config);
+        CompileResult Copy = CC.compile(Unit);
+        CompileResult InPlace;
+        const IRModule *M = CC.compileInPlace(Unit, InPlace);
+        ASSERT_TRUE(Copy.ok()) << Tag << ": " << Copy.CrashSignature;
+        ASSERT_NE(M, nullptr) << Tag;
+        EXPECT_EQ(printModule(*M), printModule(Copy.Module)) << Tag;
+        EXPECT_TRUE(InPlace.ok()) << Tag;
+        EXPECT_EQ(InPlace.FiredBugs, Copy.FiredBugs) << Tag;
+        EXPECT_EQ(InPlace.CompileCost, Copy.CompileCost) << Tag;
+
+        Mutilation Mut = Mutilation::None;
+        for (int Id : Copy.FiredBugs)
+          if (Mut == Mutilation::None &&
+              findBug(Id)->Effect == BugEffect::WrongCode)
+            Mut = findBug(Id)->Mut;
+        EXPECT_EQ(Mut != Mutilation::None, Opt == 3) << Tag;
+        const IRModule &Level = Unit.module(Opt, Mutilation::None).IR;
+        // The level's module is the bugs-off compile's, however many
+        // configs mutilated a copy of it before.
+        auto Fresh = analyze(Source);
+        CompileResult Clean =
+            MiniCompiler(Config, nullptr, /*InjectBugs=*/false)
+                .compile(Fresh->Ctx);
+        EXPECT_EQ(printModule(Level), printModule(Clean.Module)) << Tag;
+        if (Mut == Mutilation::None) {
+          EXPECT_EQ(M, &Level) << Tag;
+          continue;
+        }
+        ++Mutilated;
+        EXPECT_NE(M, &Level) << Tag;
+        EXPECT_NE(printModule(*M), printModule(Level)) << Tag;
+        EXPECT_EQ(M, &Unit.module(Opt, Mut).IR) << Tag;
+      }
+  }
+  EXPECT_EQ(Mutilated, 4u);
+}
+
 //===--------------------------------------------------------------------===//
 // VM divergence check
 //===--------------------------------------------------------------------===//

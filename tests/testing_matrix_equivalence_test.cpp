@@ -26,9 +26,11 @@
 #include "testing/CampaignStatus.h"
 #include "testing/Corpus.h"
 #include "testing/Harness.h"
+#include "testing/OracleCache.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 
@@ -210,66 +212,113 @@ struct CellCensus {
   uint64_t Cells = 0, Crashed = 0, Fired = 0, Ran = 0, Timeouts = 0;
 };
 
-/// Runs \p Variants under \p Configs twice, each run into a fresh
-/// registry: once through InProcessBackend's batch (one parse and one
-/// lowering per variant) and once as a runSweep() loop per config (a
-/// parse and a whole compile per cell). Every observation field and the
-/// coverage hit sets must agree.
+/// Runs \p Variants under \p Configs three times, each run into a fresh
+/// registry: as a runSweep() loop per config (a parse and a whole compile
+/// per row, and each row of a swept config checked against one
+/// runWithInput() per input), and twice through InProcessBackend's batch
+/// (one lowering per variant) -- once parsing each variant itself, and
+/// once lowering an AST handed in through BatchExpectation::Parsed that
+/// was parsed once and interpreted under every input of the matrix at
+/// \p MaxSteps, as the harness's oracle phase leaves it. Every observation
+/// field and the coverage hit sets must agree.
 void expectBatchEqualsSweeps(const InProcessBackend &Backend,
                              const std::vector<std::string> &Variants,
                              const std::vector<CompilerConfig> &Configs,
-                             const std::string &Tag, CellCensus &Census) {
-  CoverageRegistry BatchCov, SweepCov;
-  registerPassCoverageCatalog(BatchCov);
+                             uint64_t MaxSteps, const std::string &Tag,
+                             CellCensus &Census) {
+  CoverageRegistry SweepCov;
   registerPassCoverageCatalog(SweepCov);
-  auto Batch = Backend.finishBatch(Backend.beginBatch(
-      Variants, std::vector<BatchExpectation>(Variants.size()), Configs,
-      &BatchCov));
+  std::vector<std::vector<std::vector<BackendObservation>>> Sweeps;
   unsigned Reported = 0;
-  EXPECT_EQ(Batch.size(), Variants.size()) << Tag;
-  for (size_t V = 0; V < Variants.size() && V < Batch.size(); ++V) {
-    EXPECT_EQ(Batch[V].size(), Configs.size()) << Tag;
-    for (size_t C = 0; C < Configs.size() && C < Batch[V].size(); ++C) {
-      std::vector<BackendObservation> Row = Backend.runSweep(
-          Variants[V], Configs[C], configInputs(Configs[C]), &SweepCov);
-      EXPECT_EQ(Batch[V][C].size(), Row.size()) << Tag;
-      for (size_t I = 0; I < Row.size() && I < Batch[V][C].size(); ++I) {
-        const BackendObservation &O = Row[I];
+  for (const std::string &Variant : Variants) {
+    std::vector<std::vector<BackendObservation>> &Rows = Sweeps.emplace_back();
+    for (const CompilerConfig &Config : Configs) {
+      std::vector<std::string> Ins = configInputs(Config);
+      Rows.push_back(Backend.runSweep(Variant, Config, Ins, &SweepCov));
+      // A row over several inputs equals one run per input: no VM run is
+      // shared across inputs.
+      for (size_t I = 0; Ins.size() > 1 && I < Ins.size(); ++I) {
+        std::string Diff = firstFieldDiff(
+            Rows.back()[I],
+            Backend.runWithInput(Variant, Config, Ins[I], &SweepCov));
+        if (!Diff.empty() && Reported++ < 5)
+          ADD_FAILURE() << Tag << ": " << Diff << " differs for input " << I
+                        << " between runSweep and runWithInput of\n"
+                        << Variant;
+      }
+    }
+  }
+  EXPECT_EQ(Reported, 0u) << Tag << ": rows differing from single runs";
+  for (const std::vector<std::vector<BackendObservation>> &Rows : Sweeps)
+    for (const std::vector<BackendObservation> &Row : Rows)
+      for (const BackendObservation &O : Row) {
         ++Census.Cells;
         Census.Crashed +=
             O.Compile == BackendObservation::CompileStatus::Crashed;
         Census.Fired += !O.FiredBugs.empty();
         Census.Ran += O.Exec != BackendObservation::ExecStatus::NotRun;
         Census.Timeouts += O.Exec == BackendObservation::ExecStatus::Timeout;
-        std::string Diff = firstFieldDiff(Batch[V][C][I], O);
-        if (!Diff.empty() && Reported++ < 5)
-          ADD_FAILURE() << Tag << ": " << Diff << " differs for config "
-                        << C << ", input " << I << " of\n"
-                        << Variants[V];
+      }
+
+  for (bool HandOver : {false, true}) {
+    std::string Mode = Tag + (HandOver ? " (oracle AST)" : " (fresh parse)");
+    std::vector<BatchExpectation> Expected(Variants.size());
+    if (HandOver) {
+      for (size_t V = 0; V < Variants.size(); ++V) {
+        std::shared_ptr<ASTContext> Ctx = parseAndAnalyze(Variants[V]);
+        ASSERT_TRUE(Ctx) << Mode << "\n" << Variants[V];
+        for (const std::string &Input : sweepUnion(Configs)) {
+          InterpOptions IO;
+          IO.MaxSteps = MaxSteps;
+          IO.Input = Input;
+          interpret(*Ctx, IO);
+        }
+        Expected[V].Parsed = std::move(Ctx);
       }
     }
-  }
-  EXPECT_EQ(Reported, 0u) << Tag << ": differing cells";
-  EXPECT_EQ(BatchCov.hitSet(), SweepCov.hitSet()) << Tag;
-  // Neither half may go unrecorded on both paths alike: the batch hits
-  // the lowering's irgen.* points and the pipelines' pass points.
-  size_t IRGenHits = 0, PassHits = 0;
-  for (const std::string &Point : BatchCov.hitSet())
-    (Point.rfind("irgen.", 0) == 0 ? IRGenHits : PassHits) += 1;
-  if (!Variants.empty()) {
-    EXPECT_GT(IRGenHits, 0u) << Tag;
-    EXPECT_GT(PassHits, 0u) << Tag;
+    CoverageRegistry BatchCov;
+    registerPassCoverageCatalog(BatchCov);
+    auto Batch = Backend.finishBatch(
+        Backend.beginBatch(Variants, std::move(Expected), Configs, &BatchCov));
+    Reported = 0;
+    EXPECT_EQ(Batch.size(), Variants.size()) << Mode;
+    for (size_t V = 0; V < Variants.size() && V < Batch.size(); ++V) {
+      EXPECT_EQ(Batch[V].size(), Configs.size()) << Mode;
+      for (size_t C = 0; C < Configs.size() && C < Batch[V].size(); ++C) {
+        const std::vector<BackendObservation> &Row = Sweeps[V][C];
+        EXPECT_EQ(Batch[V][C].size(), Row.size()) << Mode;
+        for (size_t I = 0; I < Row.size() && I < Batch[V][C].size(); ++I) {
+          std::string Diff = firstFieldDiff(Batch[V][C][I], Row[I]);
+          if (!Diff.empty() && Reported++ < 5)
+            ADD_FAILURE() << Mode << ": " << Diff << " differs for config "
+                          << C << ", input " << I << " of\n"
+                          << Variants[V];
+        }
+      }
+    }
+    EXPECT_EQ(Reported, 0u) << Mode << ": differing cells";
+    EXPECT_EQ(BatchCov.hitSet(), SweepCov.hitSet()) << Mode;
+    // Neither half may go unrecorded on both paths alike: the batch hits
+    // the lowering's irgen.* points and the pipelines' pass points.
+    size_t IRGenHits = 0, PassHits = 0;
+    for (const std::string &Point : BatchCov.hitSet())
+      (Point.rfind("irgen.", 0) == 0 ? IRGenHits : PassHits) += 1;
+    if (!Variants.empty()) {
+      EXPECT_GT(IRGenHits, 0u) << Mode;
+      EXPECT_GT(PassHits, 0u) << Mode;
+    }
   }
 }
 
 } // namespace
 
 TEST(MatrixEquivalenceTest, LoweredBatchEqualsPerConfigSweeps) {
-  // InProcessBackend's batch shares a variant's parse, features, IRGen
-  // and one pipeline run per opt level across every config; only the bug
-  // hooks, the mutilation (on a copy), the verifier and the VM runs are
-  // per config. That must be unobservable: both personas' crash matrices,
-  // an opt-level sweep and a swept config, bugs on and off.
+  // InProcessBackend's batch shares a variant's parse (or the oracle's
+  // AST), features, IRGen, one verified module per (opt level,
+  // mutilation) and one VM run per (module, input) across every config;
+  // only the bug hooks are per config. That must be unobservable: both
+  // personas' crash matrices, an opt-level sweep and a swept config, bugs
+  // on and off.
   // The opt-level sweep is clang-sim's: at gcc-sim 4.8 -O1, bug 7
   // miscompiles every variant of embedded seed 4 into a loop only the
   // VM's 5M-step budget ends, about 25 s of VM time per pass.
@@ -282,17 +331,33 @@ TEST(MatrixEquivalenceTest, LoweredBatchEqualsPerConfigSweeps) {
   CompilerConfig Swept{Persona::ClangSim, 36, 2, false, {"1\n", "7\n", "-3\n"}};
   Configs.push_back(Swept);
 
-  // Every tested variant of the embedded seeds at corpus2p's budget, and
-  // a slice of the loop corpus at loops_ckpt's step budget.
+  // Every tested variant of the embedded seeds at corpus2p's budget, of
+  // a seed that computes its exit code from its stdin (no corpus seed
+  // reads stdin, so only it shows a VM run shared across the swept
+  // config's inputs), and a slice of the loop corpus at loops_ckpt's
+  // step budget.
   std::vector<std::vector<std::string>> Batches;
-  for (const std::string &Seed : embeddedSeeds())
+  std::vector<uint64_t> BatchSteps;
+  std::vector<std::string> Seeds = embeddedSeeds();
+  Seeds.push_back("int main(void) {\n"
+                  "  int a = spe_input();\n"
+                  "  int b = 1;\n"
+                  "  if (a > b)\n"
+                  "    b = a - b;\n"
+                  "  return b * 10 + a;\n"
+                  "}\n");
+  for (const std::string &Seed : Seeds) {
     Batches.push_back(testedVariants(Seed, 400, 2'000'000));
+    BatchSteps.push_back(2'000'000);
+  }
   CorpusOptions LoopOpts;
   LoopOpts.UninitLocalProb = 0.6;
   LoopOpts.BoundedLoopProb = 0.6;
   LoopOpts.RichHelperProb = 0.6;
-  for (const std::string &Seed : generateCorpus(8000, 4, LoopOpts))
+  for (const std::string &Seed : generateCorpus(8000, 4, LoopOpts)) {
     Batches.push_back(testedVariants(Seed, 150, 100'000));
+    BatchSteps.push_back(100'000);
+  }
 
   for (bool InjectBugs : {true, false}) {
     InProcessBackend Backend(InjectBugs);
@@ -300,7 +365,7 @@ TEST(MatrixEquivalenceTest, LoweredBatchEqualsPerConfigSweeps) {
     CellCensus Census;
     for (size_t B = 0; B < Batches.size(); ++B) {
       Variants += Batches[B].size();
-      expectBatchEqualsSweeps(Backend, Batches[B], Configs,
+      expectBatchEqualsSweeps(Backend, Batches[B], Configs, BatchSteps[B],
                               std::string(InjectBugs ? "bugs" : "fixed") +
                                   " batch " + std::to_string(B),
                               Census);
@@ -321,6 +386,105 @@ TEST(MatrixEquivalenceTest, LoweredBatchEqualsPerConfigSweeps) {
       EXPECT_GT(Census.Fired, Census.Crashed);
     }
   }
+}
+
+namespace {
+
+/// An InProcessBackend behind a forwarding double that records, for each
+/// variant handed to beginBatch, whether its expectation carried the
+/// oracle's AST.
+struct HandOverProbe : CompilerBackend {
+  InProcessBackend Inner;
+  mutable std::vector<bool> Carried;
+  std::string identity() const override { return Inner.identity(); }
+  bool hasGroundTruth() const override { return Inner.hasGroundTruth(); }
+  BackendObservation run(const std::string &S, const CompilerConfig &C,
+                         CoverageRegistry *Cov) const override {
+    return Inner.run(S, C, Cov);
+  }
+  BackendObservation runWithInput(const std::string &S,
+                                  const CompilerConfig &C,
+                                  const std::string &In,
+                                  CoverageRegistry *Cov) const override {
+    return Inner.runWithInput(S, C, In, Cov);
+  }
+  std::vector<BackendObservation>
+  runSweep(const std::string &S, const CompilerConfig &C,
+           const std::vector<std::string> &Ins,
+           CoverageRegistry *Cov) const override {
+    return Inner.runSweep(S, C, Ins, Cov);
+  }
+  std::unique_ptr<BatchTicket>
+  beginBatch(std::vector<std::string> Sources,
+             std::vector<BatchExpectation> Expected,
+             std::vector<CompilerConfig> Configs,
+             CoverageRegistry *Cov) const override {
+    for (const BatchExpectation &E : Expected)
+      Carried.push_back(E.Parsed != nullptr);
+    return Inner.beginBatch(std::move(Sources), std::move(Expected),
+                            std::move(Configs), Cov);
+  }
+  std::vector<std::vector<std::vector<BackendObservation>>>
+  finishBatch(std::unique_ptr<BatchTicket> Ticket) const override {
+    return Inner.finishBatch(std::move(Ticket));
+  }
+  /// How many recorded variants carried an AST; clears the record.
+  size_t takeCarried(size_t &Total) const {
+    Total = Carried.size();
+    size_t N = static_cast<size_t>(
+        std::count(Carried.begin(), Carried.end(), true));
+    Carried.clear();
+    return N;
+  }
+};
+
+/// One campaign under \p Opts, run through \p Backend (null = the
+/// harness's own InProcessBackend) into a fresh registry.
+RunOutput runThrough(HarnessOptions Opts, const CompilerBackend *Backend) {
+  Opts.Backend = Backend;
+  return runWith(Opts);
+}
+
+} // namespace
+
+TEST(MatrixEquivalenceTest, OracleAstReachesTheBackendOnlyUnbatchedOnAMiss) {
+  // The harness hands the oracle's AST over only when it parsed one (a
+  // cache miss) and the variant's batch begins and finishes in one add()
+  // (BatchSize <= 1). The results never depend on it.
+  HandOverProbe Probe;
+  size_t Total = 0;
+
+  // Unbatched, no cache: every tested variant carries its AST.
+  HarnessOptions Opts = classicOptions(1, 1);
+  RunOutput Plain = runThrough(Opts, nullptr);
+  RunOutput Probed = runThrough(Opts, &Probe);
+  expectIdentical(Plain, Probed, "unbatched, no cache");
+  EXPECT_EQ(Probe.takeCarried(Total), Total);
+  EXPECT_EQ(Total, Probed.Result.VariantsTested);
+  EXPECT_GT(Total, 0u);
+
+  // A second pass over a warm cache replays every verdict: no AST.
+  OracleCache PlainCache, ProbeCache;
+  Opts.Cache = &PlainCache;
+  runThrough(Opts, nullptr);
+  Plain = runThrough(Opts, nullptr);
+  Opts.Cache = &ProbeCache;
+  runThrough(Opts, &Probe);
+  EXPECT_EQ(Probe.takeCarried(Total), Total);
+  Probed = runThrough(Opts, &Probe);
+  expectIdentical(Plain, Probed, "warm cache");
+  EXPECT_EQ(Probe.takeCarried(Total), 0u);
+  EXPECT_EQ(Total, Probed.Result.VariantsTested);
+  EXPECT_GT(Probed.Result.OracleCacheHits, 0u);
+  EXPECT_EQ(Probed.Result.OracleExecutions, 0u);
+
+  // Batched: a batch stays in flight across add() calls, so no AST.
+  Opts = classicOptions(1, 4);
+  Plain = runThrough(Opts, nullptr);
+  Probed = runThrough(Opts, &Probe);
+  expectIdentical(Plain, Probed, "BatchSize 4");
+  EXPECT_EQ(Probe.takeCarried(Total), 0u);
+  EXPECT_EQ(Total, Probed.Result.VariantsTested);
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,6 +17,11 @@
 //     one writer's rename failed under another's and nothing kept an
 //     older document from replacing a newer one.
 //
+//  4. A campaign pipeline that spans seeds commits a seed after the next
+//     seed began, and commitSeed cleared every shard slot: the running
+//     seed's shard left the document and its counters went uncounted
+//     until its next cadence write.
+//
 //===----------------------------------------------------------------------===//
 
 #include "testing/CampaignStatus.h"
@@ -25,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -149,7 +155,7 @@ TEST(StatusFeedWindowMath, SameTickWriteKeepsNonZeroRate) {
 
   StatusCounters Base;
   Feed.beginCampaign(1, 0, Base); // First write at t=1000 (window = start).
-  Feed.beginSeed(1);
+  Feed.beginSeed(0, 1);
 
   // 50 variants land and a second write happens in the SAME millisecond
   // tick: the window is 0 ms wide but saw 50 variants. Pre-fix this
@@ -229,6 +235,83 @@ TEST(StatusFeedConcurrentWrites, WritersNeverCollideAndTheNewestDocWins) {
   EXPECT_TRUE(isValidJsonText(Doc)) << Doc;
   EXPECT_EQ(jsonValue(Doc, "uptime_ms"),
             std::to_string(WriterThreads * WritesPerThread));
+}
+
+//===----------------------------------------------------------------------===//
+// Bug 4: a seed that commits after the next one began keeps the next one's
+// shard
+//===----------------------------------------------------------------------===//
+
+/// The JSON text of the document's "shards" array, brackets excluded.
+std::string shardsOf(const std::string &Doc) {
+  std::string Needle = "\"shards\":[";
+  size_t At = Doc.find(Needle);
+  if (At == std::string::npos)
+    return "";
+  At += Needle.size();
+  return Doc.substr(At, Doc.find(']', At) - At);
+}
+
+CampaignStatusFeed::ShardStatus shardAt(uint64_t Done, uint64_t Total,
+                                        uint64_t Tested) {
+  CampaignStatusFeed::ShardStatus S;
+  S.RanksDone = Done;
+  S.RanksTotal = Total;
+  S.Finished = Done == Total;
+  S.C.Enumerated = Done;
+  S.C.Tested = Tested;
+  return S;
+}
+
+TEST(StatusFeedSeedOverlap, LateCommitKeepsTheRunningSeedCountedOnce) {
+  TempDir Tmp;
+  CampaignStatusFeed::Options O;
+  O.Path = Tmp.Path + "/status.json";
+  O.EveryMs = 0;
+  CampaignStatusFeed Feed(O);
+  Feed.beginCampaign(3, 0, StatusCounters());
+
+  // Seed 0 enumerates to its end; its last rows are still in flight.
+  Feed.beginSeed(0, 1);
+  Feed.updateShard(0, shardAt(5, 5, 4));
+  // Seed 1 is rejected by the frontend: it never begins, and it commits
+  // right after seed 0. Seed 2 begins before either commits.
+  Feed.beginSeed(2, 1);
+  Feed.updateShard(0, shardAt(3, 10, 2));
+  Feed.writeNow();
+  std::string Doc = readFile(O.Path);
+  EXPECT_EQ(jsonValue(Doc, "tested"), "6") << Doc;
+  EXPECT_EQ(jsonValue(Doc, "enumerated"), "8") << Doc;
+
+  // Seed 0's rows are recorded: seeds 0 and 1 commit in seed order.
+  StatusCounters Merged;
+  Merged.Enumerated = 5;
+  Merged.Tested = 4;
+  Feed.commitSeed(0, Merged);
+  Feed.commitSeed(1, Merged);
+  Feed.writeNow();
+  Doc = readFile(O.Path);
+  ASSERT_TRUE(isValidJsonText(Doc)) << Doc;
+  // Seed 2 counts exactly once, on top of the committed base, and the
+  // shard list still shows it.
+  EXPECT_EQ(jsonValue(Doc, "tested"), "6") << Doc;
+  EXPECT_EQ(jsonValue(Doc, "enumerated"), "8") << Doc;
+  EXPECT_EQ(jsonValue(Doc, "ranks_done"), "3") << Doc;
+  EXPECT_EQ(jsonValue(Doc, "ranks_total"), "10") << Doc;
+  std::string Shards = shardsOf(Doc);
+  EXPECT_EQ(jsonValue(Shards, "worker"), "0") << Doc;
+  EXPECT_EQ(jsonValue(Shards, "done"), "3") << Doc;
+  EXPECT_EQ(jsonValue(Shards, "total"), "10") << Doc;
+  EXPECT_EQ(std::count(Shards.begin(), Shards.end(), '{'), 1) << Doc;
+
+  // Seed 2 commits: nothing is open, and its counters live in the base.
+  Merged.Enumerated = 10;
+  Merged.Tested = 7;
+  Feed.commitSeed(2, Merged);
+  Feed.writeNow();
+  Doc = readFile(O.Path);
+  EXPECT_EQ(jsonValue(Doc, "tested"), "7") << Doc;
+  EXPECT_EQ(shardsOf(Doc), "") << Doc;
 }
 
 } // namespace
