@@ -18,9 +18,9 @@ namespace {
 /// parked until finishBatch runs the ordinary per-variant loop.
 struct GenericBatchTicket final : BatchTicket {
   std::vector<std::string> Sources;
-  /// Each variant's BatchExpectation::Parsed (may be null), alive until
-  /// finishBatch returns.
-  std::vector<std::shared_ptr<ASTContext>> Parsed;
+  /// Each variant's borrowed BatchExpectation::Parsed (may be null); its
+  /// lender keeps it alive until finishBatch returns.
+  std::vector<ASTContext *> Parsed;
   std::vector<CompilerConfig> Configs;
   CoverageRegistry *Cov = nullptr;
 };
@@ -72,11 +72,11 @@ CompilerBackend::beginBatch(std::vector<std::string> Sources,
                             std::vector<CompilerConfig> Configs,
                             CoverageRegistry *Cov) const {
   // finishBatch's loop *is* the unbatched path; nothing to verify, so only
-  // the ASTs are kept.
+  // the lent ASTs are kept.
   auto T = std::make_unique<GenericBatchTicket>();
   T->Sources = std::move(Sources);
-  for (BatchExpectation &E : Expected)
-    T->Parsed.push_back(std::move(E.Parsed));
+  for (const BatchExpectation &E : Expected)
+    T->Parsed.push_back(E.Parsed);
   T->Configs = std::move(Configs);
   T->Cov = Cov;
   return T;
@@ -142,8 +142,8 @@ InProcessBackend::finishBatch(std::unique_ptr<BatchTicket> Ticket) const {
   std::vector<std::vector<std::vector<BackendObservation>>> Out;
   Out.reserve(T->Sources.size());
   for (size_t I = 0; I < T->Sources.size(); ++I)
-    Out.push_back(runConfigs(T->Sources[I], T->Parsed[I].get(), T->Configs,
-                             Inputs, T->Cov));
+    Out.push_back(
+        runConfigs(T->Sources[I], T->Parsed[I], T->Configs, Inputs, T->Cov));
   return Out;
 }
 

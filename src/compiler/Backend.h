@@ -23,11 +23,12 @@
 /// as a divergence.
 ///
 /// The in-process backend does each piece of a variant's work once. It
-/// lowers the AST the oracle already analysed when the harness hands one
-/// over (BatchExpectation::Parsed) and parses the text otherwise; it
-/// builds and verifies one module per (opt level, mutilation) for all
-/// configs, reads each in place, and runs the VM once per distinct
-/// (module, stdin).
+/// lowers the AST the oracle interpreted when the harness lends one
+/// (BatchExpectation::Parsed: the cursor range's bound AST, or the oracle's
+/// own parse of a variant the binder refused) and parses the text
+/// otherwise; it builds and verifies one module per (opt level,
+/// mutilation) for all configs, reads each in place, and runs the VM once
+/// per distinct (module, stdin).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,13 +129,15 @@ struct BatchExpectation {
   /// input I+1). Empty when the campaign has no sweep -- the layout the
   /// pre-matrix harness produced, byte for byte.
   std::vector<Cell> Extra;
-  /// The AST the oracle parsed, analysed and interpreted for this variant,
-  /// or null. An in-process backend lowers it instead of parsing the text
-  /// again; interpretation, like IRGen, writes only the type table's
-  /// interned pointer types, so it lowers exactly as a fresh parse does.
-  /// Whoever holds it keeps it alive until finishBatch returns, since the
-  /// lowered IR reads types the AST owns; other backends ignore it.
-  std::shared_ptr<ASTContext> Parsed;
+  /// A borrowed, analysed AST of this variant, or null: the AST the
+  /// oracle interpreted, bound from the seed's template
+  /// (skeleton/VariantBinder.h) or parsed from the text. An in-process
+  /// backend lowers it instead of parsing the text; interpretation, like
+  /// IRGen, writes only the type table's interned pointer types, so it
+  /// lowers exactly as a fresh parse does. The lender keeps it alive and
+  /// unchanged until finishBatch returns, since the lowered IR reads types
+  /// the AST owns; other backends ignore it.
+  ASTContext *Parsed = nullptr;
 
   /// The expectation cell for sweep-union index \p UnionIdx (index 0
   /// aliases the legacy top-level fields). Cell.Valid is false when the
@@ -206,9 +209,9 @@ public:
   /// Starts testing a batch of variants against every configuration and
   /// returns immediately; backends that can overlap work (ExternalBackend's
   /// pool compiles) start it here. The base implementation just parks the
-  /// inputs, and each expectation's Parsed AST, in the ticket. Ownership of
-  /// \p Sources transfers to the ticket so nothing dangles while the caller
-  /// enumerates ahead.
+  /// inputs, and each expectation's borrowed Parsed pointer, in the
+  /// ticket. Ownership of \p Sources transfers to the ticket so nothing
+  /// dangles while the caller enumerates ahead.
   virtual std::unique_ptr<BatchTicket>
   beginBatch(std::vector<std::string> Sources,
              std::vector<BatchExpectation> Expected,
@@ -230,7 +233,7 @@ public:
 
 /// The in-process driver: parse + Sema + MiniCompiler + VM. Every entry
 /// runs one loop, runConfigs: per variant one parse (none when the batch
-/// carries the oracle's AST) and one lowering; per config the bug hooks,
+/// lends an AST) and one lowering; per config the bug hooks,
 /// which pick one of the unit's verified modules; per distinct (module,
 /// stdin) one VM run. The observations equal a fresh-parse runSweep()
 /// loop's, field for field.
@@ -254,8 +257,8 @@ public:
            const std::vector<std::string> &Inputs,
            CoverageRegistry *Cov) const override;
   /// The base beginBatch's parked inputs, one lowering per variant for the
-  /// whole config list: of the expectation's Parsed AST when it has one,
-  /// of a fresh parse otherwise.
+  /// whole config list: of the expectation's lent Parsed AST when it has
+  /// one, of a fresh parse otherwise.
   std::vector<std::vector<std::vector<BackendObservation>>>
   finishBatch(std::unique_ptr<BatchTicket> Ticket) const override;
 

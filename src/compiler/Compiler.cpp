@@ -6,82 +6,123 @@
 
 using namespace spe;
 
-void spe::applyMutilation(IRModule &M, Mutilation Mut) {
+namespace {
+
+/// Where a mutilation edits a module: instruction Instr of block Block of
+/// function Fn.
+struct MutilationSite {
+  size_t Fn = 0;
+  size_t Block = 0;
+  size_t Instr = 0;
+};
+
+bool sameOperand(const IROperand &A, const IROperand &B) {
+  return A.K == B.K && A.Imm == B.Imm && A.Reg == B.Reg && A.Ty == B.Ty;
+}
+
+/// Finds the instruction \p Mut edits in \p M. \returns false when there
+/// is none, or when the edit would leave the module as it is: a swap of
+/// equal operands or of equal successors.
+bool findMutilationSite(const IRModule &M, Mutilation Mut,
+                        MutilationSite &Site) {
   if (Mut == Mutilation::None || M.MainIndex < 0)
-    return;
-  IRFunction &Main = M.Functions[static_cast<size_t>(M.MainIndex)];
+    return false;
+  const size_t Main = static_cast<size_t>(M.MainIndex);
+  const std::vector<IRBlock> &MainBlocks = M.Functions[Main].Blocks;
+  switch (Mut) {
+  case Mutilation::None:
+    return false;
+  case Mutilation::DropLastStore:
+    for (size_t B = MainBlocks.size(); B-- > 0;)
+      for (size_t I = MainBlocks[B].Instrs.size(); I-- > 0;)
+        if (MainBlocks[B].Instrs[I].Op == IROp::Store) {
+          Site = {Main, B, I};
+          return true;
+        }
+    return false;
+  case Mutilation::DropFirstStore:
+    for (size_t B = 0; B < MainBlocks.size(); ++B)
+      for (size_t I = 0; I < MainBlocks[B].Instrs.size(); ++I)
+        if (MainBlocks[B].Instrs[I].Op == IROp::Store) {
+          Site = {Main, B, I};
+          return true;
+        }
+    return false;
+  case Mutilation::SwapFirstSubOperands:
+  case Mutilation::FoldSelfDivToOne:
+    for (size_t F = 0; F < M.Functions.size(); ++F) {
+      const std::vector<IRBlock> &Blocks = M.Functions[F].Blocks;
+      for (size_t B = 0; B < Blocks.size(); ++B)
+        for (size_t I = 0; I < Blocks[B].Instrs.size(); ++I) {
+          const IRInstr &In = Blocks[B].Instrs[I];
+          if (In.Op != IROp::Bin)
+            continue;
+          Site = {F, B, I};
+          if (Mut == Mutilation::SwapFirstSubOperands &&
+              In.Bin == BinaryOp::Sub)
+            return !sameOperand(In.A, In.B);
+          if (Mut == Mutilation::FoldSelfDivToOne &&
+              In.Bin == BinaryOp::Div && In.A.isReg() && In.B.isReg() &&
+              In.A.Reg == In.B.Reg)
+            return true;
+        }
+    }
+    return false;
+  case Mutilation::NegateFirstCondBr:
+    for (size_t F = 0; F < M.Functions.size(); ++F) {
+      const std::vector<IRBlock> &Blocks = M.Functions[F].Blocks;
+      for (size_t B = 0; B < Blocks.size(); ++B) {
+        const IRInstr &Term = Blocks[B].Instrs.back();
+        if (Term.Op == IROp::CondBr) {
+          Site = {F, B, Blocks[B].Instrs.size() - 1};
+          return Term.Succ0 != Term.Succ1;
+        }
+      }
+    }
+    return false;
+  }
+  return false;
+}
+
+/// Applies \p Mut at \p Site, which findMutilationSite found in \p M.
+void mutilateAt(IRModule &M, Mutilation Mut, const MutilationSite &Site) {
+  std::vector<IRInstr> &Instrs =
+      M.Functions[Site.Fn].Blocks[Site.Block].Instrs;
+  IRInstr &I = Instrs[Site.Instr];
   switch (Mut) {
   case Mutilation::None:
     return;
-  case Mutilation::DropLastStore: {
-    for (size_t B = Main.Blocks.size(); B-- > 0;) {
-      std::vector<IRInstr> &Instrs = Main.Blocks[B].Instrs;
-      for (size_t I = Instrs.size(); I-- > 0;) {
-        if (Instrs[I].Op == IROp::Store) {
-          Instrs.erase(Instrs.begin() + static_cast<long>(I));
-          return;
-        }
-      }
-    }
+  case Mutilation::DropLastStore:
+  case Mutilation::DropFirstStore:
+    Instrs.erase(Instrs.begin() + static_cast<long>(Site.Instr));
     return;
-  }
-  case Mutilation::DropFirstStore: {
-    for (IRBlock &B : Main.Blocks) {
-      for (size_t I = 0; I < B.Instrs.size(); ++I) {
-        if (B.Instrs[I].Op == IROp::Store) {
-          B.Instrs.erase(B.Instrs.begin() + static_cast<long>(I));
-          return;
-        }
-      }
-    }
+  case Mutilation::SwapFirstSubOperands:
+    std::swap(I.A, I.B);
     return;
-  }
-  case Mutilation::SwapFirstSubOperands: {
-    for (IRFunction &F : M.Functions) {
-      for (IRBlock &B : F.Blocks) {
-        for (IRInstr &I : B.Instrs) {
-          if (I.Op == IROp::Bin && I.Bin == BinaryOp::Sub) {
-            std::swap(I.A, I.B);
-            return;
-          }
-        }
-      }
-    }
-    return;
-  }
   case Mutilation::FoldSelfDivToOne: {
-    for (IRFunction &F : M.Functions) {
-      for (IRBlock &B : F.Blocks) {
-        for (IRInstr &I : B.Instrs) {
-          if (I.Op == IROp::Bin && I.Bin == BinaryOp::Div && I.A.isReg() &&
-              I.B.isReg() && I.A.Reg == I.B.Reg) {
-            IRInstr New;
-            New.Op = IROp::Const;
-            New.HasDst = true;
-            New.Dst = I.Dst;
-            New.Ty = I.Ty;
-            New.A = IROperand::constant(1, I.Ty);
-            I = std::move(New);
-            return;
-          }
-        }
-      }
-    }
+    IRInstr New;
+    New.Op = IROp::Const;
+    New.HasDst = true;
+    New.Dst = I.Dst;
+    New.Ty = I.Ty;
+    New.A = IROperand::constant(1, I.Ty);
+    I = std::move(New);
     return;
   }
-  case Mutilation::NegateFirstCondBr: {
-    for (IRFunction &F : M.Functions) {
-      for (IRBlock &B : F.Blocks) {
-        IRInstr &Term = B.Instrs.back();
-        if (Term.Op == IROp::CondBr) {
-          std::swap(Term.Succ0, Term.Succ1);
-          return;
-        }
-      }
-    }
+  case Mutilation::NegateFirstCondBr:
+    std::swap(I.Succ0, I.Succ1);
     return;
   }
-  }
+}
+
+} // namespace
+
+bool spe::applyMutilation(IRModule &M, Mutilation Mut) {
+  MutilationSite Site;
+  if (!findMutilationSite(M, Mut, Site))
+    return false;
+  mutilateAt(M, Mut, Site);
+  return true;
 }
 
 LoweredUnit::LoweredUnit(ASTContext &Ctx, CoverageRegistry *Cov)
@@ -127,8 +168,14 @@ const LoweredUnit::Module &LoweredUnit::module(unsigned OptLevel,
     M.IR = Gen.Module;
     runPipeline(M.IR, OptLevel, Cov);
   } else {
-    M.IR = module(OptLevel, Mutilation::None).IR;
-    applyMutilation(M.IR, Mut);
+    const Module &Level = module(OptLevel, Mutilation::None);
+    MutilationSite Site;
+    // A mutilation that would change nothing is the level's module itself:
+    // no copy, no verifier run, and the VM memo shares its run.
+    if (!findMutilationSite(Level.IR, Mut, Site))
+      return Level;
+    M.IR = Level.IR;
+    mutilateAt(M.IR, Mut, Site);
   }
   M.VerifyError = verifyModule(M.IR);
   return Modules.emplace(std::make_pair(OptLevel, Mut), std::move(M))

@@ -80,9 +80,10 @@ public:
   /// 1 + the module's block count, before any bug inflates it.
   uint64_t baseCost() const { return BaseCost; }
   /// The pipeline's output at \p OptLevel with \p Mut applied, built and
-  /// verified on the first request: for Mutilation::None the level's
-  /// pipeline output itself, otherwise a mutilated copy of it. The
-  /// reference stays valid for the unit's lifetime.
+  /// verified on the first request: for Mutilation::None, and for a
+  /// mutilation that finds nothing to change, the level's pipeline output
+  /// itself; otherwise a mutilated copy of it. The reference stays valid
+  /// for the unit's lifetime.
   const Module &module(unsigned OptLevel, Mutilation Mut);
 
 private:
@@ -130,8 +131,10 @@ private:
 };
 
 /// Applies a wrong-code mutilation to the module (test hook; the driver
-/// calls it internally when a WrongCode bug fires).
-void applyMutilation(IRModule &M, Mutilation Mut);
+/// applies the same edit when a WrongCode bug fires). \returns whether it
+/// changed the module: false when the mutilation finds nothing to edit,
+/// or its edit would swap two equal operands or successors.
+bool applyMutilation(IRModule &M, Mutilation Mut);
 
 } // namespace spe
 

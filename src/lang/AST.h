@@ -166,6 +166,10 @@ public:
   const std::string &name() const { return Name; }
   VarDecl *decl() const { return Referenced; }
   void setDecl(VarDecl *D) { Referenced = D; }
+  /// Points this use at \p D and spells it with D's name, so the AST reads
+  /// and prints as if the source had named D here. Types are untouched:
+  /// the caller rebinds only to a variable of the use's own type.
+  inline void rebind(VarDecl *D);
   FunctionDecl *functionDecl() const { return ReferencedFn; }
   void setFunctionDecl(FunctionDecl *F) { ReferencedFn = F; }
 
@@ -595,6 +599,11 @@ private:
   std::string Name;
   Type *Ty;
 };
+
+void DeclRefExpr::rebind(VarDecl *D) {
+  Referenced = D;
+  Name = D->name();
+}
 
 //===----------------------------------------------------------------------===//
 // Translation unit and arena

@@ -66,16 +66,25 @@ int Sema::pushScope(FunctionDecl *Fn) {
   return CurrentScope;
 }
 
-VarDecl *Sema::lookupVar(const std::string &Name) const {
-  for (int S = CurrentScope; S != -1; S = Scopes[S].Parent) {
+VarDecl *Sema::lookupVar(int Scope, unsigned Limit,
+                         const std::string &Name) const {
+  for (int S = Scope; S != -1; S = Scopes[S].Parent) {
     const ScopeInfo &Info = Scopes[S];
     // Search in reverse so shadowing within a scope resolves to the most
     // recent declaration.
     for (size_t I = Info.Vars.size(); I-- > 0;)
-      if (Info.Vars[I]->name() == Name)
+      if (Info.Vars[I]->name() == Name && declSeqOf(Info.Vars[I]) < Limit)
         return Info.Vars[I];
   }
   return nullptr;
+}
+
+VarDecl *Sema::resolveAt(const DeclRefExpr *Site,
+                         const std::string &Name) const {
+  auto Scope = UseScopes.find(Site);
+  if (Scope == UseScopes.end())
+    return nullptr;
+  return lookupVar(Scope->second, useSeqOf(Site), Name);
 }
 
 void Sema::declareVar(VarDecl *V) {
@@ -392,7 +401,7 @@ const Type *Sema::analyzeExpr(Expr *E) {
     return E->type();
   case Expr::Kind::DeclRef: {
     auto *Ref = cast<DeclRefExpr>(E);
-    VarDecl *V = lookupVar(Ref->name());
+    VarDecl *V = lookupVar(CurrentScope, NextSeq, Ref->name());
     if (!V) {
       Diags.error(Ref->loc(), "use of undeclared identifier '" +
                                   Ref->name() + "'");

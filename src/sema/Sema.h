@@ -12,6 +12,12 @@
 /// sequence numbers are exactly the inputs the skeleton extractor needs to
 /// build the AbstractSkeleton of Section 3 of the paper.
 ///
+/// Name resolution has one rule, the innermost visible declaration
+/// declared before the use (lookupVar). Analysis applies it to each use as
+/// it is reached; resolveAt applies it after the fact to a recorded use
+/// site under another name, which is how skeleton/VariantBinder.h decides
+/// which variants it may bind without re-parsing them.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPE_SEMA_SEMA_H
@@ -59,6 +65,14 @@ public:
   /// All resolved variable uses (the future holes) in traversal order.
   const std::vector<DeclRefExpr *> &variableUses() const { return Uses; }
 
+  /// The variable \p Name would resolve to if it were spelled at the
+  /// resolved use \p Site instead of Site's own name: analysis's lookup
+  /// from Site's use scope, limited to declarations sequenced before it.
+  /// Null when nothing visible there has that name, or \p Site is not a
+  /// resolved use. resolveAt(Site, Site->name()) == Site->decl() for every
+  /// use analysis resolved.
+  VarDecl *resolveAt(const DeclRefExpr *Site, const std::string &Name) const;
+
   /// Scope id of a function's parameter scope.
   int paramScopeOf(const FunctionDecl *F) const;
 
@@ -68,7 +82,10 @@ public:
 private:
   int pushScope(FunctionDecl *Fn);
   void popScope() { CurrentScope = Scopes[CurrentScope].Parent; }
-  VarDecl *lookupVar(const std::string &Name) const;
+  /// The one resolution rule: walking out from sema scope \p Scope, the
+  /// first declaration named \p Name whose sequence number is below
+  /// \p Limit (declared before the use).
+  VarDecl *lookupVar(int Scope, unsigned Limit, const std::string &Name) const;
   void declareVar(VarDecl *V);
 
   void analyzeFunction(FunctionDecl *F);

@@ -9,6 +9,7 @@
 #include "sema/Sema.h"
 #include "skeleton/ProgramEnumerator.h"
 #include "skeleton/ValidityAnalysis.h"
+#include "skeleton/VariantBinder.h"
 #include "skeleton/VariantRenderer.h"
 #include "testing/CampaignStatus.h"
 #include "testing/OracleCache.h"
@@ -236,9 +237,13 @@ struct OracleOutcome {
   /// Per-union-input verdicts (Sweep[0] == Verdict), computed only for
   /// testable variants of a swept campaign; empty otherwise.
   std::vector<OracleCache::Entry> Sweep;
-  /// The AST the oracle analysed, when any input missed the cache (null
-  /// when every verdict was replayed or the frontend refused the variant).
-  std::shared_ptr<ASTContext> Parsed;
+  /// The variant's analysed AST: the cursor range's bound AST, else the
+  /// oracle's own parse when any input missed the cache; null when the
+  /// binder refused the variant and every verdict was replayed, or the
+  /// frontend refused it.
+  ASTContext *AST = nullptr;
+  /// Owns AST when it is the oracle's own parse.
+  std::unique_ptr<ASTContext> Parsed;
 };
 
 /// The config label of an oracle_exec / sweep_exec span: the verdict (ok,
@@ -263,23 +268,26 @@ std::string verdictLabel(const ExecResult &Ref) {
 /// shared cache when available, compute (and memoize) it otherwise;
 /// classify the variant as excluded or testable by the *primary* input's
 /// verdict. All downstream counters behave identically on a hit and on a
-/// miss. \p AllInputs is sweepUnion(Opts.Configs): {""} for an unswept
+/// miss. \p Bound is the variant's AST bound from its seed's template, or
+/// null when the binder refused it: then the first miss parses \p Source.
+/// \p AllInputs is sweepUnion(Opts.Configs): {""} for an unswept
 /// campaign, where this degenerates to the historical single lookup on the
 /// raw source key, byte for byte.
-
 OracleOutcome oraclePhase(const HarnessOptions &Opts,
-                          const std::string &Source,
+                          const std::string &Source, ASTContext *Bound,
                           const std::vector<std::string> &AllInputs,
                           CampaignResult &Result, StagedVec *Staged) {
   OracleOutcome O;
+  O.AST = Bound;
   // Telemetry spans record into the worker's own partial summary (merged
   // in shard order later); with no sink both pointers are null and every
   // SpanTimer below is a no-op that never reads the clock.
   TelemetrySink *Sink = Opts.Telemetry;
   TelemetrySummary *Local = Sink ? &Result.Telemetry : nullptr;
-  // One parse serves every input's interpretation; lazily done on the
-  // first cache miss, and kept in O.Parsed for the backends.
-  bool ParseTried = false;
+  // Without a bound AST, one parse serves every input's interpretation;
+  // lazily done on the first cache miss, and kept in O.Parsed for the
+  // backends. A bound AST is frontend-valid by construction.
+  bool ParseTried = Bound != nullptr;
   auto VerdictFor = [&](const std::string &Input, const char *Phase) {
     OracleCache::Entry V;
     std::string Key = oracleCacheKey(Source, Input, Opts.OracleMaxSteps);
@@ -298,14 +306,15 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
       SpanTimer T(Sink, Local, Phase);
       if (!ParseTried) {
         O.Parsed = parseAndAnalyze(Source);
+        O.AST = O.Parsed.get();
         ParseTried = true;
       }
-      V.FrontendOk = O.Parsed != nullptr;
-      if (O.Parsed) {
+      V.FrontendOk = O.AST != nullptr;
+      if (O.AST) {
         InterpOptions IO;
         IO.MaxSteps = Opts.OracleMaxSteps;
         IO.Input = Input;
-        ExecResult Ref = interpret(*O.Parsed, IO);
+        ExecResult Ref = interpret(*O.AST, IO);
         ++Result.OracleExecutions;
         if (Sink || Local)
           T.setConfigLabel(verdictLabel(Ref));
@@ -368,10 +377,12 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
 /// compiles and returns) *before* the previous batch is collected and
 /// recorded, so the compiler works on batch N+1 while this thread records
 /// batch N and then interprets oracles for batch N+2. Unbatched, each
-/// variant's expectation carries the AST its oracle phase parsed (when it
-/// parsed one), so an in-process backend lowers it instead of parsing the
-/// text again; batched, the AST is dropped in add(), and no AST outlives
-/// the add() that parsed it.
+/// variant's expectation lends its AST -- bound by the cursor range, or
+/// parsed by the oracle phase on a miss -- on a cache hit as on a miss,
+/// so an in-process backend lowers it instead of parsing the text;
+/// batched, add() drops it, since the range rebinds its AST for the next
+/// variant while the batch is still in flight. No lent AST outlives the
+/// add() that lends it.
 ///
 /// A pipeline may outlive the cursor range that feeds it: each variant
 /// records into the partial result it was added with, so one batch can
@@ -412,15 +423,20 @@ public:
 
   /// Runs \p Source's oracle phase into \p Out and, when the variant is
   /// tested, queues it; its rows record into \p Out and its coverage into
-  /// \p Cov (or a later variant's registry, see above).
-  void add(const std::string &Source, CampaignResult &Out,
+  /// \p Cov (or a later variant's registry, see above). \p Bound is the
+  /// variant's bound AST, or null when it must be parsed.
+  void add(const std::string &Source, ASTContext *Bound, CampaignResult &Out,
            CoverageRegistry *Cov, StagedVec *Staged) {
-    OracleOutcome O = oraclePhase(Opts, Source, AllInputs, Out, Staged);
+    OracleOutcome O =
+        oraclePhase(Opts, Source, Bound, AllInputs, Out, Staged);
     if (!O.Test)
       return;
-    // A batch kept in flight would hold its members' ASTs past this add().
-    if (overlapped())
+    // A batch kept in flight outlives this add(), and the range rebinds
+    // its AST for the next variant: lend nothing.
+    if (overlapped()) {
+      O.AST = nullptr;
       O.Parsed.reset();
+    }
     Cur.push_back({Source, std::move(O), &Out, Cov});
     ++Queued;
     if (Cur.size() < Opts.BatchSize)
@@ -464,14 +480,14 @@ private:
   /// What a clean execution of a tested variant must reproduce: the
   /// primary verdict, plus one cell per non-primary union input. An input
   /// the oracle excluded (UB / non-termination under that stdin) is an
-  /// invalid cell the backend never executes. It carries the oracle's AST
+  /// invalid cell the backend never executes. It lends the variant's AST
   /// when add() kept it.
   static BatchExpectation expectationOf(const OracleOutcome &O) {
     BatchExpectation E;
     E.Valid = true;
     E.ExitCode = O.Verdict.ExitCode;
     E.Output = O.Verdict.Output;
-    E.Parsed = O.Parsed;
+    E.Parsed = O.AST;
     for (size_t U = 1; U < O.Sweep.size(); ++U) {
       const OracleCache::Entry &V = O.Sweep[U];
       BatchExpectation::Cell Cell;
@@ -957,6 +973,7 @@ bool runRange(const HarnessOptions &Opts, VariantPipeline &Pipe,
   TelemetrySink *Sink = Opts.Telemetry;
   TelemetrySummary *Local = Sink ? &Out.Telemetry : nullptr;
   VariantRenderer Renderer(*Plan.Ctx, Plan.Units);
+  VariantBinder Binder(Renderer, Plan.Units, Opts.Extract);
   std::string Buffer;
   StagedVec Staged;
   uint64_t SincePublish = 0;
@@ -965,11 +982,14 @@ bool runRange(const HarnessOptions &Opts, VariantPipeline &Pipe,
       return true; // Simulated kill: unpublished work dies with the process
                    // -- including whatever the pipeline holds undrained.
     ++Out.VariantsEnumerated;
+    ASTContext *Bound;
     {
       SpanTimer T(Sink, Local, "render");
       Renderer.renderInto(*PA, Buffer);
+      Bound = Binder.bind(*PA);
     }
-    Pipe.add(Buffer, Out, Cov, Ck && Ck->staging() ? &Staged : nullptr);
+    Pipe.add(Buffer, Bound, Out, Cov,
+             Ck && Ck->staging() ? &Staged : nullptr);
     if (Opts.Status && Opts.Status->noteVariant()) {
       Opts.Status->updateShard(Shard, shardStatusNow(Out, Cursor));
       Opts.Status->writeNow();
@@ -1333,7 +1353,7 @@ bool DifferentialHarness::resumeCampaign(const std::vector<std::string> &Seeds,
 void DifferentialHarness::testProgram(const std::string &Source,
                                       CampaignResult &Result) const {
   VariantPipeline Pipe(Opts, backend());
-  Pipe.add(Source, Result, Opts.Cov, nullptr);
+  Pipe.add(Source, nullptr, Result, Opts.Cov, nullptr);
   Pipe.drain();
 }
 

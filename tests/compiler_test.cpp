@@ -1,5 +1,6 @@
 //===- tests/compiler_test.cpp - MiniCC compiler tests -------------------===//
 
+#include "compiler/Backend.h"
 #include "compiler/Compiler.h"
 #include "compiler/Passes.h"
 #include "interp/Interpreter.h"
@@ -429,6 +430,78 @@ TEST(LoweredUnitTest, InPlaceModulesEqualCopiesAndMutilateOnlyTheirOwn) {
       }
   }
   EXPECT_EQ(Mutilated, 4u);
+}
+
+TEST(LoweredUnitTest, MutilationThatFindsNothingSharesTheLevelModule) {
+  // clang-sim 3.9's FoldSelfDivToOne fires on `v / v` from -O2, but the
+  // -O3 pipeline has already folded this one to a constant: the mutilation
+  // finds no division, so the unit hands back the level's own module.
+  const char *Source = "int main(void) {\n"
+                       "  int v = 3;\n"
+                       "  return v / v + 4;\n"
+                       "}";
+  auto C = analyze(Source);
+  LoweredUnit Unit(C->Ctx, nullptr);
+  InProcessBackend Backend;
+  unsigned Shared = 0;
+  // The crash matrix: -O0 and -O3, each at -m64 and -m32.
+  std::vector<CompilerConfig> Matrix;
+  for (unsigned Opt : {0u, 3u})
+    for (bool Mode64 : {true, false})
+      Matrix.push_back({Persona::ClangSim, 39, Opt, Mode64, {}});
+  for (const CompilerConfig &Config : Matrix) {
+    std::string Tag = "O" + std::to_string(Config.OptLevel) +
+                      (Config.Mode64 ? " m64" : " m32");
+    CompileResult Lowered = MiniCompiler(Config).compile(Unit);
+    auto Fresh = analyze(Source);
+    CompileResult Plain = MiniCompiler(Config).compile(Fresh->Ctx);
+    // The shared module changes no CompileResult field.
+    EXPECT_EQ(Lowered.St, Plain.St) << Tag;
+    EXPECT_EQ(Lowered.FiredBugs, Plain.FiredBugs) << Tag;
+    EXPECT_EQ(Lowered.CrashSignature, Plain.CrashSignature) << Tag;
+    EXPECT_EQ(Lowered.CrashBugId, Plain.CrashBugId) << Tag;
+    EXPECT_EQ(Lowered.CompileCost, Plain.CompileCost) << Tag;
+    EXPECT_EQ(printModule(Lowered.Module), printModule(Plain.Module)) << Tag;
+    ASSERT_TRUE(Plain.ok()) << Tag << ": " << Plain.CrashSignature;
+
+    // The backend's row, through the shared module and the VM memo, equals
+    // the plain compile's execution.
+    std::vector<BackendObservation> Row =
+        Backend.runSweep(Source, Config, {std::string()}, nullptr);
+    ASSERT_EQ(Row.size(), 1u) << Tag;
+    VMResult Run = executeModule(Plain.Module);
+    EXPECT_EQ(Row[0].Compile, BackendObservation::CompileStatus::Ok) << Tag;
+    EXPECT_EQ(Row[0].FiredBugs, Plain.FiredBugs) << Tag;
+    EXPECT_EQ(Row[0].Exec, BackendObservation::ExecStatus::Ok) << Tag;
+    EXPECT_EQ(Row[0].ExitCode, Run.ExitCode) << Tag;
+    EXPECT_EQ(Row[0].Output, Run.Output) << Tag;
+    EXPECT_EQ(Run.ExitCode, 5) << Tag;
+
+    bool Fired = false;
+    for (int Id : Plain.FiredBugs)
+      Fired |= findBug(Id)->Mut == Mutilation::FoldSelfDivToOne;
+    EXPECT_EQ(Fired, Config.OptLevel == 3) << Tag;
+    if (!Fired)
+      continue;
+    ++Shared;
+    EXPECT_EQ(&Unit.module(3, Mutilation::FoldSelfDivToOne),
+              &Unit.module(3, Mutilation::None))
+        << Tag;
+    IRModule Copy = Unit.module(3, Mutilation::None).IR;
+    EXPECT_FALSE(applyMutilation(Copy, Mutilation::FoldSelfDivToOne)) << Tag;
+  }
+  EXPECT_EQ(Shared, 2u);
+  // A divisor -O3 cannot fold keeps its division, so the mutilation edits
+  // a copy.
+  auto Kept = analyze("int main(void) {\n"
+                      "  int v = spe_input() + 3;\n"
+                      "  return v / v + 4;\n"
+                      "}");
+  LoweredUnit KeptUnit(Kept->Ctx, nullptr);
+  IRModule Unfolded = KeptUnit.module(3, Mutilation::None).IR;
+  EXPECT_TRUE(applyMutilation(Unfolded, Mutilation::FoldSelfDivToOne));
+  EXPECT_NE(&KeptUnit.module(3, Mutilation::FoldSelfDivToOne),
+            &KeptUnit.module(3, Mutilation::None));
 }
 
 //===--------------------------------------------------------------------===//

@@ -2,6 +2,7 @@
 
 #include "lang/Parser.h"
 #include "sema/Sema.h"
+#include "testing/Corpus.h"
 
 #include "gtest/gtest.h"
 
@@ -197,4 +198,70 @@ TEST(SemaTest, StmtIdsAreDenseAndUnique) {
                    "void f(void) { a = 1; if (a) a = 2; while (a) a = 3; }");
   ASSERT_TRUE(R->Ok) << R->Diags.toString();
   EXPECT_GT(R->Analysis->numStmts(), 5);
+}
+
+TEST(SemaTest, ResolveAtAppliesAnalysisRuleAtARecordedSite) {
+  auto R = analyze("int g = 1;\n"
+                   "int f(void) {\n"
+                   "  int a = g;\n"
+                   "  int g = 2;\n"
+                   "  { int b = a; a = b; }\n"
+                   "  return a + g;\n"
+                   "}");
+  ASSERT_TRUE(R->Ok) << R->Diags.toString();
+  // Uses in order: g (a's initializer), a (b's initializer), a and b (the
+  // inner assignment), a and g (the return).
+  const auto &Uses = R->Analysis->variableUses();
+  ASSERT_EQ(Uses.size(), 6u);
+  const VarDecl *GlobalG = Uses[0]->decl();
+  const VarDecl *LocalG = Uses[5]->decl();
+  const VarDecl *A = Uses[1]->decl();
+  const VarDecl *B = Uses[3]->decl();
+  ASSERT_TRUE(GlobalG->isGlobal());
+  ASSERT_FALSE(LocalG->isGlobal());
+  // Before the local g is declared, g names the global; after, the local.
+  EXPECT_EQ(R->Analysis->resolveAt(Uses[0], "g"), GlobalG);
+  EXPECT_EQ(R->Analysis->resolveAt(Uses[1], "g"), LocalG);
+  EXPECT_EQ(R->Analysis->resolveAt(Uses[5], "g"), LocalG);
+  // A variable is visible in its own initializer, as analysis has it.
+  EXPECT_EQ(R->Analysis->resolveAt(Uses[0], "a"), A);
+  // b lives in the inner block, from its own initializer on: visible at
+  // the block's uses, not outside it.
+  EXPECT_EQ(R->Analysis->resolveAt(Uses[1], "b"), B);
+  EXPECT_EQ(R->Analysis->resolveAt(Uses[2], "b"), B);
+  EXPECT_EQ(R->Analysis->resolveAt(Uses[4], "b"), nullptr);
+  EXPECT_EQ(R->Analysis->resolveAt(Uses[0], "nope"), nullptr);
+}
+
+TEST(SemaTest, ResolveAtReproducesEveryUseOfBothCorpora) {
+  // resolveAt(site, site's own name) is the site's resolution, for every
+  // use of the default and the loop corpus at both their bases.
+  CorpusOptions Default;
+  Default.UninitLocalProb = 0.6;
+  CorpusOptions Loops = Default;
+  Loops.BoundedLoopProb = 0.6;
+  Loops.RichHelperProb = 0.6;
+  std::vector<std::string> Seeds = embeddedSeeds();
+  for (uint64_t Base : {2000u, 3000u}) {
+    std::vector<std::string> Gen = generateCorpus(Base, 40, Default);
+    Seeds.insert(Seeds.end(), Gen.begin(), Gen.end());
+  }
+  for (uint64_t Base : {8000u, 8500u}) {
+    std::vector<std::string> Gen = generateCorpus(Base, 12, Loops);
+    Seeds.insert(Seeds.end(), Gen.begin(), Gen.end());
+  }
+  size_t Checked = 0, Wrong = 0;
+  for (const std::string &Seed : Seeds) {
+    auto R = analyze(Seed);
+    if (!R->Ok)
+      continue;
+    for (const DeclRefExpr *Use : R->Analysis->variableUses()) {
+      ++Checked;
+      if (R->Analysis->resolveAt(Use, Use->name()) != Use->decl() &&
+          Wrong++ < 5)
+        ADD_FAILURE() << "use of '" << Use->name() << "' resolves elsewhere";
+    }
+  }
+  EXPECT_EQ(Wrong, 0u);
+  EXPECT_GT(Checked, 1000u);
 }
