@@ -91,7 +91,7 @@ int main() {
     return 1;
   }
   std::printf("snapshot on disk  : next_seed=%llu, in-flight=%s, "
-              "%zu worker cursors, %llu oracle-log bytes\n",
+              "%zu chunk cursors, %llu oracle-log bytes\n",
               static_cast<unsigned long long>(Snap.NextSeed),
               Snap.InFlight ? "yes" : "no", Snap.Workers.size(),
               static_cast<unsigned long long>(Snap.StoreBytes));
@@ -100,7 +100,7 @@ int main() {
   // A fresh harness: new cache, new coverage registry, same options. The
   // resume validates the snapshot's fingerprints, truncates the oracle log
   // to the recorded consistent length, warms the cache from it, and seeks
-  // every in-flight shard cursor back to its published rank.
+  // every in-flight rank chunk's cursor back to its published rank.
   CoverageRegistry Cov;
   registerPassCoverageCatalog(Cov);
   OracleCache Cache;

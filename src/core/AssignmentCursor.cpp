@@ -8,6 +8,7 @@
 
 #include <cassert>
 #include <map>
+#include <unordered_map>
 
 using namespace spe;
 
@@ -19,6 +20,23 @@ namespace {
 /// O(N) amortized up to MaxChunk (DESIGN.md Section 5.3).
 constexpr uint64_t InitialChunk = 1024;
 constexpr uint64_t MaxChunk = 65536;
+
+/// Completion counts a cursor memoizes before it starts over: a bound for
+/// a cursor that seeks all over a huge space, far above what the nearby
+/// ranks of a campaign's budget ever touch.
+constexpr size_t MaxCompletions = 1 << 16;
+
+/// FNV-1a over a completion key's words.
+struct CompletionKeyHash {
+  size_t operator()(const std::vector<unsigned> &Key) const {
+    uint64_t H = 1469598103934665603ull;
+    for (unsigned W : Key) {
+      H ^= W;
+      H *= 1099511628211ull;
+    }
+    return static_cast<size_t>(H);
+  }
+};
 
 /// \returns true when \p C forbids \p Hole every variable of \p Vars: a
 /// level digit choosing their scope is invalid whatever its groups do.
@@ -72,6 +90,13 @@ struct AssignmentCursor::Impl {
   Assignment Current;
   BigInt OdoRank;       ///< Rank currently materialized in Current.
   bool OdoValid = false;
+  /// countExactCompletions by {type, first free hole, prefix counts...},
+  /// all that it reads. Ranks near each other decode through the same
+  /// level prefixes, so a seek or an invalidSpanEnd near an earlier one
+  /// runs almost no tree DP. Cleared past MaxCompletions entries.
+  std::unordered_map<std::vector<unsigned>, BigInt, CompletionKeyHash>
+      Completions;
+  std::vector<unsigned> CompletionKey; ///< Lookup scratch.
 
   // --- Paper-faithful mode: restartable window over the push driver ------
 
@@ -212,7 +237,7 @@ struct AssignmentCursor::Impl {
       for (; D < P.Domains[HI].size(); ++D) {
         ScopeId S = P.Domains[HI][D];
         ++PrefixCounts[S];
-        BigInt W = countExactCompletions(Sk, P, HI + 1, PrefixCounts, Table);
+        const BigInt &W = completions(T, HI + 1, PrefixCounts);
         if (Rest < W) {
           if (Visit.level(HI, D, S))
             return W - Rest;
@@ -247,6 +272,26 @@ struct AssignmentCursor::Impl {
     }
     assert(Rest.isZero() && "partition decoding did not terminate");
     return BigInt(0);
+  }
+
+  /// The memoized countExactCompletions(Sk, Problems[T], FromHole,
+  /// PrefixCounts, Table); the reference lives until the next call.
+  const BigInt &completions(size_t T, size_t FromHole,
+                            const std::vector<unsigned> &PrefixCounts) {
+    CompletionKey.assign(
+        {static_cast<unsigned>(T), static_cast<unsigned>(FromHole)});
+    CompletionKey.insert(CompletionKey.end(), PrefixCounts.begin(),
+                         PrefixCounts.end());
+    auto It = Completions.find(CompletionKey);
+    if (It != Completions.end())
+      return It->second;
+    if (Completions.size() >= MaxCompletions)
+      Completions.clear();
+    return Completions
+        .emplace(CompletionKey, countExactCompletions(Sk, Problems[T],
+                                                      FromHole, PrefixCounts,
+                                                      Table))
+        .first->second;
   }
 
   /// Unranks type \p T's component \p Rank into level choices and partition

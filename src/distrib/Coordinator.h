@@ -11,9 +11,10 @@
 /// them to worker *processes* over the line-framed pipe protocol
 /// (distrib/FleetProtocol.h). Fragments stream back per lease; the final
 /// merge folds each seed's header counters first and then its fragments in
-/// ascending rank order -- exactly the deterministic merge thread shards
-/// use -- so a coordinator + N workers campaign is bit-identical to the
-/// single-process run, for any worker count, lease size, or batch size.
+/// ascending rank order -- exactly the deterministic merge a campaign's
+/// rank chunks use -- so a coordinator + N workers campaign is
+/// bit-identical to the single-process run, for any worker count, lease
+/// size, or batch size.
 ///
 /// Fault tolerance:
 ///  - A worker death (EOF on its pipe, confirmed by wait status) requeues

@@ -42,20 +42,21 @@
 
 namespace spe {
 
-/// One shard worker's saved progress inside the in-flight seed.
+/// One rank chunk's saved progress inside the in-flight seed, written as a
+/// `worker` block. An unclaimed chunk is its range with an empty partial.
 struct WorkerCheckpoint {
-  /// True once the worker's final publish ran (shard exhausted, pruned
-  /// counter folded into Partial). Finished workers are restored verbatim,
+  /// True once the chunk's final publish ran (range exhausted, pruned
+  /// counter folded into Partial). Finished chunks are restored verbatim,
   /// not re-run; Position == End alone is *not* sufficient to tell -- a
   /// mid-run publish can land after the last variant but before the fold.
   bool Finished = false;
-  /// The worker's ProgramCursor position (rank range + pruned counter).
+  /// The chunk's ProgramCursor position (rank range + pruned counter).
   CursorState Cursor;
-  /// Fold of the ranks in [shard begin, Cursor.Position). VariantsPruned
+  /// Fold of the ranks in [chunk begin, Cursor.Position). VariantsPruned
   /// stays zero until the final publish folds the cursor's counter, so
   /// restored counters never double-count.
   CampaignResult Partial;
-  /// The worker's private coverage registry hit set.
+  /// The chunk's private coverage registry hit set.
   std::set<std::string> CovHits;
 
   bool operator==(const WorkerCheckpoint &Other) const {
@@ -65,7 +66,7 @@ struct WorkerCheckpoint {
 };
 
 /// A whole-campaign snapshot: the merged result of completed seeds plus,
-/// when a seed is mid-enumeration, per-worker shard states.
+/// when a seed is mid-enumeration, the states of its rank chunks.
 struct CampaignCheckpoint {
   /// Bump on any serialized-layout change; loadFrom rejects other versions.
   /// v2: counters line gained ExecutionTimeouts; finding lines gained the
@@ -106,7 +107,8 @@ struct CampaignCheckpoint {
   /// Resume recomputes this deterministically and cross-checks it against
   /// the recorded value as an extra front-end skew detector.
   CampaignResult SeedHeader;
-  /// One entry per shard worker of the in-flight seed.
+  /// One entry per rank chunk of the in-flight seed, in rank order: the
+  /// seed's whole grid, whatever the thread count that wrote it.
   std::vector<WorkerCheckpoint> Workers;
 
   bool operator==(const CampaignCheckpoint &Other) const {

@@ -29,7 +29,8 @@ bool ReproOracle::evaluate(const std::string &Source) {
   OracleCache::Entry Verdict;
   std::unique_ptr<ASTContext> Ctx;
   std::string Key = oracleCacheKey(Source, Spec.Input, Spec.OracleMaxSteps);
-  if (Cache && Cache->lookup(Key, Verdict)) {
+  OracleCache::Claim Miss;
+  if (Cache && Cache->lookup(Key, Verdict, &Miss)) {
     ++Stats.OracleCacheHits;
   } else {
     Ctx = parseAndAnalyze(Source);
@@ -44,8 +45,7 @@ bool ReproOracle::evaluate(const std::string &Source) {
       Verdict.ExitCode = Ref.ExitCode;
       Verdict.Output = std::move(Ref.Output);
     }
-    if (Cache)
-      Cache->insert(Key, Verdict);
+    Miss.fill(Verdict);
   }
   if (Verdict.FrontendOk && Verdict.Status == ExecStatus::Timeout)
     ++Stats.TimeoutRuns;

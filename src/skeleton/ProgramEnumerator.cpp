@@ -186,7 +186,10 @@ bool ProgramCursor::restoreState(const CursorState &State) {
   if (NewPos > NewEnd || NewEnd > Size)
     return false;
   End = NewEnd;
-  seek(NewPos);
+  // The next range of one the cursor just ran starts where it stands: its
+  // odometer already holds that rank, or produce() rebuilds it.
+  if (NewPos != Pos)
+    seek(NewPos);
   Pruned = NewPruned;
   return true;
 }

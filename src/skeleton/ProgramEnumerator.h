@@ -18,10 +18,10 @@
 /// per-unit BigInt counts, so whole-program variant #k is addressable
 /// directly via seek(k). It is the one cursor every consumer drives, and
 /// the only owner of an active range, of validity pruning and of the saved
-/// CursorState: a thread shard or fleet lease is a CursorState over a
-/// contiguous rank range (cursor_detail::shardRange), restored into a
-/// fresh cursor -- the primitive behind the parallel differential campaigns
-/// in testing/Harness.h.
+/// CursorState: a campaign's rank chunk or a fleet lease is a CursorState
+/// over a contiguous rank range (cursor_detail::shardRange), restored into
+/// a cursor -- the primitive behind the parallel differential campaigns in
+/// testing/Harness.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,8 +63,8 @@ namespace cursor_detail {
 
 /// Splits [Pos, End) into \p Count contiguous near-equal rank ranges and
 /// stores the \p Index-th as [Begin, NewEnd); the union of the \p Count
-/// ranges is exactly [Pos, End). The harness splits a seed's budget across
-/// thread shards with it, each shard restoring its range into a cursor.
+/// ranges is exactly [Pos, End). The harness cuts a seed's budget into its
+/// rank chunks with it, each chunk restoring its range into a cursor.
 inline void shardRange(const BigInt &Pos, const BigInt &End, uint64_t Index,
                        uint64_t Count, BigInt &Begin, BigInt &NewEnd) {
   BigInt Len = End < Pos ? BigInt(0) : End - Pos;
@@ -140,8 +140,10 @@ public:
   CursorState saveState() const;
 
   /// Repositions the cursor from a saved state: setEnd(End) + seek(Position)
-  /// with the pruned counter restored. \returns false (cursor untouched) on
-  /// malformed fields or an inconsistent range.
+  /// with the pruned counter restored. A Position the cursor already holds
+  /// is not sought again, so a cursor runs consecutive ranges with no rank
+  /// decode between them. \returns false (cursor untouched) on malformed
+  /// fields or an inconsistent range.
   bool restoreState(const CursorState &State);
 
 private:

@@ -14,14 +14,14 @@
 /// counting:
 ///
 ///  - *Worker-local* spans (render, oracle/sweep interpretation, cache
-///    lookup, backend run, vote) aggregate into the shard worker's private
+///    lookup, backend run, vote) aggregate into the rank chunk's private
 ///    TelemetrySummary -- a plain member of its partial CampaignResult --
-///    and merge in shard order exactly like coverage does. Event lines
+///    and merge in chunk order exactly like coverage does. Event lines
 ///    still flow to the shared sink, but the sink does NOT fold them into
 ///    its own aggregate.
 ///
 ///  - *Global* spans (pooled compile, batch pack, binary exec, checkpoint
-///    write, triage stages) happen outside any shard worker's partial
+///    write, seed wait, triage stages) happen outside any chunk's partial
 ///    result; they aggregate inside the sink and are folded into
 ///    CampaignResult::Telemetry once, at campaign end.
 ///
@@ -151,11 +151,11 @@ struct PhaseAggregate {
 };
 
 /// The mergeable metrics summary: a sorted map of phase aggregates. Not
-/// thread-safe by itself -- each shard worker owns one (inside its partial
+/// thread-safe by itself -- each rank chunk owns one (inside its partial
 /// CampaignResult); the shared TelemetrySink wraps its own under a mutex.
 ///
 /// Merge is bucket-wise addition over a sorted key space, so merging
-/// per-worker summaries in shard order (or any order) yields identical
+/// per-chunk summaries in chunk order (or any order) yields identical
 /// bytes -- the same determinism argument coverage merging relies on.
 struct TelemetrySummary {
   std::map<TelemetryKey, PhaseAggregate> Phases;

@@ -92,7 +92,8 @@ public:
   /// already committed, \p Base the counters those committed seeds merged.
   void beginCampaign(uint64_t TotalSeeds, uint64_t DoneSeeds,
                      const StatusCounters &Base);
-  /// Seed \p Seed starts enumerating with \p Workers shard workers. It is
+  /// Seed \p Seed starts enumerating in \p Workers shards, one per rank
+  /// chunk of its grid. It is
   /// the running seed, the one updateShard() publishes into and the shard
   /// list shows, until the next beginSeed(); its slots count in the live
   /// counters until commitSeed(\p Seed). A campaign pipeline can commit a

@@ -18,10 +18,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 using namespace spe;
@@ -90,7 +92,7 @@ void CampaignResult::merge(const CampaignResult &Other) {
   ExecutionTimeouts += Other.ExecutionTimeouts;
   MatrixCellsCompared += Other.MatrixCellsCompared;
   SweepCellsExcluded += Other.SweepCellsExcluded;
-  // Telemetry merges like coverage: per-worker summaries folded in shard
+  // Telemetry merges like coverage: per-chunk summaries folded in chunk
   // order. Deliberately absent from operator== -- wall-clock data must not
   // break the bit-identity batteries.
   Telemetry.merge(Other.Telemetry);
@@ -124,7 +126,6 @@ struct SeedPlan {
   std::unique_ptr<ASTContext> Ctx;
   std::vector<SkeletonUnit> Units;
   BigInt Budget;
-  unsigned Threads = 1;
   std::vector<ValidityConstraints> Validity;
   std::vector<const ValidityConstraints *> ValidityPtrs;
   /// False when the seed contributes nothing to enumerate: front-end
@@ -164,20 +165,9 @@ SeedPlan buildSeedPlan(const HarnessOptions &Opts, const std::string &Source,
   if (Opts.VariantBudget != 0 && BigInt(Opts.VariantBudget) < Plan.Budget)
     Plan.Budget = BigInt(Opts.VariantBudget);
 
-  unsigned Threads =
-      Opts.Threads != 0 ? Opts.Threads : std::thread::hardware_concurrency();
-  if (Threads == 0)
-    Threads = 1;
-  // No point spinning up more workers than budgeted variants.
-  if (Plan.Budget.fitsInUint64() && BigInt(Threads) > Plan.Budget)
-    Threads = Plan.Budget.isZero()
-                  ? 1
-                  : static_cast<unsigned>(Plan.Budget.toUint64());
-  Plan.Threads = Threads;
-
   // Validity constraints: computed once per seed, shared read-only by every
-  // shard worker. Pruned ranks are skipped inside the cursor, so they are
-  // never rendered or interpreted.
+  // worker. Pruned ranks are skipped inside the cursor, so they are never
+  // rendered or interpreted.
   if (Opts.PruneInvalid) {
     Plan.Validity = analyzeValidity(*Plan.Ctx, Analysis, Plan.Units);
     Plan.ValidityPtrs = constraintPtrs(Plan.Validity);
@@ -205,10 +195,10 @@ StatusCounters countersOf(const CampaignResult &R) {
   return C;
 }
 
-/// This worker's live shard progress for the status feed; \p Out holds
-/// only the shard's current-seed work. saveState() is not free (BigInt
-/// decimal round-trips), but this only runs when a status write is already
-/// due -- wall-clock cadence, not per variant.
+/// A chunk's live progress for its status-feed shard slot; \p Out holds
+/// only the chunk's work. saveState() is not free (BigInt decimal
+/// round-trips), but this only runs when a status write is already due --
+/// wall-clock cadence, not per variant.
 CampaignStatusFeed::ShardStatus shardStatusNow(const CampaignResult &Out,
                                                ProgramCursor &Cursor) {
   CampaignStatusFeed::ShardStatus S;
@@ -218,7 +208,7 @@ CampaignStatusFeed::ShardStatus shardStatusNow(const CampaignResult &Out,
   BigInt End = BigInt::fromDecimalString(CS.End);
   BigInt Pr = BigInt::fromDecimalString(CS.Pruned);
   uint64_t PrU = Pr.fitsInUint64() ? Pr.toUint64() : ~uint64_t(0);
-  // Pruned ranks fold into the result only at shard end; the feed counts
+  // Pruned ranks fold into the result only at chunk end; the feed counts
   // them live off the cursor.
   S.C.Pruned += PrU;
   S.RanksDone = S.C.Enumerated + PrU;
@@ -279,8 +269,8 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
                           CampaignResult &Result, StagedVec *Staged) {
   OracleOutcome O;
   O.AST = Bound;
-  // Telemetry spans record into the worker's own partial summary (merged
-  // in shard order later); with no sink both pointers are null and every
+  // Telemetry spans record into the chunk's own partial summary (merged
+  // in chunk order later); with no sink both pointers are null and every
   // SpanTimer below is a no-op that never reads the clock.
   TelemetrySink *Sink = Opts.Telemetry;
   TelemetrySummary *Local = Sink ? &Result.Telemetry : nullptr;
@@ -291,11 +281,14 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
   auto VerdictFor = [&](const std::string &Input, const char *Phase) {
     OracleCache::Entry V;
     std::string Key = oracleCacheKey(Source, Input, Opts.OracleMaxSteps);
+    // A miss claims Key until Miss.fill below, so a rank of another chunk
+    // that renders the same text waits for this verdict and counts a hit.
+    OracleCache::Claim Miss;
     if (Opts.Cache) {
       bool Hit;
       {
         SpanTimer T(Sink, Local, "cache_lookup");
-        Hit = Opts.Cache->lookup(Key, V);
+        Hit = Opts.Cache->lookup(Key, V, &Miss);
       }
       if (Hit) {
         ++Result.OracleCacheHits;
@@ -325,11 +318,9 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
         T.setConfigLabel("reject");
       }
     }
-    if (Opts.Cache) {
-      Opts.Cache->insert(Key, V);
-      if (Staged)
-        Staged->push_back({Key, V});
-    }
+    if (Staged)
+      Staged->push_back({Key, V});
+    Miss.fill(V);
     return V;
   };
 
@@ -386,10 +377,12 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
 ///
 /// A pipeline may outlive the cursor range that feeds it: each variant
 /// records into the partial result it was added with, so one batch can
-/// span the end of one seed and the start of the next. The batch's
-/// coverage goes to its last variant's registry, which belongs to the
-/// latest seed in it; registries merge by union, and that seed merges no
-/// earlier than the others.
+/// span chunks, and the end of one seed and the start of the next. The
+/// batch's coverage goes to its last variant's registry, which belongs to
+/// the latest seed in it; registries merge by union, and that seed merges
+/// no earlier than the others. whenRecorded() runs a callback once every
+/// variant queued so far is recorded: a chunk's final checkpoint publish
+/// waits for its rows that way, and so does its seed's merge.
 ///
 /// Determinism: recording happens batch-by-batch in add() order,
 /// variant-major within a batch -- the exact order the unbatched loop
@@ -437,8 +430,7 @@ public:
       O.AST = nullptr;
       O.Parsed.reset();
     }
-    Cur.push_back({Source, std::move(O), &Out, Cov});
-    ++Queued;
+    Cur.push_back({Source, std::move(O), &Out, Cov, {}});
     if (Cur.size() < Opts.BatchSize)
       return;
     rotate();
@@ -454,11 +446,31 @@ public:
     finishInFlight();
   }
 
-  /// Tested variants queued so far, and how many of them are recorded.
-  /// Recording is first in, first out, so every variant queued before
-  /// queued() read N is recorded once recorded() reaches N.
-  uint64_t queued() const { return Queued; }
-  uint64_t recorded() const { return Recorded; }
+  /// Runs \p F once every variant queued so far is recorded: now, when
+  /// none is pending, else right after the batch of the last one.
+  /// Recording is first in, first out, so that covers all of them.
+  void whenRecorded(std::function<void()> F) {
+    if (!Cur.empty())
+      Cur.back().After.push_back(std::move(F));
+    else if (!InFlight.empty())
+      InFlight.back().After.push_back(std::move(F));
+    else
+      F();
+  }
+
+  /// Records \p Other's in-flight batch and takes over its queued
+  /// variants, so the unfilled batches several pipelines end a campaign
+  /// with join into full ones.
+  void adoptQueued(VariantPipeline &Other) {
+    Other.finishInFlight();
+    for (Item &It : Other.Cur) {
+      Cur.push_back(std::move(It));
+      if (Cur.size() >= Opts.BatchSize)
+        rotate();
+    }
+    Other.Cur.clear();
+  }
+
   /// Runs after each recorded batch (unset = nothing).
   std::function<void()> OnRecorded;
 
@@ -472,6 +484,8 @@ private:
     OracleOutcome O;
     CampaignResult *Out;
     CoverageRegistry *Cov;
+    /// whenRecorded() callbacks to run once this variant is recorded.
+    std::vector<std::function<void()>> After;
   };
 
   /// True when a begun batch stays in flight while the next one fills.
@@ -549,7 +563,9 @@ private:
                        : std::vector<BackendObservation>();
         recordRow(C, Obs, InFlight[I]);
       }
-    Recorded += InFlight.size();
+    for (Item &It : InFlight)
+      for (std::function<void()> &F : It.After)
+        F();
     InFlight.clear();
     if (OnRecorded)
       OnRecorded();
@@ -713,8 +729,6 @@ private:
   std::vector<Item> InFlight;
   /// One in-flight ticket per roster slot (all begun before any finishes).
   std::vector<std::unique_ptr<BatchTicket>> Tickets;
-  uint64_t Queued = 0;
-  uint64_t Recorded = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -807,7 +821,7 @@ struct CheckpointContext {
   /// (with a warning) so Pending cannot grow without bound.
   unsigned DrainFailures = 0;
   /// Set (never cleared) when persistent append failure disables the
-  /// store. Atomic because shard workers poll it outside M to decide
+  /// store. Atomic because workers poll it outside M to decide
   /// whether staging is still worthwhile; Store itself stays non-null so
   /// no pointer is ever read and written concurrently.
   std::atomic<bool> StoreDead{false};
@@ -869,10 +883,10 @@ struct CheckpointContext {
     writeSnapshot(Text, Seq);
   }
 
-  /// Seats a seed's in-flight state before any worker runs, so a crash
-  /// before the first publish resumes from the seed's start. In memory
-  /// only: the file still shows the previous seed commit, from which a
-  /// resume correctly re-runs this seed's prefix.
+  /// Seats a seed's in-flight state, one slot per chunk, before any chunk
+  /// runs, so a crash before the first publish resumes from the seed's
+  /// start. In memory only: the file still shows the previous seed commit,
+  /// from which a resume correctly re-runs this seed's prefix.
   void beginSeed(uint64_t ConstraintsFp, const CampaignResult &Header,
                  const std::vector<WorkerCheckpoint> &Workers) {
     std::lock_guard<std::mutex> Lock(M);
@@ -882,15 +896,14 @@ struct CheckpointContext {
     Snap.Workers = Workers;
   }
 
-  /// Publishes worker \p W's progress; \p WriteFile additionally rewrites
-  /// the snapshot file. Mid-run publishes write (they are the only
-  /// persistence a long gap gets); the final publish of an exhausting
-  /// shard does not -- the seed-commit write follows immediately after
-  /// the join, and a crash in that window merely redoes the tail since
-  /// the last mid-run publish.
+  /// Publishes chunk \p W's progress. A mid-chunk publish rewrites the
+  /// snapshot file: it is the only persistence a long chunk gets. A
+  /// chunk's final publish (\p Finished) writes only once the cadence is
+  /// due, as a seed commit does, so a seed whose chunks are shorter than
+  /// EveryN still reaches disk every EveryN variants.
   void publish(unsigned W, bool Finished, CursorState Cursor,
                const CampaignResult &Partial, CoverageRegistry *Cov,
-               StagedVec &Staged, uint64_t DeltaVariants, bool WriteFile) {
+               StagedVec &Staged, uint64_t DeltaVariants) {
     std::string Text;
     uint64_t Seq = 0;
     {
@@ -913,7 +926,7 @@ struct CheckpointContext {
       // not yet covered by a file write -- no double counting between
       // mid-run publishes and seed commits.
       SinceWrite += DeltaVariants;
-      if (!WriteFile)
+      if (Finished && (EveryN == 0 || SinceWrite < EveryN))
         return;
       Seq = serializeLocked(Text);
     }
@@ -953,28 +966,46 @@ struct CheckpointContext {
 // The campaign loop
 //===----------------------------------------------------------------------===//
 
-/// The one variant loop: runs the cursor range \p From of \p Plan's
-/// budgeted space -- a thread shard, a resumed shard, or a fleet lease --
-/// through \p Pipe and accrues into \p Out, which holds only this range's
-/// work (a resumed shard's restored partial included). Without \p Ck the
-/// range's last batch may still be in flight on return; the caller drains
-/// \p Pipe when it needs those rows. \p Ck, when set, publishes every
-/// EveryN variants, drains at the end for the final publish, and delivers
-/// the simulated crash. \returns false when the cursor rejects \p From.
+/// What runRange drives over one seed's ranks. A worker builds it once per
+/// seed and runs every chunk it claims through it: the template is parsed
+/// once, and a chunk that starts where the cursor stands is not sought.
+struct RangeTools {
+  RangeTools(const HarnessOptions &Opts, const SeedPlan &Plan)
+      : Cursor(Plan.Units, Opts.Mode), Renderer(*Plan.Ctx, Plan.Units),
+        Binder(Renderer, Plan.Units, Opts.Extract) {
+    if (!Plan.ValidityPtrs.empty())
+      Cursor.setConstraints(Plan.ValidityPtrs);
+  }
+
+  ProgramCursor Cursor;
+  VariantRenderer Renderer;
+  VariantBinder Binder;
+  /// The rendered text of the current variant; its capacity carries over.
+  std::string Buffer;
+};
+
+/// The one variant loop: runs the cursor range \p From of a seed's budgeted
+/// space -- a rank chunk, a resumed chunk, or a fleet lease -- through
+/// \p Tools and \p Pipe and accrues into \p Out, which holds only this
+/// range's work (a resumed chunk's restored partial included). The range's
+/// last batch may still be in flight on return; the caller drains \p Pipe
+/// when it needs those rows. \p Open, when set, counts the range from its
+/// start until its rows are all recorded. \p Ck, when set, publishes every
+/// EveryN variants, publishes the range's final state once its rows are
+/// recorded, and delivers the simulated crash. \returns false when the
+/// cursor rejects \p From.
 bool runRange(const HarnessOptions &Opts, VariantPipeline &Pipe,
-              const SeedPlan &Plan, const CursorState &From, unsigned Shard,
+              RangeTools &Tools, const CursorState &From, unsigned Shard,
               CampaignResult &Out, CoverageRegistry *Cov,
-              CheckpointContext *Ck) {
-  ProgramCursor Cursor(Plan.Units, Opts.Mode);
-  if (!Plan.ValidityPtrs.empty())
-    Cursor.setConstraints(Plan.ValidityPtrs);
+              std::atomic<unsigned> *Open, CheckpointContext *Ck) {
+  ProgramCursor &Cursor = Tools.Cursor;
   if (!Cursor.restoreState(From))
     return false;
+  if (Open)
+    ++*Open;
   TelemetrySink *Sink = Opts.Telemetry;
   TelemetrySummary *Local = Sink ? &Out.Telemetry : nullptr;
-  VariantRenderer Renderer(*Plan.Ctx, Plan.Units);
-  VariantBinder Binder(Renderer, Plan.Units, Opts.Extract);
-  std::string Buffer;
+  std::string &Buffer = Tools.Buffer;
   StagedVec Staged;
   uint64_t SincePublish = 0;
   while (const ProgramAssignment *PA = Cursor.next()) {
@@ -985,8 +1016,8 @@ bool runRange(const HarnessOptions &Opts, VariantPipeline &Pipe,
     ASTContext *Bound;
     {
       SpanTimer T(Sink, Local, "render");
-      Renderer.renderInto(*PA, Buffer);
-      Bound = Binder.bind(*PA);
+      Tools.Renderer.renderInto(*PA, Buffer);
+      Bound = Tools.Binder.bind(*PA);
     }
     Pipe.add(Buffer, Bound, Out, Cov,
              Ck && Ck->staging() ? &Staged : nullptr);
@@ -1001,12 +1032,10 @@ bool runRange(const HarnessOptions &Opts, VariantPipeline &Pipe,
       // identical across batch sizes.
       Pipe.drain();
       Ck->publish(Shard, false, Cursor.saveState(), Out, Cov, Staged,
-                  SincePublish, /*WriteFile=*/true);
+                  SincePublish);
       SincePublish = 0;
     }
   }
-  if (Ck)
-    Pipe.drain();
   const BigInt &Pruned = Cursor.pruned();
   Out.VariantsPruned +=
       Pruned.fitsInUint64() ? Pruned.toUint64() : ~uint64_t(0);
@@ -1017,45 +1046,190 @@ bool runRange(const HarnessOptions &Opts, VariantPipeline &Pipe,
     S.Finished = true;
     Opts.Status->updateShard(Shard, S);
   }
-  // The final publish folds the pruned counter and marks the shard
-  // finished; a resume restores it verbatim instead of re-running it. No
-  // file write: the seed commit right after the join persists it.
-  if (Ck)
-    Ck->publish(Shard, true, Cursor.saveState(), Out, Cov, Staged,
-                SincePublish, /*WriteFile=*/false);
+  // The final publish marks the chunk finished, its pruned counter folded;
+  // a resume restores it verbatim instead of re-running it. It waits for
+  // the chunk's last rows, so a batch can run on into the next chunk.
+  Pipe.whenRecorded([=, &Out, State = Cursor.saveState(),
+                     Staged = std::move(Staged)]() mutable {
+    if (Ck)
+      Ck->publish(Shard, true, std::move(State), Out, Cov, Staged,
+                  SincePublish);
+    if (Open)
+      --*Open;
+  });
   return true;
 }
 
-/// The seed loop of one campaign. Single-shard seeds feed one campaign
-/// pipeline that outlives each seed, so a batch fills across seed
-/// boundaries; a seed whose enumeration has ended waits in Pending until
-/// its last queued row is recorded, then merges -- in seed order -- and
-/// commits. The campaign pipeline drains only before a checkpoint publish
-/// or seed commit (with checkpoints every seed drains at its end, so
-/// checkpoint bytes stay identical across batch sizes), at the join of a
-/// seed that ran more than one shard (whose workers each drain their own
-/// pipeline at the end of their shard), and at campaign end.
+/// Rank chunks per seed: each seed's budgeted range is cut into this many
+/// (fewer when the budget is smaller) whatever the thread count, so a
+/// seed's chunks, and the checkpoint's in-flight section, are the same at
+/// every thread count. Sixteen keep two to four workers within about one
+/// chunk of each other at a seed's join.
+constexpr unsigned SeedChunks = 16;
+
+/// The size of the chunk grid over \p Budget ranks: min(Budget,
+/// SeedChunks), and one empty chunk for an empty budget.
+unsigned chunkCount(const BigInt &Budget) {
+  if (!Budget.fitsInUint64() || Budget.toUint64() >= SeedChunks)
+    return SeedChunks;
+  return std::max(1u, static_cast<unsigned>(Budget.toUint64()));
+}
+
+/// True when \p CS lies on the chunk [\p Begin, \p End): it ends at End,
+/// and its position is a decimal rank in [Begin, End].
+bool onChunk(const CursorState &CS, const BigInt &Begin, const BigInt &End) {
+  if (CS.End != End.toString() || CS.Position.empty() ||
+      CS.Position.find_first_not_of("0123456789") != std::string::npos)
+    return false;
+  BigInt Pos = BigInt::fromDecimalString(CS.Position);
+  return Begin <= Pos && Pos <= End;
+}
+
+/// The worker threads of a campaign that runs on more than one. They live
+/// for the whole campaign, and each seed hands every one of them the same
+/// job. A worker's wait for its next job -- from its last chunk of one
+/// seed to the next seed's start -- is the global span seed_wait, so a
+/// traced campaign shows the idle time its seed joins leave.
+class WorkerPool {
+public:
+  WorkerPool(unsigned Workers, TelemetrySink *Sink) : Sink(Sink) {
+    Threads.reserve(Workers);
+    for (unsigned W = 0; W < Workers; ++W)
+      Threads.emplace_back([this, W] { loop(W); });
+  }
+  ~WorkerPool() {
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      Stop = true;
+    }
+    Wake.notify_all();
+    for (std::thread &T : Threads)
+      T.join();
+  }
+  WorkerPool(const WorkerPool &) = delete;
+  WorkerPool &operator=(const WorkerPool &) = delete;
+
+  /// Starts \p Job(W) on every worker W and returns; wait() joins it.
+  void start(std::function<void(unsigned)> Job) {
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      this->Job = std::move(Job);
+      ++Generation;
+      Running = static_cast<unsigned>(Threads.size());
+    }
+    Wake.notify_all();
+  }
+
+  /// Blocks until every worker has returned from the started job.
+  void wait() {
+    std::unique_lock<std::mutex> Lock(M);
+    Done.wait(Lock, [this] { return Running == 0; });
+  }
+
+private:
+  void loop(unsigned W) {
+    uint64_t Seen = 0;
+    for (;;) {
+      std::function<void(unsigned)> Next;
+      {
+        SpanTimer T(Sink, nullptr, "seed_wait");
+        std::unique_lock<std::mutex> Lock(M);
+        Wake.wait(Lock, [&] { return Stop || Generation != Seen; });
+        if (Generation == Seen)
+          return; // Stopped, with no job left to run.
+        Seen = Generation;
+        Next = Job;
+      }
+      Next(W);
+      bool Last;
+      {
+        std::lock_guard<std::mutex> Lock(M);
+        Last = --Running == 0;
+      }
+      if (Last)
+        Done.notify_all();
+    }
+  }
+
+  TelemetrySink *Sink;
+  std::mutex M;
+  std::condition_variable Wake; ///< A job started, or Stop was set.
+  std::condition_variable Done; ///< Running reached zero.
+  std::function<void(unsigned)> Job;
+  uint64_t Generation = 0; ///< Jobs started so far.
+  unsigned Running = 0;    ///< Workers still in the current job.
+  bool Stop = false;
+  std::vector<std::thread> Threads;
+};
+
+/// A seed's plan and the header counters its front-end pass accrued.
+struct PlannedSeed {
+  CampaignResult Header;
+  SeedPlan Plan;
+};
+
+/// The seed loop of one campaign. Each seed's budgeted range is cut into
+/// a fixed grid of rank chunks (chunkCount); each chunk is one runRange
+/// call into its own partial result, and the partials merge in chunk
+/// order, so a finding's witness is its first occurrence in rank order at
+/// any thread count. At one thread the calling thread runs every chunk in
+/// rank order through one cursor and the campaign pipeline. With more, a
+/// WorkerPool claims the chunks in rank order from one counter, each
+/// worker through its own cursor and its own pipeline, while the calling
+/// thread plans the next seed. Every pipeline outlives the seeds, so a
+/// batch fills across chunk and seed boundaries; at campaign end the
+/// workers' unfilled batches join in the campaign pipeline.
+///
+/// A seed whose enumeration has ended waits in Pending until its last
+/// queued row is recorded, then merges -- in seed order -- and commits. A
+/// pipeline drains only before a checkpoint publish or seed commit (with
+/// checkpoints every seed drains at its end, so checkpoint bytes stay
+/// identical across batch sizes) and at campaign end.
 class SeedRunner {
 public:
   /// Seeds merge into \p Merged; \p Ck is null for a campaign without
   /// checkpoints.
   SeedRunner(const HarnessOptions &Opts, const CompilerBackend &Backend,
              CampaignResult &Merged, CheckpointContext *Ck)
-      : Opts(Opts), Backend(Backend), Merged(Merged), Ck(Ck),
-        Pipe(Opts, Backend) {
+      : Opts(Opts), Merged(Merged), Ck(Ck), Pipe(Opts, Backend) {
     Pipe.OnRecorded = [this] { settle(); };
+    unsigned Threads = Opts.Threads != 0
+                           ? Opts.Threads
+                           : std::thread::hardware_concurrency();
+    // No point in more workers than a seed has chunks.
+    Threads = std::min(std::max(Threads, 1u), SeedChunks);
+    if (Threads > 1) {
+      for (unsigned W = 0; W < Threads; ++W)
+        WorkerPipes.push_back(
+            std::make_unique<VariantPipeline>(Opts, Backend));
+      Pool = std::make_unique<WorkerPool>(Threads, Opts.Telemetry);
+    }
   }
 
-  /// Runs seed \p Index: one runRange shard per worker over an even split
-  /// of the budgeted prefix -- or, resuming mid-seed, from \p Resume's
-  /// worker states -- merged in shard order, which reproduces the
-  /// single-threaded result bit for bit. \returns false with \p Err set
-  /// when the resume snapshot disagrees with the re-analyzed seed.
-  bool run(uint64_t Index, const std::string &Source,
-           const CampaignCheckpoint *Resume, std::string &Err);
+  /// Runs seeds [\p Start, end of \p Seeds), the first of them from
+  /// \p Resume's chunk states when set. \returns false with \p Err set when
+  /// the resume snapshot disagrees with the re-analyzed seed; a simulated
+  /// crash ends the loop early and \returns true.
+  bool run(const std::vector<std::string> &Seeds, size_t Start,
+           const CampaignCheckpoint *Resume, std::string &Err) {
+    std::unique_ptr<PlannedSeed> Next = plan(Seeds, Start);
+    for (size_t S = Start; S < Seeds.size(); ++S) {
+      std::unique_ptr<PlannedSeed> Cur = std::move(Next);
+      auto PlanNext = [&] { Next = plan(Seeds, S + 1); };
+      if (!runSeed(S, *Cur, S == Start ? Resume : nullptr, PlanNext, Err))
+        return false;
+      if (Ck && Ck->crashed())
+        return true;
+    }
+    return true;
+  }
 
-  /// Campaign end: records every queued row and merges every seed.
+  /// Campaign end: stops the pool, records every queued row, and merges
+  /// every seed.
   void finish() {
+    Pool.reset();
+    for (std::unique_ptr<VariantPipeline> &P : WorkerPipes)
+      Pipe.adoptQueued(*P);
     Pipe.drain();
     settle();
   }
@@ -1066,25 +1240,47 @@ private:
     /// The seed's index in the corpus, which names it to the status feed.
     uint64_t Index = 0;
     CampaignResult Header;
-    /// One partial result and (when coverage is on) one registry per shard.
+    /// One partial result and (when coverage is on) one registry per chunk.
     std::vector<CampaignResult> Partials;
     std::vector<CoverageRegistry> Covs;
-    /// Pipe.queued() when its enumeration ended: the seed merges once
-    /// Pipe.recorded() reaches it. Never reached while it enumerates.
-    uint64_t Rows = ~uint64_t(0);
+    /// Set when its enumeration ended: the seed merges once no chunk of it
+    /// is Open, i.e. has rows unrecorded in whichever pipeline holds them.
+    bool Ended = false;
+    std::atomic<unsigned> Open{0};
   };
+
+  /// The plan of \p Seeds[\p Index], or null past the end.
+  std::unique_ptr<PlannedSeed> plan(const std::vector<std::string> &Seeds,
+                                    size_t Index) const {
+    if (Index >= Seeds.size())
+      return nullptr;
+    auto P = std::make_unique<PlannedSeed>();
+    P->Plan = buildSeedPlan(Opts, Seeds[Index], P->Header);
+    return P;
+  }
+
+  /// Runs seed \p Index of plan \p Planned: every chunk of its grid -- or,
+  /// resuming mid-seed, \p Resume's chunk states -- and calls \p PlanNext
+  /// once, while the pool runs the chunks when there is one. \returns false
+  /// with \p Err set when the resume snapshot disagrees with the
+  /// re-analyzed seed.
+  bool runSeed(uint64_t Index, PlannedSeed &Planned,
+               const CampaignCheckpoint *Resume,
+               const std::function<void()> &PlanNext, std::string &Err);
 
   /// Ends the current seed's enumeration and merges what is complete.
   bool endSeed() {
-    Pending.back().Rows = Pipe.queued();
+    Pending.back().Ended = true;
     settle();
     return true;
   }
 
   /// Merges, in seed order, every pending seed whose rows are all
   /// recorded, and commits each to the checkpoint and the status feed.
+  /// Runs on the calling thread only, while no worker runs.
   void settle() {
-    while (!Pending.empty() && Pipe.recorded() >= Pending.front().Rows) {
+    while (!Pending.empty() && Pending.front().Ended &&
+           Pending.front().Open == 0) {
       const PendingSeed &Seed = Pending.front();
       Merged.merge(Seed.Header);
       for (const CampaignResult &P : Seed.Partials)
@@ -1100,54 +1296,65 @@ private:
   }
 
   const HarnessOptions &Opts;
-  const CompilerBackend &Backend;
   CampaignResult &Merged;
   CheckpointContext *Ck;
   /// Seeds not yet merged, oldest first. A deque: pipeline items point
   /// into the partials of every seed it holds, which pops at the front and
   /// pushes at the back must not move.
   std::deque<PendingSeed> Pending;
+  /// The campaign pipeline, which the calling thread's chunks run through.
   VariantPipeline Pipe;
+  /// One pipeline per pool worker.
+  std::vector<std::unique_ptr<VariantPipeline>> WorkerPipes;
+  /// Null at one thread. Declared last, so it stops before the pipelines
+  /// its workers use go away.
+  std::unique_ptr<WorkerPool> Pool;
 };
 
-bool SeedRunner::run(uint64_t Index, const std::string &Source,
-                     const CampaignCheckpoint *Resume, std::string &Err) {
+bool SeedRunner::runSeed(uint64_t Index, PlannedSeed &Planned,
+                         const CampaignCheckpoint *Resume,
+                         const std::function<void()> &PlanNext,
+                         std::string &Err) {
   PendingSeed &Seed = Pending.emplace_back();
   Seed.Index = Index;
-  SeedPlan Plan = buildSeedPlan(Opts, Source, Seed.Header);
+  Seed.Header = std::move(Planned.Header);
+  const SeedPlan &Plan = Planned.Plan;
   if (!Plan.Ready) {
     if (Resume) {
       Err = "snapshot is mid-seed but the seed re-analyzes as rejected or "
             "threshold-skipped (corpus or analysis skew)";
       return false;
     }
+    PlanNext();
     return endSeed();
   }
 
-  const unsigned Threads = Plan.Threads;
-  std::vector<WorkerCheckpoint> Init;
-  if (Resume) {
-    Init = Resume->Workers;
-  } else {
-    Init.resize(Threads);
-    for (unsigned W = 0; W < Threads; ++W) {
-      BigInt Begin, End;
-      cursor_detail::shardRange(BigInt(0), Plan.Budget, W, Threads, Begin,
-                                End);
-      Init[W].Cursor = {Begin.toString(), End.toString(), "0"};
-      if (Opts.Cov)
-        Init[W].CovHits = Opts.Cov->hitSet();
+  // The grid. A resumed seed must have been cut exactly the same way: its
+  // chunks' ranks are what each slot's partial result accounts for.
+  const unsigned Chunks = chunkCount(Plan.Budget);
+  std::vector<WorkerCheckpoint> Init(Chunks);
+  for (unsigned C = 0; C < Chunks; ++C) {
+    BigInt Begin, End;
+    cursor_detail::shardRange(BigInt(0), Plan.Budget, C, Chunks, Begin,
+                              End);
+    if (Resume) {
+      if (Resume->Workers.size() != Chunks ||
+          !onChunk(Resume->Workers[C].Cursor, Begin, End)) {
+        Err = "snapshot's in-flight chunks are not the seed's grid of " +
+              std::to_string(Chunks) + " chunks over " +
+              Plan.Budget.toString() + " ranks (analysis skew)";
+        return false;
+      }
+      Init[C] = Resume->Workers[C];
+      continue;
     }
+    Init[C].Cursor = {Begin.toString(), End.toString(), "0"};
+    if (Opts.Cov)
+      Init[C].CovHits = Opts.Cov->hitSet();
   }
   if (Ck) {
     uint64_t CFp = fingerprintConstraints(Plan.Validity);
     if (Resume) {
-      if (Init.size() != Threads) {
-        Err = "snapshot has " + std::to_string(Init.size()) +
-              " workers but the seed resolves to " + std::to_string(Threads) +
-              " (Threads option or hardware changed?)";
-        return false;
-      }
       if (Resume->ConstraintsFingerprint != CFp) {
         Err = "validity-constraints fingerprint mismatch (analysis skew)";
         return false;
@@ -1162,45 +1369,62 @@ bool SeedRunner::run(uint64_t Index, const std::string &Source,
   }
 
   if (Opts.Status)
-    Opts.Status->beginSeed(Index, Threads);
-  // Each worker owns its partial result and (when requested) a private
-  // coverage registry copy, merged back in shard order once the seed's
+    Opts.Status->beginSeed(Index, Chunks);
+  // Each chunk owns its partial result and (when requested) a private
+  // coverage registry copy, merged back in chunk order once the seed's
   // rows are all recorded.
-  Seed.Partials.resize(Threads);
+  Seed.Partials.resize(Chunks);
   if (Opts.Cov)
-    Seed.Covs.assign(Threads, *Opts.Cov);
+    Seed.Covs.assign(Chunks, *Opts.Cov);
   std::atomic<bool> BadRestore{false};
-  auto RunWorker = [&](unsigned W, VariantPipeline &P) {
-    CoverageRegistry *Cov = Opts.Cov ? &Seed.Covs[W] : nullptr;
-    Seed.Partials[W] = Init[W].Partial;
+  // Runs chunk C through a worker's pipeline and tools, the tools built on
+  // the first chunk the worker runs.
+  auto RunChunk = [&](unsigned C, VariantPipeline &P,
+                      std::optional<RangeTools> &Tools) {
+    CoverageRegistry *Cov = Opts.Cov ? &Seed.Covs[C] : nullptr;
+    Seed.Partials[C] = Init[C].Partial;
     if (Cov)
-      Cov->setHits(Init[W].CovHits);
-    // A shard that finished before the crash is restored verbatim.
-    if (!Init[W].Finished &&
-        !runRange(Opts, P, Plan, Init[W].Cursor, W, Seed.Partials[W], Cov, Ck))
+      Cov->setHits(Init[C].CovHits);
+    // A chunk that finished before the crash is restored verbatim.
+    if (Init[C].Finished)
+      return;
+    if (!Tools)
+      Tools.emplace(Opts, Plan);
+    if (!runRange(Opts, P, *Tools, Init[C].Cursor, C, Seed.Partials[C], Cov,
+                  &Seed.Open, Ck))
       BadRestore.store(true, std::memory_order_relaxed);
   };
-  if (Threads <= 1) {
-    RunWorker(0, Pipe);
+  auto Alive = [this] { return !Ck || !Ck->crashed(); };
+  // With checkpoints a seed commits before the next one is seated, so a
+  // run of chunks ends by recording its rows; without, a batch runs on
+  // into the next seed.
+  auto EndRun = [&](VariantPipeline &P) {
+    if (Ck && Alive())
+      P.drain();
+  };
+  if (!Pool) {
+    std::optional<RangeTools> Tools;
+    for (unsigned C = 0; C < Chunks && Alive(); ++C)
+      RunChunk(C, Pipe, Tools);
+    EndRun(Pipe);
+    PlanNext();
   } else {
-    std::vector<std::thread> Workers;
-    Workers.reserve(Threads);
-    for (unsigned W = 0; W < Threads; ++W)
-      Workers.emplace_back([this, &RunWorker, W] {
-        VariantPipeline Shard(Opts, Backend);
-        RunWorker(W, Shard);
-        Shard.drain();
-      });
-    for (std::thread &T : Workers)
-      T.join();
-    Pipe.drain();
+    std::atomic<unsigned> NextChunk{0};
+    Pool->start([&](unsigned W) {
+      std::optional<RangeTools> Tools;
+      for (unsigned C; Alive() && (C = NextChunk++) < Chunks;)
+        RunChunk(C, *WorkerPipes[W], Tools);
+      EndRun(*WorkerPipes[W]);
+    });
+    PlanNext();
+    Pool->wait();
   }
 
   if (BadRestore.load(std::memory_order_relaxed)) {
     Err = "snapshot cursor state does not fit the seed's rank space";
     return false;
   }
-  if (Ck && Ck->crashed())
+  if (!Alive())
     return true; // Campaign aborts; the caller discards the partial result.
   return endSeed();
 }
@@ -1269,14 +1493,11 @@ bool runSeeds(const HarnessOptions &Opts, const CompilerBackend &Backend,
   if (Opts.Status)
     Opts.Status->beginCampaign(Seeds.size(), StartSeed, countersOf(Result));
   SeedRunner Runner(Opts, Backend, Result, Ck);
-  for (size_t S = StartSeed; S < Seeds.size(); ++S) {
-    const CampaignCheckpoint *Resume =
-        From && From->InFlight && S == StartSeed ? From : nullptr;
-    if (!Runner.run(S, Seeds[S], Resume, Err))
-      return false;
-    if (Ck && Ck->crashed())
-      return true; // Simulated death: the caller resumes from disk.
-  }
+  if (!Runner.run(Seeds, StartSeed, From && From->InFlight ? From : nullptr,
+                  Err))
+    return false;
+  if (Ck && Ck->crashed())
+    return true; // Simulated death: the caller resumes from disk.
   Runner.finish();
   if (Ck)
     Ck->writeNow(/*Complete=*/true);
@@ -1383,12 +1604,14 @@ bool DifferentialHarness::runLease(const std::string &Source,
           Plan.Budget.toString();
     return false;
   }
-  // The cursor is positioned exactly the way a thread shard's is, so a
-  // lease sees the same variants, in the same order, as the shard that
-  // would have covered these ranks.
+  // The cursor is positioned exactly the way a chunk's is, so a lease sees
+  // the same variants, in the same order, as the chunks that would have
+  // covered these ranks.
   CursorState CS{Begin.toString(), End.toString(), "0"};
   VariantPipeline Pipe(Opts, backend());
-  bool Ok = runRange(Opts, Pipe, Plan, CS, 0, Out, nullptr, nullptr);
+  RangeTools Tools(Opts, Plan);
+  bool Ok =
+      runRange(Opts, Pipe, Tools, CS, 0, Out, nullptr, nullptr, nullptr);
   Pipe.drain();
   if (Ok)
     return true;

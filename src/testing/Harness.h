@@ -55,10 +55,13 @@ struct CampaignSpec {
   uint64_t VariantThreshold = 10'000;
   /// Cap on variants actually executed per seed (testing budget).
   uint64_t VariantBudget = 400;
-  /// Worker threads per seed: the budgeted variant range is split into one
-  /// cursor shard per worker. 0 = one per hardware thread. Results are
-  /// deterministic and identical for any thread count; fleet leases always
-  /// run single-cursor, so there it only shapes the options fingerprint.
+  /// Worker threads of the campaign (0 = one per hardware thread, and never
+  /// more than a seed has rank chunks). Each seed's budgeted range is cut
+  /// into the same grid of rank chunks at every thread count; above one
+  /// thread a pool of this many workers, alive for the whole campaign,
+  /// claims the chunks in rank order. Results, and the checkpoint layout,
+  /// are identical for any thread count, so a snapshot resumes under any
+  /// value. Fleet leases always run single-cursor.
   unsigned Threads = 1;
   /// Variants per compile batch handed to CompilerBackend::beginBatch
   /// (DESIGN.md Section 13); 1 = unbatched: each tested variant is a
@@ -124,13 +127,14 @@ void walkCampaignSpec(Spec &S, Visitor &&V) {
   V("Extract.Model", Affecting, Model);
   V("VariantThreshold", Affecting, VariantThreshold);
   V("VariantBudget", Affecting, VariantBudget);
-  // Results are identical for any thread count, but a snapshot's in-flight
-  // shard cursors are laid out per thread.
-  V("Threads", Affecting, Threads);
-  // The one result-neutral option. By the batch contract every recorded
-  // observation has unbatched provenance, so findings, counters, triage
-  // and checkpoint bytes are bit-identical for every batch size, and a
-  // campaign may resume at another one (e.g. re-tuned for a new host).
+  // Results are identical for any thread count, and a snapshot's in-flight
+  // section lists the seed's rank chunks, whose grid does not depend on
+  // it: a campaign may resume on more or fewer threads.
+  V("Threads", OptionKind::ResultNeutral, Threads);
+  // By the batch contract every recorded observation has unbatched
+  // provenance, so findings, counters, triage and checkpoint bytes are
+  // bit-identical for every batch size, and a campaign may resume at
+  // another one (e.g. re-tuned for a new host).
   V("BatchSize", OptionKind::ResultNeutral, BatchSize);
   V("InjectBugs", Affecting, InjectBugs);
   V("PruneInvalid", Affecting, PruneInvalid);
@@ -182,12 +186,12 @@ struct HarnessOptions : CampaignSpec {
   /// roster's identities are folded into the checkpoint options
   /// fingerprint in slot order.
   std::vector<const CompilerBackend *> ExtraBackends;
-  /// Optional coverage registry threaded into every compilation. With
-  /// Threads > 1 each worker records into a private copy; the copies are
-  /// merged back after the join.
+  /// Optional coverage registry threaded into every compilation. Each rank
+  /// chunk records into a private copy; the copies merge back in chunk
+  /// order once the seed's rows are all recorded.
   CoverageRegistry *Cov = nullptr;
   /// Optional shared oracle memoization (testing/OracleCache.h). Repeat
-  /// variants -- across configs, shards, seeds, and whole campaigns --
+  /// variants -- across configs, chunks, seeds, and whole campaigns --
   /// replay the memoized verdict instead of re-running parse + Sema +
   /// interpretation. Bugs, coverage, and every oracle-visible counter are
   /// bit-identical with and without it; only OracleExecutions and
@@ -203,12 +207,12 @@ struct HarnessOptions : CampaignSpec {
   /// count -- including the oracle-cost counters, provided Cache is either
   /// unset or backed by OracleStorePath.
   std::string CheckpointPath;
-  /// Snapshot cadence in variants: each shard worker republishes (and
-  /// rewrites the snapshot file) after this many variants it enumerated,
-  /// and seed-boundary commits write once at least this many new variants
-  /// accumulated since the last write -- so a campaign over many small
-  /// seeds is not taxed one file write per seed, and a crash redoes at
-  /// most ~N variants per worker either way. 0 = write at every seed
+  /// Snapshot cadence in variants: a rank chunk republishes (and rewrites
+  /// the snapshot file) after this many variants it enumerated, and chunk
+  /// ends and seed-boundary commits write once at least this many new
+  /// variants accumulated since the last write -- so a campaign over many
+  /// small seeds or chunks is not taxed one file write each, and a crash
+  /// redoes at most ~N variants per worker either way. 0 = write at every seed
   /// boundary and never mid-seed.
   uint64_t CheckpointEveryN = 1000;
   /// Optional append-only on-disk backing log for Cache
@@ -456,7 +460,7 @@ struct CampaignResult {
   /// Cost/benefit accounting of the triage pass (zeros when none ran).
   ReductionStats Reduction;
   /// Phase timing summary (empty unless HarnessOptions::Telemetry was
-  /// set): worker-local span aggregates merged per worker in shard order,
+  /// set): chunk-local span aggregates merged in chunk order,
   /// plus the sink's global phases folded in at campaign end. Wall-clock
   /// data lives here and only here -- merge() folds it, but it is excluded
   /// from operator== (and from checkpoint serialization), so bit-identity
@@ -467,8 +471,8 @@ struct CampaignResult {
   unsigned bugCount(Persona P, BugEffect E) const;
 
   /// Folds \p Other into this result: counters add, and bugs already seen
-  /// keep their existing (earlier-rank) witness. Merging per-shard results
-  /// in shard order reproduces the single-threaded result exactly.
+  /// keep their existing (earlier-rank) witness. Merging per-chunk results
+  /// in chunk order reproduces the single-threaded result exactly.
   void merge(const CampaignResult &Other);
 
   bool operator==(const CampaignResult &Other) const;
@@ -493,10 +497,11 @@ public:
 
   /// Restarts a checkpointed campaign from Opts.CheckpointPath: validates
   /// the snapshot (format version, checksum, options / seed-list /
-  /// constraints fingerprints, worker-count consistency), truncates the
-  /// oracle store back to the snapshot's recorded length, reconstitutes
-  /// every in-flight shard cursor mid-prefix via restoreState, and runs
-  /// the campaign to completion. The returned result -- bugs, raw
+  /// constraints fingerprints, in-flight chunks on the seed's grid),
+  /// truncates the oracle store back to the snapshot's recorded length,
+  /// reconstitutes every in-flight chunk's cursor mid-range via
+  /// restoreState, and runs the campaign to completion, at any thread
+  /// count. The returned result -- bugs, raw
   /// findings, coverage, triage, and every counter -- is bit-identical to
   /// what the uninterrupted run would have produced. \returns false with
   /// a diagnostic in \p Err (and \p Result untouched beyond partial
@@ -528,8 +533,8 @@ public:
   /// fleet lease. Merging all of a seed's lease fragments in ascending
   /// Begin order on top of the summarizeSeed header reproduces the
   /// single-process result for that seed bit for bit, because a lease is
-  /// one call of the variant loop every thread shard runs, over an
-  /// arbitrary contiguous subrange. Header counters are NOT accrued here
+  /// one call of the variant loop every rank chunk runs, over an arbitrary
+  /// contiguous subrange. Header counters are NOT accrued here
   /// (the coordinator owns them via summarizeSeed). \returns false with
   /// \p Err set when the seed is not enumerable or the range is outside
   /// [0, Budget].

@@ -6,19 +6,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A memoizing cache for reference-oracle verdicts, keyed by the canonical
-/// variant signature -- the rendered program text, which two distinct
-/// canonical assignments can never share. The oracle run (parse + Sema +
-/// reference interpretation, Section 5.4) dominates per-variant cost, and
-/// campaigns repeat it: persona/version sweeps re-test the same seeds, and
-/// shards of different campaigns can meet the same variant. A shared cache
-/// turns every repeat into a lookup.
+/// A memoizing cache for reference-oracle verdicts, keyed by the rendered
+/// program text (with the step budget and the stdin input). The oracle run
+/// (parse + Sema + reference interpretation, Section 5.4) dominates
+/// per-variant cost, and campaigns repeat it: persona/version sweeps
+/// re-test the same seeds, and shards of different campaigns can meet the
+/// same variant. Ranks of one seed can meet a text too: distinct canonical
+/// assignments usually print distinct programs, but where a skeleton
+/// variable is shadowed at a hole, several print the same one. A shared
+/// cache turns every repeat into a lookup.
 ///
-/// The cache is safe for concurrent shard workers (a single mutex; the
-/// payloads are small) and is *determinism-preserving*: a hit replays the
-/// exact stored verdict of the deterministic interpreter, so campaign
-/// results are bit-identical with and without the cache, for any thread
-/// count -- only the OracleExecutions / OracleCacheHits counters differ.
+/// The cache is safe for concurrent workers (a single mutex; the payloads
+/// are small) and is *determinism-preserving*: a hit replays the exact
+/// stored verdict of the deterministic interpreter, so campaign results
+/// are bit-identical with and without the cache -- only the
+/// OracleExecutions / OracleCacheHits counters differ -- and those
+/// counters are identical for any thread count, because a miss claims its
+/// key. Until the claimant fills the claim, a concurrent lookup of that key
+/// waits for the verdict and counts as a hit, so each key is interpreted
+/// once however the threads interleave.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,10 +33,13 @@
 
 #include "interp/Interpreter.h"
 
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 namespace spe {
 
@@ -67,25 +76,74 @@ public:
     std::string Output;
   };
 
-  /// \returns true and fills \p Out when \p Source has a memoized verdict.
-  /// Counts a hit or a miss either way.
-  bool lookup(const std::string &Source, Entry &Out) {
-    std::lock_guard<std::mutex> Lock(M);
-    auto It = Map.find(Source);
-    if (It == Map.end()) {
-      ++Misses;
-      return false;
+  /// A missed lookup's hold on its key, filled at most once. fill()
+  /// memoizes the claimant's verdict; a claim destroyed unfilled is
+  /// released, and a waiting lookup then misses and claims the key itself,
+  /// so no waiter is stranded whatever path the claimant takes.
+  class Claim {
+  public:
+    Claim() = default;
+    Claim(const Claim &) = delete;
+    Claim &operator=(const Claim &) = delete;
+    ~Claim() { release(); }
+
+    /// Memoizes \p E for the claimed key and wakes its waiters; a no-op
+    /// when nothing is claimed.
+    void fill(Entry E) {
+      if (Cache)
+        std::exchange(Cache, nullptr)->insert(Key, std::move(E));
     }
-    ++Hits;
-    Out = It->second;
-    return true;
+
+  private:
+    friend class OracleCache;
+    void release() {
+      if (Cache)
+        std::exchange(Cache, nullptr)->release(Key);
+    }
+
+    OracleCache *Cache = nullptr;
+    std::string Key;
+  };
+
+  /// \returns true and fills \p Out when \p Key has a memoized verdict,
+  /// waiting first while another thread holds a claim on it. Otherwise
+  /// \returns false and, with \p Miss set, claims \p Key into it (a claim
+  /// \p Miss held before is released). Counts a hit or a miss either way.
+  bool lookup(const std::string &Key, Entry &Out, Claim *Miss = nullptr) {
+    if (Miss)
+      Miss->release();
+    std::unique_lock<std::mutex> Lock(M);
+    for (;;) {
+      auto It = Map.find(Key);
+      if (It != Map.end()) {
+        ++Hits;
+        Out = It->second;
+        return true;
+      }
+      if (!Claimed.count(Key))
+        break;
+      Released.wait(Lock);
+    }
+    ++Misses;
+    if (Miss) {
+      Claimed.insert(Key);
+      Miss->Cache = this;
+      Miss->Key = Key;
+    }
+    return false;
   }
 
-  /// Memoizes \p E for \p Source (first writer wins; the oracle is
-  /// deterministic, so racing writers agree).
-  void insert(const std::string &Source, Entry E) {
-    std::lock_guard<std::mutex> Lock(M);
-    Map.emplace(Source, std::move(E));
+  /// Memoizes \p E for \p Key (first writer wins; the oracle is
+  /// deterministic, so racing writers agree) and releases a claim on it.
+  void insert(const std::string &Key, Entry E) {
+    bool WasClaimed;
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      Map.emplace(Key, std::move(E));
+      WasClaimed = Claimed.erase(Key) != 0;
+    }
+    if (WasClaimed)
+      Released.notify_all();
   }
 
   uint64_t hits() const {
@@ -108,8 +166,21 @@ public:
   }
 
 private:
+  /// Drops the claim on \p Key unfilled.
+  void release(const std::string &Key) {
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      Claimed.erase(Key);
+    }
+    Released.notify_all();
+  }
+
   mutable std::mutex M;
+  /// Signalled whenever a claim ends, filled or not.
+  std::condition_variable Released;
   std::unordered_map<std::string, Entry> Map;
+  /// Keys a missed lookup holds until its verdict is inserted.
+  std::unordered_set<std::string> Claimed;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
 };

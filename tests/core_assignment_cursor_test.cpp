@@ -12,10 +12,17 @@
 #include "core/AssignmentCursor.h"
 #include "core/NaiveEnumerator.h"
 #include "core/SpeEnumerator.h"
+#include "lang/Parser.h"
+#include "sema/Sema.h"
 #include "skeleton/ProgramEnumerator.h"
+#include "skeleton/SkeletonExtractor.h"
+#include "skeleton/ValidityAnalysis.h"
+#include "testing/Corpus.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <random>
 #include <set>
 
 using namespace spe;
@@ -187,6 +194,58 @@ TEST(AssignmentCursorTest, SeekIsRepositionableBothDirections) {
   }
   Cursor.seek(Cursor.size() + BigInt(5)); // Past the end: clamped.
   EXPECT_EQ(Cursor.next(), nullptr);
+
+  // The loop corpus at base 8000: a cursor memoizes the completion counts
+  // its decodes compute, so one cursor sent to shuffled ranks -- near and
+  // far, forward and back -- must land where a fresh cursor does, and its
+  // invalid spans must measure what a fresh cursor's do.
+  CorpusOptions CO;
+  CO.UninitLocalProb = 0.6;
+  CO.BoundedLoopProb = 0.6;
+  CO.RichHelperProb = 0.6;
+  std::mt19937_64 Rng(8000);
+  size_t Seeks = 0;
+  for (const std::string &Source : generateCorpus(8000, 12, CO)) {
+    ASTContext Ctx;
+    DiagnosticEngine Diags;
+    ASSERT_TRUE(Parser::parse(Source, Ctx, Diags));
+    Sema Analysis(Ctx, Diags);
+    ASSERT_TRUE(Analysis.run());
+    std::vector<SkeletonUnit> Units =
+        SkeletonExtractor(Ctx, Analysis, {}).extract();
+    std::vector<ValidityConstraints> Validity =
+        analyzeValidity(Ctx, Analysis, Units);
+    for (size_t U = 0; U < Units.size(); ++U) {
+      const AbstractSkeleton &Unit = Units[U].Skeleton;
+      AssignmentCursor Reused(Unit, SpeMode::Exact);
+      const BigInt Size = Reused.size();
+      if (Size.isZero())
+        continue;
+      // The budget's ranks a campaign decodes, and a few far ones.
+      std::vector<BigInt> Ranks;
+      for (uint64_t R = 0; R < 48 && BigInt(R) < Size; ++R)
+        Ranks.push_back(BigInt(R));
+      for (uint64_t K = 1; K < 8; ++K)
+        Ranks.push_back((Size * K).divideBySmall(8));
+      std::shuffle(Ranks.begin(), Ranks.end(), Rng);
+      for (const BigInt &R : Ranks) {
+        SCOPED_TRACE("unit " + std::to_string(U) + " rank " + R.toString());
+        AssignmentCursor Fresh(Unit, SpeMode::Exact);
+        Fresh.seek(R);
+        Reused.seek(R);
+        const Assignment *Want = Fresh.next();
+        const Assignment *Got = Reused.next();
+        ASSERT_NE(Want, nullptr);
+        ASSERT_NE(Got, nullptr);
+        EXPECT_EQ(*Got, *Want);
+        EXPECT_EQ(Reused.invalidSpanEnd(R, Validity[U]),
+                  AssignmentCursor(Unit, SpeMode::Exact)
+                      .invalidSpanEnd(R, Validity[U]));
+        ++Seeks;
+      }
+    }
+  }
+  EXPECT_GT(Seeks, 100u);
 }
 
 TEST(AssignmentCursorTest, ShardPartitionsTheSpaceExactly) {
@@ -197,16 +256,23 @@ TEST(AssignmentCursorTest, ShardPartitionsTheSpaceExactly) {
       std::vector<Assignment> Full = legacyStream(Sk, Mode);
       for (uint64_t N : {1u, 2u, 3u, 4u, 7u, 32u}) {
         std::vector<Assignment> Concat;
+        // One cursor that runs every shard in turn restores each at the
+        // position it already holds, so it keeps its odometer.
+        std::vector<Assignment> Reused;
+        ProgramCursor Walker(Units, Mode);
         for (uint64_t I = 0; I < N; ++I) {
           ProgramCursor Shard(Units, Mode);
           std::vector<Assignment> Part =
               drainShard(Shard, Shard.size(), I, N);
           Concat.insert(Concat.end(), Part.begin(), Part.end());
+          Part = drainShard(Walker, Walker.size(), I, N);
+          Reused.insert(Reused.end(), Part.begin(), Part.end());
         }
         // Shards are contiguous rank ranges, so the concatenation in shard
         // order must reproduce the full stream exactly: no duplicate, no
         // loss, no reordering.
         EXPECT_EQ(Concat, Full) << "n=" << N;
+        EXPECT_EQ(Reused, Full) << "n=" << N << ", one cursor";
       }
     }
   }

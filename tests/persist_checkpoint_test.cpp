@@ -398,7 +398,7 @@ const OptionSkew Skews[] = {
     {"VariantThreshold", true,
      [](HarnessOptions &O) { O.VariantThreshold = 500; }},
     {"VariantBudget", true, [](HarnessOptions &O) { O.VariantBudget = 20; }},
-    {"Threads", true, [](HarnessOptions &O) { O.Threads = 2; }},
+    {"Threads", false, [](HarnessOptions &O) { O.Threads = 2; }},
     {"BatchSize", false, [](HarnessOptions &O) { O.BatchSize = 8; }},
     {"InjectBugs", true, [](HarnessOptions &O) { O.InjectBugs = false; }},
     {"PruneInvalid", true, [](HarnessOptions &O) { O.PruneInvalid = false; }},

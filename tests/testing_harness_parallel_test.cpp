@@ -1,14 +1,15 @@
 //===- tests/testing_harness_parallel_test.cpp - parallel campaign tests -===//
 //
-// The load-bearing property of the worker-pool campaign: a campaign split
-// across N cursor shards must produce a CampaignResult identical to the
-// single-threaded run -- same counters, same unique bugs, same witness
+// The load-bearing property of the worker-pool campaign: a campaign whose
+// rank chunks N threads claim must produce a CampaignResult identical to
+// the single-threaded run -- same counters, same unique bugs, same witness
 // programs -- and the merged coverage registry must match too.
 //
 //===----------------------------------------------------------------------===//
 
 #include "testing/Corpus.h"
 #include "testing/Harness.h"
+#include "testing/OracleCache.h"
 
 #include "gtest/gtest.h"
 
@@ -37,22 +38,64 @@ std::vector<std::string> testSeeds() {
 } // namespace
 
 TEST(HarnessParallelTest, MultiThreadedCampaignIsDeterministic) {
-  std::vector<std::string> Seeds = testSeeds();
+  // One campaign input per row. The last rows run a seed whose inner x
+  // shadows the outer one, so many of its classes print the same text and
+  // ranks of different chunks share oracle cache keys. With a shared cache
+  // only the cache's claims keep OracleExecutions and OracleCacheHits at
+  // the 1-thread values when two chunks reach one text at once; that race
+  // is a matter of timing, so those rows run 20 times, each on a fresh
+  // cache.
+  struct Input {
+    std::string Name;
+    std::vector<std::string> Seeds;
+    ScopeModel Model;
+    bool SharedCache;
+    int Runs;
+  };
+  const std::vector<std::string> Shadowing = {
+      "int main(void) { int x = 1; int y = 2; { int x = y + 3; y = y / x; "
+      "} return x - y; }\n"};
+  const std::vector<Input> Inputs = {
+      {"embedded seeds", testSeeds(), ScopeModel::PaperMerged, false, 1},
+      {"shadowing, PaperMerged", Shadowing, ScopeModel::PaperMerged, true, 20},
+      {"shadowing, Lexical", Shadowing, ScopeModel::Lexical, true, 20},
+      {"shadowing, DeclRegion", Shadowing, ScopeModel::DeclRegion, true, 20},
+  };
+  for (const Input &In : Inputs) {
+    SCOPED_TRACE(In.Name);
+    OracleCache SerialCache;
+    HarnessOptions Serial = baseOptions();
+    Serial.Threads = 1;
+    Serial.Extract.Model = In.Model;
+    if (In.SharedCache)
+      Serial.Cache = &SerialCache;
+    CampaignResult Reference =
+        DifferentialHarness(Serial).runCampaign(In.Seeds);
+    EXPECT_GT(Reference.VariantsEnumerated, 0u);
+    if (In.SharedCache) {
+      EXPECT_GT(Reference.OracleCacheHits, 0u);
+    }
 
-  HarnessOptions Serial = baseOptions();
-  Serial.Threads = 1;
-  CampaignResult Reference = DifferentialHarness(Serial).runCampaign(Seeds);
-  EXPECT_GT(Reference.VariantsEnumerated, 0u);
-
-  for (unsigned Threads : {2u, 3u, 4u}) {
-    HarnessOptions Parallel = baseOptions();
-    Parallel.Threads = Threads;
-    CampaignResult Result = DifferentialHarness(Parallel).runCampaign(Seeds);
-    EXPECT_TRUE(Result == Reference)
-        << "threads=" << Threads << ": " << Result.VariantsEnumerated << "/"
-        << Reference.VariantsEnumerated << " variants, "
-        << Result.UniqueBugs.size() << "/" << Reference.UniqueBugs.size()
-        << " bugs";
+    for (unsigned Threads : {2u, 3u, 4u}) {
+      for (int Run = 0; Run < In.Runs; ++Run) {
+        OracleCache Cache;
+        HarnessOptions Parallel = Serial;
+        Parallel.Threads = Threads;
+        if (In.SharedCache)
+          Parallel.Cache = &Cache;
+        CampaignResult Result =
+            DifferentialHarness(Parallel).runCampaign(In.Seeds);
+        EXPECT_TRUE(Result == Reference)
+            << "threads=" << Threads << " run " << Run << ": "
+            << Result.VariantsEnumerated << "/"
+            << Reference.VariantsEnumerated << " variants, "
+            << Result.UniqueBugs.size() << "/" << Reference.UniqueBugs.size()
+            << " bugs, " << Result.OracleExecutions << "/"
+            << Reference.OracleExecutions << " oracle execs, "
+            << Result.OracleCacheHits << "/" << Reference.OracleCacheHits
+            << " cache hits";
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 //===- tests/testing_oracle_cache_test.cpp - cache + store stats ---------===//
 //
-// Unit tests for OracleCache (first-writer-wins inserts, clear(), the
+// Unit tests for OracleCache (first-writer-wins inserts, clear(), claims
+// that make concurrent misses of one key compute it once, the
 // budget-salted verdict key) and for the store size the harness surfaces
 // on CampaignResult at campaign end.
 //
@@ -12,7 +13,11 @@
 
 #include "gtest/gtest.h"
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <memory>
+#include <thread>
 
 using namespace spe;
 
@@ -59,6 +64,65 @@ TEST(OracleCacheTest, ClearEmptiesTheCache) {
   EXPECT_EQ(Cache.size(), 0u);
   EXPECT_EQ(Cache.hits(), 0u);
   EXPECT_EQ(Cache.misses(), 0u);
+}
+
+TEST(OracleCacheTest, ConcurrentLookupsOfOneKeyComputeItOnce) {
+  // Four threads reach each key at once. The first lookup claims it; the
+  // others wait for its verdict and count as hits, so every key is
+  // computed exactly once whatever the interleaving.
+  constexpr int Threads = 4;
+  constexpr int Keys = 50;
+  OracleCache Cache;
+  std::atomic<int> Computed{0};
+  std::atomic<int> Ready{0};
+  std::vector<std::thread> Workers;
+  for (int T = 0; T < Threads; ++T)
+    Workers.emplace_back([&] {
+      ++Ready;
+      while (Ready < Threads)
+        std::this_thread::yield();
+      for (int K = 0; K < Keys; ++K) {
+        std::string Key = "k" + std::to_string(K);
+        OracleCache::Entry E;
+        OracleCache::Claim Miss;
+        if (Cache.lookup(Key, E, &Miss)) {
+          EXPECT_EQ(E.ExitCode, K);
+          continue;
+        }
+        ++Computed;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        Miss.fill(entry(K));
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_EQ(Computed, Keys);
+  EXPECT_EQ(Cache.misses(), uint64_t(Keys));
+  EXPECT_EQ(Cache.hits(), uint64_t(Keys * (Threads - 1)));
+}
+
+TEST(OracleCacheTest, AbandonedClaimPassesToAWaiter) {
+  // A claim destroyed unfilled releases its key: a lookup waiting on it
+  // misses and claims the key itself, and nothing waits forever.
+  OracleCache Cache;
+  OracleCache::Entry E;
+  auto First = std::make_unique<OracleCache::Claim>();
+  ASSERT_FALSE(Cache.lookup("k", E, First.get()));
+  bool WaiterHit = true;
+  std::thread Waiter([&] {
+    OracleCache::Entry W;
+    OracleCache::Claim Second;
+    WaiterHit = Cache.lookup("k", W, &Second);
+    if (!WaiterHit)
+      Second.fill(entry(7));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  First.reset();
+  Waiter.join();
+  EXPECT_FALSE(WaiterHit);
+  ASSERT_TRUE(Cache.lookup("k", E));
+  EXPECT_EQ(E.ExitCode, 7);
+  EXPECT_EQ(Cache.misses(), 2u);
 }
 
 TEST(OracleCacheTest, CampaignSurfacesStoreBytes) {

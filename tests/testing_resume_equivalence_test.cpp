@@ -4,8 +4,9 @@
 // *arbitrary* instant and resumed from its last on-disk checkpoint ends
 // with a CampaignResult -- unique bugs, raw findings, coverage, triage,
 // and every deterministic counter -- bit-identical to the uninterrupted
-// run, at 1, 2, and 4 worker threads. The battery interrupts a campaign at
-// every checkpoint boundary and at randomized fuzz points, with and
+// run, at 1, 2, and 4 worker threads, and when the resume runs on another
+// thread count than the killed campaign. The battery interrupts a campaign
+// at every checkpoint boundary and at randomized fuzz points, with and
 // without the oracle cache + on-disk store, and kills the second of two
 // persona campaigns that share one cache and one store; it also pins the
 // rejection paths (option/seed-list skew, missing snapshots) and that
@@ -86,10 +87,12 @@ RunOutput referenceRun(unsigned Threads, bool UseCache, bool UseTriage,
   return Out;
 }
 
-/// Kill the campaign after \p KillAfter variants, then resume from disk.
-/// Fresh cache/coverage objects stand in for the new process's state.
+/// Kill the campaign after \p KillAfter variants, then resume from disk,
+/// at \p ResumeThreads threads when set (else at \p Threads again). Fresh
+/// cache/coverage objects stand in for the new process's state.
 RunOutput killAndResume(uint64_t KillAfter, unsigned Threads, bool UseCache,
-                        bool UseTriage, const std::string &Tag) {
+                        bool UseTriage, const std::string &Tag,
+                        unsigned ResumeThreads = 0) {
   TempDir T("kill_" + Tag);
   std::vector<std::string> Seeds = testSeeds();
 
@@ -113,7 +116,8 @@ RunOutput killAndResume(uint64_t KillAfter, unsigned Threads, bool UseCache,
   RunOutput Out;
   registerPassCoverageCatalog(Out.Cov);
   OracleCache ResumeCache;
-  HarnessOptions Opts = baseOptions(Threads);
+  HarnessOptions Opts =
+      baseOptions(ResumeThreads != 0 ? ResumeThreads : Threads);
   Opts.Cov = &Out.Cov;
   Opts.CheckpointPath = T.path("campaign.ck");
   Opts.Triage = UseTriage;
@@ -218,6 +222,30 @@ TEST(ResumeEquivalenceTest, KillPointsWithOracleCacheAndStore) {
       std::string Point = Tag + "_k" + std::to_string(K) + "_i" +
                           std::to_string(I);
       RunOutput Resumed = killAndResume(K, Threads, true, false, Point);
+      expectIdentical(Resumed, Reference, Point);
+    }
+  }
+}
+
+TEST(ResumeEquivalenceTest, SnapshotResumesAtAnotherThreadCount) {
+  // Threads is result-neutral: a snapshot's in-flight section lists the
+  // seed's rank chunks, cut the same way at every thread count, so a
+  // campaign killed at one thread count resumes at another -- to the
+  // uninterrupted single-thread result, oracle-cost counters included.
+  RunOutput Reference = referenceRun(1, true, false, "rethread_ref");
+  uint64_t Total = Reference.Result.VariantsEnumerated;
+  ASSERT_GT(Total, 20u);
+  struct Switch {
+    unsigned Written, Resumed;
+  };
+  for (Switch S : {Switch{2, 3}, Switch{1, 4}}) {
+    std::string Tag = "rethread_" + std::to_string(S.Written) + "to" +
+                      std::to_string(S.Resumed);
+    for (uint64_t K : {uint64_t(1), uint64_t(7), Total / 3, Total / 2,
+                       Total - 3}) {
+      std::string Point = Tag + "_k" + std::to_string(K);
+      RunOutput Resumed =
+          killAndResume(K, S.Written, true, false, Point, S.Resumed);
       expectIdentical(Resumed, Reference, Point);
     }
   }
