@@ -378,11 +378,12 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
 /// A pipeline may outlive the cursor range that feeds it: each variant
 /// records into the partial result it was added with, so one batch can
 /// span chunks, and the end of one seed and the start of the next. The
-/// batch's coverage goes to its last variant's registry, which belongs to
-/// the latest seed in it; registries merge by union, and that seed merges
-/// no earlier than the others. whenRecorded() runs a callback once every
-/// variant queued so far is recorded: a chunk's final checkpoint publish
-/// waits for its rows that way, and so does its seed's merge.
+/// backend records a batch's coverage into one registry, so a variant
+/// added with another registry than the queued ones starts a new batch:
+/// every chunk's registry then holds exactly its own rows' hits, which
+/// its checkpoint slot publishes. whenRecorded() runs a callback once
+/// every variant queued so far is recorded: a chunk's final checkpoint
+/// publish waits for its rows that way, and so does its seed's merge.
 ///
 /// Determinism: recording happens batch-by-batch in add() order,
 /// variant-major within a batch -- the exact order the unbatched loop
@@ -416,8 +417,8 @@ public:
 
   /// Runs \p Source's oracle phase into \p Out and, when the variant is
   /// tested, queues it; its rows record into \p Out and its coverage into
-  /// \p Cov (or a later variant's registry, see above). \p Bound is the
-  /// variant's bound AST, or null when it must be parsed.
+  /// \p Cov. \p Bound is the variant's bound AST, or null when it must be
+  /// parsed.
   void add(const std::string &Source, ASTContext *Bound, CampaignResult &Out,
            CoverageRegistry *Cov, StagedVec *Staged) {
     OracleOutcome O =
@@ -430,6 +431,8 @@ public:
       O.AST = nullptr;
       O.Parsed.reset();
     }
+    if (!Cur.empty() && Cur.back().Cov != Cov)
+      rotate(); // One registry per batch (see above).
     Cur.push_back({Source, std::move(O), &Out, Cov, {}});
     if (Cur.size() < Opts.BatchSize)
       return;
@@ -456,19 +459,6 @@ public:
       InFlight.back().After.push_back(std::move(F));
     else
       F();
-  }
-
-  /// Records \p Other's in-flight batch and takes over its queued
-  /// variants, so the unfilled batches several pipelines end a campaign
-  /// with join into full ones.
-  void adoptQueued(VariantPipeline &Other) {
-    Other.finishInFlight();
-    for (Item &It : Other.Cur) {
-      Cur.push_back(std::move(It));
-      if (Cur.size() >= Opts.BatchSize)
-        rotate();
-    }
-    Other.Cur.clear();
   }
 
   /// Runs after each recorded batch (unset = nothing).
@@ -1085,83 +1075,6 @@ bool onChunk(const CursorState &CS, const BigInt &Begin, const BigInt &End) {
   return Begin <= Pos && Pos <= End;
 }
 
-/// The worker threads of a campaign that runs on more than one. They live
-/// for the whole campaign, and each seed hands every one of them the same
-/// job. A worker's wait for its next job -- from its last chunk of one
-/// seed to the next seed's start -- is the global span seed_wait, so a
-/// traced campaign shows the idle time its seed joins leave.
-class WorkerPool {
-public:
-  WorkerPool(unsigned Workers, TelemetrySink *Sink) : Sink(Sink) {
-    Threads.reserve(Workers);
-    for (unsigned W = 0; W < Workers; ++W)
-      Threads.emplace_back([this, W] { loop(W); });
-  }
-  ~WorkerPool() {
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      Stop = true;
-    }
-    Wake.notify_all();
-    for (std::thread &T : Threads)
-      T.join();
-  }
-  WorkerPool(const WorkerPool &) = delete;
-  WorkerPool &operator=(const WorkerPool &) = delete;
-
-  /// Starts \p Job(W) on every worker W and returns; wait() joins it.
-  void start(std::function<void(unsigned)> Job) {
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      this->Job = std::move(Job);
-      ++Generation;
-      Running = static_cast<unsigned>(Threads.size());
-    }
-    Wake.notify_all();
-  }
-
-  /// Blocks until every worker has returned from the started job.
-  void wait() {
-    std::unique_lock<std::mutex> Lock(M);
-    Done.wait(Lock, [this] { return Running == 0; });
-  }
-
-private:
-  void loop(unsigned W) {
-    uint64_t Seen = 0;
-    for (;;) {
-      std::function<void(unsigned)> Next;
-      {
-        SpanTimer T(Sink, nullptr, "seed_wait");
-        std::unique_lock<std::mutex> Lock(M);
-        Wake.wait(Lock, [&] { return Stop || Generation != Seen; });
-        if (Generation == Seen)
-          return; // Stopped, with no job left to run.
-        Seen = Generation;
-        Next = Job;
-      }
-      Next(W);
-      bool Last;
-      {
-        std::lock_guard<std::mutex> Lock(M);
-        Last = --Running == 0;
-      }
-      if (Last)
-        Done.notify_all();
-    }
-  }
-
-  TelemetrySink *Sink;
-  std::mutex M;
-  std::condition_variable Wake; ///< A job started, or Stop was set.
-  std::condition_variable Done; ///< Running reached zero.
-  std::function<void(unsigned)> Job;
-  uint64_t Generation = 0; ///< Jobs started so far.
-  unsigned Running = 0;    ///< Workers still in the current job.
-  bool Stop = false;
-  std::vector<std::thread> Threads;
-};
-
 /// A seed's plan and the header counters its front-end pass accrued.
 struct PlannedSeed {
   CampaignResult Header;
@@ -1173,18 +1086,16 @@ struct PlannedSeed {
 /// call into its own partial result, and the partials merge in chunk
 /// order, so a finding's witness is its first occurrence in rank order at
 /// any thread count. At one thread the calling thread runs every chunk in
-/// rank order through one cursor and the campaign pipeline. With more, a
-/// WorkerPool claims the chunks in rank order from one counter, each
-/// worker through its own cursor and its own pipeline, while the calling
-/// thread plans the next seed. Every pipeline outlives the seeds, so a
-/// batch fills across chunk and seed boundaries; at campaign end the
-/// workers' unfilled batches join in the campaign pipeline.
+/// rank order through one cursor and the campaign pipeline. With more,
+/// each seed starts one thread per worker; they claim the chunks in rank
+/// order from one counter, each through its own cursor and its own
+/// pipeline, while the calling thread plans the next seed. Every pipeline
+/// outlives the seeds, so a batch fills across chunk and seed boundaries.
 ///
 /// A seed whose enumeration has ended waits in Pending until its last
 /// queued row is recorded, then merges -- in seed order -- and commits. A
 /// pipeline drains only before a checkpoint publish or seed commit (with
-/// checkpoints every seed drains at its end, so checkpoint bytes stay
-/// identical across batch sizes) and at campaign end.
+/// checkpoints every seed drains at its end) and at campaign end.
 class SeedRunner {
 public:
   /// Seeds merge into \p Merged; \p Ck is null for a campaign without
@@ -1198,12 +1109,15 @@ public:
                            : std::thread::hardware_concurrency();
     // No point in more workers than a seed has chunks.
     Threads = std::min(std::max(Threads, 1u), SeedChunks);
-    if (Threads > 1) {
+    if (Opts.Threads > SeedChunks)
+      std::fprintf(stderr,
+                   "spe: Threads = %u, but a seed has at most %u rank "
+                   "chunks; the campaign runs on %u threads\n",
+                   Opts.Threads, SeedChunks, Threads);
+    if (Threads > 1)
       for (unsigned W = 0; W < Threads; ++W)
         WorkerPipes.push_back(
             std::make_unique<VariantPipeline>(Opts, Backend));
-      Pool = std::make_unique<WorkerPool>(Threads, Opts.Telemetry);
-    }
   }
 
   /// Runs seeds [\p Start, end of \p Seeds), the first of them from
@@ -1224,12 +1138,10 @@ public:
     return true;
   }
 
-  /// Campaign end: stops the pool, records every queued row, and merges
-  /// every seed.
+  /// Campaign end: records every queued row and merges every seed.
   void finish() {
-    Pool.reset();
     for (std::unique_ptr<VariantPipeline> &P : WorkerPipes)
-      Pipe.adoptQueued(*P);
+      P->drain();
     Pipe.drain();
     settle();
   }
@@ -1304,11 +1216,8 @@ private:
   std::deque<PendingSeed> Pending;
   /// The campaign pipeline, which the calling thread's chunks run through.
   VariantPipeline Pipe;
-  /// One pipeline per pool worker.
+  /// One pipeline per worker thread; none at one thread.
   std::vector<std::unique_ptr<VariantPipeline>> WorkerPipes;
-  /// Null at one thread. Declared last, so it stops before the pipelines
-  /// its workers use go away.
-  std::unique_ptr<WorkerPool> Pool;
 };
 
 bool SeedRunner::runSeed(uint64_t Index, PlannedSeed &Planned,
@@ -1402,7 +1311,7 @@ bool SeedRunner::runSeed(uint64_t Index, PlannedSeed &Planned,
     if (Ck && Alive())
       P.drain();
   };
-  if (!Pool) {
+  if (WorkerPipes.empty()) {
     std::optional<RangeTools> Tools;
     for (unsigned C = 0; C < Chunks && Alive(); ++C)
       RunChunk(C, Pipe, Tools);
@@ -1410,14 +1319,31 @@ bool SeedRunner::runSeed(uint64_t Index, PlannedSeed &Planned,
     PlanNext();
   } else {
     std::atomic<unsigned> NextChunk{0};
-    Pool->start([&](unsigned W) {
-      std::optional<RangeTools> Tools;
-      for (unsigned C; Alive() && (C = NextChunk++) < Chunks;)
-        RunChunk(C, *WorkerPipes[W], Tools);
-      EndRun(*WorkerPipes[W]);
-    });
+    // Traced, a worker out of chunks waits for the others before it
+    // returns; that wait, to the seed's join, is the global span seed_wait.
+    const size_t Threads = std::min<size_t>(WorkerPipes.size(), Chunks);
+    std::mutex JoinM;
+    std::condition_variable Joined;
+    size_t Busy = Threads; // Guarded by JoinM.
+    std::vector<std::thread> Workers;
+    Workers.reserve(Threads);
+    for (size_t W = 0; W < Threads; ++W)
+      Workers.emplace_back([&, P = WorkerPipes[W].get()] {
+        std::optional<RangeTools> Tools;
+        for (unsigned C; Alive() && (C = NextChunk++) < Chunks;)
+          RunChunk(C, *P, Tools);
+        EndRun(*P);
+        if (!Opts.Telemetry)
+          return;
+        SpanTimer T(Opts.Telemetry, nullptr, "seed_wait");
+        std::unique_lock<std::mutex> Lock(JoinM);
+        if (--Busy == 0)
+          Joined.notify_all();
+        Joined.wait(Lock, [&] { return Busy == 0; });
+      });
     PlanNext();
-    Pool->wait();
+    for (std::thread &T : Workers)
+      T.join();
   }
 
   if (BadRestore.load(std::memory_order_relaxed)) {

@@ -55,13 +55,14 @@ struct CampaignSpec {
   uint64_t VariantThreshold = 10'000;
   /// Cap on variants actually executed per seed (testing budget).
   uint64_t VariantBudget = 400;
-  /// Worker threads of the campaign (0 = one per hardware thread, and never
-  /// more than a seed has rank chunks). Each seed's budgeted range is cut
-  /// into the same grid of rank chunks at every thread count; above one
-  /// thread a pool of this many workers, alive for the whole campaign,
-  /// claims the chunks in rank order. Results, and the checkpoint layout,
-  /// are identical for any thread count, so a snapshot resumes under any
-  /// value. Fleet leases always run single-cursor.
+  /// Worker threads of the campaign (0 = one per hardware thread). Each
+  /// seed's budgeted range is cut into the same grid of at most 16 rank
+  /// chunks at every thread count, so a campaign never runs more threads
+  /// than that (a larger value is cut with a warning on stderr); above one
+  /// thread, this many workers claim a seed's chunks in rank order.
+  /// Results, and the checkpoint layout, are identical for any thread
+  /// count, so a snapshot resumes under any value. Fleet leases always run
+  /// single-cursor.
   unsigned Threads = 1;
   /// Variants per compile batch handed to CompilerBackend::beginBatch
   /// (DESIGN.md Section 13); 1 = unbatched: each tested variant is a

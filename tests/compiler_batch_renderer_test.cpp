@@ -391,8 +391,8 @@ TEST(BatchedHarnessTest, ResultsAreBitIdenticalAcrossBatchSizeAndThreads) {
     for (unsigned Threads : {1u, 2u, 4u}) {
       Opts.BatchSize = Batch;
       Opts.Threads = Threads;
-      // A batch spanning seeds records its coverage into the latest seed's
-      // registry; the merged hit set must not notice.
+      // With coverage on a batch ends where the chunk registry changes;
+      // the merged hit set must not notice.
       CoverageRegistry Cov;
       Opts.Cov = &Cov;
       CampaignResult R = DifferentialHarness(Opts).runCampaign(Seeds);

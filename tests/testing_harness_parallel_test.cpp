@@ -1,9 +1,10 @@
 //===- tests/testing_harness_parallel_test.cpp - parallel campaign tests -===//
 //
-// The load-bearing property of the worker-pool campaign: a campaign whose
-// rank chunks N threads claim must produce a CampaignResult identical to
-// the single-threaded run -- same counters, same unique bugs, same witness
-// programs -- and the merged coverage registry must match too.
+// The load-bearing property of the multi-threaded campaign: a campaign
+// whose rank chunks N threads claim must produce a CampaignResult
+// identical to the single-threaded run -- same counters, same unique bugs,
+// same witness programs -- and the merged coverage registry must match
+// too.
 //
 //===----------------------------------------------------------------------===//
 
@@ -151,6 +152,8 @@ TEST(HarnessParallelTest, ZeroThreadsMeansHardwareConcurrency) {
 }
 
 TEST(HarnessParallelTest, ThreadsBeyondBudgetAreHarmless) {
+  // A seed of budget 3 has 3 rank chunks, and no seed has more than 16,
+  // so 17 threads run as 16 -- with a warning -- and 3 per seed.
   std::vector<std::string> Seeds = testSeeds();
   HarnessOptions Tiny = baseOptions();
   Tiny.VariantBudget = 3;
@@ -158,10 +161,14 @@ TEST(HarnessParallelTest, ThreadsBeyondBudgetAreHarmless) {
 
   HarnessOptions Wide = baseOptions();
   Wide.VariantBudget = 3;
-  Wide.Threads = 16;
+  Wide.Threads = 17;
+  testing::internal::CaptureStderr();
   CampaignResult Result = DifferentialHarness(Wide).runCampaign(Seeds);
+  std::string Err = testing::internal::GetCapturedStderr();
   EXPECT_TRUE(Result == Reference);
   EXPECT_LE(Result.VariantsEnumerated, 3u * Seeds.size());
+  EXPECT_NE(Err.find("Threads = 17"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("runs on 16 threads"), std::string::npos) << Err;
 }
 
 TEST(HarnessParallelTest, ExactModeIsTheDefault) {

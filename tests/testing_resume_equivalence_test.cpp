@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "compiler/Passes.h"
+#include "persist/Checkpoint.h"
 #include "testing/Corpus.h"
 #include "testing/Harness.h"
 
@@ -248,6 +249,85 @@ TEST(ResumeEquivalenceTest, SnapshotResumesAtAnotherThreadCount) {
           killAndResume(K, S.Written, true, false, Point, S.Resumed);
       expectIdentical(Resumed, Reference, Point);
     }
+  }
+}
+
+namespace {
+
+/// A campaign with coverage on at \p BatchSize, killed after \p KillAfter
+/// variants: the snapshot it left on disk, and (when \p Resume) the
+/// result of resuming from it.
+struct BatchedKill {
+  CampaignCheckpoint Snap;
+  RunOutput Resumed;
+};
+
+BatchedKill killBatched(uint64_t KillAfter, unsigned Threads,
+                        size_t BatchSize, bool Resume, const std::string &Tag) {
+  TempDir T("batch_" + Tag);
+  std::vector<std::string> Seeds = testSeeds();
+  HarnessOptions Opts = baseOptions(Threads);
+  Opts.BatchSize = BatchSize;
+  Opts.CheckpointPath = T.path("campaign.ck");
+  BatchedKill Out;
+  {
+    CoverageRegistry CrashCov;
+    registerPassCoverageCatalog(CrashCov);
+    HarnessOptions Doomed = Opts;
+    Doomed.Cov = &CrashCov;
+    Doomed.SimulateCrashAfter = KillAfter;
+    DifferentialHarness(Doomed).runCampaign(Seeds);
+  }
+  std::string Err;
+  EXPECT_TRUE(CampaignCheckpoint::loadFrom(Opts.CheckpointPath, Out.Snap, Err))
+      << Tag << ": " << Err;
+  if (Resume) {
+    registerPassCoverageCatalog(Out.Resumed.Cov);
+    Opts.Cov = &Out.Resumed.Cov;
+    EXPECT_TRUE(DifferentialHarness(Opts).resumeCampaign(
+        Seeds, Out.Resumed.Result, Err))
+        << Tag << ": " << Err;
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(ResumeEquivalenceTest, BatchesAcrossChunksKeepEachChunksCoverage) {
+  // Batched, a chunk's last rows may still be queued when the next chunk's
+  // first rows join them, and the chunk's final publish -- which writes
+  // the file once the cadence is due -- runs when those rows are
+  // recorded. Every chunk slot a kill leaves on disk must hold what the
+  // unbatched run's slot holds in the same cursor state, coverage hits
+  // included; otherwise a kill between one chunk's final write and the
+  // next chunk's publish resumes without coverage that only the first
+  // chunk's last rows reach. Kills after every variant of the campaign.
+  for (unsigned Threads : {1u, 2u}) {
+    std::string Tag = "t" + std::to_string(Threads);
+    RunOutput Reference = referenceRun(Threads, false, false, "batch_" + Tag);
+    uint64_t Total = Reference.Result.VariantsEnumerated;
+    ASSERT_GT(Total, 20u);
+    unsigned FinishedSlotsCompared = 0;
+    for (uint64_t K = 1; K < Total; ++K) {
+      std::string Point = Tag + "_k" + std::to_string(K);
+      BatchedKill Unbatched =
+          killBatched(K, Threads, 1, false, Point + "_b1");
+      BatchedKill Batched = killBatched(K, Threads, 4, true, Point + "_b4");
+      expectIdentical(Batched.Resumed, Reference, Point);
+      const CampaignCheckpoint &U = Unbatched.Snap, &B = Batched.Snap;
+      if (!U.InFlight || !B.InFlight || U.NextSeed != B.NextSeed)
+        continue;
+      ASSERT_EQ(U.Workers.size(), B.Workers.size()) << Point;
+      for (size_t C = 0; C < U.Workers.size(); ++C) {
+        const WorkerCheckpoint &UC = U.Workers[C], &BC = B.Workers[C];
+        if (UC.Finished != BC.Finished || !(UC.Cursor == BC.Cursor))
+          continue;
+        EXPECT_TRUE(UC.Partial == BC.Partial) << Point << " chunk " << C;
+        EXPECT_EQ(UC.CovHits, BC.CovHits) << Point << " chunk " << C;
+        FinishedSlotsCompared += UC.Finished;
+      }
+    }
+    EXPECT_GT(FinishedSlotsCompared, 0u) << Tag;
   }
 }
 

@@ -210,10 +210,10 @@ TEST(TelemetryTest, InstrumentedCampaignIsBitIdenticalIncludingCheckpoint) {
           << Tag;
       EXPECT_GT(RTel.Telemetry.countFor("checkpoint_write"), 0u) << Tag;
       EXPECT_GT(RTel.Telemetry.countFor("triage_dedup"), 0u) << Tag;
-      // Above one thread each pool worker waits for every seed's job at
-      // least once; the calling thread runs the chunks itself at one.
+      // Above one thread each worker of every seed waits once at the
+      // seed's join; the calling thread runs the chunks itself at one.
       if (Threads > 1) {
-        EXPECT_GE(RTel.Telemetry.countFor("seed_wait"),
+        EXPECT_EQ(RTel.Telemetry.countFor("seed_wait"),
                   Threads * Seeds.size())
             << Tag;
       } else {
