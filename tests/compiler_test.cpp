@@ -6,6 +6,10 @@
 #include "interp/Interpreter.h"
 #include "lang/Parser.h"
 #include "sema/Sema.h"
+#include "skeleton/ProgramEnumerator.h"
+#include "skeleton/SkeletonExtractor.h"
+#include "skeleton/VariantRenderer.h"
+#include "testing/Corpus.h"
 
 #include "gtest/gtest.h"
 
@@ -502,6 +506,272 @@ TEST(LoweredUnitTest, MutilationThatFindsNothingSharesTheLevelModule) {
   EXPECT_TRUE(applyMutilation(Unfolded, Mutilation::FoldSelfDivToOne));
   EXPECT_NE(&KeptUnit.module(3, Mutilation::FoldSelfDivToOne),
             &KeptUnit.module(3, Mutilation::None));
+}
+
+//===--------------------------------------------------------------------===//
+// Pinned MiniCC output over both benchmark corpora
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+uint64_t fnv1a(uint64_t H, const std::string &S) {
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  // A separator, so adjacent strings cannot trade bytes.
+  H ^= 0xff;
+  H *= 1099511628211ull;
+  return H;
+}
+
+/// The seeds of one perfbench corpus at \p Base, as perfbench's makeCorpus
+/// builds them (before its --seed shuffle, which only reorders them).
+std::vector<std::string> benchmarkCorpus(bool Loops, uint64_t Base) {
+  CorpusOptions CO;
+  CO.UninitLocalProb = 0.6;
+  if (Loops) {
+    CO.BoundedLoopProb = 0.6;
+    CO.RichHelperProb = 0.6;
+    return generateCorpus(Base, 12, CO);
+  }
+  std::vector<std::string> Programs = embeddedSeeds();
+  std::vector<std::string> Gen = generateCorpus(Base, 40, CO);
+  Programs.insert(Programs.end(), Gen.begin(), Gen.end());
+  return Programs;
+}
+
+} // namespace
+
+TEST(MiniCCDigestTest, BenchmarkCorporaCompileToPinnedModules) {
+  // Every module MiniCC builds for the first 64 ranks of every seed of both
+  // benchmark corpora at both their bases: its printModule text and its
+  // verifier verdict at each opt level and mutilation, plus the coverage
+  // hit set the unit's pipelines leave. The passes and the verifier may get
+  // faster; what they compute must not move.
+  constexpr unsigned RanksPerSeed = 64;
+  const Mutilation Muts[] = {
+      Mutilation::None,          Mutilation::DropLastStore,
+      Mutilation::SwapFirstSubOperands, Mutilation::FoldSelfDivToOne,
+      Mutilation::NegateFirstCondBr,    Mutilation::DropFirstStore};
+  uint64_t H = 1469598103934665603ull;
+  size_t Lowered = 0, Modules = 0;
+  for (auto [Loops, Base] : {std::pair{false, 2000u}, std::pair{false, 3000u},
+                             std::pair{true, 8000u}, std::pair{true, 8500u}}) {
+    for (const std::string &Seed : benchmarkCorpus(Loops, Base)) {
+      auto P = analyze(Seed);
+      std::vector<SkeletonUnit> Units =
+          SkeletonExtractor(P->Ctx, *P->Analysis, {}).extract();
+      ProgramCursor Cursor(Units, SpeMode::Exact);
+      VariantRenderer Renderer(P->Ctx, Units);
+      std::string Text;
+      for (unsigned Rank = 0; Rank < RanksPerSeed; ++Rank) {
+        const ProgramAssignment *PA = Cursor.next();
+        if (!PA)
+          break;
+        Renderer.renderInto(*PA, Text);
+        std::unique_ptr<ASTContext> Ctx = parseAndAnalyze(Text);
+        if (!Ctx) {
+          H = fnv1a(H, "frontend rejected");
+          continue;
+        }
+        CoverageRegistry Cov;
+        registerPassCoverageCatalog(Cov);
+        LoweredUnit Unit(*Ctx, &Cov);
+        if (!Unit.ok()) {
+          H = fnv1a(H, "irgen rejected: " + Unit.error());
+          continue;
+        }
+        ++Lowered;
+        // A mutilation that changes nothing hands back its level's module;
+        // print each module once.
+        std::map<const IRModule *, std::string> Printed;
+        for (unsigned Opt = 0; Opt <= 3; ++Opt)
+          for (Mutilation Mut : Muts) {
+            const LoweredUnit::Module &M = Unit.module(Opt, Mut);
+            auto [It, New] = Printed.try_emplace(&M.IR);
+            if (New)
+              It->second = printModule(M.IR);
+            H = fnv1a(H, It->second);
+            H = fnv1a(H, M.VerifyError);
+            ++Modules;
+          }
+        for (const std::string &Point : Cov.hitSet())
+          H = fnv1a(H, Point);
+        H = fnv1a(H, "end of variant");
+      }
+    }
+  }
+  EXPECT_GT(Lowered, 5000u);
+  EXPECT_EQ(Modules, Lowered * 24);
+  EXPECT_EQ(H, 0xc94e60d1d342aa89ull) << std::hex << "digest 0x" << H;
+}
+
+//===--------------------------------------------------------------------===//
+// Verifier messages
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+IRInstr instr(IROp Op) {
+  IRInstr I;
+  I.Op = Op;
+  return I;
+}
+
+IRInstr def(IROp Op, unsigned Dst) {
+  IRInstr I = instr(Op);
+  I.HasDst = true;
+  I.Dst = Dst;
+  return I;
+}
+
+IRInstr ret(IROperand A) {
+  IRInstr I = instr(IROp::Ret);
+  I.A = A;
+  return I;
+}
+
+IRInstr br(unsigned Succ) {
+  IRInstr I = instr(IROp::Br);
+  I.Succ0 = Succ;
+  return I;
+}
+
+/// A module of two well-formed functions, `helper` and `f`, with one slot
+/// and one global; each verifier case breaks `f`.
+IRModule wellFormedModule() {
+  IRModule M;
+  M.Globals.emplace_back();
+  M.Globals[0].Name = "g";
+  IRFunction Helper;
+  Helper.Name = "helper";
+  Helper.Blocks.emplace_back();
+  Helper.Blocks[0].Instrs.push_back(ret(IROperand::none()));
+  M.Functions.push_back(Helper);
+  IRFunction F;
+  F.Name = "f";
+  F.Slots.emplace_back();
+  F.Blocks.resize(2);
+  IRInstr Const = def(IROp::Const, 0);
+  Const.A = IROperand::constant(7, nullptr);
+  F.Blocks[0].Instrs.push_back(Const);
+  F.Blocks[0].Instrs.push_back(br(1));
+  F.Blocks[1].Instrs.push_back(ret(IROperand::reg(0, nullptr)));
+  F.NumRegs = 1;
+  M.Functions.push_back(F);
+  M.MainIndex = 1;
+  return M;
+}
+
+} // namespace
+
+TEST(VerifierTest, EachMalformedModuleNamesItsProblem) {
+  ASSERT_EQ(verifyModule(wellFormedModule()), "");
+  auto Verify = [](void (*Break)(IRFunction &F)) {
+    IRModule M = wellFormedModule();
+    Break(M.Functions[1]);
+    return verifyModule(M);
+  };
+  EXPECT_EQ(Verify([](IRFunction &F) { F.Blocks.clear(); }),
+            "function 'f': no blocks");
+  EXPECT_EQ(Verify([](IRFunction &F) { F.Blocks[1].Instrs.clear(); }),
+            "function 'f': bb1: empty block");
+  EXPECT_EQ(Verify([](IRFunction &F) { F.Blocks[0].Instrs.pop_back(); }),
+            "function 'f': bb0: terminator placement broken");
+  EXPECT_EQ(Verify([](IRFunction &F) {
+              F.Blocks[1].Instrs.insert(F.Blocks[1].Instrs.begin(), br(0));
+            }),
+            "function 'f': bb1: terminator placement broken");
+  EXPECT_EQ(Verify([](IRFunction &F) {
+              F.Blocks[1].Instrs[0].A = IROperand::reg(1, nullptr);
+            }),
+            "function 'f': bb1: use of undefined register");
+  EXPECT_EQ(Verify([](IRFunction &F) {
+              IRInstr Neg = def(IROp::Neg, 1);
+              Neg.A = IROperand::reg(0, nullptr);
+              Neg.B = IROperand::reg(4000000000u, nullptr);
+              F.Blocks[1].Instrs.insert(F.Blocks[1].Instrs.begin(), Neg);
+            }),
+            "function 'f': bb1: use of undefined register");
+  EXPECT_EQ(Verify([](IRFunction &F) {
+              IRInstr Call = instr(IROp::Call);
+              Call.CalleeIndex = 0;
+              Call.Args = {IROperand::reg(0, nullptr),
+                           IROperand::reg(9, nullptr)};
+              F.Blocks[1].Instrs.insert(F.Blocks[1].Instrs.begin(), Call);
+            }),
+            "function 'f': bb1: use of undefined register in args");
+  EXPECT_EQ(Verify([](IRFunction &F) {
+              IRInstr Addr = def(IROp::AddrSlot, 1);
+              Addr.SlotIndex = 1;
+              F.Blocks[0].Instrs.insert(F.Blocks[0].Instrs.begin(), Addr);
+            }),
+            "function 'f': bb0: slot index out of range");
+  EXPECT_EQ(Verify([](IRFunction &F) {
+              IRInstr Addr = def(IROp::AddrGlobal, 1);
+              Addr.GlobalIndex = -1;
+              F.Blocks[0].Instrs.insert(F.Blocks[0].Instrs.begin(), Addr);
+            }),
+            "function 'f': bb0: global index out of range");
+  EXPECT_EQ(Verify([](IRFunction &F) {
+              IRInstr Call = instr(IROp::Call);
+              Call.CalleeIndex = 2;
+              F.Blocks[0].Instrs.insert(F.Blocks[0].Instrs.begin(), Call);
+            }),
+            "function 'f': bb0: callee index out of range");
+  EXPECT_EQ(Verify([](IRFunction &F) { F.Blocks[0].Instrs[1].Succ0 = 2; }),
+            "function 'f': bb0: successor out of range");
+  EXPECT_EQ(Verify([](IRFunction &F) {
+              IRInstr CondBr = instr(IROp::CondBr);
+              CondBr.A = IROperand::reg(0, nullptr);
+              CondBr.Succ0 = 1;
+              CondBr.Succ1 = 7;
+              F.Blocks[0].Instrs.back() = CondBr;
+            }),
+            "function 'f': bb0: successor out of range");
+  // The first problem in block order wins, and the first function's
+  // problem wins over a later one's.
+  IRModule Both = wellFormedModule();
+  Both.Functions[0].Blocks[0].Instrs.clear();
+  Both.Functions[1].Blocks.clear();
+  EXPECT_EQ(verifyModule(Both), "function 'helper': bb0: empty block");
+}
+
+TEST(VerifierTest, RegistersAboveNumRegsVerifyAndOptimizeAsAnyOther) {
+  // NumRegs is IRGen's counter, not a bound the IR promises: a register
+  // defined past it is as defined as any other.
+  IRModule M = wellFormedModule();
+  IRFunction &F = M.Functions[1];
+  IRInstr Add = def(IROp::Bin, 40);
+  Add.Bin = BinaryOp::Add;
+  Add.A = IROperand::reg(0, nullptr);
+  Add.B = IROperand::reg(0, nullptr);
+  F.Blocks[1].Instrs.insert(F.Blocks[1].Instrs.begin(), Add);
+  F.Blocks[1].Instrs.back().A = IROperand::reg(40, nullptr);
+  EXPECT_EQ(verifyModule(M), "");
+  F.NumRegs = 0;
+  EXPECT_EQ(verifyModule(M), "");
+
+  // The pipeline reads the registers the IR names, so a function whose
+  // NumRegs undercounts them optimizes exactly as one that counts them.
+  auto C = analyze("int main(void) {\n"
+                   "  int s = 0, i;\n"
+                   "  for (i = 0; i < 4; i++) s += i * 3 + (s - s);\n"
+                   "  return s;\n"
+                   "}");
+  IRGenResult Gen = generateIR(C->Ctx);
+  ASSERT_TRUE(Gen.Ok) << Gen.Error;
+  for (unsigned Opt = 1; Opt <= 3; ++Opt) {
+    IRModule Counted = Gen.Module;
+    IRModule Undercounted = Gen.Module;
+    for (IRFunction &Fn : Undercounted.Functions)
+      Fn.NumRegs = 0;
+    runPipeline(Counted, Opt, nullptr);
+    runPipeline(Undercounted, Opt, nullptr);
+    EXPECT_EQ(printModule(Undercounted), printModule(Counted)) << "O" << Opt;
+    EXPECT_EQ(verifyModule(Undercounted), "") << "O" << Opt;
+  }
 }
 
 //===--------------------------------------------------------------------===//
