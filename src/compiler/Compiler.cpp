@@ -126,9 +126,12 @@ bool spe::applyMutilation(IRModule &M, Mutilation Mut) {
 }
 
 LoweredUnit::LoweredUnit(ASTContext &Ctx, CoverageRegistry *Cov)
-    : Features(extractFeatures(Ctx)), Gen(generateIR(Ctx)), Cov(Cov) {
-  if (!Gen.Ok)
+    : Features(extractFeatures(Ctx)), Cov(Cov) {
+  IRGenResult Gen = generateIR(Ctx);
+  if (!Gen.Ok) {
+    Error = std::move(Gen.Error);
     return;
+  }
   BaseCost = 1;
   for (const IRFunction &F : Gen.Module.Functions)
     BaseCost += F.Blocks.size();
@@ -154,6 +157,12 @@ LoweredUnit::LoweredUnit(ASTContext &Ctx, CoverageRegistry *Cov)
           if (I.Op == IROp::Bin)
             Cov->hit(std::string("irgen.bin.") + binaryOpSpelling(I.Bin));
   }
+  // -O0 runs no pass and generateIR verified the module, so IRGen's module
+  // is the level-0 module as it stands: no copy and no second verifier run.
+  Lowered = &Modules
+                 .emplace(std::make_pair(0u, Mutilation::None),
+                          Module{std::move(Gen.Module), std::string()})
+                 .first->second;
 }
 
 const LoweredUnit::Module &LoweredUnit::module(unsigned OptLevel,
@@ -165,7 +174,7 @@ const LoweredUnit::Module &LoweredUnit::module(unsigned OptLevel,
   if (Mut == Mutilation::None) {
     // The pipeline reads only the module and the level, and the registry
     // is a hit set, so one run per level equals one run per config.
-    M.IR = Gen.Module;
+    M.IR = Lowered->IR;
     runPipeline(M.IR, OptLevel, Cov);
   } else {
     const Module &Level = module(OptLevel, Mutilation::None);

@@ -74,26 +74,31 @@ public:
   LoweredUnit(ASTContext &Ctx, CoverageRegistry *Cov);
 
   /// False when IRGen refused the unit: every config rejects it.
-  bool ok() const { return Gen.Ok; }
-  const std::string &error() const { return Gen.Error; }
+  bool ok() const { return Lowered != nullptr; }
+  const std::string &error() const { return Error; }
   const ProgramFeatures &features() const { return Features; }
   /// 1 + the module's block count, before any bug inflates it.
   uint64_t baseCost() const { return BaseCost; }
   /// The pipeline's output at \p OptLevel with \p Mut applied, built and
   /// verified on the first request: for Mutilation::None, and for a
   /// mutilation that finds nothing to change, the level's pipeline output
-  /// itself; otherwise a mutilated copy of it. The reference stays valid
-  /// for the unit's lifetime.
+  /// itself; otherwise a mutilated copy of it. Level 0 without a
+  /// mutilation is IRGen's module, which generateIR verified. The
+  /// reference stays valid for the unit's lifetime. Requires ok().
   const Module &module(unsigned OptLevel, Mutilation Mut);
 
 private:
   ProgramFeatures Features;
-  IRGenResult Gen;
+  /// IRGen's refusal; empty when ok().
+  std::string Error;
   uint64_t BaseCost = 0;
   CoverageRegistry *Cov;
   /// Built modules by (opt level, mutilation); a map, so references to
   /// its values survive later insertions.
   std::map<std::pair<unsigned, Mutilation>, Module> Modules;
+  /// IRGen's module, the (0, None) entry of Modules, which every other
+  /// entry starts from; null when IRGen refused the unit.
+  const Module *Lowered = nullptr;
 };
 
 /// Compiles one analyzed translation unit under a configuration.

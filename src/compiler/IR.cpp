@@ -2,8 +2,6 @@
 
 #include "compiler/IR.h"
 
-#include <set>
-
 using namespace spe;
 
 static std::string operandToString(const IROperand &O) {
@@ -124,60 +122,74 @@ std::string spe::printModule(const IRModule &M) {
   return Out;
 }
 
-static std::string verifyFunction(const IRModule &M, const IRFunction &F) {
-  std::string Where = "function '" + F.Name + "': ";
-  if (F.Blocks.empty())
-    return Where + "no blocks";
-  std::set<unsigned> Defined;
-  auto CollectDef = [&](const IRInstr &I) {
-    if (I.HasDst)
-      Defined.insert(I.Dst);
+/// Checks \p F; \p Defined is scratch that keeps its buffer across calls.
+/// The message names the function and block only when a check fails.
+static std::string verifyFunction(const IRModule &M, const IRFunction &F,
+                                  std::vector<bool> &Defined) {
+  auto Fail = [&](size_t BI, const char *Problem) {
+    return "function '" + F.Name + "': bb" + std::to_string(BI) + ": " +
+           Problem;
   };
+  if (F.Blocks.empty())
+    return "function '" + F.Name + "': no blocks";
+  // Defined registers, dense over the ones F defines: a use past the
+  // largest Dst is a use of an undefined register.
+  Defined.assign(regBound(F), false);
   for (const IRBlock &B : F.Blocks)
     for (const IRInstr &I : B.Instrs)
-      CollectDef(I);
+      if (I.HasDst)
+        Defined[I.Dst] = true;
+  auto IsDefined = [&](const IROperand &O) {
+    return !O.isReg() || (O.Reg < Defined.size() && Defined[O.Reg]);
+  };
   for (size_t BI = 0; BI < F.Blocks.size(); ++BI) {
     const IRBlock &B = F.Blocks[BI];
-    std::string Block = Where + "bb" + std::to_string(BI) + ": ";
     if (B.Instrs.empty())
-      return Block + "empty block";
+      return Fail(BI, "empty block");
     for (size_t II = 0; II < B.Instrs.size(); ++II) {
       const IRInstr &I = B.Instrs[II];
       bool IsLast = II + 1 == B.Instrs.size();
       if (I.isTerminator() != IsLast)
-        return Block + "terminator placement broken";
-      auto CheckOperand = [&](const IROperand &O) -> bool {
-        return !O.isReg() || Defined.count(O.Reg);
-      };
-      if (!CheckOperand(I.A) || !CheckOperand(I.B))
-        return Block + "use of undefined register";
+        return Fail(BI, "terminator placement broken");
+      if (!IsDefined(I.A) || !IsDefined(I.B))
+        return Fail(BI, "use of undefined register");
       for (const IROperand &O : I.Args)
-        if (!CheckOperand(O))
-          return Block + "use of undefined register in args";
+        if (!IsDefined(O))
+          return Fail(BI, "use of undefined register in args");
       if (I.Op == IROp::AddrSlot &&
           (I.SlotIndex < 0 ||
            static_cast<size_t>(I.SlotIndex) >= F.Slots.size()))
-        return Block + "slot index out of range";
+        return Fail(BI, "slot index out of range");
       if (I.Op == IROp::AddrGlobal &&
           (I.GlobalIndex < 0 ||
            static_cast<size_t>(I.GlobalIndex) >= M.Globals.size()))
-        return Block + "global index out of range";
+        return Fail(BI, "global index out of range");
       if (I.Op == IROp::Call &&
           (I.CalleeIndex < 0 ||
            static_cast<size_t>(I.CalleeIndex) >= M.Functions.size()))
-        return Block + "callee index out of range";
+        return Fail(BI, "callee index out of range");
       if ((I.Op == IROp::Br || I.Op == IROp::CondBr) &&
           (I.Succ0 >= F.Blocks.size() ||
            (I.Op == IROp::CondBr && I.Succ1 >= F.Blocks.size())))
-        return Block + "successor out of range";
+        return Fail(BI, "successor out of range");
     }
   }
   return "";
 }
 
+size_t spe::regBound(const IRFunction &F) {
+  size_t Bound = 0;
+  for (const IRBlock &B : F.Blocks)
+    for (const IRInstr &I : B.Instrs)
+      if (I.HasDst && I.Dst >= Bound)
+        Bound = size_t(I.Dst) + 1;
+  return Bound;
+}
+
 std::string spe::verifyModule(const IRModule &M) {
+  std::vector<bool> Defined;
   for (const IRFunction &F : M.Functions) {
-    std::string Err = verifyFunction(M, F);
+    std::string Err = verifyFunction(M, F, Defined);
     if (!Err.empty())
       return Err;
   }

@@ -186,6 +186,12 @@ std::string printModule(const IRModule &M);
 /// Renders one function.
 std::string printFunction(const IRFunction &F);
 
+/// One past the largest register \p F defines, 0 when it defines none: the
+/// size of a dense table over F's registers. Tables are sized by it, not
+/// by NumRegs, which is IRGen's counter and which hand-built IR need not
+/// keep; an operand at or past the bound names no definition.
+size_t regBound(const IRFunction &F);
+
 /// Structural sanity checks: every block ends in exactly one terminator,
 /// successors are in range, register uses are defined somewhere, slot and
 /// global indices are valid. \returns an empty string when well-formed, else

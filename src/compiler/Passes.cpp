@@ -2,10 +2,8 @@
 
 #include "compiler/Passes.h"
 
-#include <cassert>
+#include <algorithm>
 #include <limits>
-#include <map>
-#include <set>
 
 using namespace spe;
 
@@ -113,26 +111,41 @@ bool evalBinConst(const IRInstr &I, uint64_t &Out) {
   return true;
 }
 
+/// Turns \p I into a fresh \p Op instruction in place: every field as a
+/// new IRInstr has it. Copying from a blank keeps I's Args and Fmt
+/// buffers, where assigning a temporary would free them.
+void reset(IRInstr &I, IROp Op) {
+  static const IRInstr Blank{};
+  I = Blank;
+  I.Op = Op;
+}
+
 /// Rewrites an instruction into `Dst = Const Imm`.
 void makeConst(IRInstr &I, uint64_t Imm) {
-  IRInstr New;
-  New.Op = IROp::Const;
-  New.HasDst = true;
-  New.Dst = I.Dst;
-  New.Ty = I.Ty;
-  New.A = IROperand::constant(Imm, I.Ty);
-  I = std::move(New);
+  unsigned Dst = I.Dst;
+  const Type *Ty = I.Ty;
+  reset(I, IROp::Const);
+  I.HasDst = true;
+  I.Dst = Dst;
+  I.Ty = Ty;
+  I.A = IROperand::constant(Imm, Ty);
 }
 
 /// Rewrites an instruction into `Dst = Copy Src`.
 void makeCopy(IRInstr &I, IROperand Src) {
-  IRInstr New;
-  New.Op = IROp::Copy;
-  New.HasDst = true;
-  New.Dst = I.Dst;
-  New.Ty = I.Ty;
-  New.A = Src;
-  I = std::move(New);
+  unsigned Dst = I.Dst;
+  const Type *Ty = I.Ty;
+  reset(I, IROp::Copy);
+  I.HasDst = true;
+  I.Dst = Dst;
+  I.Ty = Ty;
+  I.A = Src;
+}
+
+/// Rewrites a terminator into `br Succ`.
+void makeBr(IRInstr &I, unsigned Succ) {
+  reset(I, IROp::Br);
+  I.Succ0 = Succ;
 }
 
 } // namespace
@@ -189,10 +202,7 @@ bool spe::foldConstants(IRFunction &F, CoverageRegistry *Cov) {
         break;
       case IROp::CondBr:
         if (I.A.isConst()) {
-          IRInstr New;
-          New.Op = IROp::Br;
-          New.Succ0 = I.A.Imm != 0 ? I.Succ0 : I.Succ1;
-          I = std::move(New);
+          makeBr(I, I.A.Imm != 0 ? I.Succ0 : I.Succ1);
           cov(Cov, "constfold.branch");
           Changed = true;
         }
@@ -211,33 +221,39 @@ bool spe::foldConstants(IRFunction &F, CoverageRegistry *Cov) {
 
 bool spe::propagateCopies(IRFunction &F, CoverageRegistry *Cov) {
   // Registers are single-assignment, so a Copy or Const definition may be
-  // substituted into every use.
-  std::map<unsigned, IROperand> Defs;
+  // substituted into every use. Defs is dense up to the largest register
+  // such a definition names; None marks a register without one.
+  std::vector<IROperand> Defs;
+  auto Define = [&](unsigned Reg, const IROperand &Value) {
+    if (Reg >= Defs.size())
+      Defs.resize(size_t(Reg) + 1);
+    Defs[Reg] = Value;
+  };
   for (IRBlock &B : F.Blocks) {
     for (IRInstr &I : B.Instrs) {
       if (I.Op == IROp::Const)
-        Defs[I.Dst] = IROperand::constant(I.A.Imm, I.Ty);
+        Define(I.Dst, IROperand::constant(I.A.Imm, I.Ty));
       else if (I.Op == IROp::Copy && I.Ty == I.A.Ty)
-        Defs[I.Dst] = I.A;
+        Define(I.Dst, I.A);
     }
   }
   if (Defs.empty())
     return false;
+  auto DefOf = [&](const IROperand &O) {
+    return O.isReg() && O.Reg < Defs.size() ? Defs[O.Reg] : IROperand::none();
+  };
   auto Resolve = [&](IROperand O) {
     unsigned Guard = 0;
-    while (O.isReg() && Defs.count(O.Reg) && Guard++ < 64) {
-      IROperand Next = Defs[O.Reg];
-      if (Next.isNone())
-        break;
+    for (IROperand Next = DefOf(O); !Next.isNone() && Guard++ < 64;
+         Next = DefOf(O))
       O = Next;
-    }
     return O;
   };
   bool Changed = false;
   for (IRBlock &B : F.Blocks) {
     for (IRInstr &I : B.Instrs) {
       auto Rewrite = [&](IROperand &O) {
-        if (!O.isReg() || !Defs.count(O.Reg))
+        if (DefOf(O).isNone())
           return;
         IROperand R = Resolve(O);
         if (R.isReg() && R.Reg == O.Reg)
@@ -260,33 +276,42 @@ bool spe::propagateCopies(IRFunction &F, CoverageRegistry *Cov) {
 //===----------------------------------------------------------------------===//
 
 bool spe::eliminateDeadCode(IRFunction &F, CoverageRegistry *Cov) {
+  // Used is dense over the registers F defines: a use of any other
+  // register keeps no definition alive.
+  std::vector<bool> Used;
+  const size_t Bound = regBound(F);
   bool ChangedAny = false;
   for (;;) {
-    std::set<unsigned> Used;
+    Used.assign(Bound, false);
+    auto Use = [&](const IROperand &O) {
+      if (O.isReg() && O.Reg < Bound)
+        Used[O.Reg] = true;
+    };
     for (const IRBlock &B : F.Blocks) {
       for (const IRInstr &I : B.Instrs) {
-        if (I.A.isReg())
-          Used.insert(I.A.Reg);
-        if (I.B.isReg())
-          Used.insert(I.B.Reg);
+        Use(I.A);
+        Use(I.B);
         for (const IROperand &O : I.Args)
-          if (O.isReg())
-            Used.insert(O.Reg);
+          Use(O);
       }
     }
+    // Compact each block in place, keeping the survivors' order.
     bool Changed = false;
     for (IRBlock &B : F.Blocks) {
-      std::vector<IRInstr> Kept;
-      Kept.reserve(B.Instrs.size());
-      for (IRInstr &I : B.Instrs) {
-        if (I.isPure() && I.HasDst && !Used.count(I.Dst)) {
+      std::vector<IRInstr> &Instrs = B.Instrs;
+      size_t Kept = 0;
+      for (size_t II = 0; II < Instrs.size(); ++II) {
+        IRInstr &I = Instrs[II];
+        if (I.isPure() && I.HasDst && !Used[I.Dst]) {
           Changed = true;
           cov(Cov, "dce.removed");
           continue;
         }
-        Kept.push_back(std::move(I));
+        if (Kept != II)
+          Instrs[Kept] = std::move(I);
+        ++Kept;
       }
-      B.Instrs = std::move(Kept);
+      Instrs.erase(Instrs.begin() + static_cast<long>(Kept), Instrs.end());
     }
     if (!Changed)
       return ChangedAny;
@@ -305,10 +330,7 @@ bool spe::simplifyControlFlow(IRFunction &F, CoverageRegistry *Cov) {
   for (IRBlock &B : F.Blocks) {
     IRInstr &Term = B.Instrs.back();
     if (Term.Op == IROp::CondBr && Term.Succ0 == Term.Succ1) {
-      IRInstr New;
-      New.Op = IROp::Br;
-      New.Succ0 = Term.Succ0;
-      Term = std::move(New);
+      makeBr(Term, Term.Succ0);
       cov(Cov, "simplifycfg.samearms");
       Changed = true;
     }
@@ -322,10 +344,17 @@ bool spe::simplifyControlFlow(IRFunction &F, CoverageRegistry *Cov) {
         B.Instrs[0].Succ0 != BI)
       Forward[BI] = static_cast<int>(B.Instrs[0].Succ0);
   }
+  // A chain of forwarders may close into a cycle: each walk stops at the
+  // first block it has already passed, which SeenBy marks with the walk's
+  // number.
+  std::vector<unsigned> SeenBy(F.Blocks.size(), 0);
+  unsigned Walk = 0;
   auto Thread = [&](unsigned Succ) {
-    std::set<unsigned> Seen;
-    while (Forward[Succ] >= 0 && Seen.insert(Succ).second)
+    ++Walk;
+    while (Forward[Succ] >= 0 && SeenBy[Succ] != Walk) {
+      SeenBy[Succ] = Walk;
       Succ = static_cast<unsigned>(Forward[Succ]);
+    }
     return Succ;
   };
   for (IRBlock &B : F.Blocks) {
@@ -372,15 +401,19 @@ bool spe::simplifyControlFlow(IRFunction &F, CoverageRegistry *Cov) {
     if (!R)
       AnyUnreachable = true;
   if (AnyUnreachable) {
+    // Compact the reachable blocks in place, keeping their order.
     std::vector<unsigned> Remap(F.Blocks.size(), 0);
-    std::vector<IRBlock> Kept;
+    unsigned Kept = 0;
     for (size_t BI = 0; BI < F.Blocks.size(); ++BI) {
       if (!Reachable[BI])
         continue;
-      Remap[BI] = static_cast<unsigned>(Kept.size());
-      Kept.push_back(std::move(F.Blocks[BI]));
+      Remap[BI] = Kept;
+      if (Kept != BI)
+        F.Blocks[Kept] = std::move(F.Blocks[BI]);
+      ++Kept;
     }
-    for (IRBlock &B : Kept) {
+    F.Blocks.erase(F.Blocks.begin() + Kept, F.Blocks.end());
+    for (IRBlock &B : F.Blocks) {
       IRInstr &Term = B.Instrs.back();
       if (Term.Op == IROp::Br || Term.Op == IROp::CondBr) {
         Term.Succ0 = Remap[Term.Succ0];
@@ -388,7 +421,6 @@ bool spe::simplifyControlFlow(IRFunction &F, CoverageRegistry *Cov) {
           Term.Succ1 = Remap[Term.Succ1];
       }
     }
-    F.Blocks = std::move(Kept);
     cov(Cov, "simplifycfg.unreachable");
     Changed = true;
   }
@@ -400,32 +432,38 @@ bool spe::simplifyControlFlow(IRFunction &F, CoverageRegistry *Cov) {
 //===----------------------------------------------------------------------===//
 
 bool spe::forwardStores(IRFunction &F, CoverageRegistry *Cov) {
-  // Map each AddrSlot result register to its slot.
-  std::map<unsigned, int> AddrToSlot;
+  // Each AddrSlot result register's slot, dense up to the largest such
+  // register; -1 marks any other register.
+  std::vector<int> AddrToSlot;
   for (const IRBlock &B : F.Blocks)
     for (const IRInstr &I : B.Instrs)
-      if (I.Op == IROp::AddrSlot)
+      if (I.Op == IROp::AddrSlot) {
+        if (I.Dst >= AddrToSlot.size())
+          AddrToSlot.resize(size_t(I.Dst) + 1, -1);
         AddrToSlot[I.Dst] = I.SlotIndex;
+      }
 
   auto SlotOf = [&](const IROperand &O) -> int {
-    if (!O.isReg())
+    if (!O.isReg() || O.Reg >= AddrToSlot.size() || AddrToSlot[O.Reg] < 0)
       return -1;
-    auto It = AddrToSlot.find(O.Reg);
-    if (It == AddrToSlot.end())
-      return -1;
-    int Slot = It->second;
+    int Slot = AddrToSlot[O.Reg];
     // Only slots whose address never escapes are tracked.
     if (F.Slots[Slot].AddressTaken)
       return -1;
     return Slot;
   };
 
+  // Per block and slot: the known value (None when unknown) and the index
+  // of a store not yet observed (NoStore when there is none).
+  constexpr size_t NoStore = ~size_t(0);
+  std::vector<IROperand> Known;
+  std::vector<size_t> PendingStore;
+  std::vector<size_t> Dead;
   bool Changed = false;
   for (IRBlock &B : F.Blocks) {
-    // Known value per slot, plus the index of a store not yet observed.
-    std::map<int, IROperand> Known;
-    std::map<int, size_t> PendingStore;
-    std::set<size_t> Dead;
+    Known.assign(F.Slots.size(), IROperand::none());
+    PendingStore.assign(F.Slots.size(), NoStore);
+    Dead.clear();
     for (size_t II = 0; II < B.Instrs.size(); ++II) {
       IRInstr &I = B.Instrs[II];
       switch (I.Op) {
@@ -433,10 +471,9 @@ bool spe::forwardStores(IRFunction &F, CoverageRegistry *Cov) {
         int Slot = SlotOf(I.A);
         if (Slot < 0)
           break;
-        auto Pending = PendingStore.find(Slot);
-        if (Pending != PendingStore.end()) {
+        if (PendingStore[Slot] != NoStore) {
           // Overwritten without an intervening read: dead store.
-          Dead.insert(Pending->second);
+          Dead.push_back(PendingStore[Slot]);
           cov(Cov, "forward.deadstore");
           Changed = true;
         }
@@ -448,9 +485,8 @@ bool spe::forwardStores(IRFunction &F, CoverageRegistry *Cov) {
         int Slot = SlotOf(I.A);
         if (Slot < 0)
           break;
-        auto It = Known.find(Slot);
-        if (It != Known.end() && !It->second.isNone()) {
-          makeCopy(I, It->second);
+        if (!Known[Slot].isNone()) {
+          makeCopy(I, Known[Slot]);
           cov(Cov, "forward.load");
           Changed = true;
         } else {
@@ -458,15 +494,15 @@ bool spe::forwardStores(IRFunction &F, CoverageRegistry *Cov) {
           Known[Slot] = IROperand::reg(I.Dst, I.Ty);
           cov(Cov, "forward.record");
         }
-        PendingStore.erase(Slot);
+        PendingStore[Slot] = NoStore;
         break;
       }
       case IROp::Memset:
       case IROp::Memcpy: {
         int Slot = SlotOf(I.A);
         if (Slot >= 0) {
-          Known.erase(Slot);
-          PendingStore.erase(Slot);
+          Known[Slot] = IROperand::none();
+          PendingStore[Slot] = NoStore;
         }
         break;
       }
@@ -474,13 +510,22 @@ bool spe::forwardStores(IRFunction &F, CoverageRegistry *Cov) {
         break;
       }
     }
-    if (!Dead.empty()) {
-      std::vector<IRInstr> Kept;
-      for (size_t II = 0; II < B.Instrs.size(); ++II)
-        if (!Dead.count(II))
-          Kept.push_back(std::move(B.Instrs[II]));
-      B.Instrs = std::move(Kept);
+    if (Dead.empty())
+      continue;
+    // Compact the block in place, keeping the survivors' order.
+    std::sort(Dead.begin(), Dead.end());
+    std::vector<IRInstr> &Instrs = B.Instrs;
+    size_t Kept = 0, NextDead = 0;
+    for (size_t II = 0; II < Instrs.size(); ++II) {
+      if (NextDead < Dead.size() && Dead[NextDead] == II) {
+        ++NextDead;
+        continue;
+      }
+      if (Kept != II)
+        Instrs[Kept] = std::move(Instrs[II]);
+      ++Kept;
     }
+    Instrs.erase(Instrs.begin() + static_cast<long>(Kept), Instrs.end());
   }
   return Changed;
 }
@@ -576,11 +621,14 @@ bool spe::simplifyAlgebra(IRFunction &F, CoverageRegistry *Cov) {
 
 namespace {
 
-/// Computes dominators with the classic iterative algorithm.
-std::vector<std::set<unsigned>> computeDominators(const IRFunction &F) {
-  size_t N = F.Blocks.size();
-  std::vector<std::vector<unsigned>> Preds(N);
-  for (unsigned B = 0; B < N; ++B) {
+/// Fills \p Preds with each block's predecessors in ascending order,
+/// reusing its vectors' buffers.
+void collectPreds(const IRFunction &F,
+                  std::vector<std::vector<unsigned>> &Preds) {
+  Preds.resize(F.Blocks.size());
+  for (std::vector<unsigned> &P : Preds)
+    P.clear();
+  for (unsigned B = 0; B < F.Blocks.size(); ++B) {
     const IRInstr &Term = F.Blocks[B].Instrs.back();
     if (Term.Op == IROp::Br || Term.Op == IROp::CondBr) {
       Preds[Term.Succ0].push_back(B);
@@ -588,48 +636,75 @@ std::vector<std::set<unsigned>> computeDominators(const IRFunction &F) {
         Preds[Term.Succ1].push_back(B);
     }
   }
-  std::set<unsigned> All;
-  for (unsigned B = 0; B < N; ++B)
-    All.insert(B);
-  std::vector<std::set<unsigned>> Dom(N, All);
-  Dom[0] = {0};
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (unsigned B = 1; B < N; ++B) {
-      std::set<unsigned> NewDom = All;
-      if (Preds[B].empty())
-        NewDom = {B}; // Unreachable; keep minimal.
-      for (unsigned P : Preds[B]) {
-        std::set<unsigned> Inter;
-        for (unsigned D : Dom[P])
-          if (NewDom.count(D))
-            Inter.insert(D);
-        NewDom = std::move(Inter);
-      }
-      NewDom.insert(B);
-      if (NewDom != Dom[B]) {
-        Dom[B] = std::move(NewDom);
-        Changed = true;
+}
+
+/// Each block's dominator set as one row of a bit matrix.
+class Dominators {
+public:
+  /// Computes the sets with the classic iterative algorithm over the
+  /// blocks' predecessors \p Preds.
+  explicit Dominators(const std::vector<std::vector<unsigned>> &Preds)
+      : Words((Preds.size() + 63) / 64) {
+    const size_t N = Preds.size();
+    std::vector<uint64_t> All(Words, ~uint64_t(0));
+    if (N % 64)
+      All.back() = (uint64_t(1) << (N % 64)) - 1;
+    for (size_t B = 0; B < N; ++B)
+      Bits.insert(Bits.end(), All.begin(), All.end());
+    std::fill(row(0), row(0) + Words, 0);
+    add(row(0), 0);
+    std::vector<uint64_t> NewDom(Words);
+    bool Changed = true;
+    while (Changed) {
+      Changed = false;
+      for (unsigned B = 1; B < N; ++B) {
+        // An unreachable block keeps the minimal set, itself.
+        if (Preds[B].empty())
+          std::fill(NewDom.begin(), NewDom.end(), 0);
+        else
+          NewDom = All;
+        for (unsigned P : Preds[B])
+          for (size_t W = 0; W < Words; ++W)
+            NewDom[W] &= row(P)[W];
+        add(NewDom.data(), B);
+        if (!std::equal(NewDom.begin(), NewDom.end(), row(B))) {
+          std::copy(NewDom.begin(), NewDom.end(), row(B));
+          Changed = true;
+        }
       }
     }
   }
-  return Dom;
-}
+
+  /// \returns whether \p D dominates \p B.
+  bool dominates(unsigned D, unsigned B) const {
+    return Bits[B * Words + D / 64] >> (D % 64) & 1;
+  }
+
+private:
+  size_t Words;
+  std::vector<uint64_t> Bits;
+
+  uint64_t *row(unsigned B) { return Bits.data() + B * Words; }
+  static void add(uint64_t *Row, unsigned B) {
+    Row[B / 64] |= uint64_t(1) << (B % 64);
+  }
+};
 
 } // namespace
 
 bool spe::hoistLoopInvariants(IRFunction &F, CoverageRegistry *Cov) {
   if (F.Blocks.size() < 2)
     return false;
-  std::vector<std::set<unsigned>> Dom = computeDominators(F);
+  std::vector<std::vector<unsigned>> Preds;
+  collectPreds(F, Preds);
+  const Dominators Dom(Preds);
 
   // Find back edges U -> H where H dominates U.
   std::vector<std::pair<unsigned, unsigned>> BackEdges;
   for (unsigned B = 0; B < F.Blocks.size(); ++B) {
     const IRInstr &Term = F.Blocks[B].Instrs.back();
     auto Check = [&](unsigned Succ) {
-      if (Succ != 0 && Dom[B].count(Succ))
+      if (Succ != 0 && Dom.dominates(Succ, B))
         BackEdges.push_back({B, Succ});
     };
     if (Term.Op == IROp::Br)
@@ -643,32 +718,33 @@ bool spe::hoistLoopInvariants(IRFunction &F, CoverageRegistry *Cov) {
     return false;
 
   bool Changed = false;
+  std::vector<bool> InLoop;
+  std::vector<unsigned> Work;
+  constexpr unsigned NoBlock = ~0u;
+  std::vector<unsigned> DefBlock;
+  const size_t Bound = regBound(F);
   for (auto [Latch, Header] : BackEdges) {
     // Natural loop: header plus everything reaching the latch without
-    // passing through the header.
-    std::set<unsigned> Loop{Header, Latch};
-    std::vector<unsigned> Work{Latch};
-    std::vector<std::vector<unsigned>> Preds(F.Blocks.size());
-    for (unsigned B = 0; B < F.Blocks.size(); ++B) {
-      const IRInstr &Term = F.Blocks[B].Instrs.back();
-      if (Term.Op == IROp::Br || Term.Op == IROp::CondBr) {
-        Preds[Term.Succ0].push_back(B);
-        if (Term.Op == IROp::CondBr)
-          Preds[Term.Succ1].push_back(B);
-      }
-    }
+    // passing through the header. Earlier preheaders are blocks too.
+    collectPreds(F, Preds);
+    InLoop.assign(F.Blocks.size(), false);
+    InLoop[Header] = InLoop[Latch] = true;
+    Work.assign(1, Latch);
     while (!Work.empty()) {
       unsigned B = Work.back();
       Work.pop_back();
       if (B == Header)
         continue;
       for (unsigned P : Preds[B])
-        if (Loop.insert(P).second)
+        if (!InLoop[P]) {
+          InLoop[P] = true;
           Work.push_back(P);
+        }
     }
 
-    // Definition site per register.
-    std::map<unsigned, unsigned> DefBlock;
+    // Definition site per register, dense over the registers F defines
+    // (hoisting moves definitions, it makes none).
+    DefBlock.assign(Bound, NoBlock);
     for (unsigned B = 0; B < F.Blocks.size(); ++B)
       for (const IRInstr &I : F.Blocks[B].Instrs)
         if (I.HasDst)
@@ -677,8 +753,11 @@ bool spe::hoistLoopInvariants(IRFunction &F, CoverageRegistry *Cov) {
     auto IsInvariantOperand = [&](const IROperand &O) {
       if (!O.isReg())
         return true;
-      auto It = DefBlock.find(O.Reg);
-      return It != DefBlock.end() && !Loop.count(It->second);
+      if (O.Reg >= Bound || DefBlock[O.Reg] == NoBlock)
+        return false;
+      // The preheader, past the loop's blocks, is outside it.
+      unsigned Def = DefBlock[O.Reg];
+      return Def >= InLoop.size() || !InLoop[Def];
     };
     auto IsHoistable = [&](const IRInstr &I) {
       if (!I.isPure() || I.Op == IROp::Load)
@@ -699,7 +778,7 @@ bool spe::hoistLoopInvariants(IRFunction &F, CoverageRegistry *Cov) {
     // non-loop predecessors of the header are redirected to it.
     std::vector<unsigned> OutsidePreds;
     for (unsigned P : Preds[Header])
-      if (!Loop.count(P))
+      if (!InLoop[P])
         OutsidePreds.push_back(P);
     if (OutsidePreds.empty())
       continue;
@@ -719,27 +798,34 @@ bool spe::hoistLoopInvariants(IRFunction &F, CoverageRegistry *Cov) {
         Term.Succ1 = Preheader;
     }
 
-    // Hoist to the preheader until fixpoint.
+    // Hoist to the preheader until fixpoint, visiting the loop's blocks in
+    // ascending order (the preheader's instruction order shows it). Each
+    // block is compacted in place; its terminator always stays.
+    std::vector<IRInstr> &PH = F.Blocks[Preheader].Instrs;
     bool LocalChanged = true;
     while (LocalChanged) {
       LocalChanged = false;
-      for (unsigned B : Loop) {
+      for (unsigned B = 0; B < InLoop.size(); ++B) {
+        if (!InLoop[B])
+          continue;
         std::vector<IRInstr> &Instrs = F.Blocks[B].Instrs;
-        for (size_t II = 0; II + 1 < Instrs.size(); ++II) {
+        size_t Kept = 0;
+        for (size_t II = 0; II < Instrs.size(); ++II) {
           IRInstr &I = Instrs[II];
-          if (!I.HasDst || !IsHoistable(I))
+          if (II + 1 < Instrs.size() && I.HasDst && IsHoistable(I)) {
+            DefBlock[I.Dst] = Preheader;
+            // Insert before the preheader terminator.
+            PH.insert(PH.end() - 1, std::move(I));
+            cov(Cov, "licm.hoist");
+            Changed = true;
+            LocalChanged = true;
             continue;
-          IRInstr Hoisted = I;
-          // Insert before the preheader terminator.
-          std::vector<IRInstr> &PH = F.Blocks[Preheader].Instrs;
-          PH.insert(PH.end() - 1, Hoisted);
-          DefBlock[I.Dst] = Preheader;
-          Instrs.erase(Instrs.begin() + static_cast<long>(II));
-          --II;
-          cov(Cov, "licm.hoist");
-          Changed = true;
-          LocalChanged = true;
+          }
+          if (Kept != II)
+            Instrs[Kept] = std::move(I);
+          ++Kept;
         }
+        Instrs.erase(Instrs.begin() + static_cast<long>(Kept), Instrs.end());
       }
     }
   }
