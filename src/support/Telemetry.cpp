@@ -2,6 +2,7 @@
 
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -115,7 +116,7 @@ void TelemetrySink::recordSpan(const char *Phase, const std::string &Backend,
   std::lock_guard<std::mutex> Lock(Mu);
   appendEventLocked(Phase, Backend, Config, StartUs, DurUs, Tid);
   if (Aggregate)
-    Global.record(Phase, Backend, Config, DurUs);
+    aggregateLocked(Phase, Backend, Config, DurUs);
 }
 
 void TelemetrySink::recordAggregate(const char *Phase,
@@ -123,7 +124,34 @@ void TelemetrySink::recordAggregate(const char *Phase,
                                     const std::string &Config,
                                     uint64_t DurUs) {
   std::lock_guard<std::mutex> Lock(Mu);
+  aggregateLocked(Phase, Backend, Config, DurUs);
+}
+
+void TelemetrySink::aggregateLocked(const char *Phase,
+                                    const std::string &Backend,
+                                    const std::string &Config,
+                                    uint64_t DurUs) {
   Global.record(Phase, Backend, Config, DurUs);
+  for (TelemetrySummary *Campaign : Open)
+    Campaign->record(Phase, Backend, Config, DurUs);
+}
+
+CampaignSpans::CampaignSpans(TelemetrySink *Sink) : Sink(Sink) {
+  if (!Sink)
+    return;
+  std::lock_guard<std::mutex> Lock(Sink->Mu);
+  Sink->Open.push_back(&Spans);
+}
+
+CampaignSpans::~CampaignSpans() { close(); }
+
+TelemetrySummary CampaignSpans::close() {
+  if (Sink) {
+    std::lock_guard<std::mutex> Lock(Sink->Mu);
+    Sink->Open.erase(std::find(Sink->Open.begin(), Sink->Open.end(), &Spans));
+    Sink = nullptr;
+  }
+  return std::move(Spans);
 }
 
 TelemetrySummary TelemetrySink::summary() const {

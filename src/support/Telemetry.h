@@ -22,8 +22,9 @@
 ///
 ///  - *Global* spans (pooled compile, batch pack, binary exec, checkpoint
 ///    write, seed wait, triage stages) happen outside any chunk's partial
-///    result; they aggregate inside the sink and are folded into
-///    CampaignResult::Telemetry once, at campaign end.
+///    result; they aggregate inside the sink, and each campaign folds the
+///    ones recorded while it ran (CampaignSpans) into
+///    CampaignResult::Telemetry once, at its end.
 ///
 /// Telemetry is observation only: it never influences enumeration,
 /// verdicts, findings, or checkpoint bytes, is excluded from
@@ -192,8 +193,8 @@ struct TelemetryEvent {
 };
 
 /// Thread-safe campaign telemetry sink: buffered JSONL event log plus the
-/// global-phase aggregate. One sink per campaign; share the pointer via
-/// HarnessOptions::Telemetry.
+/// global-phase aggregate. Share the pointer via HarnessOptions::Telemetry;
+/// consecutive campaigns may share one sink.
 class TelemetrySink {
 public:
   struct Options {
@@ -234,7 +235,7 @@ public:
   void recordAggregate(const char *Phase, const std::string &Backend,
                        const std::string &Config, uint64_t DurUs);
 
-  /// Snapshot of the global-phase aggregate.
+  /// Snapshot of the global-phase aggregate over the sink's lifetime.
   TelemetrySummary summary() const;
 
   /// Flushes buffered event lines to the log file.
@@ -256,10 +257,15 @@ public:
   unsigned threadId();
 
 private:
+  friend class CampaignSpans;
+
   Options Opts;
   std::chrono::steady_clock::time_point Epoch;
   mutable std::mutex Mu;
   TelemetrySummary Global;
+  /// The open CampaignSpans' summaries; every aggregated span folds into
+  /// each of them as well as into Global.
+  std::vector<TelemetrySummary *> Open;
   std::string Buffer;
   uint64_t BytesWritten = 0;
   uint64_t Events = 0;
@@ -269,7 +275,31 @@ private:
   void appendEventLocked(const char *Phase, const std::string &Backend,
                          const std::string &Config, uint64_t StartUs,
                          uint64_t DurUs, unsigned Tid);
+  void aggregateLocked(const char *Phase, const std::string &Backend,
+                       const std::string &Config, uint64_t DurUs);
   void flushLocked();
+};
+
+/// One campaign's global-phase spans. While it is open, every span its
+/// sink aggregates also folds into its own summary, so campaigns that share
+/// a sink each take only the spans recorded between their start and their
+/// end. A summary of aggregates cannot be diffed (MaxUs does not subtract),
+/// hence a fold of its own rather than two snapshots.
+class CampaignSpans {
+public:
+  /// Opens the fold on \p Sink; with a null sink it gathers nothing.
+  explicit CampaignSpans(TelemetrySink *Sink);
+  ~CampaignSpans();
+
+  CampaignSpans(const CampaignSpans &) = delete;
+  CampaignSpans &operator=(const CampaignSpans &) = delete;
+
+  /// Closes the fold and \returns what it gathered.
+  TelemetrySummary close();
+
+private:
+  TelemetrySink *Sink;
+  TelemetrySummary Spans;
 };
 
 /// RAII span: starts the clock at construction, records at destruction.

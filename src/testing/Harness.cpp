@@ -1365,6 +1365,8 @@ bool runSeeds(const HarnessOptions &Opts, const CompilerBackend &Backend,
               const std::vector<std::string> &Seeds,
               const CampaignCheckpoint *From, CampaignResult &Result,
               std::string &Err) {
+  // The global spans this campaign records, from here to its end.
+  CampaignSpans Spans(Opts.Telemetry);
   CheckpointContext Ctx;
   CheckpointContext *Ck = Opts.CheckpointPath.empty() ? nullptr : &Ctx;
   OracleStore Store(Opts.OracleStorePath);
@@ -1441,9 +1443,10 @@ bool runSeeds(const HarnessOptions &Opts, const CompilerBackend &Backend,
     triageCampaign(Result, Opts);
   }
   // Global-phase telemetry (compile, batch pack, checkpoint writes,
-  // triage stages) folds into the result exactly once, at campaign end.
+  // triage stages) folds into the result exactly once, at campaign end:
+  // the campaign's own spans, not those of earlier campaigns on the sink.
   if (Opts.Telemetry)
-    Result.Telemetry.merge(Opts.Telemetry->summary());
+    Result.Telemetry.merge(Spans.close());
   if (Opts.Status) {
     if (Opts.Triage)
       Opts.Status->setClusters(Result.Triaged.size());

@@ -17,6 +17,7 @@
 #include "testing/CampaignStatus.h"
 #include "testing/Corpus.h"
 #include "testing/Harness.h"
+#include "testing/OracleCache.h"
 
 #include "gtest/gtest.h"
 
@@ -245,6 +246,70 @@ TEST(TelemetryTest, WorkerLocalPhaseCountsMatchCampaignCounters) {
   const uint64_t RosterSize = 1 + Opts.ExtraBackends.size();
   EXPECT_EQ(R.Telemetry.countFor("backend_run"),
             R.VariantsTested * RosterSize);
+}
+
+TEST(TelemetryTest, CampaignsSharingASinkTakeOnlyTheirOwnGlobalSpans) {
+  // Two checkpointed 2-thread passes over the loop corpus, sharing one
+  // oracle store and cache, as the loops_ckpt benchmark runs them. Each
+  // campaign takes the global spans recorded while it ran, so one sink
+  // shared by both passes adds up to one sink per pass.
+  CorpusOptions CO;
+  CO.UninitLocalProb = 0.6;
+  CO.BoundedLoopProb = 0.6;
+  CO.RichHelperProb = 0.6;
+  const std::vector<std::string> Seeds = generateCorpus(8000, 4, CO);
+  const std::vector<std::vector<CompilerConfig>> Passes = {
+      HarnessOptions::crashMatrix(Persona::GccSim, 48),
+      HarnessOptions::crashMatrix(Persona::ClangSim, 36)};
+  // \p Sinks holds one sink for both passes, or one per pass.
+  auto Run = [&](const std::string &Name,
+                 const std::vector<TelemetrySink *> &Sinks) {
+    TempDir Dir(Name);
+    OracleCache Cache;
+    std::vector<CampaignResult> Results;
+    for (size_t P = 0; P < Passes.size(); ++P) {
+      HarnessOptions Opts;
+      Opts.Configs = Passes[P];
+      Opts.VariantBudget = 40;
+      Opts.VariantThreshold = ~uint64_t(0);
+      Opts.OracleMaxSteps = 100'000;
+      Opts.Threads = 2;
+      Opts.Cache = &Cache;
+      Opts.OracleStorePath = Dir.path("oracle.store");
+      Opts.CheckpointPath = Dir.Dir + "/pass" + std::to_string(P) + ".ckpt";
+      Opts.Telemetry = Sinks[P % Sinks.size()];
+      Results.push_back(DifferentialHarness(Opts).runCampaign(Seeds));
+    }
+    return Results;
+  };
+  TelemetrySink Shared;
+  std::vector<CampaignResult> One = Run("shared_sink", {&Shared});
+  TelemetrySink First, Second;
+  std::vector<CampaignResult> Each = Run("sink_per_pass", {&First, &Second});
+  CampaignResult OneMerged, EachMerged;
+  for (size_t P = 0; P < Passes.size(); ++P) {
+    SCOPED_TRACE("pass " + std::to_string(P));
+    EXPECT_TRUE(One[P] == Each[P]);
+    // Each worker of every seed waits once at the seed's join.
+    EXPECT_EQ(One[P].Telemetry.countFor("seed_wait"), 2 * Seeds.size());
+    EXPECT_GT(One[P].Telemetry.countFor("checkpoint_write"), 0u);
+    for (const char *Phase : {"seed_wait", "checkpoint_write"})
+      EXPECT_EQ(One[P].Telemetry.countFor(Phase),
+                Each[P].Telemetry.countFor(Phase))
+          << Phase;
+    OneMerged.merge(One[P]);
+    EachMerged.merge(Each[P]);
+  }
+  for (const char *Phase : {"seed_wait", "checkpoint_write"})
+    EXPECT_EQ(OneMerged.Telemetry.countFor(Phase),
+              EachMerged.Telemetry.countFor(Phase))
+        << Phase;
+  // The sink's own summary stays the lifetime view of both passes.
+  for (const char *Phase : {"seed_wait", "checkpoint_write"})
+    EXPECT_EQ(Shared.summary().countFor(Phase),
+              First.summary().countFor(Phase) +
+                  Second.summary().countFor(Phase))
+        << Phase;
 }
 
 //===----------------------------------------------------------------------===//
