@@ -148,6 +148,22 @@ void makeBr(IRInstr &I, unsigned Succ) {
   I.Succ0 = Succ;
 }
 
+/// Erases in place every element of \p V that \p Drop(element, index)
+/// picks, keeping the others' order. Drop sees each element once, in
+/// order, before anything moves, and may move out of an element it picks.
+template <typename T, typename DropFn>
+void eraseInPlace(std::vector<T> &V, DropFn Drop) {
+  size_t Kept = 0;
+  for (size_t I = 0; I < V.size(); ++I) {
+    if (Drop(V[I], I))
+      continue;
+    if (Kept != I)
+      V[Kept] = std::move(V[I]);
+    ++Kept;
+  }
+  V.erase(V.begin() + static_cast<long>(Kept), V.end());
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -295,24 +311,15 @@ bool spe::eliminateDeadCode(IRFunction &F, CoverageRegistry *Cov) {
           Use(O);
       }
     }
-    // Compact each block in place, keeping the survivors' order.
     bool Changed = false;
-    for (IRBlock &B : F.Blocks) {
-      std::vector<IRInstr> &Instrs = B.Instrs;
-      size_t Kept = 0;
-      for (size_t II = 0; II < Instrs.size(); ++II) {
-        IRInstr &I = Instrs[II];
-        if (I.isPure() && I.HasDst && !Used[I.Dst]) {
-          Changed = true;
-          cov(Cov, "dce.removed");
-          continue;
-        }
-        if (Kept != II)
-          Instrs[Kept] = std::move(I);
-        ++Kept;
-      }
-      Instrs.erase(Instrs.begin() + static_cast<long>(Kept), Instrs.end());
-    }
+    for (IRBlock &B : F.Blocks)
+      eraseInPlace(B.Instrs, [&](const IRInstr &I, size_t) {
+        if (!I.isPure() || !I.HasDst || Used[I.Dst])
+          return false;
+        Changed = true;
+        cov(Cov, "dce.removed");
+        return true;
+      });
     if (!Changed)
       return ChangedAny;
     ChangedAny = true;
@@ -401,18 +408,13 @@ bool spe::simplifyControlFlow(IRFunction &F, CoverageRegistry *Cov) {
     if (!R)
       AnyUnreachable = true;
   if (AnyUnreachable) {
-    // Compact the reachable blocks in place, keeping their order.
     std::vector<unsigned> Remap(F.Blocks.size(), 0);
     unsigned Kept = 0;
-    for (size_t BI = 0; BI < F.Blocks.size(); ++BI) {
-      if (!Reachable[BI])
-        continue;
-      Remap[BI] = Kept;
-      if (Kept != BI)
-        F.Blocks[Kept] = std::move(F.Blocks[BI]);
-      ++Kept;
-    }
-    F.Blocks.erase(F.Blocks.begin() + Kept, F.Blocks.end());
+    for (size_t BI = 0; BI < F.Blocks.size(); ++BI)
+      if (Reachable[BI])
+        Remap[BI] = Kept++;
+    eraseInPlace(F.Blocks,
+                 [&](const IRBlock &, size_t BI) { return !Reachable[BI]; });
     for (IRBlock &B : F.Blocks) {
       IRInstr &Term = B.Instrs.back();
       if (Term.Op == IROp::Br || Term.Op == IROp::CondBr) {
@@ -512,20 +514,14 @@ bool spe::forwardStores(IRFunction &F, CoverageRegistry *Cov) {
     }
     if (Dead.empty())
       continue;
-    // Compact the block in place, keeping the survivors' order.
     std::sort(Dead.begin(), Dead.end());
-    std::vector<IRInstr> &Instrs = B.Instrs;
-    size_t Kept = 0, NextDead = 0;
-    for (size_t II = 0; II < Instrs.size(); ++II) {
-      if (NextDead < Dead.size() && Dead[NextDead] == II) {
-        ++NextDead;
-        continue;
-      }
-      if (Kept != II)
-        Instrs[Kept] = std::move(Instrs[II]);
-      ++Kept;
-    }
-    Instrs.erase(Instrs.begin() + static_cast<long>(Kept), Instrs.end());
+    size_t NextDead = 0;
+    eraseInPlace(B.Instrs, [&](const IRInstr &, size_t II) {
+      if (NextDead == Dead.size() || Dead[NextDead] != II)
+        return false;
+      ++NextDead;
+      return true;
+    });
   }
   return Changed;
 }
@@ -799,8 +795,8 @@ bool spe::hoistLoopInvariants(IRFunction &F, CoverageRegistry *Cov) {
     }
 
     // Hoist to the preheader until fixpoint, visiting the loop's blocks in
-    // ascending order (the preheader's instruction order shows it). Each
-    // block is compacted in place; its terminator always stays.
+    // ascending order (the preheader's instruction order shows it). A
+    // block's terminator always stays.
     std::vector<IRInstr> &PH = F.Blocks[Preheader].Instrs;
     bool LocalChanged = true;
     while (LocalChanged) {
@@ -808,24 +804,18 @@ bool spe::hoistLoopInvariants(IRFunction &F, CoverageRegistry *Cov) {
       for (unsigned B = 0; B < InLoop.size(); ++B) {
         if (!InLoop[B])
           continue;
-        std::vector<IRInstr> &Instrs = F.Blocks[B].Instrs;
-        size_t Kept = 0;
-        for (size_t II = 0; II < Instrs.size(); ++II) {
-          IRInstr &I = Instrs[II];
-          if (II + 1 < Instrs.size() && I.HasDst && IsHoistable(I)) {
-            DefBlock[I.Dst] = Preheader;
-            // Insert before the preheader terminator.
-            PH.insert(PH.end() - 1, std::move(I));
-            cov(Cov, "licm.hoist");
-            Changed = true;
-            LocalChanged = true;
-            continue;
-          }
-          if (Kept != II)
-            Instrs[Kept] = std::move(I);
-          ++Kept;
-        }
-        Instrs.erase(Instrs.begin() + static_cast<long>(Kept), Instrs.end());
+        const size_t Last = F.Blocks[B].Instrs.size() - 1;
+        eraseInPlace(F.Blocks[B].Instrs, [&](IRInstr &I, size_t II) {
+          if (II == Last || !I.HasDst || !IsHoistable(I))
+            return false;
+          DefBlock[I.Dst] = Preheader;
+          // Insert before the preheader terminator.
+          PH.insert(PH.end() - 1, std::move(I));
+          cov(Cov, "licm.hoist");
+          Changed = true;
+          LocalChanged = true;
+          return true;
+        });
       }
     }
   }
