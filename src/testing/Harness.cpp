@@ -431,14 +431,17 @@ public:
       O.AST = nullptr;
       O.Parsed.reset();
     }
-    if (!Cur.empty() && Cur.back().Cov != Cov)
-      rotate(); // One registry per batch (see above).
-    Cur.push_back({Source, std::move(O), &Out, Cov, {}});
-    if (Cur.size() < Opts.BatchSize)
-      return;
-    rotate();
-    if (!overlapped())
-      finishInFlight(); // Unbatched: a batch of one, begun and finished.
+    queue({Source, std::move(O), &Out, Cov, {}});
+  }
+
+  /// Records \p Other's in-flight batch and queues its unbatched variants
+  /// here as add() would, so the unfilled batches several pipelines end a
+  /// campaign with join into full ones.
+  void adoptQueued(VariantPipeline &Other) {
+    Other.finishInFlight();
+    for (Item &It : Other.Cur)
+      queue(std::move(It));
+    Other.Cur.clear();
   }
 
   /// Flushes all pending work into the partial results. Must run before
@@ -480,6 +483,17 @@ private:
 
   /// True when a begun batch stays in flight while the next one fills.
   bool overlapped() const { return Opts.BatchSize > 1; }
+
+  void queue(Item It) {
+    if (!Cur.empty() && Cur.back().Cov != It.Cov)
+      rotate(); // One registry per batch (see above).
+    Cur.push_back(std::move(It));
+    if (Cur.size() < Opts.BatchSize)
+      return;
+    rotate();
+    if (!overlapped())
+      finishInFlight(); // Unbatched: a batch of one, begun and finished.
+  }
 
   /// What a clean execution of a tested variant must reproduce: the
   /// primary verdict, plus one cell per non-primary union input. An input
@@ -1138,10 +1152,13 @@ public:
     return true;
   }
 
-  /// Campaign end: records every queued row and merges every seed.
+  /// Campaign end: records every queued row and merges every seed. The
+  /// workers' unfilled batches join the campaign pipeline's, so how the
+  /// workers split the last seeds' chunks does not leave a row alone in a
+  /// batch of its own.
   void finish() {
     for (std::unique_ptr<VariantPipeline> &P : WorkerPipes)
-      P->drain();
+      Pipe.adoptQueued(*P);
     Pipe.drain();
     settle();
   }
