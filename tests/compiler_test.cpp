@@ -13,6 +13,9 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <cstdio>
+
 using namespace spe;
 
 namespace {
@@ -772,6 +775,173 @@ TEST(VerifierTest, RegistersAboveNumRegsVerifyAndOptimizeAsAnyOther) {
     EXPECT_EQ(printModule(Undercounted), printModule(Counted)) << "O" << Opt;
     EXPECT_EQ(verifyModule(Undercounted), "") << "O" << Opt;
   }
+}
+
+//===--------------------------------------------------------------------===//
+// Integer value rules: the folder, the VM and the oracle agree
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+/// A main that computes `L Op R` on two constants of type \p Ty and prints
+/// the result's whole 64-bit word.
+IRModule binOnConstants(BinaryOp Op, const Type *Ty, const Type *IntTy,
+                        uint64_t L, uint64_t R) {
+  IRFunction F;
+  F.Name = "main";
+  F.Blocks.resize(1);
+  IRInstr Bin = def(IROp::Bin, 0);
+  Bin.Bin = Op;
+  Bin.A = IROperand::constant(L, Ty);
+  Bin.B = IROperand::constant(R, Ty);
+  Bin.Ty = isComparisonOp(Op) ? IntTy : Ty;
+  IRInstr Print = instr(IROp::Printf);
+  Print.Fmt = "%lx";
+  Print.Args = {IROperand::reg(0, Bin.Ty)};
+  F.Blocks[0].Instrs = {Bin, Print, ret(IROperand::constant(0, IntTy))};
+  F.NumRegs = 1;
+  IRModule M;
+  M.Functions.push_back(std::move(F));
+  M.MainIndex = 0;
+  return M;
+}
+
+/// One program that combines every ordered pair of the eight integer types
+/// under arithmetic, shifts, comparisons, the conditional operator,
+/// compound assignment and increments, printing each result as an
+/// unsigned long. Function fA takes type A on the left. The values keep
+/// every signed computation in range.
+std::string mixedIntegerTypesProgram() {
+  const char *const Types[] = {"char",  "unsigned char", "short",
+                               "unsigned short", "int", "unsigned",
+                               "long",  "unsigned long"};
+  const char *const Values[] = {"-7",    "200",         "-300",
+                                "40000", "-1000",       "4000000000u",
+                                "-50000", "18000000000000000000ul"};
+  const char *const Compound[] = {"+=", "-=", "*=", "/=", "%=",
+                                  "&=", "|=", "^=", ">>="};
+  std::string S, Main = "int main(void) {\n";
+  for (int TA = 0; TA < 8; ++TA) {
+    std::string Fn = "f" + std::to_string(TA);
+    Main += "  " + Fn + "();\n";
+    S += "void " + Fn + "(void) {\n";
+    for (int T = 0; T < 8; ++T)
+      S += std::string("  ") + Types[T] + " v" + std::to_string(T) + " = " +
+           Values[T] + ";\n";
+    for (int TB = 0; TB < 8; ++TB) {
+      std::string A = "v" + std::to_string(TA), B = "v" + std::to_string(TB);
+      std::string Cnt = "(" + B + " & 7)";
+      const std::vector<std::string> Exprs = {
+          A + " + " + B,
+          A + " - " + B,
+          A + " * " + B,
+          A + " / " + B,
+          A + " % " + B,
+          A + " >> " + Cnt,
+          "(" + A + " & 127) << " + Cnt,
+          "(" + A + " < " + B + ") + 2 * (" + A + " <= " + B + ") + 4 * (" +
+              A + " > " + B + ") + 8 * (" + A + " >= " + B + ") + 16 * (" +
+              A + " == " + B + ") + 32 * (" + A + " != " + B + ")",
+          A + " > " + B + " ? " + A + " : " + B,
+          "-" + A + " + ~" + B};
+      S += "  {\n    " + std::string(Types[TA]) + " t0";
+      for (int K = 1; K < 12; ++K)
+        S += ", t" + std::to_string(K);
+      S += ";\n";
+      for (int K = 0; K < 9; ++K) {
+        std::string Rhs = std::string(Compound[K]) == ">>=" ? Cnt : B;
+        S += "    t" + std::to_string(K) + " = " + A + "; t" +
+             std::to_string(K) + " " + Compound[K] + " " + Rhs + ";\n";
+      }
+      S += "    t9 = " + A + " & 127; t9 <<= " + Cnt + ";\n";
+      S += "    t10 = " + A + "; t10++;\n";
+      S += "    t11 = " + A + "; --t11;\n";
+      S += "    printf(\"";
+      for (size_t K = 0; K < Exprs.size(); ++K)
+        S += K ? " %lu" : "%lu";
+      S += "\\n\"";
+      for (const std::string &E : Exprs)
+        S += ", (unsigned long)(" + E + ")";
+      S += ");\n    printf(\"";
+      for (int K = 0; K < 12; ++K)
+        S += K ? " %lu" : "%lu";
+      S += "\\n\"";
+      for (int K = 0; K < 12; ++K)
+        S += ", (unsigned long)t" + std::to_string(K);
+      S += ");\n  }\n";
+    }
+    S += "}\n";
+  }
+  return S + Main + "  return 0;\n}\n";
+}
+
+} // namespace
+
+TEST(ConstantFoldTest, FoldsEveryIntegerOperatorToTheValueTheVMComputes) {
+  // Each integer operator on every pair of edge values of every integer
+  // type: the folder either refuses the instruction, and then the VM traps
+  // on it, or folds it to the word the VM prints.
+  TypeContext Types;
+  const Type *IntTy = Types.int32Type();
+  const BinaryOp Ops[] = {BinaryOp::Mul,    BinaryOp::Div,    BinaryOp::Rem,
+                          BinaryOp::Add,    BinaryOp::Sub,    BinaryOp::Shl,
+                          BinaryOp::Shr,    BinaryOp::LT,     BinaryOp::GT,
+                          BinaryOp::LE,     BinaryOp::GE,     BinaryOp::EQ,
+                          BinaryOp::NE,     BinaryOp::BitAnd, BinaryOp::BitXor,
+                          BinaryOp::BitOr};
+  size_t Folded = 0, Refused = 0;
+  for (unsigned Width : {8u, 16u, 32u, 64u})
+    for (bool Signed : {true, false}) {
+      const Type *Ty = Types.intType(Width, Signed);
+      uint64_t Min = Signed ? 1ull << (Width - 1) : 0;
+      uint64_t Max = Signed ? Min - 1 : ~0ull;
+      std::vector<uint64_t> Edges = {0,   1,       ~0ull, 2,         Min,
+                                     Max, Min + 1, Width - 1, Width};
+      for (uint64_t &E : Edges)
+        E = normalizeIntValue(Ty, E);
+      for (BinaryOp Op : Ops)
+        for (uint64_t L : Edges)
+          for (uint64_t R : Edges) {
+            std::string Case = Ty->toString() + " " + std::to_string(L) +
+                               " " + binaryOpSpelling(Op) + " " +
+                               std::to_string(R);
+            IRModule M = binOnConstants(Op, Ty, IntTy, L, R);
+            VMResult Run = executeModule(M);
+            if (!foldConstants(M.Functions[0], nullptr)) {
+              ++Refused;
+              EXPECT_TRUE(Op == BinaryOp::Div || Op == BinaryOp::Rem) << Case;
+              EXPECT_EQ(Run.Status, VMStatus::Trap) << Case;
+              EXPECT_EQ(Run.Message,
+                        R == 0 ? "division by zero" : "division overflow")
+                  << Case;
+              continue;
+            }
+            ++Folded;
+            const IRInstr &I = M.Functions[0].Blocks[0].Instrs[0];
+            ASSERT_EQ(I.Op, IROp::Const) << Case;
+            ASSERT_EQ(Run.Status, VMStatus::Ok) << Case << ": " << Run.Message;
+            char Word[32];
+            std::snprintf(Word, sizeof(Word), "%llx",
+                          static_cast<unsigned long long>(I.A.Imm));
+            EXPECT_EQ(Run.Output, Word) << Case;
+          }
+    }
+  // Division and remainder by zero (one zero edge in a signed type, two in
+  // an unsigned one, where MIN is 0) and INT64_MIN / -1 and % -1.
+  EXPECT_EQ(Refused, 2u * 9 * (4 * 1 + 4 * 2) + 2);
+  EXPECT_EQ(Folded + Refused, 16u * 8 * 81);
+}
+
+TEST(CompilerTest, MixedIntegerTypesMatchTheOracleAtEveryLevel) {
+  std::string Source = mixedIntegerTypesProgram();
+  expectAllLevelsMatchOracle(Source);
+  auto C = analyze(Source);
+  ExecResult Ref = interpret(C->Ctx);
+  ASSERT_EQ(Ref.Status, ExecStatus::Ok) << Ref.Message;
+  EXPECT_EQ(std::count(Ref.Output.begin(), Ref.Output.end(), '\n'), 128);
+  uint64_t H = fnv1a(1469598103934665603ull, Ref.Output);
+  EXPECT_EQ(H, 0x79acf87c0902b16bull) << std::hex << "digest 0x" << H << "\n"
+                                    << Ref.Output;
 }
 
 //===--------------------------------------------------------------------===//

@@ -1,5 +1,7 @@
 //===- tests/interp_test.cpp - reference interpreter tests ---------------===//
 
+#include "compiler/Compiler.h"
+#include "compiler/VM.h"
 #include "interp/Interpreter.h"
 #include "lang/Parser.h"
 #include "sema/Sema.h"
@@ -502,6 +504,85 @@ TEST(InterpTest, TruncationOnNarrowStoreIsDefined) {
                             "}");
   ASSERT_EQ(R.Status, ExecStatus::Ok) << R.Message;
   EXPECT_EQ(R.ExitCode, 44);
+}
+
+//===--------------------------------------------------------------------===//
+// printf: the oracle and the MiniCC VM print alike
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+/// Compiles \p Source with MiniCC at -O0, bugs off, and runs the VM.
+VMResult runOnVM(const std::string &Source) {
+  ASTContext Ctx;
+  DiagnosticEngine Diags;
+  EXPECT_TRUE(Parser::parse(Source, Ctx, Diags)) << Diags.toString();
+  Sema Analysis(Ctx, Diags);
+  EXPECT_TRUE(Analysis.run()) << Diags.toString();
+  CompileResult R = MiniCompiler(CompilerConfig(), nullptr, false).compile(Ctx);
+  EXPECT_TRUE(R.ok()) << R.Error;
+  return executeModule(R.Module);
+}
+
+} // namespace
+
+TEST(InterpPrintfTest, OracleAndVMPrintEachConversionAlike) {
+  // Each case runs `printf("ok\n"); <Call>;`. A failing printf prints
+  // nothing of its own; each executor reports the failure its own way.
+  struct Case {
+    const char *Call;
+    const char *Output;
+    ExecStatus Oracle;
+    const char *OracleMessage;
+    VMStatus VM;
+    const char *VMMessage;
+  };
+  const ExecStatus Ok = ExecStatus::Ok, UB = ExecStatus::UndefinedBehavior,
+                   Unsupported = ExecStatus::Unsupported;
+  const VMStatus VMOk = VMStatus::Ok, Trap = VMStatus::Trap;
+  const Case Cases[] = {
+      {R"(printf("%d %i %u %x %c %%|\n", -5, -6, -7, 255, 65))",
+       "ok\n-5 -6 4294967289 ff A %|\n", Ok, "", VMOk, ""},
+      {R"(printf("%ld %li %lu %lx %lc %l%|\n", -5000000000l, -6l, -7l, -1l,
+              66l))",
+       "ok\n-5000000000 -6 18446744073709551609 ffffffffffffffff B %|\n", Ok,
+       "", VMOk, ""},
+      // Without l a conversion reads the low 32 bits of the word.
+      {R"(printf("%d %i %u %x %lld|\n", 5000000000l, -5000000000l,
+              5000000000l, 5000000000l, 5000000000l))",
+       "ok\n705032704 -705032704 705032704 2a05f200 5000000000|\n", Ok, "",
+       VMOk, ""},
+      {R"(printf("50%"))", "ok\n50", Ok, "", VMOk, ""},
+      {R"(printf("a%l"))", "ok\na%", Ok, "", VMOk, ""},
+      {R"(printf("%d %d\n", 1))", "ok\n", UB,
+       "printf: missing argument for %d", Trap, "printf: missing argument"},
+      {R"(printf("%i"))", "ok\n", UB, "printf: missing argument for %d", Trap,
+       "printf: missing argument"},
+      {R"(printf("%lu"))", "ok\n", UB, "printf: missing argument for %u",
+       Trap, "printf: missing argument"},
+      {R"(printf("%lx"))", "ok\n", UB, "printf: missing argument for %x",
+       Trap, "printf: missing argument"},
+      {R"(printf("%c"))", "ok\n", UB, "printf: missing argument for %c", Trap,
+       "printf: missing argument"},
+      {R"(printf("%s\n", 1))", "ok\n", Unsupported, "printf conversion %s",
+       Trap, "printf conversion %s"},
+      {R"(printf("%lq %d", 1, 2))", "ok\n", Unsupported,
+       "printf conversion %q", Trap, "printf conversion %q"},
+      {R"(printf("%5d", 1))", "ok\n", Unsupported, "printf conversion %5",
+       Trap, "printf conversion %5"},
+  };
+  for (const Case &C : Cases) {
+    std::string Source = std::string("int main(void) {\n  printf(\"ok\\n\");\n  ") +
+                         C.Call + ";\n  return 0;\n}\n";
+    ExecResult Ref = runProgram(Source);
+    EXPECT_EQ(Ref.Status, C.Oracle) << C.Call;
+    EXPECT_EQ(Ref.Message, C.OracleMessage) << C.Call;
+    EXPECT_EQ(Ref.Output, C.Output) << C.Call;
+    VMResult Run = runOnVM(Source);
+    EXPECT_EQ(Run.Status, C.VM) << C.Call;
+    EXPECT_EQ(Run.Message, C.VMMessage) << C.Call;
+    EXPECT_EQ(Run.Output, C.Output) << C.Call;
+  }
 }
 
 //===--------------------------------------------------------------------===//
