@@ -181,6 +181,109 @@ struct IRModule {
   }
 };
 
+/// The type an integer Bin instruction computes in: operand A's for a
+/// comparison, which carries the operands' common type, else I.Ty.
+inline const Type *binComputationType(const IRInstr &I) {
+  return isComparisonOp(I.Bin) && I.A.Ty ? I.A.Ty : I.Ty;
+}
+
+/// Why an integer Bin instruction produced no value.
+enum class BinFault { None, DivisionByZero, DivisionOverflow, NotIntegerOp };
+
+/// MiniCC's integer Bin semantics, the one body both the VM and the
+/// constant folder evaluate: \p I's operator on the operand words \p UL and
+/// \p UR, wrapping in two's complement in binComputationType(I), with
+/// shift counts taken modulo the width. A non-integer computation type
+/// computes as a signed 64-bit one. On success \p Out is
+/// the result normalized to I.Ty, or 0/1 for a comparison, which also
+/// hands \p OnCompare(L, R, Result) its operands as exact values of the
+/// computation type.
+template <class CompareFn>
+inline BinFault evalIntBin(const IRInstr &I, uint64_t UL, uint64_t UR,
+                           uint64_t &Out, CompareFn &&OnCompare) {
+  const Type *Ty = binComputationType(I);
+  unsigned Width = Ty->isInteger() ? Ty->intWidth() : 64;
+  bool Signed = Ty->isInteger() ? Ty->isSigned() : true;
+  int64_t SL = static_cast<int64_t>(UL), SR = static_cast<int64_t>(UR);
+  uint64_t Raw = 0;
+  switch (I.Bin) {
+  case BinaryOp::Add:
+    Raw = UL + UR;
+    break;
+  case BinaryOp::Sub:
+    Raw = UL - UR;
+    break;
+  case BinaryOp::Mul:
+    Raw = UL * UR;
+    break;
+  case BinaryOp::Div:
+  case BinaryOp::Rem:
+    if (UR == 0)
+      return BinFault::DivisionByZero;
+    if (Signed && SL == INT64_MIN && SR == -1)
+      return BinFault::DivisionOverflow;
+    if (Signed)
+      Raw = static_cast<uint64_t>(I.Bin == BinaryOp::Div ? SL / SR : SL % SR);
+    else
+      Raw = I.Bin == BinaryOp::Div ? UL / UR : UL % UR;
+    break;
+  case BinaryOp::Shl:
+    Raw = UL << (UR & (Width - 1));
+    break;
+  case BinaryOp::Shr:
+    Raw = Signed ? static_cast<uint64_t>(SL >> (UR & (Width - 1)))
+                 : normalizeIntValue(Ty, UL) >> (UR & (Width - 1));
+    break;
+  case BinaryOp::BitAnd:
+    Raw = UL & UR;
+    break;
+  case BinaryOp::BitXor:
+    Raw = UL ^ UR;
+    break;
+  case BinaryOp::BitOr:
+    Raw = UL | UR;
+    break;
+  case BinaryOp::LT:
+  case BinaryOp::GT:
+  case BinaryOp::LE:
+  case BinaryOp::GE:
+  case BinaryOp::EQ:
+  case BinaryOp::NE: {
+    uint64_t NL = normalizeIntValue(Ty, UL), NR = normalizeIntValue(Ty, UR);
+    int64_t TSL = static_cast<int64_t>(NL), TSR = static_cast<int64_t>(NR);
+    bool Res;
+    switch (I.Bin) {
+    case BinaryOp::LT:
+      Res = Signed ? TSL < TSR : NL < NR;
+      break;
+    case BinaryOp::GT:
+      Res = Signed ? TSL > TSR : NL > NR;
+      break;
+    case BinaryOp::LE:
+      Res = Signed ? TSL <= TSR : NL <= NR;
+      break;
+    case BinaryOp::GE:
+      Res = Signed ? TSL >= TSR : NL >= NR;
+      break;
+    case BinaryOp::EQ:
+      Res = NL == NR;
+      break;
+    default:
+      Res = NL != NR;
+      break;
+    }
+    OnCompare(Signed ? __int128(TSL) : __int128(NL),
+              Signed ? __int128(TSR) : __int128(NR), Res);
+    Out = Res ? 1 : 0;
+    return BinFault::None;
+  }
+  default:
+    return BinFault::NotIntegerOp;
+  }
+  Out = normalizeIntValue(I.Ty && I.Ty->isInteger() ? I.Ty : Ty, Raw);
+  return BinFault::None;
+}
+
 /// Renders the module as readable text (for tests and debugging).
 std::string printModule(const IRModule &M);
 /// Renders one function.

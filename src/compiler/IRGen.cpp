@@ -224,8 +224,6 @@ private:
                        const Type *Ty);
   /// Converts \p V to \p To (constant-folds integer conversions).
   IROperand convert(IROperand V, const Type *To);
-  const Type *promoted(const Type *Ty);
-  const Type *commonType(const Type *A, const Type *B);
   /// Materializes a scalar into a fresh temp slot; \returns the slot index.
   int makeTempSlot(const Type *Ty);
 
@@ -344,31 +342,6 @@ IROperand FunctionLowering::convert(IROperand V, const Type *To) {
   if (V.isConst() && V.Ty && V.Ty->isInteger() && To->isInteger())
     return IROperand::constant(normalizeIntValue(To, V.Imm), To);
   return emitUn(IROp::Copy, V, To);
-}
-
-const Type *FunctionLowering::promoted(const Type *Ty) {
-  if (Ty->isInteger() && Ty->intWidth() < 32)
-    return Ctx.types().int32Type();
-  return Ty;
-}
-
-const Type *FunctionLowering::commonType(const Type *A, const Type *B) {
-  A = promoted(A);
-  B = promoted(B);
-  if (A == B)
-    return A;
-  if (!A->isInteger() || !B->isInteger())
-    return A;
-  unsigned Width = std::max(A->intWidth(), B->intWidth());
-  bool Signed;
-  if (A->isSigned() == B->isSigned()) {
-    Signed = A->isSigned();
-  } else {
-    const Type *SignedT = A->isSigned() ? A : B;
-    const Type *UnsignedT = A->isSigned() ? B : A;
-    Signed = SignedT->intWidth() > UnsignedT->intWidth();
-  }
-  return Ctx.types().intType(Width, Signed);
 }
 
 int FunctionLowering::makeTempSlot(const Type *Ty) {
@@ -558,7 +531,7 @@ IROperand FunctionLowering::genExpr(const Expr *E) {
                                 Ctx.types().longType()),
             Ty->elementType()->sizeInBytes(), Ty);
       } else {
-        const Type *PTy = promoted(Ty);
+        const Type *PTy = Ctx.types().promote(Ty);
         New = emitBin(IsInc ? BinaryOp::Add : BinaryOp::Sub,
                       convert(Old, PTy), IROperand::constant(1, PTy), PTy);
         New = convert(New, Ty);
@@ -671,39 +644,7 @@ IROperand FunctionLowering::genBinary(const BinaryExpr *B) {
       IROperand R = genExpr(B->rhs());
       if (failed())
         return IROperand::none();
-      BinaryOp Base;
-      switch (Op) {
-      case BinaryOp::AddAssign:
-        Base = BinaryOp::Add;
-        break;
-      case BinaryOp::SubAssign:
-        Base = BinaryOp::Sub;
-        break;
-      case BinaryOp::MulAssign:
-        Base = BinaryOp::Mul;
-        break;
-      case BinaryOp::DivAssign:
-        Base = BinaryOp::Div;
-        break;
-      case BinaryOp::RemAssign:
-        Base = BinaryOp::Rem;
-        break;
-      case BinaryOp::ShlAssign:
-        Base = BinaryOp::Shl;
-        break;
-      case BinaryOp::ShrAssign:
-        Base = BinaryOp::Shr;
-        break;
-      case BinaryOp::AndAssign:
-        Base = BinaryOp::BitAnd;
-        break;
-      case BinaryOp::XorAssign:
-        Base = BinaryOp::BitXor;
-        break;
-      default:
-        Base = BinaryOp::BitOr;
-        break;
-      }
+      BinaryOp Base = compoundBaseOp(Op);
       if (LTy->isPointer()) {
         IROperand Delta = convert(R, Ctx.types().longType());
         if (Base == BinaryOp::Sub)
@@ -711,12 +652,13 @@ IROperand FunctionLowering::genBinary(const BinaryExpr *B) {
         Result = emitPtrAdd(Old, Delta, LTy->elementType()->sizeInBytes(),
                             LTy);
       } else if (Base == BinaryOp::Shl || Base == BinaryOp::Shr) {
-        const Type *Ty = promoted(LTy);
+        const Type *Ty = Ctx.types().promote(LTy);
         Result = convert(
             emitBin(Base, convert(Old, Ty), convert(R, Ctx.types().int32Type()), Ty),
             LTy);
       } else {
-        const Type *Ty = commonType(LTy, R.Ty ? R.Ty : LTy);
+        const Type *Ty =
+            Ctx.types().usualArithmeticConversions(LTy, R.Ty ? R.Ty : LTy);
         Result =
             convert(emitBin(Base, convert(Old, Ty), convert(R, Ty), Ty), LTy);
       }
@@ -764,7 +706,7 @@ IROperand FunctionLowering::genBinary(const BinaryExpr *B) {
       IROperand PR = RPtr ? R : convert(R, L.Ty);
       return emitBin(Op, PL, PR, B->type());
     }
-    const Type *Ty = commonType(L.Ty, R.Ty);
+    const Type *Ty = Ctx.types().usualArithmeticConversions(L.Ty, R.Ty);
     return emitBin(Op, convert(L, Ty), convert(R, Ty), B->type());
   }
   if (Op == BinaryOp::Shl || Op == BinaryOp::Shr) {

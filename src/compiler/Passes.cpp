@@ -3,7 +3,6 @@
 #include "compiler/Passes.h"
 
 #include <algorithm>
-#include <limits>
 
 using namespace spe;
 
@@ -19,96 +18,6 @@ void cov(CoverageRegistry *Cov, const char *Point) {
 void covOp(CoverageRegistry *Cov, const char *Family, BinaryOp Op) {
   if (Cov)
     Cov->hit(std::string(Family) + "." + binaryOpSpelling(Op));
-}
-
-/// Folds an integer binary operation with VM-identical semantics.
-/// \returns false when folding would change runtime behavior (e.g. a
-/// division that must trap).
-bool evalBinConst(const IRInstr &I, uint64_t &Out) {
-  const Type *Ty = isComparisonOp(I.Bin) && I.A.Ty ? I.A.Ty : I.Ty;
-  if (!Ty || !Ty->isInteger())
-    return false;
-  if (I.A.Ty && I.A.Ty->isPointer())
-    return false;
-  unsigned Width = Ty->intWidth();
-  bool Signed = Ty->isSigned();
-  uint64_t UL = I.A.Imm, UR = I.B.Imm;
-  int64_t SL = static_cast<int64_t>(UL), SR = static_cast<int64_t>(UR);
-  uint64_t Raw;
-  switch (I.Bin) {
-  case BinaryOp::Add:
-    Raw = UL + UR;
-    break;
-  case BinaryOp::Sub:
-    Raw = UL - UR;
-    break;
-  case BinaryOp::Mul:
-    Raw = UL * UR;
-    break;
-  case BinaryOp::Div:
-  case BinaryOp::Rem:
-    if (UR == 0)
-      return false;
-    if (Signed && SL == std::numeric_limits<int64_t>::min() && SR == -1)
-      return false;
-    if (Signed)
-      Raw = static_cast<uint64_t>(I.Bin == BinaryOp::Div ? SL / SR : SL % SR);
-    else
-      Raw = I.Bin == BinaryOp::Div ? UL / UR : UL % UR;
-    break;
-  case BinaryOp::Shl:
-    Raw = UL << (UR & (Width - 1));
-    break;
-  case BinaryOp::Shr:
-    Raw = Signed ? static_cast<uint64_t>(SL >> (UR & (Width - 1)))
-                 : normalizeIntValue(Ty, UL) >> (UR & (Width - 1));
-    break;
-  case BinaryOp::BitAnd:
-    Raw = UL & UR;
-    break;
-  case BinaryOp::BitXor:
-    Raw = UL ^ UR;
-    break;
-  case BinaryOp::BitOr:
-    Raw = UL | UR;
-    break;
-  case BinaryOp::LT:
-  case BinaryOp::GT:
-  case BinaryOp::LE:
-  case BinaryOp::GE:
-  case BinaryOp::EQ:
-  case BinaryOp::NE: {
-    uint64_t NL = normalizeIntValue(Ty, UL), NR = normalizeIntValue(Ty, UR);
-    int64_t TSL = static_cast<int64_t>(NL), TSR = static_cast<int64_t>(NR);
-    bool Res;
-    switch (I.Bin) {
-    case BinaryOp::LT:
-      Res = Signed ? TSL < TSR : NL < NR;
-      break;
-    case BinaryOp::GT:
-      Res = Signed ? TSL > TSR : NL > NR;
-      break;
-    case BinaryOp::LE:
-      Res = Signed ? TSL <= TSR : NL <= NR;
-      break;
-    case BinaryOp::GE:
-      Res = Signed ? TSL >= TSR : NL >= NR;
-      break;
-    case BinaryOp::EQ:
-      Res = NL == NR;
-      break;
-    default:
-      Res = NL != NR;
-      break;
-    }
-    Out = Res ? 1 : 0;
-    return true;
-  }
-  default:
-    return false;
-  }
-  Out = normalizeIntValue(I.Ty && I.Ty->isInteger() ? I.Ty : Ty, Raw);
-  return true;
 }
 
 /// Turns \p I into a fresh \p Op instruction in place: every field as a
@@ -176,10 +85,14 @@ bool spe::foldConstants(IRFunction &F, CoverageRegistry *Cov) {
     for (IRInstr &I : B.Instrs) {
       switch (I.Op) {
       case IROp::Bin: {
-        if (!I.A.isConst() || !I.B.isConst())
-          break;
+        // Folding keeps what runs: a pointer comparison, or a division the
+        // VM traps on, stays.
+        const Type *Ty = binComputationType(I);
+        auto Ignore = [](__int128, __int128, bool) {};
         uint64_t Out;
-        if (!evalBinConst(I, Out))
+        if (!I.A.isConst() || !I.B.isConst() || !Ty || !Ty->isInteger() ||
+            (I.A.Ty && I.A.Ty->isPointer()) ||
+            evalIntBin(I, I.A.Imm, I.B.Imm, Out, Ignore) != BinFault::None)
           break;
         BinaryOp FoldedOp = I.Bin;
         makeConst(I, Out);

@@ -3,14 +3,12 @@
 #include "compiler/VM.h"
 
 #include "support/Divergence.h"
+#include "support/Printf.h"
 #include "support/StdinScan.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstring>
 #include <functional>
-#include <limits>
 #include <map>
 #include <vector>
 
@@ -147,11 +145,7 @@ private:
       R.Offset = static_cast<int64_t>(V.Bits);
       return R;
     }
-    if (V.IsPtr)
-      ++Mem.Exposures;
-    uint64_t Raw = V.IsPtr ? (static_cast<uint64_t>(V.Block) << 32) |
-                                 static_cast<uint32_t>(V.Offset)
-                           : V.Bits;
+    uint64_t Raw = V.IsPtr ? Mem.pointerToInt(V.Block, V.Offset) : V.Bits;
     R.Bits = normalizeIntValue(Ty, Raw);
     return R;
   }
@@ -509,7 +503,7 @@ VMLoopPlan VM::classifyLoop(unsigned FnIndex, unsigned Target) {
   std::vector<bool> Drifting = Candidate;
   for (const Compare &Cmp : Compares) {
     const IROperand &Other = Cmp.CellOnLeft ? Cmp.Site->B : Cmp.Site->A;
-    const Type *Ty = Cmp.Site->A.Ty ? Cmp.Site->A.Ty : Cmp.Site->Ty;
+    const Type *Ty = binComputationType(*Cmp.Site);
     const Type *Cell = CellType(Cmp.Cell);
     bool Fits = Ty && Ty->isInteger() && Cell->isInteger() &&
                 Ty->intWidth() >= Cell->intWidth() &&
@@ -632,167 +626,37 @@ VMValue VM::applyBin(const IRInstr &I, const VMValue &L, const VMValue &R) {
     return V;
   }
 
-  // Integer operations: the computation type is the operands' common type
-  // (carried on operand A for comparisons, on I.Ty for arithmetic).
-  const Type *Ty = isComparisonOp(I.Bin) && I.A.Ty ? I.A.Ty : I.Ty;
-  unsigned Width = Ty->isInteger() ? Ty->intWidth() : 64;
-  bool Signed = Ty->isInteger() ? Ty->isSigned() : true;
-  uint64_t UL = L.Bits, UR = R.Bits;
-  int64_t SL = static_cast<int64_t>(UL), SR = static_cast<int64_t>(UR);
-  uint64_t Raw = 0;
-  bool Res = false;
-  switch (I.Bin) {
-  case BinaryOp::Add:
-    Raw = UL + UR;
-    break;
-  case BinaryOp::Sub:
-    Raw = UL - UR;
-    break;
-  case BinaryOp::Mul:
-    Raw = UL * UR;
-    break;
-  case BinaryOp::Div:
-  case BinaryOp::Rem: {
-    if (UR == 0) {
-      trap("division by zero");
-      return {};
-    }
-    if (Signed) {
-      if (SL == std::numeric_limits<int64_t>::min() && SR == -1) {
-        trap("division overflow");
-        return {};
-      }
-      Raw = static_cast<uint64_t>(I.Bin == BinaryOp::Div ? SL / SR
-                                                         : SL % SR);
-    } else {
-      Raw = I.Bin == BinaryOp::Div ? UL / UR : UL % UR;
-    }
-    break;
-  }
-  case BinaryOp::Shl:
-    Raw = UL << (UR & (Width - 1));
-    break;
-  case BinaryOp::Shr:
-    if (Signed)
-      Raw = static_cast<uint64_t>(SL >> (UR & (Width - 1)));
-    else
-      Raw = normalizeIntValue(Ty, UL) >> (UR & (Width - 1));
-    break;
-  case BinaryOp::BitAnd:
-    Raw = UL & UR;
-    break;
-  case BinaryOp::BitXor:
-    Raw = UL ^ UR;
-    break;
-  case BinaryOp::BitOr:
-    Raw = UL | UR;
-    break;
-  case BinaryOp::LT:
-  case BinaryOp::GT:
-  case BinaryOp::LE:
-  case BinaryOp::GE:
-  case BinaryOp::EQ:
-  case BinaryOp::NE: {
-    uint64_t NL = normalizeIntValue(Ty, UL), NR = normalizeIntValue(Ty, UR);
-    int64_t TSL = static_cast<int64_t>(NL), TSR = static_cast<int64_t>(NR);
-    switch (I.Bin) {
-    case BinaryOp::LT:
-      Res = Signed ? TSL < TSR : NL < NR;
-      break;
-    case BinaryOp::GT:
-      Res = Signed ? TSL > TSR : NL > NR;
-      break;
-    case BinaryOp::LE:
-      Res = Signed ? TSL <= TSR : NL <= NR;
-      break;
-    case BinaryOp::GE:
-      Res = Signed ? TSL >= TSR : NL >= NR;
-      break;
-    case BinaryOp::EQ:
-      Res = NL == NR;
-      break;
-    default:
-      Res = NL != NR;
-      break;
-    }
+  auto Guarded = [&](__int128 CL, __int128 CR, bool Res) {
     for (DriftWatch *W : Watches)
       if (W->recording())
-        W->guarded(&I, Signed ? DriftWatch::Wide(TSL) : DriftWatch::Wide(NL),
-                   Signed ? DriftWatch::Wide(TSR) : DriftWatch::Wide(NR), Res);
-    V.Bits = Res ? 1 : 0;
+        W->guarded(&I, CL, CR, Res);
+  };
+  switch (evalIntBin(I, L.Bits, R.Bits, V.Bits, Guarded)) {
+  case BinFault::None:
     return V;
-  }
-  default:
+  case BinFault::DivisionByZero:
+    trap("division by zero");
+    break;
+  case BinFault::DivisionOverflow:
+    trap("division overflow");
+    break;
+  case BinFault::NotIntegerOp:
     trap("unsupported binary operator in VM");
-    return {};
+    break;
   }
-  V.Bits = normalizeIntValue(I.Ty && I.Ty->isInteger() ? I.Ty : Ty, Raw);
-  return V;
+  return {};
 }
 
 void VM::doPrintf(const IRInstr &I, const std::vector<VMValue> &Regs) {
-  std::vector<VMValue> Args;
-  std::vector<const Type *> Types;
-  for (const IROperand &O : I.Args) {
-    Args.push_back(evalOperand(O, Regs));
-    Types.push_back(O.Ty);
-  }
-  const std::string &F = I.Fmt;
-  size_t Arg = 0;
-  std::string Out;
-  for (size_t P = 0; P < F.size(); ++P) {
-    if (F[P] != '%') {
-      Out += F[P];
-      continue;
-    }
-    ++P;
-    if (P >= F.size())
-      break;
-    bool Long = false;
-    while (P < F.size() && F[P] == 'l') {
-      Long = true;
-      ++P;
-    }
-    char Conv = P < F.size() ? F[P] : '%';
-    if (Conv == '%') {
-      Out += '%';
-      continue;
-    }
-    if (Arg >= Args.size()) {
-      trap("printf: missing argument");
-      return;
-    }
-    VMValue V = Args[Arg++];
-    switch (Conv) {
-    case 'd':
-    case 'i': {
-      int64_t X = Long ? static_cast<int64_t>(V.Bits)
-                       : static_cast<int32_t>(V.Bits);
-      Out += std::to_string(X);
-      break;
-    }
-    case 'u': {
-      uint64_t X = Long ? V.Bits : static_cast<uint32_t>(V.Bits);
-      Out += std::to_string(X);
-      break;
-    }
-    case 'x': {
-      uint64_t X = Long ? V.Bits : static_cast<uint32_t>(V.Bits);
-      char Buf[32];
-      std::snprintf(Buf, sizeof(Buf), "%llx",
-                    static_cast<unsigned long long>(X));
-      Out += Buf;
-      break;
-    }
-    case 'c':
-      Out += static_cast<char>(V.Bits & 0xff);
-      break;
-    default:
-      trap(std::string("printf conversion %") + Conv);
-      return;
-    }
-  }
-  Result.Output += Out;
+  std::vector<uint64_t> Args;
+  Args.reserve(I.Args.size());
+  for (const IROperand &O : I.Args)
+    Args.push_back(evalOperand(O, Regs).Bits);
+  PrintfFailure F = formatPrintf(I.Fmt, Args, Result.Output);
+  if (F.What == PrintfFailure::MissingArgument)
+    trap("printf: missing argument");
+  else if (F.What == PrintfFailure::UnknownConversion)
+    trap(std::string("printf conversion %") + F.Conv);
 }
 
 VMValue VM::callFunction(unsigned FnIndex,

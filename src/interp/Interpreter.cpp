@@ -4,12 +4,11 @@
 
 #include "analysis/ExprEvents.h"
 #include "support/Divergence.h"
+#include "support/Printf.h"
 #include "support/StdinScan.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <set>
@@ -161,7 +160,6 @@ private:
   void copyObject(const LValue &Dst, const LValue &Src, uint64_t Size);
 
   // --- value helpers ----------------------------------------------------
-  static uint64_t normalizeInt(const Type *Ty, uint64_t Raw);
   Value makeInt(const Type *Ty, uint64_t Raw) const;
   Value convert(const Value &V, const Type *To);
   /// \returns the boolean truth of a scalar; flags UB on uninit.
@@ -178,8 +176,6 @@ private:
   Value evalCall(const CallExpr *C);
   void doPrintf(const CallExpr *C);
   Value callFunction(const FunctionDecl *F, const std::vector<Value> &Args);
-  const Type *promoted(const Type *Ty) const;
-  const Type *arithResultType(BinaryOp Op, const Type *L, const Type *R);
 
   // --- statements -------------------------------------------------------
   Signal execStmt(const Stmt *S);
@@ -546,7 +542,7 @@ LoopPlan Interp::classifyLoop(const Stmt *Loop) {
     const Type *Cell = C.Var->type();
     const Type *Other = C.Other->type();
     const Type *Cmp = Cell->isInteger() && Other && Other->isInteger()
-                          ? arithResultType(BinaryOp::Add, Cell, Other)
+                          ? Ctx.types().usualArithmeticConversions(Cell, Other)
                           : nullptr;
     if (ReadsCell || !Cmp || (Cell->isSigned() && !Cmp->isSigned()))
       Drifting.erase(C.Var);
@@ -563,11 +559,11 @@ LoopPlan Interp::classifyLoop(const Stmt *Loop) {
       Cell.Deltas.push_back(U.Delta);
       // A same-width signed computation overflows exactly when the cell
       // leaves its range; a narrow cell's promoted sum never overflows.
-      const Type *Promoted = promoted(V->type());
-      const Type *Ty = U.LiteralTy && U.LiteralTy->isInteger()
-                           ? arithResultType(BinaryOp::Add, Promoted,
-                                             U.LiteralTy)
-                           : Promoted;
+      const Type *Promoted = Ctx.types().promote(V->type());
+      const Type *Ty =
+          U.LiteralTy && U.LiteralTy->isInteger()
+              ? Ctx.types().usualArithmeticConversions(Promoted, U.LiteralTy)
+              : Promoted;
       Cell.UbOnWrap = Cell.UbOnWrap ||
                       (Ty->isSigned() && Ty->intWidth() == Cell.Width);
     }
@@ -709,21 +705,10 @@ void Interp::copyObject(const LValue &Dst, const LValue &Src, uint64_t Size) {
 // Values and conversions
 //===----------------------------------------------------------------------===//
 
-uint64_t Interp::normalizeInt(const Type *Ty, uint64_t Raw) {
-  unsigned Width = Ty->intWidth();
-  if (Width == 64)
-    return Raw;
-  uint64_t Mask = (1ull << Width) - 1;
-  Raw &= Mask;
-  if (Ty->isSigned() && (Raw & (1ull << (Width - 1))))
-    Raw |= ~Mask; // Sign extend.
-  return Raw;
-}
-
 Value Interp::makeInt(const Type *Ty, uint64_t Raw) const {
   Value V;
   V.Ty = Ty;
-  V.Bits = normalizeInt(Ty, Raw);
+  V.Bits = normalizeIntValue(Ty, Raw);
   return V;
 }
 
@@ -733,20 +718,15 @@ Value Interp::convert(const Value &V, const Type *To) {
       Value C = V;
       C.Ty = To;
       if (To->isInteger())
-        C.Bits = normalizeInt(To, V.Bits);
+        C.Bits = normalizeIntValue(To, V.Bits);
       return C;
     }();
   Value C;
   C.Ty = To;
   if (To->isInteger()) {
-    // ptr -> int uses a deterministic synthetic encoding shared with the VM.
-    if (V.isPointer())
-      ++Mem.Exposures;
-    uint64_t Raw = V.isPointer()
-                       ? (static_cast<uint64_t>(V.Block) << 32) |
-                             (static_cast<uint32_t>(V.Offset))
-                       : V.Bits;
-    C.Bits = normalizeInt(To, Raw);
+    uint64_t Raw =
+        V.isPointer() ? Mem.pointerToInt(V.Block, V.Offset) : V.Bits;
+    C.Bits = normalizeIntValue(To, Raw);
     return C;
   }
   if (To->isPointer()) {
@@ -778,32 +758,6 @@ bool Interp::truthy(const Value &V) {
   return V.Bits != 0;
 }
 
-const Type *Interp::promoted(const Type *Ty) const {
-  if (Ty->isInteger() && Ty->intWidth() < 32)
-    return Ctx.types().int32Type();
-  return Ty;
-}
-
-const Type *Interp::arithResultType(BinaryOp Op, const Type *L,
-                                    const Type *R) {
-  if (Op == BinaryOp::Shl || Op == BinaryOp::Shr)
-    return promoted(L);
-  const Type *A = promoted(L);
-  const Type *B = promoted(R);
-  if (A == B)
-    return A;
-  unsigned Width = std::max(A->intWidth(), B->intWidth());
-  bool Signed;
-  if (A->isSigned() == B->isSigned()) {
-    Signed = A->isSigned();
-  } else {
-    const Type *SignedT = A->isSigned() ? A : B;
-    const Type *UnsignedT = A->isSigned() ? B : A;
-    Signed = SignedT->intWidth() > UnsignedT->intWidth();
-  }
-  return Ctx.types().intType(Width, Signed);
-}
-
 //===----------------------------------------------------------------------===//
 // Arithmetic with UB detection
 //===----------------------------------------------------------------------===//
@@ -815,10 +769,10 @@ Value Interp::applyArith(BinaryOp Op, const Type *Ty, const Value &L,
     return {};
   unsigned Width = Ty->intWidth();
   bool Signed = Ty->isSigned();
-  int64_t SL = static_cast<int64_t>(normalizeInt(Ty, L.Bits));
-  int64_t SR = static_cast<int64_t>(normalizeInt(Ty, R.Bits));
-  uint64_t UL = normalizeInt(Ty, L.Bits);
-  uint64_t UR = normalizeInt(Ty, R.Bits);
+  uint64_t UL = normalizeIntValue(Ty, L.Bits);
+  uint64_t UR = normalizeIntValue(Ty, R.Bits);
+  int64_t SL = static_cast<int64_t>(UL);
+  int64_t SR = static_cast<int64_t>(UR);
 
   auto CheckSignedRange = [&](__int128 Wide, const char *OpName) -> bool {
     __int128 Min = -(static_cast<__int128>(1) << (Width - 1));
@@ -1137,7 +1091,7 @@ Value Interp::evalExpr(const Expr *E) {
       if (Old.isPointer()) {
         New = pointerAdd(Old, IsInc ? 1 : -1, U->loc());
       } else {
-        const Type *Ty = promoted(Old.Ty);
+        const Type *Ty = Ctx.types().promote(Old.Ty);
         Value One = makeInt(Ty, 1);
         New = applyArith(IsInc ? BinaryOp::Add : BinaryOp::Sub, Ty,
                          convert(Old, Ty), One, U->loc());
@@ -1280,39 +1234,7 @@ Value Interp::evalBinary(const BinaryExpr *B) {
       Value Old = loadScalar(LV);
       if (Failed)
         return {};
-      BinaryOp Base;
-      switch (Op) {
-      case BinaryOp::AddAssign:
-        Base = BinaryOp::Add;
-        break;
-      case BinaryOp::SubAssign:
-        Base = BinaryOp::Sub;
-        break;
-      case BinaryOp::MulAssign:
-        Base = BinaryOp::Mul;
-        break;
-      case BinaryOp::DivAssign:
-        Base = BinaryOp::Div;
-        break;
-      case BinaryOp::RemAssign:
-        Base = BinaryOp::Rem;
-        break;
-      case BinaryOp::ShlAssign:
-        Base = BinaryOp::Shl;
-        break;
-      case BinaryOp::ShrAssign:
-        Base = BinaryOp::Shr;
-        break;
-      case BinaryOp::AndAssign:
-        Base = BinaryOp::BitAnd;
-        break;
-      case BinaryOp::XorAssign:
-        Base = BinaryOp::BitXor;
-        break;
-      default:
-        Base = BinaryOp::BitOr;
-        break;
-      }
+      BinaryOp Base = compoundBaseOp(Op);
       if (Old.isPointer()) {
         if (!requireInit(RHS, "pointer arithmetic"))
           return {};
@@ -1320,12 +1242,14 @@ Value Interp::evalBinary(const BinaryExpr *B) {
         NewVal = pointerAdd(Old, Base == BinaryOp::Sub ? -Delta : Delta,
                             B->loc());
       } else {
-        const Type *Ty = arithResultType(Base, Old.Ty,
-                                         RHS.Ty ? RHS.Ty : Old.Ty);
-        Value R = Base == BinaryOp::Shl || Base == BinaryOp::Shr
-                      ? RHS
-                      : convert(RHS, Ty);
-        NewVal = applyArith(Base, Ty, convert(Old, Ty), R, B->loc());
+        // A shift computes in the promoted left type and keeps its count
+        // as written.
+        bool Shift = Base == BinaryOp::Shl || Base == BinaryOp::Shr;
+        const Type *Ty = Shift ? Ctx.types().promote(Old.Ty)
+                               : Ctx.types().usualArithmeticConversions(
+                                     Old.Ty, RHS.Ty ? RHS.Ty : Old.Ty);
+        NewVal = applyArith(Base, Ty, convert(Old, Ty),
+                            Shift ? RHS : convert(RHS, Ty), B->loc());
         if (!Failed)
           NewVal = convert(NewVal, LV.Ty);
       }
@@ -1404,9 +1328,9 @@ Value Interp::evalBinary(const BinaryExpr *B) {
   if (isComparisonOp(Op)) {
     if (!requireInit(L, "comparison") || !requireInit(R, "comparison"))
       return {};
-    const Type *Ty = arithResultType(BinaryOp::Add, L.Ty, R.Ty);
-    uint64_t UL = normalizeInt(Ty, L.Bits);
-    uint64_t UR = normalizeInt(Ty, R.Bits);
+    const Type *Ty = Ctx.types().usualArithmeticConversions(L.Ty, R.Ty);
+    uint64_t UL = normalizeIntValue(Ty, L.Bits);
+    uint64_t UR = normalizeIntValue(Ty, R.Bits);
     int64_t SL = static_cast<int64_t>(UL);
     int64_t SR = static_cast<int64_t>(UR);
     bool Signed = Ty->isSigned();
@@ -1440,11 +1364,11 @@ Value Interp::evalBinary(const BinaryExpr *B) {
     return makeInt(B->type(), Res ? 1 : 0);
   }
 
-  // Plain integer arithmetic.
+  // Plain integer arithmetic; a shift keeps its count as written.
   const Type *Ty = B->type();
-  Value CL = Op == BinaryOp::Shl || Op == BinaryOp::Shr ? convert(L, Ty) : convert(L, Ty);
-  Value CR = Op == BinaryOp::Shl || Op == BinaryOp::Shr ? R : convert(R, Ty);
-  return applyArith(Op, Ty, CL, CR, B->loc());
+  bool Shift = Op == BinaryOp::Shl || Op == BinaryOp::Shr;
+  return applyArith(Op, Ty, convert(L, Ty), Shift ? R : convert(R, Ty),
+                    B->loc());
 }
 
 //===----------------------------------------------------------------------===//
@@ -1452,87 +1376,22 @@ Value Interp::evalBinary(const BinaryExpr *B) {
 //===----------------------------------------------------------------------===//
 
 void Interp::doPrintf(const CallExpr *C) {
-  const auto *Fmt = cast<StringLiteral>(C->args()[0]);
-  std::vector<Value> Args;
+  std::vector<uint64_t> Args;
+  Args.reserve(C->args().size());
   for (size_t I = 1; I < C->args().size(); ++I) {
-    Args.push_back(evalExpr(C->args()[I]));
-    if (Failed)
+    Value V = evalExpr(C->args()[I]);
+    if (Failed || !requireInit(V, "printf argument"))
       return;
-    if (!requireInit(Args.back(), "printf argument"))
-      return;
+    Args.push_back(V.Bits);
   }
-  const std::string &F = Fmt->value();
-  size_t Arg = 0;
-  std::string Out;
-  auto NextArg = [&](const char *Spec) -> const Value * {
-    if (Arg >= Args.size()) {
-      ub(std::string("printf: missing argument for %") + Spec);
-      return nullptr;
-    }
-    return &Args[Arg++];
-  };
-  for (size_t I = 0; I < F.size(); ++I) {
-    if (F[I] != '%') {
-      Out += F[I];
-      continue;
-    }
-    ++I;
-    if (I >= F.size())
-      break;
-    bool Long = false;
-    while (I < F.size() && F[I] == 'l') {
-      Long = true;
-      ++I;
-    }
-    char Conv = I < F.size() ? F[I] : '%';
-    switch (Conv) {
-    case '%':
-      Out += '%';
-      break;
-    case 'd':
-    case 'i': {
-      const Value *V = NextArg("d");
-      if (!V)
-        return;
-      int64_t X = static_cast<int64_t>(V->Bits);
-      if (!Long)
-        X = static_cast<int32_t>(V->Bits);
-      Out += std::to_string(X);
-      break;
-    }
-    case 'u': {
-      const Value *V = NextArg("u");
-      if (!V)
-        return;
-      uint64_t X = Long ? V->Bits : static_cast<uint32_t>(V->Bits);
-      Out += std::to_string(X);
-      break;
-    }
-    case 'x': {
-      const Value *V = NextArg("x");
-      if (!V)
-        return;
-      uint64_t X = Long ? V->Bits : static_cast<uint32_t>(V->Bits);
-      char Buf[32];
-      std::snprintf(Buf, sizeof(Buf), "%llx",
-                    static_cast<unsigned long long>(X));
-      Out += Buf;
-      break;
-    }
-    case 'c': {
-      const Value *V = NextArg("c");
-      if (!V)
-        return;
-      Out += static_cast<char>(V->Bits & 0xff);
-      break;
-    }
-    default:
-      fail(ExecStatus::Unsupported,
-           std::string("printf conversion %") + Conv);
-      return;
-    }
-  }
-  Result.Output += Out;
+  PrintfFailure F = formatPrintf(cast<StringLiteral>(C->args()[0])->value(),
+                                 Args, Result.Output);
+  // %i is reported under its synonym %d.
+  if (F.What == PrintfFailure::MissingArgument)
+    ub(std::string("printf: missing argument for %") +
+       (F.Conv == 'i' ? 'd' : F.Conv));
+  else if (F.What == PrintfFailure::UnknownConversion)
+    fail(ExecStatus::Unsupported, std::string("printf conversion %") + F.Conv);
 }
 
 Value Interp::evalCall(const CallExpr *C) {

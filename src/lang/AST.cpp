@@ -2,6 +2,8 @@
 
 #include "lang/AST.h"
 
+#include <cassert>
+
 using namespace spe;
 
 // Out-of-line virtual anchors.
@@ -115,6 +117,32 @@ bool spe::isAssignmentOp(BinaryOp Op) {
     return true;
   default:
     return false;
+  }
+}
+
+BinaryOp spe::compoundBaseOp(BinaryOp Op) {
+  switch (Op) {
+  case BinaryOp::MulAssign:
+    return BinaryOp::Mul;
+  case BinaryOp::DivAssign:
+    return BinaryOp::Div;
+  case BinaryOp::RemAssign:
+    return BinaryOp::Rem;
+  case BinaryOp::AddAssign:
+    return BinaryOp::Add;
+  case BinaryOp::SubAssign:
+    return BinaryOp::Sub;
+  case BinaryOp::ShlAssign:
+    return BinaryOp::Shl;
+  case BinaryOp::ShrAssign:
+    return BinaryOp::Shr;
+  case BinaryOp::AndAssign:
+    return BinaryOp::BitAnd;
+  case BinaryOp::XorAssign:
+    return BinaryOp::BitXor;
+  default:
+    assert(Op == BinaryOp::OrAssign && "not a compound assignment");
+    return BinaryOp::BitOr;
   }
 }
 

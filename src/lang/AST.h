@@ -86,6 +86,9 @@ const char *binaryOpSpelling(BinaryOp Op);
 const char *unaryOpSpelling(UnaryOp Op);
 /// \returns true for the assignment family (including compound assignment).
 bool isAssignmentOp(BinaryOp Op);
+/// \returns the operator compound assignment \p Op applies: Add for +=,
+/// BitOr for |=. \p Op must be a compound assignment.
+BinaryOp compoundBaseOp(BinaryOp Op);
 /// \returns true for <, >, <=, >=, ==, !=.
 bool isComparisonOp(BinaryOp Op);
 

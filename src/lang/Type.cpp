@@ -4,17 +4,6 @@
 
 using namespace spe;
 
-uint64_t spe::normalizeIntValue(const Type *Ty, uint64_t Raw) {
-  unsigned Width = Ty->intWidth();
-  if (Width == 64)
-    return Raw;
-  uint64_t Mask = (1ull << Width) - 1;
-  Raw &= Mask;
-  if (Ty->isSigned() && (Raw & (1ull << (Width - 1))))
-    Raw |= ~Mask;
-  return Raw;
-}
-
 int Type::fieldIndex(const std::string &FieldName) const {
   for (size_t I = 0; I < Fields.size(); ++I)
     if (Fields[I].Name == FieldName)

@@ -17,6 +17,7 @@
 #ifndef SPE_LANG_TYPE_H
 #define SPE_LANG_TYPE_H
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -119,10 +120,19 @@ private:
 };
 
 /// Normalizes a raw 64-bit payload to the integer type's width, sign- or
-/// zero-extending into the full word. Shared by the reference interpreter,
-/// the IR generator's constant folder, and the VM so all three agree
-/// bit-for-bit.
-uint64_t normalizeIntValue(const Type *Ty, uint64_t Raw);
+/// zero-extending into the full word. The reference interpreter, IRGen,
+/// MiniCC's constant folder and the VM all call it, so they agree bit for
+/// bit. Inline because both executors call it on every integer value.
+inline uint64_t normalizeIntValue(const Type *Ty, uint64_t Raw) {
+  unsigned Width = Ty->intWidth();
+  if (Width == 64)
+    return Raw;
+  uint64_t Mask = (1ull << Width) - 1;
+  Raw &= Mask;
+  if (Ty->isSigned() && (Raw & (1ull << (Width - 1))))
+    Raw |= ~Mask;
+  return Raw;
+}
 
 /// Owns and uniques all types of one translation unit.
 class TypeContext {
@@ -137,6 +147,30 @@ public:
   const Type *shortType() const { return intType(16, true); }
   const Type *int32Type() const { return intType(32, true); }
   const Type *longType() const { return intType(64, true); }
+
+  /// C's integer promotions: an integer narrower than int becomes int;
+  /// every other type is itself.
+  const Type *promote(const Type *T) const {
+    return T->isInteger() && T->intWidth() < 32 ? int32Type() : T;
+  }
+  /// C's usual arithmetic conversions: the common type of two promoted
+  /// integer operands. Sema types expressions with it, IRGen converts
+  /// operands to it and the oracle computes in it. A shift takes its
+  /// promoted left type instead. When either promoted operand is not an
+  /// integer the result is \p A's promoted type; Sema diagnoses those.
+  const Type *usualArithmeticConversions(const Type *A, const Type *B) const {
+    A = promote(A);
+    B = promote(B);
+    if (A == B || !A->isInteger() || !B->isInteger())
+      return A;
+    unsigned Width = std::max(A->intWidth(), B->intWidth());
+    if (A->isSigned() == B->isSigned())
+      return intType(Width, A->isSigned());
+    // The unsigned type wins unless the signed one is strictly wider.
+    const Type *SignedT = A->isSigned() ? A : B;
+    const Type *UnsignedT = A->isSigned() ? B : A;
+    return intType(Width, SignedT->intWidth() > UnsignedT->intWidth());
+  }
 
   const Type *pointerTo(const Type *Pointee);
   const Type *arrayOf(const Type *Element, uint64_t Count);

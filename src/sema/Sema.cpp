@@ -2,7 +2,6 @@
 
 #include "sema/Sema.h"
 
-#include <algorithm>
 #include <cassert>
 #include <set>
 
@@ -259,32 +258,6 @@ void Sema::analyzeStmt(Stmt *S) {
   }
 }
 
-const Type *Sema::promote(const Type *T) {
-  if (T->isInteger() && T->intWidth() < 32)
-    return Ctx.types().int32Type();
-  return T;
-}
-
-const Type *Sema::usualArithmeticConversions(const Type *A, const Type *B) {
-  A = promote(A);
-  B = promote(B);
-  if (A == B)
-    return A;
-  if (!A->isInteger() || !B->isInteger())
-    return A; // Callers diagnose non-arithmetic operands.
-  unsigned Width = std::max(A->intWidth(), B->intWidth());
-  bool Signed;
-  if (A->isSigned() == B->isSigned())
-    Signed = A->isSigned();
-  else {
-    const Type *Unsigned = A->isSigned() ? B : A;
-    const Type *SignedT = A->isSigned() ? A : B;
-    // Unsigned wins unless the signed type is strictly wider.
-    Signed = SignedT->intWidth() > Unsigned->intWidth();
-  }
-  return Ctx.types().intType(Width, Signed);
-}
-
 bool Sema::isLValue(const Expr *E) const {
   switch (E->kind()) {
   case Expr::Kind::DeclRef:
@@ -340,7 +313,7 @@ const Type *Sema::checkBinary(BinaryExpr *B, const Type *Lhs,
     if (L->isInteger() && R->isPointer())
       return R;
     if (L->isInteger() && R->isInteger())
-      return usualArithmeticConversions(L, R);
+      return Ctx.types().usualArithmeticConversions(L, R);
     Diags.error(B->loc(), "invalid operands to '+'");
     return Ctx.types().int32Type();
   case BinaryOp::Sub:
@@ -349,7 +322,7 @@ const Type *Sema::checkBinary(BinaryExpr *B, const Type *Lhs,
     if (L->isPointer() && R->isInteger())
       return L;
     if (L->isInteger() && R->isInteger())
-      return usualArithmeticConversions(L, R);
+      return Ctx.types().usualArithmeticConversions(L, R);
     Diags.error(B->loc(), "invalid operands to '-'");
     return Ctx.types().int32Type();
   case BinaryOp::Mul:
@@ -367,8 +340,8 @@ const Type *Sema::checkBinary(BinaryExpr *B, const Type *Lhs,
     }
     // Shift result has the promoted LHS type.
     if (Op == BinaryOp::Shl || Op == BinaryOp::Shr)
-      return promote(L);
-    return usualArithmeticConversions(L, R);
+      return Ctx.types().promote(L);
+    return Ctx.types().usualArithmeticConversions(L, R);
   case BinaryOp::LT:
   case BinaryOp::GT:
   case BinaryOp::LE:
@@ -424,7 +397,8 @@ const Type *Sema::analyzeExpr(Expr *E) {
     case UnaryOp::BitNot:
       if (!decay(Sub)->isInteger())
         Diags.error(U->loc(), "unary operator needs an integer operand");
-      E->setType(promote(Sub->isInteger() ? Sub : Ctx.types().int32Type()));
+      E->setType(
+          Ctx.types().promote(Sub->isInteger() ? Sub : Ctx.types().int32Type()));
       break;
     case UnaryOp::LogicalNot:
       if (!decay(Sub)->isScalar())
@@ -474,7 +448,7 @@ const Type *Sema::analyzeExpr(Expr *E) {
     const Type *T = analyzeExpr(C->trueExpr());
     const Type *F = analyzeExpr(C->falseExpr());
     if (T->isInteger() && F->isInteger())
-      E->setType(usualArithmeticConversions(T, F));
+      E->setType(Ctx.types().usualArithmeticConversions(T, F));
     else if (decay(T)->isPointer() && decay(F)->isPointer())
       E->setType(decay(T));
     else if (T == F)

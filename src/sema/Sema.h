@@ -92,8 +92,6 @@ private:
   void analyzeStmt(Stmt *S);
   const Type *analyzeExpr(Expr *E);
   const Type *checkBinary(BinaryExpr *B, const Type *Lhs, const Type *Rhs);
-  const Type *usualArithmeticConversions(const Type *A, const Type *B);
-  const Type *promote(const Type *T);
   bool isLValue(const Expr *E) const;
   const Type *decay(const Type *T);
   void checkInitializer(VarDecl *V);

@@ -84,6 +84,14 @@ struct MachineMemory {
     Blocks[Id].Written = ++Clock;
     LastWritten = Id;
   }
+  /// The integer a pointer converts to in both executors: its block id in
+  /// the high 32 bits and its offset in the low 32. The conversion can
+  /// observe which id a block received, so it counts as an exposure.
+  uint64_t pointerToInt(uint32_t Block, int64_t Offset) {
+    ++Exposures;
+    return (static_cast<uint64_t>(Block) << 32) |
+           static_cast<uint32_t>(Offset);
+  }
 };
 
 /// How a loop-head state compares with a saved one.

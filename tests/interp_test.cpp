@@ -585,6 +585,17 @@ TEST(InterpPrintfTest, OracleAndVMPrintEachConversionAlike) {
   }
 }
 
+TEST(InterpPrintfTest, UnknownConversionFailsBeforeItsMissingArgument) {
+  // Both executors check a conversion before they look for its argument.
+  const char *Source = "int main(void) { printf(\"%s\"); return 0; }";
+  ExecResult Ref = runProgram(Source);
+  EXPECT_EQ(Ref.Status, ExecStatus::Unsupported);
+  EXPECT_EQ(Ref.Message, "printf conversion %s");
+  VMResult Run = runOnVM(Source);
+  EXPECT_EQ(Run.Status, VMStatus::Trap);
+  EXPECT_EQ(Run.Message, "printf conversion %s");
+}
+
 //===--------------------------------------------------------------------===//
 // Divergence check: a repeated loop-head state ends the run early, and
 // nothing else about the result changes
