@@ -234,12 +234,3 @@ std::vector<RestrictedGrowthString> spe::allPartitionsUpTo(unsigned N,
     Result.push_back(Gen.current());
   return Result;
 }
-
-std::vector<std::vector<uint32_t>> spe::allCombinations(unsigned N,
-                                                        unsigned K) {
-  std::vector<std::vector<uint32_t>> Result;
-  CombinationGenerator Gen(N, K);
-  while (Gen.next())
-    Result.push_back(Gen.current());
-  return Result;
-}

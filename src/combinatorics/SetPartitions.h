@@ -151,9 +151,6 @@ private:
 std::vector<RestrictedGrowthString> allPartitionsUpTo(unsigned N,
                                                       unsigned MaxBlocks);
 
-/// Collects all K-subsets of {0..N-1}. Convenience for tests.
-std::vector<std::vector<uint32_t>> allCombinations(unsigned N, unsigned K);
-
 } // namespace spe
 
 #endif // SPE_COMBINATORICS_SETPARTITIONS_H

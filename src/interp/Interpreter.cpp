@@ -16,20 +16,6 @@
 
 using namespace spe;
 
-const char *spe::execStatusName(ExecStatus Status) {
-  switch (Status) {
-  case ExecStatus::Ok:
-    return "ok";
-  case ExecStatus::UndefinedBehavior:
-    return "undefined-behavior";
-  case ExecStatus::Timeout:
-    return "timeout";
-  case ExecStatus::Unsupported:
-    return "unsupported";
-  }
-  return "?";
-}
-
 namespace {
 
 /// A runtime scalar: an integer (sign-/zero-extended into 64 bits) or a

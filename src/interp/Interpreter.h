@@ -57,9 +57,6 @@ enum class ExecStatus {
   Unsupported,
 };
 
-/// \returns a printable name for \p Status.
-const char *execStatusName(ExecStatus Status);
-
 /// Result of interpreting a program.
 struct ExecResult {
   ExecStatus Status = ExecStatus::Unsupported;

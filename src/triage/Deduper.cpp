@@ -61,28 +61,16 @@ spe::clusterBySignature(const std::map<FindingKey, FoundBug> &Raw) {
   return clusterBySignature(Ptrs);
 }
 
-std::vector<TriagedBug>
-spe::clusterBySignature(const std::map<int, FoundBug> &Bugs) {
-  std::vector<const FoundBug *> Ptrs;
-  Ptrs.reserve(Bugs.size());
-  for (const auto &[Id, Bug] : Bugs)
-    Ptrs.push_back(&Bug);
-  return clusterBySignature(Ptrs);
-}
-
 void spe::triageCampaign(CampaignResult &Result,
                          const HarnessOptions &Opts) {
-  bool UseRaw = !Result.RawFindings.empty();
   std::vector<TriagedBug> Clusters;
   {
     SpanTimer T(Opts.Telemetry, nullptr, "triage_dedup");
-    Clusters = UseRaw ? clusterBySignature(Result.RawFindings)
-                      : clusterBySignature(Result.UniqueBugs);
+    Clusters = clusterBySignature(Result.RawFindings);
   }
 
   ReductionStats Stats;
-  Stats.RawBugs =
-      UseRaw ? Result.RawFindings.size() : Result.UniqueBugs.size();
+  Stats.RawBugs = Result.RawFindings.size();
   Stats.Clusters = Clusters.size();
 
   for (TriagedBug &Cluster : Clusters) {

@@ -24,11 +24,11 @@
 ///      reproducer.
 ///
 /// The pipeline runs on a merged CampaignResult and reads only its
-/// RawFindings map (falling back to UniqueBugs for results that carry no
-/// raw stream); both maps are thread-count invariant by construction, which
-/// is what makes the triaged report bit-identical across harness thread
-/// counts. Oracle re-probes flow through the campaign's shared
-/// testing/OracleCache when it has one.
+/// RawFindings map, which holds every finding (each UniqueBugs entry too)
+/// and is thread-count invariant by construction; that is what makes the
+/// triaged report bit-identical across harness thread counts. Oracle
+/// re-probes flow through the campaign's shared testing/OracleCache when
+/// it has one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,16 +51,13 @@ BugSignature signatureOf(const FoundBug &Bug);
 /// representative per cluster (fewest witness tokens, ties broken by
 /// witness text then ground-truth id; no reduction). Clusters are sorted
 /// by signature; MemberIds ascending and unique. Findings are visited in
-/// the order given, which both map overloads make deterministic.
+/// the order given, which the map overload makes deterministic.
 std::vector<TriagedBug>
 clusterBySignature(const std::vector<const FoundBug *> &Bugs);
 std::vector<TriagedBug>
 clusterBySignature(const std::map<FindingKey, FoundBug> &Raw);
-std::vector<TriagedBug>
-clusterBySignature(const std::map<int, FoundBug> &Bugs);
 
-/// Runs the full pipeline over \p Result's raw finding stream (falling
-/// back to UniqueBugs for results that carry none) and fills
+/// Runs the full pipeline over \p Result's raw finding stream and fills
 /// \p Result.Triaged / \p Result.Reduction, with default reducer and
 /// minimizer options. \p Opts is the campaign's own: its Cache memoizes
 /// every re-probe, and its InjectBugs and OracleMaxSteps shape each probe
