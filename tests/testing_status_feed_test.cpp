@@ -26,6 +26,7 @@
 
 #include "testing/CampaignStatus.h"
 
+#include "support/ProcessPool.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
@@ -312,6 +313,43 @@ TEST(StatusFeedSeedOverlap, LateCommitKeepsTheRunningSeedCountedOnce) {
   Doc = readFile(O.Path);
   EXPECT_EQ(jsonValue(Doc, "tested"), "7") << Doc;
   EXPECT_EQ(shardsOf(Doc), "") << Doc;
+}
+
+//===----------------------------------------------------------------------===//
+// An attached process pool is reported from its own stats
+//===----------------------------------------------------------------------===//
+
+TEST(StatusFeedPools, AttachedPoolEntryMatchesItsStats) {
+  TempDir Tmp;
+  CampaignStatusFeed::Options O;
+  O.Path = Tmp.Path + "/status.json";
+  O.EveryMs = 0;
+  // The pool outlives the feed, whose writes read it.
+  ProcessPool Pool(2);
+  CampaignStatusFeed Feed(O);
+  ASSERT_TRUE(Pool.run({"/bin/sh", "-c", "exit 0"}).exitedWith(0));
+  Feed.attachPool("compile", &Pool);
+  Feed.writeNow();
+
+  ProcessPool::Stats St = Pool.stats();
+  EXPECT_EQ(St.JobsSubmitted, 1u);
+  EXPECT_EQ(St.JobsCompleted, 1u);
+  std::string Doc = readFile(O.Path);
+  ASSERT_TRUE(isValidJsonText(Doc)) << Doc;
+  std::string Needle = "\"pools\":[{\"name\":\"compile\",";
+  size_t At = Doc.find(Needle);
+  ASSERT_NE(At, std::string::npos) << Doc;
+  std::string Entry = Doc.substr(At, Doc.find('}', At) - At);
+  EXPECT_EQ(jsonValue(Entry, "workers"), "2") << Doc;
+  EXPECT_EQ(jsonValue(Entry, "jobs_submitted"),
+            std::to_string(St.JobsSubmitted))
+      << Doc;
+  EXPECT_EQ(jsonValue(Entry, "jobs_completed"),
+            std::to_string(St.JobsCompleted))
+      << Doc;
+  // One pool, so one entry.
+  EXPECT_EQ(Doc.find("{\"name\":", At + Needle.size()), std::string::npos)
+      << Doc;
 }
 
 } // namespace
