@@ -194,9 +194,9 @@ enum class BinFault { None, DivisionByZero, DivisionOverflow, NotIntegerOp };
 /// constant folder evaluate: \p I's operator on the operand words \p UL and
 /// \p UR, wrapping in two's complement in binComputationType(I), with
 /// shift counts taken modulo the width. A non-integer computation type
-/// computes as a signed 64-bit one. On success \p Out is
-/// the result normalized to I.Ty, or 0/1 for a comparison, which also
-/// hands \p OnCompare(L, R, Result) its operands as exact values of the
+/// computes as a signed 64-bit one. On success \p Out is the result
+/// normalized to I.Ty, or 0/1 for a comparison, which also hands
+/// \p OnCompare(L, R, Result) its operands as exact values of the
 /// computation type.
 template <class CompareFn>
 inline BinFault evalIntBin(const IRInstr &I, uint64_t UL, uint64_t UR,

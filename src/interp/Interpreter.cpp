@@ -1363,7 +1363,7 @@ Value Interp::evalBinary(const BinaryExpr *B) {
 
 void Interp::doPrintf(const CallExpr *C) {
   std::vector<uint64_t> Args;
-  Args.reserve(C->args().size());
+  Args.reserve(C->args().size() - 1);
   for (size_t I = 1; I < C->args().size(); ++I) {
     Value V = evalExpr(C->args()[I]);
     if (Failed || !requireInit(V, "printf argument"))
