@@ -2,8 +2,6 @@
 
 #include "lang/AST.h"
 
-#include <cassert>
-
 using namespace spe;
 
 // Out-of-line virtual anchors.
@@ -117,32 +115,6 @@ bool spe::isAssignmentOp(BinaryOp Op) {
     return true;
   default:
     return false;
-  }
-}
-
-BinaryOp spe::compoundBaseOp(BinaryOp Op) {
-  switch (Op) {
-  case BinaryOp::MulAssign:
-    return BinaryOp::Mul;
-  case BinaryOp::DivAssign:
-    return BinaryOp::Div;
-  case BinaryOp::RemAssign:
-    return BinaryOp::Rem;
-  case BinaryOp::AddAssign:
-    return BinaryOp::Add;
-  case BinaryOp::SubAssign:
-    return BinaryOp::Sub;
-  case BinaryOp::ShlAssign:
-    return BinaryOp::Shl;
-  case BinaryOp::ShrAssign:
-    return BinaryOp::Shr;
-  case BinaryOp::AndAssign:
-    return BinaryOp::BitAnd;
-  case BinaryOp::XorAssign:
-    return BinaryOp::BitXor;
-  default:
-    assert(Op == BinaryOp::OrAssign && "not a compound assignment");
-    return BinaryOp::BitOr;
   }
 }
 

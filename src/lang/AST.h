@@ -21,6 +21,7 @@
 #include "support/Casting.h"
 #include "support/Diagnostics.h"
 
+#include <cassert>
 #include <memory>
 #include <string>
 #include <vector>
@@ -87,8 +88,33 @@ const char *unaryOpSpelling(UnaryOp Op);
 /// \returns true for the assignment family (including compound assignment).
 bool isAssignmentOp(BinaryOp Op);
 /// \returns the operator compound assignment \p Op applies: Add for +=,
-/// BitOr for |=. \p Op must be a compound assignment.
-BinaryOp compoundBaseOp(BinaryOp Op);
+/// BitOr for |=. \p Op must be a compound assignment. Inline because the
+/// oracle calls it on every compound assignment it evaluates.
+inline BinaryOp compoundBaseOp(BinaryOp Op) {
+  switch (Op) {
+  case BinaryOp::MulAssign:
+    return BinaryOp::Mul;
+  case BinaryOp::DivAssign:
+    return BinaryOp::Div;
+  case BinaryOp::RemAssign:
+    return BinaryOp::Rem;
+  case BinaryOp::AddAssign:
+    return BinaryOp::Add;
+  case BinaryOp::SubAssign:
+    return BinaryOp::Sub;
+  case BinaryOp::ShlAssign:
+    return BinaryOp::Shl;
+  case BinaryOp::ShrAssign:
+    return BinaryOp::Shr;
+  case BinaryOp::AndAssign:
+    return BinaryOp::BitAnd;
+  case BinaryOp::XorAssign:
+    return BinaryOp::BitXor;
+  default:
+    assert(Op == BinaryOp::OrAssign && "not a compound assignment");
+    return BinaryOp::BitOr;
+  }
+}
 /// \returns true for <, >, <=, >=, ==, !=.
 bool isComparisonOp(BinaryOp Op);
 
