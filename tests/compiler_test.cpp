@@ -528,6 +528,41 @@ uint64_t fnv1a(uint64_t H, const std::string &S) {
   return H;
 }
 
+std::string operandText(const IROperand &O) {
+  std::string Text = O.isReg()     ? "%" + std::to_string(O.Reg)
+                     : O.isConst() ? "#" + std::to_string(O.Imm)
+                                   : std::string("_");
+  return Text + ":" + (O.Ty ? O.Ty->toString() : std::string("?"));
+}
+
+/// A digest of what printModule leaves out of \p M: every slot's name,
+/// size and AddressTaken flag, every printf format, and every call's and
+/// printf's operands with their types.
+uint64_t unprintedDigest(const IRModule &M) {
+  uint64_t H = 1469598103934665603ull;
+  for (const IRFunction &F : M.Functions) {
+    for (const IRSlot &S : F.Slots)
+      H = fnv1a(H, S.Name + " " + std::to_string(S.Size) +
+                       (S.AddressTaken ? " taken" : ""));
+    for (const IRBlock &B : F.Blocks)
+      for (const IRInstr &I : B.Instrs) {
+        if (I.Op != IROp::Call && I.Op != IROp::Printf)
+          continue;
+        std::string Line = I.Op == IROp::Call ? "call" : "printf " + I.Fmt;
+        for (const IROperand &O : I.Args)
+          Line += " " + operandText(O);
+        H = fnv1a(H, Line);
+      }
+    H = fnv1a(H, "end of " + F.Name);
+  }
+  return H;
+}
+
+const Mutilation EveryMutilation[] = {
+    Mutilation::None,          Mutilation::DropLastStore,
+    Mutilation::SwapFirstSubOperands, Mutilation::FoldSelfDivToOne,
+    Mutilation::NegateFirstCondBr,    Mutilation::DropFirstStore};
+
 /// The seeds of one perfbench corpus at \p Base, as perfbench's makeCorpus
 /// builds them (before its --seed shuffle, which only reorders them).
 std::vector<std::string> benchmarkCorpus(bool Loops, uint64_t Base) {
@@ -551,13 +586,12 @@ TEST(MiniCCDigestTest, BenchmarkCorporaCompileToPinnedModules) {
   // benchmark corpora at both their bases: its printModule text and its
   // verifier verdict at each opt level and mutilation, plus the coverage
   // hit set the unit's pipelines leave. The passes and the verifier may get
-  // faster; what they compute must not move.
+  // faster; what they compute must not move. A second digest, Unprinted,
+  // covers what printModule does not show: slots, printf formats and the
+  // operands of calls and printfs.
   constexpr unsigned RanksPerSeed = 64;
-  const Mutilation Muts[] = {
-      Mutilation::None,          Mutilation::DropLastStore,
-      Mutilation::SwapFirstSubOperands, Mutilation::FoldSelfDivToOne,
-      Mutilation::NegateFirstCondBr,    Mutilation::DropFirstStore};
   uint64_t H = 1469598103934665603ull;
+  uint64_t Unprinted = 1469598103934665603ull;
   size_t Lowered = 0, Modules = 0;
   for (auto [Loops, Base] : {std::pair{false, 2000u}, std::pair{false, 3000u},
                              std::pair{true, 8000u}, std::pair{true, 8500u}}) {
@@ -588,15 +622,18 @@ TEST(MiniCCDigestTest, BenchmarkCorporaCompileToPinnedModules) {
         ++Lowered;
         // A mutilation that changes nothing hands back its level's module;
         // print each module once.
-        std::map<const IRModule *, std::string> Printed;
+        std::map<const IRModule *, std::pair<std::string, std::string>>
+            Printed;
         for (unsigned Opt = 0; Opt <= 3; ++Opt)
-          for (Mutilation Mut : Muts) {
+          for (Mutilation Mut : EveryMutilation) {
             const LoweredUnit::Module &M = Unit.module(Opt, Mut);
             auto [It, New] = Printed.try_emplace(&M.IR);
             if (New)
-              It->second = printModule(M.IR);
-            H = fnv1a(H, It->second);
+              It->second = {printModule(M.IR),
+                            std::to_string(unprintedDigest(M.IR))};
+            H = fnv1a(H, It->second.first);
             H = fnv1a(H, M.VerifyError);
+            Unprinted = fnv1a(Unprinted, It->second.second);
             ++Modules;
           }
         for (const std::string &Point : Cov.hitSet())
@@ -608,6 +645,8 @@ TEST(MiniCCDigestTest, BenchmarkCorporaCompileToPinnedModules) {
   EXPECT_GT(Lowered, 5000u);
   EXPECT_EQ(Modules, Lowered * 24);
   EXPECT_EQ(H, 0xc94e60d1d342aa89ull) << std::hex << "digest 0x" << H;
+  EXPECT_EQ(Unprinted, 0x4e9ab37d85f83d6bull)
+      << std::hex << "digest 0x" << Unprinted;
 }
 
 //===--------------------------------------------------------------------===//
@@ -809,9 +848,10 @@ IRModule binOnConstants(BinaryOp Op, const Type *Ty, const Type *IntTy,
 /// One program that combines every ordered pair of the eight integer types
 /// under arithmetic, shifts, comparisons, the conditional operator,
 /// compound assignment and increments, printing each result as an
-/// unsigned long. Function fA takes type A on the left. The values keep
-/// every signed computation in range.
-std::string mixedIntegerTypesProgram() {
+/// unsigned long. Function fA takes type A on the left; with \p OneMain,
+/// main declares the operands once and holds every function's blocks
+/// itself. The values keep every signed computation in range.
+std::string mixedIntegerTypesProgram(bool OneMain = false) {
   const char *const Types[] = {"char",  "unsigned char", "short",
                                "unsigned short", "int", "unsigned",
                                "long",  "unsigned long"};
@@ -820,14 +860,20 @@ std::string mixedIntegerTypesProgram() {
                                 "-50000", "18000000000000000000ul"};
   const char *const Compound[] = {"+=", "-=", "*=", "/=", "%=",
                                   "&=", "|=", "^=", ">>="};
+  std::string Operands;
+  for (int T = 0; T < 8; ++T)
+    Operands += std::string("  ") + Types[T] + " v" + std::to_string(T) +
+                " = " + Values[T] + ";\n";
   std::string S, Main = "int main(void) {\n";
+  if (OneMain)
+    Main += Operands;
   for (int TA = 0; TA < 8; ++TA) {
     std::string Fn = "f" + std::to_string(TA);
-    Main += "  " + Fn + "();\n";
-    S += "void " + Fn + "(void) {\n";
-    for (int T = 0; T < 8; ++T)
-      S += std::string("  ") + Types[T] + " v" + std::to_string(T) + " = " +
-           Values[T] + ";\n";
+    if (!OneMain) {
+      Main += "  " + Fn + "();\n";
+      S += "void " + Fn + "(void) {\n" + Operands;
+    }
+    std::string &Body = OneMain ? Main : S;
     for (int TB = 0; TB < 8; ++TB) {
       std::string A = "v" + std::to_string(TA), B = "v" + std::to_string(TB);
       std::string Cnt = "(" + B + " & 7)";
@@ -844,33 +890,34 @@ std::string mixedIntegerTypesProgram() {
               A + " == " + B + ") + 32 * (" + A + " != " + B + ")",
           A + " > " + B + " ? " + A + " : " + B,
           "-" + A + " + ~" + B};
-      S += "  {\n    " + std::string(Types[TA]) + " t0";
+      Body += "  {\n    " + std::string(Types[TA]) + " t0";
       for (int K = 1; K < 12; ++K)
-        S += ", t" + std::to_string(K);
-      S += ";\n";
+        Body += ", t" + std::to_string(K);
+      Body += ";\n";
       for (int K = 0; K < 9; ++K) {
         std::string Rhs = std::string(Compound[K]) == ">>=" ? Cnt : B;
-        S += "    t" + std::to_string(K) + " = " + A + "; t" +
-             std::to_string(K) + " " + Compound[K] + " " + Rhs + ";\n";
+        Body += "    t" + std::to_string(K) + " = " + A + "; t" +
+                std::to_string(K) + " " + Compound[K] + " " + Rhs + ";\n";
       }
-      S += "    t9 = " + A + " & 127; t9 <<= " + Cnt + ";\n";
-      S += "    t10 = " + A + "; t10++;\n";
-      S += "    t11 = " + A + "; --t11;\n";
-      S += "    printf(\"";
+      Body += "    t9 = " + A + " & 127; t9 <<= " + Cnt + ";\n";
+      Body += "    t10 = " + A + "; t10++;\n";
+      Body += "    t11 = " + A + "; --t11;\n";
+      Body += "    printf(\"";
       for (size_t K = 0; K < Exprs.size(); ++K)
-        S += K ? " %lu" : "%lu";
-      S += "\\n\"";
+        Body += K ? " %lu" : "%lu";
+      Body += "\\n\"";
       for (const std::string &E : Exprs)
-        S += ", (unsigned long)(" + E + ")";
-      S += ");\n    printf(\"";
+        Body += ", (unsigned long)(" + E + ")";
+      Body += ");\n    printf(\"";
       for (int K = 0; K < 12; ++K)
-        S += K ? " %lu" : "%lu";
-      S += "\\n\"";
+        Body += K ? " %lu" : "%lu";
+      Body += "\\n\"";
       for (int K = 0; K < 12; ++K)
-        S += ", (unsigned long)t" + std::to_string(K);
-      S += ");\n  }\n";
+        Body += ", (unsigned long)t" + std::to_string(K);
+      Body += ");\n  }\n";
     }
-    S += "}\n";
+    if (!OneMain)
+      S += "}\n";
   }
   return S + Main + "  return 0;\n}\n";
 }
@@ -942,6 +989,40 @@ TEST(CompilerTest, MixedIntegerTypesMatchTheOracleAtEveryLevel) {
   uint64_t H = fnv1a(1469598103934665603ull, Ref.Output);
   EXPECT_EQ(H, 0x79acf87c0902b16bull) << std::hex << "digest 0x" << H << "\n"
                                     << Ref.Output;
+}
+
+TEST(MiniCCDigestTest, OneMainMixedIntegerProgramCompilesToPinnedModules) {
+  // The mixed-types program with every block in main: one function of
+  // 19,695 IR instructions and 840 slots. Its modules at every opt level
+  // and mutilation are pinned, with what printModule leaves out of them,
+  // and each level's module prints what the oracle prints.
+  auto C = analyze(mixedIntegerTypesProgram(/*OneMain=*/true));
+  ExecResult Ref = interpret(C->Ctx);
+  ASSERT_EQ(Ref.Status, ExecStatus::Ok) << Ref.Message;
+  EXPECT_EQ(fnv1a(1469598103934665603ull, Ref.Output), 0x79acf87c0902b16bull);
+  LoweredUnit Unit(C->Ctx, nullptr);
+  ASSERT_TRUE(Unit.ok()) << Unit.error();
+  const IRModule &Lowered = Unit.module(0, Mutilation::None).IR;
+  ASSERT_EQ(Lowered.Functions.size(), 1u);
+  size_t Instrs = 0;
+  for (const IRBlock &B : Lowered.Functions[0].Blocks)
+    Instrs += B.Instrs.size();
+  EXPECT_EQ(Instrs, 19695u);
+  EXPECT_EQ(Lowered.Functions[0].Slots.size(), 840u);
+  uint64_t H = 1469598103934665603ull;
+  for (unsigned Opt = 0; Opt <= 3; ++Opt)
+    for (Mutilation Mut : EveryMutilation) {
+      const LoweredUnit::Module &M = Unit.module(Opt, Mut);
+      H = fnv1a(H, printModule(M.IR));
+      H = fnv1a(H, M.VerifyError);
+      H = fnv1a(H, std::to_string(unprintedDigest(M.IR)));
+      if (Mut != Mutilation::None)
+        continue;
+      VMResult R = executeModule(M.IR);
+      ASSERT_EQ(R.Status, VMStatus::Ok) << "O" << Opt << ": " << R.Message;
+      EXPECT_EQ(R.Output, Ref.Output) << "O" << Opt;
+    }
+  EXPECT_EQ(H, 0xf8759db677b98edfull) << std::hex << "digest 0x" << H;
 }
 
 //===--------------------------------------------------------------------===//
