@@ -5,9 +5,9 @@
 #include "compiler/Compiler.h"
 #include "lang/Parser.h"
 #include "sema/Sema.h"
+#include "support/Scratch.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 
 using namespace spe;
@@ -27,10 +27,10 @@ struct GenericBatchTicket final : BatchTicket {
 
 } // namespace
 
-std::vector<std::string> spe::configInputs(const CompilerConfig &Config) {
-  if (Config.ExecSweep.empty())
-    return {std::string()};
-  return Config.ExecSweep;
+const std::vector<std::string> &
+spe::configInputs(const CompilerConfig &Config) {
+  static const std::vector<std::string> EmptyStdin{std::string()};
+  return Config.ExecSweep.empty() ? EmptyStdin : Config.ExecSweep;
 }
 
 std::vector<std::string>
@@ -128,7 +128,7 @@ InProcessBackend::runSweep(const std::string &Source,
                            const CompilerConfig &Config,
                            const std::vector<std::string> &Inputs,
                            CoverageRegistry *Cov) const {
-  return runConfigs(Source, nullptr, {Config}, {Inputs}, Cov).front();
+  return runConfigs(Source, nullptr, {Config}, &Inputs, Cov).front();
 }
 
 std::vector<std::vector<std::vector<BackendObservation>>>
@@ -136,14 +136,11 @@ InProcessBackend::finishBatch(std::unique_ptr<BatchTicket> Ticket) const {
   auto *T = dynamic_cast<GenericBatchTicket *>(Ticket.get());
   if (!T)
     return {}; // Ticket from a different backend's beginBatch: caller bug.
-  std::vector<std::vector<std::string>> Inputs;
-  for (const CompilerConfig &Config : T->Configs)
-    Inputs.push_back(configInputs(Config));
   std::vector<std::vector<std::vector<BackendObservation>>> Out;
   Out.reserve(T->Sources.size());
   for (size_t I = 0; I < T->Sources.size(); ++I)
     Out.push_back(
-        runConfigs(T->Sources[I], T->Parsed[I], T->Configs, Inputs, T->Cov));
+        runConfigs(T->Sources[I], T->Parsed[I], T->Configs, nullptr, T->Cov));
   return Out;
 }
 
@@ -151,15 +148,27 @@ BackendObservation InProcessBackend::runOn(ASTContext &Ctx,
                                            const CompilerConfig &Config,
                                            CoverageRegistry *Cov,
                                            const std::string &Input) const {
-  return runConfigs(std::string(), &Ctx, {Config}, {{Input}}, Cov)
+  const std::vector<std::string> Sweep{Input};
+  return runConfigs(std::string(), &Ctx, {Config}, &Sweep, Cov)
       .front()
       .front();
 }
 
+namespace {
+
+/// One VM run of runConfigs' memo: a module, a stdin, and its result.
+struct MemoRun {
+  const IRModule *Module;
+  const std::string *Input;
+  VMResult Result;
+};
+
+} // namespace
+
 std::vector<std::vector<BackendObservation>>
 InProcessBackend::runConfigs(const std::string &Source, ASTContext *Parsed,
                              const std::vector<CompilerConfig> &Configs,
-                             const std::vector<std::vector<std::string>> &Inputs,
+                             const std::vector<std::string> *Sweep,
                              CoverageRegistry *Cov) const {
   std::unique_ptr<ASTContext> Fresh;
   if (!Parsed) {
@@ -169,20 +178,23 @@ InProcessBackend::runConfigs(const std::string &Source, ASTContext *Parsed,
   std::vector<std::vector<BackendObservation>> Rows;
   Rows.reserve(Configs.size());
   if (!Parsed) {
-    for (const std::vector<std::string> &Ins : Inputs)
-      Rows.emplace_back(Ins.size()); // Frontend refusal: all rejected.
-    return Rows;
+    for (const CompilerConfig &Config : Configs)
+      Rows.emplace_back((Sweep ? *Sweep : configInputs(Config)).size());
+    return Rows; // Frontend refusal: all rejected.
   }
   LoweredUnit Unit(*Parsed, Cov);
   // The VM reads only the module, the step budget and the stdin, so each
   // (module, stdin) runs once however many configs end with that module.
-  std::map<std::pair<const IRModule *, std::string>, VMResult> Runs;
-  for (size_t C = 0; C < Configs.size(); ++C) {
-    const std::vector<std::string> &Ins = Inputs[C];
+  // A variant makes a few distinct runs, so the memo is a short list kept
+  // as per-thread scratch and cleared here.
+  ScratchLease<std::vector<MemoRun>> Runs;
+  Runs->clear();
+  for (const CompilerConfig &Config : Configs) {
+    const std::vector<std::string> &Ins = Sweep ? *Sweep : configInputs(Config);
     BackendObservation Obs;
     CompileResult R;
     const IRModule *M =
-        MiniCompiler(Configs[C], nullptr, InjectBugs).compileInPlace(Unit, R);
+        MiniCompiler(Config, nullptr, InjectBugs).compileInPlace(Unit, R);
     if (R.St == CompileResult::Status::Rejected) {
       Rows.emplace_back(Ins.size(), Obs);
       continue;
@@ -204,13 +216,16 @@ InProcessBackend::runConfigs(const std::string &Source, ASTContext *Parsed,
     // fields are shared across the row, the exec fields are per input.
     std::vector<BackendObservation> &Row = Rows.emplace_back(Ins.size(), Obs);
     for (size_t I = 0; I < Ins.size(); ++I) {
-      auto [It, New] = Runs.try_emplace({M, Ins[I]});
-      if (New) {
+      auto It = std::find_if(Runs->begin(), Runs->end(), [&](const MemoRun &Run) {
+        return Run.Module == M && *Run.Input == Ins[I];
+      });
+      if (It == Runs->end()) {
         VMOptions VO;
         VO.Input = Ins[I];
-        It->second = executeModule(*M, VO);
+        Runs->push_back({M, &Ins[I], executeModule(*M, VO)});
+        It = Runs->end() - 1;
       }
-      const VMResult &V = It->second;
+      const VMResult &V = It->Result;
       switch (V.Status) {
       case VMStatus::Ok:
         Row[I].Exec = BackendObservation::ExecStatus::Ok;

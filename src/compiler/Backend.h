@@ -94,8 +94,9 @@ struct BackendObservation {
 
 /// The stdin inputs one config's sweep drives. An empty ExecSweep is the
 /// classic single execution on empty stdin, so this is never empty: it
-/// returns {""} for an unswept config.
-std::vector<std::string> configInputs(const CompilerConfig &Config);
+/// returns {""} for an unswept config. The reference lives as long as
+/// \p Config.
+const std::vector<std::string> &configInputs(const CompilerConfig &Config);
 
 /// The matrix's input axis: the first-appearance-ordered union of every
 /// config's sweep. Index 0 is the *primary* input -- the one whose oracle
@@ -271,14 +272,15 @@ public:
                            const std::string &Input = {}) const;
 
 private:
-  /// One variant's rows under every config of \p Configs, config C over
-  /// the stdins \p Inputs[C]: \p Parsed lowered once (\p Source parsed
-  /// first when it is null), then per config the bug hooks and one VM run
-  /// per (module, stdin) not run yet.
+  /// One variant's rows under every config of \p Configs, each over the
+  /// stdins \p Sweep when it is non-null and over its configInputs
+  /// otherwise: \p Parsed lowered once (\p Source parsed first when it is
+  /// null), then per config the bug hooks and one VM run per (module,
+  /// stdin) not run yet.
   std::vector<std::vector<BackendObservation>>
   runConfigs(const std::string &Source, ASTContext *Parsed,
              const std::vector<CompilerConfig> &Configs,
-             const std::vector<std::vector<std::string>> &Inputs,
+             const std::vector<std::string> *Sweep,
              CoverageRegistry *Cov) const;
 
   bool InjectBugs;

@@ -2,6 +2,8 @@
 
 #include "compiler/IR.h"
 
+#include "support/Scratch.h"
+
 using namespace spe;
 
 static std::string operandToString(const IROperand &O) {
@@ -16,7 +18,7 @@ static std::string operandToString(const IROperand &O) {
   return "?";
 }
 
-static std::string instrToString(const IRInstr &I) {
+static std::string instrToString(const IRFunction &F, const IRInstr &I) {
   std::string Out;
   auto Dst = [&] { return "%" + std::to_string(I.Dst) + " = "; };
   switch (I.Op) {
@@ -67,16 +69,18 @@ static std::string instrToString(const IRInstr &I) {
     Out = "memset " + operandToString(I.A) + ", 0, " +
           std::to_string(I.Size);
     break;
-  case IROp::Call:
+  case IROp::Call: {
     Out = (I.HasDst ? Dst() : std::string()) + "call fn" +
           std::to_string(I.CalleeIndex) + "(";
-    for (size_t A = 0; A < I.Args.size(); ++A) {
+    IRArgRange<const IROperand> Args = F.args(I);
+    for (size_t A = 0; A < Args.size(); ++A) {
       if (A)
         Out += ", ";
-      Out += operandToString(I.Args[A]);
+      Out += operandToString(Args[A]);
     }
     Out += ")";
     break;
+  }
   case IROp::Printf:
     Out = "printf(...)";
     break;
@@ -107,7 +111,7 @@ std::string spe::printFunction(const IRFunction &F) {
   for (size_t B = 0; B < F.Blocks.size(); ++B) {
     Out += "bb" + std::to_string(B) + ":\n";
     for (const IRInstr &I : F.Blocks[B].Instrs)
-      Out += "  " + instrToString(I) + "\n";
+      Out += "  " + instrToString(F, I) + "\n";
   }
   return Out;
 }
@@ -122,7 +126,7 @@ std::string spe::printModule(const IRModule &M) {
   return Out;
 }
 
-/// Checks \p F; \p Defined is scratch that keeps its buffer across calls.
+/// Checks \p F; \p Defined is scratch, re-initialized here.
 /// The message names the function and block only when a check fails.
 static std::string verifyFunction(const IRModule &M, const IRFunction &F,
                                   std::vector<bool> &Defined) {
@@ -153,9 +157,13 @@ static std::string verifyFunction(const IRModule &M, const IRFunction &F,
         return Fail(BI, "terminator placement broken");
       if (!IsDefined(I.A) || !IsDefined(I.B))
         return Fail(BI, "use of undefined register");
-      for (const IROperand &O : I.Args)
+      if (uint64_t(I.ArgBegin) + I.ArgCount > F.Operands.size())
+        return Fail(BI, "argument range outside the operand pool");
+      for (const IROperand &O : F.args(I))
         if (!IsDefined(O))
           return Fail(BI, "use of undefined register in args");
+      if (I.Op == IROp::Printf && I.FmtIndex >= F.Formats.size())
+        return Fail(BI, "format index out of range");
       if (I.Op == IROp::AddrSlot &&
           (I.SlotIndex < 0 ||
            static_cast<size_t>(I.SlotIndex) >= F.Slots.size()))
@@ -187,9 +195,9 @@ size_t spe::regBound(const IRFunction &F) {
 }
 
 std::string spe::verifyModule(const IRModule &M) {
-  std::vector<bool> Defined;
+  ScratchLease<std::vector<bool>> Defined;
   for (const IRFunction &F : M.Functions) {
-    std::string Err = verifyFunction(M, F, Defined);
+    std::string Err = verifyFunction(M, F, *Defined);
     if (!Err.empty())
       return Err;
   }

@@ -25,19 +25,21 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace spe {
 
 /// An operand: nothing, an immediate constant, or a virtual register.
 struct IROperand {
-  enum class Kind { None, Const, Reg } K = Kind::None;
+  enum class Kind : uint8_t { None, Const, Reg };
+  /// Value type (integer or pointer).
+  const Type *Ty = nullptr;
   /// Immediate payload (normalized to the type's width).
   uint64_t Imm = 0;
   /// Virtual register number.
   unsigned Reg = 0;
-  /// Value type (integer or pointer).
-  const Type *Ty = nullptr;
+  Kind K = Kind::None;
 
   static IROperand none() { return IROperand{}; }
   static IROperand constant(uint64_t Imm, const Type *Ty) {
@@ -60,7 +62,7 @@ struct IROperand {
 };
 
 /// Instruction opcodes.
-enum class IROp {
+enum class IROp : uint8_t {
   Const,     ///< Dst = Imm(A).
   Copy,      ///< Dst = A.
   Bin,       ///< Dst = A <BinOp> B (integer arithmetic/comparison).
@@ -75,8 +77,8 @@ enum class IROp {
   Store,     ///< *(A) = B.
   Memcpy,    ///< copy Size bytes from B to A.
   Memset,    ///< zero Size bytes at A.
-  Call,      ///< Dst = call Functions[CalleeIndex](Args).
-  Printf,    ///< printf(Fmt, Args).
+  Call,      ///< Dst = call Functions[CalleeIndex](args).
+  Printf,    ///< printf(format, args).
   Input,     ///< Dst = spe_input(): next stdin sweep integer (side effect:
              ///< advances the input cursor, so never treated as pure).
   Ret,       ///< return A (A may be None for void/fall-off).
@@ -85,28 +87,36 @@ enum class IROp {
   Unreachable,///< control never reaches here.
 };
 
-/// One three-address instruction.
+/// One three-address instruction. It is trivially copyable and holds no
+/// buffer of its own: a Call's or Printf's operands lie in its function's
+/// operand pool and a Printf's format in its function's format table
+/// (IRFunction::args, IRFunction::format). So copying or compacting a
+/// block, a function or a module moves instructions as bytes.
 struct IRInstr {
-  IROp Op;
-  /// Result register (meaningful when HasDst).
-  unsigned Dst = 0;
-  bool HasDst = false;
   /// Result type.
   const Type *Ty = nullptr;
   IROperand A;
   IROperand B;
-  BinaryOp Bin = BinaryOp::Add;
   /// PtrAdd/PtrDiff element size in bytes.
   uint64_t Scale = 1;
-  /// Memcpy byte count.
+  /// Memcpy/Memset byte count.
   uint64_t Size = 0;
+  /// Result register (meaningful when HasDst).
+  unsigned Dst = 0;
+  unsigned Succ0 = 0;
+  unsigned Succ1 = 0;
   int SlotIndex = -1;
   int GlobalIndex = -1;
   int CalleeIndex = -1;
-  std::vector<IROperand> Args;
-  std::string Fmt;
-  unsigned Succ0 = 0;
-  unsigned Succ1 = 0;
+  /// Call and Printf: the operands are the function's
+  /// Operands[ArgBegin, ArgBegin + ArgCount).
+  unsigned ArgBegin = 0;
+  unsigned ArgCount = 0;
+  /// Printf: the format is the function's Formats[FmtIndex].
+  unsigned FmtIndex = 0;
+  BinaryOp Bin = BinaryOp::Add;
+  IROp Op = IROp::Const;
+  bool HasDst = false;
 
   bool isTerminator() const {
     return Op == IROp::Ret || Op == IROp::Br || Op == IROp::CondBr ||
@@ -133,6 +143,21 @@ struct IRInstr {
   }
 };
 
+static_assert(std::is_trivially_copyable_v<IRInstr>,
+              "instructions are copied and compacted as bytes");
+static_assert(sizeof(IRInstr) <= 128, "an instruction fits in 128 bytes");
+
+/// A Call's or Printf's operands: a range of its function's operand pool.
+template <class T> struct IRArgRange {
+  T *First = nullptr;
+  T *Last = nullptr;
+
+  T *begin() const { return First; }
+  T *end() const { return Last; }
+  size_t size() const { return static_cast<size_t>(Last - First); }
+  T &operator[](size_t I) const { return First[I]; }
+};
+
 /// A basic block: straight-line instructions ending in one terminator.
 struct IRBlock {
   std::vector<IRInstr> Instrs;
@@ -148,16 +173,51 @@ struct IRSlot {
   bool AddressTaken = false;
 };
 
-/// A compiled function.
+/// A compiled function. Besides its blocks it owns the operand pool and
+/// the format table its Call and Printf instructions index, so every
+/// instruction of the function, wherever a pass moves it in the function,
+/// keeps its operands and format.
 struct IRFunction {
   std::string Name;
   const Type *RetTy = nullptr;
   unsigned NumParams = 0;
   std::vector<IRSlot> Slots;
   std::vector<IRBlock> Blocks; ///< Blocks[0] is the entry.
+  /// The operand pool: each Call's and Printf's operands, one contiguous
+  /// range per instruction.
+  std::vector<IROperand> Operands;
+  /// Each Printf's format, by FmtIndex.
+  std::vector<std::string> Formats;
   unsigned NumRegs = 0;
 
   unsigned newReg() { return NumRegs++; }
+
+  /// The operands of \p I, an instruction of this function whose range
+  /// lies inside the pool (verifyModule checks it).
+  IRArgRange<const IROperand> args(const IRInstr &I) const {
+    return {Operands.data() + I.ArgBegin,
+            Operands.data() + I.ArgBegin + I.ArgCount};
+  }
+  IRArgRange<IROperand> args(const IRInstr &I) {
+    return {Operands.data() + I.ArgBegin,
+            Operands.data() + I.ArgBegin + I.ArgCount};
+  }
+  /// Makes the \p Count operands at \p Args \p I's, appending them to the
+  /// pool.
+  void setArgs(IRInstr &I, const IROperand *Args, size_t Count) {
+    I.ArgBegin = static_cast<unsigned>(Operands.size());
+    I.ArgCount = static_cast<unsigned>(Count);
+    Operands.insert(Operands.end(), Args, Args + Count);
+  }
+  /// Printf \p I's format.
+  const std::string &format(const IRInstr &I) const {
+    return Formats[I.FmtIndex];
+  }
+  /// Makes \p Fmt Printf \p I's format, appending it to the table.
+  void setFormat(IRInstr &I, std::string Fmt) {
+    I.FmtIndex = static_cast<unsigned>(Formats.size());
+    Formats.push_back(std::move(Fmt));
+  }
 };
 
 /// A global variable image.

@@ -2,8 +2,11 @@
 
 #include "compiler/IRGen.h"
 
+#include "support/Scratch.h"
+
+#include <algorithm>
 #include <cassert>
-#include <map>
+#include <functional>
 
 using namespace spe;
 
@@ -145,13 +148,69 @@ bool fillGlobalInit(std::vector<uint8_t> &Bytes, uint64_t Offset,
   return true;
 }
 
+/// Variable declarations to indices, in one vector sorted by address: a
+/// lookup is a binary search, an insertion moves the entries above it.
+class DeclIndex {
+public:
+  void clear() { Entries.clear(); }
+  /// \returns \p V's index, or -1.
+  int find(const VarDecl *V) const {
+    auto It = std::lower_bound(Entries.begin(), Entries.end(), Entry{V, 0},
+                               byDecl);
+    return It != Entries.end() && It->first == V ? It->second : -1;
+  }
+  void set(const VarDecl *V, int Index) {
+    auto It = std::lower_bound(Entries.begin(), Entries.end(), Entry{V, 0},
+                               byDecl);
+    if (It != Entries.end() && It->first == V)
+      It->second = Index;
+    else
+      Entries.insert(It, {V, Index});
+  }
+
+private:
+  using Entry = std::pair<const VarDecl *, int>;
+  static bool byDecl(const Entry &A, const Entry &B) {
+    return std::less<const VarDecl *>()(A.first, B.first);
+  }
+  std::vector<Entry> Entries;
+};
+
+/// IRGen's per-thread scratch (support/Scratch.h). A function is lowered
+/// into these buffers and copied out at its end, so each of its vectors is
+/// allocated once at its final size.
+struct LoweringTables {
+  /// The function's instructions in emission order, the block of each,
+  /// and each block's last instruction (NoInstr while it has none).
+  std::vector<IRInstr> Instrs;
+  std::vector<unsigned> InstrBlock;
+  std::vector<size_t> BlockLast;
+  /// Each block's instruction count, at the copy-out.
+  std::vector<size_t> BlockSize;
+  std::vector<IRSlot> Slots;
+  std::vector<IROperand> Operands;
+  std::vector<std::string> Formats;
+  /// The slot of each local variable and parameter.
+  DeclIndex SlotIndex;
+  /// The operands of the calls and printfs being lowered, innermost last.
+  std::vector<IROperand> ArgStack;
+  /// The slot each AddrSlot register addresses, -1 for other registers.
+  std::vector<int> SlotOfReg;
+  /// Each global's index.
+  DeclIndex GlobalIndex;
+  /// Each goto label's block.
+  std::vector<std::pair<std::string, unsigned>> Labels;
+  /// The enclosing loops' break and continue blocks, innermost last.
+  std::vector<unsigned> BreakTargets;
+  std::vector<unsigned> ContinueTargets;
+};
+
 /// Per-function lowering state.
 class FunctionLowering {
 public:
-  FunctionLowering(ASTContext &Ctx, IRModule &Module,
-                   std::map<const VarDecl *, int> &GlobalIndex,
-                   std::string &Error)
-      : Ctx(Ctx), Module(Module), GlobalIndex(GlobalIndex), Error(Error) {}
+  FunctionLowering(ASTContext &Ctx, const std::vector<FunctionDecl *> &Defs,
+                   LoweringTables &T, std::string &Error)
+      : Ctx(Ctx), Defs(Defs), T(T), Error(Error) {}
 
   bool lower(const FunctionDecl *FD, IRFunction &F);
 
@@ -162,31 +221,37 @@ private:
     if (Error.empty())
       Error = Message;
   }
+  static constexpr size_t NoInstr = ~size_t(0);
   unsigned newBlock() {
-    Fn->Blocks.emplace_back();
-    return static_cast<unsigned>(Fn->Blocks.size() - 1);
+    T.BlockLast.push_back(NoInstr);
+    return static_cast<unsigned>(T.BlockLast.size() - 1);
   }
-  IRBlock &block(unsigned Id) { return Fn->Blocks[Id]; }
-  bool terminated() const {
-    const IRBlock &B = Fn->Blocks[Cur];
-    return !B.Instrs.empty() && B.Instrs.back().isTerminator();
+  /// Whether block \p B ends in a terminator.
+  bool terminated(unsigned B) const {
+    return T.BlockLast[B] != NoInstr &&
+           T.Instrs[T.BlockLast[B]].isTerminator();
+  }
+  /// Appends \p I to block \p B.
+  void appendTo(unsigned B, const IRInstr &I) {
+    T.BlockLast[B] = T.Instrs.size();
+    T.Instrs.push_back(I);
+    T.InstrBlock.push_back(B);
   }
   /// Appends to the current block; if it is already terminated, opens a
   /// fresh (unreachable) block first so the IR stays well formed.
-  IRInstr &append(IRInstr I) {
-    if (terminated())
+  void append(const IRInstr &I) {
+    if (terminated(Cur))
       Cur = newBlock();
-    Fn->Blocks[Cur].Instrs.push_back(std::move(I));
-    return Fn->Blocks[Cur].Instrs.back();
+    appendTo(Cur, I);
   }
   void setCurrent(unsigned Block) { Cur = Block; }
   void branchTo(unsigned Target) {
-    if (terminated())
+    if (terminated(Cur))
       return;
     IRInstr I;
     I.Op = IROp::Br;
     I.Succ0 = Target;
-    append(std::move(I));
+    append(I);
   }
   void condBranch(IROperand Cond, unsigned TrueB, unsigned FalseB) {
     IRInstr I;
@@ -194,26 +259,43 @@ private:
     I.A = Cond;
     I.Succ0 = TrueB;
     I.Succ1 = FalseB;
-    append(std::move(I));
+    append(I);
   }
 
-  int slotOf(const VarDecl *V) {
-    auto It = SlotIndex.find(V);
-    return It == SlotIndex.end() ? -1 : It->second;
-  }
   int addSlot(const VarDecl *V) {
     IRSlot S;
     S.Name = V->name();
     S.Ty = V->type();
     S.Size = V->type()->sizeInBytes();
-    Fn->Slots.push_back(S);
-    int Index = static_cast<int>(Fn->Slots.size() - 1);
-    SlotIndex[V] = Index;
+    T.Slots.push_back(std::move(S));
+    int Index = static_cast<int>(T.Slots.size() - 1);
+    T.SlotIndex.set(V, Index);
     return Index;
   }
+  /// Makes the operands pushed on ArgStack since \p Mark \p I's, moving
+  /// them to the function's pool.
+  void popArgs(IRInstr &I, size_t Mark) {
+    I.ArgBegin = static_cast<unsigned>(T.Operands.size());
+    I.ArgCount = static_cast<unsigned>(T.ArgStack.size() - Mark);
+    T.Operands.insert(T.Operands.end(), T.ArgStack.begin() + Mark,
+                      T.ArgStack.end());
+    T.ArgStack.resize(Mark);
+  }
+  /// The index of the definition \p Callee in the module, which lists the
+  /// definitions in Defs' order.
+  int calleeIndex(const FunctionDecl *Callee) const {
+    auto It = std::find(Defs.begin(), Defs.end(), Callee);
+    return It == Defs.end() ? -1 : static_cast<int>(It - Defs.begin());
+  }
+  /// Marks each slot whose address escapes: an AddrSlot's register used
+  /// other than as a Load's address, or as a Store's address when the
+  /// store does not also store it.
+  void markAddressTaken(unsigned NumRegs);
 
   // --- helpers ----------------------------------------------------------
-  const Type *ptrTo(const Type *T) { return Ctx.types().pointerTo(T); }
+  const Type *ptrTo(const Type *Pointee) {
+    return Ctx.types().pointerTo(Pointee);
+  }
   IROperand emitUn(IROp Op, IROperand A, const Type *Ty);
   IROperand emitBin(BinaryOp Op, IROperand A, IROperand B, const Type *Ty);
   IROperand emitLoad(IROperand Addr, const Type *Ty);
@@ -242,16 +324,13 @@ private:
   unsigned labelBlock(const std::string &Name);
 
   ASTContext &Ctx;
-  IRModule &Module;
-  std::map<const VarDecl *, int> &GlobalIndex;
+  /// The unit's function definitions, in module order.
+  const std::vector<FunctionDecl *> &Defs;
+  LoweringTables &T;
   std::string &Error;
 
   IRFunction *Fn = nullptr;
   unsigned Cur = 0;
-  std::map<const VarDecl *, int> SlotIndex;
-  std::map<std::string, unsigned> LabelBlocks;
-  std::vector<unsigned> BreakTargets;
-  std::vector<unsigned> ContinueTargets;
 };
 
 IROperand FunctionLowering::emitUn(IROp Op, IROperand A, const Type *Ty) {
@@ -261,7 +340,7 @@ IROperand FunctionLowering::emitUn(IROp Op, IROperand A, const Type *Ty) {
   I.Ty = Ty;
   I.HasDst = true;
   I.Dst = Fn->newReg();
-  append(std::move(I));
+  append(I);
   return IROperand::reg(Fn->NumRegs - 1, Ty);
 }
 
@@ -275,7 +354,7 @@ IROperand FunctionLowering::emitBin(BinaryOp Op, IROperand A, IROperand B,
   I.Ty = Ty;
   I.HasDst = true;
   I.Dst = Fn->newReg();
-  append(std::move(I));
+  append(I);
   return IROperand::reg(Fn->NumRegs - 1, Ty);
 }
 
@@ -286,7 +365,7 @@ IROperand FunctionLowering::emitLoad(IROperand Addr, const Type *Ty) {
   I.Ty = Ty;
   I.HasDst = true;
   I.Dst = Fn->newReg();
-  append(std::move(I));
+  append(I);
   return IROperand::reg(Fn->NumRegs - 1, Ty);
 }
 
@@ -296,7 +375,7 @@ void FunctionLowering::emitStore(IROperand Addr, IROperand Value) {
   I.A = Addr;
   I.B = Value;
   I.Ty = Value.Ty;
-  append(std::move(I));
+  append(I);
 }
 
 IROperand FunctionLowering::emitAddrSlot(int Slot, const Type *PointeeTy) {
@@ -306,7 +385,7 @@ IROperand FunctionLowering::emitAddrSlot(int Slot, const Type *PointeeTy) {
   I.Ty = ptrTo(PointeeTy);
   I.HasDst = true;
   I.Dst = Fn->newReg();
-  append(std::move(I));
+  append(I);
   return IROperand::reg(Fn->NumRegs - 1, I.Ty);
 }
 
@@ -318,7 +397,7 @@ IROperand FunctionLowering::emitAddrGlobal(int Global,
   I.Ty = ptrTo(PointeeTy);
   I.HasDst = true;
   I.Dst = Fn->newReg();
-  append(std::move(I));
+  append(I);
   return IROperand::reg(Fn->NumRegs - 1, I.Ty);
 }
 
@@ -332,7 +411,7 @@ IROperand FunctionLowering::emitPtrAdd(IROperand Ptr, IROperand Delta,
   I.Ty = Ty;
   I.HasDst = true;
   I.Dst = Fn->newReg();
-  append(std::move(I));
+  append(I);
   return IROperand::reg(Fn->NumRegs - 1, Ty);
 }
 
@@ -346,11 +425,11 @@ IROperand FunctionLowering::convert(IROperand V, const Type *To) {
 
 int FunctionLowering::makeTempSlot(const Type *Ty) {
   IRSlot S;
-  S.Name = "$tmp" + std::to_string(Fn->Slots.size());
+  S.Name = "$tmp" + std::to_string(T.Slots.size());
   S.Ty = Ty;
   S.Size = Ty->isPointer() ? 8 : Ty->sizeInBytes();
-  Fn->Slots.push_back(S);
-  return static_cast<int>(Fn->Slots.size() - 1);
+  T.Slots.push_back(std::move(S));
+  return static_cast<int>(T.Slots.size() - 1);
 }
 
 IROperand FunctionLowering::decayIfNeeded(const Expr *E, IROperand Addr) {
@@ -371,17 +450,17 @@ bool FunctionLowering::genAddr(const Expr *E, IROperand &Out) {
       fail("unresolved reference");
       return false;
     }
-    int Slot = slotOf(V);
+    int Slot = T.SlotIndex.find(V);
     if (Slot >= 0) {
       Out = emitAddrSlot(Slot, V->type());
       return true;
     }
-    auto It = GlobalIndex.find(V);
-    if (It == GlobalIndex.end()) {
+    int Global = T.GlobalIndex.find(V);
+    if (Global < 0) {
       fail("reference to unknown variable '" + V->name() + "'");
       return false;
     }
-    Out = emitAddrGlobal(It->second, V->type());
+    Out = emitAddrGlobal(Global, V->type());
     return true;
   }
   case Expr::Kind::Unary: {
@@ -629,7 +708,7 @@ IROperand FunctionLowering::genBinary(const BinaryExpr *B) {
       I.A = Dst;
       I.B = Src;
       I.Size = B->lhs()->type()->sizeInBytes();
-      append(std::move(I));
+      append(I);
       return IROperand::none();
     }
     IROperand Addr;
@@ -692,7 +771,7 @@ IROperand FunctionLowering::genBinary(const BinaryExpr *B) {
       I.Ty = B->type();
       I.HasDst = true;
       I.Dst = Fn->newReg();
-      append(std::move(I));
+      append(I);
       return IROperand::reg(Fn->NumRegs - 1, B->type());
     }
     IROperand Delta =
@@ -754,13 +833,17 @@ IROperand FunctionLowering::genCall(const CallExpr *C) {
     }
     IRInstr I;
     I.Op = IROp::Printf;
-    I.Fmt = cast<StringLiteral>(C->args()[0])->value();
+    I.FmtIndex = static_cast<unsigned>(T.Formats.size());
+    T.Formats.push_back(cast<StringLiteral>(C->args()[0])->value());
+    const size_t Mark = T.ArgStack.size();
     for (size_t A = 1; A < C->args().size(); ++A) {
-      I.Args.push_back(genExpr(C->args()[A]));
+      IROperand Arg = genExpr(C->args()[A]);
       if (failed())
         return IROperand::none();
+      T.ArgStack.push_back(Arg);
     }
-    append(std::move(I));
+    popArgs(I, Mark);
+    append(I);
     return IROperand::constant(0, Ctx.types().int32Type());
   }
   if (C->callee()->name() == "spe_input") {
@@ -769,7 +852,7 @@ IROperand FunctionLowering::genCall(const CallExpr *C) {
     I.HasDst = true;
     I.Dst = Fn->newReg();
     I.Ty = Ctx.types().int32Type();
-    append(std::move(I));
+    append(I);
     return IROperand::reg(Fn->NumRegs - 1, Ctx.types().int32Type());
   }
   const FunctionDecl *Callee = C->callee()->functionDecl();
@@ -779,22 +862,24 @@ IROperand FunctionLowering::genCall(const CallExpr *C) {
   }
   IRInstr I;
   I.Op = IROp::Call;
-  I.CalleeIndex = Module.functionIndex(Callee->name());
+  I.CalleeIndex = calleeIndex(Callee);
+  const size_t Mark = T.ArgStack.size();
   for (size_t A = 0; A < C->args().size(); ++A) {
     IROperand Arg = genExpr(C->args()[A]);
     if (failed())
       return IROperand::none();
-    I.Args.push_back(convert(Arg, Callee->params()[A]->type()));
+    T.ArgStack.push_back(convert(Arg, Callee->params()[A]->type()));
   }
+  popArgs(I, Mark);
   const Type *RetTy = Callee->returnType();
   if (!RetTy->isVoid()) {
     I.HasDst = true;
     I.Dst = Fn->newReg();
     I.Ty = RetTy;
-    append(std::move(I));
+    append(I);
     return IROperand::reg(Fn->NumRegs - 1, RetTy);
   }
-  append(std::move(I));
+  append(I);
   return IROperand::none();
 }
 
@@ -803,11 +888,11 @@ IROperand FunctionLowering::genCall(const CallExpr *C) {
 //===----------------------------------------------------------------------===//
 
 unsigned FunctionLowering::labelBlock(const std::string &Name) {
-  auto It = LabelBlocks.find(Name);
-  if (It != LabelBlocks.end())
-    return It->second;
+  for (const auto &[Label, Block] : T.Labels)
+    if (Label == Name)
+      return Block;
   unsigned Block = newBlock();
-  LabelBlocks[Name] = Block;
+  T.Labels.emplace_back(Name, Block);
   return Block;
 }
 
@@ -819,7 +904,7 @@ void FunctionLowering::genLocalInit(IROperand Addr, const Type *Ty,
     I.Op = IROp::Memset;
     I.A = Addr;
     I.Size = Ty->sizeInBytes();
-    append(std::move(I));
+    append(I);
     if (Ty->isArray()) {
       const Type *Elem = Ty->elementType();
       for (size_t E = 0; E < List->elements().size(); ++E) {
@@ -909,13 +994,13 @@ void FunctionLowering::genStmt(const Stmt *S) {
     if (failed())
       return;
     condBranch(Cond, Body, Exit);
-    BreakTargets.push_back(Exit);
-    ContinueTargets.push_back(Header);
+    T.BreakTargets.push_back(Exit);
+    T.ContinueTargets.push_back(Header);
     setCurrent(Body);
     genStmt(W->body());
     branchTo(Header);
-    BreakTargets.pop_back();
-    ContinueTargets.pop_back();
+    T.BreakTargets.pop_back();
+    T.ContinueTargets.pop_back();
     setCurrent(Exit);
     return;
   }
@@ -923,8 +1008,8 @@ void FunctionLowering::genStmt(const Stmt *S) {
     const auto *D = cast<DoStmt>(S);
     unsigned Body = newBlock(), CondB = newBlock(), Exit = newBlock();
     branchTo(Body);
-    BreakTargets.push_back(Exit);
-    ContinueTargets.push_back(CondB);
+    T.BreakTargets.push_back(Exit);
+    T.ContinueTargets.push_back(CondB);
     setCurrent(Body);
     genStmt(D->body());
     branchTo(CondB);
@@ -933,8 +1018,8 @@ void FunctionLowering::genStmt(const Stmt *S) {
     if (failed())
       return;
     condBranch(Cond, Body, Exit);
-    BreakTargets.pop_back();
-    ContinueTargets.pop_back();
+    T.BreakTargets.pop_back();
+    T.ContinueTargets.pop_back();
     setCurrent(Exit);
     return;
   }
@@ -954,8 +1039,8 @@ void FunctionLowering::genStmt(const Stmt *S) {
     } else {
       branchTo(Body);
     }
-    BreakTargets.push_back(Exit);
-    ContinueTargets.push_back(StepB);
+    T.BreakTargets.push_back(Exit);
+    T.ContinueTargets.push_back(StepB);
     setCurrent(Body);
     genStmt(F->body());
     branchTo(StepB);
@@ -963,8 +1048,8 @@ void FunctionLowering::genStmt(const Stmt *S) {
     if (F->step())
       genExpr(F->step());
     branchTo(Header);
-    BreakTargets.pop_back();
-    ContinueTargets.pop_back();
+    T.BreakTargets.pop_back();
+    T.ContinueTargets.pop_back();
     setCurrent(Exit);
     return;
   }
@@ -979,16 +1064,16 @@ void FunctionLowering::genStmt(const Stmt *S) {
       if (failed())
         return;
     }
-    append(std::move(I));
+    append(I);
     return;
   }
   case Stmt::Kind::Break:
-    if (!BreakTargets.empty())
-      branchTo(BreakTargets.back());
+    if (!T.BreakTargets.empty())
+      branchTo(T.BreakTargets.back());
     return;
   case Stmt::Kind::Continue:
-    if (!ContinueTargets.empty())
-      branchTo(ContinueTargets.back());
+    if (!T.ContinueTargets.empty())
+      branchTo(T.ContinueTargets.back());
     return;
   case Stmt::Kind::Goto:
     branchTo(labelBlock(cast<GotoStmt>(S)->label()));
@@ -1004,61 +1089,85 @@ void FunctionLowering::genStmt(const Stmt *S) {
   }
 }
 
+void FunctionLowering::markAddressTaken(unsigned NumRegs) {
+  T.SlotOfReg.assign(NumRegs, -1);
+  for (const IRInstr &I : T.Instrs)
+    if (I.Op == IROp::AddrSlot)
+      T.SlotOfReg[I.Dst] = I.SlotIndex;
+  for (const IRInstr &Use : T.Instrs) {
+    auto Escape = [&](const IROperand &O) {
+      if (!O.isReg() || O.Reg >= NumRegs || T.SlotOfReg[O.Reg] < 0)
+        return;
+      bool AddressOnly =
+          Use.A.isReg() && Use.A.Reg == O.Reg &&
+          (Use.Op == IROp::Load ||
+           (Use.Op == IROp::Store && !(Use.B.isReg() && Use.B.Reg == O.Reg)));
+      if (!AddressOnly)
+        T.Slots[T.SlotOfReg[O.Reg]].AddressTaken = true;
+    };
+    Escape(Use.A);
+    Escape(Use.B);
+    for (unsigned A = 0; A < Use.ArgCount; ++A)
+      Escape(T.Operands[Use.ArgBegin + A]);
+  }
+}
+
 bool FunctionLowering::lower(const FunctionDecl *FD, IRFunction &F) {
   Fn = &F;
   F.Name = FD->name();
   F.RetTy = FD->returnType();
   F.NumParams = static_cast<unsigned>(FD->params().size());
+  T.Instrs.clear();
+  T.InstrBlock.clear();
+  T.BlockLast.clear();
+  T.Slots.clear();
+  T.Operands.clear();
+  T.Formats.clear();
+  T.SlotIndex.clear();
+  T.ArgStack.clear();
+  T.Labels.clear();
+  T.BreakTargets.clear();
+  T.ContinueTargets.clear();
   Cur = newBlock();
   for (const VarDecl *P : FD->params())
     addSlot(P);
   genStmt(FD->body());
+  if (failed())
+    return false;
   // Implicit return at the end (value 0: UB-free variants never use an
   // indeterminate return, and the reference interpreter maps main's
   // fall-off to 0).
-  if (!terminated()) {
+  if (!terminated(Cur)) {
     IRInstr I;
     I.Op = IROp::Ret;
-    append(std::move(I));
+    append(I);
   }
   // Some label/join blocks may have been created and never filled.
-  for (IRBlock &B : F.Blocks) {
-    if (B.Instrs.empty() || !B.Instrs.back().isTerminator()) {
+  const unsigned NumBlocks = static_cast<unsigned>(T.BlockLast.size());
+  for (unsigned B = 0; B < NumBlocks; ++B) {
+    if (!terminated(B)) {
       IRInstr I;
       I.Op = IROp::Ret;
-      B.Instrs.push_back(std::move(I));
+      appendTo(B, I);
     }
   }
-  // Conservative address-taken marking: any AddrSlot whose result is used
-  // by something other than a direct Load/Store address position.
-  for (IRBlock &B : F.Blocks) {
-    for (size_t II = 0; II < B.Instrs.size(); ++II) {
-      const IRInstr &I = B.Instrs[II];
-      if (I.Op != IROp::AddrSlot)
-        continue;
-      unsigned Reg = I.Dst;
-      for (const IRBlock &B2 : F.Blocks) {
-        for (const IRInstr &Use : B2.Instrs) {
-          bool Escapes = false;
-          if (Use.Op == IROp::Load && Use.A.isReg() && Use.A.Reg == Reg)
-            continue;
-          if (Use.Op == IROp::Store && Use.A.isReg() && Use.A.Reg == Reg &&
-              !(Use.B.isReg() && Use.B.Reg == Reg))
-            continue;
-          if (Use.A.isReg() && Use.A.Reg == Reg)
-            Escapes = true;
-          if (Use.B.isReg() && Use.B.Reg == Reg)
-            Escapes = true;
-          for (const IROperand &O : Use.Args)
-            if (O.isReg() && O.Reg == Reg)
-              Escapes = true;
-          if (Escapes)
-            F.Slots[I.SlotIndex].AddressTaken = true;
-        }
-      }
-    }
-  }
-  return !failed();
+  markAddressTaken(F.NumRegs);
+  // Copy the function out of the scratch tables, each vector allocated
+  // once at its final size.
+  T.BlockSize.assign(NumBlocks, 0);
+  for (unsigned B : T.InstrBlock)
+    ++T.BlockSize[B];
+  F.Blocks.resize(NumBlocks);
+  for (unsigned B = 0; B < NumBlocks; ++B)
+    F.Blocks[B].Instrs.reserve(T.BlockSize[B]);
+  for (size_t I = 0; I < T.Instrs.size(); ++I)
+    F.Blocks[T.InstrBlock[I]].Instrs.push_back(T.Instrs[I]);
+  F.Slots.assign(std::make_move_iterator(T.Slots.begin()),
+                 std::make_move_iterator(T.Slots.end()));
+  F.Operands.assign(T.Operands.begin(), T.Operands.end());
+  F.Formats.assign(std::make_move_iterator(T.Formats.begin()),
+                   std::make_move_iterator(T.Formats.end()));
+  return true;
 }
 
 } // namespace
@@ -1066,9 +1175,12 @@ bool FunctionLowering::lower(const FunctionDecl *FD, IRFunction &F) {
 IRGenResult spe::generateIR(ASTContext &Ctx) {
   IRGenResult Result;
   IRModule &M = Result.Module;
+  ScratchLease<LoweringTables> T;
 
-  std::map<const VarDecl *, int> GlobalIndex;
-  for (VarDecl *G : Ctx.globals()) {
+  std::vector<VarDecl *> Globals = Ctx.globals();
+  T->GlobalIndex.clear();
+  M.Globals.reserve(Globals.size());
+  for (VarDecl *G : Globals) {
     IRGlobal IG;
     IG.Name = G->name();
     IG.Ty = G->type();
@@ -1083,7 +1195,7 @@ IRGenResult spe::generateIR(ASTContext &Ctx) {
       Result.Error = "non-constant global initializer";
       return Result;
     }
-    GlobalIndex[G] = static_cast<int>(M.Globals.size());
+    T->GlobalIndex.set(G, static_cast<int>(M.Globals.size()));
     M.Globals.push_back(std::move(IG));
   }
 
@@ -1094,7 +1206,7 @@ IRGenResult spe::generateIR(ASTContext &Ctx) {
     M.Functions[I].Name = Defs[I]->name();
 
   for (size_t I = 0; I < Defs.size(); ++I) {
-    FunctionLowering Lowering(Ctx, M, GlobalIndex, Result.Error);
+    FunctionLowering Lowering(Ctx, Defs, *T, Result.Error);
     IRFunction F;
     F.Name = Defs[I]->name();
     if (!Lowering.lower(Defs[I], F))

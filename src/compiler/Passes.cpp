@@ -2,6 +2,8 @@
 
 #include "compiler/Passes.h"
 
+#include "support/Scratch.h"
+
 #include <algorithm>
 
 using namespace spe;
@@ -21,11 +23,9 @@ void covOp(CoverageRegistry *Cov, const char *Family, BinaryOp Op) {
 }
 
 /// Turns \p I into a fresh \p Op instruction in place: every field as a
-/// new IRInstr has it. Copying from a blank keeps I's Args and Fmt
-/// buffers, where assigning a temporary would free them.
+/// new IRInstr has it.
 void reset(IRInstr &I, IROp Op) {
-  static const IRInstr Blank{};
-  I = Blank;
+  I = IRInstr();
   I.Op = Op;
 }
 
@@ -59,7 +59,7 @@ void makeBr(IRInstr &I, unsigned Succ) {
 
 /// Erases in place every element of \p V that \p Drop(element, index)
 /// picks, keeping the others' order. Drop sees each element once, in
-/// order, before anything moves, and may move out of an element it picks.
+/// order, before anything moves.
 template <typename T, typename DropFn>
 void eraseInPlace(std::vector<T> &V, DropFn Drop) {
   size_t Kept = 0;
@@ -72,6 +72,97 @@ void eraseInPlace(std::vector<T> &V, DropFn Drop) {
   }
   V.erase(V.begin() + static_cast<long>(Kept), V.end());
 }
+
+/// Each block's dominator set as one row of a bit matrix.
+class Dominators {
+public:
+  /// Computes the sets of the first \p N blocks with the classic iterative
+  /// algorithm over their predecessors \p Preds.
+  void compute(const std::vector<std::vector<unsigned>> &Preds, size_t N) {
+    Words = (N + 63) / 64;
+    All.assign(Words, ~uint64_t(0));
+    if (N % 64)
+      All.back() = (uint64_t(1) << (N % 64)) - 1;
+    Bits.clear();
+    for (size_t B = 0; B < N; ++B)
+      Bits.insert(Bits.end(), All.begin(), All.end());
+    std::fill(row(0), row(0) + Words, 0);
+    add(row(0), 0);
+    NewDom.assign(Words, 0);
+    bool Changed = true;
+    while (Changed) {
+      Changed = false;
+      for (unsigned B = 1; B < N; ++B) {
+        // An unreachable block keeps the minimal set, itself.
+        if (Preds[B].empty())
+          std::fill(NewDom.begin(), NewDom.end(), 0);
+        else
+          NewDom = All;
+        for (unsigned P : Preds[B])
+          for (size_t W = 0; W < Words; ++W)
+            NewDom[W] &= row(P)[W];
+        add(NewDom.data(), B);
+        if (!std::equal(NewDom.begin(), NewDom.end(), row(B))) {
+          std::copy(NewDom.begin(), NewDom.end(), row(B));
+          Changed = true;
+        }
+      }
+    }
+  }
+
+  /// \returns whether \p D dominates \p B.
+  bool dominates(unsigned D, unsigned B) const {
+    return Bits[B * Words + D / 64] >> (D % 64) & 1;
+  }
+
+private:
+  size_t Words = 0;
+  std::vector<uint64_t> Bits;
+  std::vector<uint64_t> All;
+  std::vector<uint64_t> NewDom;
+
+  uint64_t *row(unsigned B) { return Bits.data() + B * Words; }
+  static void add(uint64_t *Row, unsigned B) {
+    Row[B / 64] |= uint64_t(1) << (B % 64);
+  }
+};
+
+/// The passes' per-thread scratch (support/Scratch.h): dense tables by
+/// register, slot or block. Each pass re-initializes the tables it uses
+/// before reading them.
+struct PassTables {
+  /// propagateCopies: each register's Copy or Const value, or None.
+  std::vector<IROperand> Defs;
+  /// eliminateDeadCode: the registers some instruction uses.
+  std::vector<bool> Used;
+  /// simplifyControlFlow: each forwarder's target (-1 for other blocks),
+  /// the walk that last passed each block, reachability and the blocks'
+  /// new numbers.
+  std::vector<int> Forward;
+  std::vector<unsigned> SeenBy;
+  std::vector<bool> Reachable;
+  std::vector<unsigned> Remap;
+  /// simplifyControlFlow and hoistLoopInvariants: a block worklist.
+  std::vector<unsigned> Work;
+  /// forwardStores: each AddrSlot register's slot (-1 for other
+  /// registers), and per slot the known value and the pending store; the
+  /// dead stores of the block.
+  std::vector<int> AddrToSlot;
+  std::vector<IROperand> Known;
+  std::vector<size_t> PendingStore;
+  std::vector<size_t> Dead;
+  /// hoistLoopInvariants: predecessors (the first Blocks.size() entries
+  /// are the function's), dominators, back edges, loop membership, each
+  /// register's defining block, a header's outside predecessors and the
+  /// instructions hoisted to its preheader.
+  std::vector<std::vector<unsigned>> Preds;
+  Dominators Dom;
+  std::vector<std::pair<unsigned, unsigned>> BackEdges;
+  std::vector<bool> InLoop;
+  std::vector<unsigned> DefBlock;
+  std::vector<unsigned> OutsidePreds;
+  std::vector<IRInstr> Hoisted;
+};
 
 } // namespace
 
@@ -152,7 +243,9 @@ bool spe::propagateCopies(IRFunction &F, CoverageRegistry *Cov) {
   // Registers are single-assignment, so a Copy or Const definition may be
   // substituted into every use. Defs is dense up to the largest register
   // such a definition names; None marks a register without one.
-  std::vector<IROperand> Defs;
+  ScratchLease<PassTables> T;
+  std::vector<IROperand> &Defs = T->Defs;
+  Defs.clear();
   auto Define = [&](unsigned Reg, const IROperand &Value) {
     if (Reg >= Defs.size())
       Defs.resize(size_t(Reg) + 1);
@@ -193,7 +286,7 @@ bool spe::propagateCopies(IRFunction &F, CoverageRegistry *Cov) {
       };
       Rewrite(I.A);
       Rewrite(I.B);
-      for (IROperand &O : I.Args)
+      for (IROperand &O : F.args(I))
         Rewrite(O);
     }
   }
@@ -207,7 +300,8 @@ bool spe::propagateCopies(IRFunction &F, CoverageRegistry *Cov) {
 bool spe::eliminateDeadCode(IRFunction &F, CoverageRegistry *Cov) {
   // Used is dense over the registers F defines: a use of any other
   // register keeps no definition alive.
-  std::vector<bool> Used;
+  ScratchLease<PassTables> T;
+  std::vector<bool> &Used = T->Used;
   const size_t Bound = regBound(F);
   bool ChangedAny = false;
   for (;;) {
@@ -220,7 +314,7 @@ bool spe::eliminateDeadCode(IRFunction &F, CoverageRegistry *Cov) {
       for (const IRInstr &I : B.Instrs) {
         Use(I.A);
         Use(I.B);
-        for (const IROperand &O : I.Args)
+        for (const IROperand &O : F.args(I))
           Use(O);
       }
     }
@@ -244,6 +338,7 @@ bool spe::eliminateDeadCode(IRFunction &F, CoverageRegistry *Cov) {
 //===----------------------------------------------------------------------===//
 
 bool spe::simplifyControlFlow(IRFunction &F, CoverageRegistry *Cov) {
+  ScratchLease<PassTables> T;
   bool Changed = false;
 
   // CondBr with identical arms becomes an unconditional branch.
@@ -257,7 +352,8 @@ bool spe::simplifyControlFlow(IRFunction &F, CoverageRegistry *Cov) {
   }
 
   // Thread forwarder blocks that contain only `br`.
-  std::vector<int> Forward(F.Blocks.size(), -1);
+  std::vector<int> &Forward = T->Forward;
+  Forward.assign(F.Blocks.size(), -1);
   for (size_t BI = 0; BI < F.Blocks.size(); ++BI) {
     const IRBlock &B = F.Blocks[BI];
     if (B.Instrs.size() == 1 && B.Instrs[0].Op == IROp::Br &&
@@ -267,7 +363,8 @@ bool spe::simplifyControlFlow(IRFunction &F, CoverageRegistry *Cov) {
   // A chain of forwarders may close into a cycle: each walk stops at the
   // first block it has already passed, which SeenBy marks with the walk's
   // number.
-  std::vector<unsigned> SeenBy(F.Blocks.size(), 0);
+  std::vector<unsigned> &SeenBy = T->SeenBy;
+  SeenBy.assign(F.Blocks.size(), 0);
   unsigned Walk = 0;
   auto Thread = [&](unsigned Succ) {
     ++Walk;
@@ -298,8 +395,10 @@ bool spe::simplifyControlFlow(IRFunction &F, CoverageRegistry *Cov) {
   }
 
   // Remove unreachable blocks.
-  std::vector<bool> Reachable(F.Blocks.size(), false);
-  std::vector<unsigned> Work{0};
+  std::vector<bool> &Reachable = T->Reachable;
+  Reachable.assign(F.Blocks.size(), false);
+  std::vector<unsigned> &Work = T->Work;
+  Work.assign(1, 0);
   Reachable[0] = true;
   while (!Work.empty()) {
     unsigned B = Work.back();
@@ -321,7 +420,8 @@ bool spe::simplifyControlFlow(IRFunction &F, CoverageRegistry *Cov) {
     if (!R)
       AnyUnreachable = true;
   if (AnyUnreachable) {
-    std::vector<unsigned> Remap(F.Blocks.size(), 0);
+    std::vector<unsigned> &Remap = T->Remap;
+    Remap.assign(F.Blocks.size(), 0);
     unsigned Kept = 0;
     for (size_t BI = 0; BI < F.Blocks.size(); ++BI)
       if (Reachable[BI])
@@ -349,7 +449,9 @@ bool spe::simplifyControlFlow(IRFunction &F, CoverageRegistry *Cov) {
 bool spe::forwardStores(IRFunction &F, CoverageRegistry *Cov) {
   // Each AddrSlot result register's slot, dense up to the largest such
   // register; -1 marks any other register.
-  std::vector<int> AddrToSlot;
+  ScratchLease<PassTables> T;
+  std::vector<int> &AddrToSlot = T->AddrToSlot;
+  AddrToSlot.clear();
   for (const IRBlock &B : F.Blocks)
     for (const IRInstr &I : B.Instrs)
       if (I.Op == IROp::AddrSlot) {
@@ -371,9 +473,9 @@ bool spe::forwardStores(IRFunction &F, CoverageRegistry *Cov) {
   // Per block and slot: the known value (None when unknown) and the index
   // of a store not yet observed (NoStore when there is none).
   constexpr size_t NoStore = ~size_t(0);
-  std::vector<IROperand> Known;
-  std::vector<size_t> PendingStore;
-  std::vector<size_t> Dead;
+  std::vector<IROperand> &Known = T->Known;
+  std::vector<size_t> &PendingStore = T->PendingStore;
+  std::vector<size_t> &Dead = T->Dead;
   bool Changed = false;
   for (IRBlock &B : F.Blocks) {
     Known.assign(F.Slots.size(), IROperand::none());
@@ -528,15 +630,15 @@ bool spe::simplifyAlgebra(IRFunction &F, CoverageRegistry *Cov) {
 // Loop-invariant code motion
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Fills \p Preds with each block's predecessors in ascending order,
-/// reusing its vectors' buffers.
-void collectPreds(const IRFunction &F,
-                  std::vector<std::vector<unsigned>> &Preds) {
-  Preds.resize(F.Blocks.size());
-  for (std::vector<unsigned> &P : Preds)
-    P.clear();
+/// Fills the first Blocks.size() entries of \p Preds with each block's
+/// predecessors in ascending order; Preds never shrinks, so its vectors
+/// keep their buffers.
+static void collectPreds(const IRFunction &F,
+                         std::vector<std::vector<unsigned>> &Preds) {
+  if (Preds.size() < F.Blocks.size())
+    Preds.resize(F.Blocks.size());
+  for (size_t B = 0; B < F.Blocks.size(); ++B)
+    Preds[B].clear();
   for (unsigned B = 0; B < F.Blocks.size(); ++B) {
     const IRInstr &Term = F.Blocks[B].Instrs.back();
     if (Term.Op == IROp::Br || Term.Op == IROp::CondBr) {
@@ -547,69 +649,18 @@ void collectPreds(const IRFunction &F,
   }
 }
 
-/// Each block's dominator set as one row of a bit matrix.
-class Dominators {
-public:
-  /// Computes the sets with the classic iterative algorithm over the
-  /// blocks' predecessors \p Preds.
-  explicit Dominators(const std::vector<std::vector<unsigned>> &Preds)
-      : Words((Preds.size() + 63) / 64) {
-    const size_t N = Preds.size();
-    std::vector<uint64_t> All(Words, ~uint64_t(0));
-    if (N % 64)
-      All.back() = (uint64_t(1) << (N % 64)) - 1;
-    for (size_t B = 0; B < N; ++B)
-      Bits.insert(Bits.end(), All.begin(), All.end());
-    std::fill(row(0), row(0) + Words, 0);
-    add(row(0), 0);
-    std::vector<uint64_t> NewDom(Words);
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (unsigned B = 1; B < N; ++B) {
-        // An unreachable block keeps the minimal set, itself.
-        if (Preds[B].empty())
-          std::fill(NewDom.begin(), NewDom.end(), 0);
-        else
-          NewDom = All;
-        for (unsigned P : Preds[B])
-          for (size_t W = 0; W < Words; ++W)
-            NewDom[W] &= row(P)[W];
-        add(NewDom.data(), B);
-        if (!std::equal(NewDom.begin(), NewDom.end(), row(B))) {
-          std::copy(NewDom.begin(), NewDom.end(), row(B));
-          Changed = true;
-        }
-      }
-    }
-  }
-
-  /// \returns whether \p D dominates \p B.
-  bool dominates(unsigned D, unsigned B) const {
-    return Bits[B * Words + D / 64] >> (D % 64) & 1;
-  }
-
-private:
-  size_t Words;
-  std::vector<uint64_t> Bits;
-
-  uint64_t *row(unsigned B) { return Bits.data() + B * Words; }
-  static void add(uint64_t *Row, unsigned B) {
-    Row[B / 64] |= uint64_t(1) << (B % 64);
-  }
-};
-
-} // namespace
-
 bool spe::hoistLoopInvariants(IRFunction &F, CoverageRegistry *Cov) {
   if (F.Blocks.size() < 2)
     return false;
-  std::vector<std::vector<unsigned>> Preds;
+  ScratchLease<PassTables> T;
+  std::vector<std::vector<unsigned>> &Preds = T->Preds;
   collectPreds(F, Preds);
-  const Dominators Dom(Preds);
+  T->Dom.compute(Preds, F.Blocks.size());
+  const Dominators &Dom = T->Dom;
 
   // Find back edges U -> H where H dominates U.
-  std::vector<std::pair<unsigned, unsigned>> BackEdges;
+  std::vector<std::pair<unsigned, unsigned>> &BackEdges = T->BackEdges;
+  BackEdges.clear();
   for (unsigned B = 0; B < F.Blocks.size(); ++B) {
     const IRInstr &Term = F.Blocks[B].Instrs.back();
     auto Check = [&](unsigned Succ) {
@@ -627,10 +678,11 @@ bool spe::hoistLoopInvariants(IRFunction &F, CoverageRegistry *Cov) {
     return false;
 
   bool Changed = false;
-  std::vector<bool> InLoop;
-  std::vector<unsigned> Work;
+  std::vector<bool> &InLoop = T->InLoop;
+  std::vector<unsigned> &Work = T->Work;
   constexpr unsigned NoBlock = ~0u;
-  std::vector<unsigned> DefBlock;
+  std::vector<unsigned> &DefBlock = T->DefBlock;
+  std::vector<IRInstr> &Hoisted = T->Hoisted;
   const size_t Bound = regBound(F);
   for (auto [Latch, Header] : BackEdges) {
     // Natural loop: header plus everything reaching the latch without
@@ -677,7 +729,7 @@ bool spe::hoistLoopInvariants(IRFunction &F, CoverageRegistry *Cov) {
         return false;
       if (!IsInvariantOperand(I.A) || !IsInvariantOperand(I.B))
         return false;
-      for (const IROperand &O : I.Args)
+      for (const IROperand &O : F.args(I))
         if (!IsInvariantOperand(O))
           return false;
       return true;
@@ -685,7 +737,8 @@ bool spe::hoistLoopInvariants(IRFunction &F, CoverageRegistry *Cov) {
 
     // Build a preheader: a fresh block branching to the header; all
     // non-loop predecessors of the header are redirected to it.
-    std::vector<unsigned> OutsidePreds;
+    std::vector<unsigned> &OutsidePreds = T->OutsidePreds;
+    OutsidePreds.clear();
     for (unsigned P : Preds[Header])
       if (!InLoop[P])
         OutsidePreds.push_back(P);
@@ -693,12 +746,6 @@ bool spe::hoistLoopInvariants(IRFunction &F, CoverageRegistry *Cov) {
       continue;
     unsigned Preheader = static_cast<unsigned>(F.Blocks.size());
     F.Blocks.emplace_back();
-    {
-      IRInstr Br;
-      Br.Op = IROp::Br;
-      Br.Succ0 = Header;
-      F.Blocks[Preheader].Instrs.push_back(std::move(Br));
-    }
     for (unsigned P : OutsidePreds) {
       IRInstr &Term = F.Blocks[P].Instrs.back();
       if (Term.Succ0 == Header)
@@ -707,10 +754,11 @@ bool spe::hoistLoopInvariants(IRFunction &F, CoverageRegistry *Cov) {
         Term.Succ1 = Preheader;
     }
 
-    // Hoist to the preheader until fixpoint, visiting the loop's blocks in
-    // ascending order (the preheader's instruction order shows it). A
-    // block's terminator always stays.
-    std::vector<IRInstr> &PH = F.Blocks[Preheader].Instrs;
+    // Hoist until fixpoint, visiting the loop's blocks in ascending order
+    // (the preheader's instruction order shows it). A block's terminator
+    // always stays. The preheader, past InLoop, is not visited, so it is
+    // built once at the end: the hoisted instructions, then its branch.
+    Hoisted.clear();
     bool LocalChanged = true;
     while (LocalChanged) {
       LocalChanged = false;
@@ -722,8 +770,7 @@ bool spe::hoistLoopInvariants(IRFunction &F, CoverageRegistry *Cov) {
           if (II == Last || !I.HasDst || !IsHoistable(I))
             return false;
           DefBlock[I.Dst] = Preheader;
-          // Insert before the preheader terminator.
-          PH.insert(PH.end() - 1, std::move(I));
+          Hoisted.push_back(I);
           cov(Cov, "licm.hoist");
           Changed = true;
           LocalChanged = true;
@@ -731,6 +778,13 @@ bool spe::hoistLoopInvariants(IRFunction &F, CoverageRegistry *Cov) {
         });
       }
     }
+    std::vector<IRInstr> &PH = F.Blocks[Preheader].Instrs;
+    PH.reserve(Hoisted.size() + 1);
+    PH.assign(Hoisted.begin(), Hoisted.end());
+    IRInstr Br;
+    Br.Op = IROp::Br;
+    Br.Succ0 = Header;
+    PH.push_back(Br);
   }
   return Changed;
 }

@@ -4,12 +4,13 @@
 
 #include "support/Divergence.h"
 #include "support/Printf.h"
+#include "support/Scratch.h"
 #include "support/StdinScan.h"
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 using namespace spe;
@@ -73,6 +74,62 @@ struct SavedActivation {
     return *this;
   }
 };
+
+/// One relational comparison a loop's classification found reading a
+/// cell's value: a candidate guard.
+struct LoopCompare {
+  const IRInstr *Site;
+  int Cell;
+  bool CellOnLeft;
+};
+
+/// The buffers of the activation at one call depth: its registers, its
+/// slots' blocks, and the operands it passes to a call.
+struct VMFrame {
+  std::vector<VMValue> Regs;
+  std::vector<uint32_t> SlotBlocks;
+  std::vector<VMValue> CallArgs;
+};
+
+/// The VM's per-thread scratch (support/Scratch.h). A run re-initializes
+/// each table before reading it.
+struct VMTables {
+  /// Frames[D] serves the activation at call depth D + 1. Each frame is on
+  /// the heap, so an outer activation's references to its own frame
+  /// survive a deeper call that grows the vector.
+  std::vector<std::unique_ptr<VMFrame>> Frames;
+  /// Each function's regBound, or NoBound until its first call.
+  std::vector<size_t> RegBounds;
+  std::vector<uint32_t> GlobalBlocks;
+  std::vector<uint64_t> PrintfArgs;
+  /// Globals whose address is used other than to load or store them;
+  /// filled on a run's first use.
+  std::vector<bool> EscapedGlobals;
+
+  /// classifyLoop's tables: successors and predecessors (the first
+  /// Blocks.size() entries are the function's), the blocks reached from
+  /// and reaching the head and on a cycle through it, live registers per
+  /// block (a bit matrix), each register's unique definition, ...
+  std::vector<std::vector<unsigned>> Succs, Preds;
+  std::vector<unsigned> Work;
+  std::vector<bool> Forward, Backward, InLoop;
+  std::vector<uint64_t> LiveIn, Live;
+  std::vector<const IRInstr *> Def, OtherDef;
+  std::vector<bool> Seen;
+  std::vector<bool> DefInLoop;
+  /// ... each value register's cell and offset, whether a register may
+  /// carry a candidate's value, and per cell its verdicts, deltas and plan
+  /// index.
+  std::vector<int> ValueCell;
+  std::vector<int64_t> Offset;
+  std::vector<int> Fed;
+  std::vector<bool> Bad, EscapedSlots, Candidate, Drifting;
+  std::vector<std::vector<int64_t>> Deltas;
+  std::vector<LoopCompare> Compares;
+  std::vector<unsigned> CellIndex;
+};
+
+constexpr size_t NoBound = ~size_t(0);
 
 class VM {
 public:
@@ -177,9 +234,19 @@ private:
                const VMValue &V);
 
   VMValue applyBin(const IRInstr &I, const VMValue &L, const VMValue &R);
-  void doPrintf(const IRInstr &I, const std::vector<VMValue> &Regs);
+  void doPrintf(const IRFunction &F, const IRInstr &I,
+                const std::vector<VMValue> &Regs);
 
-  VMValue callFunction(unsigned FnIndex, const std::vector<VMValue> &Args);
+  /// Runs function \p FnIndex on the \p NumArgs operands at \p Args.
+  VMValue callFunction(unsigned FnIndex, const VMValue *Args,
+                       size_t NumArgs);
+  /// The size of function \p FnIndex's register file.
+  size_t regBoundOf(unsigned FnIndex) {
+    size_t &Bound = T->RegBounds[FnIndex];
+    if (Bound == NoBound)
+      Bound = regBound(M.Functions[FnIndex]);
+    return Bound;
+  }
 
   const IRModule &M;
   const VMOptions &Opts;
@@ -187,7 +254,7 @@ private:
   bool Done = false;
   uint64_t Steps = 0;
   MachineMemory Mem;
-  std::vector<uint32_t> GlobalBlocks;
+  ScratchLease<VMTables> T;
   unsigned CallDepth = 0;
   StdinIntScanner Stdin; ///< Sweep-input cursor for IROp::Input.
 
@@ -195,9 +262,7 @@ private:
   /// Classified loops of this run, by function and head block.
   std::map<std::pair<unsigned, unsigned>, VMLoopPlan> Plans;
   std::vector<DriftWatch *> Watches; ///< Armed watches.
-  /// Globals whose address is used other than to load or store them;
-  /// filled on first use.
-  std::vector<bool> EscapedGlobals;
+  /// Whether T->EscapedGlobals holds this run's escaped globals.
   bool EscapedKnown = false;
 };
 
@@ -226,7 +291,8 @@ const DriftPlan *VM::armDrift(DriftWatch &W, unsigned FnIndex,
   if (!P.empty()) {
     std::vector<uint32_t> Cells;
     for (const VMLoopPlan::CellRef &R : P.Refs)
-      Cells.push_back(R.Global ? GlobalBlocks[R.Index] : SlotBlocks[R.Index]);
+      Cells.push_back(R.Global ? T->GlobalBlocks[R.Index]
+                               : SlotBlocks[R.Index]);
     W.arm(P, std::move(Cells), Watches);
   }
   return &P;
@@ -234,23 +300,16 @@ const DriftPlan *VM::armDrift(DriftWatch &W, unsigned FnIndex,
 
 namespace {
 
-std::vector<unsigned> successors(const IRBlock &B) {
-  const IRInstr &T = B.Instrs.back();
-  if (T.Op == IROp::Br)
-    return {T.Succ0};
-  if (T.Op == IROp::CondBr)
-    return {T.Succ0, T.Succ1};
-  return {};
-}
-
-/// Calls \p Fn(Operand, Role) on each register operand of \p I; Role is 0
-/// for A, 1 for B, 2 for a call or printf argument.
-template <class FnT> void forEachRegUse(const IRInstr &I, FnT &&Fn) {
+/// Calls \p Fn(Operand, Role) on each register operand of \p I, an
+/// instruction of \p F; Role is 0 for A, 1 for B, 2 for a call or printf
+/// argument.
+template <class FnT>
+void forEachRegUse(const IRFunction &F, const IRInstr &I, FnT &&Fn) {
   if (I.A.isReg())
     Fn(I.A.Reg, 0);
   if (I.B.isReg())
     Fn(I.B.Reg, 1);
-  for (const IROperand &O : I.Args)
+  for (const IROperand &O : F.args(I))
     if (O.isReg())
       Fn(O.Reg, 2);
 }
@@ -260,17 +319,18 @@ bool addressUse(const IRInstr &I, int Role) {
   return Role == 0 && (I.Op == IROp::Load || I.Op == IROp::Store);
 }
 
-/// Each register's definition in \p F; null when it has several.
-std::vector<const IRInstr *> definitions(const IRFunction &F) {
-  std::vector<const IRInstr *> Def(F.NumRegs, nullptr);
-  std::vector<bool> Seen(F.NumRegs, false);
+/// Fills \p Def with each register's definition in \p F, null when it has
+/// several, dense over the registers F defines; \p Seen is scratch.
+void definitions(const IRFunction &F, std::vector<const IRInstr *> &Def,
+                 std::vector<bool> &Seen) {
+  Def.assign(regBound(F), nullptr);
+  Seen.assign(Def.size(), false);
   for (const IRBlock &B : F.Blocks)
     for (const IRInstr &I : B.Instrs)
       if (I.HasDst) {
         Def[I.Dst] = Seen[I.Dst] ? nullptr : &I;
         Seen[I.Dst] = true;
       }
-  return Def;
 }
 
 /// Marks in \p Out each slot or global (\p AddrOp) whose address \p F
@@ -279,8 +339,8 @@ void markEscapes(const IRFunction &F, const std::vector<const IRInstr *> &Def,
                  IROp AddrOp, std::vector<bool> &Out) {
   for (const IRBlock &B : F.Blocks)
     for (const IRInstr &I : B.Instrs)
-      forEachRegUse(I, [&](unsigned R, int Role) {
-        const IRInstr *D = Def[R];
+      forEachRegUse(F, I, [&](unsigned R, int Role) {
+        const IRInstr *D = R < Def.size() ? Def[R] : nullptr;
         if (D && D->Op == AddrOp && !addressUse(I, Role))
           Out[AddrOp == IROp::AddrSlot ? D->SlotIndex : D->GlobalIndex] =
               true;
@@ -298,64 +358,96 @@ bool relational(BinaryOp Op) {
 /// for the loop of \p Target: the blocks on some cycle through it.
 VMLoopPlan VM::classifyLoop(unsigned FnIndex, unsigned Target) {
   const IRFunction &F = M.Functions[FnIndex];
-  size_t NB = F.Blocks.size();
-  std::vector<std::vector<unsigned>> Succs(NB), Preds(NB);
-  for (unsigned B = 0; B < NB; ++B)
-    for (unsigned S : successors(F.Blocks[B])) {
+  const size_t NB = F.Blocks.size();
+  const size_t NR = regBoundOf(FnIndex);
+  std::vector<std::vector<unsigned>> &Succs = T->Succs, &Preds = T->Preds;
+  if (Succs.size() < NB) {
+    Succs.resize(NB);
+    Preds.resize(NB);
+  }
+  for (size_t B = 0; B < NB; ++B) {
+    Succs[B].clear();
+    Preds[B].clear();
+  }
+  for (unsigned B = 0; B < NB; ++B) {
+    const IRInstr &Term = F.Blocks[B].Instrs.back();
+    auto Edge = [&](unsigned S) {
       Succs[B].push_back(S);
       Preds[S].push_back(B);
-    }
-  auto Reach = [&](const std::vector<std::vector<unsigned>> &Edges) {
-    std::vector<bool> Seen(NB, false);
-    std::vector<unsigned> Work{Target};
+    };
+    if (Term.Op == IROp::Br || Term.Op == IROp::CondBr)
+      Edge(Term.Succ0);
+    if (Term.Op == IROp::CondBr)
+      Edge(Term.Succ1);
+  }
+  auto Reach = [&](const std::vector<std::vector<unsigned>> &Edges,
+                   std::vector<bool> &Seen) {
+    Seen.assign(NB, false);
+    T->Work.assign(1, Target);
     Seen[Target] = true;
-    while (!Work.empty()) {
-      unsigned B = Work.back();
-      Work.pop_back();
+    while (!T->Work.empty()) {
+      unsigned B = T->Work.back();
+      T->Work.pop_back();
       for (unsigned N : Edges[B])
         if (!Seen[N]) {
           Seen[N] = true;
-          Work.push_back(N);
+          T->Work.push_back(N);
         }
     }
-    return Seen;
   };
-  std::vector<bool> Forward = Reach(Succs), Backward = Reach(Preds);
-  std::vector<bool> InLoop(NB);
+  Reach(Succs, T->Forward);
+  Reach(Preds, T->Backward);
+  std::vector<bool> &InLoop = T->InLoop;
+  InLoop.assign(NB, false);
   for (size_t B = 0; B < NB; ++B)
-    InLoop[B] = Forward[B] && Backward[B];
+    InLoop[B] = T->Forward[B] && T->Backward[B];
 
   VMLoopPlan P;
   P.Target = Target;
 
-  // Registers live at the head: backward dataflow to a fixpoint.
-  std::vector<std::vector<bool>> LiveIn(NB, std::vector<bool>(F.NumRegs));
+  // Registers live at the head: backward dataflow to a fixpoint, one row
+  // of NR bits per block.
+  const size_t Words = (NR + 63) / 64;
+  std::vector<uint64_t> &LiveIn = T->LiveIn, &Live = T->Live;
+  LiveIn.assign(NB * Words, 0);
+  auto SetLive = [&](unsigned R, bool On) {
+    if (R >= NR)
+      return;
+    if (On)
+      Live[R / 64] |= uint64_t(1) << (R % 64);
+    else
+      Live[R / 64] &= ~(uint64_t(1) << (R % 64));
+  };
   for (bool Changed = true; Changed;) {
     Changed = false;
     for (size_t B = NB; B-- > 0;) {
-      std::vector<bool> Live(F.NumRegs, false);
+      Live.assign(Words, 0);
       for (unsigned S : Succs[B])
-        for (unsigned R = 0; R < F.NumRegs; ++R)
-          Live[R] = Live[R] || LiveIn[S][R];
+        for (size_t W = 0; W < Words; ++W)
+          Live[W] |= LiveIn[S * Words + W];
       const std::vector<IRInstr> &Is = F.Blocks[B].Instrs;
       for (size_t K = Is.size(); K-- > 0;) {
         if (Is[K].HasDst)
-          Live[Is[K].Dst] = false;
-        forEachRegUse(Is[K], [&](unsigned R, int) { Live[R] = true; });
+          SetLive(Is[K].Dst, false);
+        forEachRegUse(F, Is[K], [&](unsigned R, int) { SetLive(R, true); });
       }
-      if (Live != LiveIn[B]) {
-        LiveIn[B] = std::move(Live);
+      if (!std::equal(Live.begin(), Live.end(),
+                      LiveIn.begin() + B * Words)) {
+        std::copy(Live.begin(), Live.end(), LiveIn.begin() + B * Words);
         Changed = true;
       }
     }
   }
-  for (unsigned R = 0; R < F.NumRegs; ++R)
-    if (LiveIn[Target][R])
+  for (unsigned R = 0; R < NR; ++R)
+    if (LiveIn[Target * Words + R / 64] >> (R % 64) & 1)
       P.Live.push_back(R);
 
   // Each register's unique definition (null when it has several).
-  std::vector<const IRInstr *> Def = definitions(F);
-  std::vector<bool> DefInLoop(F.NumRegs, false);
+  std::vector<const IRInstr *> &Def = T->Def;
+  definitions(F, Def, T->Seen);
+  auto DefOf = [&](unsigned R) { return R < NR ? Def[R] : nullptr; };
+  std::vector<bool> &DefInLoop = T->DefInLoop;
+  DefInLoop.assign(NR, false);
   for (size_t B = 0; B < NB; ++B)
     for (const IRInstr &I : F.Blocks[B].Instrs)
       if (I.HasDst && InLoop[B])
@@ -363,7 +455,7 @@ VMLoopPlan VM::classifyLoop(unsigned FnIndex, unsigned Target) {
   // A cell is a slot index, or a global index offset by the slot count.
   int NumSlots = static_cast<int>(F.Slots.size());
   auto CellOf = [&](const IROperand &O) -> int {
-    const IRInstr *D = O.isReg() ? Def[O.Reg] : nullptr;
+    const IRInstr *D = O.isReg() ? DefOf(O.Reg) : nullptr;
     if (D && D->Op == IROp::AddrSlot)
       return D->SlotIndex;
     if (D && D->Op == IROp::AddrGlobal)
@@ -375,9 +467,13 @@ VMLoopPlan VM::classifyLoop(unsigned FnIndex, unsigned Target) {
   };
   // A value register of a cell holds the cell's value as the loop loaded
   // it, plus Offset: a chain of small constants (self-update sums).
-  std::vector<int> ValueCell(F.NumRegs, -2); // -2: not yet resolved.
-  std::vector<int64_t> Offset(F.NumRegs, 0);
-  std::function<int(unsigned)> ValueOf = [&](unsigned R) {
+  std::vector<int> &ValueCell = T->ValueCell;
+  std::vector<int64_t> &Offset = T->Offset;
+  ValueCell.assign(NR, -2); // -2: not yet resolved.
+  Offset.assign(NR, 0);
+  auto ValueOfRec = [&](auto &Self, unsigned R) -> int {
+    if (R >= NR)
+      return -1;
     if (ValueCell[R] != -2)
       return ValueCell[R];
     ValueCell[R] = -1; // Also ends a cycle.
@@ -394,13 +490,16 @@ VMLoopPlan VM::classifyLoop(unsigned FnIndex, unsigned Target) {
     const IROperand &K = ConstFirst ? D->A : D->B;
     if (!V.isReg() || !K.isConst() || K.Imm > 0x7fff)
       return -1;
-    int C = ValueOf(V.Reg);
+    int C = Self(Self, V.Reg);
     int64_t Step = static_cast<int64_t>(K.Imm);
-    Offset[R] = Offset[V.Reg] + (D->Bin == BinaryOp::Add ? Step : -Step);
+    Offset[R] = (V.Reg < NR ? Offset[V.Reg] : 0) +
+                (D->Bin == BinaryOp::Add ? Step : -Step);
     return ValueCell[R] = C;
   };
+  auto ValueOf = [&](unsigned R) { return ValueOfRec(ValueOfRec, R); };
   auto DirectLoad = [&](unsigned R) {
-    return Def[R] && Def[R]->Op == IROp::Load ? ValueOf(R) : -1;
+    const IRInstr *D = DefOf(R);
+    return D && D->Op == IROp::Load ? ValueOf(R) : -1;
   };
 
   // Inside the loop, a cell's address may only be loaded from and stored
@@ -408,14 +507,15 @@ VMLoopPlan VM::classifyLoop(unsigned FnIndex, unsigned Target) {
   // may only feed those sums, printf, or one side of a relational
   // comparison (directly as loaded) whose other side no candidate feeds.
   int NumCells = NumSlots + static_cast<int>(M.Globals.size());
-  std::vector<bool> Bad(NumCells, false);
-  std::vector<std::vector<int64_t>> Deltas(NumCells);
-  struct Compare {
-    const IRInstr *Site;
-    int Cell;
-    bool CellOnLeft;
-  };
-  std::vector<Compare> Compares;
+  std::vector<bool> &Bad = T->Bad;
+  Bad.assign(NumCells, false);
+  std::vector<std::vector<int64_t>> &Deltas = T->Deltas;
+  if (Deltas.size() < size_t(NumCells))
+    Deltas.resize(NumCells);
+  for (int C = 0; C < NumCells; ++C)
+    Deltas[C].clear();
+  std::vector<LoopCompare> &Compares = T->Compares;
+  Compares.clear();
   bool Calls = false, Derefs = false;
   for (size_t B = 0; B < NB; ++B) {
     if (!InLoop[B])
@@ -433,7 +533,7 @@ VMLoopPlan VM::classifyLoop(unsigned FnIndex, unsigned Target) {
       bool IsSum = I.HasDst && I.Op == IROp::Bin && ValueOf(I.Dst) >= 0;
       bool IsCompare = I.Op == IROp::Bin && relational(I.Bin);
       if (I.Op == IROp::Store && Target >= 0) {
-        const IRInstr *Sum = I.B.isReg() ? Def[I.B.Reg] : nullptr;
+        const IRInstr *Sum = I.B.isReg() ? DefOf(I.B.Reg) : nullptr;
         if (!Sum || Sum->Op != IROp::Bin || ValueOf(I.B.Reg) != Target) {
           Bad[Target] = true;
         } else {
@@ -447,7 +547,7 @@ VMLoopPlan VM::classifyLoop(unsigned FnIndex, unsigned Target) {
           Deltas[Target].push_back(Offset[I.B.Reg]);
         }
       }
-      forEachRegUse(I, [&](unsigned R, int Role) {
+      forEachRegUse(F, I, [&](unsigned R, int Role) {
         int C = CellOf(IROperand::reg(R, nullptr));
         if (C >= 0 && !addressUse(I, Role))
           Bad[C] = true; // The address is used as a value.
@@ -465,28 +565,35 @@ VMLoopPlan VM::classifyLoop(unsigned FnIndex, unsigned Target) {
 
   // Only a loop that dereferences or calls can reach a cell through a
   // pointer, and only a cell whose address escapes somewhere.
-  std::vector<bool> EscapedSlots(F.Slots.size(), false);
+  std::vector<bool> &EscapedSlots = T->EscapedSlots;
+  EscapedSlots.assign(F.Slots.size(), false);
   if (Calls || Derefs) {
     if (!EscapedKnown) {
       EscapedKnown = true;
-      EscapedGlobals.assign(M.Globals.size(), false);
-      for (const IRFunction &G : M.Functions)
-        markEscapes(G, definitions(G), IROp::AddrGlobal, EscapedGlobals);
+      T->EscapedGlobals.assign(M.Globals.size(), false);
+      for (const IRFunction &G : M.Functions) {
+        definitions(G, T->OtherDef, T->Seen);
+        markEscapes(G, T->OtherDef, IROp::AddrGlobal, T->EscapedGlobals);
+      }
     }
     markEscapes(F, Def, IROp::AddrSlot, EscapedSlots);
   }
-  std::vector<bool> Candidate(NumCells, false);
+  std::vector<bool> &Candidate = T->Candidate;
+  Candidate.assign(NumCells, false);
   for (int C = 0; C < NumCells; ++C) {
     const Type *Ty = CellType(C);
     bool Global = C >= NumSlots;
-    bool Escaped = (Calls || Derefs) &&
-                   (Global ? EscapedGlobals[C - NumSlots] : EscapedSlots[C]);
+    bool Escaped = (Calls || Derefs) && (Global ? T->EscapedGlobals[C - NumSlots]
+                                                : EscapedSlots[C]);
     Candidate[C] = !Bad[C] && !Deltas[C].empty() && Ty && Ty->isInteger() &&
                    !(Global && Calls) && !Escaped;
   }
   // Whether a register the loop defines may carry a candidate's value.
-  std::vector<int> Fed(F.NumRegs, -1); // -1: not yet resolved.
-  std::function<bool(unsigned)> Feeds = [&](unsigned R) {
+  std::vector<int> &Fed = T->Fed;
+  Fed.assign(NR, -1); // -1: not yet resolved.
+  auto FeedsRec = [&](auto &Self, unsigned R) -> bool {
+    if (R >= NR)
+      return false;
     if (Fed[R] >= 0)
       return Fed[R] == 1;
     Fed[R] = 0; // Also ends a cycle.
@@ -494,25 +601,27 @@ VMLoopPlan VM::classifyLoop(unsigned FnIndex, unsigned Target) {
       return false;
     int C = ValueOf(R);
     bool Result = C >= 0 && Candidate[C];
-    forEachRegUse(*Def[R], [&](unsigned Op, int) {
-      Result = Result || Feeds(Op);
+    forEachRegUse(F, *Def[R], [&](unsigned Op, int) {
+      Result = Result || Self(Self, Op);
     });
     Fed[R] = Result;
     return Result;
   };
-  std::vector<bool> Drifting = Candidate;
-  for (const Compare &Cmp : Compares) {
+  std::vector<bool> &Drifting = T->Drifting;
+  Drifting = Candidate;
+  for (const LoopCompare &Cmp : Compares) {
     const IROperand &Other = Cmp.CellOnLeft ? Cmp.Site->B : Cmp.Site->A;
     const Type *Ty = binComputationType(*Cmp.Site);
     const Type *Cell = CellType(Cmp.Cell);
     bool Fits = Ty && Ty->isInteger() && Cell->isInteger() &&
                 Ty->intWidth() >= Cell->intWidth() &&
                 !(Cell->isSigned() && !Ty->isSigned());
-    if (!Fits || (Other.isReg() && Feeds(Other.Reg)))
+    if (!Fits || (Other.isReg() && FeedsRec(FeedsRec, Other.Reg)))
       Drifting[Cmp.Cell] = false;
   }
 
-  std::vector<unsigned> CellIndex(NumCells, 0);
+  std::vector<unsigned> &CellIndex = T->CellIndex;
+  CellIndex.assign(NumCells, 0);
   for (int C = 0; C < NumCells; ++C) {
     if (!Drifting[C])
       continue;
@@ -524,7 +633,7 @@ VMLoopPlan VM::classifyLoop(unsigned FnIndex, unsigned Target) {
     P.Refs.push_back({C >= NumSlots, C >= NumSlots ? C - NumSlots : C});
     P.Cells.push_back(std::move(Cell));
   }
-  for (const Compare &Cmp : Compares) {
+  for (const LoopCompare &Cmp : Compares) {
     if (!Drifting[Cmp.Cell])
       continue;
     DriftPlan::Guard G;
@@ -647,32 +756,40 @@ VMValue VM::applyBin(const IRInstr &I, const VMValue &L, const VMValue &R) {
   return {};
 }
 
-void VM::doPrintf(const IRInstr &I, const std::vector<VMValue> &Regs) {
-  std::vector<uint64_t> Args;
-  Args.reserve(I.Args.size());
-  for (const IROperand &O : I.Args)
+void VM::doPrintf(const IRFunction &F, const IRInstr &I,
+                  const std::vector<VMValue> &Regs) {
+  std::vector<uint64_t> &Args = T->PrintfArgs;
+  Args.clear();
+  for (const IROperand &O : F.args(I))
     Args.push_back(evalOperand(O, Regs).Bits);
-  PrintfFailure F = formatPrintf(I.Fmt, Args, Result.Output);
-  if (F.What == PrintfFailure::MissingArgument)
+  PrintfFailure Fail = formatPrintf(F.format(I), Args, Result.Output);
+  if (Fail.What == PrintfFailure::MissingArgument)
     trap("printf: missing argument");
-  else if (F.What == PrintfFailure::UnknownConversion)
-    trap(std::string("printf conversion %") + F.Conv);
+  else if (Fail.What == PrintfFailure::UnknownConversion)
+    trap(std::string("printf conversion %") + Fail.Conv);
 }
 
-VMValue VM::callFunction(unsigned FnIndex,
-                         const std::vector<VMValue> &Args) {
+VMValue VM::callFunction(unsigned FnIndex, const VMValue *Args,
+                         size_t NumArgs) {
   if (++CallDepth > Opts.MaxCallDepth) {
     timeout(TimeoutReason::CallDepth, "call depth exceeded");
     --CallDepth;
     return {};
   }
   const IRFunction &F = M.Functions[FnIndex];
-  std::vector<VMValue> Regs(F.NumRegs);
-  std::vector<uint32_t> SlotBlocks(F.Slots.size());
+  while (T->Frames.size() < CallDepth)
+    T->Frames.push_back(std::make_unique<VMFrame>());
+  VMFrame &Frame = *T->Frames[CallDepth - 1];
+  // The register file is dense over the registers F defines: an operand
+  // names only those in a verified module.
+  std::vector<VMValue> &Regs = Frame.Regs;
+  Regs.assign(regBoundOf(FnIndex), VMValue());
+  std::vector<uint32_t> &SlotBlocks = Frame.SlotBlocks;
+  SlotBlocks.resize(F.Slots.size());
   for (size_t S = 0; S < F.Slots.size(); ++S)
     SlotBlocks[S] = Mem.allocate(
         F.Slots[S].Ty->isPointer() ? 8 : F.Slots[S].Size, false, false);
-  for (size_t A = 0; A < Args.size() && A < F.NumParams; ++A)
+  for (size_t A = 0; A < NumArgs && A < F.NumParams; ++A)
     storeTo(SlotBlocks[A], 0, F.Slots[A].Ty, Args[A]);
 
   unsigned BlockIndex = 0;
@@ -728,7 +845,7 @@ VMValue VM::callFunction(unsigned FnIndex,
     case IROp::AddrGlobal: {
       VMValue V;
       V.IsPtr = true;
-      V.Block = GlobalBlocks[I.GlobalIndex];
+      V.Block = T->GlobalBlocks[I.GlobalIndex];
       Regs[I.Dst] = V;
       break;
     }
@@ -789,17 +906,17 @@ VMValue VM::callFunction(unsigned FnIndex,
       break;
     }
     case IROp::Call: {
-      std::vector<VMValue> CallArgs;
-      for (const IROperand &O : I.Args)
-        CallArgs.push_back(evalOperand(O, Regs));
+      Frame.CallArgs.clear();
+      for (const IROperand &O : F.args(I))
+        Frame.CallArgs.push_back(evalOperand(O, Regs));
       VMValue R = callFunction(static_cast<unsigned>(I.CalleeIndex),
-                               CallArgs);
+                               Frame.CallArgs.data(), Frame.CallArgs.size());
       if (I.HasDst)
         Regs[I.Dst] = R;
       break;
     }
     case IROp::Printf:
-      doPrintf(I, Regs);
+      doPrintf(F, I, Regs);
       break;
     case IROp::Input: {
       VMValue V;
@@ -837,19 +954,21 @@ FunctionExit:
 }
 
 VMResult VM::run() {
+  T->RegBounds.assign(M.Functions.size(), NoBound);
+  T->GlobalBlocks.clear();
   for (const IRGlobal &G : M.Globals) {
     uint32_t B = Mem.allocate(G.InitBytes.size(), false, false);
     Mem.Blocks[B].Bytes = G.InitBytes;
     Mem.Blocks[B].HeldInteger =
         std::any_of(G.InitBytes.begin(), G.InitBytes.end(),
                     [](uint8_t Byte) { return Byte != 0; });
-    GlobalBlocks.push_back(B);
+    T->GlobalBlocks.push_back(B);
   }
   if (M.MainIndex < 0) {
     trap("no main function");
     return Result;
   }
-  VMValue Exit = callFunction(static_cast<unsigned>(M.MainIndex), {});
+  VMValue Exit = callFunction(static_cast<unsigned>(M.MainIndex), nullptr, 0);
   if (!Done) {
     Result.Status = VMStatus::Ok;
     Result.ExitCode = static_cast<int32_t>(Exit.Bits);

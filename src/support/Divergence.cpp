@@ -23,20 +23,77 @@ const char *spe::timeoutReasonName(TimeoutReason Reason) {
   return "?";
 }
 
-MachineMemory::MachineMemory(const char *NullName) {
-  MachineBlock Null;
+namespace {
+
+/// The thread's spare block table and the buffers of released blocks.
+/// Buffers past a bound in size, and tables past one in capacity, are
+/// freed instead, so what a thread keeps stays small.
+struct SpareMemory {
+  static constexpr size_t MaxBuffers = 256;
+  static constexpr size_t MaxBufferSize = 4096;
+  static constexpr size_t MaxTableBlocks = 4096;
+
+  std::vector<MachineBlock> Table;
+  std::vector<std::vector<uint8_t>> Bytes;
+  std::vector<std::vector<bool>> Init;
+
+  static SpareMemory &get() {
+    thread_local SpareMemory Spare;
+    return Spare;
+  }
+
+  template <class T>
+  static void give(std::vector<std::vector<T>> &Pool, std::vector<T> &Buf) {
+    if (Buf.capacity() != 0 && Buf.capacity() <= MaxBufferSize &&
+        Pool.size() < MaxBuffers)
+      Pool.push_back(std::move(Buf));
+    else
+      std::vector<T>().swap(Buf);
+  }
+  template <class T>
+  static void take(std::vector<std::vector<T>> &Pool, std::vector<T> &Buf) {
+    if (Pool.empty())
+      return;
+    Buf = std::move(Pool.back());
+    Pool.pop_back();
+  }
+  /// Moves \p B's buffers to the pools; B keeps none.
+  void recycle(MachineBlock &B) {
+    give(Bytes, B.Bytes);
+    give(Init, B.Init);
+  }
+};
+
+} // namespace
+
+MachineMemory::MachineMemory(const char *NullName)
+    : Blocks(std::move(SpareMemory::get().Table)) {
+  Blocks.clear();
+  MachineBlock &Null = Blocks.emplace_back();
   Null.Name = NullName;
   Null.Alive = false;
-  Blocks.push_back(std::move(Null));
+}
+
+MachineMemory::~MachineMemory() {
+  SpareMemory &Spare = SpareMemory::get();
+  for (MachineBlock &B : Blocks)
+    Spare.recycle(B);
+  Blocks.clear();
+  if (Blocks.capacity() <= SpareMemory::MaxTableBlocks &&
+      Blocks.capacity() > Spare.Table.capacity())
+    Spare.Table = std::move(Blocks);
 }
 
 uint32_t MachineMemory::allocate(uint64_t Size, bool TrackInit,
                                  bool ZeroInit) {
-  MachineBlock B;
+  SpareMemory &Spare = SpareMemory::get();
+  MachineBlock &B = Blocks.emplace_back();
+  SpareMemory::take(Spare.Bytes, B.Bytes);
   B.Bytes.assign(Size, 0);
-  if (TrackInit)
+  if (TrackInit) {
+    SpareMemory::take(Spare.Init, B.Init);
     B.Init.assign(Size, ZeroInit);
-  Blocks.push_back(std::move(B));
+  }
   uint32_t Id = static_cast<uint32_t>(Blocks.size() - 1);
   ++LiveBlocks;
   touch(Id);
@@ -44,13 +101,12 @@ uint32_t MachineMemory::allocate(uint64_t Size, bool TrackInit,
 }
 
 void MachineMemory::release(uint32_t Id) {
-  // Nothing reads a dead block's bytes, so free them: a loop that declares
-  // an array would otherwise keep every iteration's storage until the run
-  // ends.
+  // Nothing reads a dead block's bytes, so they leave it: a loop that
+  // declares an array would otherwise keep every iteration's storage until
+  // the run ends.
   MachineBlock &B = Blocks[Id];
   B.Alive = false;
-  std::vector<uint8_t>().swap(B.Bytes);
-  std::vector<bool>().swap(B.Init);
+  SpareMemory::get().recycle(B);
   --LiveBlocks;
   touch(Id);
 }

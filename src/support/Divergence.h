@@ -64,6 +64,13 @@ struct MachineBlock {
 
 /// The blocks of one run plus the counters the check compares. Block 0 is
 /// the dead null block.
+///
+/// The block table and the byte and init-bit buffers of released blocks
+/// are per-thread scratch (support/Scratch.h): a run takes its thread's
+/// spare table, a released block's buffers go to the thread's spare pool
+/// (bounded in count and size), and allocate() takes one from there and
+/// fills it as a fresh buffer would be. Block ids, lifetimes and contents
+/// are exactly those of fresh buffers.
 struct MachineMemory {
   std::vector<MachineBlock> Blocks;
   uint64_t Clock = 0;       ///< Bumped by every memory mutation.
@@ -74,11 +81,15 @@ struct MachineMemory {
   uint64_t Exposures = 0;
 
   explicit MachineMemory(const char *NullName = nullptr);
+  /// Hands the table and every block's buffers back to the thread.
+  ~MachineMemory();
+  MachineMemory(const MachineMemory &) = delete;
+  MachineMemory &operator=(const MachineMemory &) = delete;
 
   /// Allocates \p Size zero bytes; with \p TrackInit, init bits set to
   /// \p ZeroInit.
   uint32_t allocate(uint64_t Size, bool TrackInit, bool ZeroInit);
-  /// Ends \p Id's lifetime and frees its bytes and init bits.
+  /// Ends \p Id's lifetime; its bytes and init bits leave the block.
   void release(uint32_t Id);
   void touch(uint32_t Id) {
     Blocks[Id].Written = ++Clock;

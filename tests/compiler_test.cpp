@@ -548,8 +548,9 @@ uint64_t unprintedDigest(const IRModule &M) {
       for (const IRInstr &I : B.Instrs) {
         if (I.Op != IROp::Call && I.Op != IROp::Printf)
           continue;
-        std::string Line = I.Op == IROp::Call ? "call" : "printf " + I.Fmt;
-        for (const IROperand &O : I.Args)
+        std::string Line =
+            I.Op == IROp::Call ? "call" : "printf " + F.format(I);
+        for (const IROperand &O : F.args(I))
           Line += " " + operandText(O);
         H = fnv1a(H, Line);
       }
@@ -739,8 +740,9 @@ TEST(VerifierTest, EachMalformedModuleNamesItsProblem) {
   EXPECT_EQ(Verify([](IRFunction &F) {
               IRInstr Call = instr(IROp::Call);
               Call.CalleeIndex = 0;
-              Call.Args = {IROperand::reg(0, nullptr),
-                           IROperand::reg(9, nullptr)};
+              const IROperand Args[] = {IROperand::reg(0, nullptr),
+                                        IROperand::reg(9, nullptr)};
+              F.setArgs(Call, Args, 2);
               F.Blocks[1].Instrs.insert(F.Blocks[1].Instrs.begin(), Call);
             }),
             "function 'f': bb1: use of undefined register in args");
@@ -797,23 +799,84 @@ TEST(VerifierTest, RegistersAboveNumRegsVerifyAndOptimizeAsAnyOther) {
 
   // The pipeline reads the registers the IR names, so a function whose
   // NumRegs undercounts them optimizes exactly as one that counts them.
-  auto C = analyze("int main(void) {\n"
-                   "  int s = 0, i;\n"
-                   "  for (i = 0; i < 4; i++) s += i * 3 + (s - s);\n"
-                   "  return s;\n"
-                   "}");
-  IRGenResult Gen = generateIR(C->Ctx);
-  ASSERT_TRUE(Gen.Ok) << Gen.Error;
-  for (unsigned Opt = 1; Opt <= 3; ++Opt) {
-    IRModule Counted = Gen.Module;
-    IRModule Undercounted = Gen.Module;
-    for (IRFunction &Fn : Undercounted.Functions)
-      Fn.NumRegs = 0;
-    runPipeline(Counted, Opt, nullptr);
-    runPipeline(Undercounted, Opt, nullptr);
-    EXPECT_EQ(printModule(Undercounted), printModule(Counted)) << "O" << Opt;
-    EXPECT_EQ(verifyModule(Undercounted), "") << "O" << Opt;
+  // The VM sizes its register files and its loop classification's tables
+  // the same way, so such a module also runs as the counted one does. The
+  // second program loops long enough for its loop head to be classified.
+  const std::pair<const char *, int64_t> Programs[] = {
+      {"int main(void) {\n"
+       "  int s = 0, i;\n"
+       "  for (i = 0; i < 4; i++) s += i * 3 + (s - s);\n"
+       "  return s;\n"
+       "}",
+       18},
+      {"int g;\n"
+       "int main(void) {\n"
+       "  int s = 0, i;\n"
+       "  for (i = 0; i < 40; i++) { s += i * 3 + (s - s); g = g + 2; }\n"
+       "  return s + g;\n"
+       "}",
+       2420}};
+  for (const auto &[Source, Exit] : Programs) {
+    auto C = analyze(Source);
+    IRGenResult Gen = generateIR(C->Ctx);
+    ASSERT_TRUE(Gen.Ok) << Gen.Error;
+    for (unsigned Opt = 0; Opt <= 3; ++Opt) {
+      IRModule Counted = Gen.Module;
+      IRModule Undercounted = Gen.Module;
+      for (IRFunction &Fn : Undercounted.Functions)
+        Fn.NumRegs = 0;
+      runPipeline(Counted, Opt, nullptr);
+      runPipeline(Undercounted, Opt, nullptr);
+      EXPECT_EQ(printModule(Undercounted), printModule(Counted)) << "O" << Opt;
+      EXPECT_EQ(verifyModule(Undercounted), "") << "O" << Opt;
+      VMResult Want = executeModule(Counted);
+      VMResult Got = executeModule(Undercounted);
+      ASSERT_EQ(Want.Status, VMStatus::Ok)
+          << "O" << Opt << ": " << Want.Message;
+      EXPECT_EQ(Want.ExitCode, Exit) << "O" << Opt;
+      EXPECT_EQ(Got.Status, Want.Status) << "O" << Opt << ": " << Got.Message;
+      EXPECT_EQ(Got.ExitCode, Want.ExitCode) << "O" << Opt;
+      EXPECT_EQ(Got.Output, Want.Output) << "O" << Opt;
+    }
   }
+}
+
+TEST(VerifierTest, ArgumentRangesLieInsideTheOperandPool) {
+  // A call's or printf's operands are a range of its function's operand
+  // pool, and a printf's format an index into its format table; a range
+  // or index past either is its own problem.
+  auto WithCall = [](unsigned Begin, unsigned Count) {
+    IRModule M = wellFormedModule();
+    IRFunction &F = M.Functions[1];
+    const IROperand Arg = IROperand::reg(0, nullptr);
+    IRInstr Call = instr(IROp::Call);
+    Call.CalleeIndex = 0;
+    F.setArgs(Call, &Arg, 1);
+    Call.ArgBegin = Begin;
+    Call.ArgCount = Count;
+    F.Blocks[1].Instrs.insert(F.Blocks[1].Instrs.begin(), Call);
+    return verifyModule(M);
+  };
+  const std::string Outside =
+      "function 'f': bb1: argument range outside the operand pool";
+  EXPECT_EQ(WithCall(0, 1), "");
+  EXPECT_EQ(WithCall(1, 0), "");
+  EXPECT_EQ(WithCall(0, 2), Outside);
+  EXPECT_EQ(WithCall(2, 0), Outside);
+  EXPECT_EQ(WithCall(1, ~0u), Outside);
+  IRModule M = wellFormedModule();
+  IRFunction &F = M.Functions[1];
+  const IROperand Arg = IROperand::reg(0, nullptr);
+  IRInstr Print = instr(IROp::Printf);
+  F.setFormat(Print, "%d");
+  F.setArgs(Print, &Arg, 1);
+  F.Blocks[1].Instrs.insert(F.Blocks[1].Instrs.begin(), Print);
+  EXPECT_EQ(verifyModule(M), "");
+  F.Blocks[1].Instrs[0].ArgCount = 2;
+  EXPECT_EQ(verifyModule(M), Outside);
+  F.Blocks[1].Instrs[0].ArgCount = 1;
+  F.Blocks[1].Instrs[0].FmtIndex = 1;
+  EXPECT_EQ(verifyModule(M), "function 'f': bb1: format index out of range");
 }
 
 //===--------------------------------------------------------------------===//
@@ -835,8 +898,9 @@ IRModule binOnConstants(BinaryOp Op, const Type *Ty, const Type *IntTy,
   Bin.B = IROperand::constant(R, Ty);
   Bin.Ty = isComparisonOp(Op) ? IntTy : Ty;
   IRInstr Print = instr(IROp::Printf);
-  Print.Fmt = "%lx";
-  Print.Args = {IROperand::reg(0, Bin.Ty)};
+  F.setFormat(Print, "%lx");
+  const IROperand Word = IROperand::reg(0, Bin.Ty);
+  F.setArgs(Print, &Word, 1);
   F.Blocks[0].Instrs = {Bin, Print, ret(IROperand::constant(0, IntTy))};
   F.NumRegs = 1;
   IRModule M;
