@@ -190,7 +190,8 @@ InProcessBackend::runConfigs(const std::string &Source, ASTContext *Parsed,
   ScratchLease<std::vector<MemoRun>> Runs;
   Runs->clear();
   for (const CompilerConfig &Config : Configs) {
-    const std::vector<std::string> &Ins = Sweep ? *Sweep : configInputs(Config);
+    const std::vector<std::string> &Ins =
+        Sweep ? *Sweep : configInputs(Config);
     BackendObservation Obs;
     CompileResult R;
     const IRModule *M =
@@ -216,9 +217,10 @@ InProcessBackend::runConfigs(const std::string &Source, ASTContext *Parsed,
     // fields are shared across the row, the exec fields are per input.
     std::vector<BackendObservation> &Row = Rows.emplace_back(Ins.size(), Obs);
     for (size_t I = 0; I < Ins.size(); ++I) {
-      auto It = std::find_if(Runs->begin(), Runs->end(), [&](const MemoRun &Run) {
-        return Run.Module == M && *Run.Input == Ins[I];
-      });
+      auto It =
+          std::find_if(Runs->begin(), Runs->end(), [&](const MemoRun &Run) {
+            return Run.Module == M && *Run.Input == Ins[I];
+          });
       if (It == Runs->end()) {
         VMOptions VO;
         VO.Input = Ins[I];

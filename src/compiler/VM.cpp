@@ -583,8 +583,9 @@ VMLoopPlan VM::classifyLoop(unsigned FnIndex, unsigned Target) {
   for (int C = 0; C < NumCells; ++C) {
     const Type *Ty = CellType(C);
     bool Global = C >= NumSlots;
-    bool Escaped = (Calls || Derefs) && (Global ? T->EscapedGlobals[C - NumSlots]
-                                                : EscapedSlots[C]);
+    bool Escaped =
+        (Calls || Derefs) &&
+        (Global ? T->EscapedGlobals[C - NumSlots] : EscapedSlots[C]);
     Candidate[C] = !Bad[C] && !Deltas[C].empty() && Ty && Ty->isInteger() &&
                    !(Global && Calls) && !Escaped;
   }
@@ -968,7 +969,8 @@ VMResult VM::run() {
     trap("no main function");
     return Result;
   }
-  VMValue Exit = callFunction(static_cast<unsigned>(M.MainIndex), nullptr, 0);
+  VMValue Exit =
+      callFunction(static_cast<unsigned>(M.MainIndex), nullptr, 0);
   if (!Done) {
     Result.Status = VMStatus::Ok;
     Result.ExitCode = static_cast<int32_t>(Exit.Bits);
