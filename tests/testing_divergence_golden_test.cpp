@@ -24,6 +24,11 @@
 // Timeout census by reason, and the oracle's census is pinned: the corpus2p
 // stream's two goto cycles must be proven repeats.
 //
+// Both streams also pin a full-field oracle digest: every ExecResult
+// field -- status, Timeout reason, exit code, output, message and the
+// executed statement ids -- so a change that keeps verdicts but moves a
+// UB message or the executed set fails here too.
+//
 //===----------------------------------------------------------------------===//
 
 #include "compiler/Backend.h"
@@ -52,8 +57,20 @@ struct StreamDigest {
   uint64_t Variants = 0, OracleOk = 0, OracleTimeouts = 0, VmRuns = 0,
            VmTimeouts = 0;
   std::map<std::string, uint64_t> OracleCensus, VmCensus;
-  linetext::Fnv Oracle, Vm;
+  linetext::Fnv Oracle, Vm, Full;
 };
+
+/// Hashes every field of \p R into \p H.
+void hashAllFields(linetext::Fnv &H, const ExecResult &R) {
+  H.u64(static_cast<uint64_t>(R.Status));
+  H.u64(static_cast<uint64_t>(R.Reason));
+  H.u64(static_cast<uint64_t>(R.ExitCode));
+  H.str(R.Output);
+  H.str(R.Message);
+  H.u64(R.ExecutedStmts.size());
+  for (int Id : R.ExecutedStmts)
+    H.u64(static_cast<uint64_t>(Id));
+}
 
 void printCensus(const char *What, const std::map<std::string, uint64_t> &C) {
   for (const auto &[Reason, N] : C)
@@ -98,11 +115,13 @@ StreamDigest digestLoopCorpus() {
       std::unique_ptr<ASTContext> VCtx = parseAndAnalyze(Source);
       if (!VCtx) {
         D.Oracle.u64(0xff);
+        D.Full.u64(0xff);
         continue;
       }
       InterpOptions IO;
       IO.MaxSteps = 100'000;
       ExecResult Ref = interpret(*VCtx, IO);
+      hashAllFields(D.Full, Ref);
       D.Oracle.u64(static_cast<uint64_t>(Ref.Status));
       if (Ref.Status == ExecStatus::Timeout) {
         ++D.OracleTimeouts;
@@ -140,7 +159,7 @@ StreamDigest digestLoopCorpus() {
 struct OracleDigest {
   uint64_t Variants = 0, Timeouts = 0;
   std::map<std::string, uint64_t> Census;
-  linetext::Fnv H;
+  linetext::Fnv H, Full;
 };
 
 /// corpus2p's oracle stream: every seed of its generator at base 2000,
@@ -179,9 +198,11 @@ OracleDigest digestCorpus2p() {
       std::unique_ptr<ASTContext> VCtx = parseAndAnalyze(Source);
       if (!VCtx) {
         D.H.u64(0xff);
+        D.Full.u64(0xff);
         continue;
       }
       ExecResult Ref = interpret(*VCtx);
+      hashAllFields(D.Full, Ref);
       D.H.u64(static_cast<uint64_t>(Ref.Status));
       if (Ref.Status == ExecStatus::Timeout) {
         ++D.Timeouts;
@@ -206,6 +227,8 @@ TEST(DivergenceGoldenTest, Corpus2pOracleVerdictsMatchTheFullBudgetRun) {
   EXPECT_EQ(D.Variants, 3077u);
   EXPECT_EQ(D.Timeouts, 54u);
   EXPECT_EQ(D.H.H, 0x1167d8dc53851232ull);
+  // Every ExecResult field, the executed statements included.
+  EXPECT_EQ(D.Full.H, 0xaa60ddc61b7c82c5ull);
 
   EXPECT_GT(D.Census["drift"], 0u) << "the interpreter never proved a drift";
   // The embedded trick: seed's two cycling variants loop through a goto.
@@ -224,6 +247,8 @@ TEST(DivergenceGoldenTest, VerdictStreamsMatchTheFullBudgetRun) {
   EXPECT_EQ(D.VmTimeouts, 98u);
   EXPECT_EQ(D.Oracle.H, 0xe3fe16aa7dcb4edeull);
   EXPECT_EQ(D.Vm.H, 0x91bf84aa9632f583ull);
+  // Every ExecResult field, the executed statements included.
+  EXPECT_EQ(D.Full.H, 0xefa48858327fb46cull);
 
   printCensus("loop-corpus oracle", D.OracleCensus);
   printCensus("loop-corpus VM", D.VmCensus);
