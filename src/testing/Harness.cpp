@@ -530,11 +530,15 @@ private:
     // ones: all N compiles of batch N+1 run concurrently on the shared
     // process pool while this thread records batch N -- the overlap,
     // generalized to the whole roster.
+    // The last member takes the batch's inputs; the others get copies.
     std::vector<std::unique_ptr<BatchTicket>> Next;
     Next.reserve(Roster.size());
-    for (const CompilerBackend *B : Roster)
+    CoverageRegistry *Cov = Cur.back().Cov;
+    for (size_t B = 0; B + 1 < Roster.size(); ++B)
       Next.push_back(
-          B->beginBatch(Sources, Expected, Opts.Configs, Cur.back().Cov));
+          Roster[B]->beginBatch(Sources, Expected, Opts.Configs, Cov));
+    Next.push_back(Roster.back()->beginBatch(
+        std::move(Sources), std::move(Expected), Opts.Configs, Cov));
     finishInFlight();
     Tickets = std::move(Next);
     InFlight = std::move(Cur);
