@@ -657,25 +657,13 @@ VMValue VM::loadFrom(uint32_t Block, int64_t Offset, const Type *Ty) {
   uint64_t Size = Ty->isPointer() ? 8 : Ty->sizeInBytes();
   if (!checkAccess(Block, Offset, Size, "load"))
     return {};
-  if (Ty->isPointer() ? Mem.Blocks[Block].HeldInteger : Mem.Blocks[Block].HeldPointer)
-    ++Mem.Exposures;
-  const std::vector<uint8_t> &Bytes = Mem.Blocks[Block].Bytes;
   VMValue V;
   if (Ty->isPointer()) {
     V.IsPtr = true;
-    uint32_t Blk = 0, Off = 0;
-    for (int I = 3; I >= 0; --I)
-      Blk = (Blk << 8) | Bytes[Offset + I];
-    for (int I = 3; I >= 0; --I)
-      Off = (Off << 8) | Bytes[Offset + 4 + I];
-    V.Block = Blk;
-    V.Offset = static_cast<int32_t>(Off);
+    Mem.loadPointer(Block, Offset, V.Block, V.Offset);
     return V;
   }
-  uint64_t Raw = 0;
-  for (uint64_t I = Size; I-- > 0;)
-    Raw = (Raw << 8) | Bytes[Offset + I];
-  V.Bits = normalizeIntValue(Ty, Raw);
+  V.Bits = normalizeIntValue(Ty, Mem.loadInteger(Block, Offset, Size));
   return V;
 }
 
@@ -687,20 +675,11 @@ void VM::storeTo(uint32_t Block, int64_t Offset, const Type *Ty,
   bool AsPtr = V.IsPtr;
   if (!checkAccess(Block, Offset, AsPtr ? 8 : Size, "store"))
     return;
-  Mem.touch(Block);
-  std::vector<uint8_t> &Bytes = Mem.Blocks[Block].Bytes;
   if (AsPtr) {
-    Mem.Blocks[Block].HeldPointer = true;
-    uint32_t Off = static_cast<uint32_t>(static_cast<int32_t>(V.Offset));
-    for (int I = 0; I < 4; ++I)
-      Bytes[Offset + I] = static_cast<uint8_t>(V.Block >> (8 * I));
-    for (int I = 0; I < 4; ++I)
-      Bytes[Offset + 4 + I] = static_cast<uint8_t>(Off >> (8 * I));
+    Mem.storePointer(Block, Offset, V.Block, V.Offset);
     return;
   }
-  Mem.Blocks[Block].HeldInteger = true;
-  for (uint64_t I = 0; I < Size; ++I)
-    Bytes[Offset + I] = static_cast<uint8_t>(V.Bits >> (8 * I));
+  Mem.storeInteger(Block, Offset, Size, V.Bits);
   if (!Watches.empty())
     noteStore(Block);
 }
@@ -763,7 +742,8 @@ void VM::doPrintf(const IRFunction &F, const IRInstr &I,
   Args.clear();
   for (const IROperand &O : F.args(I))
     Args.push_back(evalOperand(O, Regs).Bits);
-  PrintfFailure Fail = formatPrintf(F.format(I), Args, Result.Output);
+  PrintfFailure Fail =
+      formatPrintf(F.format(I), Args.data(), Args.size(), Result.Output);
   if (Fail.What == PrintfFailure::MissingArgument)
     trap("printf: missing argument");
   else if (Fail.What == PrintfFailure::UnknownConversion)

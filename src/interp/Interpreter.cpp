@@ -5,10 +5,12 @@
 #include "analysis/ExprEvents.h"
 #include "support/Divergence.h"
 #include "support/Printf.h"
+#include "support/Scratch.h"
 #include "support/StdinScan.h"
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <set>
@@ -38,19 +40,26 @@ struct LValue {
   const Type *Ty = nullptr;
 };
 
-using FrameMap = std::map<const VarDecl *, uint32_t>;
+/// An activation's frame: its slice of the slot stack, one block id per
+/// variable of the unit (by Sema's VarDecl::varId), 0 for a variable
+/// without a live object in it.
+struct FrameView {
+  const uint32_t *Slots;
+  size_t Width;
+};
 
-/// The interpreter's saved image of a loop activation: its frame map.
+/// The interpreter's saved image of a loop activation: its frame.
 struct SavedFrame {
-  FrameMap Frame;
+  std::vector<uint32_t> Frame;
 
-  bool sameLoop(const FrameMap &) const { return true; }
-  static bool covers(const DriftPlan &, const FrameMap &) { return true; }
-  bool matches(const FrameMap &Current, const DriftPlan *) const {
-    return Frame == Current;
+  bool sameLoop(const FrameView &) const { return true; }
+  static bool covers(const DriftPlan &, const FrameView &) { return true; }
+  bool matches(const FrameView &Current, const DriftPlan *) const {
+    return std::equal(Frame.begin(), Frame.end(), Current.Slots,
+                      Current.Slots + Current.Width);
   }
-  SavedFrame &operator=(const FrameMap &Current) {
-    Frame = Current;
+  SavedFrame &operator=(const FrameView &Current) {
+    Frame.assign(Current.Slots, Current.Slots + Current.Width);
     return *this;
   }
 };
@@ -65,7 +74,7 @@ struct LoopPlan {
 struct ScopeWalk {
   const CompoundStmt *Body = nullptr;
   std::vector<const Stmt *> Path; ///< The statements enclosing the visit.
-  std::map<std::string, const LabelStmt *> Labels;
+  std::vector<const LabelStmt *> Labels;
   std::vector<const GotoStmt *> Gotos;
 };
 
@@ -88,10 +97,25 @@ struct StmtScope {
   std::vector<const Stmt *> Enclosing;
 };
 
+/// The oracle's per-thread scratch (support/Scratch.h). A run
+/// re-initializes each table before reading it.
+struct OracleTables {
+  /// The slot stack. Frame 0, at the bottom, holds the globals' blocks;
+  /// each call pushes one frame for the callee's parameters and locals.
+  /// Every frame is the unit's variable count wide.
+  std::vector<uint32_t> Slots;
+  /// Evaluated call arguments, until the callee's parameters take them.
+  std::vector<Value> Args;
+  std::vector<uint64_t> PrintfArgs;
+  std::vector<StmtScope> Scopes; ///< Indexed by Sema statement id.
+  ScopeWalk Walk;
+};
+
 class Interp {
 public:
   Interp(ASTContext &Ctx, const InterpOptions &Opts)
-      : Ctx(Ctx), Opts(Opts), Stdin(Opts.Input), Mem("<null>") {}
+      : Ctx(Ctx), Opts(Opts), Stdin(Opts.Input), Mem("<null>"),
+        FrameWidth(Ctx.numVars()) {}
 
   ExecResult run();
 
@@ -139,7 +163,6 @@ private:
 
   // --- memory -----------------------------------------------------------
   uint32_t allocate(const char *Name, uint64_t Size, bool ZeroInit);
-  void deallocateFrame(const FrameMap &Frame);
   bool checkAccess(const LValue &LV, uint64_t Size, const char *What);
   Value loadScalar(const LValue &LV);
   void storeScalar(const LValue &LV, const Value &V);
@@ -161,7 +184,8 @@ private:
   Value pointerAdd(const Value &Ptr, int64_t Delta, SourceLocation Loc);
   Value evalCall(const CallExpr *C);
   void doPrintf(const CallExpr *C);
-  Value callFunction(const FunctionDecl *F, const std::vector<Value> &Args);
+  /// Calls \p F on the arguments at T->Args[ArgBase...].
+  Value callFunction(const FunctionDecl *F, size_t ArgBase);
 
   // --- statements -------------------------------------------------------
   Signal execStmt(const Stmt *S);
@@ -176,7 +200,7 @@ private:
   // --- block lifetimes ----------------------------------------------------
   /// Indexes \p S, whose declarations belong to \p Owner.
   void indexScopes(const Stmt *S, const Stmt *Owner, ScopeWalk &W);
-  StmtScope &scopeOf(const Stmt *S) { return Scopes[S->stmtId()]; }
+  StmtScope &scopeOf(const Stmt *S) { return T->Scopes[S->stmtId()]; }
   /// \returns whether \p S is \p Target or encloses it.
   bool onPath(const Stmt *S, const LabelStmt *Target) {
     const std::vector<const Stmt *> &E = scopeOf(Target).Enclosing;
@@ -188,8 +212,14 @@ private:
   /// Creates the objects a jump over \p S skips, indeterminate.
   void declareSkipped(const Stmt *S);
 
-  VarDecl *findVar(const DeclRefExpr *Ref) const { return Ref->decl(); }
-  uint32_t blockOf(const VarDecl *V);
+  /// \p V's slot in the current frame, or in the globals' frame.
+  uint32_t &slotOf(const VarDecl *V) {
+    return T->Slots[(V->isGlobal() ? 0 : FrameBase) + V->varId()];
+  }
+  uint32_t blockOf(const VarDecl *V) { return slotOf(V); }
+  FrameView currentFrame() {
+    return {T->Slots.data() + FrameBase, FrameWidth};
+  }
 
   ASTContext &Ctx;
   const InterpOptions &Opts;
@@ -199,10 +229,10 @@ private:
   StdinIntScanner Stdin; ///< Sweep-input cursor for spe_input().
 
   MachineMemory Mem;
-  FrameMap Globals;
-  std::vector<FrameMap> Frames;
+  ScratchLease<OracleTables> T;
+  size_t FrameWidth;     ///< The unit's variable count.
+  size_t FrameBase = 0;  ///< The current frame's first slot.
   unsigned CallDepth = 0;
-  std::vector<StmtScope> Scopes; ///< Indexed by Sema statement id.
 
   // --- drift proofs (DESIGN.md Section 18.5) -------------------------------
   std::map<const Stmt *, LoopPlan> Plans; ///< Classified loops of this run.
@@ -218,7 +248,7 @@ private:
 
 bool Interp::loopHead(LoopDetector<SavedFrame> &D, const Stmt *Loop) {
   TimeoutReason Reason =
-      D.visit(Mem, Stdin.position(), Frames.back(), Steps, Opts.MaxSteps,
+      D.visit(Mem, Stdin.position(), currentFrame(), Steps, Opts.MaxSteps,
               [&](DriftWatch &W) { return Loop ? armDrift(W, Loop) : nullptr; });
   if (Reason == TimeoutReason::None)
     return false;
@@ -586,11 +616,6 @@ uint32_t Interp::allocate(const char *Name, uint64_t Size, bool ZeroInit) {
   return Id;
 }
 
-void Interp::deallocateFrame(const FrameMap &Frame) {
-  for (const auto &[V, Block] : Frame)
-    Mem.release(Block);
-}
-
 bool Interp::checkAccess(const LValue &LV, uint64_t Size, const char *What) {
   if (LV.Block == 0 || LV.Block >= Mem.Blocks.size()) {
     ub(std::string("null pointer ") + What);
@@ -614,32 +639,18 @@ Value Interp::loadScalar(const LValue &LV) {
   uint64_t Size = LV.Ty->sizeInBytes();
   if (!checkAccess(LV, Size, "read"))
     return {};
-  MachineBlock &B = Mem.Blocks[LV.Block];
-  for (uint64_t I = 0; I < Size; ++I) {
-    if (!B.Init[LV.Offset + I]) {
-      ub(std::string("read of uninitialized value from '") + B.Name + "'");
-      return {};
-    }
+  if (!Mem.initialized(LV.Block, LV.Offset, Size)) {
+    ub(std::string("read of uninitialized value from '") +
+       Mem.Blocks[LV.Block].Name + "'");
+    return {};
   }
-  if (LV.Ty->isPointer() ? B.HeldInteger : B.HeldPointer)
-    ++Mem.Exposures;
   if (LV.Ty->isPointer()) {
     Value V;
     V.Ty = LV.Ty;
-    uint32_t Block = 0;
-    uint32_t Off = 0;
-    for (int I = 3; I >= 0; --I)
-      Block = (Block << 8) | B.Bytes[LV.Offset + I];
-    for (int I = 3; I >= 0; --I)
-      Off = (Off << 8) | B.Bytes[LV.Offset + 4 + I];
-    V.Block = Block;
-    V.Offset = static_cast<int32_t>(Off);
+    Mem.loadPointer(LV.Block, LV.Offset, V.Block, V.Offset);
     return V;
   }
-  uint64_t Raw = 0;
-  for (uint64_t I = Size; I-- > 0;)
-    Raw = (Raw << 8) | B.Bytes[LV.Offset + I];
-  return makeInt(LV.Ty, Raw);
+  return makeInt(LV.Ty, Mem.loadInteger(LV.Block, LV.Offset, Size));
 }
 
 void Interp::storeScalar(const LValue &LV, const Value &V) {
@@ -647,28 +658,16 @@ void Interp::storeScalar(const LValue &LV, const Value &V) {
   uint64_t Size = LV.Ty->sizeInBytes();
   if (!checkAccess(LV, Size, "write"))
     return;
-  MachineBlock &B = Mem.Blocks[LV.Block];
-  Mem.touch(LV.Block);
   if (V.Uninit) {
     // Storing an indeterminate value leaves the bytes uninitialized.
-    for (uint64_t I = 0; I < Size; ++I)
-      B.Init[LV.Offset + I] = false;
+    Mem.touch(LV.Block);
+    Mem.setInit(LV.Block, LV.Offset, Size, false);
     return;
   }
-  if (LV.Ty->isPointer()) {
-    B.HeldPointer = true;
-    uint32_t Off = static_cast<uint32_t>(static_cast<int32_t>(V.Offset));
-    for (int I = 0; I < 4; ++I)
-      B.Bytes[LV.Offset + I] = static_cast<uint8_t>(V.Block >> (8 * I));
-    for (int I = 0; I < 4; ++I)
-      B.Bytes[LV.Offset + 4 + I] = static_cast<uint8_t>(Off >> (8 * I));
-  } else {
-    B.HeldInteger = true;
-    for (uint64_t I = 0; I < Size; ++I)
-      B.Bytes[LV.Offset + I] = static_cast<uint8_t>(V.Bits >> (8 * I));
-  }
-  for (uint64_t I = 0; I < Size; ++I)
-    B.Init[LV.Offset + I] = true;
+  if (LV.Ty->isPointer())
+    Mem.storePointer(LV.Block, LV.Offset, V.Block, V.Offset);
+  else
+    Mem.storeInteger(LV.Block, LV.Offset, Size, V.Bits);
   if (!Watches.empty())
     noteStore(LV.Block);
 }
@@ -899,18 +898,6 @@ Value Interp::pointerAdd(const Value &Ptr, int64_t Delta,
 //===----------------------------------------------------------------------===//
 // Expression evaluation
 //===----------------------------------------------------------------------===//
-
-uint32_t Interp::blockOf(const VarDecl *V) {
-  if (!Frames.empty()) {
-    auto It = Frames.back().find(V);
-    if (It != Frames.back().end())
-      return It->second;
-  }
-  auto It = Globals.find(V);
-  if (It != Globals.end())
-    return It->second;
-  return 0;
-}
 
 bool Interp::evalLValue(const Expr *E, LValue &Out) {
   if (Failed || !step())
@@ -1362,16 +1349,20 @@ Value Interp::evalBinary(const BinaryExpr *B) {
 //===----------------------------------------------------------------------===//
 
 void Interp::doPrintf(const CallExpr *C) {
-  std::vector<uint64_t> Args;
-  Args.reserve(C->args().size() - 1);
+  // An argument may call a function that prints, so each printf keeps its
+  // arguments above the ones of the printf that called it.
+  std::vector<uint64_t> &Stack = T->PrintfArgs;
+  size_t Base = Stack.size();
   for (size_t I = 1; I < C->args().size(); ++I) {
     Value V = evalExpr(C->args()[I]);
     if (Failed || !requireInit(V, "printf argument"))
       return;
-    Args.push_back(V.Bits);
+    Stack.push_back(V.Bits);
   }
-  PrintfFailure F = formatPrintf(cast<StringLiteral>(C->args()[0])->value(),
-                                 Args, Result.Output);
+  PrintfFailure F =
+      formatPrintf(cast<StringLiteral>(C->args()[0])->value(),
+                   Stack.data() + Base, Stack.size() - Base, Result.Output);
+  Stack.resize(Base);
   // %i is reported under its synonym %d.
   if (F.What == PrintfFailure::MissingArgument)
     ub(std::string("printf: missing argument for %") +
@@ -1395,29 +1386,34 @@ Value Interp::evalCall(const CallExpr *C) {
          "call to undefined function '" + C->callee()->name() + "'");
     return {};
   }
-  std::vector<Value> Args;
+  size_t ArgBase = T->Args.size();
   for (const Expr *A : C->args()) {
-    Args.push_back(evalExpr(A));
+    Value V = evalExpr(A);
     if (Failed)
       return {};
+    T->Args.push_back(V);
   }
-  return callFunction(F, Args);
+  Value Ret = callFunction(F, ArgBase);
+  T->Args.resize(ArgBase);
+  return Ret;
 }
 
-Value Interp::callFunction(const FunctionDecl *F,
-                           const std::vector<Value> &Args) {
+Value Interp::callFunction(const FunctionDecl *F, size_t ArgBase) {
   if (++CallDepth > Opts.MaxCallDepth) {
     timeout(TimeoutReason::CallDepth, "call depth exceeded");
     --CallDepth;
     return {};
   }
-  Frames.emplace_back();
+  std::vector<uint32_t> &Slots = T->Slots;
+  size_t CallerBase = FrameBase;
+  FrameBase = Slots.size();
+  Slots.resize(FrameBase + FrameWidth, 0);
   for (size_t I = 0; I < F->params().size(); ++I) {
     const VarDecl *P = F->params()[I];
     uint32_t Block =
         allocate(P->name().c_str(), P->type()->sizeInBytes(), false);
-    Frames.back()[P] = Block;
-    Value V = Args[I];
+    slotOf(P) = Block;
+    Value V = T->Args[ArgBase + I];
     if (!V.Uninit)
       V = convert(V, P->type());
     storeScalar(LValue{Block, 0, P->type()}, V);
@@ -1427,8 +1423,11 @@ Value Interp::callFunction(const FunctionDecl *F,
   Signal Sig;
   if (!Failed)
     Sig = runBody(F->body());
-  deallocateFrame(Frames.back());
-  Frames.pop_back();
+  for (size_t I = FrameBase; I < Slots.size(); ++I)
+    if (Slots[I])
+      Mem.release(Slots[I]);
+  Slots.resize(FrameBase);
+  FrameBase = CallerBase;
   --CallDepth;
   if (Failed)
     return {};
@@ -1460,15 +1459,15 @@ void Interp::execVarDecl(const VarDecl *V) {
   // Reaching a declaration again in the same activation of its block
   // reuses its object (C11 6.2.4p6): the initializer runs again, or the
   // value becomes indeterminate.
-  auto [It, Fresh] = Frames.back().try_emplace(V, 0);
+  uint32_t &Slot = slotOf(V);
+  bool Fresh = Slot == 0;
   if (Fresh)
-    It->second = allocate(V->name().c_str(), Size, false);
-  uint32_t Block = It->second;
+    Slot = allocate(V->name().c_str(), Size, false);
+  uint32_t Block = Slot;
   if (V->init()) {
     initializeObject(LValue{Block, 0, V->type()}, V->init());
   } else if (!Fresh) {
-    MachineBlock &B = Mem.Blocks[Block];
-    B.Init.assign(B.Init.size(), false);
+    Mem.setInit(Block, 0, Size, false);
     Mem.touch(Block);
     if (!Watches.empty())
       noteStore(Block);
@@ -1482,8 +1481,8 @@ void Interp::declareSkipped(const Stmt *S) {
   case Stmt::Kind::Decl:
     for (const VarDecl *V : cast<DeclStmt>(S)->decls()) {
       uint64_t Size = V->type()->sizeInBytes();
-      if (Size && !Frames.back().count(V))
-        Frames.back()[V] = allocate(V->name().c_str(), Size, false);
+      if (Size && !slotOf(V))
+        slotOf(V) = allocate(V->name().c_str(), Size, false);
     }
     return;
   case Stmt::Kind::If:
@@ -1511,13 +1510,12 @@ void Interp::leaveBlock(const Stmt *Block, const Signal &Sig) {
   if (Owned.empty() || (Sig.K == Signal::Goto && Sig.Target &&
                         onPath(Block, Sig.Target)))
     return;
-  FrameMap &Frame = Frames.back();
   for (const VarDecl *V : Owned) {
-    auto It = Frame.find(V);
-    if (It == Frame.end())
+    uint32_t &Slot = slotOf(V);
+    if (!Slot)
       continue; // Never reached in this activation.
-    Mem.release(It->second);
-    Frame.erase(It);
+    Mem.release(Slot);
+    Slot = 0;
   }
 }
 
@@ -1525,8 +1523,6 @@ void Interp::indexScopes(const Stmt *S, const Stmt *Owner, ScopeWalk &W) {
   if (!S)
     return;
   assert(S->stmtId() >= 0 && "statement not analyzed by Sema");
-  if (static_cast<size_t>(S->stmtId()) >= Scopes.size())
-    Scopes.resize(S->stmtId() + 1);
   W.Path.push_back(S);
   switch (S->kind()) {
   case Stmt::Kind::Compound:
@@ -1556,7 +1552,7 @@ void Interp::indexScopes(const Stmt *S, const Stmt *Owner, ScopeWalk &W) {
     break;
   case Stmt::Kind::Label: {
     const auto *L = cast<LabelStmt>(S);
-    W.Labels[L->name()] = L;
+    W.Labels.push_back(L);
     scopeOf(L).Enclosing.assign(W.Path.begin(), W.Path.end() - 1);
     indexScopes(L->sub(), Owner, W);
     break;
@@ -1573,15 +1569,12 @@ void Interp::indexScopes(const Stmt *S, const Stmt *Owner, ScopeWalk &W) {
 void Interp::initializeObject(const LValue &LV, const Expr *Init) {
   if (const auto *List = dyn_cast<InitListExpr>(Init)) {
     // Zero-fill first: C zero-initializes the remainder of a braced object.
-    MachineBlock &B = Mem.Blocks[LV.Block];
     uint64_t Size = LV.Ty->sizeInBytes();
     if (!checkAccess(LV, Size, "write"))
       return;
     Mem.touch(LV.Block);
-    for (uint64_t I = 0; I < Size; ++I) {
-      B.Bytes[LV.Offset + I] = 0;
-      B.Init[LV.Offset + I] = true;
-    }
+    std::memset(Mem.Blocks[LV.Block].Bytes.data() + LV.Offset, 0, Size);
+    Mem.setInit(LV.Block, LV.Offset, Size, true);
     if (LV.Ty->isArray()) {
       const Type *Elem = LV.Ty->elementType();
       for (size_t I = 0; I < List->elements().size(); ++I)
@@ -1624,7 +1617,7 @@ Signal Interp::execStmt(const Stmt *S) {
   Signal None;
   if (Failed || !S || !step())
     return None;
-  Result.ExecutedStmts.insert(S->stmtId());
+  Result.ExecutedStmts[S->stmtId()] = true;
   switch (S->kind()) {
   case Stmt::Kind::Compound: {
     Signal Sig;
@@ -1853,41 +1846,65 @@ Signal Interp::runBody(const CompoundStmt *Body) {
 }
 
 ExecResult Interp::run() {
+  Result.ExecutedStmts.assign(Ctx.numStmts(), false);
   const FunctionDecl *Main = Ctx.findFunction("main");
   if (!Main || !Main->isDefinition()) {
     Result.Status = ExecStatus::Unsupported;
     Result.Message = "no main function";
     return Result;
   }
-  // Allocate all globals zero-initialized, then run initializers in order.
-  for (VarDecl *G : Ctx.globals()) {
+  if (!Main->params().empty()) {
+    Result.Status = ExecStatus::Unsupported;
+    Result.Message = "main with parameters";
+    return Result;
+  }
+  // The globals' frame is the bottom of the slot stack, and the only frame
+  // initializers see. Allocate all globals zero-initialized, then run
+  // initializers in order.
+  T->Slots.assign(FrameWidth, 0);
+  T->Args.clear();
+  T->PrintfArgs.clear();
+  for (Decl *D : Ctx.TopLevel) {
+    auto *G = dyn_cast<VarDecl>(D);
+    if (!G)
+      continue;
     uint64_t Size = G->type()->sizeInBytes();
     if (Size == 0) {
       Result.Status = ExecStatus::Unsupported;
       Result.Message = "global of incomplete type '" + G->name() + "'";
       return Result;
     }
-    Globals[G] = allocate(G->name().c_str(), Size, true);
+    slotOf(G) = allocate(G->name().c_str(), Size, true);
   }
-  Frames.emplace_back(); // Pseudo-frame for initializer evaluation.
-  for (VarDecl *G : Ctx.globals()) {
-    if (G->init() && !Failed)
-      initializeObject(LValue{Globals[G], 0, G->type()}, G->init());
+  for (Decl *D : Ctx.TopLevel) {
+    auto *G = dyn_cast<VarDecl>(D);
+    if (G && G->init() && !Failed)
+      initializeObject(LValue{slotOf(G), 0, G->type()}, G->init());
   }
-  Frames.pop_back();
-  for (const FunctionDecl *F : Ctx.functions()) {
-    if (!F->isDefinition())
+  T->Scopes.resize(Ctx.numStmts());
+  for (StmtScope &Scope : T->Scopes) {
+    Scope.Owned.clear();
+    Scope.Target = nullptr;
+    Scope.Enclosing.clear();
+  }
+  for (Decl *D : Ctx.TopLevel) {
+    auto *F = dyn_cast<FunctionDecl>(D);
+    if (!F || !F->isDefinition())
       continue;
-    ScopeWalk W;
+    ScopeWalk &W = T->Walk;
     W.Body = F->body();
+    W.Path.clear();
+    W.Labels.clear();
+    W.Gotos.clear();
     indexScopes(W.Body, W.Body, W);
-    for (const GotoStmt *G : W.Gotos) {
-      auto It = W.Labels.find(G->label());
-      scopeOf(G).Target = It == W.Labels.end() ? nullptr : It->second;
-    }
+    // Sema gives each label of a function its own name.
+    for (const GotoStmt *G : W.Gotos)
+      for (const LabelStmt *L : W.Labels)
+        if (L->name() == G->label())
+          scopeOf(G).Target = L;
   }
   if (!Failed) {
-    Value Exit = callFunction(Main, {});
+    Value Exit = callFunction(Main, 0);
     if (!Failed) {
       Result.Status = ExecStatus::Ok;
       // Falling off the end of main returns 0 (C99 5.1.2.2.3).

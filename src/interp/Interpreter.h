@@ -23,9 +23,15 @@
 /// when the callee returns, a block-scope local when control leaves its
 /// block (DESIGN.md Section 18.6).
 ///
-/// The interpreter also records which statements executed (by Sema-assigned
-/// stmt id); the Orion-style mutation baseline deletes statements in the
-/// unexecuted "dead regions" exactly as in the paper's coverage experiment.
+/// The interpreter also records which statements executed, in a bitmap
+/// indexed by Sema-assigned stmt id that a run sizes once to the unit's
+/// statement count; the Orion-style mutation baseline deletes statements
+/// in the unexecuted "dead regions" exactly as in the paper's coverage
+/// experiment.
+///
+/// Sema also numbers every variable of the unit densely, so a frame is a
+/// slice of one per-thread slot stack, one block id per variable: a
+/// variable reference is an index, and a call allocates nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +42,8 @@
 #include "support/Divergence.h"
 
 #include <cstdint>
-#include <set>
 #include <string>
+#include <vector>
 
 namespace spe {
 
@@ -68,8 +74,9 @@ struct ExecResult {
   std::string Message;
   /// Why the run timed out; None unless Status is Timeout.
   TimeoutReason Reason = TimeoutReason::None;
-  /// Sema statement ids that executed at least once.
-  std::set<int> ExecutedStmts;
+  /// Which statements executed at least once: a bitmap indexed by Sema
+  /// statement id, ASTContext::numStmts() long.
+  std::vector<bool> ExecutedStmts;
 
   bool ok() const { return Status == ExecStatus::Ok; }
 };

@@ -582,12 +582,18 @@ public:
   int scopeId() const { return ScopeIdx; }
   void setScopeId(int Id) { ScopeIdx = Id; }
 
+  /// Sema-assigned dense id within the unit, in declaration order: the
+  /// interpreter's slot of the variable in a frame.
+  int varId() const { return VarIdx; }
+  void setVarId(int Id) { VarIdx = Id; }
+
 private:
   std::string Name;
   const Type *Ty;
   Storage TheStorage;
   Expr *Init = nullptr;
   int ScopeIdx = -1;
+  int VarIdx = -1;
 };
 
 class FunctionDecl : public Decl {
@@ -667,11 +673,22 @@ public:
   /// \returns the global variables in source order.
   std::vector<VarDecl *> globals() const;
 
+  /// How many statements and variables Sema numbered: statement ids are
+  /// [0, numStmts()), variable ids [0, numVars()).
+  int numStmts() const { return NumStmts; }
+  int numVars() const { return NumVars; }
+  void setNumbering(int Stmts, int Vars) {
+    NumStmts = Stmts;
+    NumVars = Vars;
+  }
+
 private:
   TypeContext Types;
   std::vector<std::unique_ptr<Expr>> ExprNodes;
   std::vector<std::unique_ptr<Stmt>> StmtNodes;
   std::vector<std::unique_ptr<Decl>> DeclNodes;
+  int NumStmts = 0;
+  int NumVars = 0;
 };
 
 } // namespace spe

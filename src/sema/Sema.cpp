@@ -95,6 +95,7 @@ void Sema::declareVar(VarDecl *V) {
   }
   Scopes[CurrentScope].Vars.push_back(V);
   V->setScopeId(CurrentScope);
+  V->setVarId(NextVarId++);
   DeclSeqs[V] = NextSeq++;
 }
 
@@ -110,6 +111,7 @@ bool Sema::run() {
     if (auto *F = dyn_cast<FunctionDecl>(D))
       if (F->isDefinition())
         analyzeFunction(F);
+  Ctx.setNumbering(NextStmtId, NextVarId);
   return !Diags.hasErrors();
 }
 

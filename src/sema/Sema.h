@@ -76,7 +76,8 @@ public:
   /// Scope id of a function's parameter scope.
   int paramScopeOf(const FunctionDecl *F) const;
 
-  /// Total number of statements (ids are [0, numStmts())).
+  /// Total number of statements (ids are [0, numStmts())). Analysis also
+  /// numbers every variable, and records both counts in the ASTContext.
   int numStmts() const { return NextStmtId; }
 
 private:
@@ -102,6 +103,7 @@ private:
   int CurrentScope = 0;
   unsigned NextSeq = 0;
   int NextStmtId = 0;
+  int NextVarId = 0;
   std::map<const DeclRefExpr *, int> UseScopes;
   std::map<const DeclRefExpr *, unsigned> UseSeqs;
   std::map<const VarDecl *, unsigned> DeclSeqs;

@@ -25,42 +25,40 @@ const char *spe::timeoutReasonName(TimeoutReason Reason) {
 
 namespace {
 
-/// The thread's spare block table and the buffers of released blocks.
-/// Buffers past a bound in size, and tables past one in capacity, are
-/// freed instead, so what a thread keeps stays small.
+/// The thread's spare block table and the buffers of released blocks,
+/// byte and init buffers alike. Buffers past a bound in size, and tables
+/// past one in capacity, are freed instead, so what a thread keeps stays
+/// small.
 struct SpareMemory {
-  static constexpr size_t MaxBuffers = 256;
+  static constexpr size_t MaxBuffers = 512;
   static constexpr size_t MaxBufferSize = 4096;
   static constexpr size_t MaxTableBlocks = 4096;
 
   std::vector<MachineBlock> Table;
-  std::vector<std::vector<uint8_t>> Bytes;
-  std::vector<std::vector<bool>> Init;
+  std::vector<std::vector<uint8_t>> Buffers;
 
   static SpareMemory &get() {
     thread_local SpareMemory Spare;
     return Spare;
   }
 
-  template <class T>
-  static void give(std::vector<std::vector<T>> &Pool, std::vector<T> &Buf) {
+  void give(std::vector<uint8_t> &Buf) {
     if (Buf.capacity() != 0 && Buf.capacity() <= MaxBufferSize &&
-        Pool.size() < MaxBuffers)
-      Pool.push_back(std::move(Buf));
+        Buffers.size() < MaxBuffers)
+      Buffers.push_back(std::move(Buf));
     else
-      std::vector<T>().swap(Buf);
+      std::vector<uint8_t>().swap(Buf);
   }
-  template <class T>
-  static void take(std::vector<std::vector<T>> &Pool, std::vector<T> &Buf) {
-    if (Pool.empty())
+  void take(std::vector<uint8_t> &Buf) {
+    if (Buffers.empty())
       return;
-    Buf = std::move(Pool.back());
-    Pool.pop_back();
+    Buf = std::move(Buffers.back());
+    Buffers.pop_back();
   }
-  /// Moves \p B's buffers to the pools; B keeps none.
+  /// Moves \p B's buffers to the pool; B keeps none.
   void recycle(MachineBlock &B) {
-    give(Bytes, B.Bytes);
-    give(Init, B.Init);
+    give(B.Bytes);
+    give(B.Init);
   }
 };
 
@@ -88,11 +86,11 @@ uint32_t MachineMemory::allocate(uint64_t Size, bool TrackInit,
                                  bool ZeroInit) {
   SpareMemory &Spare = SpareMemory::get();
   MachineBlock &B = Blocks.emplace_back();
-  SpareMemory::take(Spare.Bytes, B.Bytes);
+  Spare.take(B.Bytes);
   B.Bytes.assign(Size, 0);
   if (TrackInit) {
-    SpareMemory::take(Spare.Init, B.Init);
-    B.Init.assign(Size, ZeroInit);
+    Spare.take(B.Init);
+    B.Init.assign(Size, ZeroInit ? 1 : 0);
   }
   uint32_t Id = static_cast<uint32_t>(Blocks.size() - 1);
   ++LiveBlocks;
@@ -142,11 +140,9 @@ bool MemorySnapshot::blockMatches(const MachineMemory &M, size_t Index,
       (CompareBytes && !B.Bytes.empty() &&
        std::memcmp(B.Bytes.data(), Bytes.data() + Start, B.Bytes.size())))
     return false;
-  // The VM keeps no init bits; the interpreter keeps one per byte.
-  for (size_t I = 0; I < B.Init.size(); ++I)
-    if (B.Init[I] != Init[Start + I])
-      return false;
-  return true;
+  // The VM keeps no init bytes; the interpreter keeps one per byte.
+  return B.Init.empty() ||
+         !std::memcmp(B.Init.data(), Init.data() + Start, B.Init.size());
 }
 
 StateMatch MemorySnapshot::compare(const MachineMemory &M, size_t Pos,
@@ -241,10 +237,7 @@ void DriftWatch::arm(const DriftPlan &P, std::vector<uint32_t> CellBlocks,
 
 Wide DriftWatch::valueOf(const MachineMemory &M, size_t Cell) const {
   const DriftPlan::Cell &C = Plan->Cells[Cell];
-  const std::vector<uint8_t> &Bytes = M.Blocks[Blocks[Cell]].Bytes;
-  uint64_t Raw = 0;
-  for (unsigned I = C.Width / 8; I-- > 0;)
-    Raw = (Raw << 8) | Bytes[I];
+  uint64_t Raw = M.integerAt(Blocks[Cell], 0, C.Width / 8);
   if (!C.Signed)
     return Wide(Raw);
   unsigned Shift = 64 - C.Width;
@@ -262,7 +255,7 @@ void DriftWatch::openWindow(const MachineMemory &M, uint64_t Steps) {
     W = CellWindow();
     // A dead or uninitialized cell has no value to drift from.
     W.Linear = B.Alive && B.Bytes.size() * 8 >= Plan->Cells[I].Width &&
-               std::find(B.Init.begin(), B.Init.end(), false) == B.Init.end();
+               std::find(B.Init.begin(), B.Init.end(), 0) == B.Init.end();
     if (W.Linear)
       W.Start = W.Last = W.Min = W.Max = valueOf(M, I);
   }

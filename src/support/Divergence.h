@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace spe {
@@ -45,9 +46,9 @@ const char *timeoutReasonName(TimeoutReason Reason);
 /// One allocation of either executor.
 struct MachineBlock {
   std::vector<uint8_t> Bytes;
-  /// Per-byte init bits; the interpreter keeps them, the VM leaves this
-  /// empty.
-  std::vector<bool> Init;
+  /// One init byte per byte, 1 once the byte is initialized; the
+  /// interpreter keeps them, the VM leaves this empty.
+  std::vector<uint8_t> Init;
   /// The declaration's name, which the AST owns for longer than the run;
   /// only the interpreter sets it, for UB messages.
   const char *Name = nullptr;
@@ -65,12 +66,20 @@ struct MachineBlock {
 /// The blocks of one run plus the counters the check compares. Block 0 is
 /// the dead null block.
 ///
-/// The block table and the byte and init-bit buffers of released blocks
-/// are per-thread scratch (support/Scratch.h): a run takes its thread's
-/// spare table, a released block's buffers go to the thread's spare pool
+/// The block table and the byte and init buffers of released blocks are
+/// per-thread scratch (support/Scratch.h): a run takes its thread's spare
+/// table, a released block's buffers go to the thread's spare pool
 /// (bounded in count and size), and allocate() takes one from there and
 /// fills it as a fresh buffer would be. Block ids, lifetimes and contents
 /// are exactly those of fresh buffers.
+///
+/// It also owns the stored-scalar layout both executors read and write:
+/// an integer is its low Size bytes, a pointer its block id and then its
+/// offset's low 32 bits (8 bytes), all little-endian. A block records
+/// whether it ever held each kind, and a load of the other kind
+/// reinterprets bytes, which may expose a block id: it counts in
+/// Exposures. Each executor decides which kind a value stores as, and
+/// checks the access before calling these.
 struct MachineMemory {
   std::vector<MachineBlock> Blocks;
   uint64_t Clock = 0;       ///< Bumped by every memory mutation.
@@ -86,10 +95,10 @@ struct MachineMemory {
   MachineMemory(const MachineMemory &) = delete;
   MachineMemory &operator=(const MachineMemory &) = delete;
 
-  /// Allocates \p Size zero bytes; with \p TrackInit, init bits set to
+  /// Allocates \p Size zero bytes; with \p TrackInit, init bytes set to
   /// \p ZeroInit.
   uint32_t allocate(uint64_t Size, bool TrackInit, bool ZeroInit);
-  /// Ends \p Id's lifetime; its bytes and init bits leave the block.
+  /// Ends \p Id's lifetime; its bytes and init bytes leave the block.
   void release(uint32_t Id);
   void touch(uint32_t Id) {
     Blocks[Id].Written = ++Clock;
@@ -102,6 +111,103 @@ struct MachineMemory {
     ++Exposures;
     return (static_cast<uint64_t>(Block) << 32) |
            static_cast<uint32_t>(Offset);
+  }
+
+  /// Stores \p Bits' low \p Size bytes at \p At in block \p Id; a block
+  /// that keeps init bytes has them set.
+  void storeInteger(uint32_t Id, uint64_t At, uint64_t Size, uint64_t Bits) {
+    MachineBlock &B = Blocks[Id];
+    touch(Id);
+    B.HeldInteger = true;
+    putWord(B.Bytes.data() + At, Size, Bits);
+    if (!B.Init.empty())
+      setInit(Id, At, Size, true);
+  }
+  /// Stores the pointer (\p Block, \p Offset) at \p At in block \p Id.
+  void storePointer(uint32_t Id, uint64_t At, uint32_t Block,
+                    int64_t Offset) {
+    MachineBlock &B = Blocks[Id];
+    touch(Id);
+    B.HeldPointer = true;
+    putWord(B.Bytes.data() + At, 4, Block);
+    putWord(B.Bytes.data() + At + 4, 4, static_cast<uint32_t>(Offset));
+    if (!B.Init.empty())
+      setInit(Id, At, 8, true);
+  }
+  /// \returns the \p Size bytes at \p At in block \p Id as an integer,
+  /// zero-extended.
+  uint64_t loadInteger(uint32_t Id, uint64_t At, uint64_t Size) {
+    const MachineBlock &B = Blocks[Id];
+    if (B.HeldPointer)
+      ++Exposures;
+    return getWord(B.Bytes.data() + At, Size);
+  }
+  /// Loads the pointer at \p At in block \p Id; the offset is the stored
+  /// low 32 bits, sign-extended.
+  void loadPointer(uint32_t Id, uint64_t At, uint32_t &Block,
+                   int64_t &Offset) {
+    const MachineBlock &B = Blocks[Id];
+    if (B.HeldInteger)
+      ++Exposures;
+    Block = static_cast<uint32_t>(getWord(B.Bytes.data() + At, 4));
+    Offset = static_cast<int32_t>(getWord(B.Bytes.data() + At + 4, 4));
+  }
+  /// The integer a drift watch reads: loadInteger without the exposure,
+  /// since the watch only observes the run.
+  uint64_t integerAt(uint32_t Id, uint64_t At, uint64_t Size) const {
+    return getWord(Blocks[Id].Bytes.data() + At, Size);
+  }
+
+  /// Whether the init bytes of the scalar of \p Size bytes (at most 8) at
+  /// \p At in block \p Id are all set.
+  bool initialized(uint32_t Id, uint64_t At, uint64_t Size) const {
+    return getWord(Blocks[Id].Init.data() + At, Size) ==
+           0x0101010101010101ull >> (64 - 8 * Size);
+  }
+  /// Sets or clears the \p Size init bytes at \p At in block \p Id.
+  void setInit(uint32_t Id, uint64_t At, uint64_t Size, bool Init) {
+    std::memset(Blocks[Id].Init.data() + At, Init ? 1 : 0, Size);
+  }
+
+private:
+  /// The little-endian integer in the \p Size bytes (at most 8) at \p P:
+  /// one word access for a scalar's size on a little-endian host.
+  static uint64_t getWord(const uint8_t *P, uint64_t Size) {
+    uint64_t V = 0;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    switch (Size) {
+    case 8:
+      std::memcpy(&V, P, 8);
+      return V;
+    case 4:
+      std::memcpy(&V, P, 4);
+      return V;
+    case 2:
+      std::memcpy(&V, P, 2);
+      return V;
+    }
+#endif
+    for (uint64_t I = Size; I-- > 0;)
+      V = (V << 8) | P[I];
+    return V;
+  }
+  /// Writes \p V's low \p Size bytes (at most 8) at \p P, little-endian.
+  static void putWord(uint8_t *P, uint64_t Size, uint64_t V) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    switch (Size) {
+    case 8:
+      std::memcpy(P, &V, 8);
+      return;
+    case 4:
+      std::memcpy(P, &V, 4);
+      return;
+    case 2:
+      std::memcpy(P, &V, 2);
+      return;
+    }
+#endif
+    for (uint64_t I = 0; I < Size; ++I)
+      P[I] = static_cast<uint8_t>(V >> (8 * I));
   }
 };
 
@@ -126,7 +232,7 @@ public:
   /// save can only die, so an equal live count says every such block is
   /// dead again. The bytes of the blocks in \p Masked (ascending) are
   /// compared only to tell Equal from MaskedEqual; their liveness, size
-  /// and init bits must match like any block's.
+  /// and init bytes must match like any block's.
   StateMatch compare(const MachineMemory &M, size_t StdinPos,
                      const std::vector<uint32_t> &Masked = {}) const;
 
@@ -139,11 +245,11 @@ private:
   uint64_t Exposures = 0;
   size_t StdinPos = 0;
   /// Every live block (ascending ids), its bytes at Starts[I], and its
-  /// init bits at the same offsets.
+  /// init bytes at the same offsets.
   std::vector<uint32_t> Ids;
   std::vector<size_t> Starts;
   std::vector<uint8_t> Bytes;
-  std::vector<bool> Init;
+  std::vector<uint8_t> Init;
 };
 
 /// A relational comparison, with the drift cell on the left.
@@ -272,11 +378,11 @@ private:
 /// the executor's own image of the activation, and the drift watch.
 ///
 /// ActivationT is what the executor saves of its activation (the
-/// interpreter's frame map, the VM's branch target and registers). It
-/// provides sameLoop(View); covers(Plan, View), whether the plan is the
-/// one of the loop the view is at; matches(View, Plan), a full comparison
-/// under a null plan and otherwise one that may skip what the plan proves
-/// dead; and assignment from the View.
+/// interpreter's frame of the slot stack, the VM's branch target and
+/// registers). It provides sameLoop(View); covers(Plan, View), whether
+/// the plan is the one of the loop the view is at; matches(View, Plan), a
+/// full comparison under a null plan and otherwise one that may skip what
+/// the plan proves dead; and assignment from the View.
 template <class ActivationT> struct LoopDetector {
   BrentSchedule Schedule;
   MemorySnapshot Memory;

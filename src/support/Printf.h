@@ -33,12 +33,11 @@ struct PrintfFailure {
   char Conv = 0;
 };
 
-/// Appends \p Fmt formatted over the argument words \p Args to \p Out. On a
-/// failure \p Out is left as it was. A conversion the dialect does not know
-/// fails before its argument is looked for.
-inline PrintfFailure formatPrintf(const std::string &Fmt,
-                                  const std::vector<uint64_t> &Args,
-                                  std::string &Out) {
+/// Appends \p Fmt formatted over the \p NumArgs argument words at \p Args
+/// to \p Out. On a failure \p Out is left as it was. A conversion the
+/// dialect does not know fails before its argument is looked for.
+inline PrintfFailure formatPrintf(const std::string &Fmt, const uint64_t *Args,
+                                  size_t NumArgs, std::string &Out) {
   const size_t Start = Out.size();
   auto Fail = [&](PrintfFailure::Kind What, char Conv) {
     Out.resize(Start);
@@ -63,7 +62,7 @@ inline PrintfFailure formatPrintf(const std::string &Fmt,
     if (Conv != 'd' && Conv != 'i' && Conv != 'u' && Conv != 'x' &&
         Conv != 'c')
       return Fail(PrintfFailure::UnknownConversion, Conv);
-    if (Arg >= Args.size())
+    if (Arg >= NumArgs)
       return Fail(PrintfFailure::MissingArgument, Conv);
     uint64_t Word = Args[Arg++];
     uint64_t Unsigned = Long ? Word : static_cast<uint32_t>(Word);

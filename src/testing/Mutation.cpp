@@ -16,7 +16,7 @@ namespace {
 
 /// Collects the ids of deletable statements (simple statements only; decls
 /// and labels stay so the program remains well-formed).
-void collectDeletable(const Stmt *S, const std::set<int> &Executed,
+void collectDeletable(const Stmt *S, const std::vector<bool> &Executed,
                       std::vector<int> &Out) {
   if (!S)
     return;
@@ -47,7 +47,7 @@ void collectDeletable(const Stmt *S, const std::set<int> &Executed,
   case Stmt::Kind::Break:
   case Stmt::Kind::Continue:
     // EMI: only statements the reference run never executed may go.
-    if (!Executed.count(S->stmtId()))
+    if (!Executed[S->stmtId()])
       Out.push_back(S->stmtId());
     return;
   default:

@@ -1,10 +1,12 @@
-//===- tests/compiler_alloc_budget_test.cpp - backend allocation budget ---===//
+//===- tests/compiler_alloc_budget_test.cpp - per-variant allocation budgets ===//
 //
 // How many heap allocations the in-process backend makes per tested variant
-// (DESIGN.md Section 12.1). This binary replaces the global operator new
-// and delete with counting versions, so it is its own executable: every
-// allocation anywhere in it counts, and the budget below holds only while
-// the backend's per-variant path reuses its buffers.
+// (DESIGN.md Section 12.1), and the reference oracle per run (Section
+// 18.1). This binary replaces the global operator new and delete with
+// counting versions, so it is its own executable: every allocation
+// anywhere in it counts, and the budgets below hold only while the
+// backend's per-variant path reuses its buffers and the oracle's frames,
+// executed-statement set and block memory allocate nothing per step.
 //
 //===----------------------------------------------------------------------===//
 
@@ -110,6 +112,40 @@ std::vector<Variant> corpus2pVariants(unsigned Ranks) {
   return Out;
 }
 
+/// The analysed ASTs of the first \p Ranks cursor ranks of every seed of
+/// the loop/call corpus as the loops_ckpt benchmark generates it (base
+/// 8000).
+std::vector<std::unique_ptr<ASTContext>> loopCorpusVariants(unsigned Ranks) {
+  CorpusOptions CO;
+  CO.UninitLocalProb = 0.6;
+  CO.BoundedLoopProb = 0.6;
+  CO.RichHelperProb = 0.6;
+  std::vector<std::unique_ptr<ASTContext>> Out;
+  for (const std::string &Seed : generateCorpus(8000, 12, CO)) {
+    ASTContext Ctx;
+    DiagnosticEngine Diags;
+    if (!Parser::parse(Seed, Ctx, Diags))
+      continue;
+    Sema Analysis(Ctx, Diags);
+    if (!Analysis.run())
+      continue;
+    std::vector<SkeletonUnit> Units =
+        SkeletonExtractor(Ctx, Analysis, {}).extract();
+    ProgramCursor Cursor(Units, SpeMode::Exact);
+    VariantRenderer Renderer(Ctx, Units);
+    std::string Source;
+    for (unsigned Rank = 0; Rank < Ranks; ++Rank) {
+      const ProgramAssignment *PA = Cursor.next();
+      if (!PA)
+        break;
+      Renderer.renderInto(*PA, Source);
+      if (std::unique_ptr<ASTContext> V = parseAndAnalyze(Source))
+        Out.push_back(std::move(V));
+    }
+  }
+  return Out;
+}
+
 /// The batch arguments of each variant, built before anything is counted
 /// and moved into beginBatch, which takes them by value.
 struct BatchArgs {
@@ -175,4 +211,33 @@ TEST(CompilerAllocBudgetTest, InProcessBatchesStayWithinTheirBudget) {
   // Half of the 204.7 allocations per variant this test measured before
   // IRGen, the passes, the VM and the memo reused their buffers.
   EXPECT_LE(PerVariant, 102.0);
+}
+
+TEST(CompilerAllocBudgetTest, OracleRunsStayWithinTheirBudget) {
+  // The loops_ckpt benchmark's oracle budget: about a third of these runs
+  // loop until a repeat or drift proof ends them, or the budget does.
+  std::vector<std::unique_ptr<ASTContext>> Variants = loopCorpusVariants(64);
+  ASSERT_GT(Variants.size(), 500u);
+  InterpOptions IO;
+  IO.MaxSteps = 100'000;
+  size_t Timeouts = 0;
+  auto RunAll = [&] {
+    Timeouts = 0;
+    for (const std::unique_ptr<ASTContext> &V : Variants)
+      Timeouts += interpret(*V, IO).Status == ExecStatus::Timeout;
+  };
+  // The first pass warms up whatever the oracle keeps between runs; the
+  // second one is counted.
+  RunAll();
+  uint64_t Before = Allocations.load();
+  RunAll();
+  uint64_t Made = Allocations.load() - Before;
+  double PerRun = double(Made) / double(Variants.size());
+  std::printf("%zu runs, %zu timeouts, %.1f allocations per run\n",
+              Variants.size(), Timeouts, PerRun);
+  EXPECT_GT(Timeouts, 0u);
+  // A quarter of the 89.2 allocations per run this test measured while
+  // each call built a std::map frame and each newly executed statement a
+  // std::set node.
+  EXPECT_LE(PerRun, 22.3);
 }

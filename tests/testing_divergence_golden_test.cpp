@@ -46,6 +46,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 
@@ -67,9 +68,10 @@ void hashAllFields(linetext::Fnv &H, const ExecResult &R) {
   H.u64(static_cast<uint64_t>(R.ExitCode));
   H.str(R.Output);
   H.str(R.Message);
-  H.u64(R.ExecutedStmts.size());
-  for (int Id : R.ExecutedStmts)
-    H.u64(static_cast<uint64_t>(Id));
+  H.u64(std::count(R.ExecutedStmts.begin(), R.ExecutedStmts.end(), true));
+  for (size_t Id = 0; Id < R.ExecutedStmts.size(); ++Id)
+    if (R.ExecutedStmts[Id])
+      H.u64(Id);
 }
 
 void printCensus(const char *What, const std::map<std::string, uint64_t> &C) {
