@@ -1,4 +1,4 @@
-//===- tests/compiler_alloc_budget_test.cpp - per-variant allocation budgets ===//
+//===- tests/compiler_alloc_budget_test.cpp - allocation budgets ----------===//
 //
 // How many heap allocations the in-process backend makes per tested variant
 // (DESIGN.md Section 12.1), and the reference oracle per run (Section
